@@ -10,7 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, RunConfig, TaskSpec, _validate_task, load_config, parse_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    TaskSpec,
+    _validate_task,
+    load_config,
+    parse_config,
+    tolerance_error,
+)
 from .registry import list_examples
 from .reporting import render_structured, render_text
 from .runner import EXIT_INPUT, run
@@ -98,6 +106,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.tol is not None:
+        problem = tolerance_error(args.tol, "--tol")
+        if problem:
+            raise ConfigError([problem])
         cfg.tolerance = args.tol
     if args.t_grid:
         cfg.t_grid = [float(s) for s in args.t_grid.split(",")]

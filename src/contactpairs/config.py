@@ -9,6 +9,7 @@ the repository README and versioned through ``schema_version``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -19,7 +20,7 @@ from .fields import FormField, form_from_expressions, pullback_form
 from .models import ChartModel, LieGroupModel, Model, ProductModel, box_axis, periodic_axis, torus, heisenberg3
 from .registry import example_names
 
-__all__ = ["ConfigError", "TaskSpec", "RunConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "TaskSpec", "RunConfig", "load_config", "parse_config", "tolerance_error"]
 
 SCHEMA_VERSION = 1
 
@@ -61,6 +62,17 @@ class RunConfig:
     families: dict = dc_field(default_factory=dict)
     tasks: list = dc_field(default_factory=list)
     source: dict = dc_field(default_factory=dict)
+
+
+def tolerance_error(value, where: str) -> str | None:
+    """The validation message for a tolerance that is not a finite number > 0."""
+    ok = (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
+    return None if ok else f"{where}: must be a finite number > 0, got {value!r}"
 
 
 def _build_builtin_model(name: str, errors, where: str) -> Model | None:
@@ -260,6 +272,11 @@ def parse_config(raw: dict) -> RunConfig:
         grid_limit=int(raw.get("samples", {}).get("grid_limit", 50000)),
         source=raw,
     )
+    if cfg.tolerance is not None:
+        problem = tolerance_error(cfg.tolerance, "tolerance")
+        if problem:
+            errors.append(problem)
+            cfg.tolerance = None
     if cfg.t_grid is not None:
         try:
             cfg.t_grid = [float(t) for t in cfg.t_grid]

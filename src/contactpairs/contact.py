@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .exterior import two_form_matrices, wedge_values
+from .exterior import interior_values, two_form_matrices, wedge_values
 from .fields import (
     FormField,
     SolvedVectorField,
-    commutator_values,
     form_from_expressions,
     pullback_form,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "product_contact_pair",
     "verify_single_deformation",
     "least_squares_batch",
-    "commutator_defect",
 ]
 
 
@@ -86,30 +84,33 @@ def _witness(points: np.ndarray, index: int, **extra) -> dict:
 def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False):
     """Least squares for a batch of small stacked systems.
 
-    a has shape (P, M, N) with M >= N, b shape (M,) or (M, R).  Returns
-    (x, residual_inf, sigma_min, sigma_max); the singular values are computed
-    only on request (via the normal-equation spectrum) and are None otherwise.
+    a has shape (P, M, N) with M >= N, b shape (M,), (M, R) or, for one
+    right-hand side per system, (P, M, R).  Solves the normal equations and
+    returns (x, residual_inf, sigma_min, sigma_max); the extreme singular
+    values of a are computed only on request and are None otherwise.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     squeeze = b.ndim == 1
     if squeeze:
         b = b[:, None]
-    gram = np.einsum("pmi,pmj->pij", a, a)
-    rhs = np.einsum("pmi,mr->pir", a, b)
+    a_t = np.swapaxes(a, 1, 2)
+    gram = a_t @ a
+    rhs = a_t @ b
     try:
         x = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
         # rank-deficient somewhere in the batch; minimum-norm solve, the
         # residual and sigma_min diagnostics report the deficiency
-        x = np.einsum("pij,pjr->pir", np.linalg.pinv(gram, hermitian=True), rhs)
-    residual = np.einsum("pmi,pir->pmr", a, x) - b[None, :, :]
-    residual_inf = np.max(np.abs(residual), axis=1)
+        x = np.linalg.pinv(gram, hermitian=True) @ rhs
+    residual_inf = np.max(np.abs(a @ x - b), axis=1)
     sigma_min = sigma_max = None
     if compute_sigma:
-        eigs = np.linalg.eigvalsh(gram)
-        sigma_min = np.sqrt(np.clip(eigs[:, 0], 0.0, None))
-        sigma_max = np.sqrt(np.clip(eigs[:, -1], 0.0, None))
+        # from a itself: the spectrum of the Gram matrix squares the condition
+        # number, so its square root cannot resolve sigma ratios below ~1e-8
+        sigma = np.linalg.svd(a, compute_uv=False)
+        sigma_min = sigma[:, -1]
+        sigma_max = sigma[:, 0]
     if squeeze:
         x = x[..., 0]
         residual_inf = residual_inf[..., 0]
@@ -231,8 +232,7 @@ def _reeb_system(av, bv, da_m, db_m) -> np.ndarray:
     )
 
 
-def _solve_reeb(av, bv, da_m, db_m, compute_sigma: bool):
-    rows = _reeb_system(av, bv, da_m, db_m)
+def _solve_reeb(rows: np.ndarray, compute_sigma: bool):
     b = np.zeros((rows.shape[1], 2))
     b[0, 0] = 1.0
     b[1, 1] = 1.0
@@ -240,13 +240,105 @@ def _solve_reeb(av, bv, da_m, db_m, compute_sigma: bool):
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
-def _reeb_solver(alpha: FormField, beta: FormField, which: int):
-    def solve(pts: np.ndarray) -> np.ndarray:
-        av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
-        ea, eb, _, _, _ = _solve_reeb(av, bv, da_m, db_m, False)
-        return ea if which == 0 else eb
+def _reeb_fields(alpha: FormField, beta: FormField):
+    """(E_alpha, E_beta) as fields that solve the Reeb system at the points asked for."""
 
-    return solve
+    def solver(which: int):
+        def solve(pts: np.ndarray) -> np.ndarray:
+            av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
+            return _solve_reeb(_reeb_system(av, bv, da_m, db_m), False)[which]
+
+        return solve
+
+    return SolvedVectorField(alpha.model, solver(0)), SolvedVectorField(alpha.model, solver(1))
+
+
+def _checked_reeb(rows: np.ndarray, pts: np.ndarray, tol: float, scale: float, check_rank: bool):
+    """Solve the stacked Reeb systems; raise when one is inconsistent or,
+    with check_rank, rank deficient.  Returns (E_alpha, E_beta, max residual,
+    smallest singular value or None)."""
+    ea, eb, residual, sigma_min, sigma_max = _solve_reeb(rows, check_rank)
+    reeb_residual = float(np.max(residual))
+    if reeb_residual >= tol * scale:
+        idx = int(np.argmax(np.max(residual, axis=-1)))
+        raise ContactPairError(
+            "reeb-residual",
+            "Reeb defining relations are inconsistent",
+            _witness(pts, idx, value=reeb_residual),
+            defect=reeb_residual,
+            marginal=reeb_residual < 10.0 * tol * scale,
+        )
+    smin = None
+    if check_rank:
+        smin = float(np.min(sigma_min))
+        if smin <= tol * float(np.max(sigma_max)):
+            idx = int(np.argmin(sigma_min))
+            raise ContactPairError(
+                "reeb-rank",
+                "Reeb system is rank deficient (non-unique solution)",
+                _witness(pts, idx, value=smin),
+            )
+    return ea, eb, reeb_residual, smin
+
+
+def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
+    """Exact partial along a coordinate axis of the coefficient array of a
+    form at pts, or None when it vanishes identically."""
+    parts = [ex.partial(c, axis) for c in form.coeffs]
+    if all(ex.is_zero(p) for p in parts):
+        return None
+    out = np.zeros((pts.shape[0], len(parts)))
+    for i, p in enumerate(parts):
+        if not ex.is_zero(p):
+            out[:, i] = ex.evaluate_many(p, pts)
+    return out
+
+
+def _reeb_rows_partial(forms, axis: int, pts: np.ndarray, z: np.ndarray):
+    """(∂_axis A) z for the stacked Reeb rows A of forms = (alpha, beta,
+    d alpha, d beta), shape (P, 2n+2); None when ∂_axis A vanishes."""
+    parts = [_coordinate_partials(f, axis, pts) for f in forms]
+    if all(p is None for p in parts):
+        return None
+    n = z.shape[1]
+    out = np.zeros((z.shape[0], 2 * n + 2))
+    for row, p in enumerate(parts[:2]):
+        if p is not None:
+            out[:, row] = np.sum(p * z, axis=1)
+    for start, p in zip((2, 2 + n), parts[2:]):
+        if p is not None:
+            out[:, start : start + n] = interior_values(n, 2, z, p)
+    return out
+
+
+def _reeb_commutator(alpha: FormField, beta: FormField, pts, rows, ea, eb) -> np.ndarray:
+    """[E_alpha, E_beta] at pts from the solved Reeb system A E = b.
+
+    Differentiating the consistent system along X gives
+    D_X E = -(AᵀA)⁻¹ Aᵀ (D_X A) E, where D_X A = sum_a X^a ∂_a A over the
+    coordinate axes and ∂_a A holds the exact partials of alpha, beta,
+    d alpha and d beta.  Hence, with c the frame bracket,
+
+        [E_alpha, E_beta] = c(E_alpha, E_beta) - (AᵀA)⁻¹ Aᵀ sum_a (∂_a A) z_a,
+        z_a = E_alpha^a E_beta - E_beta^a E_alpha.
+
+    Each ∂_a A is applied to z_a as soon as it is evaluated, so only
+    (P, 2n+2) vectors are accumulated.
+    """
+    model = alpha.model
+    out = model.bracket_values(ea, eb)
+    if not model.coordinate_axes:
+        return out
+    forms = (alpha, beta, alpha.d(), beta.d())
+    w = np.zeros(rows.shape[:2])
+    for a in model.coordinate_axes:
+        w_a = _reeb_rows_partial(forms, a, pts, ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
+        if w_a is not None:
+            w += w_a
+    if np.any(w):
+        u, _, _, _ = least_squares_batch(rows, w[:, :, None])
+        out -= u[..., 0]
+    return out
 
 
 def volume_coefficient_values(av, bv, dav, dbv, k: int, l: int, n: int) -> np.ndarray:
@@ -303,12 +395,6 @@ class ContactPairCertificate:
         )
 
 
-def commutator_defect(x, y, pts: np.ndarray, step: float = 1e-4) -> float:
-    """max |[X, Y]| over the sample points, derivatives by central differences."""
-    vals = commutator_values(x, y, pts, step=step)
-    return float(np.max(np.abs(vals)))
-
-
 def verify_contact_pair(
     alpha: FormField,
     beta: FormField,
@@ -319,7 +405,6 @@ def verify_contact_pair(
     rng=None,
     check_commutator: bool = True,
     check_rank: bool = True,
-    commutator_step: float = 1e-4,
 ) -> ContactPairCertificate:
     """Certify (alpha, beta) as a contact pair of type (k, l).
 
@@ -414,35 +499,14 @@ def verify_contact_pair(
         )
     orientation = 1 if vol[0] > 0 else -1
 
-    ea, eb, residual, sigma_min, sigma_max = _solve_reeb(av, bv, da_m, db_m, check_rank)
+    rows = _reeb_system(av, bv, da_m, db_m)
     res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
-    reeb_residual = float(np.max(residual))
-    if reeb_residual >= tol * res_scale:
-        idx = int(np.argmax(np.max(residual, axis=-1)))
-        raise ContactPairError(
-            "reeb-residual",
-            "Reeb defining relations are inconsistent",
-            _witness(pts, idx, value=reeb_residual),
-            defect=reeb_residual,
-            marginal=reeb_residual < 10.0 * tol * res_scale,
-        )
-    smin = None
-    if check_rank:
-        smin = float(np.min(sigma_min))
-        if smin <= tol * float(np.max(sigma_max)):
-            idx = int(np.argmin(sigma_min))
-            raise ContactPairError(
-                "reeb-rank",
-                "Reeb system is rank deficient (non-unique solution)",
-                _witness(pts, idx, value=smin),
-            )
-
-    e_alpha = SolvedVectorField(model, _reeb_solver(alpha, beta, 0))
-    e_beta = SolvedVectorField(model, _reeb_solver(alpha, beta, 1))
+    ea, eb, reeb_residual, smin = _checked_reeb(rows, pts, tol, res_scale, check_rank)
 
     comm = None
     if check_commutator:
-        comm = commutator_defect(e_alpha, e_beta, pts, step=commutator_step)
+        comm = float(np.max(np.abs(_reeb_commutator(alpha, beta, pts, rows, ea, eb))))
+    e_alpha, e_beta = _reeb_fields(alpha, beta)
 
     return ContactPairCertificate(
         alpha=alpha,
@@ -470,7 +534,7 @@ def reeb_pair(alpha: FormField, beta: FormField, tol: float | None = None, point
     """Solve for the Reeb pair of an already verified contact pair.
 
     Raises when the stacked systems are inconsistent (not a contact pair) or
-    rank deficient.
+    rank deficient, or when the solved fields fail to commute.
     """
     model = alpha.model
     if tol is None:
@@ -479,34 +543,18 @@ def reeb_pair(alpha: FormField, beta: FormField, tol: float | None = None, point
         points = sample_points(model, rng)
     pts = np.asarray(points, dtype=float)
     av, bv, da_m, db_m, dav, dbv = _pair_arrays(alpha, beta, pts)
-    _, _, residual, sigma_min, sigma_max = _solve_reeb(av, bv, da_m, db_m, True)
-    scale = max(1.0, float(np.max(np.abs(av))), float(np.max(np.abs(dav))), float(np.max(np.abs(dbv))))
-    if float(np.max(residual)) >= tol * scale:
-        idx = int(np.argmax(np.max(residual, axis=-1)))
-        raise ContactPairError(
-            "reeb-residual",
-            "Reeb system inconsistent; the pair is not a contact pair",
-            _witness(pts, idx, value=float(np.max(residual))),
-        )
-    if float(np.min(sigma_min)) <= tol * float(np.max(sigma_max)):
-        idx = int(np.argmin(sigma_min))
-        raise ContactPairError(
-            "reeb-rank", "Reeb system rank deficient", _witness(pts, idx, value=float(np.min(sigma_min)))
-        )
-    e_alpha = SolvedVectorField(model, _reeb_solver(alpha, beta, 0))
-    e_beta = SolvedVectorField(model, _reeb_solver(alpha, beta, 1))
-    step = 1e-4
-    defect = commutator_defect(e_alpha, e_beta, pts, step=step)
-    # exact on algebraic backends; O(step^2) through the solver map on charts
-    threshold = max(tol, 100.0 * step * step) if model.coordinate_axes else tol
-    if defect > threshold:
+    rows = _reeb_system(av, bv, da_m, db_m)
+    scale = max(1.0, *(float(np.max(np.abs(v))) for v in (av, bv, dav, dbv)))
+    ea, eb, _, _ = _checked_reeb(rows, pts, tol, scale, True)
+    defect = float(np.max(np.abs(_reeb_commutator(alpha, beta, pts, rows, ea, eb))))
+    if defect > tol * scale:
         raise ContactPairError(
             "reeb-commutator",
             "solved Reeb fields fail to commute",
             {"defect": defect},
             defect=defect,
         )
-    return e_alpha, e_beta
+    return _reeb_fields(alpha, beta)
 
 
 def contact_reeb_field(alpha: FormField) -> SolvedVectorField:

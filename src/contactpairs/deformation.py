@@ -647,7 +647,7 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, rng=None) -> list
     Rows are produced for every t, including values where the pair fails to
     be contact (that is what the sweep is for).
     """
-    from .contact import _pair_arrays, _solve_reeb
+    from .contact import _pair_arrays, _reeb_system, _solve_reeb
 
     model = family.model
     if points is None:
@@ -664,7 +664,7 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, rng=None) -> list
         vol = volume_coefficient_values(at, bt, dat, dbt, family.k, family.l, ctx.n)
         alpha_t, beta_t = family.at(t)
         av, bv, da_m, db_m, _, _ = _pair_arrays(alpha_t, beta_t, pts)
-        _, _, residual, _, _ = _solve_reeb(av, bv, da_m, db_m, False)
+        _, _, residual, _, _ = _solve_reeb(_reeb_system(av, bv, da_m, db_m), False)
         rows.append(
             {
                 "t": t,

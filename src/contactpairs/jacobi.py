@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .contact import _pair_arrays, _solve_reeb, least_squares_batch, verify_contact_pair
+from .contact import _pair_arrays, least_squares_batch, verify_contact_pair
 from .exterior import multi_indices, two_form_matrices
 from .fields import FormField, ScalarField
 from .models import Model, default_tolerance, grid_points, grid_shape
@@ -153,14 +153,13 @@ class JacobiSide:
         if tol is None:
             tol = default_tolerance(model)
         shape, pts, steps, periodic = cls._grid_data(model, resolution)
-        verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts,
-                            check_commutator=False, check_rank=False)
+        cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts,
+                                   check_commutator=False, check_rank=False)
         av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
-        ea, eb, _, _, _ = _solve_reeb(av, bv, da_m, db_m, False)
         if side == "alpha":
-            own, own_d, e, other, other_d, m = av, da_m, ea, bv, db_m, 2 * k + 1
+            own, own_d, e, other, other_d, m = av, da_m, cert.reeb_alpha_values, bv, db_m, 2 * k + 1
         else:
-            own, own_d, e, other, other_d, m = bv, db_m, eb, av, da_m, 2 * l + 1
+            own, own_d, e, other, other_d, m = bv, db_m, cert.reeb_beta_values, av, da_m, 2 * l + 1
         n = model.n
         rows = np.concatenate([other[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
         _, s, vt = np.linalg.svd(rows)

@@ -206,8 +206,7 @@ def test_criterion_6_reeb_correctness(heisenberg6, t6):
     checks.append(("heisenberg6", match_h, cert_h.sigma_min, cert_h.commutator_defect, 1e-8))
 
     pts = t6["points"][:2000]
-    cert_t = verify_contact_pair(t6["alpha"], t6["beta"], 1, 1, points=pts,
-                                 commutator_step=1e-4)
+    cert_t = verify_contact_pair(t6["alpha"], t6["beta"], 1, 1, points=pts)
     left_reeb = vector_from_expressions(t6["left"], ["0", "cos(x0)", "sin(x0)"])
     right_reeb = vector_from_expressions(t6["right"], ["0", "cos(x0)", "sin(x0)"])
     expect_a = pullback_vector(t6["model"], left_reeb, "left").values(pts)

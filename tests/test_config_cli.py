@@ -188,6 +188,42 @@ def test_exit_three_on_marginal_failure(tmp_path):
     assert code == 3
 
 
+def degenerate_t2_doc(tolerance):
+    # (dx0, dx0) on T^2 is not a contact pair: it fails the volume check at
+    # any finite positive tolerance
+    return {
+        "schema_version": 1,
+        "tolerance": tolerance,
+        "models": {"t2": {"kind": "builtin", "name": "torus2"}},
+        "forms": {"a": {"model": "t2", "degree": 1, "coefficients": [1, 0]}},
+        "tasks": [{"task": "verify-pair", "alpha": "a", "beta": "a", "type": [0, 0]}],
+    }
+
+
+def test_nan_tolerance_is_an_input_error(tmp_path, capsys):
+    path = write_config(tmp_path, degenerate_t2_doc(float("nan")))
+    assert main(["verify-pair", "--config", path]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_non_numeric_tolerance_is_an_input_error(tmp_path, capsys):
+    path = write_config(tmp_path, degenerate_t2_doc("abc"))
+    assert main(["verify-pair", "--config", path]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_negative_tolerance_is_an_input_error(tmp_path, capsys):
+    path = write_config(tmp_path, degenerate_t2_doc(-1))
+    assert main(["verify-pair", "--config", path]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_bad_tol_flag_is_an_input_error(value, capsys):
+    assert main(["verify-pair", "--example", "t2-pair-type00", f"--tol={value}"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_marginal_machinery_leaves_clean_pairs_alone(tmp_path):
     doc = product_pair_doc([0, 0, 0, 0, 0, 1])
     cfg = load_config(write_config(tmp_path, doc))

@@ -7,6 +7,7 @@ from contactpairs.contact import (
     cartan_class,
     contact_reeb_field,
     darboux_model,
+    least_squares_batch,
     product_contact_pair,
     reeb_pair,
     torus_contact,
@@ -33,6 +34,18 @@ def t6_pair():
     left, alpha = torus_contact()
     right, beta = torus_contact()
     return product_contact_pair(left, alpha, right, beta)
+
+
+def sheared_t6_pair():
+    # t6_pair pulled back by the torus diffeomorphism x3 -> x3 + 0.3 sin(x1 + x4):
+    # still a contact pair, but each Reeb field now varies along the other,
+    # so D_{E_alpha} E_beta and D_{E_beta} E_alpha are nonzero and only
+    # their difference vanishes
+    model = torus(6)
+    alpha = form_from_expressions(model, 1, {1: "cos(x0)", 2: "sin(x0)"})
+    u = "x3 + 0.3*sin(x1 + x4)"
+    beta = form_from_expressions(model, 1, {4: f"cos({u})", 5: f"sin({u})"})
+    return model, alpha, beta
 
 
 # --- cartan class ------------------------------------------------------------
@@ -220,6 +233,117 @@ def test_reeb_pair_on_non_pair_raises():
     beta = form_from_expressions(t2, 1, {0: "1", 1: "x0*0 + 1"})  # alpha ^ beta has rank issues
     with pytest.raises(ContactPairError):
         reeb_pair(alpha, alpha)
+
+
+def test_reeb_pair_on_sheared_pair_matches_certificate():
+    model, alpha, beta = sheared_t6_pair()
+    pts = random_points(model, 1000, np.random.default_rng(8))
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
+    ea, eb = reeb_pair(alpha, beta, points=pts)
+    np.testing.assert_allclose(ea.values(pts), cert.reeb_alpha_values, atol=1e-12)
+    np.testing.assert_allclose(eb.values(pts), cert.reeb_beta_values, atol=1e-12)
+
+
+# --- exact Reeb commutator ---------------------------------------------------
+
+@pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair])
+def test_implicit_reeb_derivative_matches_central_differences(pair):
+    from contactpairs.contact import _pair_arrays, _reeb_rows_partial, _reeb_system
+
+    model, alpha, beta = pair()
+    pts = random_points(model, 500, np.random.default_rng(9))
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
+    av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
+    rows = _reeb_system(av, bv, da_m, db_m)
+    forms = (alpha, beta, alpha.d(), beta.d())
+    h = 1e-5
+    for axis in model.coordinate_axes:
+        shift = np.zeros(model.n)
+        shift[axis] = h
+        for values, field in (
+            (cert.reeb_alpha_values, cert.reeb_alpha),
+            (cert.reeb_beta_values, cert.reeb_beta),
+        ):
+            # d_a E = -(A^T A)^-1 A^T (d_a A) E
+            w = _reeb_rows_partial(forms, axis, pts, values)
+            exact = np.zeros_like(values)
+            if w is not None:
+                exact = -least_squares_batch(rows, w[:, :, None])[0][..., 0]
+            central = (field.values(pts + shift) - field.values(pts - shift)) / (2.0 * h)
+            np.testing.assert_allclose(exact, central, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["t6", "sheared-t6", "heisenberg6", "heisenberg3xT3"])
+def test_commutator_defect_is_exact(name):
+    if name in ("t6", "sheared-t6"):
+        model, alpha, beta = t6_pair() if name == "t6" else sheared_t6_pair()
+        pts = random_points(model, 2000, np.random.default_rng(10))
+    elif name == "heisenberg6":
+        model, alpha, beta = heisenberg6()
+        pts = None
+    else:
+        hl = heisenberg3("hl")
+        tr, form = torus_contact()
+        model, alpha, beta = product_contact_pair(hl, coframe(hl, 2), tr, form)
+        pts = None
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
+    assert cert.commutator_defect <= 1e-12
+
+
+def test_commutator_terms_cancel_only_in_the_bracket():
+    from contactpairs.contact import _pair_arrays, _reeb_rows_partial, _reeb_system
+
+    model, alpha, beta = sheared_t6_pair()
+    pts = random_points(model, 500, np.random.default_rng(15))
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
+    ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
+    av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
+    rows = _reeb_system(av, bv, da_m, db_m)
+    forms = (alpha, beta, alpha.d(), beta.d())
+    # D_{E_alpha} E_beta alone, one of the two terms of the bracket
+    parts = [_reeb_rows_partial(forms, a, pts, ea[:, a : a + 1] * eb) for a in model.coordinate_axes]
+    w = sum(p for p in parts if p is not None)
+    one_term = least_squares_batch(rows, w[:, :, None])[0]
+    assert np.max(np.abs(one_term)) > 0.1
+    assert cert.commutator_defect <= 1e-12
+
+
+# --- rank check on the Reeb least squares ------------------------------------
+
+def _batch_with_singular_values(count, sigma, rng):
+    """count 14x6 matrices U diag(sigma) V^T with random orthonormal U, V."""
+    u, _ = np.linalg.qr(rng.standard_normal((count, 14, 6)))
+    v, _ = np.linalg.qr(rng.standard_normal((count, 6, 6)))
+    return (u * np.asarray(sigma)) @ np.swapaxes(v, 1, 2)
+
+
+def test_rank_check_sees_exact_rank_deficiency():
+    # exactly rank 5: the square root of the Gram spectrum put sigma ratios
+    # up to ~2e-8 on such systems, above the 1e-8 Lie-backend threshold
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((2000, 14, 5)) @ rng.standard_normal((2000, 5, 6))
+    _, _, sigma_min, sigma_max = least_squares_batch(a, np.eye(14, 2), compute_sigma=True)
+    assert np.all(sigma_min <= 1e-8 * sigma_max)
+    assert np.max(sigma_min / sigma_max) < 1e-13
+
+
+@pytest.mark.parametrize("smallest", [1e-10, 0.1])
+def test_rank_check_resolves_smallest_singular_value(smallest):
+    rng = np.random.default_rng(12)
+    a = _batch_with_singular_values(2000, [3.0, 2.0, 1.5, 1.0, 0.5, smallest], rng)
+    _, _, sigma_min, sigma_max = least_squares_batch(a, np.eye(14, 2), compute_sigma=True)
+    np.testing.assert_allclose(sigma_min, smallest, rtol=1e-4)
+    np.testing.assert_allclose(sigma_max, 3.0, rtol=1e-12)
+    assert np.all((sigma_min <= 1e-8 * sigma_max) == (smallest < 1e-8))
+
+
+def test_least_squares_per_system_right_hand_sides():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((50, 14, 6))
+    x = rng.standard_normal((50, 6, 1))
+    got, residual, _, _ = least_squares_batch(a, a @ x)
+    np.testing.assert_allclose(got, x, atol=1e-12)
+    assert np.max(residual) < 1e-12
 
 
 def test_single_form_reeb():
