@@ -38,7 +38,6 @@ from .deformation import (
     volume_replacement_defects,
 )
 from .exterior import (
-    BivectorValue,
     FormValue,
     VectorValue,
     evaluate,

@@ -17,6 +17,7 @@ from .config import (
     _validate_task,
     load_config,
     parse_config,
+    t_grid_errors,
     tolerance_error,
 )
 from .registry import list_examples
@@ -111,7 +112,14 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             raise ConfigError([problem])
         cfg.tolerance = args.tol
     if args.t_grid:
-        cfg.t_grid = [float(s) for s in args.t_grid.split(",")]
+        try:
+            grid = [float(s) for s in args.t_grid.split(",")]
+        except ValueError:
+            grid = None
+        if grid is None or t_grid_errors(grid, "--t-grid"):
+            problem = f"--t-grid: must be comma-separated finite numbers, got {args.t_grid!r}"
+            raise ConfigError([problem])
+        cfg.t_grid = grid
     return cfg
 
 
@@ -169,15 +177,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     out_path = args.out
-    report, code = run(cfg, out_path=out_path if args.command == "sweep" else None)
-
-    if args.command == "sweep":
-        rendered = render_text(report) if args.format == "text" else render_structured(report)
-        sys.stdout.write(rendered)
-        return code
-
+    sweep = args.command == "sweep"
+    report, code = run(cfg, out_path=out_path if sweep else None)
     rendered = render_text(report) if args.format == "text" else render_structured(report)
-    if out_path:
+    if out_path and not sweep:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:

@@ -64,15 +64,25 @@ class RunConfig:
     source: dict = dc_field(default_factory=dict)
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def tolerance_error(value, where: str) -> str | None:
     """The validation message for a tolerance that is not a finite number > 0."""
-    ok = (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value > 0
-    )
+    ok = _finite_number(value) and value > 0
     return None if ok else f"{where}: must be a finite number > 0, got {value!r}"
+
+
+def t_grid_errors(grid, where: str) -> list[str]:
+    """The validation messages for a t grid that is not a list of finite numbers."""
+    if not isinstance(grid, list):
+        return [f"{where}: must be a list of finite numbers, got {grid!r}"]
+    return [
+        f"{where}[{i}]: must be a finite number, got {t!r}"
+        for i, t in enumerate(grid)
+        if not _finite_number(t)
+    ]
 
 
 def _build_builtin_model(name: str, errors, where: str) -> Model | None:
@@ -214,6 +224,11 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
         errors.append(f"{where}: unknown task {kind!r} (known: {', '.join(TASK_KINDS)})")
         return None
     params = dict(decl)
+    if "t_grid" in params:
+        problems = t_grid_errors(params["t_grid"], f"{where}.t_grid")
+        if problems:
+            errors.extend(problems)
+            return None
     example = params.get("example")
     if example is not None and example not in example_names():
         errors.append(f"{where}: unknown example {example!r}")
@@ -278,11 +293,9 @@ def parse_config(raw: dict) -> RunConfig:
             errors.append(problem)
             cfg.tolerance = None
     if cfg.t_grid is not None:
-        try:
-            cfg.t_grid = [float(t) for t in cfg.t_grid]
-        except (TypeError, ValueError):
-            errors.append("t_grid must be a list of numbers")
-            cfg.t_grid = None
+        problems = t_grid_errors(cfg.t_grid, "t_grid")
+        errors.extend(problems)
+        cfg.t_grid = None if problems else [float(t) for t in cfg.t_grid]
 
     for name, decl in raw.get("models", {}).items():
         model = _build_model(name, decl, cfg.models, errors)

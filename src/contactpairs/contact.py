@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .exterior import interior_values, two_form_matrices, wedge_values
+from .exterior import chain, interior_values, two_form_matrices
 from .fields import (
     FormField,
     SolvedVectorField,
@@ -40,6 +40,7 @@ __all__ = [
     "ContactPairError",
     "ClassReport",
     "ContactPairCertificate",
+    "SampledPair",
     "SingleDeformationReport",
     "cartan_class",
     "verify_contact_pair",
@@ -145,15 +146,18 @@ def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=No
     if alpha.degree != 1:
         raise ValueError("cartan_class expects a 1-form")
     model = alpha.model
-    n = model.n
     if tol is None:
         tol = default_tolerance(model)
     if points is None:
         points = sample_points(model, rng)
     pts = np.asarray(points, dtype=float)
+    dav = alpha.d().values(pts) if model.n >= 2 else np.zeros((pts.shape[0], 0))
+    return _class_report(alpha.values(pts), dav, pts, tol)
 
-    av = alpha.values(pts)
-    dav = alpha.d().values(pts) if n >= 2 else np.zeros((pts.shape[0], 0))
+
+def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float) -> ClassReport:
+    """Cartan class from the sampled values of alpha and d alpha."""
+    n = av.shape[1]
     scale_a = float(np.max(np.abs(av)))
     scale_da = float(np.max(np.abs(dav))) if dav.size else 0.0
 
@@ -168,19 +172,12 @@ def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=No
         )
 
     k_max = (n - 1) // 2
-    power = np.ones((pts.shape[0], 1))
-    nonvanish = []  # |alpha ∧ (d alpha)^k|_inf per point
-    power_norm = []  # |(d alpha)^k|_inf per point
-    for k in range(k_max + 1):
-        nonvanish.append(_norm_inf_rows(wedge_values(n, 1, 2 * k, av, power)))
-        power_norm.append(_norm_inf_rows(power))
-        if 2 * (k + 1) <= n:
-            power = wedge_values(n, 2 * k, 2, power, dav)
-        else:
-            power = None
-            break
-    if power is not None:
-        power_norm.append(_norm_inf_rows(power))
+    # (d alpha)^j for j = 0 .. k_max + 1, as far as the degree allows
+    powers = [np.ones((pts.shape[0], 1))]
+    for j in range(1, min(k_max + 1, n // 2) + 1):
+        powers.append(chain(n, (2 * j - 2, powers[-1]), (2, dav)))
+    nonvanish = [_norm_inf_rows(chain(n, (1, av), (2 * k, powers[k]))) for k in range(k_max + 1)]
+    power_norm = [_norm_inf_rows(p) for p in powers]
 
     pointwise = np.full(pts.shape[0], -1, dtype=int)
     for k in range(k_max + 1):
@@ -216,26 +213,56 @@ def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=No
     )
 
 
-def _pair_arrays(alpha: FormField, beta: FormField, pts: np.ndarray):
-    n = alpha.model.n
-    av = alpha.values(pts)
-    bv = beta.values(pts)
-    dav = alpha.d().values(pts)
-    dbv = beta.d().values(pts)
-    return av, bv, two_form_matrices(n, dav), two_form_matrices(n, dbv), dav, dbv
+class SampledPair:
+    """alpha, beta, d alpha and d beta evaluated once on a point set.
 
+    ``forms`` holds the four fields the arrays were evaluated from, which the
+    exact Reeb commutator differentiates; it is None for arrays formed
+    otherwise, such as the samples of a family at one t.
+    """
 
-def _reeb_system(av, bv, da_m, db_m) -> np.ndarray:
-    """Stacked rows (alpha; beta; i_E d alpha; i_E d beta), shape (P, 2n+2, n)."""
-    return np.concatenate(
-        [av[:, None, :], bv[:, None, :], np.swapaxes(da_m, 1, 2), np.swapaxes(db_m, 1, 2)], axis=1
-    )
+    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None):
+        self.points = points
+        self.alpha = alpha
+        self.beta = beta
+        self.dalpha = dalpha
+        self.dbeta = dbeta
+        self.forms = forms
+
+    @classmethod
+    def of(cls, alpha: FormField, beta: FormField, points) -> "SampledPair":
+        """Evaluate two 1-form fields and their derivatives."""
+        pts = np.asarray(points, dtype=float)
+        forms = (alpha, beta, alpha.d(), beta.d())
+        return cls(pts, *(f.values(pts) for f in forms), forms=forms)
+
+    @property
+    def n(self) -> int:
+        return self.alpha.shape[1]
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Antisymmetric matrices of d alpha and d beta, shape (P, n, n) each;
+        formed on use, so that a pair kept across a t loop holds none."""
+        return two_form_matrices(self.n, self.dalpha), two_form_matrices(self.n, self.dbeta)
+
+    def scales(self) -> tuple:
+        """Largest absolute entries of alpha, beta, d alpha and d beta."""
+        return tuple(np.max(np.abs(v)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
+
+    def reeb_rows(self) -> np.ndarray:
+        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta), shape (P, 2n+2, n)."""
+        contractions = [np.swapaxes(m, 1, 2) for m in self.matrices]
+        return np.concatenate([self.alpha[:, None, :], self.beta[:, None, :], *contractions], axis=1)
+
+    def top(self, k: int, l: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l per point."""
+        return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[:, 0]
 
 
 def _solve_reeb(rows: np.ndarray, compute_sigma: bool):
-    b = np.zeros((rows.shape[1], 2))
-    b[0, 0] = 1.0
-    b[1, 1] = 1.0
+    # one right-hand side per field: alpha(E_alpha) = 1 and beta(E_beta) = 1
+    b = np.eye(rows.shape[1], 2)
     x, residual, sigma_min, sigma_max = least_squares_batch(rows, b, compute_sigma)
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
@@ -244,11 +271,7 @@ def _reeb_fields(alpha: FormField, beta: FormField):
     """(E_alpha, E_beta) as fields that solve the Reeb system at the points asked for."""
 
     def solver(which: int):
-        def solve(pts: np.ndarray) -> np.ndarray:
-            av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
-            return _solve_reeb(_reeb_system(av, bv, da_m, db_m), False)[which]
-
-        return solve
+        return lambda pts: _solve_reeb(SampledPair.of(alpha, beta, pts).reeb_rows(), False)[which]
 
     return SolvedVectorField(alpha.model, solver(0)), SolvedVectorField(alpha.model, solver(1))
 
@@ -259,7 +282,7 @@ def _checked_reeb(rows: np.ndarray, pts: np.ndarray, tol: float, scale: float, c
     smallest singular value or None)."""
     ea, eb, residual, sigma_min, sigma_max = _solve_reeb(rows, check_rank)
     reeb_residual = float(np.max(residual))
-    if reeb_residual >= tol * scale:
+    if not reeb_residual < tol * scale:  # NaN fails too
         idx = int(np.argmax(np.max(residual, axis=-1)))
         raise ContactPairError(
             "reeb-residual",
@@ -279,6 +302,26 @@ def _checked_reeb(rows: np.ndarray, pts: np.ndarray, tol: float, scale: float, c
                 _witness(pts, idx, value=smin),
             )
     return ea, eb, reeb_residual, smin
+
+
+def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, check_commutator: bool):
+    """The checked Reeb solve of a sampled pair and, on request, the exact
+    commutator gated at tol * scale.  Returns (E_alpha, E_beta, max
+    residual, smallest singular value or None, commutator defect or None)."""
+    rows = s.reeb_rows()
+    ea, eb, reeb_residual, smin = _checked_reeb(rows, s.points, tol, scale, check_rank)
+    comm = None
+    if check_commutator:
+        comm = float(np.max(np.abs(_reeb_commutator(s, rows, ea, eb))))
+        if not comm <= tol * scale:
+            raise ContactPairError(
+                "reeb-commutator",
+                "solved Reeb fields fail to commute",
+                {"defect": comm},
+                defect=comm,
+                marginal=comm < 10.0 * tol * scale,
+            )
+    return ea, eb, reeb_residual, smin, comm
 
 
 def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
@@ -311,8 +354,8 @@ def _reeb_rows_partial(forms, axis: int, pts: np.ndarray, z: np.ndarray):
     return out
 
 
-def _reeb_commutator(alpha: FormField, beta: FormField, pts, rows, ea, eb) -> np.ndarray:
-    """[E_alpha, E_beta] at pts from the solved Reeb system A E = b.
+def _reeb_commutator(s: SampledPair, rows, ea, eb) -> np.ndarray:
+    """[E_alpha, E_beta] at the sample points from the solved Reeb system A E = b.
 
     Differentiating the consistent system along X gives
     D_X E = -(AᵀA)⁻¹ Aᵀ (D_X A) E, where D_X A = sum_a X^a ∂_a A over the
@@ -325,14 +368,13 @@ def _reeb_commutator(alpha: FormField, beta: FormField, pts, rows, ea, eb) -> np
     Each ∂_a A is applied to z_a as soon as it is evaluated, so only
     (P, 2n+2) vectors are accumulated.
     """
-    model = alpha.model
+    model = s.forms[0].model
     out = model.bracket_values(ea, eb)
     if not model.coordinate_axes:
         return out
-    forms = (alpha, beta, alpha.d(), beta.d())
     w = np.zeros(rows.shape[:2])
     for a in model.coordinate_axes:
-        w_a = _reeb_rows_partial(forms, a, pts, ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
+        w_a = _reeb_rows_partial(s.forms, a, s.points, ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
         if w_a is not None:
             w += w_a
     if np.any(w):
@@ -341,36 +383,17 @@ def _reeb_commutator(alpha: FormField, beta: FormField, pts, rows, ea, eb) -> np
     return out
 
 
-def volume_coefficient_values(av, bv, dav, dbv, k: int, l: int, n: int) -> np.ndarray:
-    """Top coefficient of alpha ∧ (d alpha)^k ∧ beta ∧ (d beta)^l per point."""
-    acc = av
-    deg = 1
-    for _ in range(k):
-        acc = wedge_values(n, deg, 2, acc, dav)
-        deg += 2
-    acc = wedge_values(n, deg, 1, acc, bv)
-    deg += 1
-    for _ in range(l):
-        acc = wedge_values(n, deg, 2, acc, dbv)
-        deg += 2
-    return acc[:, 0]
-
-
-def wedge_power_values(dv: np.ndarray, power: int, n: int) -> np.ndarray:
-    acc = np.ones((dv.shape[0], 1))
-    deg = 0
-    for _ in range(power):
-        acc = wedge_values(n, deg, 2, acc, dv)
-        deg += 2
-    return acc
-
-
 @dataclass(repr=False)
 class ContactPairCertificate:
-    """A verified contact pair with its Reeb pair and solve diagnostics."""
+    """A verified contact pair with its Reeb pair and solve diagnostics.
 
-    alpha: FormField
-    beta: FormField
+    ``sampled`` keeps the evaluated arrays.  The fields (alpha, beta and
+    their Reeb fields) are None when the arrays were not evaluated from
+    fields, as for a family at one t.
+    """
+
+    alpha: FormField | None
+    beta: FormField | None
     k: int
     l: int
     tol: float
@@ -378,12 +401,13 @@ class ContactPairCertificate:
     orientation_sign: int
     dalpha_power_residual: float
     dbeta_power_residual: float
-    reeb_alpha: SolvedVectorField
-    reeb_beta: SolvedVectorField
+    reeb_alpha: SolvedVectorField | None
+    reeb_beta: SolvedVectorField | None
     reeb_residual: float
     sigma_min: float | None
     commutator_defect: float | None
     sample_count: int
+    sampled: SampledPair = field(repr=False)
     points: np.ndarray = field(repr=False)
     reeb_alpha_values: np.ndarray = field(repr=False)
     reeb_beta_values: np.ndarray = field(repr=False)
@@ -393,6 +417,22 @@ class ContactPairCertificate:
             f"<ContactPairCertificate type=({self.k},{self.l}) min|vol|={self.min_volume:.3e} "
             f"sign={self.orientation_sign:+d} reeb_residual={self.reeb_residual:.3e}>"
         )
+
+
+def _vanishing(condition: str, power: str, res: np.ndarray, threshold, pts) -> float:
+    """max res over the points, raising a witnessed failure when the power
+    does not vanish (exceeds threshold)."""
+    defect = float(np.max(res))
+    if defect > threshold:
+        idx = int(np.argmax(res))
+        raise ContactPairError(
+            condition,
+            f"{power} does not vanish",
+            _witness(pts, idx, value=defect),
+            defect=defect,
+            marginal=bool(defect < 10.0 * threshold),
+        )
+    return defect
 
 
 def verify_contact_pair(
@@ -413,24 +453,42 @@ def verify_contact_pair(
     model = alpha.model
     if beta.model is not model:
         raise ContactPairError("model", "alpha and beta live on different models")
-    n = model.n
-    if n != 2 * k + 2 * l + 2:
-        raise ContactPairError(
-            "dimension", f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {n}"
-        )
     if tol is None:
         tol = default_tolerance(model)
     if points is None:
         points = sample_points(model, rng)
-    pts = np.asarray(points, dtype=float)
+    return _certify(SampledPair.of(alpha, beta, points), k, l, tol, check_commutator, check_rank)
 
-    av, bv, da_m, db_m, dav, dbv = _pair_arrays(alpha, beta, pts)
-    scale_a = float(np.max(np.abs(av)))
-    scale_b = float(np.max(np.abs(bv)))
-    scale_da = float(np.max(np.abs(dav)))
-    scale_db = float(np.max(np.abs(dbv)))
 
-    for name, vals, scale in (("alpha", av, scale_a), ("beta", bv, scale_b)):
+def _certify(
+    s: SampledPair, k: int, l: int, tol: float, check_commutator: bool, check_rank: bool
+) -> ContactPairCertificate:
+    """The checks of verify_contact_pair on already sampled arrays.
+
+    A sample, scale or wedge chain that is not finite fails as "non-finite"
+    before any other check: no comparison can be trusted on it.
+    """
+    n = s.n
+    if n != 2 * k + 2 * l + 2:
+        raise ContactPairError(
+            "dimension", f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {n}"
+        )
+    pts = s.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale_a, scale_b, scale_da, scale_db = s.scales()
+        res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
+        da_threshold = tol * scale_da ** (k + 1)
+        db_threshold = tol * scale_db ** (l + 1)
+        vol_scale = scale_a * scale_b * scale_da**k * scale_db**l
+        da_res = _norm_inf_rows(chain(n, *[(2, s.dalpha)] * (k + 1)))
+        db_res = _norm_inf_rows(chain(n, *[(2, s.dbeta)] * (l + 1)))
+        vol = s.top(k, l, s.alpha, s.beta)
+        gram_scale = res_scale * res_scale * (2 * n + 2)  # bounds the normal equations
+        checked = (vol_scale, da_threshold, db_threshold, gram_scale, da_res, db_res, vol)
+    if not all(np.all(np.isfinite(v)) for v in checked):
+        raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
+
+    for name, vals, scale in (("alpha", s.alpha, scale_a), ("beta", s.beta, scale_b)):
         norms = _norm_inf_rows(vals)
         if np.any(norms <= tol * scale):
             idx = int(np.argmin(norms))
@@ -439,45 +497,9 @@ def verify_contact_pair(
                 f"{name} vanishes at a sample point",
                 _witness(pts, idx, value=float(norms[idx])),
             )
+    dalpha_res = _vanishing("dalpha-power", f"(d alpha)^{k + 1}", da_res, da_threshold, pts)
+    dbeta_res = _vanishing("dbeta-power", f"(d beta)^{l + 1}", db_res, db_threshold, pts)
 
-    da_pow = wedge_power_values(dav, k + 1, n) if 2 * (k + 1) <= n else None
-    if da_pow is not None:
-        res = _norm_inf_rows(da_pow)
-        defect = float(np.max(res))
-        threshold = tol * scale_da ** (k + 1)
-        if defect > threshold:
-            idx = int(np.argmax(res))
-            raise ContactPairError(
-                "dalpha-power",
-                f"(d alpha)^{k + 1} does not vanish",
-                _witness(pts, idx, value=defect),
-                defect=defect,
-                marginal=defect < 10.0 * threshold,
-            )
-        dalpha_res = defect
-    else:
-        dalpha_res = 0.0
-
-    db_pow = wedge_power_values(dbv, l + 1, n) if 2 * (l + 1) <= n else None
-    if db_pow is not None:
-        res = _norm_inf_rows(db_pow)
-        defect = float(np.max(res))
-        threshold = tol * scale_db ** (l + 1)
-        if defect > threshold:
-            idx = int(np.argmax(res))
-            raise ContactPairError(
-                "dbeta-power",
-                f"(d beta)^{l + 1} does not vanish",
-                _witness(pts, idx, value=defect),
-                defect=defect,
-                marginal=defect < 10.0 * threshold,
-            )
-        dbeta_res = defect
-    else:
-        dbeta_res = 0.0
-
-    vol = volume_coefficient_values(av, bv, dav, dbv, k, l, n)
-    vol_scale = scale_a * scale_b * scale_da**k * scale_db**l
     abs_vol = np.abs(vol)
     if np.any(abs_vol <= tol * vol_scale):
         idx = int(np.argmin(abs_vol))
@@ -497,17 +519,12 @@ def verify_contact_pair(
                 "positive": _witness(pts, int(np.argmax(vol)), value=float(vol.max())),
             },
         )
-    orientation = 1 if vol[0] > 0 else -1
 
-    rows = _reeb_system(av, bv, da_m, db_m)
-    res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
-    ea, eb, reeb_residual, smin = _checked_reeb(rows, pts, tol, res_scale, check_rank)
-
-    comm = None
-    if check_commutator:
-        comm = float(np.max(np.abs(_reeb_commutator(alpha, beta, pts, rows, ea, eb))))
-    e_alpha, e_beta = _reeb_fields(alpha, beta)
-
+    ea, eb, reeb_residual, smin, comm = _reeb_solution(
+        s, tol, res_scale, check_rank, check_commutator
+    )
+    alpha, beta = s.forms[:2] if s.forms else (None, None)
+    e_alpha, e_beta = _reeb_fields(alpha, beta) if s.forms else (None, None)
     return ContactPairCertificate(
         alpha=alpha,
         beta=beta,
@@ -515,7 +532,7 @@ def verify_contact_pair(
         l=l,
         tol=tol,
         min_volume=float(abs_vol.min()),
-        orientation_sign=orientation,
+        orientation_sign=1 if vol[0] > 0 else -1,
         dalpha_power_residual=dalpha_res,
         dbeta_power_residual=dbeta_res,
         reeb_alpha=e_alpha,
@@ -524,6 +541,7 @@ def verify_contact_pair(
         sigma_min=smin,
         commutator_defect=comm,
         sample_count=pts.shape[0],
+        sampled=s,
         points=pts,
         reeb_alpha_values=ea,
         reeb_beta_values=eb,
@@ -541,20 +559,19 @@ def reeb_pair(alpha: FormField, beta: FormField, tol: float | None = None, point
         tol = default_tolerance(model)
     if points is None:
         points = sample_points(model, rng)
-    pts = np.asarray(points, dtype=float)
-    av, bv, da_m, db_m, dav, dbv = _pair_arrays(alpha, beta, pts)
-    rows = _reeb_system(av, bv, da_m, db_m)
-    scale = max(1.0, *(float(np.max(np.abs(v))) for v in (av, bv, dav, dbv)))
-    ea, eb, _, _ = _checked_reeb(rows, pts, tol, scale, True)
-    defect = float(np.max(np.abs(_reeb_commutator(alpha, beta, pts, rows, ea, eb))))
-    if defect > tol * scale:
-        raise ContactPairError(
-            "reeb-commutator",
-            "solved Reeb fields fail to commute",
-            {"defect": defect},
-            defect=defect,
-        )
+    s = SampledPair.of(alpha, beta, points)
+    _reeb_solution(s, tol, max(1.0, *s.scales()), True, True)
     return _reeb_fields(alpha, beta)
+
+
+def _contact_reeb(av: np.ndarray, da_m: np.ndarray):
+    """Reeb field of one contact form from its samples, alpha(Z) = 1 and
+    i_Z d alpha = 0; returns (Z, least-squares residual)."""
+    rows = np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
+    b = np.zeros(rows.shape[1])
+    b[0] = 1.0
+    x, residual, _, _ = least_squares_batch(rows, b)
+    return x, residual
 
 
 def contact_reeb_field(alpha: FormField) -> SolvedVectorField:
@@ -563,13 +580,7 @@ def contact_reeb_field(alpha: FormField) -> SolvedVectorField:
     d_alpha = alpha.d()
 
     def solve(pts: np.ndarray) -> np.ndarray:
-        av = alpha.values(pts)
-        da_m = two_form_matrices(model.n, d_alpha.values(pts))
-        rows = np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
-        b = np.zeros(rows.shape[1])
-        b[0] = 1.0
-        x, _, _, _ = least_squares_batch(rows, b)
-        return x
+        return _contact_reeb(alpha.values(pts), two_form_matrices(model.n, d_alpha.values(pts)))[0]
 
     return SolvedVectorField(model, solve)
 
@@ -655,33 +666,32 @@ def verify_single_deformation(
     if t_grid is None:
         t_grid = [10.0**j for j in range(-2, 2)]
 
+    a0v = alpha0.values(pts)
     da0 = alpha0.d().values(pts)
     closed_defect = float(np.max(np.abs(da0))) if da0.size else 0.0
-    if closed_defect > tol * float(np.max(np.abs(alpha0.values(pts)))):
+    if closed_defect > tol * float(np.max(np.abs(a0v))):
         raise ContactPairError(
             "alpha0-closed", "alpha0 is not closed", {"defect": closed_defect}, defect=closed_defect
         )
 
     k_max = (n - 1) // 2
-    report = cartan_class(alpha, tol=tol, points=pts)
+    av = alpha.values(pts)
+    dav = alpha.d().values(pts)
+    report = _class_report(av, dav, pts, tol)
     maximal = report.constant and report.k == k_max
 
     pairing_defect = float("nan")
     if maximal:
-        z = contact_reeb_field(alpha)
-        zv = z.values(pts)
-        pairings = np.abs(np.einsum("pi,pi->p", alpha0.values(pts), zv))
+        zv, _ = _contact_reeb(av, two_form_matrices(n, dav))
+        pairings = np.abs(np.einsum("pi,pi->p", a0v, zv))
         pairing_defect = float(np.max(pairings))
-        scale = float(np.max(np.abs(alpha0.values(pts)))) * max(1.0, float(np.max(np.abs(zv))))
+        scale = float(np.max(np.abs(a0v))) * max(1.0, float(np.max(np.abs(zv))))
         condition_ii = pairing_defect <= tol * scale
         witness_ii = _witness(pts, int(np.argmax(pairings)), value=pairing_defect)
     else:
         condition_ii = False
         witness_ii = {"reason": "alpha does not have maximal constant class", **report.witnesses}
 
-    av = alpha.values(pts)
-    a0v = alpha0.values(pts)
-    dav = alpha.d().values(pts)
     per_t = []
     condition_i = True
     witness_i = {}
@@ -691,14 +701,7 @@ def verify_single_deformation(
             if t == 0.0:
                 per_t.append({"t": 0.0, "note": "closed form, class 0", "passed": None})
             continue
-        atv = a0v + t * av
-        datv = t * dav
-        acc = atv
-        deg = 1
-        for _ in range(k_max):
-            acc = wedge_values(n, deg, 2, acc, datv)
-            deg += 2
-        coeff = acc[:, 0]
+        coeff = chain(n, (1, a0v + t * av), *[(2, t * dav)] * k_max)[:, 0]
         scale = float(np.max(np.abs(coeff)))
         min_abs = float(np.min(np.abs(coeff)))
         sign_change = coeff.min() < 0.0 < coeff.max()

@@ -26,14 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import (
-    ContactPairCertificate,
-    ContactPairError,
-    verify_contact_pair,
-    volume_coefficient_values,
-    wedge_power_values,
-)
-from .exterior import wedge_values
+from .contact import ContactPairCertificate, ContactPairError, SampledPair, _certify, _solve_reeb
+from .exterior import chain, wedge_values
 from .fields import FormField, volume_form
 from .models import default_tolerance, integrate, sample_points
 
@@ -43,6 +37,7 @@ __all__ = [
     "CheckItem",
     "TheoremVerdict",
     "PairSamples",
+    "SampledFamily",
     "volume_polynomial",
     "volume_identity_defect",
     "volume_replacement_defects",
@@ -87,14 +82,16 @@ class DeformationFamily:
             points = sample_points(model, rng)
         pts = np.asarray(points, dtype=float)
 
-        for name, f in (("alpha0", alpha0), ("beta0", beta0)):
-            dv = f.d().values(pts)
-            defect = float(np.max(np.abs(dv))) if dv.size else 0.0
-            if defect > tol * float(np.max(np.abs(f.values(pts)))):
-                raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
-
+        # kept: the sampled family evaluates them again without re-deriving
+        self.dalpha0, self.dbeta0 = alpha0.d(), beta0.d()
         a0v = alpha0.values(pts)
         b0v = beta0.values(pts)
+        for name, values, d in (("alpha0", a0v, self.dalpha0), ("beta0", b0v, self.dbeta0)):
+            dv = d.values(pts)
+            defect = float(np.max(np.abs(dv))) if dv.size else 0.0
+            if defect > tol * float(np.max(np.abs(values))):
+                raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
+
         indep = np.max(np.abs(wedge_values(model.n, 1, 1, a0v, b0v)), axis=-1)
         if np.any(indep <= tol * float(np.max(np.abs(a0v))) * float(np.max(np.abs(b0v)))):
             idx = int(np.argmin(indep))
@@ -150,49 +147,58 @@ class VolumePolynomial:
         )
 
 
-class _FamilyArrays:
-    """Evaluated family data shared by the pointwise checks."""
+class SampledFamily:
+    """The forms of a family and their derivatives, evaluated once on a
+    point set.
 
-    def __init__(self, family: DeformationFamily, pts: np.ndarray):
-        self.pts = pts
-        self.n = family.model.n
+    Every sampled quantity of (alpha_t, beta_t) is affine in t, so ``at(t)``
+    forms its arrays without building or evaluating expressions.  The
+    d alpha0 and d beta0 terms are kept: alpha0 and beta0 are closed only to
+    within the tolerance.
+    """
+
+    def __init__(self, family: DeformationFamily, points):
+        self.model = family.model
         self.k, self.l = family.k, family.l
-        self.a0 = family.alpha0.values(pts)
-        self.b0 = family.beta0.values(pts)
-        self.a = family.alpha.values(pts)
-        self.b = family.beta.values(pts)
-        self.da = family.alpha.d().values(pts)
-        self.db = family.beta.d().values(pts)
-        self.da_pow = wedge_power_values(self.da, self.k, self.n)
-        self.db_pow = wedge_power_values(self.db, self.l, self.n)
+        self.direction = SampledPair.of(family.alpha, family.beta, points)
+        self.points = pts = self.direction.points
+        closed = (family.alpha0, family.beta0, family.dalpha0, family.dbeta0)
+        self.closed = SampledPair(pts, *(f.values(pts) for f in closed))
 
-    def top(self, left_one_form: np.ndarray, right_one_form: np.ndarray) -> np.ndarray:
-        """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l."""
-        n, k, l = self.n, self.k, self.l
-        acc = wedge_values(n, 1, 2 * k, left_one_form, self.da_pow)
-        acc = wedge_values(n, 2 * k + 1, 1, acc, right_one_form)
-        acc = wedge_values(n, 2 * k + 2, 2 * l, acc, self.db_pow)
-        return acc[:, 0]
+    def at(self, t: float) -> SampledPair:
+        """The samples of (alpha_t, beta_t); entries may overflow for huge t."""
+        c, s = self.closed, self.direction
+        with np.errstate(over="ignore", invalid="ignore"):
+            return SampledPair(
+                self.points,
+                c.alpha + t * s.alpha,
+                c.beta + t * s.beta,
+                c.dalpha + t * s.dalpha,
+                c.dbeta + t * s.dbeta,
+            )
+
+    def volume_polynomial(self, volume: FormField | None = None) -> VolumePolynomial:
+        if volume is None:
+            volume = volume_form(self.model)
+        pts = self.points
+        omega = volume.values(pts)[:, 0]
+        if np.any(np.abs(omega) <= 1e-14):
+            idx = int(np.argmin(np.abs(omega)))
+            raise ValueError(f"reference volume vanishes at sample point {pts[idx].tolist()}")
+        c, s, k, l = self.closed, self.direction, self.k, self.l
+        quad = s.top(k, l, s.alpha, s.beta) / omega
+        lin = (s.top(k, l, c.alpha, s.beta) + s.top(k, l, s.alpha, c.beta)) / omega
+        const = s.top(k, l, c.alpha, c.beta) / omega
+        return VolumePolynomial(volume, pts, quad, lin, const, omega)
 
 
 def volume_polynomial(
     family: DeformationFamily, volume: FormField | None = None, points=None, rng=None
 ) -> VolumePolynomial:
     """Sample the three coefficient functions of the volume polynomial."""
-    if volume is None:
-        volume = volume_form(family.model)
     if points is None:
         points = sample_points(family.model, rng)
-    pts = np.asarray(points, dtype=float)
-    ctx = _FamilyArrays(family, pts)
-    omega = volume.values(pts)[:, 0]
-    if np.any(np.abs(omega) <= 1e-14):
-        idx = int(np.argmin(np.abs(omega)))
-        raise ValueError(f"reference volume vanishes at sample point {pts[idx].tolist()}")
-    quad = ctx.top(ctx.a, ctx.b) / omega
-    lin = (ctx.top(ctx.a0, ctx.b) + ctx.top(ctx.a, ctx.b0)) / omega
-    const = ctx.top(ctx.a0, ctx.b0) / omega
-    return VolumePolynomial(volume, pts, quad, lin, const, omega)
+    return SampledFamily(family, points).volume_polynomial(volume)
 
 
 def volume_identity_defect(
@@ -200,19 +206,17 @@ def volume_identity_defect(
 ) -> float:
     """Max relative defect between the expanded family volume form and
     t^{k+l}(Q t^2 + L t + C) * Omega over the t sample set."""
-    vp = volume_polynomial(family, volume, points, rng)
-    pts = vp.points
-    ctx = _FamilyArrays(family, pts)
-    n, k, l = ctx.n, ctx.k, ctx.l
+    if points is None:
+        points = sample_points(family.model, rng)
+    sampled = SampledFamily(family, points)
+    vp = sampled.volume_polynomial(volume)
+    k, l = family.k, family.l
     worst = 0.0
     scale = 1.0
     for t in t_values:
         t = float(t)
-        at = ctx.a0 + t * ctx.a
-        bt = ctx.b0 + t * ctx.b
-        dat = t * ctx.da
-        dbt = t * ctx.db
-        lhs = volume_coefficient_values(at, bt, dat, dbt, k, l, n)
+        s = sampled.at(t)
+        lhs = s.top(k, l, s.alpha, s.beta)
         rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const) * vp.volume_values
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         scale = max(scale, float(np.max(np.abs(lhs))))
@@ -220,32 +224,21 @@ def volume_identity_defect(
 
 
 class PairSamples:
-    """Evaluated contact-pair data for repeated pointwise wedge identities."""
+    """Evaluated contact-pair data for repeated pointwise wedge identities;
+    reuses the certificate's samples unless other points are given."""
 
     def __init__(self, cert: ContactPairCertificate, points=None):
-        pts = cert.points if points is None else np.asarray(points, dtype=float)
-        self.cert = cert
-        self.pts = pts
-        self.n = cert.alpha.model.n
-        self.k, self.l = cert.k, cert.l
-        self.a = cert.alpha.values(pts)
-        self.b = cert.beta.values(pts)
-        self.da_pow = wedge_power_values(cert.alpha.d().values(pts), self.k, self.n)
-        self.db_pow = wedge_power_values(cert.beta.d().values(pts), self.l, self.n)
         if points is None:
-            self.ea = cert.reeb_alpha_values
-            self.eb = cert.reeb_beta_values
+            s, ea, eb = cert.sampled, cert.reeb_alpha_values, cert.reeb_beta_values
         else:
-            self.ea = cert.reeb_alpha.values(pts)
-            self.eb = cert.reeb_beta.values(pts)
-        self.volume = self._chain(self.a, self.b)
-
-    def _chain(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        n, k, l = self.n, self.k, self.l
-        acc = wedge_values(n, 1, 2 * k, w, self.da_pow)
-        acc = wedge_values(n, 2 * k + 1, 1, acc, v)
-        acc = wedge_values(n, 2 * k + 2, 2 * l, acc, self.db_pow)
-        return acc[:, 0]
+            s = SampledPair.of(cert.alpha, cert.beta, points)
+            ea, eb, _, _, _ = _solve_reeb(s.reeb_rows(), False)
+        self.cert = cert
+        self.sampled = s
+        self.pts = s.points
+        self.k, self.l = cert.k, cert.l
+        self.ea, self.eb = ea, eb
+        self.volume = s.top(self.k, self.l, s.alpha, s.beta)
 
     def _omega_values(self, omega) -> np.ndarray:
         if isinstance(omega, FormField):
@@ -263,17 +256,13 @@ class PairSamples:
 
         where vol = a ∧ (da)^k ∧ b ∧ (db)^l.
         """
-        n, k, l = self.n, self.k, self.l
+        s, k, l = self.sampled, self.k, self.l
         w = self._omega_values(omega)
-        lhs1 = wedge_values(n, 1, 2 * k, w, self.da_pow)
-        lhs1 = wedge_values(n, 2 * k + 1, 1, lhs1, self.b)
-        lhs1 = wedge_values(n, 2 * k + 2, 2 * l, lhs1, self.db_pow)[:, 0]
+        lhs1 = s.top(k, l, w, s.beta)
         w_ea = np.einsum("pi,pi->p", w, self.ea)
         d1 = float(np.max(np.abs(lhs1 - w_ea * self.volume)))
 
-        lhs2 = wedge_values(n, 1, 1, w, self.a)
-        lhs2 = wedge_values(n, 2, 2 * k, lhs2, self.da_pow)
-        lhs2 = wedge_values(n, 2 * k + 2, 2 * l, lhs2, self.db_pow)[:, 0]
+        lhs2 = chain(s.n, (1, w), (1, s.alpha), *[(2, s.dalpha)] * k, *[(2, s.dbeta)] * l)[:, 0]
         w_eb = np.einsum("pi,pi->p", w, self.eb)
         d2 = float(np.max(np.abs(lhs2 + w_eb * self.volume)))
         scale = max(1.0, float(np.max(np.abs(self.volume))), float(np.max(np.abs(w))))
@@ -283,15 +272,13 @@ class PairSamples:
         """Max |w ∧ (da)^k ∧ w̄ ∧ (db)^l| after projecting both arguments to
         the kernel of E_beta (w -> w - w(E_b) * beta), the hypothesis under
         which the product vanishes identically."""
-        n, k, l = self.n, self.k, self.l
+        s = self.sampled
         w = self._omega_values(omega)
         wb = self._omega_values(omega_bar)
         if project:
-            w = w - np.einsum("pi,pi->p", w, self.eb)[:, None] * self.b
-            wb = wb - np.einsum("pi,pi->p", wb, self.eb)[:, None] * self.b
-        acc = wedge_values(n, 1, 2 * k, w, self.da_pow)
-        acc = wedge_values(n, 2 * k + 1, 1, acc, wb)
-        acc = wedge_values(n, 2 * k + 2, 2 * l, acc, self.db_pow)[:, 0]
+            w = w - np.einsum("pi,pi->p", w, self.eb)[:, None] * s.beta
+            wb = wb - np.einsum("pi,pi->p", wb, self.eb)[:, None] * s.beta
+        acc = s.top(self.k, self.l, w, wb)
         scale = max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(wb))))
         return float(np.max(np.abs(acc))) / scale
 
@@ -379,12 +366,34 @@ def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate 
         )
 
 
-def _pairing_items(family: DeformationFamily, cert, pts, tol) -> list[CheckItem]:
+def _base_item(sampled: SampledFamily, tol):
+    return _cert_item(
+        "(alpha,beta) is a contact pair",
+        lambda: _certify(sampled.direction, sampled.k, sampled.l, tol, False, False),
+    )
+
+
+def _item_at(sampled: SampledFamily, t: float, tol):
+    """Certify (alpha_t, beta_t) from the family's samples.  Returns the
+    item and the Reeb values (None on failure); the samples at t are
+    dropped here.  A non-finite failure names t as its witness."""
+    item, cert = _cert_item(
+        f"(alpha_t,beta_t) is a contact pair at t={t:g}",
+        lambda: _certify(sampled.at(t), sampled.k, sampled.l, tol, False, False),
+    )
+    if cert is None:
+        if item.witness["condition"] == "non-finite":
+            item.witness["t"] = t
+        return item, None
+    return item, (cert.reeb_alpha_values, cert.reeb_beta_values)
+
+
+def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
     names = (
-        ("alpha0(E_alpha)", family.alpha0, "ea"),
-        ("alpha0(E_beta)", family.alpha0, "eb"),
-        ("beta0(E_alpha)", family.beta0, "ea"),
-        ("beta0(E_beta)", family.beta0, "eb"),
+        ("alpha0(E_alpha)", closed.alpha, "ea"),
+        ("alpha0(E_beta)", closed.alpha, "eb"),
+        ("beta0(E_alpha)", closed.beta, "ea"),
+        ("beta0(E_beta)", closed.beta, "eb"),
     )
     if cert is None:
         return [
@@ -392,11 +401,12 @@ def _pairing_items(family: DeformationFamily, cert, pts, tol) -> list[CheckItem]
             for n, _, _ in names
         ]
     reeb = {"ea": cert.reeb_alpha_values, "eb": cert.reeb_beta_values}
+    pts = closed.points
     items = []
-    for label, closed, key in names:
-        vals = np.abs(np.einsum("pi,pi->p", closed.values(pts), reeb[key]))
+    for label, closed_values, key in names:
+        vals = np.abs(np.einsum("pi,pi->p", closed_values, reeb[key]))
         defect = float(np.max(vals))
-        scale = max(1.0, float(np.max(np.abs(closed.values(pts)))) * float(np.max(np.abs(reeb[key]))))
+        scale = max(1.0, float(np.max(np.abs(closed_values))) * float(np.max(np.abs(reeb[key]))))
         passed = defect < tol * scale
         idx = int(np.argmax(vals))
         items.append(
@@ -428,39 +438,27 @@ def verify_forward(
         t_grid = FORWARD_T_GRID
     if points is None:
         points = sample_points(model, rng)
-    pts = np.asarray(points, dtype=float)
+    sampled = SampledFamily(family, points)
+    pts = sampled.points
 
-    base_item, cert = _cert_item(
-        "(alpha,beta) is a contact pair",
-        lambda: verify_contact_pair(
-            family.alpha, family.beta, family.k, family.l, tol=tol, points=pts,
-            check_commutator=False, check_rank=False,
-        ),
-    )
-    hypotheses = [base_item] + _pairing_items(family, cert, pts, tol)
+    base_item, cert = _base_item(sampled, tol)
+    hypotheses = [base_item] + _pairing_items(sampled.closed, cert, tol)
 
     conclusions = []
     for t in t_grid:
         t = float(t)
         if t == 0.0:
             continue
-        alpha_t, beta_t = family.at(t)
-        item_t, cert_t = _cert_item(
-            f"(alpha_t,beta_t) is a contact pair at t={t:g}",
-            lambda a=alpha_t, b=beta_t: verify_contact_pair(
-                a, b, family.k, family.l, tol=tol, points=pts,
-                check_commutator=False, check_rank=False,
-            ),
-        )
+        item_t, reeb_t = _item_at(sampled, t, tol)
         conclusions.append(item_t)
-        if cert_t is None or cert is None:
+        if reeb_t is None or cert is None:
             conclusions.append(
                 CheckItem(f"Reeb scaling at t={t:g}", None, note="not evaluated (no certificate)")
             )
             continue
         diff = np.maximum(
-            np.max(np.abs(t * cert_t.reeb_alpha_values - cert.reeb_alpha_values), axis=1),
-            np.max(np.abs(t * cert_t.reeb_beta_values - cert.reeb_beta_values), axis=1),
+            np.max(np.abs(t * reeb_t[0] - cert.reeb_alpha_values), axis=1),
+            np.max(np.abs(t * reeb_t[1] - cert.reeb_beta_values), axis=1),
         )
         defect = float(np.max(diff))
         scale = max(
@@ -509,23 +507,16 @@ def verify_converse(
         raise ValueError("converse t grid must be strictly positive")
     if points is None:
         points = sample_points(model, rng)
-    pts = np.asarray(points, dtype=float)
+    sampled = SampledFamily(family, points)
 
     hypotheses = []
     scaled_a, scaled_b = [], []
     for t in t_grid:
-        alpha_t, beta_t = family.at(t)
-        item_t, cert_t = _cert_item(
-            f"(alpha_t,beta_t) is a contact pair at t={t:g}",
-            lambda a=alpha_t, b=beta_t: verify_contact_pair(
-                a, b, family.k, family.l, tol=tol, points=pts,
-                check_commutator=False, check_rank=False,
-            ),
-        )
+        item_t, reeb_t = _item_at(sampled, t, tol)
         hypotheses.append(item_t)
-        if cert_t is not None:
-            scaled_a.append(t * cert_t.reeb_alpha_values)
-            scaled_b.append(t * cert_t.reeb_beta_values)
+        if reeb_t is not None:
+            scaled_a.append(t * reeb_t[0])
+            scaled_b.append(t * reeb_t[1])
 
     if len(scaled_a) == len(t_grid):
         defect = 0.0
@@ -553,13 +544,7 @@ def verify_converse(
         x_vals = y_vals = None
 
     conclusions = []
-    base_item, cert = _cert_item(
-        "(alpha,beta) is a contact pair",
-        lambda: verify_contact_pair(
-            family.alpha, family.beta, family.k, family.l, tol=tol, points=pts,
-            check_commutator=False, check_rank=False,
-        ),
-    )
+    base_item, cert = _base_item(sampled, tol)
     conclusions.append(base_item)
     if cert is not None and x_vals is not None:
         defect = max(
@@ -574,9 +559,9 @@ def verify_converse(
         )
     else:
         conclusions.append(CheckItem("(E_alpha,E_beta) = (X,Y)", None, note="not evaluated"))
-    conclusions.extend(_pairing_items(family, cert, pts, tol))
+    conclusions.extend(_pairing_items(sampled.closed, cert, tol))
 
-    vp = volume_polynomial(family, points=pts)
+    vp = sampled.volume_polynomial()
     conclusions.append(
         CheckItem(
             "constant volume coefficient vanishes pointwise",
@@ -595,7 +580,9 @@ def verify_converse(
         )
     )
     if model.is_closed and family.k >= 1 and family.l >= 1:
-        i1, i2 = stokes_integrals(family, resolution=integral_resolution)
+        da, db = sampled.direction.forms[2:]
+        del sampled, cert  # free the samples before the quadrature's own arrays
+        i1, i2 = _stokes_integrals(family, da, db, integral_resolution)
         for label, value in (("closed-times-direction", i1), ("direction-times-closed", i2)):
             conclusions.append(
                 CheckItem(
@@ -624,20 +611,21 @@ def stokes_integrals(family: DeformationFamily, resolution=None) -> tuple[float,
     one power of d alpha, resp. d beta), so both integrals vanish; this needs
     k >= 1 and l >= 1 and a closed model.
     """
-    model = family.model
-    if not model.is_closed:
+    if not family.model.is_closed:
         raise ValueError("quadrature vanishing checks need a closed model")
     if family.k < 1 or family.l < 1:
         raise ValueError("quadrature vanishing checks need type at least (1,1)")
-    da = family.alpha.d()
-    db = family.beta.d()
+    return _stokes_integrals(family, family.alpha.d(), family.beta.d(), resolution)
+
+
+def _stokes_integrals(family: DeformationFamily, da: FormField, db: FormField, resolution):
     da_pow = da.wedge_power(family.k)
     db_pow = db.wedge_power(family.l)
     first = family.alpha0.wedge(da_pow).wedge(family.beta).wedge(db_pow)
     second = family.alpha.wedge(da_pow).wedge(family.beta0).wedge(db_pow)
     return (
-        abs(integrate(model, first, resolution)),
-        abs(integrate(model, second, resolution)),
+        abs(integrate(family.model, first, resolution)),
+        abs(integrate(family.model, second, resolution)),
     )
 
 
@@ -645,26 +633,19 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, rng=None) -> list
     """Per-t sweep of the family: volume coefficient range and Reeb residual.
 
     Rows are produced for every t, including values where the pair fails to
-    be contact (that is what the sweep is for).
+    be contact (that is what the sweep is for) and values where the samples
+    overflow, whose rows then hold non-finite numbers.
     """
-    from .contact import _pair_arrays, _reeb_system, _solve_reeb
-
-    model = family.model
     if points is None:
-        points = sample_points(model, rng)
-    pts = np.asarray(points, dtype=float)
-    ctx = _FamilyArrays(family, pts)
+        points = sample_points(family.model, rng)
+    sampled = SampledFamily(family, points)
     rows = []
     for t in t_grid:
         t = float(t)
-        at = ctx.a0 + t * ctx.a
-        bt = ctx.b0 + t * ctx.b
-        dat = t * ctx.da
-        dbt = t * ctx.db
-        vol = volume_coefficient_values(at, bt, dat, dbt, family.k, family.l, ctx.n)
-        alpha_t, beta_t = family.at(t)
-        av, bv, da_m, db_m, _, _ = _pair_arrays(alpha_t, beta_t, pts)
-        _, _, residual, _, _ = _solve_reeb(_reeb_system(av, bv, da_m, db_m), False)
+        s = sampled.at(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vol = s.top(family.k, family.l, s.alpha, s.beta)
+            _, _, residual, _, _ = _solve_reeb(s.reeb_rows(), False)
         rows.append(
             {
                 "t": t,

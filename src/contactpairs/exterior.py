@@ -26,7 +26,6 @@ __all__ = [
     "DimensionError",
     "FormValue",
     "VectorValue",
-    "BivectorValue",
     "multi_indices",
     "index_position",
     "form_count",
@@ -36,6 +35,7 @@ __all__ = [
     "wedge_power",
     "norm_inf",
     "wedge_values",
+    "chain",
     "interior_values",
     "two_form_matrices",
     "basis_form",
@@ -106,6 +106,16 @@ def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.nda
     for ia, ib, io, sign in _wedge_table(n, p, q):
         out[..., io] += sign * a[..., ia] * b[..., ib]
     return out
+
+
+def chain(n: int, *factors) -> np.ndarray:
+    """Left-to-right wedge of coefficient arrays given as (degree, values)
+    pairs: ((f1 ∧ f2) ∧ f3) ∧ ..; leading axes broadcast."""
+    (p, acc), *rest = factors
+    for q, values in rest:
+        acc = wedge_values(n, p, q, acc, values)
+        p += q
+    return acc
 
 
 def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -182,25 +192,6 @@ class VectorValue:
     @property
     def n(self) -> int:
         return self.components.shape[0]
-
-
-@dataclass(frozen=True)
-class BivectorValue:
-    """An alternating bivector: C(n, 2) coefficients over increasing pairs."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
-        if coeffs.shape[0] != form_count(self.n, 2):
-            raise DimensionError(f"expected {form_count(self.n, 2)} bivector coefficients")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def as_matrix(self) -> np.ndarray:
-        return two_form_matrices(self.n, self.coeffs)
 
 
 def _check_same_shape(a: FormValue, b: FormValue):

@@ -70,7 +70,7 @@ def _check_coefficients(model: Model, exprs):
 class FormField:
     """A degree-p differential form on a model."""
 
-    __slots__ = ("model", "degree", "coeffs")
+    __slots__ = ("model", "degree", "coeffs", "_d")
 
     def __init__(self, model: Model, degree: int, coeffs):
         if not 0 <= degree <= model.n:
@@ -84,6 +84,7 @@ class FormField:
         self.model = model
         self.degree = degree
         self.coeffs = coeffs
+        self._d = None
 
     def values(self, points) -> np.ndarray:
         """Coefficient array at a batch of points, shape (P, C(n, p))."""
@@ -98,7 +99,13 @@ class FormField:
         return FormValue(self.model.n, self.degree, self.values(pt[None, :])[0])
 
     def d(self) -> "FormField":
-        """Exterior derivative (coordinate partials plus the algebraic term)."""
+        """Exterior derivative (coordinate partials plus the algebraic term),
+        derived once per field."""
+        if self._d is None:
+            self._d = self._derivative()
+        return self._d
+
+    def _derivative(self) -> "FormField":
         model, n, p = self.model, self.model.n, self.degree
         if p >= n:
             raise ValueError("cannot raise degree beyond the ambient dimension")
@@ -119,7 +126,7 @@ class FormField:
                 sign = -1.0 if before % 2 else 1.0
                 target = out_pos[tuple(sorted(idx + (a,)))]
                 out[target] = ex.add(out[target], ex.mul(ex.const(sign), df))
-        structure = _structure_derivative_matrix(model, p)
+        structure = _structure_matrix(model, p)
         if structure is not None:
             rows, cols = np.nonzero(structure)
             for r, c in zip(rows, cols):
@@ -186,7 +193,7 @@ class FormField:
 
 
 @lru_cache(maxsize=None)
-def _structure_matrix_cached(model, p):
+def _structure_matrix(model, p):
     n = model.n
     if not model.algebraic_axes or p == 0:
         return None
@@ -210,10 +217,6 @@ def _structure_matrix_cached(model, p):
             acc += (-1.0 if r % 2 else 1.0) * term
         out[:, pos] = acc
     return out
-
-
-def _structure_derivative_matrix(model: Model, p: int):
-    return _structure_matrix_cached(model, p)
 
 
 class VectorField:

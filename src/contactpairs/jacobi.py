@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .contact import _pair_arrays, least_squares_batch, verify_contact_pair
+from .contact import _contact_reeb, verify_contact_pair
 from .exterior import multi_indices, two_form_matrices
 from .fields import FormField, ScalarField
 from .models import Model, default_tolerance, grid_points, grid_shape
@@ -125,10 +125,7 @@ class JacobiSide:
         shape, pts, steps, periodic = cls._grid_data(model, resolution)
         av = alpha.values(pts)
         da_m = two_form_matrices(model.n, alpha.d().values(pts))
-        rows = np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
-        b = np.zeros(rows.shape[1])
-        b[0] = 1.0
-        e, residual, _, _ = least_squares_batch(rows, b)
+        e, residual = _contact_reeb(av, da_m)
         if float(np.max(residual)) > tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
         basis = np.broadcast_to(np.eye(model.n), (pts.shape[0], model.n, model.n)).copy()
@@ -155,7 +152,7 @@ class JacobiSide:
         shape, pts, steps, periodic = cls._grid_data(model, resolution)
         cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts,
                                    check_commutator=False, check_rank=False)
-        av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
+        av, bv, (da_m, db_m) = cert.sampled.alpha, cert.sampled.beta, cert.sampled.matrices
         if side == "alpha":
             own, own_d, e, other, other_d, m = av, da_m, cert.reeb_alpha_values, bv, db_m, 2 * k + 1
         else:

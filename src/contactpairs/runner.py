@@ -8,6 +8,7 @@ Exit codes: 0 all verdicts pass, 1 some verdict falsified or not applicable,
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -26,7 +27,7 @@ from .fields import FormField
 from .jacobi import JacobiError, JacobiSide, jacobi_bracket, jacobi_identity_defect
 from .models import sample_points
 from .registry import build_example
-from .reporting import write_sweep_csv
+from .reporting import SWEEP_COLUMNS, write_sweep_csv
 
 __all__ = ["run", "exit_code_for"]
 
@@ -212,11 +213,15 @@ def _task_sweep(cfg, params, rng, out_path):
     rows = sweep_rows(family, t_grid, points=pts)
     target = params.get("out", out_path)
     csv_text = write_sweep_csv(rows, target)
-    data = {"rows": rows, "columns": ["t", "min_volume_coeff", "max_volume_coeff", "max_reeb_residual"]}
+    data = {"rows": rows, "columns": list(SWEEP_COLUMNS)}
     if target is not None and not hasattr(target, "write"):
         data["csv_path"] = str(target)
     else:
         data["csv"] = csv_text
+    overflowed = [row["t"] for row in rows if not all(math.isfinite(row[c]) for c in SWEEP_COLUMNS)]
+    if overflowed:  # a row that holds a non-finite number shows nothing
+        data["witness"] = {"t": overflowed[0]}
+        return "fail", data
     return "pass", data
 
 

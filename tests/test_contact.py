@@ -213,10 +213,9 @@ def test_reeb_uniqueness_by_perturbation():
     model, alpha, beta = heisenberg6()
     pts = grid_points(model)
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
-    from contactpairs.contact import _pair_arrays, _reeb_system
+    from contactpairs.contact import SampledPair
 
-    av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
-    rows = _reeb_system(av, bv, da_m, db_m)[0]
+    rows = SampledPair.of(alpha, beta, pts).reeb_rows()[0]
     b = np.zeros(rows.shape[0])
     b[0] = 1.0
     base = np.max(np.abs(rows @ cert.reeb_alpha_values[0] - b))
@@ -248,13 +247,12 @@ def test_reeb_pair_on_sheared_pair_matches_certificate():
 
 @pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair])
 def test_implicit_reeb_derivative_matches_central_differences(pair):
-    from contactpairs.contact import _pair_arrays, _reeb_rows_partial, _reeb_system
+    from contactpairs.contact import SampledPair, _reeb_rows_partial
 
     model, alpha, beta = pair()
     pts = random_points(model, 500, np.random.default_rng(9))
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
-    av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
-    rows = _reeb_system(av, bv, da_m, db_m)
+    rows = SampledPair.of(alpha, beta, pts).reeb_rows()
     forms = (alpha, beta, alpha.d(), beta.d())
     h = 1e-5
     for axis in model.coordinate_axes:
@@ -291,14 +289,13 @@ def test_commutator_defect_is_exact(name):
 
 
 def test_commutator_terms_cancel_only_in_the_bracket():
-    from contactpairs.contact import _pair_arrays, _reeb_rows_partial, _reeb_system
+    from contactpairs.contact import SampledPair, _reeb_rows_partial
 
     model, alpha, beta = sheared_t6_pair()
     pts = random_points(model, 500, np.random.default_rng(15))
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
-    av, bv, da_m, db_m, _, _ = _pair_arrays(alpha, beta, pts)
-    rows = _reeb_system(av, bv, da_m, db_m)
+    rows = SampledPair.of(alpha, beta, pts).reeb_rows()
     forms = (alpha, beta, alpha.d(), beta.d())
     # D_{E_alpha} E_beta alone, one of the two terms of the bracket
     parts = [_reeb_rows_partial(forms, a, pts, ea[:, a : a + 1] * eb) for a in model.coordinate_axes]
