@@ -13,7 +13,6 @@ import sys
 from .config import (
     ConfigError,
     RunConfig,
-    TaskSpec,
     _validate_task,
     load_config,
     parse_config,
@@ -78,33 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _task_for(args) -> TaskSpec | None:
-    kind = {
-        "classify": "classify",
-        "verify-pair": "verify-pair",
-        "jacobi": "jacobi",
-        "sweep": "sweep",
-    }.get(args.command)
-    if args.command == "deform":
-        kind = {"forward": "deform-forward", "converse": "deform-converse", "single": "single-deform"}[
-            args.mode
-        ]
-    params: dict = {"task": kind}
-    if getattr(args, "example", None):
-        params["example"] = args.example
-    if getattr(args, "form", None):
-        params["form"] = args.form
-    if getattr(args, "resolution", None):
-        params["resolution"] = args.resolution
-    if getattr(args, "side", None):
-        params["side"] = args.side
-    if getattr(args, "alpha0", None):
-        params["alpha0_coefficients"] = [s.strip() for s in args.alpha0.split(",")]
-    return TaskSpec(kind, params)
+_DEFORM_MODES = {"forward": "deform-forward", "converse": "deform-converse", "single": "single-deform"}
+
+
+def _task_for(args) -> dict:
+    """The task declaration the subcommand's flags describe."""
+    task = {"task": _DEFORM_MODES[args.mode] if args.command == "deform" else args.command}
+    for flag in ("example", "form", "resolution", "side"):
+        if getattr(args, flag, None) is not None:
+            task[flag] = getattr(args, flag)
+    if getattr(args, "alpha0", None) is not None:
+        task["alpha0_coefficients"] = [s.strip() for s in args.alpha0.split(",")]
+    return task
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError([f"--seed: must be an integer >= 0, got {args.seed}"])
         cfg.seed = args.seed
     if args.tol is not None:
         problem = tolerance_error(args.tol, "--tol")
@@ -152,25 +142,21 @@ def main(argv=None) -> int:
         sys.stdout.write(_examples_listing(args.format))
         return 0
 
+    if not (args.config or args.example):
+        parser.error(f"{args.command}: provide --example or --config")
     try:
-        if args.config:
-            cfg = load_config(args.config)
-            matching = _task_for(args)
-            same_kind = [t for t in cfg.tasks if t.task == matching.task]
-            if getattr(args, "example", None) or not same_kind:
-                errors: list = []
-                _validate_task(0, matching.params, cfg, errors)
-                if errors:
-                    raise ConfigError(errors)
-                cfg.tasks = [matching]
-            else:
-                cfg.tasks = same_kind
+        cfg = load_config(args.config) if args.config else parse_config({})
+        task = _task_for(args)
+        same_kind = [t for t in cfg.tasks if t.task == task["task"]]
+        if args.example or not same_kind:
+            # the flags describe the task: validate it like a config task
+            errors: list = []
+            spec = _validate_task(0, task, cfg, errors)
+            if errors:
+                raise ConfigError(errors)
+            cfg.tasks = [spec]
         else:
-            cfg = parse_config({})
-            task = _task_for(args)
-            if "example" not in task.params:
-                parser.error(f"{args.command}: provide --example or --config")
-            cfg.tasks = [task]
+            cfg.tasks = same_kind
         cfg = _apply_overrides(cfg, args)
     except ConfigError as err:
         sys.stderr.write(str(err) + "\n")
@@ -179,6 +165,9 @@ def main(argv=None) -> int:
     out_path = args.out
     sweep = args.command == "sweep"
     report, code = run(cfg, out_path=out_path if sweep else None)
+    for task in report["tasks"]:
+        if task["status"] == "error":
+            sys.stderr.write(f"{task['task']}: {task['result']['error']}\n")
     rendered = render_text(report) if args.format == "text" else render_structured(report)
     if out_path and not sweep:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -18,21 +19,27 @@ from . import expressions as ex
 from .deformation import DeformationFamily
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import ChartModel, LieGroupModel, Model, ProductModel, box_axis, periodic_axis, torus, heisenberg3
-from .registry import example_names
+from .registry import list_examples
 
-__all__ = ["ConfigError", "TaskSpec", "RunConfig", "load_config", "parse_config", "tolerance_error"]
+__all__ = ["ConfigError", "TaskSpec", "RunConfig", "TASKS", "load_config", "parse_config", "tolerance_error"]
 
 SCHEMA_VERSION = 1
 
-TASK_KINDS = (
-    "classify",
-    "verify-pair",
-    "deform-forward",
-    "deform-converse",
-    "single-deform",
-    "jacobi",
-    "sweep",
-)
+
+# Every task kind, once, as (refs, examples).  ``refs`` are the declared
+# names a task references: "family" names a family, "type" is the pair type
+# [k, l], any other names a 1-form.  ``examples`` are the builtin example
+# kinds (``ExampleInfo.kind``) that carry the same objects, for a task given
+# an "example" instead.
+TASKS = {
+    "classify": (("form",), ("contact-form", "pair", "family")),
+    "verify-pair": (("alpha", "beta", "type"), ("pair", "family")),
+    "deform-forward": (("family",), ("family",)),
+    "deform-converse": (("family",), ("family",)),
+    "single-deform": (("alpha", "alpha0"), ("contact-form",)),
+    "jacobi": (("form",), ("contact-form", "pair", "family")),
+    "sweep": (("family",), ("family",)),
+}
 
 
 class ConfigError(ValueError):
@@ -45,8 +52,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class TaskSpec:
+    """A validated task; ``objects`` holds the declared objects it references
+    by name (empty for a task on a builtin example, built when it runs)."""
+
     task: str
     params: dict
+    objects: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -61,11 +72,12 @@ class RunConfig:
     forms: dict = dc_field(default_factory=dict)
     families: dict = dc_field(default_factory=dict)
     tasks: list = dc_field(default_factory=list)
-    source: dict = dc_field(default_factory=dict)
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """An int or float, not a bool, inside the float range (a JSON integer
+    can be too large to convert)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def tolerance_error(value, where: str) -> str | None:
@@ -85,16 +97,65 @@ def t_grid_errors(grid, where: str) -> list[str]:
     ]
 
 
-def _build_builtin_model(name: str, errors, where: str) -> Model | None:
+_WANTED = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a finite number",
+    str: "a name",
+    list: "a list",
+    dict: "an object",
+}
+
+
+def _field(decl: dict, key: str, want: type, where: str, errors, default=None, minimum=None):
+    """``decl[key]`` when it is a ``want`` (JSON types; a float must be finite,
+    an int is not a bool, a number is at least ``minimum``).  ``default`` when
+    the key is absent or, with an error naming the field, when it is wrong."""
+    if key not in decl:
+        return default
+    value = decl[key]
+    ok = _finite_number(value) if want is float else type(value) is want
+    if ok and (minimum is None or value >= minimum):
+        return value
+    bound = "" if minimum is None else f" >= {minimum}"
+    errors.append(f"{where}.{key}: must be {_WANTED[want]}{bound}, got {value!r}".lstrip("."))
+    return default
+
+
+def _ref(decl: dict, key: str, declared: dict, what: str, where: str, errors):
+    """The declared object named by ``decl[key]``, or None with an error."""
+    name = decl.get(key)
+    if isinstance(name, str) and name in declared:
+        return declared[name]
+    errors.append(f"{where}.{key}: unresolved {what} reference {name!r}")
+    return None
+
+
+def _pair_type(decl: dict, where: str, model: Model, errors) -> tuple[int, int] | None:
+    """(k, l) from ``decl["type"]``, which must fit the model's dimension."""
+    ktype = decl.get("type")
+    if not (
+        isinstance(ktype, list) and len(ktype) == 2
+        and all(type(v) is int and v >= 0 for v in ktype)
+    ):
+        errors.append(f"{where}.type: must be [k, l] with integers k, l >= 0, got {ktype!r}")
+        return None
+    k, l = ktype
+    if model.n != 2 * k + 2 * l + 2:
+        errors.append(f"{where}: type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {model.n}")
+        return None
+    return k, l
+
+
+def _builtin_model(name) -> Model | None:
     if name == "heisenberg3":
         return heisenberg3()
-    if name.startswith("torus"):
+    if isinstance(name, str) and name.startswith("torus"):
         try:
             dim = int(name[len("torus"):])
-            return torus(dim)
         except ValueError:
-            pass
-    errors.append(f"{where}: unknown builtin model {name!r}")
+            return None
+        return torus(dim) if dim >= 1 else None
     return None
 
 
@@ -104,42 +165,38 @@ def _build_model(name, decl, models, errors) -> Model | None:
         errors.append(f"{where}: declaration must be an object")
         return None
     kind = decl.get("kind")
-    if kind == "builtin":
-        return _build_builtin_model(decl.get("name", ""), errors, where)
-    if kind == "lie":
-        try:
+    try:
+        if kind == "builtin":
+            model = _builtin_model(decl.get("name"))
+            if model is None:
+                errors.append(f"{where}: unknown builtin model {decl.get('name')!r}")
+            return model
+        if kind == "lie":
             return LieGroupModel(np.asarray(decl["structure"], dtype=float), name=name)
-        except (KeyError, ValueError, TypeError) as err:
-            errors.append(f"{where}: {err}")
-            return None
-    if kind == "chart":
-        axes = []
-        for i, a in enumerate(decl.get("axes", [])):
-            try:
-                res = int(a.get("resolution", 32))
-                if a.get("periodic"):
+        if kind == "chart":
+            axes = []
+            for i, a in enumerate(_field(decl, "axes", list, where, errors, [])):
+                at = f"{where}.axes[{i}]"
+                if not isinstance(a, dict):
+                    errors.append(f"{at}: must be an object, got {a!r}")
+                    return None
+                res = _field(a, "resolution", int, at, errors, 32, minimum=4)
+                if _field(a, "periodic", bool, at, errors, False):
                     axes.append(periodic_axis(res))
                 else:
-                    axes.append(box_axis(float(a["lo"]), float(a["hi"]), res))
-            except (KeyError, ValueError, TypeError) as err:
-                errors.append(f"{where}.axes[{i}]: {err}")
+                    lo, hi = (_field(a, key, float, at, errors, math.nan) for key in ("lo", "hi"))
+                    axes.append(box_axis(lo, hi, res))
+            if not axes:
+                errors.append(f"{where}: chart model needs at least one axis")
                 return None
-        if not axes:
-            errors.append(f"{where}: chart model needs at least one axis")
-            return None
-        try:
             return ChartModel(axes, name=name)
-        except ValueError as err:
-            errors.append(f"{where}: {err}")
-            return None
-    if kind == "product":
-        left = models.get(decl.get("left"))
-        right = models.get(decl.get("right"))
-        if left is None or right is None:
-            errors.append(f"{where}: unresolved factor reference "
-                          f"({decl.get('left')!r}, {decl.get('right')!r})")
-            return None
-        return ProductModel(left, right, name=name)
+        if kind == "product":
+            left = _ref(decl, "left", models, "factor", where, errors)
+            right = _ref(decl, "right", models, "factor", where, errors)
+            return None if left is None or right is None else ProductModel(left, right, name=name)
+    except (KeyError, ValueError, TypeError, OverflowError) as err:  # OverflowError: huge JSON ints
+        errors.append(f"{where}: {err}")
+        return None
     errors.append(f"{where}: unknown model kind {kind!r}")
     return None
 
@@ -149,26 +206,21 @@ def _build_form(name, decl, models, forms, errors) -> FormField | None:
     if not isinstance(decl, dict):
         errors.append(f"{where}: declaration must be an object")
         return None
-    if "pullback" in decl:
-        spec = decl["pullback"]
-        product = models.get(spec.get("product"))
-        base = forms.get(spec.get("of"))
-        side = spec.get("side")
-        if product is None or base is None:
-            errors.append(f"{where}: unresolved pullback reference")
-            return None
-        try:
-            return pullback_form(product, base, side)
-        except ValueError as err:
-            errors.append(f"{where}: {err}")
-            return None
-    model = models.get(decl.get("model"))
-    if model is None:
-        errors.append(f"{where}: unresolved model reference {decl.get('model')!r}")
-        return None
-    degree = decl.get("degree", 1)
-    coeffs = decl.get("coefficients")
     try:
+        if "pullback" in decl:
+            spec = _field(decl, "pullback", dict, where, errors)
+            if spec is None:
+                return None
+            product = _ref(spec, "product", models, "model", f"{where}.pullback", errors)
+            base = _ref(spec, "of", forms, "form", f"{where}.pullback", errors)
+            if product is None or base is None:
+                return None
+            return pullback_form(product, base, spec.get("side"))
+        model = _ref(decl, "model", models, "model", where, errors)
+        degree = _field(decl, "degree", int, where, errors, 1, minimum=0)
+        coeffs = decl.get("coefficients")
+        if model is None:
+            return None
         if isinstance(coeffs, list):
             return FormField(model, degree, coeffs)
         if isinstance(coeffs, dict):
@@ -187,86 +239,74 @@ def _build_form(name, decl, models, forms, errors) -> FormField | None:
         return None
 
 
-def _build_family(name, decl, models, forms, errors) -> DeformationFamily | None:
+def _build_family(name, decl, forms, errors) -> DeformationFamily | None:
     where = f"families.{name}"
-    refs = {}
-    for key in ("alpha0", "beta0", "alpha", "beta"):
-        f = forms.get(decl.get(key))
-        if f is None:
-            errors.append(f"{where}: unresolved form reference {key}={decl.get(key)!r}")
-            return None
-        refs[key] = f
-    ktype = decl.get("type")
-    if not (isinstance(ktype, list) and len(ktype) == 2):
-        errors.append(f"{where}: 'type' must be [k, l]")
+    if not isinstance(decl, dict):
+        errors.append(f"{where}: declaration must be an object")
         return None
-    k, l = int(ktype[0]), int(ktype[1])
-    model = refs["alpha0"].model
-    if model.n != 2 * k + 2 * l + 2:
-        errors.append(
-            f"{where}: type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {model.n}"
-        )
+    refs = [_ref(decl, key, forms, "form", where, errors) for key in ("alpha0", "beta0", "alpha", "beta")]
+    if None in refs:
+        return None
+    pair = _pair_type(decl, where, refs[0].model, errors)
+    if pair is None:
         return None
     try:
-        return DeformationFamily(refs["alpha0"], refs["beta0"], refs["alpha"], refs["beta"], k, l)
-    except ValueError as err:
+        return DeformationFamily(*refs, *pair)
+    except (ValueError, ex.EvaluationError) as err:
         errors.append(f"{where}: {err}")
         return None
 
 
 def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
+    """Check one task against its row of TASKS and resolve the declared
+    objects it references.  A builtin example is checked by its registry kind
+    only; it is not built here."""
     where = f"tasks[{i}]"
     if not isinstance(decl, dict) or "task" not in decl:
         errors.append(f"{where}: each task needs a 'task' field")
         return None
     kind = decl["task"]
-    if kind not in TASK_KINDS:
-        errors.append(f"{where}: unknown task {kind!r} (known: {', '.join(TASK_KINDS)})")
+    if not isinstance(kind, str) or kind not in TASKS:
+        errors.append(f"{where}: unknown task {kind!r} (known: {', '.join(TASKS)})")
         return None
+    refs, example_kinds = TASKS[kind]
     params = dict(decl)
+    found = len(errors)
     if "t_grid" in params:
-        problems = t_grid_errors(params["t_grid"], f"{where}.t_grid")
-        if problems:
-            errors.extend(problems)
-            return None
+        errors.extend(t_grid_errors(params["t_grid"], f"{where}.t_grid"))
+    _field(params, "resolution", int, where, errors, minimum=4)
+    _field(params, "out", str, where, errors)
+    if params.get("side", "alpha") not in ("alpha", "beta"):
+        errors.append(f"{where}.side: must be 'alpha' or 'beta', got {params['side']!r}")
+
+    objects = {}
     example = params.get("example")
-    if example is not None and example not in example_names():
-        errors.append(f"{where}: unknown example {example!r}")
-        return None
-    if example is None:
-        # resolve references against declared objects
-        if kind == "classify" and params.get("form") not in cfg.forms:
-            errors.append(f"{where}: unresolved form reference {params.get('form')!r}")
-            return None
-        if kind == "verify-pair":
-            for key in ("alpha", "beta"):
-                if params.get(key) not in cfg.forms:
-                    errors.append(f"{where}: unresolved form reference {params.get(key)!r}")
-                    return None
-            ktype = params.get("type")
-            if not (isinstance(ktype, list) and len(ktype) == 2):
-                errors.append(f"{where}: 'type' must be [k, l]")
-                return None
-            k, l = int(ktype[0]), int(ktype[1])
-            model = cfg.forms[params["alpha"]].model
-            if model.n != 2 * k + 2 * l + 2:
-                errors.append(
-                    f"{where}: type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, "
-                    f"model has {model.n}"
-                )
-                return None
-        if kind in ("deform-forward", "deform-converse", "sweep") and params.get("family") not in cfg.families:
-            errors.append(f"{where}: unresolved family reference {params.get('family')!r}")
-            return None
-        if kind == "single-deform":
-            for key in ("alpha", "alpha0"):
-                if params.get(key) not in cfg.forms:
-                    errors.append(f"{where}: unresolved form reference {params.get(key)!r}")
-                    return None
-        if kind == "jacobi" and params.get("form") not in cfg.forms:
-            errors.append(f"{where}: unresolved form reference {params.get('form')!r}")
-            return None
-    return TaskSpec(kind, params)
+    if example is not None:
+        registered = {e.name: e.kind for e in list_examples()}
+        if not isinstance(example, str) or example not in registered:
+            errors.append(f"{where}.example: unknown example {example!r}")
+        elif registered[example] not in example_kinds:
+            errors.append(
+                f"{where}.example: {kind} needs a {' or '.join(example_kinds)} example, "
+                f"{example!r} is a {registered[example]}"
+            )
+        elif kind == "single-deform" and not isinstance(params.get("alpha0_coefficients"), list):
+            errors.append(f"{where}: single-deform on an example needs alpha0_coefficients, a list")
+    else:
+        for key in refs:
+            if key == "family":
+                objects[key] = _ref(params, key, cfg.families, "family", where, errors)
+            elif key != "type":
+                form = objects[key] = _ref(params, key, cfg.forms, "form", where, errors)
+                if form is not None and form.degree != 1:
+                    errors.append(f"{where}.{key}: {params[key]!r} is a {form.degree}-form, not a 1-form")
+        if len({f.model for key, f in objects.items() if key != "family" and f}) > 1:
+            errors.append(f"{where}: the forms it references live on different models")
+        if "type" in refs and len(errors) == found:
+            pair = _pair_type(params, where, objects["alpha"].model, errors)
+            if pair is not None:
+                objects["k"], objects["l"] = pair
+    return TaskSpec(kind, params, objects) if len(errors) == found else None
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -278,14 +318,14 @@ def parse_config(raw: dict) -> RunConfig:
     if version != SCHEMA_VERSION:
         errors.append(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
 
+    samples = _field(raw, "samples", dict, "", errors, {})
     cfg = RunConfig(
         schema_version=SCHEMA_VERSION,
-        seed=int(raw.get("seed", 0)),
+        seed=_field(raw, "seed", int, "", errors, 0, minimum=0),
         tolerance=raw.get("tolerance"),
         t_grid=raw.get("t_grid"),
-        random_count=int(raw.get("samples", {}).get("random_count", 10000)),
-        grid_limit=int(raw.get("samples", {}).get("grid_limit", 50000)),
-        source=raw,
+        random_count=_field(samples, "random_count", int, "samples", errors, 10000, minimum=1),
+        grid_limit=_field(samples, "grid_limit", int, "samples", errors, 50000, minimum=0),
     )
     if cfg.tolerance is not None:
         problem = tolerance_error(cfg.tolerance, "tolerance")
@@ -297,24 +337,20 @@ def parse_config(raw: dict) -> RunConfig:
         errors.extend(problems)
         cfg.t_grid = None if problems else [float(t) for t in cfg.t_grid]
 
-    for name, decl in raw.get("models", {}).items():
+    for name, decl in _field(raw, "models", dict, "", errors, {}).items():
         model = _build_model(name, decl, cfg.models, errors)
         if model is not None:
             cfg.models[name] = model
-    for name, decl in raw.get("forms", {}).items():
+    for name, decl in _field(raw, "forms", dict, "", errors, {}).items():
         form = _build_form(name, decl, cfg.models, cfg.forms, errors)
         if form is not None:
             cfg.forms[name] = form
-    for name, decl in raw.get("families", {}).items():
-        fam = _build_family(name, decl, cfg.models, cfg.forms, errors)
+    for name, decl in _field(raw, "families", dict, "", errors, {}).items():
+        fam = _build_family(name, decl, cfg.forms, errors)
         if fam is not None:
             cfg.families[name] = fam
 
-    tasks = raw.get("tasks", [])
-    if not isinstance(tasks, list):
-        errors.append("tasks must be a list")
-        tasks = []
-    for i, decl in enumerate(tasks):
+    for i, decl in enumerate(_field(raw, "tasks", list, "", errors, [])):
         spec = _validate_task(i, decl, cfg, errors)
         if spec is not None:
             cfg.tasks.append(spec)
@@ -331,6 +367,6 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError([f"cannot read {path}: {err}"])
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON or text that is not UTF-8
         raise ConfigError([f"JSON parse error in {path}: {err}"])
     return parse_config(raw)

@@ -632,14 +632,17 @@ class SingleDeformationReport:
 
     condition_ii: alpha is contact and alpha0 annihilates its Reeb field.
     condition_i: alpha_t = alpha0 + t*alpha has maximal class for every
-    positive t on the grid.  The two must agree.
+    positive t on the grid.  The two must agree.  A t whose samples overflow
+    fails as "non-finite"; with no other failing t, condition_i and agreement
+    are then None (undecided).  pairing_defect is None unless alpha has
+    maximal class.
     """
 
-    condition_i: bool
+    condition_i: bool | None
     condition_ii: bool
-    agreement: bool
+    agreement: bool | None
     class_k: int | None
-    pairing_defect: float
+    pairing_defect: float | None
     per_t: list
     witness: dict = field(default_factory=dict)
     closed_defect: float = 0.0
@@ -680,7 +683,7 @@ def verify_single_deformation(
     report = _class_report(av, dav, pts, tol)
     maximal = report.constant and report.k == k_max
 
-    pairing_defect = float("nan")
+    pairing_defect = None
     if maximal:
         zv, _ = _contact_reeb(av, two_form_matrices(n, dav))
         pairings = np.abs(np.einsum("pi,pi->p", a0v, zv))
@@ -693,7 +696,7 @@ def verify_single_deformation(
         witness_ii = {"reason": "alpha does not have maximal constant class", **report.witnesses}
 
     per_t = []
-    condition_i = True
+    condition_i = True  # None: undecided, some t overflowed and none failed
     witness_i = {}
     for t in t_grid:
         t = float(t)
@@ -701,7 +704,15 @@ def verify_single_deformation(
             if t == 0.0:
                 per_t.append({"t": 0.0, "note": "closed form, class 0", "passed": None})
             continue
-        coeff = chain(n, (1, a0v + t * av), *[(2, t * dav)] * k_max)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff = chain(n, (1, a0v + t * av), *[(2, da0 + t * dav)] * k_max)[:, 0]
+        if not np.all(np.isfinite(coeff)):
+            # an overflow shows nothing about the class of alpha_t
+            overflow = {"condition": "non-finite", "t": t}
+            per_t.append({"t": t, "passed": False, "witness": overflow})
+            if condition_i:
+                condition_i, witness_i = None, overflow
+            continue
         scale = float(np.max(np.abs(coeff)))
         min_abs = float(np.min(np.abs(coeff)))
         sign_change = coeff.min() < 0.0 < coeff.max()
@@ -719,7 +730,7 @@ def verify_single_deformation(
                 "negative": _witness(pts, int(np.argmin(coeff)), value=float(coeff.min())),
                 "positive": _witness(pts, int(np.argmax(coeff)), value=float(coeff.max())),
             }
-            if condition_i:
+            if condition_i is not False:
                 witness_i = {"t": t, **entry["witness"]}
             condition_i = False
         per_t.append(entry)
@@ -727,7 +738,7 @@ def verify_single_deformation(
     return SingleDeformationReport(
         condition_i=condition_i,
         condition_ii=condition_ii,
-        agreement=condition_i == condition_ii,
+        agreement=None if condition_i is None else condition_i == condition_ii,
         class_k=report.k,
         pairing_defect=pairing_defect,
         per_t=per_t,

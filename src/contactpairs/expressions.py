@@ -289,8 +289,11 @@ class _Parser:
             return node
         m = _NUMBER_RE.match(self.text, self.pos)
         if m:
+            value = float(m.group())
+            if not math.isfinite(value):
+                self.fail(f"number {m.group()} is out of range", self.pos)
             self.pos = m.end()
-            return Const(float(m.group()))
+            return Const(value)
         m = _IDENT_RE.match(self.text, self.pos)
         if m:
             name = m.group()
@@ -317,7 +320,10 @@ class _Parser:
 def parse(text: str, n: int) -> Expr:
     """Parse ``text`` as an expression in the variables ``x0 .. x{n-1}``."""
     p = _Parser(text, n)
-    node = p.expression()
+    try:
+        node = p.expression()
+    except OverflowError:  # folding constants, as in exp(1000) or 10^400
+        p.fail("constant out of range")
     p.skip_ws()
     if p.pos < len(text):
         p.fail("unexpected trailing input")

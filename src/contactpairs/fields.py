@@ -14,19 +14,13 @@ all go through one formula.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
 
 from . import expressions as ex
-from .exterior import (
-    FormValue,
-    VectorValue,
-    form_count,
-    index_position,
-    multi_indices,
-    wedge_values,
-)
+from .exterior import form_count, index_position, multi_indices, wedge_values
 from .models import Model, ProductModel
 
 __all__ = [
@@ -44,7 +38,6 @@ __all__ = [
     "pullback_vector",
     "lie_bracket_fields",
     "directional_derivative",
-    "commutator_values",
 ]
 
 
@@ -53,6 +46,8 @@ def _as_expr(value, n: int) -> ex.Expr:
         return value
     if isinstance(value, str):
         return ex.parse(value, n)
+    if not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"coefficient must be an expression or a finite number, got {value!r}")
     return ex.const(float(value))
 
 
@@ -94,10 +89,6 @@ class FormField:
             out[:, i] = ex.evaluate_many(c, pts)
         return out
 
-    def at(self, point) -> FormValue:
-        pt = np.asarray(point, dtype=float)
-        return FormValue(self.model.n, self.degree, self.values(pt[None, :])[0])
-
     def d(self) -> "FormField":
         """Exterior derivative (coordinate partials plus the algebraic term),
         derived once per field."""
@@ -126,7 +117,7 @@ class FormField:
                 sign = -1.0 if before % 2 else 1.0
                 target = out_pos[tuple(sorted(idx + (a,)))]
                 out[target] = ex.add(out[target], ex.mul(ex.const(sign), df))
-        structure = _structure_matrix(model, p)
+        structure = _structure_matrix(n, p, model.structure.tobytes())
         if structure is not None:
             rows, cols = np.nonzero(structure)
             for r, c in zip(rows, cols):
@@ -192,13 +183,13 @@ class FormField:
         return f"<FormField p={self.degree} on {self.model!r}: {' + '.join(terms) or '0'}>"
 
 
-@lru_cache(maxsize=None)
-def _structure_matrix(model, p):
-    n = model.n
-    if not model.algebraic_axes or p == 0:
-        return None
-    c = model.structure
-    if not np.any(c):
+@lru_cache
+def _structure_matrix(n: int, p: int, structure: bytes):
+    """The algebraic part of d on p-forms (None when it vanishes), keyed on
+    the bytes of the structure constants rather than on a model, so every
+    model of one algebra shares an entry and no model is kept alive."""
+    c = np.frombuffer(structure).reshape(n, n, n)
+    if p == 0 or not np.any(c):
         return None
     # d(e^k) as a 2-form coefficient vector
     pairs = multi_indices(n, 2)
@@ -239,10 +230,6 @@ class VectorField:
             out[:, i] = ex.evaluate_many(c, pts)
         return out
 
-    def at(self, point) -> VectorValue:
-        pt = np.asarray(point, dtype=float)
-        return VectorValue(self.values(pt[None, :])[0])
-
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.model, [ex.add(a, b) for a, b in zip(self.comps, other.comps)])
 
@@ -265,10 +252,6 @@ class SolvedVectorField:
     def values(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return self._solver(pts)
-
-    def at(self, point) -> VectorValue:
-        pt = np.asarray(point, dtype=float)
-        return VectorValue(self.values(pt[None, :])[0])
 
 
 class ScalarField:
@@ -336,6 +319,8 @@ def vector_from_expressions(model: Model, comps) -> VectorField:
 
 def pullback_form(product: ProductModel, field: FormField, side: str) -> FormField:
     """Pull a factor form back to the product along the factor projection."""
+    if not isinstance(product, ProductModel):
+        raise ValueError("pullback needs a product model")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     factor = product.left if side == "left" else product.right
@@ -374,42 +359,24 @@ def directional_derivative(x: VectorField, f: ex.Expr) -> ex.Expr:
     return out
 
 
-def lie_bracket_fields(x, y):
-    """Lie bracket of two vector fields on a shared model.
-
-    Expression fields combine symbolically:
+def lie_bracket_fields(x: VectorField, y: VectorField) -> VectorField:
+    """Lie bracket of two expression vector fields on a shared model,
+    combined symbolically:
         [X, Y]^k = sum_a (X^a ∂_a Y^k - Y^a ∂_a X^k) + sum_{ij} c[i,j,k] X^i Y^j.
-    Solved fields fall back to a pointwise evaluator with second-order central
-    differences along the coordinate axes.
+    A field known only through a solver has no symbolic bracket: TypeError.
     """
+    if not (isinstance(x, VectorField) and isinstance(y, VectorField)):
+        raise TypeError("lie_bracket_fields needs two expression vector fields (VectorField)")
     if x.model is not y.model:
         raise ValueError("bracket requires fields on the same model")
     model = x.model
-    if isinstance(x, VectorField) and isinstance(y, VectorField):
-        comps = []
-        for k in range(model.n):
-            term = ex.sub(directional_derivative(x, y.comps[k]), directional_derivative(y, x.comps[k]))
-            for i in range(model.n):
-                for j in range(model.n):
-                    c = model.structure[i, j, k]
-                    if c != 0.0:
-                        term = ex.add(term, ex.mul(ex.const(c), ex.mul(x.comps[i], y.comps[j])))
-            comps.append(term)
-        return VectorField(model, comps)
-    return SolvedVectorField(model, lambda pts: commutator_values(x, y, pts))
-
-
-def commutator_values(x, y, points, step: float = 1e-4) -> np.ndarray:
-    """[X, Y] at given points, differentiating by central differences."""
-    pts = np.asarray(points, dtype=float)
-    model = x.model
-    xv = x.values(pts)
-    yv = y.values(pts)
-    out = model.bracket_values(xv, yv)
-    for a in model.coordinate_axes:
-        shift = np.zeros(model.n)
-        shift[a] = step
-        dx = (x.values(pts + shift) - x.values(pts - shift)) / (2.0 * step)
-        dy = (y.values(pts + shift) - y.values(pts - shift)) / (2.0 * step)
-        out += xv[:, a : a + 1] * dy - yv[:, a : a + 1] * dx
-    return out
+    comps = []
+    for k in range(model.n):
+        term = ex.sub(directional_derivative(x, y.comps[k]), directional_derivative(y, x.comps[k]))
+        for i in range(model.n):
+            for j in range(model.n):
+                c = model.structure[i, j, k]
+                if c != 0.0:
+                    term = ex.add(term, ex.mul(ex.const(c), ex.mul(x.comps[i], y.comps[j])))
+        comps.append(term)
+    return VectorField(model, comps)

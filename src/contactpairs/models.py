@@ -56,8 +56,8 @@ class Axis:
         if self.kind not in (COORDINATE, ALGEBRAIC):
             raise ValueError(f"unknown axis kind {self.kind!r}")
         if self.kind == COORDINATE:
-            if self.hi <= self.lo:
-                raise ValueError("axis needs hi > lo")
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+                raise ValueError(f"axis needs finite lo < hi, got lo={self.lo!r}, hi={self.hi!r}")
             if self.resolution < 4:
                 raise ValueError("axis resolution must be at least 4")
 
@@ -88,6 +88,8 @@ class Model:
         structure = np.asarray(structure, dtype=float)
         if structure.shape != (n, n, n):
             raise ValueError(f"structure constants must have shape ({n},{n},{n})")
+        if not np.all(np.isfinite(structure)):
+            raise ValueError("structure constants must be finite")
         structure = structure.copy()
         structure.setflags(write=False)
         self.structure = structure
@@ -131,7 +133,7 @@ class LieGroupModel(Model):
 
     def __init__(self, structure, name: str = ""):
         structure = np.asarray(structure, dtype=float)
-        n = structure.shape[0]
+        n = structure.shape[0] if structure.ndim else 0
         axes = tuple(Axis(ALGEBRAIC) for _ in range(n))
         super().__init__(axes, structure, name=name)
         anti = float(np.max(np.abs(self.structure + np.swapaxes(self.structure, 0, 1))))

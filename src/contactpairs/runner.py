@@ -24,7 +24,7 @@ from .contact import (
 )
 from .deformation import sweep_rows, verify_converse, verify_forward
 from .fields import FormField
-from .jacobi import JacobiError, JacobiSide, jacobi_bracket, jacobi_identity_defect
+from .jacobi import JacobiSide, jacobi_bracket, jacobi_identity_defect
 from .models import sample_points
 from .registry import build_example
 from .reporting import SWEEP_COLUMNS, write_sweep_csv
@@ -35,20 +35,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _resolve(cfg: RunConfig, params: dict) -> dict:
-    if params.get("example"):
-        return build_example(params["example"])
-    objs = {}
-    for key in ("form", "alpha", "beta", "alpha0", "beta0"):
-        if key in params and params[key] in cfg.forms:
-            objs[key] = cfg.forms[params[key]]
-    if params.get("family") in cfg.families:
-        objs["family"] = cfg.families[params["family"]]
-    if "type" in params:
-        objs["k"], objs["l"] = int(params["type"][0]), int(params["type"][1])
-    return objs
 
 
 def _points_for(cfg: RunConfig, model, rng):
@@ -75,9 +61,8 @@ def _verdict_status(verdict) -> str:
     return "not-applicable" if overall == "not applicable" else "fail"
 
 
-def _task_classify(cfg, params, rng):
-    objs = _resolve(cfg, params)
-    alpha = objs.get("alpha") or objs.get("form")
+def _task_classify(cfg, params, objs, rng, out_path):
+    alpha = objs.get("form") or objs["alpha"]
     pts = _points_for(cfg, alpha.model, rng)
     try:
         report = cartan_class(alpha, tol=cfg.tolerance, points=pts)
@@ -98,8 +83,7 @@ def _task_classify(cfg, params, rng):
     return "pass", data
 
 
-def _task_verify_pair(cfg, params, rng):
-    objs = _resolve(cfg, params)
+def _task_verify_pair(cfg, params, objs, rng, out_path):
     alpha, beta = objs["alpha"], objs["beta"]
     k, l = objs["k"], objs["l"]
     pts = _points_for(cfg, alpha.model, rng)
@@ -122,26 +106,18 @@ def _task_verify_pair(cfg, params, rng):
     }
 
 
-def _task_deform(cfg, params, rng, direction):
-    objs = _resolve(cfg, params)
+def _task_deform(cfg, params, objs, rng, out_path):
     family = objs["family"]
     pts = _points_for(cfg, family.model, rng)
     t_grid = params.get("t_grid", cfg.t_grid)
-    verify = verify_forward if direction == "forward" else verify_converse
+    verify = verify_forward if params["task"] == "deform-forward" else verify_converse
     verdict = verify(family, t_grid=t_grid, tol=cfg.tolerance, points=pts)
     return _verdict_status(verdict), verdict.to_dict()
 
 
-def _task_single_deform(cfg, params, rng):
-    objs = _resolve(cfg, params)
+def _task_single_deform(cfg, params, objs, rng, out_path):
     alpha = objs["alpha"]
-    if "alpha0" in objs:
-        alpha0 = objs["alpha0"]
-    else:
-        coeffs = params.get("alpha0_coefficients")
-        if coeffs is None:
-            raise ValueError("single-deform needs 'alpha0' or 'alpha0_coefficients'")
-        alpha0 = FormField(alpha.model, 1, coeffs)
+    alpha0 = objs.get("alpha0") or FormField(alpha.model, 1, params["alpha0_coefficients"])
     pts = _points_for(cfg, alpha.model, rng)
     t_grid = params.get("t_grid", cfg.t_grid)
     report = verify_single_deformation(alpha0, alpha, t_grid=t_grid, tol=cfg.tolerance, points=pts)
@@ -158,8 +134,7 @@ def _task_single_deform(cfg, params, rng):
     return status, data
 
 
-def _task_jacobi(cfg, params, rng):
-    objs = _resolve(cfg, params)
+def _task_jacobi(cfg, params, objs, rng, out_path):
     tol = cfg.tolerance
     if "beta" in objs:
         resolution = params.get("resolution", 6)
@@ -169,7 +144,7 @@ def _task_jacobi(cfg, params, rng):
         )
     else:
         resolution = params.get("resolution", 16)
-        alpha = objs.get("alpha") or objs.get("form")
+        alpha = objs.get("form") or objs["alpha"]
         side = JacobiSide.from_contact_form(alpha, resolution=resolution, tol=tol)
     n = side.model.n
     c = list(side.model.coordinate_axes)
@@ -203,8 +178,7 @@ def _task_jacobi(cfg, params, rng):
     return ("pass" if ok else "fail"), data
 
 
-def _task_sweep(cfg, params, rng, out_path):
-    objs = _resolve(cfg, params)
+def _task_sweep(cfg, params, objs, rng, out_path):
     family = objs["family"]
     t_grid = params.get("t_grid", cfg.t_grid)
     if t_grid is None:
@@ -225,11 +199,16 @@ def _task_sweep(cfg, params, rng, out_path):
     return "pass", data
 
 
+# one handler per task kind of config.TASKS, all called as
+# handler(cfg, params, objects, rng, out_path)
 _HANDLERS = {
     "classify": _task_classify,
     "verify-pair": _task_verify_pair,
+    "deform-forward": _task_deform,
+    "deform-converse": _task_deform,
     "single-deform": _task_single_deform,
     "jacobi": _task_jacobi,
+    "sweep": _task_sweep,
 }
 
 
@@ -258,18 +237,13 @@ def run(cfg: RunConfig, out_path=None) -> tuple[dict, int]:
     for spec in cfg.tasks:
         rng = np.random.default_rng(cfg.seed)
         entry = {"task": spec.task}
-        if spec.params.get("example"):
-            entry["example"] = spec.params["example"]
+        example = spec.params.get("example")
+        if example:
+            entry["example"] = example
         try:
-            if spec.task in _HANDLERS:
-                status, data = _HANDLERS[spec.task](cfg, spec.params, rng)
-            elif spec.task in ("deform-forward", "deform-converse"):
-                status, data = _task_deform(cfg, spec.params, rng, spec.task.split("-")[1])
-            elif spec.task == "sweep":
-                status, data = _task_sweep(cfg, spec.params, rng, out_path)
-            else:
-                raise ValueError(f"unknown task {spec.task!r}")
-        except (JacobiError, ValueError, KeyError) as err:
+            objs = build_example(example) if example else spec.objects
+            status, data = _HANDLERS[spec.task](cfg, spec.params, objs, rng, out_path)
+        except (ValueError, ex.EvaluationError) as err:
             status, data = "error", {"error": str(err)}
         entry["status"] = status
         entry["result"] = data

@@ -262,3 +262,28 @@ def test_mixed_frame_bracket():
     e1 = pullback_vector(prod, frame_vector(prod.left, 1), "left")
     out = lie_bracket_fields(e0, e1).values(pts)
     np.testing.assert_allclose(out[:, 2], 1.0, atol=1e-14)
+
+
+def test_bracket_of_a_solved_field_is_a_type_error():
+    from contactpairs.contact import contact_reeb_field, torus_contact
+
+    _, alpha = torus_contact()
+    reeb = contact_reeb_field(alpha)
+    with pytest.raises(TypeError, match="VectorField"):
+        lie_bracket_fields(reeb, frame_vector(alpha.model, 0))
+
+
+def test_structure_matrix_cache_does_not_grow_with_models():
+    from contactpairs import fields
+    from contactpairs.registry import build_example
+
+    def build_and_differentiate():
+        objs = build_example("heisenberg6-pair")
+        return [f.d().coeffs for f in (objs["alpha"], objs["beta"], objs["alpha0"])]
+
+    first = build_and_differentiate()
+    size = fields._structure_matrix.cache_info().currsize
+    for _ in range(30):
+        again = build_and_differentiate()
+    assert fields._structure_matrix.cache_info().currsize == size
+    assert again == first  # every model of one algebra gets the same d

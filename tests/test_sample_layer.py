@@ -6,6 +6,7 @@ The expression path (``DeformationFamily.at(t)`` evaluated by
 """
 
 import json
+import warnings
 import zlib
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from contactpairs.deformation import (
     verify_converse,
     verify_forward,
 )
+from contactpairs.exterior import chain
 from contactpairs.fields import coframe, form_from_expressions, pullback_form
 from contactpairs.models import random_points, sample_points, torus
 from contactpairs.registry import build_example
@@ -323,6 +325,48 @@ def test_overflowing_deform_check_fails_with_its_t(capsys, mode):
     assert [i["name"] for i in failed] == ["(alpha_t,beta_t) is a contact pair at t=1e+308"]
     assert failed[0]["witness"]["condition"] == "non-finite"
     assert failed[0]["witness"]["t"] == 1e308
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+def test_overflowing_single_deform_t_fails_as_non_finite(capsys):
+    argv = ["deform", "--mode", "single", "--example", "torus-contact", "--alpha0", "1,0,0",
+            "--t-grid", "1,1e308", "--format", "structured"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is guarded, not warned about
+        code = main(argv)
+    task = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["tasks"][0]
+    assert code == 1 and task["status"] == "fail"
+    result = task["result"]
+    assert result["per_t"][0]["passed"] is True
+    assert result["per_t"][1] == {"t": 1e308, "passed": False,
+                                  "witness": {"condition": "non-finite", "t": 1e308}}
+    # undecided, not a counterexample to the criterion
+    assert result["condition_i"] is None and result["agreement"] is None
+    assert result["condition_ii"] is True
+    assert result["witness"]["condition_i"] == {"condition": "non-finite", "t": 1e308}
+
+
+def test_single_deform_keeps_the_dalpha0_term():
+    # alpha0 is closed only to within tol, and at small t its d dominates
+    # the chain of alpha_t; the expression path is the reference
+    model, alpha = contact.torus_contact()
+    alpha0 = form_from_expressions(model, 1, {0: "1", 2: "1e-9*sin(x1)"})
+    pts = random_points(model, 200, np.random.default_rng(0))
+    t = 1e-6
+    report = contact.verify_single_deformation(alpha0, alpha, t_grid=[t], points=pts)
+    alpha_t = alpha0 + t * alpha
+    want = chain(3, (1, alpha_t.values(pts)), (2, alpha_t.d().values(pts)))[:, 0]
+    assert report.per_t[0]["min_coefficient"] == pytest.approx(want.min(), rel=1e-9)
+    assert report.per_t[0]["max_coefficient"] == pytest.approx(want.max(), rel=1e-9)
+
+
+def test_single_deform_of_a_closed_alpha_has_no_pairing_defect():
+    model = torus(3)
+    report = contact.verify_single_deformation(coframe(model, 0), coframe(model, 1), t_grid=[1.0])
+    assert report.condition_ii is False and report.pairing_defect is None
 
 
 @pytest.mark.parametrize("t", [1e100, 1e154, 1e308, -1e308])
