@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jacobi", help="property-test the induced Jacobi structure")
     common(p)
     p.add_argument("--resolution", type=int, help="grid resolution per axis")
-    p.add_argument("--side", choices=("alpha", "beta"), default="alpha")
+    p.add_argument("--side", choices=("alpha", "beta"), help="pair side (default alpha)")
 
     p = sub.add_parser("sweep", help="CSV sweep of a family over the t grid")
     common(p)
@@ -79,15 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 _DEFORM_MODES = {"forward": "deform-forward", "converse": "deform-converse", "single": "single-deform"}
 
+# flags that set a field of the task, by the task field they set
+_TASK_FLAGS = {"form": "form", "resolution": "resolution", "side": "side", "alpha0_coefficients": "alpha0"}
+
 
 def _task_for(args) -> dict:
     """The task declaration the subcommand's flags describe."""
     task = {"task": _DEFORM_MODES[args.mode] if args.command == "deform" else args.command}
-    for flag in ("example", "form", "resolution", "side"):
-        if getattr(args, flag, None) is not None:
-            task[flag] = getattr(args, flag)
-    if getattr(args, "alpha0", None) is not None:
-        task["alpha0_coefficients"] = [s.strip() for s in args.alpha0.split(",")]
+    if args.example is not None:
+        task["example"] = args.example
+    for key, flag in _TASK_FLAGS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            task[key] = [s.strip() for s in value.split(",")] if flag == "alpha0" else value
     return task
 
 
@@ -156,6 +160,13 @@ def main(argv=None) -> int:
                 raise ConfigError(errors)
             cfg.tasks = [spec]
         else:
+            # the config's tasks are used: a task flag beside them would be ignored
+            unused = [
+                f"--{flag}: not used beside the {task['task']} task of --config; set it in that task instead"
+                for key, flag in _TASK_FLAGS.items() if key in task
+            ]
+            if unused:
+                raise ConfigError(unused)
             cfg.tasks = same_kind
         cfg = _apply_overrides(cfg, args)
     except ConfigError as err:

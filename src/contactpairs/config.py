@@ -18,7 +18,9 @@ import numpy as np
 from . import expressions as ex
 from .deformation import DeformationFamily
 from .fields import FormField, form_from_expressions, pullback_form
-from .models import ChartModel, LieGroupModel, Model, ProductModel, box_axis, periodic_axis, torus, heisenberg3
+from .models import (
+    ChartModel, LieGroupModel, Model, ProductModel, box_axis, grid_shape, heisenberg3, periodic_axis, torus,
+)
 from .registry import list_examples
 
 __all__ = ["ConfigError", "TaskSpec", "RunConfig", "TASKS", "load_config", "parse_config", "tolerance_error"]
@@ -40,6 +42,13 @@ TASKS = {
     "jacobi": (("form",), ("contact-form", "pair", "family")),
     "sweep": (("family",), ("family",)),
 }
+
+
+# Jacobi grids: the default resolution per axis of a pair side and of a
+# contact-form side, and the most grid points one task may ask for (darboux2
+# at its default, 16^5 = 2^20 points, is the largest builtin grid).
+JACOBI_RESOLUTION = {"pair": 6, "contact-form": 16}
+JACOBI_GRID_LIMIT = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -282,13 +291,13 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
     objects = {}
     example = params.get("example")
     if example is not None:
-        registered = {e.name: e.kind for e in list_examples()}
+        registered = {e.name: e for e in list_examples()}
         if not isinstance(example, str) or example not in registered:
             errors.append(f"{where}.example: unknown example {example!r}")
-        elif registered[example] not in example_kinds:
+        elif registered[example].kind not in example_kinds:
             errors.append(
                 f"{where}.example: {kind} needs a {' or '.join(example_kinds)} example, "
-                f"{example!r} is a {registered[example]}"
+                f"{example!r} is a {registered[example].kind}"
             )
         elif kind == "single-deform" and not isinstance(params.get("alpha0_coefficients"), list):
             errors.append(f"{where}: single-deform on an example needs alpha0_coefficients, a list")
@@ -306,6 +315,19 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
             pair = _pair_type(params, where, objects["alpha"].model, errors)
             if pair is not None:
                 objects["k"], objects["l"] = pair
+    if kind == "jacobi" and len(errors) == found:
+        pair = example is not None and registered[example].kind != "contact-form"
+        resolution = params.get("resolution", JACOBI_RESOLUTION["pair" if pair else "contact-form"])
+        if example is None:
+            shape = grid_shape(objects["form"].model, resolution)
+        else:  # not built: every axis of a builtin chart example is a grid axis
+            shape = [resolution] * registered[example].dimension
+        points = math.prod(shape)
+        if points > JACOBI_GRID_LIMIT:
+            errors.append(
+                f"{where}.resolution: a {'x'.join(map(str, shape))} grid has {points} points, "
+                f"more than the limit {JACOBI_GRID_LIMIT}"
+            )
     return TaskSpec(kind, params, objects) if len(errors) == found else None
 
 

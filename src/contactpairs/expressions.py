@@ -8,6 +8,10 @@ precedence associate to the left.
 
 Expressions are immutable trees.  Differentiation is exact and symbolic;
 evaluation raises instead of ever returning a non-finite value silently.
+Trees are walked recursively, so ``parse`` rejects text nested deeper than
+``MAX_DEPTH`` (brackets, calls, unary minus) or whose tree is deeper than
+``MAX_DEPTH`` (a chain of n binary operators is n deep): the second
+derivatives the checks take stay well inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp")
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -216,6 +222,7 @@ class _Parser:
         self.text = text
         self.n = n
         self.pos = 0
+        self.nesting = 0
 
     def fail(self, message, position=None):
         raise ParseError(message, self.pos if position is None else position)
@@ -254,9 +261,18 @@ class _Parser:
             else:
                 return node
 
+    def nested(self, parse, start):
+        """``parse()`` one nesting level down."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels", start)
+        node = parse()
+        self.nesting -= 1
+        return node
+
     def unary(self) -> Expr:
         if self.take("-"):
-            return neg(self.unary())
+            return neg(self.nested(self.unary, self.pos - 1))
         return self.power_chain()
 
     def power_chain(self) -> Expr:
@@ -283,7 +299,7 @@ class _Parser:
         ch = self.text[self.pos]
         if ch == "(":
             self.pos += 1
-            node = self.expression()
+            node = self.nested(self.expression, self.pos - 1)
             if not self.take(")"):
                 self.fail("expected ')'")
             return node
@@ -304,7 +320,7 @@ class _Parser:
             if name in _FUNCTIONS:
                 if not self.take("("):
                     self.fail(f"function {name!r} requires parentheses", start)
-                node = self.expression()
+                node = self.nested(self.expression, start)
                 if not self.take(")"):
                     self.fail("expected ')'")
                 return call(name, node)
@@ -327,7 +343,19 @@ def parse(text: str, n: int) -> Expr:
     p.skip_ws()
     if p.pos < len(text):
         p.fail("unexpected trailing input")
+    if len(text) > MAX_DEPTH and _depth(node) > MAX_DEPTH:  # each level takes a character
+        p.fail(f"expression tree deeper than {MAX_DEPTH} levels (a long chain of operators)", 0)
     return node
+
+
+def _depth(e: Expr) -> int:
+    """Height of the tree, found without recursion."""
+    best, stack = 0, [(e, 1)]
+    while stack:
+        node, d = stack.pop()
+        best = max(best, d)
+        stack.extend((c, d + 1) for c in (getattr(node, f) for f in node.__slots__) if isinstance(c, Expr))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,17 @@ class BivectorField:
 
 def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
     """Second-order derivative along one grid axis (array may carry trailing
-    component axes; ``axis`` indexes grid dimensions)."""
-    out = (np.roll(g, -1, axis=axis) - np.roll(g, 1, axis=axis)) / (2.0 * h)
+    component axes; ``axis`` indexes grid dimensions).  The central
+    differences are written into one output array, without shifted copies."""
+    gm = np.moveaxis(g, axis, 0)
+    out = np.empty_like(g)
+    om = np.moveaxis(out, axis, 0)
+    np.subtract(gm[2:], gm[:-2], out=om[1:-1])
+    if periodic:
+        np.subtract(gm[1:2], gm[-1:], out=om[:1])
+        np.subtract(gm[:1], gm[-2:-1], out=om[-1:])
+    out /= 2.0 * h
     if not periodic:
-        gm = np.moveaxis(g, axis, 0)
-        om = np.moveaxis(out, axis, 0)
         om[0] = (-3.0 * gm[0] + 4.0 * gm[1] - gm[2]) / (2.0 * h)
         om[-1] = (3.0 * gm[-1] - 4.0 * gm[-2] + gm[-3]) / (2.0 * h)
     return out
@@ -128,7 +134,7 @@ class JacobiSide:
         e, residual = _contact_reeb(av, da_m)
         if float(np.max(residual)) > tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
-        basis = np.broadcast_to(np.eye(model.n), (pts.shape[0], model.n, model.n)).copy()
+        basis = np.broadcast_to(np.eye(model.n), (pts.shape[0], model.n, model.n))  # read-only view
         return cls(model, "contact-form", shape, pts, steps, periodic, av, da_m, e, basis, tol)
 
     @classmethod
@@ -185,7 +191,7 @@ class JacobiSide:
         #   (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
         basis = self.leaf_basis
         self._alpha_leaf = np.einsum("pi,pim->pm", self.alpha_values, basis)
-        d_leaf = np.einsum("pia,pij,pjb->pab", basis, self.dalpha_mat, basis)
+        d_leaf = np.swapaxes(basis, 1, 2) @ self.dalpha_mat @ basis
         system = np.concatenate([self._alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
         gram = np.einsum("pmi,pmj->pij", system, system)
         self._system = system
@@ -282,6 +288,17 @@ def jacobi_bracket(f, g, side: JacobiSide) -> np.ndarray:
     return side.bracket_values(xf, xg)
 
 
+def _identity_defect(xf, xg, xh, side: JacobiSide) -> float:
+    """The Jacobi identity defect of f, g, h from their Hamiltonian fields:
+    only the three inner brackets are solved for again."""
+    total = (
+        side.bracket_values(side.solve_hamiltonian(side.bracket_values(xf, xg)), xh)
+        + side.bracket_values(side.solve_hamiltonian(side.bracket_values(xg, xh)), xf)
+        + side.bracket_values(side.solve_hamiltonian(side.bracket_values(xh, xf)), xg)
+    )
+    return float(np.max(np.abs(total[side.interior_mask])))
+
+
 def _probe_basis(side: JacobiSide):
     """Per-axis probe functions and their Hamiltonian fields.
 
@@ -367,9 +384,5 @@ def bivector_contract(biv: BivectorField, df: np.ndarray, dg: np.ndarray) -> np.
 
 def jacobi_identity_defect(f, g, h, side: JacobiSide) -> float:
     """sup over interior grid points of |{{f,g},h} + {{g,h},f} + {{h,f},g}|."""
-    total = (
-        jacobi_bracket(jacobi_bracket(f, g, side), h, side)
-        + jacobi_bracket(jacobi_bracket(g, h, side), f, side)
-        + jacobi_bracket(jacobi_bracket(h, f, side), g, side)
-    )
-    return float(np.max(np.abs(total[side.interior_mask])))
+    xf, xg, xh = (side.solve_hamiltonian(u) for u in (f, g, h))
+    return _identity_defect(xf, xg, xh, side)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 __all__ = ["render_structured", "render_text", "write_sweep_csv", "strip_timing"]
 
@@ -19,8 +20,20 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def render_structured(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    """Strict JSON: a non-finite number is written as null, never as NaN."""
+    return json.dumps(_strict(report), indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _fmt(value) -> str:
@@ -61,7 +74,7 @@ def write_sweep_csv(rows, out) -> str:
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: format(row[k], ".17g") for k in SWEEP_COLUMNS})
+        writer.writerow({k: "" if row[k] is None else format(row[k], ".17g") for k in SWEEP_COLUMNS})
     text = buf.getvalue()
     if out is not None:
         if hasattr(out, "write"):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from . import expressions as ex
-from .config import RunConfig
+from .config import JACOBI_RESOLUTION, RunConfig
 from .contact import (
     ContactPairError,
     cartan_class,
@@ -24,7 +24,7 @@ from .contact import (
 )
 from .deformation import sweep_rows, verify_converse, verify_forward
 from .fields import FormField
-from .jacobi import JacobiSide, jacobi_bracket, jacobi_identity_defect
+from .jacobi import JacobiSide, _identity_defect
 from .models import sample_points
 from .registry import build_example
 from .reporting import SWEEP_COLUMNS, write_sweep_csv
@@ -137,13 +137,13 @@ def _task_single_deform(cfg, params, objs, rng, out_path):
 def _task_jacobi(cfg, params, objs, rng, out_path):
     tol = cfg.tolerance
     if "beta" in objs:
-        resolution = params.get("resolution", 6)
+        resolution = params.get("resolution", JACOBI_RESOLUTION["pair"])
         side = JacobiSide.from_pair(
             objs["alpha"], objs["beta"], objs["k"], objs["l"],
             side=params.get("side", "alpha"), resolution=resolution, tol=tol,
         )
     else:
-        resolution = params.get("resolution", 16)
+        resolution = params.get("resolution", JACOBI_RESOLUTION["contact-form"])
         alpha = objs.get("form") or objs["alpha"]
         side = JacobiSide.from_contact_form(alpha, resolution=resolution, tol=tol)
     n = side.model.n
@@ -152,13 +152,13 @@ def _task_jacobi(cfg, params, objs, rng, out_path):
     g = ex.parse(f"sin(x{c[2 % len(c)]})", n)
     h = ex.parse(f"cos(x{c[1 % len(c)]})", n)
 
-    x1 = side.solve_hamiltonian(ex.const(1.0))
+    # each function's Hamiltonian field is solved once
+    x1, xf, xg, xh = (side.solve_hamiltonian(u) for u in (ex.const(1.0), f, g, h))
     reeb_defect = float(np.max(np.abs(x1 - side.e_values)))
-    anti = float(np.max(np.abs(jacobi_bracket(f, g, side) + jacobi_bracket(g, f, side))))
-    one_bracket = jacobi_bracket(ex.const(1.0), g, side)
+    anti = float(np.max(np.abs(side.bracket_values(xf, xg) + side.bracket_values(xg, xf))))
     _, _, eg = side.scalar_data(g)
-    one_defect = float(np.max(np.abs(one_bracket - eg)[side.interior_mask]))
-    identity_defect = jacobi_identity_defect(f, g, h, side)
+    one_defect = float(np.max(np.abs(side.bracket_values(x1, xg) - eg)[side.interior_mask]))
+    identity_defect = _identity_defect(xf, xg, xh, side)
     h_sq = max(s * s for s in side.steps)
     data = {
         "leaf_dimension": side.leaf_dim,
@@ -185,6 +185,8 @@ def _task_sweep(cfg, params, objs, rng, out_path):
         t_grid = [0.01, 0.1, 1.0, 10.0]
     pts = _points_for(cfg, family.model, rng)
     rows = sweep_rows(family, t_grid, points=pts)
+    for row in rows:  # a non-finite entry shows nothing: null in the report, empty in the CSV
+        row.update({c: None for c in SWEEP_COLUMNS if not math.isfinite(row[c])})
     target = params.get("out", out_path)
     csv_text = write_sweep_csv(rows, target)
     data = {"rows": rows, "columns": list(SWEEP_COLUMNS)}
@@ -192,8 +194,8 @@ def _task_sweep(cfg, params, objs, rng, out_path):
         data["csv_path"] = str(target)
     else:
         data["csv"] = csv_text
-    overflowed = [row["t"] for row in rows if not all(math.isfinite(row[c]) for c in SWEEP_COLUMNS)]
-    if overflowed:  # a row that holds a non-finite number shows nothing
+    overflowed = [row["t"] for row in rows if None in row.values()]
+    if overflowed:
         data["witness"] = {"t": overflowed[0]}
         return "fail", data
     return "pass", data

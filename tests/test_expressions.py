@@ -158,3 +158,24 @@ def test_shift_variables():
     assert ex.variables_of(shifted) == {3, 4}
     pts = np.array([[9.0, 9.0, 9.0, 0.5, 2.0]])
     assert ex.evaluate_many(shifted, pts)[0] == pytest.approx(math.sin(0.5) * 2.0)
+
+
+DEEP_TEXTS = {
+    "unary-minus": "-" * 3000 + "x0",
+    "calls": "sin(" * 3000 + "x0" + ")" * 3000,
+    "product": "*".join(["x0"] * 3000),
+    "powers": "x0" + "^2" * 3000,
+}
+
+
+@pytest.mark.parametrize("text", DEEP_TEXTS.values(), ids=DEEP_TEXTS.keys())
+def test_deep_text_is_a_parse_error(text):
+    with pytest.raises(ex.ParseError, match=f"deeper than {ex.MAX_DEPTH} levels"):
+        ex.parse(text, 1)
+
+
+def test_second_derivative_at_the_depth_limit_evaluates():
+    # each derivative of a product chain doubles its depth: 100 -> 295 here
+    e = ex.parse("*".join(["x0"] * ex.MAX_DEPTH), 1)
+    d2 = ex.partial(ex.partial(e, 0), 0)
+    assert ex.evaluate_many(d2, np.array([[1.0]]))[0] == ex.MAX_DEPTH * (ex.MAX_DEPTH - 1)

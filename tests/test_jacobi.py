@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from contactpairs import expressions as ex
+from contactpairs import runner
+from contactpairs.cli import main
+from contactpairs.config import parse_config
 from contactpairs.contact import darboux_model, product_contact_pair, torus_contact
 from contactpairs.exterior import multi_indices
 from contactpairs.fields import coframe
 from contactpairs.jacobi import (
     JacobiError,
     JacobiSide,
+    _axis_derivative,
     bivector_contract,
     build_bivector,
     hamiltonian_field,
@@ -15,6 +19,7 @@ from contactpairs.jacobi import (
     jacobi_identity_defect,
 )
 from contactpairs.models import heisenberg3, torus
+from contactpairs.registry import build_example
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +230,100 @@ def test_jacobi_identity_converges():
         side = JacobiSide.from_contact_form(alpha, resolution=res)
         defects.append(jacobi_identity_defect(f, g, h, side))
     assert defects[0] / defects[1] >= 3.5
+
+
+# --- one solve per function ---------------------------------------------------------
+
+def _task_functions(side):
+    """The f, g, h of the jacobi task on this side."""
+    n = side.model.n
+    c = list(side.model.coordinate_axes)
+    f = ex.parse(f"sin(x{c[1 % len(c)]})*cos(x{c[2 % len(c)]})", n)
+    g = ex.parse(f"sin(x{c[2 % len(c)]})", n)
+    h = ex.parse(f"cos(x{c[1 % len(c)]})", n)
+    return f, g, h
+
+
+def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
+    calls = []
+    solve = JacobiSide.solve_hamiltonian
+
+    def counted(self, f):
+        calls.append(f)
+        return solve(self, f)
+
+    monkeypatch.setattr(JacobiSide, "solve_hamiltonian", counted)
+    for argv in (["--example", "torus-contact", "--resolution", "12"],
+                 ["--example", "t6-pair-compatible", "--resolution", "5"]):
+        calls.clear()
+        assert main(["jacobi", *argv]) == 0
+        # 1, f, g, h and the three inner brackets of the Jacobi identity
+        assert len(calls) == 7
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("torus-contact", "alpha", 12),
+    ("t6-pair-compatible", "alpha", 5),
+    ("t6-pair-compatible", "beta", 5),
+])
+def test_jacobi_task_equals_the_public_bracket_functions(example, side_name, resolution):
+    objs = build_example(example)
+    cfg = parse_config({})
+    params = {"task": "jacobi", "resolution": resolution, "side": side_name}
+    status, data = runner._task_jacobi(cfg, params, objs, None, None)
+    if "beta" in objs:
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                    side=side_name, resolution=resolution)
+    else:
+        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
+    f, g, h = _task_functions(side)
+    one = ex.const(1.0)
+    _, _, eg = side.scalar_data(g)
+    anti = jacobi_bracket(f, g, side) + jacobi_bracket(g, f, side)
+    one_bracket = jacobi_bracket(one, g, side)
+    expected = {
+        "reeb_as_hamiltonian_defect": float(np.max(np.abs(side.solve_hamiltonian(one) - side.e_values))),
+        "bracket_antisymmetry_defect": float(np.max(np.abs(anti))),
+        "constant_bracket_defect": float(np.max(np.abs(one_bracket - eg)[side.interior_mask])),
+        "jacobi_identity_defect": jacobi_identity_defect(f, g, h, side),
+    }
+    assert status == "pass"
+    assert {key: data[key] for key in expected} == expected
+
+
+def test_identity_defect_equals_the_nested_brackets(t3_side):
+    f, g, h = _task_functions(t3_side)
+    nested = (
+        jacobi_bracket(jacobi_bracket(f, g, t3_side), h, t3_side)
+        + jacobi_bracket(jacobi_bracket(g, h, t3_side), f, t3_side)
+        + jacobi_bracket(jacobi_bracket(h, f, t3_side), g, t3_side)
+    )
+    assert jacobi_identity_defect(f, g, h, t3_side) == float(np.max(np.abs(nested[t3_side.interior_mask])))
+
+
+# --- copy-free stencils and the identity leaf basis -------------------------------------
+
+def _rolled_derivative(g, axis, h, periodic):
+    out = (np.roll(g, -1, axis=axis) - np.roll(g, 1, axis=axis)) / (2.0 * h)
+    if not periodic:
+        gm = np.moveaxis(g, axis, 0)
+        om = np.moveaxis(out, axis, 0)
+        om[0] = (-3.0 * gm[0] + 4.0 * gm[1] - gm[2]) / (2.0 * h)
+        om[-1] = (3.0 * gm[-1] - 4.0 * gm[-2] + gm[-3]) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("shape", [(7, 5, 6), (4, 9, 5, 3), (3, 4)])
+def test_axis_derivative_is_bit_identical_to_shifted_copies(shape, periodic):
+    g = np.random.default_rng(5).normal(size=shape) * 1e3
+    for axis in range(len(shape) - 1 if len(shape) == 4 else len(shape)):
+        new = _axis_derivative(g, axis, 0.37, periodic)
+        assert new.tobytes() == _rolled_derivative(g, axis, 0.37, periodic).tobytes()
+
+
+def test_contact_form_leaf_basis_is_a_read_only_identity(t3_side):
+    basis = t3_side.leaf_basis
+    assert not basis.flags.writeable
+    assert basis.shape == (16**3, 3, 3) and np.array_equal(basis[123], np.eye(3))

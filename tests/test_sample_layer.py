@@ -38,6 +38,7 @@ from contactpairs.exterior import chain
 from contactpairs.fields import coframe, form_from_expressions, pullback_form
 from contactpairs.models import random_points, sample_points, torus
 from contactpairs.registry import build_example
+from contactpairs.reporting import render_structured
 
 ROOT = Path(__file__).resolve().parent.parent
 FAMILY_EXAMPLES = ("heisenberg6-pair", "t6-pair-compatible", "t6-pair-incompatible")
@@ -375,3 +376,22 @@ def test_overflowing_t_is_a_failed_check(t):
     verdict = verify_forward(family, t_grid=[t])
     assert verdict.overall == "falsified"
     assert verdict.conclusions[0].witness == {"condition": "non-finite", "t": t}
+
+
+def test_overflowing_sweep_row_is_strict_json_with_nulls(capsys):
+    code = main(["sweep", "--example", "heisenberg6-pair", "--t-grid", "1,1e308", "--format", "structured"])
+    task = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["tasks"][0]
+    assert code == 1 and task["status"] == "fail"
+    result = task["result"]
+    assert result["witness"] == {"t": 1e308}
+    assert result["rows"][0] == {"t": 1.0, "min_volume_coeff": 1.0, "max_volume_coeff": 1.0,
+                                 "max_reeb_residual": 0.0}
+    assert result["rows"][1]["min_volume_coeff"] is None
+    assert result["rows"][1]["max_volume_coeff"] is None
+    assert result["csv"].splitlines()[2] == "1e+308,,,1"
+
+
+def test_structured_report_writes_non_finite_numbers_as_null():
+    text = render_structured({"a": [1.5, float("nan")], "b": {"c": float("-inf")}, "d": (float("inf"),)})
+    parsed = json.loads(text, parse_constant=_refuse_constant)
+    assert parsed == {"a": [1.5, None], "b": {"c": None}, "d": [None]}

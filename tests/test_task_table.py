@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from contactpairs import registry, runner
+from contactpairs import jacobi, registry, runner
 from contactpairs.cli import main
-from contactpairs.config import TASKS, ConfigError, parse_config
+from contactpairs.config import JACOBI_GRID_LIMIT, TASKS, ConfigError, parse_config
+from contactpairs.expressions import MAX_DEPTH
 from contactpairs.registry import list_examples
 
 HEISENBERG_STRUCTURE = [
@@ -200,3 +201,92 @@ def test_non_finite_literal_is_rejected_when_the_form_is_built(coefficient):
         parse_config(doc)
     assert err.value.errors[0].startswith("forms.a: expression error")
 
+
+
+# --- a task flag beside a same-kind config task is an input error ------------------------
+
+@pytest.mark.parametrize("argv, flag", [
+    (["jacobi", "--resolution", "6"], "--resolution"),
+    (["jacobi", "--side", "alpha"], "--side"),
+    (["classify", "--form", "a0"], "--form"),
+    (["deform", "--mode", "single", "--alpha0", "1,0,0"], "--alpha0"),
+])
+def test_task_flag_beside_a_config_task_exits_2(tmp_path, capsys, argv, flag):
+    assert run_config(tmp_path, small_doc(), *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[1].startswith(f"  - {flag}: not used beside the ")
+
+
+def test_config_task_without_flags_still_runs(tmp_path, capsys):
+    assert run_config(tmp_path, small_doc(), "jacobi", "--format", "structured") == 0
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["grid"] == [8, 8, 8]
+
+
+# --- the Jacobi grid is capped before anything is allocated ------------------------------
+
+def test_huge_jacobi_grid_is_rejected_before_allocation(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(jacobi, "grid_points", refuse)
+    monkeypatch.setattr(runner, "build_example", refuse)
+    assert main(["jacobi", "--example", "darboux2", "--resolution", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "  - tasks[0].resolution: a 100000x100000x100000x100000x100000 grid has" in captured.err
+
+
+def test_grid_cap_admits_the_largest_builtin_default():
+    assert 16**5 == JACOBI_GRID_LIMIT
+    parse_config({"tasks": [{"task": "jacobi", "example": "darboux2"}]})
+    parse_config({"tasks": [{"task": "jacobi", "example": "t6-pair-compatible", "resolution": 10}]})
+    with pytest.raises(ConfigError, match=r"tasks\[0\]\.resolution: a 17x17x17x17x17 grid"):
+        parse_config({"tasks": [{"task": "jacobi", "example": "darboux2", "resolution": 17}]})
+    with pytest.raises(ConfigError, match=r"tasks\[0\]\.resolution: a 11x11x11x11x11x11 grid"):
+        parse_config({"tasks": [{"task": "jacobi", "example": "t6-pair-compatible", "resolution": 11}]})
+
+
+def test_grid_cap_on_a_declared_form():
+    doc = small_doc()
+    doc["tasks"] = [{"task": "jacobi", "form": "a", "resolution": 101}]  # 101^3 points
+    parse_config(doc)
+    doc["tasks"] = [{"task": "jacobi", "form": "a", "resolution": 102}]
+    with pytest.raises(ConfigError, match=r"tasks\[0\]\.resolution: a 102x102x102 grid has 1061208 points"):
+        parse_config(doc)
+
+
+# --- deep expressions are parse errors, never a RecursionError ---------------------------
+
+@pytest.mark.parametrize("coefficient", ["+".join(["x0"] * 3000), "(" * 3000 + "x0" + ")" * 3000])
+def test_deep_expression_exits_2_naming_the_form(tmp_path, capsys, coefficient):
+    doc = small_doc()
+    doc["forms"]["a"]["coefficients"]["0"] = coefficient
+    doc["tasks"] = [{"task": "classify", "form": "a"}]
+    assert run_config(tmp_path, doc, "classify") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "  - forms.a: expression error: expression " in captured.err
+
+
+def test_expression_at_the_depth_limit_runs(tmp_path, capsys):
+    doc = small_doc()
+    doc["forms"]["a"]["coefficients"]["0"] = "+".join(["x0"] * MAX_DEPTH)
+    doc["tasks"] = [{"task": "classify", "form": "a"}]
+    assert run_config(tmp_path, doc, "classify") in (0, 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the overflow is the input under test
+def test_overflowing_jacobi_and_classify_reports_are_strict_json(tmp_path, capsys):
+    # products of 1e200 coefficients overflow in the Reeb and Hamiltonian solves
+    doc = small_doc()
+    doc["forms"]["a"]["coefficients"] = {"1": "1e200*cos(x0)", "2": "1e200*sin(x0)"}
+    doc["tasks"] = [{"task": "jacobi", "form": "a", "resolution": 6}, {"task": "classify", "form": "a"}]
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    for kind, key in (("jacobi", "jacobi_identity_defect"), ("classify", "max_residual")):
+        assert run_config(tmp_path, doc, kind, "--format", "structured") == 1
+        task = json.loads(capsys.readouterr().out, parse_constant=refuse)["tasks"][0]
+        assert task["status"] == "fail" and task["result"][key] is None
