@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .exterior import chain, interior_values, two_form_matrices
+from .exterior import _two_form_positions, chain, interior_values, two_form_matrices
 from .fields import (
     FormField,
     SolvedVectorField,
@@ -104,7 +104,9 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
         # rank-deficient somewhere in the batch; minimum-norm solve, the
         # residual and sigma_min diagnostics report the deficiency
         x = np.linalg.pinv(gram, hermitian=True) @ rhs
-    residual_inf = np.max(np.abs(a @ x - b), axis=1)
+    residual = a @ x
+    residual -= b
+    residual_inf = _norm_inf_rows(residual, axis=1)
     sigma_min = sigma_max = None
     if compute_sigma:
         # from a itself: the spectrum of the Gram matrix squares the condition
@@ -136,8 +138,20 @@ class ClassReport:
     next_power: np.ndarray | None = field(default=None, repr=False)
 
 
-def _norm_inf_rows(values: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(values), axis=-1) if values.shape[-1] else np.zeros(values.shape[:-1])
+def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Largest absolute value along one short axis (0 where it is empty).
+
+    A running np.maximum over the slices of that axis: exact in any order,
+    and NaN propagates as in np.max, so a NaN row gives NaN.
+    """
+    values = np.moveaxis(np.asarray(values), axis, 0)
+    if not values.shape[0]:
+        return np.zeros(values.shape[1:])
+    out = np.abs(values[0], out=np.empty(values.shape[1:]))
+    tmp = np.empty_like(out)
+    for v in values[1:]:
+        np.maximum(out, np.abs(v, out=tmp), out=out)
+    return out
 
 
 def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=None) -> ClassReport:
@@ -251,9 +265,20 @@ class SampledPair:
         return tuple(np.max(np.abs(v)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
 
     def reeb_rows(self) -> np.ndarray:
-        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta), shape (P, 2n+2, n)."""
-        contractions = [np.swapaxes(m, 1, 2) for m in self.matrices]
-        return np.concatenate([self.alpha[:, None, :], self.beta[:, None, :], *contractions], axis=1)
+        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta), shape (P, 2n+2, n).
+
+        Row 2 + j of i_E d alpha holds d alpha(e_i, e_j) in column i, so each
+        2-form coefficient is scattered straight into its flat positions.
+        """
+        n = self.n
+        rows = np.zeros((self.alpha.shape[0], (2 * n + 2) * n))
+        rows[:, :n] = self.alpha
+        rows[:, n : 2 * n] = self.beta
+        upper, lower = _two_form_positions(n)
+        for start, coeffs in ((2 * n, self.dalpha), ((n + 2) * n, self.dbeta)):
+            rows[:, start + lower] = coeffs
+            rows[:, start + upper] = -coeffs
+        return rows.reshape(-1, 2 * n + 2, n)
 
     def top(self, k: int, l: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l per point."""

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contact import ContactPairCertificate, ContactPairError, SampledPair, _certify, _solve_reeb
+from .contact import (
+    ContactPairCertificate,
+    ContactPairError,
+    SampledPair,
+    _certify,
+    _norm_inf_rows,
+    _solve_reeb,
+)
 from .exterior import chain, wedge_values
 from .fields import FormField, volume_form
 from .models import default_tolerance, integrate, sample_points
@@ -92,7 +99,7 @@ class DeformationFamily:
             if defect > tol * float(np.max(np.abs(values))):
                 raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
 
-        indep = np.max(np.abs(wedge_values(model.n, 1, 1, a0v, b0v)), axis=-1)
+        indep = _norm_inf_rows(wedge_values(model.n, 1, 1, a0v, b0v))
         if np.any(indep <= tol * float(np.max(np.abs(a0v))) * float(np.max(np.abs(b0v)))):
             idx = int(np.argmin(indep))
             raise ValueError(

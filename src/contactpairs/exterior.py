@@ -10,7 +10,10 @@ order, shared by every module in the package.  The wedge uses the determinant
 
 The ``*_values`` kernels operate on raw coefficient arrays whose last axis is
 the coefficient axis; leading axes broadcast, which the field pipelines use to
-evaluate at many sample points at once.
+evaluate at many sample points at once.  They loop over the components on
+blocks of points and return a ``(..., C)`` view of a component-major buffer,
+so each inner operation runs on contiguous point vectors; the result is
+bit-identical to the per-column formula ``out[..., io] += sign * a * b``.
 """
 
 from __future__ import annotations
@@ -87,25 +90,55 @@ def _wedge_table(n: int, p: int, q: int) -> tuple[tuple[int, int, int, int], ...
 
 @lru_cache(maxsize=None)
 def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Contraction table: (pos_in, axis, pos_out, sign), i_X dx^I expansion."""
+    """Contraction table: (axis, pos_in, pos_out, sign), i_X dx^I expansion."""
     out_pos = index_position(n, p - 1)
     rows = []
     for iw, idx in enumerate(multi_indices(n, p)):
         for r, axis in enumerate(idx):
             rest = idx[:r] + idx[r + 1 :]
-            rows.append((iw, axis, out_pos[rest], -1 if r % 2 else 1))
+            rows.append((axis, iw, out_pos[rest], -1 if r % 2 else 1))
     return tuple(rows)
+
+
+# points per block of the bilinear kernel: keeps its strided reads and its
+# one temporary cache-sized
+_BLOCK = 4096
+
+
+def _bilinear(table, count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., io] = sum of sign * a[..., ia] * b[..., ib] over the table rows
+    (ia, ib, io, sign), in table order; leading axes broadcast.
+
+    Works component by component on blocks of points and returns a
+    (..., count) view of a component-major buffer.  With sign = ±1 each
+    term is added or subtracted as a * b, which is bit-identical to adding
+    (sign * a) * b.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1])
+    b = np.broadcast_to(b, shape + b.shape[-1:]).reshape(-1, b.shape[-1])
+    points = a.shape[0]
+    out = np.zeros((count, points))
+    tmp = np.empty(min(points, _BLOCK))
+    for lo in range(0, points, _BLOCK):
+        hi = min(lo + _BLOCK, points)
+        t = tmp[: hi - lo]
+        a_cols, b_cols, o_rows = list(a[lo:hi].T), list(b[lo:hi].T), list(out[:, lo:hi])
+        for ia, ib, io, sign in table:
+            np.multiply(a_cols[ia], b_cols[ib], out=t)
+            o = o_rows[io]
+            if sign > 0:
+                o += t
+            else:
+                o -= t
+    return out.T.reshape(shape + (count,))
 
 
 def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge on coefficient arrays; leading axes broadcast."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(shape + (form_count(n, p + q),))
-    for ia, ib, io, sign in _wedge_table(n, p, q):
-        out[..., io] += sign * a[..., ia] * b[..., ib]
-    return out
+    return _bilinear(_wedge_table(n, p, q), form_count(n, p + q), a, b)
 
 
 def chain(n: int, *factors) -> np.ndarray:
@@ -120,23 +153,29 @@ def chain(n: int, *factors) -> np.ndarray:
 
 def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Contraction i_X w on raw arrays; x has component axis last."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    shape = np.broadcast_shapes(x.shape[:-1], w.shape[:-1])
-    out = np.zeros(shape + (form_count(n, p - 1),))
-    for iw, axis, io, sign in _interior_table(n, p):
-        out[..., io] += sign * x[..., axis] * w[..., iw]
-    return out
+    return _bilinear(_interior_table(n, p), form_count(n, p - 1), x, w)
+
+
+@lru_cache(maxsize=None)
+def _two_form_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions i*n + j and j*n + i in an n x n matrix of each pair
+    (i, j) of multi_indices(n, 2), read-only."""
+    pairs = np.array(multi_indices(n, 2), dtype=np.intp).reshape(-1, 2)
+    upper, lower = pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
 
 
 def two_form_matrices(n: int, coeffs: np.ndarray) -> np.ndarray:
     """Antisymmetric matrices M with M[i, j] = w(e_i, e_j) from 2-form coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros(coeffs.shape[:-1] + (n, n))
-    for pos, (i, j) in enumerate(multi_indices(n, 2)):
-        out[..., i, j] = coeffs[..., pos]
-        out[..., j, i] = -coeffs[..., pos]
-    return out
+    flat = coeffs.reshape(math.prod(coeffs.shape[:-1]), coeffs.shape[-1])
+    upper, lower = _two_form_positions(n)
+    out = np.zeros((flat.shape[0], n * n))
+    out[:, upper] = flat
+    out[:, lower] = -flat
+    return out.reshape(coeffs.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,25 @@ __all__ = [
 
 
 class JacobiError(ValueError):
-    pass
+    """A Jacobi side cannot be built or solved; ``condition`` is "non-finite"
+    when a grid value overflowed, with the first such grid point as witness."""
+
+    def __init__(self, message: str, condition: str | None = None, witness: dict | None = None):
+        super().__init__(message)
+        self.condition = condition
+        self.witness = witness or {}
+
+
+def _require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
+    """Raise a witnessed "non-finite" JacobiError unless every grid row of
+    values is finite."""
+    finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        point = points[idx].tolist()
+        raise JacobiError(
+            f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": idx}
+        )
 
 
 @dataclass
@@ -131,8 +149,10 @@ class JacobiSide:
         shape, pts, steps, periodic = cls._grid_data(model, resolution)
         av = alpha.values(pts)
         da_m = two_form_matrices(model.n, alpha.d().values(pts))
-        e, residual = _contact_reeb(av, da_m)
-        if float(np.max(residual)) > tol * max(1.0, float(np.max(np.abs(av)))):
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
+            e, residual = _contact_reeb(av, da_m)
+        _require_finite("Reeb system", residual, pts)
+        if not float(np.max(residual)) <= tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
         basis = np.broadcast_to(np.eye(model.n), (pts.shape[0], model.n, model.n))  # read-only view
         return cls(model, "contact-form", shape, pts, steps, periodic, av, da_m, e, basis, tol)
@@ -242,16 +262,18 @@ class JacobiSide:
         return out
 
     def solve_hamiltonian(self, f) -> np.ndarray:
-        vals, grad, ef = self.scalar_data(f)
-        grad_leaf = np.einsum("pi,pim->pm", grad, self.leaf_basis)
-        rhs = np.concatenate(
-            [vals[:, None], ef[:, None] * self._alpha_leaf - grad_leaf], axis=1
-        )
-        coords = np.einsum("pmr,pr->pm", self._solve_mat, rhs)
-        residual = np.einsum("prm,pm->pr", self._system, coords) - rhs
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
+            vals, grad, ef = self.scalar_data(f)
+            grad_leaf = np.einsum("pi,pim->pm", grad, self.leaf_basis)
+            rhs = np.concatenate(
+                [vals[:, None], ef[:, None] * self._alpha_leaf - grad_leaf], axis=1
+            )
+            coords = np.einsum("pmr,pr->pm", self._solve_mat, rhs)
+            residual = np.einsum("prm,pm->pr", self._system, coords) - rhs
+        _require_finite("Hamiltonian system", residual, self.points)
         scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(grad))))
         worst = float(np.max(np.abs(residual)))
-        if worst > self.tol * scale:
+        if not worst <= self.tol * scale:
             idx = int(np.argmax(np.max(np.abs(residual), axis=1)))
             raise JacobiError(
                 f"leaf-restricted Hamiltonian system residual {worst:.3e} at "

@@ -227,13 +227,19 @@ def grid_points(model: Model, resolution=None) -> np.ndarray:
             grids.append(a.lo + np.arange(r) * (a.length / r))
         else:
             grids.append(np.linspace(a.lo, a.hi, r))
+    return _tensor_points(model.n, coord, grids)
+
+
+def _tensor_points(n: int, coord, grids) -> np.ndarray:
+    """The tensor grid of the node arrays ``grids`` on the coordinate axes
+    ``coord`` (first axis slowest), shape (P, n), zero on the other axes.
+    Each axis is broadcast into its column: no meshgrid copies."""
     if not grids:
-        return np.zeros((1, model.n))
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.zeros((mesh[0].size, model.n))
-    for i, m in zip(coord, mesh):
-        pts[:, i] = m.reshape(-1)
-    return pts
+        return np.zeros((1, n))
+    pts = np.zeros(tuple(len(g) for g in grids) + (n,))
+    for d, (i, g) in enumerate(zip(coord, grids)):
+        pts[..., i] = g.reshape((-1,) + (1,) * (len(grids) - 1 - d))
+    return pts.reshape(-1, n)
 
 
 def integration_points(model: Model, resolution=None) -> tuple[np.ndarray, float]:
@@ -243,6 +249,12 @@ def integration_points(model: Model, resolution=None) -> tuple[np.ndarray, float
     the Nyquist bandwidth), midpoint nodes on box axes.  Lie directions carry
     normalized unit volume.
     """
+    grids, weight = _quadrature_axes(model, resolution)
+    return _tensor_points(model.n, model.coordinate_axes, grids), weight
+
+
+def _quadrature_axes(model: Model, resolution) -> tuple[list, float]:
+    """The 1-d node arrays of integration_points and its cell weight."""
     coord = model.coordinate_axes
     res = _axis_resolutions(model, resolution)
     grids = []
@@ -255,13 +267,7 @@ def integration_points(model: Model, resolution=None) -> tuple[np.ndarray, float
         else:
             grids.append(a.lo + (np.arange(r) + 0.5) * step)
         weight *= step
-    if not grids:
-        return np.zeros((1, model.n)), 1.0
-    mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.zeros((mesh[0].size, model.n))
-    for i, m in zip(coord, mesh):
-        pts[:, i] = m.reshape(-1)
-    return pts, weight
+    return grids, weight
 
 
 def random_points(model: Model, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -290,8 +296,12 @@ def integrate(model: Model, field, resolution=None) -> float:
     """Integrate a top-degree form field by the model's tensor quadrature."""
     if field.degree != model.n:
         raise ValueError(f"integrate requires degree {model.n}, got {field.degree}")
-    pts, weight = integration_points(model, resolution)
-    vals = field.values(pts)[:, 0]
+    grids, weight = _quadrature_axes(model, resolution)
+    # one slice of the first axis at a time, so the nodes are never all held
+    # at once; the values, and so their sum, are those of the whole grid
+    slices = [[grids[0][j : j + 1], *grids[1:]] for j in range(len(grids[0]))] if grids else [[]]
+    coord = model.coordinate_axes
+    vals = np.concatenate([field.values(_tensor_points(model.n, coord, s))[:, 0] for s in slices])
     return float(np.sum(vals) * weight)
 
 

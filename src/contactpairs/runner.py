@@ -24,7 +24,7 @@ from .contact import (
 )
 from .deformation import sweep_rows, verify_converse, verify_forward
 from .fields import FormField
-from .jacobi import JacobiSide, _identity_defect
+from .jacobi import JacobiError, JacobiSide, _identity_defect
 from .models import sample_points
 from .registry import build_example
 from .reporting import SWEEP_COLUMNS, write_sweep_csv
@@ -135,6 +135,17 @@ def _task_single_deform(cfg, params, objs, rng, out_path):
 
 
 def _task_jacobi(cfg, params, objs, rng, out_path):
+    """A grid value that overflows fails the task with its witness; other
+    Jacobi errors are input errors."""
+    try:
+        return _jacobi_verdict(cfg, params, objs)
+    except JacobiError as err:
+        if err.condition != "non-finite":
+            raise
+        return "fail", {"error": _witnessed(err)}
+
+
+def _jacobi_verdict(cfg, params, objs):
     tol = cfg.tolerance
     if "beta" in objs:
         resolution = params.get("resolution", JACOBI_RESOLUTION["pair"])

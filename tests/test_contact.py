@@ -400,3 +400,51 @@ def test_orientation_sign_is_constant():
     vol = wedge_values(3, 1, 2, av, dav)[:, 0]
     assert np.all(vol < 0)
     np.testing.assert_allclose(vol, -1.0, atol=1e-12)
+
+
+# --- component-major Reeb rows and row maxima ----------------------------------------
+
+@pytest.mark.parametrize("make", [t6_pair, heisenberg6])
+def test_reeb_rows_equal_the_stacked_matrix_rows(make):
+    from contactpairs.contact import SampledPair
+    from contactpairs.exterior import two_form_matrices
+
+    model, alpha, beta = make()
+    pts = random_points(model, 500, np.random.default_rng(5))
+    s = SampledPair.of(alpha, beta, pts)
+    contractions = [np.swapaxes(two_form_matrices(6, d), 1, 2) for d in (s.dalpha, s.dbeta)]
+    want = np.concatenate([s.alpha[:, None, :], s.beta[:, None, :], *contractions], axis=1)
+    got = s.reeb_rows()
+    assert got.shape == (pts.shape[0], 14, 6) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+def test_row_maxima_equal_np_max_and_propagate_nan_and_inf():
+    from contactpairs.contact import _norm_inf_rows
+
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((50, 14, 2))
+    assert np.array_equal(_norm_inf_rows(values, axis=1), np.max(np.abs(values), axis=1))
+    assert np.array_equal(_norm_inf_rows(values[:, :, 0]), np.max(np.abs(values[:, :, 0]), axis=-1))
+    assert np.array_equal(_norm_inf_rows(np.zeros((4, 0))), np.zeros(4))
+    rows = np.ones((3, 5))
+    rows[0, 2] = np.nan
+    rows[1, 4] = -np.inf
+    rows[2, 0] = np.nan  # NaN first: later finite values must not replace it
+    norms = _norm_inf_rows(rows)
+    assert np.isnan(norms[0]) and norms[1] == np.inf and np.isnan(norms[2])
+
+
+def test_reeb_residual_check_fails_on_nan_rows():
+    from contactpairs.contact import SampledPair, _checked_reeb
+
+    model, alpha, beta = t6_pair()
+    pts = random_points(model, 200, np.random.default_rng(7))
+    rows = SampledPair.of(alpha, beta, pts).reeb_rows()
+    _checked_reeb(rows, pts, 1e-6, 1.0, False)
+    rows[17, 3, :] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ContactPairError) as err:
+            _checked_reeb(rows, pts, 1e-6, 1.0, False)
+    assert err.value.condition == "reeb-residual"
+    assert err.value.witness["index"] == 17

@@ -213,3 +213,108 @@ def test_form_value_validation():
 def test_multi_index_order():
     assert xt.multi_indices(4, 2) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     assert xt.multi_indices(3, 0) == ((),)
+
+
+# --- component-major kernels: bit-identical to the per-column formulas -----------
+
+def strided_wedge(n, p, q, a, b):
+    """The per-column wedge formula the blocked kernel replaces."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (xt.form_count(n, p + q),))
+    for ia, ib, io, sign in xt._wedge_table(n, p, q):
+        out[..., io] += sign * a[..., ia] * b[..., ib]
+    return out
+
+
+def strided_interior(n, p, x, w):
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    shape = np.broadcast_shapes(x.shape[:-1], w.shape[:-1])
+    out = np.zeros(shape + (xt.form_count(n, p - 1),))
+    for axis, iw, io, sign in xt._interior_table(n, p):
+        out[..., io] += sign * x[..., axis] * w[..., iw]
+    return out
+
+
+def strided_matrices(n, coeffs):
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros(coeffs.shape[:-1] + (n, n))
+    for pos, (i, j) in enumerate(xt.multi_indices(n, 2)):
+        out[..., i, j] = coeffs[..., pos]
+        out[..., j, i] = -coeffs[..., pos]
+    return out
+
+
+BLOCK_SIZES = (1, 3, xt._BLOCK - 1, xt._BLOCK, xt._BLOCK + 1, 2 * xt._BLOCK + 5)
+
+
+def sample(rng, points, count):
+    # signed zeros, ties and wide exponents, so that any reordering shows
+    values = rng.standard_normal((points, count)) * 10.0 ** rng.integers(-3, 4, (points, count))
+    values[rng.random((points, count)) < 0.05] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("points", BLOCK_SIZES)
+def test_wedge_values_is_bit_identical_to_the_strided_formula(points):
+    rng = np.random.default_rng(points)
+    for n in range(1, 8):
+        for p in range(n + 1):
+            for q in range(n - p + 1):
+                a = sample(rng, points, xt.form_count(n, p))
+                b = sample(rng, points, xt.form_count(n, q))
+                got = xt.wedge_values(n, p, q, a, b)
+                assert got.shape == (points, xt.form_count(n, p + q))
+                assert np.array_equal(got, strided_wedge(n, p, q, a, b)), (n, p, q)
+
+
+def test_wedge_values_on_one_point_and_against_one_operand():
+    rng = np.random.default_rng(1)
+    a, da = rng.standard_normal(6), rng.standard_normal(15)
+    got = xt.wedge_values(6, 1, 2, a, da)  # the 1-d path of fields._structure_matrix
+    assert got.shape == (20,) and np.array_equal(got, strided_wedge(6, 1, 2, a, da))
+    many_a = rng.standard_normal((xt._BLOCK + 7, 6))
+    many_da = rng.standard_normal((xt._BLOCK + 7, 15))
+    for left, right in ((a, many_da), (many_a, da)):
+        got = xt.wedge_values(6, 1, 2, left, right)
+        assert got.shape == (xt._BLOCK + 7, 20)
+        assert np.array_equal(got, strided_wedge(6, 1, 2, left, right))
+
+
+def test_wedge_values_on_fortran_ordered_and_strided_views():
+    rng = np.random.default_rng(2)
+    a = np.asfortranarray(rng.standard_normal((xt._BLOCK + 3, 6)))
+    b = rng.standard_normal((2 * (xt._BLOCK + 3), 30))[::2, ::2]  # non-contiguous (P, 15)
+    assert not a.flags.c_contiguous and not b.flags.c_contiguous
+    assert np.array_equal(xt.wedge_values(6, 1, 2, a, b), strided_wedge(6, 1, 2, a, b))
+    stacked = rng.standard_normal((3, 5, 15))  # leading axes beyond one
+    assert np.array_equal(
+        xt.wedge_values(6, 2, 2, stacked, stacked[0]), strided_wedge(6, 2, 2, stacked, stacked[0])
+    )
+
+
+def test_chain_of_four_factors_is_bit_identical():
+    rng = np.random.default_rng(3)
+    points = xt._BLOCK + 11
+    a, b = sample(rng, points, 6), sample(rng, points, 6)
+    da, db = sample(rng, points, 15), sample(rng, points, 15)
+    want = strided_wedge(6, 4, 2, strided_wedge(6, 3, 1, strided_wedge(6, 1, 2, a, da), b), db)
+    got = xt.chain(6, (1, a), (2, da), (1, b), (2, db))
+    assert got.shape == (points, 1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("points", (1, xt._BLOCK + 1))
+def test_interior_and_matrices_are_bit_identical(points):
+    rng = np.random.default_rng(points)
+    for n in range(1, 8):
+        x = sample(rng, points, n)
+        for p in range(1, n + 1):
+            w = sample(rng, points, xt.form_count(n, p))
+            assert np.array_equal(xt.interior_values(n, p, x, w), strided_interior(n, p, x, w))
+        coeffs = sample(rng, points, xt.form_count(n, 2))
+        got = xt.two_form_matrices(n, coeffs)
+        assert got.shape == (points, n, n) and got.flags.c_contiguous
+        assert np.array_equal(got, strided_matrices(n, coeffs))
+    one = coeffs[0, :6]
+    assert np.array_equal(xt.two_form_matrices(4, one), strided_matrices(4, one))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,34 @@ def test_side_rejects_non_contact_form():
     t3 = torus(3)
     with pytest.raises(JacobiError, match="contact"):
         JacobiSide.from_contact_form(coframe(t3, 0), resolution=8)
+
+
+def test_overflowing_form_fails_as_non_finite_with_a_witness(tmp_path, capsys):
+    # 1e200 coefficients overflow in the Reeb solve on the grid
+    doc = {
+        "models": {"t3": {"kind": "chart", "axes": [{"periodic": True}] * 3}},
+        "forms": {"a": {"model": "t3", "degree": 1,
+                        "coefficients": {"1": "1e200*cos(x0)", "2": "1e200*sin(x0)"}}},
+        "tasks": [{"task": "jacobi", "form": "a", "resolution": 6}],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["jacobi", "--config", str(path), "--format", "structured"]) == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["status"] == "fail"
+    error = task["result"]["error"]
+    assert error["condition"] == "non-finite" and "non-finite" in error["message"]
+    assert len(error["point"]) == 3 and str(error["point"]) in error["message"]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_hamiltonian_solve_fails_on_non_finite_grid_values(t3_side, bad):
+    values = np.cos(t3_side.points[:, 0])
+    values[123] = bad
+    with pytest.raises(JacobiError, match="non-finite Hamiltonian system") as err:
+        t3_side.solve_hamiltonian(values)
+    assert err.value.condition == "non-finite"
+    assert err.value.witness["point"] == t3_side.points[err.value.witness["index"]].tolist()
 
 
 def test_pair_side_leaf_dimension(pair_side):

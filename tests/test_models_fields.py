@@ -214,6 +214,31 @@ def test_integrate_requires_top_degree():
         integrate(t3, coframe(t3, 0))
 
 
+def test_grids_without_meshgrid_copies_equal_the_meshgrid_nodes():
+    from contactpairs.models import _tensor_points
+
+    rng = np.random.default_rng(0)
+    cases = (((5,), (0,)), ((2, 3), (0, 2)), ((4, 1, 3), (1, 2, 3)), ((2, 3, 2, 3), (0, 1, 3, 4)))
+    for sizes, coord in cases:
+        grids = [rng.standard_normal(s) for s in sizes]
+        mesh = np.meshgrid(*grids, indexing="ij")
+        want = np.zeros((mesh[0].size, 5))
+        for i, m in zip(coord, mesh):
+            want[:, i] = m.reshape(-1)
+        assert np.array_equal(_tensor_points(5, coord, grids), want)
+
+
+def test_integrate_by_slices_equals_the_whole_grid_sum():
+    from contactpairs.models import integration_points
+
+    integrand = "exp(sin(x0 + 2*x1)) * cos(x2 - x3) + 0.3*sin(x3)"
+    models = (torus(4, resolution=6), box_chart([(-1.0, 2.0)] * 4, resolution=5), heisenberg3())
+    for model in models:
+        form = FormField(model, model.n, [integrand if model.n == 4 else "1.5"])
+        pts, weight = integration_points(model)
+        assert integrate(model, form) == float(np.sum(form.values(pts)[:, 0]) * weight)
+
+
 def test_stokes_on_random_closed_models():
     rng = np.random.default_rng(44)
     basis = ["sin(x0)", "cos(x1)", "sin(x0)*cos(x1)", "1", "cos(x0)"]

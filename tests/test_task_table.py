@@ -286,7 +286,9 @@ def test_overflowing_jacobi_and_classify_reports_are_strict_json(tmp_path, capsy
     def refuse(name):
         raise ValueError(f"non-finite number {name} in the report")
 
-    for kind, key in (("jacobi", "jacobi_identity_defect"), ("classify", "max_residual")):
-        assert run_config(tmp_path, doc, kind, "--format", "structured") == 1
-        task = json.loads(capsys.readouterr().out, parse_constant=refuse)["tasks"][0]
-        assert task["status"] == "fail" and task["result"][key] is None
+    assert run_config(tmp_path, doc, "jacobi", "--format", "structured") == 1
+    task = json.loads(capsys.readouterr().out, parse_constant=refuse)["tasks"][0]
+    assert task["status"] == "fail" and task["result"]["error"]["condition"] == "non-finite"
+    assert run_config(tmp_path, doc, "classify", "--format", "structured") == 1
+    task = json.loads(capsys.readouterr().out, parse_constant=refuse)["tasks"][0]
+    assert task["status"] == "fail" and task["result"]["max_residual"] is None
