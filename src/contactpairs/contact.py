@@ -170,7 +170,11 @@ def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=No
 
 
 def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float) -> ClassReport:
-    """Cartan class from the sampled values of alpha and d alpha."""
+    """Cartan class from the sampled values of alpha and d alpha.
+
+    A wedge chain that is not finite at some sample fails as "non-finite"
+    with the first such point: no class can be read off an overflow.
+    """
     n = av.shape[1]
     scale_a = float(np.max(np.abs(av)))
     scale_da = float(np.max(np.abs(dav))) if dav.size else 0.0
@@ -188,10 +192,18 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float) 
     k_max = (n - 1) // 2
     # (d alpha)^j for j = 0 .. k_max + 1, as far as the degree allows
     powers = [np.ones((pts.shape[0], 1))]
-    for j in range(1, min(k_max + 1, n // 2) + 1):
-        powers.append(chain(n, (2 * j - 2, powers[-1]), (2, dav)))
-    nonvanish = [_norm_inf_rows(chain(n, (1, av), (2 * k, powers[k]))) for k in range(k_max + 1)]
-    power_norm = [_norm_inf_rows(p) for p in powers]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite chains are caught below
+        for j in range(1, min(k_max + 1, n // 2) + 1):
+            powers.append(chain(n, (2 * j - 2, powers[-1]), (2, dav)))
+        nonvanish = [_norm_inf_rows(chain(n, (1, av), (2 * k, powers[k]))) for k in range(k_max + 1)]
+        power_norm = [_norm_inf_rows(p) for p in powers]
+    norms = nonvanish + power_norm
+    if not all(np.isfinite(np.max(v)) for v in norms):  # the max of norms is NaN or inf if any is
+        finite = np.isfinite(norms).all(axis=0)
+        raise ContactPairError(
+            "non-finite", "a wedge chain is not finite at a sample point",
+            _witness(pts, int(np.argmin(finite))),
+        )
 
     pointwise = np.full(pts.shape[0], -1, dtype=int)
     for k in range(k_max + 1):
@@ -659,12 +671,13 @@ class SingleDeformationReport:
     condition_i: alpha_t = alpha0 + t*alpha has maximal class for every
     positive t on the grid.  The two must agree.  A t whose samples overflow
     fails as "non-finite"; with no other failing t, condition_i and agreement
-    are then None (undecided).  pairing_defect is None unless alpha has
+    are then None (undecided).  condition_ii and agreement are None when the
+    class of alpha overflows.  pairing_defect is None unless alpha has
     maximal class.
     """
 
     condition_i: bool | None
-    condition_ii: bool
+    condition_ii: bool | None
     agreement: bool | None
     class_k: int | None
     pairing_defect: float | None
@@ -705,11 +718,17 @@ def verify_single_deformation(
     k_max = (n - 1) // 2
     av = alpha.values(pts)
     dav = alpha.d().values(pts)
-    report = _class_report(av, dav, pts, tol)
-    maximal = report.constant and report.k == k_max
+    try:
+        report = _class_report(av, dav, pts, tol)
+    except ContactPairError as err:
+        if err.condition != "non-finite":
+            raise
+        report, witness_ii = None, {"condition": err.condition, **err.witness}
 
     pairing_defect = None
-    if maximal:
+    if report is None:  # an overflow shows nothing about the class of alpha
+        condition_ii = None
+    elif report.constant and report.k == k_max:
         zv, _ = _contact_reeb(av, two_form_matrices(n, dav))
         pairings = np.abs(np.einsum("pi,pi->p", a0v, zv))
         pairing_defect = float(np.max(pairings))
@@ -763,8 +782,8 @@ def verify_single_deformation(
     return SingleDeformationReport(
         condition_i=condition_i,
         condition_ii=condition_ii,
-        agreement=None if condition_i is None else condition_i == condition_ii,
-        class_k=report.k,
+        agreement=None if None in (condition_i, condition_ii) else condition_i == condition_ii,
+        class_k=None if report is None else report.k,
         pairing_defect=pairing_defect,
         per_t=per_t,
         witness={"condition_i": witness_i, "condition_ii": witness_ii},

@@ -21,6 +21,7 @@ and are excluded from defect suprema through the interior mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import expressions as ex
 from .contact import _contact_reeb, verify_contact_pair
 from .exterior import multi_indices, two_form_matrices
 from .fields import FormField, ScalarField
-from .models import Model, default_tolerance, grid_points, grid_shape
+from .models import Model, _tensor_points, default_tolerance, grid_nodes
 
 __all__ = [
     "JacobiError",
@@ -54,16 +55,63 @@ class JacobiError(ValueError):
         self.witness = witness or {}
 
 
-def _require_finite(what: str, values: np.ndarray, points: np.ndarray) -> None:
-    """Raise a witnessed "non-finite" JacobiError unless every grid row of
-    values is finite."""
+def _require_finite(what: str, values: np.ndarray, points: np.ndarray, grid_index=None) -> None:
+    """Raise a witnessed "non-finite" JacobiError unless every row of values
+    is finite; ``grid_index`` maps a row of sub-grid values to the grid
+    index the witness reports."""
     finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
     if not finite.all():
         idx = int(np.argmin(finite))
         point = points[idx].tolist()
+        index = idx if grid_index is None else grid_index(idx)
         raise JacobiError(
-            f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": idx}
+            f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": index}
         )
+
+
+class _SideGrid:
+    """A side's tensor grid and the sub-grid of its distinct samples.
+
+    The sub-grid takes the nodes of the axes that the side's form
+    coefficients mention and holds every other axis at its first node.  Its
+    points are exact copies of grid points, in the order in which they first
+    occur in the grid, so a first argmin or argmax picks the same point on
+    either.  Pointwise algebra of the forms runs on the sub-grid, and
+    ``spread`` copies its results to the grid.
+    """
+
+    def __init__(self, model: Model, resolution, forms):
+        if model.algebraic_axes:
+            raise JacobiError("Jacobi sides are chart-only (no algebraic directions)")
+        coord = model.coordinate_axes
+        nodes = grid_nodes(model, resolution)
+        # on a chart d mentions no new variable, so the coefficients decide
+        used = set().union(*(ex.variables_of(c) for form in forms for c in form.coeffs))
+        sub_nodes = [g if i in used else g[:1] for i, g in zip(coord, nodes)]
+        self.shape = tuple(len(g) for g in nodes)
+        self.sub_shape = tuple(len(g) for g in sub_nodes)
+        self.points = _tensor_points(model.n, coord, nodes)
+        self.sub_points = _tensor_points(model.n, coord, sub_nodes)
+        # the sub-grid sample of each grid point
+        sub_index = np.arange(math.prod(self.sub_shape)).reshape(self.sub_shape)
+        self.source = np.broadcast_to(sub_index, self.shape).reshape(-1)
+        self.steps, self.periodic = [], []
+        for i, r in zip(coord, self.shape):
+            a = model.axes[i]
+            self.steps.append(a.length / r if a.periodic else a.length / (r - 1))
+            self.periodic.append(a.periodic)
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Grid samples from sub-grid samples, with the axes of a point in the
+        memory order they have in ``values`` (taken in that order, so that
+        the take is one contiguous copy)."""
+        order = sorted(range(1, values.ndim), key=lambda axis: -values.strides[axis])
+        taken = np.take(values.transpose(0, *order), self.source, axis=0)
+        return taken.transpose(0, *(np.argsort(order) + 1))
+
+    def grid_index(self, sub_index: int) -> int:
+        """The grid index at which a sub-grid sample first occurs."""
+        return int(np.ravel_multi_index(np.unravel_index(sub_index, self.sub_shape), self.shape))
 
 
 @dataclass
@@ -104,39 +152,32 @@ def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
 
 
 class JacobiSide:
-    """One side of the induced Jacobi data, sampled on a tensor grid."""
+    """One side of the induced Jacobi data, sampled on a tensor grid.
 
-    def __init__(self, model, tag, shape, points, steps, periodic, alpha_values, dalpha_mat,
-                 e_values, leaf_basis, tol):
+    The side's pointwise algebra (Reeb field, leaf basis, restricted solver)
+    depends on its forms only: the constructors compute it once per sample
+    of the sub-grid and spread it to the grid, keeping the memory layout
+    within a point, since einsum sums in a layout-dependent order.  Every
+    grid operator works on the grid.
+    """
+
+    def __init__(self, model, tag, grid: _SideGrid, alpha_values, e_values, leaf_basis,
+                 solver, tol):
         self.model = model
         self.tag = tag
-        self.grid_shape = shape
-        self.points = points
-        self.steps = steps
-        self.periodic = periodic
+        self.grid_shape = grid.shape
+        self.points = grid.points
+        self.steps = grid.steps
+        self.periodic = grid.periodic
         self.alpha_values = alpha_values
-        self.dalpha_mat = dalpha_mat
         self.e_values = e_values
         self.leaf_basis = leaf_basis
         self.leaf_dim = leaf_basis.shape[2]
+        self._alpha_leaf, self._system, self._solve_mat = solver
         self.tol = tol
-        self._prepare_solver()
         self._interior_mask = self._build_interior_mask()
 
     # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def _grid_data(model: Model, resolution):
-        if model.algebraic_axes:
-            raise JacobiError("Jacobi sides are chart-only (no algebraic directions)")
-        shape = grid_shape(model, resolution)
-        pts = grid_points(model, resolution)
-        steps, periodic = [], []
-        for i, r in zip(model.coordinate_axes, shape):
-            a = model.axes[i]
-            steps.append(a.length / r if a.periodic else a.length / (r - 1))
-            periodic.append(a.periodic)
-        return shape, pts, steps, periodic
 
     @classmethod
     def from_contact_form(cls, alpha: FormField, resolution=None, tol: float | None = None):
@@ -146,16 +187,20 @@ class JacobiSide:
             raise JacobiError("a single contact form needs an odd-dimensional model")
         if tol is None:
             tol = default_tolerance(model)
-        shape, pts, steps, periodic = cls._grid_data(model, resolution)
+        grid = _SideGrid(model, resolution, (alpha,))
+        pts = grid.sub_points
         av = alpha.values(pts)
         da_m = two_form_matrices(model.n, alpha.d().values(pts))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
             e, residual = _contact_reeb(av, da_m)
-        _require_finite("Reeb system", residual, pts)
+        _require_finite("Reeb system", residual, pts, grid.grid_index)
         if not float(np.max(residual)) <= tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
-        basis = np.broadcast_to(np.eye(model.n), (pts.shape[0], model.n, model.n))  # read-only view
-        return cls(model, "contact-form", shape, pts, steps, periodic, av, da_m, e, basis, tol)
+        n = model.n
+        solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape))
+        basis = np.broadcast_to(np.eye(n), (grid.points.shape[0], n, n))  # read-only view
+        return cls(model, "contact-form", grid, grid.spread(av), grid.spread(e), basis,
+                   [grid.spread(a) for a in solver], tol)
 
     @classmethod
     def from_pair(
@@ -175,14 +220,15 @@ class JacobiSide:
         model = alpha.model
         if tol is None:
             tol = default_tolerance(model)
-        shape, pts, steps, periodic = cls._grid_data(model, resolution)
+        grid = _SideGrid(model, resolution, (alpha, beta))
+        pts = grid.sub_points
         cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts,
                                    check_commutator=False, check_rank=False)
         av, bv, (da_m, db_m) = cert.sampled.alpha, cert.sampled.beta, cert.sampled.matrices
         if side == "alpha":
-            own, own_d, e, other, other_d, m = av, da_m, cert.reeb_alpha_values, bv, db_m, 2 * k + 1
+            own, own_d, which, other, other_d, m = av, da_m, 0, bv, db_m, 2 * k + 1
         else:
-            own, own_d, e, other, other_d, m = bv, db_m, cert.reeb_beta_values, av, da_m, 2 * l + 1
+            own, own_d, which, other, other_d, m = bv, db_m, 1, av, da_m, 2 * l + 1
         n = model.n
         rows = np.concatenate([other[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
         _, s, vt = np.linalg.svd(rows)
@@ -201,24 +247,30 @@ class JacobiSide:
             raise JacobiError(
                 f"side form vanishes on its leaf distribution at {pts[idx].tolist()}"
             )
-        return cls(model, side, shape, pts, steps, periodic, own, own_d, e, basis, tol)
+        solver = cls._prepare_solver(own, own_d, basis)
+        # E stays a column of the (P, n, 2) solve of both Reeb fields
+        reeb = grid.spread(np.stack([cert.reeb_alpha_values, cert.reeb_beta_values], axis=-1))
+        return cls(model, side, grid, grid.spread(own), reeb[..., which], grid.spread(basis),
+                   [grid.spread(a) for a in solver], tol)
 
     # -- solver -----------------------------------------------------------
 
-    def _prepare_solver(self):
-        # equations in leaf coordinates x (X = basis @ x):
-        #   alpha|_V . x = f
-        #   (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
-        basis = self.leaf_basis
-        self._alpha_leaf = np.einsum("pi,pim->pm", self.alpha_values, basis)
-        d_leaf = np.swapaxes(basis, 1, 2) @ self.dalpha_mat @ basis
-        system = np.concatenate([self._alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
+    @staticmethod
+    def _prepare_solver(alpha_values, dalpha_mat, basis):
+        """(alpha|_V, the restricted system, its least-squares solve matrix)
+        for the equations in leaf coordinates x (X = basis @ x):
+            alpha|_V . x = f
+            (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
+        """
+        alpha_leaf = np.einsum("pi,pim->pm", alpha_values, basis)
+        d_leaf = np.swapaxes(basis, 1, 2) @ dalpha_mat @ basis
+        system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
         gram = np.einsum("pmi,pmj->pij", system, system)
-        self._system = system
         try:
-            self._solve_mat = np.linalg.solve(gram, np.swapaxes(system, 1, 2))
+            solve_mat = np.linalg.solve(gram, np.swapaxes(system, 1, 2))
         except np.linalg.LinAlgError:
             raise JacobiError("degenerate leaf data: the restricted contact system is singular")
+        return alpha_leaf, system, solve_mat
 
     def _build_interior_mask(self):
         mask = np.ones(self.grid_shape, dtype=bool)

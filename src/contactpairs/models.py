@@ -30,6 +30,7 @@ __all__ = [
     "box_chart",
     "heisenberg3",
     "grid_shape",
+    "grid_nodes",
     "grid_points",
     "integration_points",
     "random_points",
@@ -211,23 +212,28 @@ def grid_shape(model: Model, resolution=None) -> tuple[int, ...]:
     return tuple(_axis_resolutions(model, resolution))
 
 
-def grid_points(model: Model, resolution=None) -> np.ndarray:
-    """Tensor sample grid over the coordinate axes, shape (P, n).
+def grid_nodes(model: Model, resolution=None) -> list[np.ndarray]:
+    """The node array of each coordinate axis of the tensor sample grid.
 
     Periodic axes are sampled uniformly without the right endpoint; box axes
-    include both endpoints.  Algebraic axes hold the single formal coordinate
-    0, so a pure Lie model yields exactly one point.
+    include both endpoints.
     """
-    coord = model.coordinate_axes
-    res = _axis_resolutions(model, resolution)
     grids = []
-    for i, r in zip(coord, res):
+    for i, r in zip(model.coordinate_axes, _axis_resolutions(model, resolution)):
         a = model.axes[i]
         if a.periodic:
             grids.append(a.lo + np.arange(r) * (a.length / r))
         else:
             grids.append(np.linspace(a.lo, a.hi, r))
-    return _tensor_points(model.n, coord, grids)
+    return grids
+
+
+def grid_points(model: Model, resolution=None) -> np.ndarray:
+    """Tensor sample grid over the coordinate axes (nodes from grid_nodes),
+    shape (P, n).  Algebraic axes hold the single formal coordinate 0, so a
+    pure Lie model yields exactly one point.
+    """
+    return _tensor_points(model.n, model.coordinate_axes, grid_nodes(model, resolution))
 
 
 def _tensor_points(n: int, coord, grids) -> np.ndarray:

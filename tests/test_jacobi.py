@@ -3,24 +3,31 @@ import json
 import numpy as np
 import pytest
 
+from contactpairs import contact, runner
 from contactpairs import expressions as ex
-from contactpairs import runner
 from contactpairs.cli import main
 from contactpairs.config import parse_config
-from contactpairs.contact import darboux_model, product_contact_pair, torus_contact
-from contactpairs.exterior import multi_indices
-from contactpairs.fields import coframe
+from contactpairs.contact import (
+    _contact_reeb,
+    darboux_model,
+    product_contact_pair,
+    torus_contact,
+    verify_contact_pair,
+)
+from contactpairs.exterior import multi_indices, two_form_matrices
+from contactpairs.fields import coframe, form_from_expressions
 from contactpairs.jacobi import (
     JacobiError,
     JacobiSide,
     _axis_derivative,
+    _require_finite,
     bivector_contract,
     build_bivector,
     hamiltonian_field,
     jacobi_bracket,
     jacobi_identity_defect,
 )
-from contactpairs.models import heisenberg3, torus
+from contactpairs.models import box_chart, default_tolerance, grid_points, grid_shape, heisenberg3, torus
 from contactpairs.registry import build_example
 
 
@@ -136,6 +143,8 @@ def test_hamiltonian_tangent_to_leaves(pair_side):
 def test_flow_preserves_contact_plane(t3_side):
     # (L_{X_f} alpha) ^ alpha = 0 up to O(h^2): finite-difference Lie derivative
     side = t3_side
+    _, alpha = torus_contact()
+    dalpha_mat = two_form_matrices(3, alpha.d().values(side.points))
     f = ex.parse("sin(x1)*cos(x2)", 3)
     x = side.solve_hamiltonian(f)
     n = side.model.n
@@ -143,7 +152,7 @@ def test_flow_preserves_contact_plane(t3_side):
     # L_X alpha = i_X d alpha + d(alpha(X)); assemble both terms gridwise
     ax = np.einsum("pi,pi->p", side.alpha_values, x)
     d_ax = side.grid_gradient(ax)
-    ixda = np.einsum("pi,pij->pj", x, side.dalpha_mat)
+    ixda = np.einsum("pi,pij->pj", x, dalpha_mat)
     lie = ixda + d_ax
     # wedge with alpha: components of the 2-form (lie ^ alpha)
     worst = 0.0
@@ -357,3 +366,105 @@ def test_contact_form_leaf_basis_is_a_read_only_identity(t3_side):
     basis = t3_side.leaf_basis
     assert not basis.flags.writeable
     assert basis.shape == (16**3, 3, 3) and np.array_equal(basis[123], np.eye(3))
+
+
+# --- pointwise algebra once per distinct sample ------------------------------------------
+
+def _full_grid_reference(objs, side_name, resolution):
+    """The arrays a side keeps, computed at every grid point."""
+    alpha = objs["alpha"]
+    model = alpha.model
+    n = model.n
+    pts = grid_points(model, resolution)
+    tol = default_tolerance(model)
+    if "beta" in objs:
+        k, l = objs["k"], objs["l"]
+        cert = verify_contact_pair(alpha, objs["beta"], k, l, tol=tol, points=pts,
+                                   check_commutator=False, check_rank=False)
+        s = cert.sampled
+        (da_m, db_m) = s.matrices
+        if side_name == "alpha":
+            own, own_d, e, other, other_d, m = s.alpha, da_m, cert.reeb_alpha_values, s.beta, db_m, 2 * k + 1
+        else:
+            own, own_d, e, other, other_d, m = s.beta, db_m, cert.reeb_beta_values, s.alpha, da_m, 2 * l + 1
+        rows = np.concatenate([other[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
+        _, _, vt = np.linalg.svd(rows)
+        basis = np.swapaxes(vt[:, n - m:, :], 1, 2)
+    else:
+        own = alpha.values(pts)
+        own_d = two_form_matrices(n, alpha.d().values(pts))
+        e, _ = _contact_reeb(own, own_d)
+        basis = np.broadcast_to(np.eye(n), (pts.shape[0], n, n))
+    alpha_leaf, system, solve_mat = JacobiSide._prepare_solver(own, own_d, basis)
+    return {
+        "points": pts, "alpha_values": own, "e_values": e, "leaf_basis": basis,
+        "_alpha_leaf": alpha_leaf, "_system": system, "_solve_mat": solve_mat,
+    }
+
+
+def _every_axis_form():
+    """A contact form on the box [-1, 1]^3 whose coefficients mention every
+    axis: 0.1 y dx + x dy + (1 + 0.1 z) dz, with alpha ^ d alpha = 0.9 (1 + 0.1 z)."""
+    model = box_chart([(-1.0, 1.0)] * 3, resolution=9)
+    alpha = form_from_expressions(model, 1, {0: "0.1*x1", 1: "x0", 2: "1+0.1*x2"})
+    return {"model": model, "alpha": alpha, "k": 1}
+
+
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("torus-contact", "alpha", 12),
+    ("darboux1", "alpha", 9),
+    ("darboux2", "alpha", 5),
+    ("t2-pair-type00", "alpha", 6),
+    ("t2-pair-type00", "beta", 6),
+    ("t6-pair-compatible", "alpha", 4),
+    ("t6-pair-compatible", "beta", 4),
+    ("t6-pair-incompatible", "alpha", 5),
+    ("t6-pair-incompatible", "beta", 5),
+    ("every-axis", "alpha", 9),
+])
+def test_sub_grid_side_equals_the_full_grid_reference(example, side_name, resolution):
+    objs = _every_axis_form() if example == "every-axis" else build_example(example)
+    if "beta" in objs:
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                    side=side_name, resolution=resolution)
+    else:
+        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
+    reference = _full_grid_reference(objs, side_name, resolution)
+    for name, expected in reference.items():
+        kept = getattr(side, name)
+        assert np.array_equal(kept, expected), name
+        # einsum sums in an order that depends on the strides within a point
+        assert kept.strides[1:] == expected.strides[1:], name
+    assert side.grid_shape == grid_shape(objs["alpha"].model, resolution)
+    assert not hasattr(side, "dalpha_mat")
+
+
+def test_overflow_witness_is_the_first_full_grid_point():
+    # the coefficients mention x0 only: the sub-grid is x0's six nodes
+    model = torus(3)
+    alpha = form_from_expressions(model, 1, {1: "1e200*cos(x0)", 2: "1e200*sin(x0)"})
+    pts = grid_points(model, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, residual = _contact_reeb(alpha.values(pts), two_form_matrices(3, alpha.d().values(pts)))
+    with pytest.raises(JacobiError) as expected:
+        _require_finite("Reeb system", residual, pts)
+    with pytest.raises(JacobiError) as err:
+        JacobiSide.from_contact_form(alpha, resolution=6)
+    assert err.value.witness == expected.value.witness
+    assert err.value.witness["index"] == 36
+    assert str(err.value) == str(expected.value)
+
+
+def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, capsys):
+    systems = []
+    solve = contact.least_squares_batch
+
+    def counted(a, *args, **kwargs):
+        systems.append(np.shape(a)[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(contact, "least_squares_batch", counted)
+    assert main(["jacobi", "--example", "t6-pair-compatible"]) == 0
+    capsys.readouterr()
+    # the forms mention x0 and x3 only: 6 x 6 of the 6^6 grid points
+    assert sum(systems) == 36

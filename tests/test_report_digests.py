@@ -1,0 +1,29 @@
+"""The byte-identity tool: tools/report_digests.py digests each run of its
+matrix into one line, the same line for the same code."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("report_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_lines_repeat_exactly():
+    tool = load_tool()
+    subset = [("jacobi", "--example", "t6-pair-compatible", "--side", "beta"),
+              ("verify-pair", "--example", "darboux1")]
+    assert all(run in tool.matrix() for run in subset)
+    first = tool.digest_lines(subset)
+    assert first == tool.digest_lines(subset)
+    assert len(first) == len(tool.SEEDS) * len(subset)
+    fields = [line.split(" ", 4) for line in first]
+    # a passing jacobi verdict and an input error (a contact form is not a pair)
+    assert [(seed, code) for seed, code, *_ in fields] == [("0", "0"), ("0", "2"), ("7", "0"), ("7", "2")]
+    assert all(len(body) == len(err) == 64 for _, _, body, err, _ in fields)
+    assert [argv for *_, argv in fields[:2]] == [" ".join(run) for run in subset]

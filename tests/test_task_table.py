@@ -229,7 +229,7 @@ def test_huge_jacobi_grid_is_rejected_before_allocation(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a grid was built")
 
-    monkeypatch.setattr(jacobi, "grid_points", refuse)
+    monkeypatch.setattr(jacobi, "grid_nodes", refuse)  # every Jacobi grid is built from it
     monkeypatch.setattr(runner, "build_example", refuse)
     assert main(["jacobi", "--example", "darboux2", "--resolution", "100000"]) == 2
     captured = capsys.readouterr()
@@ -276,19 +276,52 @@ def test_expression_at_the_depth_limit_runs(tmp_path, capsys):
     assert run_config(tmp_path, doc, "classify") in (0, 1)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the overflow is the input under test
-def test_overflowing_jacobi_and_classify_reports_are_strict_json(tmp_path, capsys):
-    # products of 1e200 coefficients overflow in the Reeb and Hamiltonian solves
+def overflowing_doc():
+    """small_doc with a form whose wedge products overflow: 1e200 * 1e200."""
     doc = small_doc()
     doc["forms"]["a"]["coefficients"] = {"1": "1e200*cos(x0)", "2": "1e200*sin(x0)"}
+    return doc
+
+
+def refuse(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+def test_overflowing_jacobi_and_classify_reports_are_strict_json(tmp_path, capsys):
+    # products of 1e200 coefficients overflow in the Reeb solve and the wedge chains
+    doc = overflowing_doc()
     doc["tasks"] = [{"task": "jacobi", "form": "a", "resolution": 6}, {"task": "classify", "form": "a"}]
-
-    def refuse(name):
-        raise ValueError(f"non-finite number {name} in the report")
-
     assert run_config(tmp_path, doc, "jacobi", "--format", "structured") == 1
     task = json.loads(capsys.readouterr().out, parse_constant=refuse)["tasks"][0]
     assert task["status"] == "fail" and task["result"]["error"]["condition"] == "non-finite"
     assert run_config(tmp_path, doc, "classify", "--format", "structured") == 1
     task = json.loads(capsys.readouterr().out, parse_constant=refuse)["tasks"][0]
-    assert task["status"] == "fail" and task["result"]["max_residual"] is None
+    assert task["status"] == "fail" and task["result"]["error"]["condition"] == "non-finite"
+
+
+def test_overflowing_classify_fails_as_non_finite_with_a_witness(tmp_path, capsys):
+    doc = overflowing_doc()
+    doc["tasks"] = [{"task": "classify", "form": "a"}]
+    assert run_config(tmp_path, doc, "classify") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    task = json.loads(captured.out, parse_constant=refuse)["tasks"][0]
+    assert task["status"] == "fail"
+    assert task["result"] == {"error": {
+        "condition": "non-finite",
+        "message": "a wedge chain is not finite at a sample point",
+        "point": [0.0, 0.0, 0.0],
+        "index": 0,
+    }}
+
+
+def test_overflowing_single_deform_leaves_condition_ii_undecided(tmp_path, capsys):
+    doc = overflowing_doc()
+    doc["tasks"] = [{"task": "single-deform", "alpha": "a", "alpha0": "a0"}]
+    assert run_config(tmp_path, doc, "deform", "--mode", "single") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    result = json.loads(captured.out, parse_constant=refuse)["tasks"][0]["result"]
+    assert result["condition_ii"] is None and result["agreement"] is None
+    assert result["class_k"] is None and result["pairing_defect"] is None
+    assert result["witness"]["condition_ii"] == {"condition": "non-finite", "point": [0.0, 0.0, 0.0], "index": 0}

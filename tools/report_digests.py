@@ -1,0 +1,108 @@
+"""Digest the reports of a fixed matrix of CLI runs, to check byte identity.
+
+    python tools/report_digests.py > digests.txt
+
+runs ``contactpairs.cli.main`` in-process, with ``--format structured``, at
+seeds 0 and 7 over this matrix:
+
+- classify, verify-pair, deform forward/converse/single and sweep on every
+  builtin example;
+- deform single with ``--alpha0 1,0,0`` on the three 3-dimensional contact
+  forms;
+- jacobi on both sides of both T^3 x T^3 pairs, and on darboux2 at
+  resolution 10;
+- all seven task kinds on both shipped configs.
+
+It prints one line per run, ``seed exit sha256(body) sha256(stderr) argv``,
+where the body is the report without its ``timing`` field and warnings are
+written to stderr as ``Category: message``.  Run it in two checkouts and
+``diff`` the outputs: equal lines mean equal exit codes, report bodies and
+stderr.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from contactpairs import cli, reporting  # noqa: E402
+from contactpairs.registry import example_names  # noqa: E402
+
+SEEDS = (0, 7)
+CONFIGS = ("configs/heisenberg6_builtin.json", "configs/t6_explicit_family.json")
+TASK_COMMANDS = (
+    ("classify",),
+    ("verify-pair",),
+    ("deform", "--mode", "forward"),
+    ("deform", "--mode", "converse"),
+    ("deform", "--mode", "single"),
+    ("sweep",),
+    ("jacobi",),
+)
+
+
+def matrix() -> list[tuple[str, ...]]:
+    """The argv of every run, without --format and --seed."""
+    runs = [
+        cmd + ("--example", name)
+        for name in example_names()
+        for cmd in TASK_COMMANDS
+        if cmd != ("jacobi",)
+    ]
+    for name in ("darboux1", "torus-contact", "heisenberg3"):
+        runs.append(("deform", "--mode", "single", "--example", name, "--alpha0", "1,0,0"))
+    for name in ("t6-pair-compatible", "t6-pair-incompatible"):
+        runs.append(("jacobi", "--example", name))
+        runs.append(("jacobi", "--example", name, "--side", "beta"))
+    runs.append(("jacobi", "--example", "darboux2", "--resolution", "10"))
+    runs += [cmd + ("--config", path) for path in CONFIGS for cmd in TASK_COMMANDS]
+    return runs
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digest_line(seed: int, argv) -> str:
+    """Run one verdict and return its ``seed exit body stderr argv`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main([*argv, "--format", "structured", "--seed", str(seed)])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # a run that raises is recorded, not fatal
+            code = f"raised:{type(exc).__name__}"
+    stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    body = out.getvalue()
+    try:
+        body = reporting.render_structured(reporting.strip_timing(json.loads(body)))
+    except ValueError:
+        pass  # not a report: digest the raw text
+    return f"{seed} {code} {_sha(body)} {_sha(stderr)} {' '.join(argv)}"
+
+
+def digest_lines(runs, seeds=SEEDS) -> list[str]:
+    return [digest_line(seed, argv) for seed in seeds for argv in runs]
+
+
+def main() -> int:
+    os.chdir(ROOT)  # the config paths of the matrix are relative to the checkout
+    for line in digest_lines(matrix()):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
