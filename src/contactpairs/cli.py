@@ -8,6 +8,7 @@ builtin --example) or executes the matching tasks of a --config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import (
@@ -77,6 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on first use and kept for the process: parse_args
+# keeps no state between calls, and build_parser() still gives a fresh one
+_main_parser = functools.cache(build_parser)
+
+
 _DEFORM_MODES = {"forward": "deform-forward", "converse": "deform-converse", "single": "single-deform"}
 
 # flags that set a field of the task, by the task field they set
@@ -139,7 +145,7 @@ def _examples_listing(fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     args = parser.parse_args(argv)
 
     if args.command == "examples":

@@ -14,6 +14,7 @@ all go through one formula.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import lru_cache
 
@@ -84,9 +85,16 @@ class FormField:
     def values(self, points) -> np.ndarray:
         """Coefficient array at a batch of points, shape (P, C(n, p))."""
         pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be a 2-d array (P, n)")
         out = np.empty((pts.shape[0], len(self.coeffs)))
         for i, c in enumerate(self.coeffs):
-            out[:, i] = ex.evaluate_many(c, pts)
+            if isinstance(c, ex.Const):  # filled directly, with evaluate_many's guard
+                if not math.isfinite(c.value):
+                    raise ex.EvaluationError("expression evaluated to a non-finite value")
+                out[:, i] = c.value
+            else:
+                out[:, i] = ex.evaluate_many(c, pts)
         return out
 
     def d(self) -> "FormField":

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expressions as ex
 from .contact import _contact_reeb, verify_contact_pair
-from .exterior import multi_indices, two_form_matrices
+from .exterior import _BLOCK, multi_indices, two_form_matrices
 from .fields import FormField, ScalarField
 from .models import Model, _tensor_points, default_tolerance, grid_nodes
 
@@ -333,21 +333,45 @@ class JacobiSide:
             )
         return np.einsum("pim,pm->pi", self.leaf_basis, coords)
 
-    def commutator(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
-        """[X, Y] of two grid vector fields by central differences."""
+    def brackets(self, pairs) -> list[np.ndarray]:
+        """alpha([X, Y]) pointwise for each pair (X, Y) of grid vector fields.
+
+        [X, Y] = sum over axes of x_i dY - y_i dX, by central differences.
+        On each axis every distinct field of ``pairs`` is differentiated
+        once, when a pair first needs it, and its derivative is dropped
+        after its last pair; each pair adds its term to its own accumulator,
+        in axis order, through two temporaries of ``_BLOCK`` rows.
+        """
         n = self.model.n
-        xg = xv.reshape(self.grid_shape + (n,))
-        yg = yv.reshape(self.grid_shape + (n,))
-        out = np.zeros_like(xv)
+        number: dict[int, int] = {}  # id of each distinct field -> its number
+        uses = [[number.setdefault(id(v), len(number)) for v in pair] for pair in pairs]
+        last = {k: p for p, ks in enumerate(uses) for k in ks}
+        outs = [np.zeros_like(xv) for xv, _ in pairs]
+        rows = len(self.points)
+        t1, t2 = (np.empty((min(rows, _BLOCK), n)) for _ in range(2))
         for d, (i, h, per) in enumerate(zip(self.model.coordinate_axes, self.steps, self.periodic)):
-            dx = _axis_derivative(xg, d, h, per).reshape(-1, n)
-            dy = _axis_derivative(yg, d, h, per).reshape(-1, n)
-            out += xv[:, i : i + 1] * dy - yv[:, i : i + 1] * dx
-        return out
+            derivs: dict[int, np.ndarray] = {}
+            for p, ((xv, yv), (a, b), out) in enumerate(zip(pairs, uses, outs)):
+                for k, v in ((a, xv), (b, yv)):
+                    if k not in derivs:
+                        g = v.reshape(self.grid_shape + (n,))
+                        derivs[k] = _axis_derivative(g, d, h, per).reshape(-1, n)
+                dx, dy = derivs[a], derivs[b]
+                for lo in range(0, rows, _BLOCK):
+                    hi = min(lo + _BLOCK, rows)
+                    u, w = t1[: hi - lo], t2[: hi - lo]
+                    np.multiply(xv[lo:hi, i : i + 1], dy[lo:hi], out=u)
+                    np.multiply(yv[lo:hi, i : i + 1], dx[lo:hi], out=w)
+                    u -= w
+                    out[lo:hi] += u
+                for k in (a, b):
+                    if last[k] == p:
+                        derivs.pop(k, None)
+        return [np.einsum("pi,pi->p", self.alpha_values, out) for out in outs]
 
     def bracket_values(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         """alpha([X, Y]) pointwise."""
-        return np.einsum("pi,pi->p", self.alpha_values, self.commutator(xv, yv))
+        return self.brackets([(xv, yv)])[0]
 
 
 def hamiltonian_field(f, side: JacobiSide) -> GridVectorField:
@@ -362,14 +386,20 @@ def jacobi_bracket(f, g, side: JacobiSide) -> np.ndarray:
     return side.bracket_values(xf, xg)
 
 
-def _identity_defect(xf, xg, xh, side: JacobiSide) -> float:
-    """The Jacobi identity defect of f, g, h from their Hamiltonian fields:
-    only the three inner brackets are solved for again."""
-    total = (
-        side.bracket_values(side.solve_hamiltonian(side.bracket_values(xf, xg)), xh)
-        + side.bracket_values(side.solve_hamiltonian(side.bracket_values(xg, xh)), xf)
-        + side.bracket_values(side.solve_hamiltonian(side.bracket_values(xh, xf)), xg)
+def _identity_defect(xf, xg, xh, side: JacobiSide, inner=None) -> float:
+    """The Jacobi identity defect of f, g, h from their Hamiltonian fields.
+
+    ``inner`` holds the inner brackets {f,g}, {g,h}, {h,f} when the caller
+    has them; otherwise they are taken in one shared pass.  Only they are
+    solved for again, and each outer bracket is taken on its own, so one
+    solved field is alive at a time.
+    """
+    if inner is None:
+        inner = side.brackets([(xf, xg), (xg, xh), (xh, xf)])
+    b1, b2, b3 = (
+        side.bracket_values(side.solve_hamiltonian(b), x) for b, x in zip(inner, (xh, xf, xg))
     )
+    total = b1 + b2 + b3
     return float(np.max(np.abs(total[side.interior_mask])))
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .contact import darboux_model, product_contact_pair, torus_contact
+from .contact import darboux_model, torus_contact
 from .deformation import DeformationFamily
 from .fields import coframe, pullback_form
-from .models import heisenberg3, torus
+from .models import ProductModel, heisenberg3, torus
 
 __all__ = ["ExampleInfo", "list_examples", "build_example", "example_names"]
 
@@ -39,10 +39,23 @@ def _heisenberg_form():
     return {"model": model, "alpha": coframe(model, 2), "k": 1}
 
 
+def _heisenberg_factor(name):
+    model = heisenberg3(name)
+    return model, coframe(model, 2)
+
+
+def _product_pair(left, alpha, right, beta):
+    """The product model with the pulled-back pair, as product_contact_pair
+    builds it, without its class check: the factor forms of the builtins are
+    contact by construction (the tests check that the check accepts them)."""
+    model = ProductModel(left, right)
+    return model, pullback_form(model, alpha, "left"), pullback_form(model, beta, "right")
+
+
 def _heisenberg6_pair():
-    left = heisenberg3("h3-left")
-    right = heisenberg3("h3-right")
-    model, alpha, beta = product_contact_pair(left, coframe(left, 2), right, coframe(right, 2))
+    left, alpha_l = _heisenberg_factor("h3-left")
+    right, alpha_r = _heisenberg_factor("h3-right")
+    model, alpha, beta = _product_pair(left, alpha_l, right, alpha_r)
     alpha0 = pullback_form(model, coframe(left, 0), "left")
     beta0 = pullback_form(model, coframe(right, 0), "right")
     family = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
@@ -62,7 +75,7 @@ def _t6_family(closed_axis_left: int):
     def build():
         left, alpha_l = torus_contact()
         right, alpha_r = torus_contact()
-        model, alpha, beta = product_contact_pair(left, alpha_l, right, alpha_r)
+        model, alpha, beta = _product_pair(left, alpha_l, right, alpha_r)
         alpha0 = pullback_form(model, coframe(left, closed_axis_left), "left")
         beta0 = pullback_form(model, coframe(right, 0), "right")
         family = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)

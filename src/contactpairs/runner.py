@@ -166,10 +166,13 @@ def _jacobi_verdict(cfg, params, objs):
     # each function's Hamiltonian field is solved once
     x1, xf, xg, xh = (side.solve_hamiltonian(u) for u in (ex.const(1.0), f, g, h))
     reeb_defect = float(np.max(np.abs(x1 - side.e_values)))
-    anti = float(np.max(np.abs(side.bracket_values(xf, xg) + side.bracket_values(xg, xf))))
+    # one shared pass differentiates each of the four fields once per axis
+    one_g, fg, gf, gh, hf = side.brackets([(x1, xg), (xf, xg), (xg, xf), (xg, xh), (xh, xf)])
+    anti = float(np.max(np.abs(fg + gf)))
     _, _, eg = side.scalar_data(g)
-    one_defect = float(np.max(np.abs(side.bracket_values(x1, xg) - eg)[side.interior_mask]))
-    identity_defect = _identity_defect(xf, xg, xh, side)
+    one_defect = float(np.max(np.abs(one_g - eg)[side.interior_mask]))
+    del x1, one_g, gf, eg  # only the identity's fields and inner brackets stay for its solves
+    identity_defect = _identity_defect(xf, xg, xh, side, (fg, gh, hf))
     h_sq = max(s * s for s in side.steps)
     data = {
         "leaf_dimension": side.leaf_dim,

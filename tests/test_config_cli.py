@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactpairs.cli import main
+from contactpairs import cli
+from contactpairs.cli import build_parser, main
 from contactpairs.config import ConfigError, load_config, parse_config
-from contactpairs.registry import build_example, example_names, list_examples
+from contactpairs.contact import ContactPairError, product_contact_pair, torus_contact
+from contactpairs.fields import coframe
+from contactpairs.registry import _heisenberg_factor, build_example, example_names, list_examples
 from contactpairs.reporting import render_structured, strip_timing
 from contactpairs.runner import run
 
@@ -73,6 +76,25 @@ def test_build_example_resolves_family():
 
 
 # --- config validation ----------------------------------------------------------
+
+@pytest.mark.parametrize("name, left, right", [
+    ("heisenberg6-pair", lambda: _heisenberg_factor("h3-left"), lambda: _heisenberg_factor("h3-right")),
+    ("t6-pair-compatible", torus_contact, torus_contact),
+    ("t6-pair-incompatible", torus_contact, torus_contact),
+])
+def test_builtin_product_factors_pass_the_class_check(name, left, right):
+    # the registry builds its products without the check; it accepts the
+    # factors and gives the same pair
+    (m1, a1), (m2, a2) = left(), right()
+    model, alpha, beta = product_contact_pair(m1, a1, m2, a2)
+    objs = build_example(name)
+    assert alpha.coeffs == objs["alpha"].coeffs and beta.coeffs == objs["beta"].coeffs
+    assert model.axes == objs["model"].axes and model.name == objs["model"].name
+    # and it still rejects a factor that is not contact
+    with pytest.raises(ContactPairError) as err:
+        product_contact_pair(m1, a1, m2, coframe(m2, 0))  # closed: class 1
+    assert err.value.condition == "beta-class"
+
 
 def test_load_valid_config(tmp_path):
     doc = {
@@ -314,6 +336,42 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert lines[0] == "t,min_volume_coeff,max_volume_coeff,max_reeb_residual"
     assert len(lines) == 4
     assert float(lines[2].split(",")[1]) == pytest.approx(1.0)
+
+
+def test_main_keeps_no_flag_or_default_between_calls(monkeypatch, capsys):
+    seen = []
+
+    def fake_run(cfg, out_path=None):
+        spec = cfg.tasks[0]
+        seen.append((spec.task, dict(spec.params), cfg.seed, cfg.tolerance, cfg.t_grid))
+        return {"tasks": []}, 0
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    calls = [
+        ["deform", "--example", "t6-pair-compatible", "--mode", "converse", "--seed", "3",
+         "--tol", "1e-5", "--t-grid", "1,2", "--format", "structured"],
+        ["deform", "--example", "t6-pair-compatible"],
+        ["jacobi", "--example", "t6-pair-compatible", "--resolution", "5", "--side", "beta"],
+        ["jacobi", "--example", "t6-pair-compatible"],
+        ["classify", "--example", "darboux1", "--format", "structured"],
+        ["classify", "--example", "darboux1"],
+    ]
+    in_turn = []
+    for argv in calls:
+        assert main(argv) == 0
+        in_turn.append(capsys.readouterr().out)
+    alone = []
+    for argv in calls:
+        cli._main_parser.cache_clear()  # each call on a parser of its own
+        assert main(argv) == 0
+        alone.append(capsys.readouterr().out)
+    assert in_turn == alone
+    assert seen[: len(calls)] == seen[len(calls):]
+    assert [task for task, *_ in seen[: len(calls)]] == [
+        "deform-converse", "deform-forward", "jacobi", "jacobi", "classify", "classify"]
+    assert seen[1][2:] != seen[0][2:] and "resolution" not in seen[3][1]
+    assert in_turn[4].startswith("{") and not in_turn[5].startswith("{")
+    assert build_parser() is not build_parser()
 
 
 def test_cli_requires_example_or_config(capsys):

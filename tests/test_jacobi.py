@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from contactpairs import contact, runner
+from contactpairs import contact, jacobi, runner
 from contactpairs import expressions as ex
 from contactpairs.cli import main
 from contactpairs.config import parse_config
@@ -299,6 +299,77 @@ def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
         # 1, f, g, h and the three inner brackets of the Jacobi identity
         assert len(calls) == 7
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("example, side_name, resolution, per_verdict", [
+    ("torus-contact", "alpha", 12, 13 * 3),
+    ("darboux2", "alpha", 5, 13 * 5),
+    ("t6-pair-compatible", "alpha", 5, 13 * 6),
+])
+def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys, example,
+                                                           side_name, resolution, per_verdict):
+    sweeps, solves = [], []
+    derivative, solve = jacobi._axis_derivative, JacobiSide.solve_hamiltonian
+
+    def counted_derivative(*args):
+        sweeps.append(args[1])
+        return derivative(*args)
+
+    def counted_solve(self, f):
+        solves.append(f)
+        return solve(self, f)
+
+    monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
+    monkeypatch.setattr(JacobiSide, "solve_hamiltonian", counted_solve)
+    argv = ["jacobi", "--example", example, "--resolution", str(resolution), "--side", side_name]
+    assert main(argv) == 0
+    # 1, f, g, h once each in the shared pass, three outer brackets of two
+    # fields each, and the gradients of the three inner solves
+    assert len(sweeps) == per_verdict and len(solves) == 7
+    capsys.readouterr()
+    objs = build_example(example)
+    if "beta" in objs:
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                    resolution=resolution)
+    else:
+        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
+    sweeps.clear()
+    jacobi_identity_defect(*_task_functions(side), side)
+    assert len(sweeps) == per_verdict // 13 * 12  # f, g, h shared: 3 + 6 + 3 per axis
+
+
+def _reference_bracket(side, xv, yv):
+    """alpha([X, Y]) with full-size temporaries, one pair at a time."""
+    n = side.model.n
+    xg, yg = xv.reshape(side.grid_shape + (n,)), yv.reshape(side.grid_shape + (n,))
+    out = np.zeros_like(xv)
+    for d, (i, h, per) in enumerate(zip(side.model.coordinate_axes, side.steps, side.periodic)):
+        dx = _axis_derivative(xg, d, h, per).reshape(-1, n)
+        dy = _axis_derivative(yg, d, h, per).reshape(-1, n)
+        out += xv[:, i : i + 1] * dy - yv[:, i : i + 1] * dx
+    return np.einsum("pi,pi->p", side.alpha_values, out)
+
+
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("torus-contact", "alpha", 20),  # periodic, more rows than one block
+    ("darboux2", "alpha", 6),  # box axes with one-sided stencils
+    ("t6-pair-compatible", "beta", 5),  # a pair side
+])
+def test_shared_brackets_equal_the_per_pair_brackets(example, side_name, resolution):
+    objs = build_example(example)
+    if "beta" in objs:
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                    side=side_name, resolution=resolution)
+    else:
+        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
+    f, g, h = _task_functions(side)
+    x1, xf, xg, xh = (side.solve_hamiltonian(u) for u in (ex.const(1.0), f, g, h))
+    pairs = [(x1, xg), (xf, xg), (xg, xf), (xg, xh), (xh, xf), (xf, xf)]
+    shared = side.brackets(pairs)
+    assert len(shared) == len(pairs)
+    for (xv, yv), got in zip(pairs, shared):
+        assert np.array_equal(got, side.bracket_values(xv, yv))
+        assert np.array_equal(got, _reference_bracket(side, xv, yv))
 
 
 @pytest.mark.parametrize("example, side_name, resolution", [

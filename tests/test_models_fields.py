@@ -312,3 +312,27 @@ def test_structure_matrix_cache_does_not_grow_with_models():
         again = build_and_differentiate()
     assert fields._structure_matrix.cache_info().currsize == size
     assert again == first  # every model of one algebra gets the same d
+
+
+def test_constant_coefficients_fill_without_evaluation(monkeypatch):
+    t3 = torus(3)
+    form = FormField(t3, 1, [ex.const(-0.0), "sin(x0)", 2.5])
+    pts = random_points(t3, 7, np.random.default_rng(0))
+    evaluated = []
+    many = ex.evaluate_many
+    monkeypatch.setattr(ex, "evaluate_many", lambda e, p: evaluated.append(e) or many(e, p))
+    values = form.values(pts)
+    assert evaluated == [form.coeffs[1]]
+    assert values.tobytes() == np.stack([many(c, pts) for c in form.coeffs], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constant_coefficient_is_an_evaluation_error(value):
+    t3 = torus(3)
+    form = FormField(t3, 1, [ex.const(value), 0.0, 1.0])
+    pts = random_points(t3, 4, np.random.default_rng(0))
+    with pytest.raises(ex.EvaluationError) as direct:
+        form.values(pts)
+    with pytest.raises(ex.EvaluationError) as evaluated:
+        ex.evaluate_many(form.coeffs[0], pts)
+    assert str(direct.value) == str(evaluated.value) == "expression evaluated to a non-finite value"

@@ -9,8 +9,9 @@ seeds 0 and 7 over this matrix:
   builtin example;
 - deform single with ``--alpha0 1,0,0`` on the three 3-dimensional contact
   forms;
-- jacobi on both sides of both T^3 x T^3 pairs, and on darboux2 at
-  resolution 10;
+- jacobi on both sides of both T^3 x T^3 pairs, on torus-contact at
+  resolution 32, on darboux1 at resolution 24 and on darboux2 at
+  resolution 10 (the periodic and box grids of the jacobi benchmark);
 - all seven task kinds on both shipped configs.
 
 It prints one line per run, ``seed exit sha256(body) sha256(stderr) argv``,
@@ -63,6 +64,8 @@ def matrix() -> list[tuple[str, ...]]:
     for name in ("t6-pair-compatible", "t6-pair-incompatible"):
         runs.append(("jacobi", "--example", name))
         runs.append(("jacobi", "--example", name, "--side", "beta"))
+    runs.append(("jacobi", "--example", "torus-contact", "--resolution", "32"))
+    runs.append(("jacobi", "--example", "darboux1", "--resolution", "24"))
     runs.append(("jacobi", "--example", "darboux2", "--resolution", "10"))
     runs += [cmd + ("--config", path) for path in CONFIGS for cmd in TASK_COMMANDS]
     return runs
