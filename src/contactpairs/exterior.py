@@ -14,6 +14,9 @@ evaluate at many sample points at once.  They loop over the components on
 blocks of points and return a ``(..., C)`` view of a component-major buffer,
 so each inner operation runs on contiguous point vectors; the result is
 bit-identical to the per-column formula ``out[..., io] += sign * a * b``.
+A table row whose term is ±0 at every point (an all-±0 column against a
+finite one) is skipped: adding ±0 to a sum that starts at +0.0 changes no bit,
+since such a sum is zero only by exact cancellation, which gives +0.
 """
 
 from __future__ import annotations
@@ -105,24 +108,50 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
 _BLOCK = 4096
 
 
-def _bilinear(table, count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., io] = sum of sign * a[..., ia] * b[..., ib] over the table rows
-    (ia, ib, io, sign), in table order; leading axes broadcast.
+@lru_cache(maxsize=1024)  # one entry per table and sparsity pattern met
+def _live_rows(table_of, dims, states_a, states_b) -> tuple:
+    """The rows of table_of(*dims) but those with an all-±0 column and a
+    finite partner column (0 * inf and 0 * NaN are NaN), in table order."""
+    (fin_a, zero_a), (fin_b, zero_b) = states_a, states_b
+    return tuple(row for row in table_of(*dims)
+                 if not (zero_a[row[0]] and fin_b[row[1]] or zero_b[row[1]] and fin_a[row[0]]))
+
+
+def _rows(table_of, dims, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The live rows for a and b, found from the column sums of |a| and |b|:
+    0 only for an all-±0 column, not finite for one with an inf or a NaN or
+    whose sum overflows (which only keeps more rows).  When every column of
+    both is nonzero at the first point, the full table, with no scan."""
+    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+    if np.count_nonzero(a[:1]) + np.count_nonzero(b[:1]) == a.shape[1] + b.shape[1]:
+        return table_of(*dims)
+    with np.errstate(over="ignore"):
+        sums = [np.ones(len(x)) @ np.abs(x) for x in (a, b)]
+    return _live_rows(table_of, dims, *((np.isfinite(s).tobytes(), (s == 0).tobytes()) for s in sums))
+
+
+def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., io] = sum of sign * a[..., ia] * b[..., ib] over the rows
+    (ia, ib, io, sign) of ``_rows``, in table order; leading axes broadcast.
 
     Works component by component on blocks of points and returns a
     (..., count) view of a component-major buffer.  With sign = ±1 each
     term is added or subtracted as a * b, which is bit-identical to adding
-    (sign * a) * b.
+    (sign * a) * b.  A dropped row would add ±0 at every point, which in
+    round-to-nearest changes no bit of a sum that starts at +0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, a.shape[-1])
-    b = np.broadcast_to(b, shape + b.shape[-1:]).reshape(-1, b.shape[-1])
+    table = _rows(table_of, dims, a, b)
+    shape = a.shape[:-1]
+    if b.shape[:-1] != shape:
+        shape = np.broadcast_shapes(shape, b.shape[:-1])
+        a, b = np.broadcast_to(a, shape + a.shape[-1:]), np.broadcast_to(b, shape + b.shape[-1:])
+    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
     points = a.shape[0]
     out = np.zeros((count, points))
     tmp = np.empty(min(points, _BLOCK))
-    for lo in range(0, points, _BLOCK):
+    for lo in range(0, points if table else 0, _BLOCK):
         hi = min(lo + _BLOCK, points)
         t = tmp[: hi - lo]
         a_cols, b_cols, o_rows = list(a[lo:hi].T), list(b[lo:hi].T), list(out[:, lo:hi])
@@ -138,7 +167,7 @@ def _bilinear(table, count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wedge on coefficient arrays; leading axes broadcast."""
-    return _bilinear(_wedge_table(n, p, q), form_count(n, p + q), a, b)
+    return _bilinear(_wedge_table, (n, p, q), form_count(n, p + q), a, b)
 
 
 def chain(n: int, *factors) -> np.ndarray:
@@ -153,7 +182,7 @@ def chain(n: int, *factors) -> np.ndarray:
 
 def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Contraction i_X w on raw arrays; x has component axis last."""
-    return _bilinear(_interior_table(n, p), form_count(n, p - 1), x, w)
+    return _bilinear(_interior_table, (n, p), form_count(n, p - 1), x, w)
 
 
 @lru_cache(maxsize=None)

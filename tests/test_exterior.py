@@ -1,9 +1,12 @@
+import contextlib
+import io
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from contactpairs import exterior as xt
+from contactpairs.cli import main
 
 
 def random_form(rng, n, p):
@@ -217,23 +220,37 @@ def test_multi_index_order():
 
 # --- component-major kernels: bit-identical to the per-column formulas -----------
 
-def strided_wedge(n, p, q, a, b):
-    """The per-column wedge formula the blocked kernel replaces."""
+def same_bits(got, want):
+    """Equal shapes and equal bit patterns: unlike ``np.array_equal`` this
+    tells -0.0 from +0.0 and compares NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+def strided(table, count, a, b):
+    """The per-column formula the blocked kernel replaces, over the full
+    table: out[..., io] += sign * a * b, with each term added or subtracted
+    as a * b.  For every value but NaN that is bit-identical to adding
+    (sign * a) * b; a NaN can come out with another sign bit, since the
+    negation then meets a different operand."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.zeros(shape + (xt.form_count(n, p + q),))
-    for ia, ib, io, sign in xt._wedge_table(n, p, q):
-        out[..., io] += sign * a[..., ia] * b[..., ib]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (count,))
+    for ia, ib, io, sign in table:
+        if sign > 0:
+            out[..., io] += a[..., ia] * b[..., ib]
+        else:
+            out[..., io] -= a[..., ia] * b[..., ib]
     return out
+
+
+def strided_wedge(n, p, q, a, b):
+    return strided(xt._wedge_table(n, p, q), xt.form_count(n, p + q), a, b)
 
 
 def strided_interior(n, p, x, w):
-    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
-    shape = np.broadcast_shapes(x.shape[:-1], w.shape[:-1])
-    out = np.zeros(shape + (xt.form_count(n, p - 1),))
-    for axis, iw, io, sign in xt._interior_table(n, p):
-        out[..., io] += sign * x[..., axis] * w[..., iw]
-    return out
+    return strided(xt._interior_table(n, p), xt.form_count(n, p - 1), x, w)
 
 
 def strided_matrices(n, coeffs):
@@ -255,6 +272,21 @@ def sample(rng, points, count):
     return values
 
 
+def test_signed_terms_equal_negated_factors_but_for_nan_bits():
+    # the reference adds or subtracts a * b; the formula adds (sign * a) * b
+    rng = np.random.default_rng(11)
+    for n, p, q in [(6, 1, 2), (6, 2, 2), (7, 3, 2)]:
+        a, b = sample(rng, 9, xt.form_count(n, p)), sample(rng, 9, xt.form_count(n, q))
+        a[0, 0], a[1, 1], b[2, 0] = np.inf, np.nan, -np.inf
+        out = np.zeros((9, xt.form_count(n, p + q)))
+        with np.errstate(invalid="ignore"):
+            for ia, ib, io, sign in xt._wedge_table(n, p, q):
+                out[..., io] += sign * a[..., ia] * b[..., ib]
+            want = strided_wedge(n, p, q, a, b)
+        nan = np.isnan(out)
+        assert nan.any() and (nan == np.isnan(want)).all() and same_bits(out[~nan], want[~nan])
+
+
 @pytest.mark.parametrize("points", BLOCK_SIZES)
 def test_wedge_values_is_bit_identical_to_the_strided_formula(points):
     rng = np.random.default_rng(points)
@@ -265,20 +297,20 @@ def test_wedge_values_is_bit_identical_to_the_strided_formula(points):
                 b = sample(rng, points, xt.form_count(n, q))
                 got = xt.wedge_values(n, p, q, a, b)
                 assert got.shape == (points, xt.form_count(n, p + q))
-                assert np.array_equal(got, strided_wedge(n, p, q, a, b)), (n, p, q)
+                assert same_bits(got, strided_wedge(n, p, q, a, b)), (n, p, q)
 
 
 def test_wedge_values_on_one_point_and_against_one_operand():
     rng = np.random.default_rng(1)
     a, da = rng.standard_normal(6), rng.standard_normal(15)
     got = xt.wedge_values(6, 1, 2, a, da)  # the 1-d path of fields._structure_matrix
-    assert got.shape == (20,) and np.array_equal(got, strided_wedge(6, 1, 2, a, da))
+    assert got.shape == (20,) and same_bits(got, strided_wedge(6, 1, 2, a, da))
     many_a = rng.standard_normal((xt._BLOCK + 7, 6))
     many_da = rng.standard_normal((xt._BLOCK + 7, 15))
     for left, right in ((a, many_da), (many_a, da)):
         got = xt.wedge_values(6, 1, 2, left, right)
         assert got.shape == (xt._BLOCK + 7, 20)
-        assert np.array_equal(got, strided_wedge(6, 1, 2, left, right))
+        assert same_bits(got, strided_wedge(6, 1, 2, left, right))
 
 
 def test_wedge_values_on_fortran_ordered_and_strided_views():
@@ -286,9 +318,9 @@ def test_wedge_values_on_fortran_ordered_and_strided_views():
     a = np.asfortranarray(rng.standard_normal((xt._BLOCK + 3, 6)))
     b = rng.standard_normal((2 * (xt._BLOCK + 3), 30))[::2, ::2]  # non-contiguous (P, 15)
     assert not a.flags.c_contiguous and not b.flags.c_contiguous
-    assert np.array_equal(xt.wedge_values(6, 1, 2, a, b), strided_wedge(6, 1, 2, a, b))
+    assert same_bits(xt.wedge_values(6, 1, 2, a, b), strided_wedge(6, 1, 2, a, b))
     stacked = rng.standard_normal((3, 5, 15))  # leading axes beyond one
-    assert np.array_equal(
+    assert same_bits(
         xt.wedge_values(6, 2, 2, stacked, stacked[0]), strided_wedge(6, 2, 2, stacked, stacked[0])
     )
 
@@ -301,7 +333,7 @@ def test_chain_of_four_factors_is_bit_identical():
     want = strided_wedge(6, 4, 2, strided_wedge(6, 3, 1, strided_wedge(6, 1, 2, a, da), b), db)
     got = xt.chain(6, (1, a), (2, da), (1, b), (2, db))
     assert got.shape == (points, 1)
-    assert np.array_equal(got, want)
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("points", (1, xt._BLOCK + 1))
@@ -311,10 +343,133 @@ def test_interior_and_matrices_are_bit_identical(points):
         x = sample(rng, points, n)
         for p in range(1, n + 1):
             w = sample(rng, points, xt.form_count(n, p))
-            assert np.array_equal(xt.interior_values(n, p, x, w), strided_interior(n, p, x, w))
+            assert same_bits(xt.interior_values(n, p, x, w), strided_interior(n, p, x, w))
         coeffs = sample(rng, points, xt.form_count(n, 2))
         got = xt.two_form_matrices(n, coeffs)
         assert got.shape == (points, n, n) and got.flags.c_contiguous
-        assert np.array_equal(got, strided_matrices(n, coeffs))
+        assert same_bits(got, strided_matrices(n, coeffs))
     one = coeffs[0, :6]
-    assert np.array_equal(xt.two_form_matrices(4, one), strided_matrices(4, one))
+    assert same_bits(xt.two_form_matrices(4, one), strided_matrices(4, one))
+
+
+# --- live rows: terms that are ±0 at every point are skipped, bit for bit -----------
+
+def with_zero_columns(rng, points, count):
+    """A sample in which about half the columns are all +0.0, all -0.0 or
+    mixed signed zeros."""
+    values = sample(rng, points, count)
+    for col in np.flatnonzero(rng.random(count) < 0.5):
+        mixed = rng.random() < 0.5
+        values[:, col] = rng.choice([0.0, -0.0], size=points if mixed else None)
+    return values
+
+
+@pytest.mark.parametrize("points", (0, 1, xt._BLOCK + 1))
+def test_zero_columns_are_skipped_bit_for_bit(points):
+    rng = np.random.default_rng(17 + points)
+    for n in range(1, 8):
+        for p in range(n + 1):
+            for q in range(n - p + 1):
+                a = with_zero_columns(rng, points, xt.form_count(n, p))
+                b = with_zero_columns(rng, points, xt.form_count(n, q))
+                assert same_bits(xt.wedge_values(n, p, q, a, b), strided_wedge(n, p, q, a, b)), (n, p, q)
+                zero = -0.0 * a  # ±0 everywhere
+                assert same_bits(xt.wedge_values(n, p, q, zero, b), strided_wedge(n, p, q, zero, b))
+        x = with_zero_columns(rng, points, n)
+        for p in range(1, n + 1):
+            w = with_zero_columns(rng, points, xt.form_count(n, p))
+            assert same_bits(xt.interior_values(n, p, x, w), strided_interior(n, p, x, w)), (n, p)
+
+
+@pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+def test_zero_column_against_a_non_finite_partner_stays_nan(bad):
+    rng = np.random.default_rng(5)
+    points, at = xt._BLOCK + 3, xt._BLOCK + 1
+    a, da = rng.standard_normal((points, 6)), rng.standard_normal((points, 15))
+    a[:, 0] = 0.0  # dx0 is absent everywhere ...
+    da[at, xt.index_position(6, 2)[(1, 2)]] = bad  # ... and dx1^dx2 is not finite at one point
+    with np.errstate(invalid="ignore"):
+        got, want = xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da)
+    assert same_bits(got, want)
+    assert np.isnan(got[at, xt.index_position(6, 3)[(0, 1, 2)]])
+    assert np.isfinite(np.delete(got, at, axis=0)).all()
+
+    # a chain intermediate that overflows at one point, wedged with a zero column
+    big = np.full(6, 1e200)
+    b = rng.standard_normal((points, 6))
+    b[:, 3] = -0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = xt.chain(6, (1, big), (1, big * [1, -1, 1, 1, 1, 1]), (1, b))
+        want = strided_wedge(6, 2, 1, strided_wedge(6, 1, 1, big, big * [1, -1, 1, 1, 1, 1]), b)
+    assert same_bits(got, want) and np.isnan(got).any()
+
+
+def test_zero_column_skip_keeps_non_finite_values_of_the_interior():
+    x = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0]])
+    w = np.array([[np.inf, 1.0, 2.0], [5.0, np.nan, 6.0]])  # dx0^dx1, dx0^dx2, dx1^dx2
+    with np.errstate(invalid="ignore"):
+        got, want = xt.interior_values(3, 2, x, w), strided_interior(3, 2, x, w)
+    assert same_bits(got, want) and np.isnan(got).any()
+
+
+def test_rows_drop_only_zero_columns_against_finite_partners():
+    # a: all ±0, cancelling, finite with an overflowing sum; b: all +0, inf and NaN, finite
+    a = np.array([[0.0, 1.0, 1e308], [-0.0, -1.0, 1e308]])
+    b = np.array([[0.0, np.inf, 2.0], [0.0, np.nan, 0.0]])
+    live = xt._rows(xt._wedge_table, (3, 1, 1), a, b)
+    # the rows (ia, ib) that go: dx0 ∧ dx2 and dx1 ∧ dx0, an all-zero column
+    # against a finite one; the zero dx0 of a meets an inf and a NaN, the
+    # cancelling dx1 of a is not zero, and the overflowing dx2 of a reads as
+    # not finite, so those rows stay
+    assert [row[:2] for row in live] == [(0, 1), (1, 2), (2, 0), (2, 1)]
+    assert live == tuple(row for row in xt._wedge_table(3, 1, 1) if row[:2] in {(0, 1), (1, 2), (2, 0), (2, 1)})
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(xt.wedge_values(3, 1, 1, a, b), strided_wedge(3, 1, 1, a, b))
+    assert xt._rows(xt._wedge_table, (3, 1, 1), np.zeros((0, 3)), np.zeros((0, 3))) == ()
+
+
+def test_dense_operands_run_the_full_table_without_a_scan(monkeypatch):
+    rng = np.random.default_rng(9)
+    a, da = rng.standard_normal((xt._BLOCK + 5, 6)), rng.standard_normal((xt._BLOCK + 5, 15))
+
+    def no_scan(*args):
+        raise AssertionError("operands without a zero at their first point were scanned")
+
+    monkeypatch.setattr(xt, "_live_rows", no_scan)
+    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)) == 60
+    assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
+    da[1:, 3] = 0.0  # zero after the first point only: not a zero column
+    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)) == 60
+    assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
+    monkeypatch.undo()
+    da[0, 3] = -0.0  # now all zero: the four rows that read dx0^dx4 are dropped
+    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)) == 56
+    assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
+
+
+def count_rows(monkeypatch, argv):
+    """(rows run, rows in the full tables) over every kernel call of one
+    verdict, after a first run has filled the per-process caches (a Lie
+    model's structure constants are built once)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--seed", "0"]) == 0
+    counts = [0, 0]
+    rows_of = xt._rows
+
+    def counting(table_of, dims, a, b):
+        rows = rows_of(table_of, dims, a, b)
+        counts[0] += len(rows)
+        counts[1] += len(table_of(*dims))
+        return rows
+
+    monkeypatch.setattr(xt, "_rows", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--seed", "0"]) == 0
+    return tuple(counts)
+
+
+def test_builtin_pairs_run_only_their_live_rows(monkeypatch):
+    # product and Lie coframe pairs leave most terms identically zero; a
+    # regression to dense work runs the full tables
+    assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (36, 2865)
+    assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (7, 405)

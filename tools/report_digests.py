@@ -12,7 +12,13 @@ seeds 0 and 7 over this matrix:
 - jacobi on both sides of both T^3 x T^3 pairs, on torus-contact at
   resolution 32, on darboux1 at resolution 24 and on darboux2 at
   resolution 10 (the periodic and box grids of the jacobi benchmark);
-- all seven task kinds on both shipped configs.
+- all seven task kinds on both shipped configs;
+- sweep, deform forward and deform converse with ``--t-grid=1,1e308`` on
+  heisenberg6-pair and t6-pair-compatible, and deform single with
+  ``--alpha0 1,0,0 --t-grid=1,1e308`` on torus-contact: at t = 1e308 the
+  wedge chains overflow, so an identically zero component meets an
+  infinite partner, the case in which the exterior kernels must keep a
+  term that is zero elsewhere (0 * inf is NaN).
 
 It prints one line per run, ``seed exit sha256(body) sha256(stderr) argv``,
 where the body is the report without its ``timing`` field and warnings are
@@ -49,6 +55,8 @@ TASK_COMMANDS = (
     ("sweep",),
     ("jacobi",),
 )
+# t = 1e308 overflows the wedge chains
+OVERFLOW_GRID = "--t-grid=1,1e308"
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -68,6 +76,11 @@ def matrix() -> list[tuple[str, ...]]:
     runs.append(("jacobi", "--example", "darboux1", "--resolution", "24"))
     runs.append(("jacobi", "--example", "darboux2", "--resolution", "10"))
     runs += [cmd + ("--config", path) for path in CONFIGS for cmd in TASK_COMMANDS]
+    for name in ("heisenberg6-pair", "t6-pair-compatible"):
+        for cmd in (("sweep",), ("deform",), ("deform", "--mode", "converse")):
+            runs.append(cmd + ("--example", name, OVERFLOW_GRID))
+    runs.append(("deform", "--mode", "single", "--example", "torus-contact",
+                 "--alpha0", "1,0,0", OVERFLOW_GRID))
     return runs
 
 
