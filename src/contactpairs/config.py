@@ -45,10 +45,12 @@ TASKS = {
 
 
 # Jacobi grids: the default resolution per axis of a pair side and of a
-# contact-form side, and the most grid points one task may ask for (darboux2
-# at its default, 16^5 = 2^20 points, is the largest builtin grid).
+# contact-form side.
 JACOBI_RESOLUTION = {"pair": 6, "contact-form": 16}
-JACOBI_GRID_LIMIT = 1 << 20
+# The most points one run may ask for: in a Jacobi grid (darboux2 at its
+# default, 16^5 = 2^20 points, is the largest builtin grid), in
+# samples.random_count and in samples.grid_limit.
+POINT_LIMIT = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -116,17 +118,19 @@ _WANTED = {
 }
 
 
-def _field(decl: dict, key: str, want: type, where: str, errors, default=None, minimum=None):
+def _field(decl: dict, key: str, want: type, where: str, errors, default=None, minimum=None, maximum=None):
     """``decl[key]`` when it is a ``want`` (JSON types; a float must be finite,
-    an int is not a bool, a number is at least ``minimum``).  ``default`` when
-    the key is absent or, with an error naming the field, when it is wrong."""
+    an int is not a bool, a number is at least ``minimum`` and at most
+    ``maximum``).  ``default`` when the key is absent or, with an error naming
+    the field, when it is wrong."""
     if key not in decl:
         return default
     value = decl[key]
     ok = _finite_number(value) if want is float else type(value) is want
-    if ok and (minimum is None or value >= minimum):
+    if ok and (minimum is None or value >= minimum) and (maximum is None or value <= maximum):
         return value
     bound = "" if minimum is None else f" >= {minimum}"
+    bound += "" if maximum is None else f" and <= {maximum}"
     errors.append(f"{where}.{key}: must be {_WANTED[want]}{bound}, got {value!r}".lstrip("."))
     return default
 
@@ -323,10 +327,10 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
         else:  # not built: every axis of a builtin chart example is a grid axis
             shape = [resolution] * registered[example].dimension
         points = math.prod(shape)
-        if points > JACOBI_GRID_LIMIT:
+        if points > POINT_LIMIT:
             errors.append(
                 f"{where}.resolution: a {'x'.join(map(str, shape))} grid has {points} points, "
-                f"more than the limit {JACOBI_GRID_LIMIT}"
+                f"more than the limit {POINT_LIMIT}"
             )
     return TaskSpec(kind, params, objects) if len(errors) == found else None
 
@@ -346,8 +350,8 @@ def parse_config(raw: dict) -> RunConfig:
         seed=_field(raw, "seed", int, "", errors, 0, minimum=0),
         tolerance=raw.get("tolerance"),
         t_grid=raw.get("t_grid"),
-        random_count=_field(samples, "random_count", int, "samples", errors, 10000, minimum=1),
-        grid_limit=_field(samples, "grid_limit", int, "samples", errors, 50000, minimum=0),
+        random_count=_field(samples, "random_count", int, "samples", errors, 10000, minimum=1, maximum=POINT_LIMIT),
+        grid_limit=_field(samples, "grid_limit", int, "samples", errors, 50000, minimum=0, maximum=POINT_LIMIT),
     )
     if cfg.tolerance is not None:
         problem = tolerance_error(cfg.tolerance, "tolerance")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _two_form_positions, chain, interior_values, two_form_matrices
+from .exterior import _BLOCK, _two_form_positions, chain, interior_values, two_form_matrices
 from .fields import (
     FormField,
     SolvedVectorField,
@@ -82,13 +82,22 @@ def _witness(points: np.ndarray, index: int, **extra) -> dict:
     return w
 
 
-def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False):
+class _SingularGram(np.linalg.LinAlgError):
+    """Some Gram matrix of a batch solved with ``route="lu"`` is exactly singular."""
+
+
+def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False, route: str = "auto"):
     """Least squares for a batch of small stacked systems.
 
     a has shape (P, M, N) with M >= N, b shape (M,), (M, R) or, for one
     right-hand side per system, (P, M, R).  Solves the normal equations and
     returns (x, residual_inf, sigma_min, sigma_max); the extreme singular
     values of a are computed only on request and are None otherwise.
+
+    ``route`` picks the solve of the normal equations: "auto" factors them
+    by LU and, when some Gram matrix is exactly singular, takes the
+    pseudo-inverse of the whole batch; "lu" raises ``_SingularGram`` there
+    instead; "pinv" takes the pseudo-inverse at once.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -98,12 +107,18 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
     a_t = np.swapaxes(a, 1, 2)
     gram = a_t @ a
     rhs = a_t @ b
-    try:
-        x = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
+    x = None
+    if route != "pinv":
+        try:
+            x = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as err:
+            if route == "lu":
+                raise _SingularGram(*err.args) from err
+    if x is None:
         # rank-deficient somewhere in the batch; minimum-norm solve, the
         # residual and sigma_min diagnostics report the deficiency
         x = np.linalg.pinv(gram, hermitian=True) @ rhs
+    del gram, rhs  # not held through the residual and the singular values
     residual = a @ x
     residual -= b
     residual_inf = _norm_inf_rows(residual, axis=1)
@@ -276,18 +291,20 @@ class SampledPair:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""
         return tuple(np.max(np.abs(v)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
 
-    def reeb_rows(self) -> np.ndarray:
-        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta), shape (P, 2n+2, n).
+    def reeb_rows(self, block: slice = slice(None)) -> np.ndarray:
+        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of the points in
+        ``block``, shape (points, 2n+2, n); of every point by default.
 
         Row 2 + j of i_E d alpha holds d alpha(e_i, e_j) in column i, so each
         2-form coefficient is scattered straight into its flat positions.
         """
         n = self.n
-        rows = np.zeros((self.alpha.shape[0], (2 * n + 2) * n))
-        rows[:, :n] = self.alpha
-        rows[:, n : 2 * n] = self.beta
+        alpha = self.alpha[block]
+        rows = np.zeros((alpha.shape[0], (2 * n + 2) * n))
+        rows[:, :n] = alpha
+        rows[:, n : 2 * n] = self.beta[block]
         upper, lower = _two_form_positions(n)
-        for start, coeffs in ((2 * n, self.dalpha), ((n + 2) * n, self.dbeta)):
+        for start, coeffs in ((2 * n, self.dalpha[block]), ((n + 2) * n, self.dbeta[block])):
             rows[:, start + lower] = coeffs
             rows[:, start + upper] = -coeffs
         return rows.reshape(-1, 2 * n + 2, n)
@@ -297,10 +314,45 @@ class SampledPair:
         return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[:, 0]
 
 
-def _solve_reeb(rows: np.ndarray, compute_sigma: bool):
+def _reeb_least_squares(s: SampledPair, b: np.ndarray, compute_sigma: bool):
+    """least_squares_batch on the Reeb rows of s, with b of shape (M, R) or
+    (P, M, R), one block of ``_BLOCK`` points at a time.
+
+    Only one block's row stack is alive at once.  Every batched LAPACK and
+    matmul call treats each system on its own, so each solution bit is that
+    of one call on the full stack.  One exactly singular Gram matrix sends
+    the whole batch to the pseudo-inverse, as it would in that one call.
+    """
+    points = s.alpha.shape[0]
+    if points <= _BLOCK:
+        return least_squares_batch(s.reeb_rows(), b, compute_sigma)
+    try:
+        return _solve_blocks(s, b, compute_sigma, "lu")
+    except _SingularGram:
+        return _solve_blocks(s, b, compute_sigma, "pinv")
+
+
+def _solve_blocks(s: SampledPair, b: np.ndarray, compute_sigma: bool, route: str):
+    """One least_squares_batch call per block, by one route, into outputs
+    allocated for every point."""
+    points, n = s.alpha.shape
+    x = np.empty((points, n, b.shape[-1]))
+    residual = np.empty((points, b.shape[-1]))
+    sigma_min, sigma_max = (np.empty(points), np.empty(points)) if compute_sigma else (None, None)
+    for lo in range(0, points, _BLOCK):
+        block = slice(lo, min(lo + _BLOCK, points))
+        x[block], residual[block], smin, smax = least_squares_batch(
+            s.reeb_rows(block), b if b.ndim == 2 else b[block], compute_sigma, route
+        )
+        if compute_sigma:
+            sigma_min[block], sigma_max[block] = smin, smax
+    return x, residual, sigma_min, sigma_max
+
+
+def _solve_reeb(s: SampledPair, compute_sigma: bool):
+    """The Reeb pair of s: (E_alpha, E_beta, residual, sigma_min, sigma_max)."""
     # one right-hand side per field: alpha(E_alpha) = 1 and beta(E_beta) = 1
-    b = np.eye(rows.shape[1], 2)
-    x, residual, sigma_min, sigma_max = least_squares_batch(rows, b, compute_sigma)
+    x, residual, sigma_min, sigma_max = _reeb_least_squares(s, np.eye(2 * s.n + 2, 2), compute_sigma)
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
@@ -308,16 +360,17 @@ def _reeb_fields(alpha: FormField, beta: FormField):
     """(E_alpha, E_beta) as fields that solve the Reeb system at the points asked for."""
 
     def solver(which: int):
-        return lambda pts: _solve_reeb(SampledPair.of(alpha, beta, pts).reeb_rows(), False)[which]
+        return lambda pts: _solve_reeb(SampledPair.of(alpha, beta, pts), False)[which]
 
     return SolvedVectorField(alpha.model, solver(0)), SolvedVectorField(alpha.model, solver(1))
 
 
-def _checked_reeb(rows: np.ndarray, pts: np.ndarray, tol: float, scale: float, check_rank: bool):
-    """Solve the stacked Reeb systems; raise when one is inconsistent or,
-    with check_rank, rank deficient.  Returns (E_alpha, E_beta, max residual,
+def _checked_reeb(s: SampledPair, tol: float, scale: float, check_rank: bool):
+    """Solve the Reeb systems of s; raise when one is inconsistent or, with
+    check_rank, rank deficient.  Returns (E_alpha, E_beta, max residual,
     smallest singular value or None)."""
-    ea, eb, residual, sigma_min, sigma_max = _solve_reeb(rows, check_rank)
+    pts = s.points
+    ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, check_rank)
     reeb_residual = float(np.max(residual))
     if not reeb_residual < tol * scale:  # NaN fails too
         idx = int(np.argmax(np.max(residual, axis=-1)))
@@ -345,11 +398,10 @@ def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, c
     """The checked Reeb solve of a sampled pair and, on request, the exact
     commutator gated at tol * scale.  Returns (E_alpha, E_beta, max
     residual, smallest singular value or None, commutator defect or None)."""
-    rows = s.reeb_rows()
-    ea, eb, reeb_residual, smin = _checked_reeb(rows, s.points, tol, scale, check_rank)
+    ea, eb, reeb_residual, smin = _checked_reeb(s, tol, scale, check_rank)
     comm = None
     if check_commutator:
-        comm = float(np.max(np.abs(_reeb_commutator(s, rows, ea, eb))))
+        comm = float(np.max(np.abs(_reeb_commutator(s, ea, eb))))
         if not comm <= tol * scale:
             raise ContactPairError(
                 "reeb-commutator",
@@ -391,7 +443,7 @@ def _reeb_rows_partial(forms, axis: int, pts: np.ndarray, z: np.ndarray):
     return out
 
 
-def _reeb_commutator(s: SampledPair, rows, ea, eb) -> np.ndarray:
+def _reeb_commutator(s: SampledPair, ea, eb) -> np.ndarray:
     """[E_alpha, E_beta] at the sample points from the solved Reeb system A E = b.
 
     Differentiating the consistent system along X gives
@@ -403,19 +455,20 @@ def _reeb_commutator(s: SampledPair, rows, ea, eb) -> np.ndarray:
         z_a = E_alpha^a E_beta - E_beta^a E_alpha.
 
     Each ∂_a A is applied to z_a as soon as it is evaluated, so only
-    (P, 2n+2) vectors are accumulated.
+    (P, 2n+2) vectors are accumulated; A is formed block by block, and only
+    when that sum is nonzero.
     """
     model = s.forms[0].model
     out = model.bracket_values(ea, eb)
     if not model.coordinate_axes:
         return out
-    w = np.zeros(rows.shape[:2])
+    w = np.zeros((ea.shape[0], 2 * s.n + 2))
     for a in model.coordinate_axes:
         w_a = _reeb_rows_partial(s.forms, a, s.points, ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
         if w_a is not None:
             w += w_a
     if np.any(w):
-        u, _, _, _ = least_squares_batch(rows, w[:, :, None])
+        u, _, _, _ = _reeb_least_squares(s, w[:, :, None], False)
         out -= u[..., 0]
     return out
 

@@ -239,7 +239,7 @@ class PairSamples:
             s, ea, eb = cert.sampled, cert.reeb_alpha_values, cert.reeb_beta_values
         else:
             s = SampledPair.of(cert.alpha, cert.beta, points)
-            ea, eb, _, _, _ = _solve_reeb(s.reeb_rows(), False)
+            ea, eb, _, _, _ = _solve_reeb(s, False)
         self.cert = cert
         self.sampled = s
         self.pts = s.points
@@ -652,7 +652,7 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, rng=None) -> list
         s = sampled.at(t)
         with np.errstate(over="ignore", invalid="ignore"):
             vol = s.top(family.k, family.l, s.alpha, s.beta)
-            _, _, residual, _, _ = _solve_reeb(s.reeb_rows(), False)
+            _, _, residual, _, _ = _solve_reeb(s, False)
         rows.append(
             {
                 "t": t,

@@ -103,8 +103,9 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(rows)
 
 
-# points per block of the bilinear kernel: keeps its strided reads and its
-# one temporary cache-sized
+# points per block of the bilinear kernel, which keeps its strided reads and
+# its one temporary cache-sized, and of the Reeb solves in contact, which
+# hold the row stack of one block at a time
 _BLOCK = 4096
 
 

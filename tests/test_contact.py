@@ -440,11 +440,11 @@ def test_reeb_residual_check_fails_on_nan_rows():
 
     model, alpha, beta = t6_pair()
     pts = random_points(model, 200, np.random.default_rng(7))
-    rows = SampledPair.of(alpha, beta, pts).reeb_rows()
-    _checked_reeb(rows, pts, 1e-6, 1.0, False)
-    rows[17, 3, :] = np.nan
+    s = SampledPair.of(alpha, beta, pts)
+    _checked_reeb(s, 1e-6, 1.0, False)
+    s.dalpha[17, :] = np.nan  # the rows of i_E d alpha at point 17
     with np.errstate(invalid="ignore"):
         with pytest.raises(ContactPairError) as err:
-            _checked_reeb(rows, pts, 1e-6, 1.0, False)
+            _checked_reeb(s, 1e-6, 1.0, False)
     assert err.value.condition == "reeb-residual"
     assert err.value.witness["index"] == 17

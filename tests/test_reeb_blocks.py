@@ -1,0 +1,133 @@
+"""The Reeb systems are solved in blocks of ``exterior._BLOCK`` points.
+
+Every solution bit must equal that of one least-squares call on the full
+row stack, written out below as it stood before the solve was blocked, and
+the solve must never hold the full row stack.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from contactpairs import contact
+from contactpairs.contact import SampledPair, _norm_inf_rows, _reeb_least_squares, _solve_reeb
+from contactpairs.deformation import SampledFamily
+from contactpairs.exterior import _BLOCK
+from contactpairs.models import random_points
+from contactpairs.registry import build_example
+from test_exterior import same_bits
+
+POINTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+
+
+def one_shot(a, b, compute_sigma=False):
+    """least_squares_batch on a whole stack, as one call."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a_t = np.swapaxes(a, 1, 2)
+    gram = a_t @ a
+    rhs = a_t @ b
+    try:
+        x = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        x = np.linalg.pinv(gram, hermitian=True) @ rhs
+    residual = a @ x
+    residual -= b
+    residual_inf = _norm_inf_rows(residual, axis=1)
+    sigma_min = sigma_max = None
+    if compute_sigma:
+        sigma = np.linalg.svd(a, compute_uv=False)
+        sigma_min = sigma[:, -1]
+        sigma_max = sigma[:, 0]
+    return x, residual_inf, sigma_min, sigma_max
+
+
+def reference(s, compute_sigma):
+    """The Reeb pair of s from one call on the full row stack."""
+    x, residual, sigma_min, sigma_max = one_shot(s.reeb_rows(), np.eye(2 * s.n + 2, 2), compute_sigma)
+    return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
+
+
+def assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert g is None or same_bits(g, w)
+
+
+@pytest.fixture(scope="module")
+def family_samples():
+    objs = build_example("t6-pair-compatible")
+    pts = random_points(objs["model"], 4 * _BLOCK, np.random.default_rng(3))
+    return SampledFamily(objs["family"], pts)
+
+
+def head(s: SampledPair, points: int) -> SampledPair:
+    """The first points of s, as fresh arrays."""
+    parts = (s.points, s.alpha, s.beta, s.dalpha, s.dbeta)
+    return SampledPair(*(np.array(v[:points]) for v in parts))
+
+
+@pytest.mark.parametrize("compute_sigma", (False, True))
+@pytest.mark.parametrize("points", POINTS)
+def test_blocked_solve_has_the_bits_of_one_call(family_samples, points, compute_sigma):
+    s = head(family_samples.at(0.7), points)
+    assert_same(_solve_reeb(s, compute_sigma), reference(s, compute_sigma))
+
+
+@pytest.mark.parametrize("compute_sigma", (False, True))
+@pytest.mark.parametrize("points", POINTS)
+def test_blocked_solve_of_overflowing_rows(family_samples, points, compute_sigma):
+    s = head(family_samples.at(1e308), points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference(s, compute_sigma)
+        assert not np.all(np.isfinite(want[2]))  # the Gram matrices overflow
+        assert_same(_solve_reeb(s, compute_sigma), want)
+
+
+@pytest.mark.parametrize("compute_sigma", (False, True))
+@pytest.mark.parametrize("points", (_BLOCK + 1, 2 * _BLOCK + 3))
+def test_one_singular_gram_in_the_last_block_sends_every_block_to_pinv(family_samples, points, compute_sigma):
+    s = head(family_samples.at(0.7), points)
+    for v in (s.alpha, s.beta, s.dalpha, s.dbeta):
+        v[-1] = 0.0  # the last system is all zero: its Gram matrix is exactly singular
+    want = reference(s, compute_sigma)
+    assert_same(_solve_reeb(s, compute_sigma), want)
+    # the test can see the rule: per-block fallback would change the bits of
+    # the first block, which is regular
+    first = head(s, _BLOCK)
+    assert not same_bits(reference(first, compute_sigma)[0], want[0][:_BLOCK])
+
+
+def test_per_point_right_hand_sides_are_blocked_too(family_samples):
+    s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
+    w = np.random.default_rng(4).standard_normal((2 * _BLOCK + 3, 2 * s.n + 2, 1))
+    assert_same(_reeb_least_squares(s, w, False), one_shot(s.reeb_rows(), w))
+
+
+def test_every_block_is_one_least_squares_call(family_samples, monkeypatch):
+    systems = []
+    solve = contact.least_squares_batch
+
+    def counted(a, *args, **kwargs):
+        systems.append(np.shape(a)[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(contact, "least_squares_batch", counted)
+    _solve_reeb(head(family_samples.at(0.7), 2 * _BLOCK + 3), True)
+    assert systems == [_BLOCK, _BLOCK, 3]
+
+
+def test_blocked_solve_stays_below_one_full_row_stack(family_samples):
+    s = head(family_samples.at(0.7), 4 * _BLOCK)
+    points, n = s.alpha.shape
+    stack = points * (2 * n + 2) * n * 8
+    _solve_reeb(s, True)  # warm up: no first-call allocations are measured
+    tracemalloc.start()
+    try:
+        _solve_reeb(s, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack, (peak, stack)

@@ -2,7 +2,10 @@
 matrix into one line, the same line for the same code."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+from contactpairs.exterior import _BLOCK
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
 
@@ -27,3 +30,15 @@ def test_digest_lines_repeat_exactly():
     assert [(seed, code) for seed, code, *_ in fields] == [("0", "0"), ("0", "2"), ("7", "0"), ("7", "2")]
     assert all(len(body) == len(err) == 64 for _, _, body, err, _ in fields)
     assert [argv for *_, argv in fields[:2]] == [" ".join(run) for run in subset]
+
+
+def test_block_edge_config_ends_in_a_one_point_reeb_block(tmp_path):
+    tool = load_tool()
+    assert [run for run in tool.matrix() if tool.BLOCK_EDGE_CONFIG in run] == [
+        (cmd, "--config", tool.BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")
+    ]
+    doc = json.loads(open(tool.write_block_edge_config(tmp_path), encoding="utf-8").read())
+    assert doc["samples"]["random_count"] == 2 * _BLOCK + 1
+    original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    original["samples"]["random_count"] = doc["samples"]["random_count"]
+    assert doc == original

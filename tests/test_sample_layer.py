@@ -163,7 +163,7 @@ def test_sweep_rows_match_expression_path(name, rtol, seed):
     for t, row in zip(SWEEP_T_GRID, rows):
         s = SampledPair.of(*family.at(t), pts)
         vol = s.top(family.k, family.l, s.alpha, s.beta)
-        residual = _solve_reeb(s.reeb_rows(), False)[2]
+        residual = _solve_reeb(s, False)[2]
         want = [float(np.min(vol)), float(np.max(vol)), float(np.max(residual))]
         got = [row["min_volume_coeff"], row["max_volume_coeff"], row["max_reeb_residual"]]
         assert row["t"] == t
@@ -245,7 +245,7 @@ def test_each_coefficient_is_evaluated_once(monkeypatch, name, task):
 # --- the commutator is one gate ------------------------------------------------
 
 def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
-    monkeypatch.setattr(contact, "_reeb_commutator", lambda s, rows, ea, eb: np.full(ea.shape, 0.5))
+    monkeypatch.setattr(contact, "_reeb_commutator", lambda s, ea, eb: np.full(ea.shape, 0.5))
     objs = build_example("heisenberg6-pair")
     with pytest.raises(ContactPairError) as err:
         verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)

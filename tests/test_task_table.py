@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from contactpairs import jacobi, registry, runner
+from contactpairs import jacobi, models, registry, runner
 from contactpairs.cli import main
-from contactpairs.config import JACOBI_GRID_LIMIT, TASKS, ConfigError, parse_config
+from contactpairs.config import POINT_LIMIT, TASKS, ConfigError, parse_config
 from contactpairs.expressions import MAX_DEPTH
 from contactpairs.registry import list_examples
 
@@ -95,6 +95,8 @@ BAD_SHAPES = {
     "random-count-string": (_set(["samples", "random_count"], "x"), "samples.random_count"),
     "random-count-negative": (_set(["samples", "random_count"], -5), "samples.random_count"),
     "random-count-zero": (_set(["samples", "random_count"], 0), "samples.random_count"),
+    "random-count-huge": (_set(["samples", "random_count"], 10**12), "samples.random_count"),
+    "grid-limit-huge": (_set(["samples", "grid_limit"], POINT_LIMIT + 1), "samples.grid_limit"),
     "models-list": (_set(["models"], []), "models"),
     "forms-list": (_set(["forms"], []), "forms"),
     "families-list": (_set(["families"], []), "families"),
@@ -237,8 +239,26 @@ def test_huge_jacobi_grid_is_rejected_before_allocation(monkeypatch, capsys):
     assert "  - tasks[0].resolution: a 100000x100000x100000x100000x100000 grid has" in captured.err
 
 
+def test_huge_sample_count_is_rejected_before_allocation(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("points were sampled")
+
+    monkeypatch.setattr(models, "random_points", refuse)
+    doc = small_doc()
+    doc["samples"]["random_count"] = 10**12
+    assert run_config(tmp_path, doc, "verify-pair") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"  - samples.random_count: must be an integer >= 1 and <= {POINT_LIMIT}, got 10" in captured.err
+
+
+def test_sample_caps_admit_the_limit():
+    cfg = parse_config({"samples": {"random_count": POINT_LIMIT, "grid_limit": POINT_LIMIT}})
+    assert cfg.random_count == cfg.grid_limit == POINT_LIMIT
+
+
 def test_grid_cap_admits_the_largest_builtin_default():
-    assert 16**5 == JACOBI_GRID_LIMIT
+    assert 16**5 == POINT_LIMIT
     parse_config({"tasks": [{"task": "jacobi", "example": "darboux2"}]})
     parse_config({"tasks": [{"task": "jacobi", "example": "t6-pair-compatible", "resolution": 10}]})
     with pytest.raises(ConfigError, match=r"tasks\[0\]\.resolution: a 17x17x17x17x17 grid"):

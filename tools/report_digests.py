@@ -18,7 +18,11 @@ seeds 0 and 7 over this matrix:
   ``--alpha0 1,0,0 --t-grid=1,1e308`` on torus-contact: at t = 1e308 the
   wedge chains overflow, so an identically zero component meets an
   infinite partner, the case in which the exterior kernels must keep a
-  term that is zero elsewhere (0 * inf is NaN).
+  term that is zero elsewhere (0 * inf is NaN);
+- verify-pair, deform and sweep on a copy of
+  ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
+  8193, written to a temporary directory: the Reeb systems are solved in
+  blocks of 4096 points, so this is two full blocks and a one-point block.
 
 It prints one line per run, ``seed exit sha256(body) sha256(stderr) argv``,
 where the body is the report without its ``timing`` field and warnings are
@@ -35,6 +39,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -57,6 +62,9 @@ TASK_COMMANDS = (
 )
 # t = 1e308 overflows the wedge chains
 OVERFLOW_GRID = "--t-grid=1,1e308"
+# the t6 config with 2 * 4096 + 1 random samples, named by its file name in
+# the matrix and the digest lines and written to a temporary directory
+BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -81,21 +89,34 @@ def matrix() -> list[tuple[str, ...]]:
             runs.append(cmd + ("--example", name, OVERFLOW_GRID))
     runs.append(("deform", "--mode", "single", "--example", "torus-contact",
                  "--alpha0", "1,0,0", OVERFLOW_GRID))
+    runs += [(cmd, "--config", BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")]
     return runs
+
+
+def write_block_edge_config(directory) -> str:
+    """Write the block-edge config into directory and return its path."""
+    doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
+    doc["samples"]["random_count"] = 2 * 4096 + 1
+    path = os.path.join(directory, BLOCK_EDGE_CONFIG)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest_line(seed: int, argv) -> str:
-    """Run one verdict and return its ``seed exit body stderr argv`` line."""
+def digest_line(seed: int, argv, paths=None) -> str:
+    """Run one verdict and return its ``seed exit body stderr argv`` line;
+    ``paths`` maps a name in argv to the file the run reads instead."""
+    run = [(paths or {}).get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = cli.main([*argv, "--format", "structured", "--seed", str(seed)])
+            code = cli.main([*run, "--format", "structured", "--seed", str(seed)])
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
         except Exception as exc:  # a run that raises is recorded, not fatal
@@ -110,7 +131,9 @@ def digest_line(seed: int, argv) -> str:
 
 
 def digest_lines(runs, seeds=SEEDS) -> list[str]:
-    return [digest_line(seed, argv) for seed in seeds for argv in runs]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {BLOCK_EDGE_CONFIG: write_block_edge_config(tmp)}
+        return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
 
 def main() -> int:
