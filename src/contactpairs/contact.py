@@ -321,11 +321,9 @@ def _reeb_least_squares(s: SampledPair, b: np.ndarray, compute_sigma: bool):
     Only one block's row stack is alive at once.  Every batched LAPACK and
     matmul call treats each system on its own, so each solution bit is that
     of one call on the full stack.  One exactly singular Gram matrix sends
-    the whole batch to the pseudo-inverse, as it would in that one call.
+    the whole batch to the pseudo-inverse, as it would in that one call;
+    the blocks already solved by LU are then solved again.
     """
-    points = s.alpha.shape[0]
-    if points <= _BLOCK:
-        return least_squares_batch(s.reeb_rows(), b, compute_sigma)
     try:
         return _solve_blocks(s, b, compute_sigma, "lu")
     except _SingularGram:
