@@ -16,10 +16,8 @@ from .contact import (
     ContactPairCertificate,
     ContactPairError,
     cartan_class,
-    contact_reeb_field,
     darboux_model,
     product_contact_pair,
-    reeb_pair,
     torus_contact,
     verify_contact_pair,
     verify_single_deformation,
@@ -30,12 +28,10 @@ from .deformation import (
     VolumePolynomial,
     stokes_integrals,
     sweep_rows,
-    transverse_wedge_defect,
     verify_converse,
     verify_forward,
     volume_identity_defect,
     volume_polynomial,
-    volume_replacement_defects,
 )
 from .exterior import (
     FormValue,
@@ -48,22 +44,15 @@ from .exterior import (
 )
 from .fields import (
     FormField,
-    ScalarField,
-    SolvedVectorField,
     VectorField,
     coframe,
     form_from_expressions,
-    frame_vector,
-    lie_bracket_fields,
     pullback_form,
     pullback_vector,
     volume_form,
 )
 from .jacobi import (
-    BivectorField,
     JacobiSide,
-    build_bivector,
-    hamiltonian_field,
     jacobi_bracket,
     jacobi_identity_defect,
 )

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .exterior import _BLOCK, _two_form_positions, chain, interior_values, two_form_matrices
-from .fields import (
-    FormField,
-    SolvedVectorField,
-    form_from_expressions,
-    pullback_form,
-)
+from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
     ProductModel,
@@ -44,8 +39,6 @@ __all__ = [
     "SingleDeformationReport",
     "cartan_class",
     "verify_contact_pair",
-    "reeb_pair",
-    "contact_reeb_field",
     "darboux_model",
     "torus_contact",
     "product_contact_pair",
@@ -83,10 +76,10 @@ def _witness(points: np.ndarray, index: int, **extra) -> dict:
 
 
 class _SingularGram(np.linalg.LinAlgError):
-    """Some Gram matrix of a batch solved with ``route="lu"`` is exactly singular."""
+    """Some Gram matrix of a batch solved by LU is exactly singular."""
 
 
-def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False, route: str = "auto"):
+def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False, pinv: bool = False):
     """Least squares for a batch of small stacked systems.
 
     a has shape (P, M, N) with M >= N, b shape (M,), (M, R) or, for one
@@ -94,10 +87,9 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
     returns (x, residual_inf, sigma_min, sigma_max); the extreme singular
     values of a are computed only on request and are None otherwise.
 
-    ``route`` picks the solve of the normal equations: "auto" factors them
-    by LU and, when some Gram matrix is exactly singular, takes the
-    pseudo-inverse of the whole batch; "lu" raises ``_SingularGram`` there
-    instead; "pinv" takes the pseudo-inverse at once.
+    The normal equations are factored by LU, which raises ``_SingularGram``
+    when some Gram matrix is exactly singular; with ``pinv`` they are solved
+    by the pseudo-inverse instead.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -107,17 +99,15 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
     a_t = np.swapaxes(a, 1, 2)
     gram = a_t @ a
     rhs = a_t @ b
-    x = None
-    if route != "pinv":
-        try:
-            x = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as err:
-            if route == "lu":
-                raise _SingularGram(*err.args) from err
-    if x is None:
+    if pinv:
         # rank-deficient somewhere in the batch; minimum-norm solve, the
         # residual and sigma_min diagnostics report the deficiency
         x = np.linalg.pinv(gram, hermitian=True) @ rhs
+    else:
+        try:
+            x = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as err:
+            raise _SingularGram(*err.args) from err
     del gram, rhs  # not held through the residual and the singular values
     residual = a @ x
     residual -= b
@@ -314,9 +304,10 @@ class SampledPair:
         return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[:, 0]
 
 
-def _reeb_least_squares(s: SampledPair, b: np.ndarray, compute_sigma: bool):
-    """least_squares_batch on the Reeb rows of s, with b of shape (M, R) or
-    (P, M, R), one block of ``_BLOCK`` points at a time.
+def _reeb_least_squares(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
+    """least_squares_batch on the systems ``rows_of(block)`` of ``points``
+    points, one block of ``_BLOCK`` points at a time, with b of shape (M,),
+    (M, R) or (P, M, R).
 
     Only one block's row stack is alive at once.  Every batched LAPACK and
     matmul call treats each system on its own, so each solution bit is that
@@ -325,42 +316,33 @@ def _reeb_least_squares(s: SampledPair, b: np.ndarray, compute_sigma: bool):
     the blocks already solved by LU are then solved again.
     """
     try:
-        return _solve_blocks(s, b, compute_sigma, "lu")
+        return _solve_blocks(rows_of, points, b, compute_sigma, False)
     except _SingularGram:
-        return _solve_blocks(s, b, compute_sigma, "pinv")
+        return _solve_blocks(rows_of, points, b, compute_sigma, True)
 
 
-def _solve_blocks(s: SampledPair, b: np.ndarray, compute_sigma: bool, route: str):
-    """One least_squares_batch call per block, by one route, into outputs
-    allocated for every point."""
-    points, n = s.alpha.shape
-    x = np.empty((points, n, b.shape[-1]))
-    residual = np.empty((points, b.shape[-1]))
-    sigma_min, sigma_max = (np.empty(points), np.empty(points)) if compute_sigma else (None, None)
+def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool, pinv: bool):
+    """One least_squares_batch call per block, into outputs allocated for
+    every point once the first block gives their shapes."""
+    out = None
     for lo in range(0, points, _BLOCK):
         block = slice(lo, min(lo + _BLOCK, points))
-        x[block], residual[block], smin, smax = least_squares_batch(
-            s.reeb_rows(block), b if b.ndim == 2 else b[block], compute_sigma, route
-        )
-        if compute_sigma:
-            sigma_min[block], sigma_max[block] = smin, smax
-    return x, residual, sigma_min, sigma_max
+        solved = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
+        if out is None:
+            out = [None if v is None else np.empty((points, *v.shape[1:])) for v in solved]
+        for whole, part in zip(out, solved):
+            if whole is not None:
+                whole[block] = part
+    return out
 
 
 def _solve_reeb(s: SampledPair, compute_sigma: bool):
     """The Reeb pair of s: (E_alpha, E_beta, residual, sigma_min, sigma_max)."""
     # one right-hand side per field: alpha(E_alpha) = 1 and beta(E_beta) = 1
-    x, residual, sigma_min, sigma_max = _reeb_least_squares(s, np.eye(2 * s.n + 2, 2), compute_sigma)
+    x, residual, sigma_min, sigma_max = _reeb_least_squares(
+        s.reeb_rows, len(s.points), np.eye(2 * s.n + 2, 2), compute_sigma
+    )
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
-
-
-def _reeb_fields(alpha: FormField, beta: FormField):
-    """(E_alpha, E_beta) as fields that solve the Reeb system at the points asked for."""
-
-    def solver(which: int):
-        return lambda pts: _solve_reeb(SampledPair.of(alpha, beta, pts), False)[which]
-
-    return SolvedVectorField(alpha.model, solver(0)), SolvedVectorField(alpha.model, solver(1))
 
 
 def _checked_reeb(s: SampledPair, tol: float, scale: float, check_rank: bool):
@@ -466,7 +448,7 @@ def _reeb_commutator(s: SampledPair, ea, eb) -> np.ndarray:
         if w_a is not None:
             w += w_a
     if np.any(w):
-        u, _, _, _ = _reeb_least_squares(s, w[:, :, None], False)
+        u, _, _, _ = _reeb_least_squares(s.reeb_rows, len(s.points), w[:, :, None], False)
         out -= u[..., 0]
     return out
 
@@ -475,9 +457,9 @@ def _reeb_commutator(s: SampledPair, ea, eb) -> np.ndarray:
 class ContactPairCertificate:
     """A verified contact pair with its Reeb pair and solve diagnostics.
 
-    ``sampled`` keeps the evaluated arrays.  The fields (alpha, beta and
-    their Reeb fields) are None when the arrays were not evaluated from
-    fields, as for a family at one t.
+    ``sampled`` keeps the evaluated arrays.  The fields alpha and beta are
+    None when the arrays were not evaluated from fields, as for a family at
+    one t.
     """
 
     alpha: FormField | None
@@ -489,14 +471,11 @@ class ContactPairCertificate:
     orientation_sign: int
     dalpha_power_residual: float
     dbeta_power_residual: float
-    reeb_alpha: SolvedVectorField | None
-    reeb_beta: SolvedVectorField | None
     reeb_residual: float
     sigma_min: float | None
     commutator_defect: float | None
     sample_count: int
     sampled: SampledPair = field(repr=False)
-    points: np.ndarray = field(repr=False)
     reeb_alpha_values: np.ndarray = field(repr=False)
     reeb_beta_values: np.ndarray = field(repr=False)
 
@@ -612,7 +591,6 @@ def _certify(
         s, tol, res_scale, check_rank, check_commutator
     )
     alpha, beta = s.forms[:2] if s.forms else (None, None)
-    e_alpha, e_beta = _reeb_fields(alpha, beta) if s.forms else (None, None)
     return ContactPairCertificate(
         alpha=alpha,
         beta=beta,
@@ -623,54 +601,27 @@ def _certify(
         orientation_sign=1 if vol[0] > 0 else -1,
         dalpha_power_residual=dalpha_res,
         dbeta_power_residual=dbeta_res,
-        reeb_alpha=e_alpha,
-        reeb_beta=e_beta,
         reeb_residual=reeb_residual,
         sigma_min=smin,
         commutator_defect=comm,
         sample_count=pts.shape[0],
         sampled=s,
-        points=pts,
         reeb_alpha_values=ea,
         reeb_beta_values=eb,
     )
 
 
-def reeb_pair(alpha: FormField, beta: FormField, tol: float | None = None, points=None, rng=None):
-    """Solve for the Reeb pair of an already verified contact pair.
-
-    Raises when the stacked systems are inconsistent (not a contact pair) or
-    rank deficient, or when the solved fields fail to commute.
-    """
-    model = alpha.model
-    if tol is None:
-        tol = default_tolerance(model)
-    if points is None:
-        points = sample_points(model, rng)
-    s = SampledPair.of(alpha, beta, points)
-    _reeb_solution(s, tol, max(1.0, *s.scales()), True, True)
-    return _reeb_fields(alpha, beta)
-
-
 def _contact_reeb(av: np.ndarray, da_m: np.ndarray):
     """Reeb field of one contact form from its samples, alpha(Z) = 1 and
     i_Z d alpha = 0; returns (Z, least-squares residual)."""
-    rows = np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
-    b = np.zeros(rows.shape[1])
+
+    def rows_of(block: slice) -> np.ndarray:
+        return np.concatenate([av[block, None, :], np.swapaxes(da_m[block], 1, 2)], axis=1)
+
+    b = np.zeros(av.shape[1] + 1)
     b[0] = 1.0
-    x, residual, _, _ = least_squares_batch(rows, b)
+    x, residual, _, _ = _reeb_least_squares(rows_of, av.shape[0], b, False)
     return x, residual
-
-
-def contact_reeb_field(alpha: FormField) -> SolvedVectorField:
-    """The Reeb field of a single contact form: alpha(Z) = 1, i_Z d alpha = 0."""
-    model = alpha.model
-    d_alpha = alpha.d()
-
-    def solve(pts: np.ndarray) -> np.ndarray:
-        return _contact_reeb(alpha.values(pts), two_form_matrices(model.n, d_alpha.values(pts)))[0]
-
-    return SolvedVectorField(model, solve)
 
 
 def darboux_model(k: int, resolution: int = 7):

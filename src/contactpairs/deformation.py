@@ -47,8 +47,6 @@ __all__ = [
     "SampledFamily",
     "volume_polynomial",
     "volume_identity_defect",
-    "volume_replacement_defects",
-    "transverse_wedge_defect",
     "verify_forward",
     "verify_converse",
     "stokes_integrals",
@@ -231,20 +229,14 @@ def volume_identity_defect(
 
 
 class PairSamples:
-    """Evaluated contact-pair data for repeated pointwise wedge identities;
-    reuses the certificate's samples unless other points are given."""
+    """The certificate's samples and Reeb pair, for repeated pointwise wedge
+    identities."""
 
-    def __init__(self, cert: ContactPairCertificate, points=None):
-        if points is None:
-            s, ea, eb = cert.sampled, cert.reeb_alpha_values, cert.reeb_beta_values
-        else:
-            s = SampledPair.of(cert.alpha, cert.beta, points)
-            ea, eb, _, _, _ = _solve_reeb(s, False)
-        self.cert = cert
-        self.sampled = s
+    def __init__(self, cert: ContactPairCertificate):
+        s = self.sampled = cert.sampled
         self.pts = s.points
         self.k, self.l = cert.k, cert.l
-        self.ea, self.eb = ea, eb
+        self.ea, self.eb = cert.reeb_alpha_values, cert.reeb_beta_values
         self.volume = s.top(self.k, self.l, s.alpha, s.beta)
 
     def _omega_values(self, omega) -> np.ndarray:
@@ -288,16 +280,6 @@ class PairSamples:
         acc = s.top(self.k, self.l, w, wb)
         scale = max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(wb))))
         return float(np.max(np.abs(acc))) / scale
-
-
-def volume_replacement_defects(cert: ContactPairCertificate, omega, points=None) -> tuple[float, float]:
-    return PairSamples(cert, points).replacement_defects(omega)
-
-
-def transverse_wedge_defect(
-    cert: ContactPairCertificate, omega, omega_bar, points=None, project: bool = True
-) -> float:
-    return PairSamples(cert, points).transverse_defect(omega, omega_bar, project)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Form, vector, and scalar fields over manifold models.
+"""Form and vector fields over manifold models.
 
 A field stores one coefficient expression per frame multi-index.  On a chart
 the coefficients are honest coordinate functions; on a Lie group they are
@@ -27,18 +27,13 @@ from .models import Model, ProductModel
 __all__ = [
     "FormField",
     "VectorField",
-    "SolvedVectorField",
-    "ScalarField",
     "coframe",
-    "frame_vector",
     "constant_form",
     "form_from_expressions",
     "volume_form",
     "vector_from_expressions",
     "pullback_form",
     "pullback_vector",
-    "lie_bracket_fields",
-    "directional_derivative",
 ]
 
 
@@ -248,53 +243,11 @@ class VectorField:
     __rmul__ = __mul__
 
 
-class SolvedVectorField:
-    """A vector field known through a pointwise solver (no closed form)."""
-
-    __slots__ = ("model", "_solver")
-
-    def __init__(self, model: Model, solver):
-        self.model = model
-        self._solver = solver
-
-    def values(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return self._solver(pts)
-
-
-class ScalarField:
-    """A scalar function given by an expression."""
-
-    __slots__ = ("model", "expr")
-
-    def __init__(self, model: Model, expr):
-        expr = _as_expr(expr, model.n)
-        _check_coefficients(model, [expr])
-        self.model = model
-        self.expr = expr
-
-    def values(self, points) -> np.ndarray:
-        return ex.evaluate_many(self.expr, np.asarray(points, dtype=float))
-
-    def gradient_values(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros((pts.shape[0], self.model.n))
-        for a in self.model.coordinate_axes:
-            out[:, a] = ex.evaluate_many(ex.partial(self.expr, a), pts)
-        return out
-
-
 def coframe(model: Model, i: int) -> FormField:
     """The basis 1-form dual to frame direction i."""
     coeffs = [ex.const(0.0)] * model.n
     coeffs[i] = ex.const(1.0)
     return FormField(model, 1, coeffs)
-
-
-def frame_vector(model: Model, i: int) -> VectorField:
-    comps = [ex.const(0.0)] * model.n
-    comps[i] = ex.const(1.0)
-    return VectorField(model, comps)
 
 
 def constant_form(model: Model, degree: int, coeffs) -> FormField:
@@ -357,34 +310,3 @@ def pullback_vector(product: ProductModel, field: VectorField, side: str) -> Vec
         comps[i + offset] = ex.shift_variables(c, offset)
     return VectorField(product, comps)
 
-
-def directional_derivative(x: VectorField, f: ex.Expr) -> ex.Expr:
-    """The derivative X·f (coordinate components only; invariant functions
-    are constant along algebraic directions)."""
-    out = ex.const(0.0)
-    for a in x.model.coordinate_axes:
-        out = ex.add(out, ex.mul(x.comps[a], ex.partial(f, a)))
-    return out
-
-
-def lie_bracket_fields(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket of two expression vector fields on a shared model,
-    combined symbolically:
-        [X, Y]^k = sum_a (X^a ∂_a Y^k - Y^a ∂_a X^k) + sum_{ij} c[i,j,k] X^i Y^j.
-    A field known only through a solver has no symbolic bracket: TypeError.
-    """
-    if not (isinstance(x, VectorField) and isinstance(y, VectorField)):
-        raise TypeError("lie_bracket_fields needs two expression vector fields (VectorField)")
-    if x.model is not y.model:
-        raise ValueError("bracket requires fields on the same model")
-    model = x.model
-    comps = []
-    for k in range(model.n):
-        term = ex.sub(directional_derivative(x, y.comps[k]), directional_derivative(y, x.comps[k]))
-        for i in range(model.n):
-            for j in range(model.n):
-                c = model.structure[i, j, k]
-                if c != 0.0:
-                    term = ex.add(term, ex.mul(ex.const(c), ex.mul(x.comps[i], y.comps[j])))
-        comps.append(term)
-    return VectorField(model, comps)

@@ -8,40 +8,29 @@ V = TM with one leaf.  Each function f gets a Hamiltonian field X_f in V:
 
     alpha(X_f) = f,      i_{X_f} (d alpha)|_V = (E.f) alpha|_V - (df)|_V,
 
-the bracket on functions is {f, g} = alpha([X_f, X_g]), and the associated
-bivector is recovered through probe functions recentred to vanish at the
-evaluation point, so that the correction terms of
-
-    Lambda(df, dg) = {f, g} - f (E.g) + g (E.f)
-
-drop out.  All grid derivatives are second-order central differences with
-periodic wrap; box axes use one-sided second-order stencils at the boundary
-and are excluded from defect suprema through the interior mask.
+and the bracket on functions is {f, g} = alpha([X_f, X_g]).  All grid
+derivatives are second-order central differences with periodic wrap; box
+axes use one-sided second-order stencils at the boundary and are excluded
+from defect suprema through the interior mask.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expressions as ex
 from .contact import _contact_reeb, verify_contact_pair
-from .exterior import _BLOCK, multi_indices, two_form_matrices
-from .fields import FormField, ScalarField
+from .exterior import _BLOCK, two_form_matrices
+from .fields import FormField
 from .models import Model, _tensor_points, default_tolerance, grid_nodes
 
 __all__ = [
     "JacobiError",
     "JacobiSide",
-    "GridVectorField",
-    "BivectorField",
-    "hamiltonian_field",
     "jacobi_bracket",
-    "build_bivector",
     "jacobi_identity_defect",
-    "bivector_contract",
 ]
 
 
@@ -112,25 +101,6 @@ class _SideGrid:
     def grid_index(self, sub_index: int) -> int:
         """The grid index at which a sub-grid sample first occurs."""
         return int(np.ravel_multi_index(np.unravel_index(sub_index, self.sub_shape), self.shape))
-
-
-@dataclass
-class GridVectorField:
-    """Vector field sampled on a side's tensor grid, components last."""
-
-    model: Model
-    grid_shape: tuple
-    values: np.ndarray = field(repr=False)
-
-
-@dataclass
-class BivectorField:
-    """Bivector field on a side's grid: C(n, 2) coefficients per point,
-    antisymmetry is exact by storing increasing pairs only."""
-
-    model: Model
-    grid_shape: tuple
-    values: np.ndarray = field(repr=False)
 
 
 def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
@@ -288,8 +258,6 @@ class JacobiSide:
 
     def scalar_data(self, f):
         """Normalize a function to (values, gradient, E.f) on the grid."""
-        if isinstance(f, ScalarField):
-            f = f.expr
         if isinstance(f, str):
             f = ex.parse(f, self.model.n)
         if isinstance(f, ex.Expr):
@@ -374,11 +342,6 @@ class JacobiSide:
         return self.brackets([(xv, yv)])[0]
 
 
-def hamiltonian_field(f, side: JacobiSide) -> GridVectorField:
-    """Solve for the Hamiltonian field of f, tangent to the side's leaves."""
-    return GridVectorField(side.model, side.grid_shape, side.solve_hamiltonian(f))
-
-
 def jacobi_bracket(f, g, side: JacobiSide) -> np.ndarray:
     """{f, g} = alpha([X_f, X_g]) on the grid."""
     xf = side.solve_hamiltonian(f)
@@ -401,89 +364,6 @@ def _identity_defect(xf, xg, xh, side: JacobiSide, inner=None) -> float:
     )
     total = b1 + b2 + b3
     return float(np.max(np.abs(total[side.interior_mask])))
-
-
-def _probe_basis(side: JacobiSide):
-    """Per-axis probe functions and their Hamiltonian fields.
-
-    Recentering sin(x_a - c) (periodic) or (x_a - c) (box) to vanish at the
-    evaluation point is a pointwise linear recombination of these globals.
-    """
-    n = side.model.n
-    fields = {}
-    layout = []
-    const_key = None
-    for i in side.model.coordinate_axes:
-        if side.model.axes[i].periodic:
-            ks, kc = ("sin", i), ("cos", i)
-            if ks not in fields:
-                fields[ks] = side.solve_hamiltonian(ex.call("sin", ex.variable(i)))
-                fields[kc] = side.solve_hamiltonian(ex.call("cos", ex.variable(i)))
-            layout.append((i, (ks, kc), "periodic"))
-        else:
-            kv = ("lin", i)
-            if const_key is None:
-                const_key = ("one",)
-                fields[const_key] = side.solve_hamiltonian(ex.const(1.0))
-            if kv not in fields:
-                fields[kv] = side.solve_hamiltonian(ex.variable(i))
-            layout.append((i, (kv, const_key), "box"))
-    return fields, layout
-
-
-def build_bivector(side: JacobiSide) -> tuple[BivectorField, GridVectorField]:
-    """The bivector of the side's Jacobi bracket together with its Reeb field.
-
-    Lambda(dx_a, dx_b)(m) = {p_a, p_b}(m) for probes p vanishing at m with
-    dp|_m = dx; expanding the probes over the global fields makes this a
-    pointwise bilinear combination of precomputed bracket grids.
-    """
-    fields, layout = _probe_basis(side)
-    pts = side.points
-    brackets: dict = {}
-
-    def bracket(ka, kb):
-        if (ka, kb) in brackets:
-            return brackets[(ka, kb)]
-        val = side.bracket_values(fields[ka], fields[kb])
-        brackets[(ka, kb)] = val
-        brackets[(kb, ka)] = -val
-        return val
-
-    def gammas(axis, kind):
-        x = pts[:, axis]
-        if kind == "periodic":
-            return np.cos(x), -np.sin(x)
-        return np.ones_like(x), -x
-
-    n = side.model.n
-    pairs = multi_indices(n, 2)
-    values = np.zeros((pts.shape[0], len(pairs)))
-    coord = set(side.model.coordinate_axes)
-    info = {axis: (keys, kind) for axis, keys, kind in layout}
-    for pos, (a, b) in enumerate(pairs):
-        if a not in coord or b not in coord:
-            continue
-        keys_a, kind_a = info[a]
-        keys_b, kind_b = info[b]
-        ga = gammas(a, kind_a)
-        gb = gammas(b, kind_b)
-        acc = np.zeros(pts.shape[0])
-        for ca, ka in zip(ga, keys_a):
-            for cb, kb in zip(gb, keys_b):
-                acc += ca * cb * bracket(ka, kb)
-        values[:, pos] = acc
-    biv = BivectorField(side.model, side.grid_shape, values)
-    e = GridVectorField(side.model, side.grid_shape, side.e_values)
-    return biv, e
-
-
-def bivector_contract(biv: BivectorField, df: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Lambda(df, dg) pointwise from gradient samples."""
-    out = np.zeros(biv.values.shape[0])
-    for pos, (i, j) in enumerate(multi_indices(biv.model.n, 2)):
-        out += biv.values[:, pos] * (df[:, i] * dg[:, j] - df[:, j] * dg[:, i])
-    return out
 
 
 def jacobi_identity_defect(f, g, h, side: JacobiSide) -> float:

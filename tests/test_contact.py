@@ -4,16 +4,19 @@ import pytest
 from contactpairs import expressions as ex
 from contactpairs.contact import (
     ContactPairError,
+    SampledPair,
+    _contact_reeb,
+    _reeb_least_squares,
+    _solve_reeb,
     cartan_class,
-    contact_reeb_field,
     darboux_model,
     least_squares_batch,
     product_contact_pair,
-    reeb_pair,
     torus_contact,
     verify_contact_pair,
     verify_single_deformation,
 )
+from contactpairs.exterior import two_form_matrices
 from contactpairs.fields import coframe, form_from_expressions
 from contactpairs.models import (
     box_chart,
@@ -171,13 +174,13 @@ def test_product_reeb_fields_match_factors():
     m2, a2 = darboux_model(1)
     model, alpha, beta = product_contact_pair(m1, a1, m2, a2)
     pts = grid_points(model, resolution=4)
-    ea, eb = reeb_pair(alpha, beta, points=pts)
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     expect_a = np.zeros((pts.shape[0], 6))
     expect_a[:, 2] = 1.0  # d/dz of the left factor
     expect_b = np.zeros((pts.shape[0], 6))
     expect_b[:, 5] = 1.0
-    np.testing.assert_allclose(ea.values(pts), expect_a, atol=1e-8)
-    np.testing.assert_allclose(eb.values(pts), expect_b, atol=1e-8)
+    np.testing.assert_allclose(cert.reeb_alpha_values, expect_a, atol=1e-8)
+    np.testing.assert_allclose(cert.reeb_beta_values, expect_b, atol=1e-8)
 
 
 def test_t6_reeb_fields_match_factors():
@@ -201,8 +204,6 @@ def test_reeb_defining_relations_hold():
     assert np.max(np.abs(np.einsum("pi,pi->p", bv, eb) - 1.0)) < 1e-10
     assert np.max(np.abs(np.einsum("pi,pi->p", av, eb))) < 1e-10
     assert np.max(np.abs(np.einsum("pi,pi->p", bv, ea))) < 1e-10
-    from contactpairs.exterior import two_form_matrices
-
     for d_form in (alpha.d(), beta.d()):
         mats = two_form_matrices(6, d_form.values(pts))
         for field in (ea, eb):
@@ -213,8 +214,6 @@ def test_reeb_uniqueness_by_perturbation():
     model, alpha, beta = heisenberg6()
     pts = grid_points(model)
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
-    from contactpairs.contact import SampledPair
-
     rows = SampledPair.of(alpha, beta, pts).reeb_rows()[0]
     b = np.zeros(rows.shape[0])
     b[0] = 1.0
@@ -229,25 +228,15 @@ def test_reeb_uniqueness_by_perturbation():
 def test_reeb_pair_on_non_pair_raises():
     t2 = torus(2)
     alpha = coframe(t2, 0)
-    beta = form_from_expressions(t2, 1, {0: "1", 1: "x0*0 + 1"})  # alpha ^ beta has rank issues
     with pytest.raises(ContactPairError):
-        reeb_pair(alpha, alpha)
-
-
-def test_reeb_pair_on_sheared_pair_matches_certificate():
-    model, alpha, beta = sheared_t6_pair()
-    pts = random_points(model, 1000, np.random.default_rng(8))
-    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
-    ea, eb = reeb_pair(alpha, beta, points=pts)
-    np.testing.assert_allclose(ea.values(pts), cert.reeb_alpha_values, atol=1e-12)
-    np.testing.assert_allclose(eb.values(pts), cert.reeb_beta_values, atol=1e-12)
+        verify_contact_pair(alpha, alpha, 0, 0)
 
 
 # --- exact Reeb commutator ---------------------------------------------------
 
 @pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair])
 def test_implicit_reeb_derivative_matches_central_differences(pair):
-    from contactpairs.contact import SampledPair, _reeb_rows_partial
+    from contactpairs.contact import _reeb_rows_partial
 
     model, alpha, beta = pair()
     pts = random_points(model, 500, np.random.default_rng(9))
@@ -258,16 +247,15 @@ def test_implicit_reeb_derivative_matches_central_differences(pair):
     for axis in model.coordinate_axes:
         shift = np.zeros(model.n)
         shift[axis] = h
-        for values, field in (
-            (cert.reeb_alpha_values, cert.reeb_alpha),
-            (cert.reeb_beta_values, cert.reeb_beta),
-        ):
+        ahead, behind = (_solve_reeb(SampledPair.of(alpha, beta, pts + sign * shift), False)
+                         for sign in (1.0, -1.0))
+        for which, values in enumerate((cert.reeb_alpha_values, cert.reeb_beta_values)):
             # d_a E = -(A^T A)^-1 A^T (d_a A) E
             w = _reeb_rows_partial(forms, axis, pts, values)
             exact = np.zeros_like(values)
             if w is not None:
                 exact = -least_squares_batch(rows, w[:, :, None])[0][..., 0]
-            central = (field.values(pts + shift) - field.values(pts - shift)) / (2.0 * h)
+            central = (ahead[which] - behind[which]) / (2.0 * h)
             np.testing.assert_allclose(exact, central, rtol=0.0, atol=1e-9)
 
 
@@ -289,7 +277,7 @@ def test_commutator_defect_is_exact(name):
 
 
 def test_commutator_terms_cancel_only_in_the_bracket():
-    from contactpairs.contact import SampledPair, _reeb_rows_partial
+    from contactpairs.contact import _reeb_rows_partial
 
     model, alpha, beta = sheared_t6_pair()
     pts = random_points(model, 500, np.random.default_rng(15))
@@ -314,12 +302,19 @@ def _batch_with_singular_values(count, sigma, rng):
     return (u * np.asarray(sigma)) @ np.swapaxes(v, 1, 2)
 
 
+def _blocked_sigma(a):
+    """sigma_min and sigma_max of a stack of Reeb-shaped systems, through
+    the block loop that solves every Reeb system."""
+    _, _, sigma_min, sigma_max = _reeb_least_squares(lambda block: a[block], len(a), np.eye(14, 2), True)
+    return sigma_min, sigma_max
+
+
 def test_rank_check_sees_exact_rank_deficiency():
     # exactly rank 5: the square root of the Gram spectrum put sigma ratios
     # up to ~2e-8 on such systems, above the 1e-8 Lie-backend threshold
     rng = np.random.default_rng(11)
     a = rng.standard_normal((2000, 14, 5)) @ rng.standard_normal((2000, 5, 6))
-    _, _, sigma_min, sigma_max = least_squares_batch(a, np.eye(14, 2), compute_sigma=True)
+    sigma_min, sigma_max = _blocked_sigma(a)
     assert np.all(sigma_min <= 1e-8 * sigma_max)
     assert np.max(sigma_min / sigma_max) < 1e-13
 
@@ -328,7 +323,7 @@ def test_rank_check_sees_exact_rank_deficiency():
 def test_rank_check_resolves_smallest_singular_value(smallest):
     rng = np.random.default_rng(12)
     a = _batch_with_singular_values(2000, [3.0, 2.0, 1.5, 1.0, 0.5, smallest], rng)
-    _, _, sigma_min, sigma_max = least_squares_batch(a, np.eye(14, 2), compute_sigma=True)
+    sigma_min, sigma_max = _blocked_sigma(a)
     np.testing.assert_allclose(sigma_min, smallest, rtol=1e-4)
     np.testing.assert_allclose(sigma_max, 3.0, rtol=1e-12)
     assert np.all((sigma_min <= 1e-8 * sigma_max) == (smallest < 1e-8))
@@ -345,9 +340,9 @@ def test_least_squares_per_system_right_hand_sides():
 
 def test_single_form_reeb():
     _, alpha = torus_contact()
-    z = contact_reeb_field(alpha)
     pts = random_points(alpha.model, 500, np.random.default_rng(5))
-    vals = z.values(pts)
+    vals, residual = _contact_reeb(alpha.values(pts), two_form_matrices(3, alpha.d().values(pts)))
+    assert np.max(residual) < 1e-12
     expect = np.stack([np.zeros(500), np.cos(pts[:, 0]), np.sin(pts[:, 0])], axis=1)
     np.testing.assert_allclose(vals, expect, atol=1e-10)
 

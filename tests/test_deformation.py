@@ -13,7 +13,6 @@ from contactpairs.deformation import (
     verify_forward,
     volume_identity_defect,
     volume_polynomial,
-    volume_replacement_defects,
 )
 from contactpairs.fields import coframe, constant_form, pullback_form
 from contactpairs.models import heisenberg3, random_points, torus
@@ -145,11 +144,12 @@ def test_volume_reference_must_not_vanish():
 def test_replacement_identities_trivial_cases():
     fam = heisenberg6_family()
     cert = verify_contact_pair(fam.alpha, fam.beta, 1, 1)
+    ctx = PairSamples(cert)
     # w = alpha: both sides coincide since alpha(E_alpha) = 1
-    d1, d2 = volume_replacement_defects(cert, fam.alpha)
+    d1, d2 = ctx.replacement_defects(fam.alpha)
     assert d1 < 1e-14 and d2 < 1e-14
     # w = beta: beta(E_alpha) = 0 and the left side repeats a factor
-    d1, d2 = volume_replacement_defects(cert, fam.beta)
+    d1, d2 = ctx.replacement_defects(fam.beta)
     assert d1 < 1e-14 and d2 < 1e-14
 
 

@@ -21,9 +21,6 @@ from contactpairs.jacobi import (
     JacobiSide,
     _axis_derivative,
     _require_finite,
-    bivector_contract,
-    build_bivector,
-    hamiltonian_field,
     jacobi_bracket,
     jacobi_identity_defect,
 )
@@ -128,13 +125,6 @@ def test_defining_relation_darboux():
     np.testing.assert_allclose(pairing, side.points[:, 2], atol=1e-12)
 
 
-def test_hamiltonian_field_wrapper(t3_side):
-    f = ex.parse("sin(x1)", 3)
-    field = hamiltonian_field(f, t3_side)
-    assert field.values.shape == (16**3, 3)
-    assert field.grid_shape == (16, 16, 16)
-
-
 def test_hamiltonian_tangent_to_leaves(pair_side):
     x = pair_side.solve_hamiltonian(ex.parse("sin(x0)*cos(x1)", 6))
     assert np.max(np.abs(x[:, 3:])) < 1e-12
@@ -194,53 +184,6 @@ def test_bracket_accepts_grid_functions(t3_side):
     g = ex.parse("sin(x2)", 3)
     out = jacobi_bracket(f, g, t3_side)
     assert out.shape == (16**3,)
-
-
-# --- bivector -------------------------------------------------------------------
-
-def test_bivector_consistency_converges():
-    _, alpha = torus_contact()
-    f = ex.parse("sin(x1)*cos(x2)", 3)
-    g = ex.parse("cos(x1) + sin(x2)", 3)
-    defects = []
-    for res in (16, 32, 64):
-        side = JacobiSide.from_contact_form(alpha, resolution=res)
-        biv, _ = build_bivector(side)
-        fv, df, ef = side.scalar_data(f)
-        gv, dg, eg = side.scalar_data(g)
-        recon = bivector_contract(biv, df, dg) + fv * eg - gv * ef
-        direct = jacobi_bracket(f, g, side)
-        defects.append(float(np.max(np.abs(recon - direct))))
-    assert defects[0] / defects[1] >= 3.5
-    assert defects[1] / defects[2] >= 3.5
-
-
-def test_bivector_on_pair_side(pair_side):
-    biv, _ = build_bivector(pair_side)
-    # antisymmetry exact by storage of increasing pairs only
-    assert biv.values.shape[1] == len(multi_indices(6, 2))
-    # degenerate directions: the alpha-side structure is tangent to its leaves
-    bad = [pos for pos, (i, j) in enumerate(multi_indices(6, 2)) if i >= 3 or j >= 3]
-    assert np.max(np.abs(biv.values[:, bad])) < 1e-12
-
-
-def test_bivector_reeb_field(t3_side):
-    _, e = build_bivector(t3_side)
-    assert np.max(np.abs(e.values - t3_side.e_values)) == 0.0
-
-
-def test_bivector_on_box_side():
-    _, alpha = darboux_model(1, resolution=9)
-    side = JacobiSide.from_contact_form(alpha, resolution=9)
-    biv, _ = build_bivector(side)
-    f = ex.parse("x2", 3)
-    g = ex.parse("x0*x1", 3)
-    fv, df, ef = side.scalar_data(f)
-    gv, dg, eg = side.scalar_data(g)
-    recon = bivector_contract(biv, df, dg) + fv * eg - gv * ef
-    direct = jacobi_bracket(f, g, side)
-    h2 = max(s * s for s in side.steps)
-    assert np.max(np.abs((recon - direct)[side.interior_mask])) < 10.0 * h2
 
 
 # --- Jacobi identity ---------------------------------------------------------------

@@ -10,11 +10,7 @@ from contactpairs.fields import (
     coframe,
     constant_form,
     form_from_expressions,
-    frame_vector,
-    lie_bracket_fields,
     pullback_form,
-    pullback_vector,
-    vector_from_expressions,
     volume_form,
 )
 from contactpairs.models import (
@@ -249,53 +245,27 @@ def test_stokes_on_random_closed_models():
         assert abs(integrate(t2, eta.d())) < 1e-8
 
 
-# --- brackets ----------------------------------------------------------------
+# --- frame brackets ------------------------------------------------------------
 
 def test_structure_constant_bracket():
+    # [e0, e1] = e2 on the Heisenberg algebra, bilinear and antisymmetric
     h = heisenberg3()
-    e0, e1 = frame_vector(h, 0), frame_vector(h, 1)
-    out = lie_bracket_fields(e0, e1).values(np.zeros((1, 3)))[0]
-    np.testing.assert_array_equal(out, [0.0, 0.0, 1.0])
-
-
-def test_chart_bracket_example():
-    # [d/dx, x*d/dy] = d/dy
-    m = box_chart([(-1, 1), (-1, 1)], resolution=8)
-    x = vector_from_expressions(m, ["1", "0"])
-    y = vector_from_expressions(m, ["0", "x0"])
-    out = lie_bracket_fields(x, y)
-    pts = grid_points(m)
-    np.testing.assert_allclose(out.values(pts), np.tile([0.0, 1.0], (pts.shape[0], 1)), atol=1e-14)
-
-
-def test_bracket_of_field_with_itself():
-    t2 = torus(2)
-    rng = np.random.default_rng(9)
-    x = vector_from_expressions(t2, ["sin(x0)*cos(x1)", "cos(x0)"])
-    pts = random_points(t2, 40, rng)
-    assert np.max(np.abs(lie_bracket_fields(x, x).values(pts))) < 1e-12
+    e = np.eye(3)
+    np.testing.assert_array_equal(h.bracket_values(e[0], e[1]), [0.0, 0.0, 1.0])
+    x, y = np.random.default_rng(21).standard_normal((2, 50, 3))
+    expect = np.zeros((50, 3))
+    expect[:, 2] = x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
+    np.testing.assert_allclose(h.bracket_values(x, y), expect, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(h.bracket_values(y, x), -h.bracket_values(x, y))
 
 
 def test_mixed_frame_bracket():
-    # invariant directions commute with chart directions on a product
+    # an invariant direction commutes with the chart direction on a product
     prod = ProductModel(heisenberg3(), torus(1))
-    e0 = pullback_vector(prod, frame_vector(prod.left, 0), "left")
-    d3 = pullback_vector(prod, vector_from_expressions(prod.right, ["1"]), "right")
-    pts = grid_points(prod)
-    assert np.max(np.abs(lie_bracket_fields(e0, d3).values(pts))) < 1e-14
+    e = np.tile(np.eye(4), (5, 1, 1))  # five points, the frame at each
+    np.testing.assert_array_equal(prod.bracket_values(e[:, 0], e[:, 3]), np.zeros((5, 4)))
     # while the Lie block still contributes
-    e1 = pullback_vector(prod, frame_vector(prod.left, 1), "left")
-    out = lie_bracket_fields(e0, e1).values(pts)
-    np.testing.assert_allclose(out[:, 2], 1.0, atol=1e-14)
-
-
-def test_bracket_of_a_solved_field_is_a_type_error():
-    from contactpairs.contact import contact_reeb_field, torus_contact
-
-    _, alpha = torus_contact()
-    reeb = contact_reeb_field(alpha)
-    with pytest.raises(TypeError, match="VectorField"):
-        lie_bracket_fields(reeb, frame_vector(alpha.model, 0))
+    np.testing.assert_array_equal(prod.bracket_values(e[:, 0], e[:, 1]), e[:, 2])
 
 
 def test_structure_matrix_cache_does_not_grow_with_models():

@@ -1,8 +1,10 @@
 """The Reeb systems are solved in blocks of ``exterior._BLOCK`` points.
 
-Every solution bit must equal that of one least-squares call on the full
-row stack, written out below as it stood before the solve was blocked, and
-the solve must never hold the full row stack.
+The Reeb pair, the commutator's derivative solve and the Reeb field of one
+contact form share one block loop.  Every solution bit must equal that of
+one least-squares call on the full row stack, written out below as it stood
+before the solve was blocked, and the solve must never hold the full row
+stack.
 """
 
 import tracemalloc
@@ -11,9 +13,16 @@ import numpy as np
 import pytest
 
 from contactpairs import contact
-from contactpairs.contact import SampledPair, _norm_inf_rows, _reeb_least_squares, _solve_reeb
+from contactpairs.contact import (
+    SampledPair,
+    _contact_reeb,
+    _norm_inf_rows,
+    _reeb_least_squares,
+    _solve_reeb,
+    torus_contact,
+)
 from contactpairs.deformation import SampledFamily
-from contactpairs.exterior import _BLOCK
+from contactpairs.exterior import _BLOCK, two_form_matrices
 from contactpairs.models import random_points
 from contactpairs.registry import build_example
 from test_exterior import same_bits
@@ -49,6 +58,13 @@ def reference(s, compute_sigma):
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
+def single_reference(av, da_m):
+    """The Reeb field of one contact form from one call on the full row stack."""
+    rows = np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
+    x, residual, _, _ = one_shot(rows, np.eye(rows.shape[1], 1))
+    return x[..., 0], residual[..., 0]
+
+
 def assert_same(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -61,6 +77,14 @@ def family_samples():
     objs = build_example("t6-pair-compatible")
     pts = random_points(objs["model"], 4 * _BLOCK, np.random.default_rng(3))
     return SampledFamily(objs["family"], pts)
+
+
+@pytest.fixture(scope="module")
+def contact_form_samples():
+    """alpha and the matrices of d alpha at 2B + 3 torus-contact points."""
+    _, alpha = torus_contact()
+    pts = random_points(alpha.model, 2 * _BLOCK + 3, np.random.default_rng(5))
+    return alpha.values(pts), two_form_matrices(3, alpha.d().values(pts))
 
 
 def head(s: SampledPair, points: int) -> SampledPair:
@@ -103,10 +127,24 @@ def test_one_singular_gram_in_the_last_block_sends_every_block_to_pinv(family_sa
 def test_per_point_right_hand_sides_are_blocked_too(family_samples):
     s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
     w = np.random.default_rng(4).standard_normal((2 * _BLOCK + 3, 2 * s.n + 2, 1))
-    assert_same(_reeb_least_squares(s, w, False), one_shot(s.reeb_rows(), w))
+    assert_same(_reeb_least_squares(s.reeb_rows, len(s.points), w, False), one_shot(s.reeb_rows(), w))
 
 
-def test_every_block_is_one_least_squares_call(family_samples, monkeypatch):
+def test_blocked_single_form_solve_has_the_bits_of_one_call(contact_form_samples):
+    av, da_m = contact_form_samples
+    assert_same(_contact_reeb(av, da_m), single_reference(av, da_m))
+
+
+def test_one_singular_single_form_system_sends_every_block_to_pinv(contact_form_samples):
+    av, da_m = (np.array(v) for v in contact_form_samples)
+    av[-1], da_m[-1] = 0.0, 0.0  # the last system is all zero
+    want = single_reference(av, da_m)
+    assert_same(_contact_reeb(av, da_m), want)
+    # a per-block fallback would change the bits of the regular first block
+    assert not same_bits(single_reference(av[:_BLOCK], da_m[:_BLOCK])[0], want[0][:_BLOCK])
+
+
+def test_every_block_is_one_least_squares_call(family_samples, contact_form_samples, monkeypatch):
     systems = []
     solve = contact.least_squares_batch
 
@@ -116,6 +154,9 @@ def test_every_block_is_one_least_squares_call(family_samples, monkeypatch):
 
     monkeypatch.setattr(contact, "least_squares_batch", counted)
     _solve_reeb(head(family_samples.at(0.7), 2 * _BLOCK + 3), True)
+    assert systems == [_BLOCK, _BLOCK, 3]
+    systems.clear()
+    _contact_reeb(*contact_form_samples)
     assert systems == [_BLOCK, _BLOCK, 3]
 
 

@@ -22,7 +22,6 @@ from contactpairs.contact import (
     SampledPair,
     _solve_reeb,
     product_contact_pair,
-    reeb_pair,
     verify_contact_pair,
 )
 from contactpairs.deformation import (
@@ -251,9 +250,6 @@ def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
         verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
     assert err.value.condition == "reeb-commutator"
     assert err.value.defect == 0.5
-    with pytest.raises(ContactPairError) as err:
-        reeb_pair(objs["alpha"], objs["beta"])
-    assert err.value.condition == "reeb-commutator"
     # without the check the commutator is neither computed nor gated
     cert = verify_contact_pair(objs["alpha"], objs["beta"], 1, 1, check_commutator=False)
     assert cert.commutator_defect is None
