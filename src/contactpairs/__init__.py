@@ -11,6 +11,8 @@ induces on functions.
 
 __version__ = "0.1.0"
 
+import types
+
 from .contact import (
     ClassReport,
     ContactPairCertificate,
@@ -69,4 +71,7 @@ from .models import (
     torus,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)
+]

@@ -82,8 +82,8 @@ class _SingularGram(np.linalg.LinAlgError):
 def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False, pinv: bool = False):
     """Least squares for a batch of small stacked systems.
 
-    a has shape (P, M, N) with M >= N, b shape (M,), (M, R) or, for one
-    right-hand side per system, (P, M, R).  Solves the normal equations and
+    a has shape (P, M, N) with M >= N, b shape (M, R) or, for one right-hand
+    side per system, (P, M, R).  Solves the normal equations and
     returns (x, residual_inf, sigma_min, sigma_max); the extreme singular
     values of a are computed only on request and are None otherwise.
 
@@ -93,9 +93,6 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
     a_t = np.swapaxes(a, 1, 2)
     gram = a_t @ a
     rhs = a_t @ b
@@ -119,9 +116,6 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
         sigma = np.linalg.svd(a, compute_uv=False)
         sigma_min = sigma[:, -1]
         sigma_max = sigma[:, 0]
-    if squeeze:
-        x = x[..., 0]
-        residual_inf = residual_inf[..., 0]
     return x, residual_inf, sigma_min, sigma_max
 
 
@@ -304,10 +298,11 @@ class SampledPair:
         return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[:, 0]
 
 
-def _reeb_least_squares(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
+def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
     """least_squares_batch on the systems ``rows_of(block)`` of ``points``
-    points, one block of ``_BLOCK`` points at a time, with b of shape (M,),
-    (M, R) or (P, M, R).
+    points, one block of ``_BLOCK`` points at a time, with b of shape (M, R)
+    or (P, M, R), into outputs allocated for every point once the first
+    block gives their shapes.
 
     Only one block's row stack is alive at once.  Every batched LAPACK and
     matmul call treats each system on its own, so each solution bit is that
@@ -315,40 +310,36 @@ def _reeb_least_squares(rows_of, points: int, b: np.ndarray, compute_sigma: bool
     the whole batch to the pseudo-inverse, as it would in that one call;
     the blocks already solved by LU are then solved again.
     """
-    try:
-        return _solve_blocks(rows_of, points, b, compute_sigma, False)
-    except _SingularGram:
-        return _solve_blocks(rows_of, points, b, compute_sigma, True)
-
-
-def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool, pinv: bool):
-    """One least_squares_batch call per block, into outputs allocated for
-    every point once the first block gives their shapes."""
-    out = None
-    for lo in range(0, points, _BLOCK):
-        block = slice(lo, min(lo + _BLOCK, points))
-        solved = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
-        if out is None:
-            out = [None if v is None else np.empty((points, *v.shape[1:])) for v in solved]
-        for whole, part in zip(out, solved):
-            if whole is not None:
-                whole[block] = part
-    return out
+    for pinv in (False, True):
+        try:
+            out = None
+            for lo in range(0, points, _BLOCK):
+                block = slice(lo, min(lo + _BLOCK, points))
+                solved = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
+                if out is None:
+                    out = [None if v is None else np.empty((points, *v.shape[1:])) for v in solved]
+                for whole, part in zip(out, solved):
+                    if whole is not None:
+                        whole[block] = part
+            return out
+        except _SingularGram:
+            pass  # solved again, every block by the pseudo-inverse
 
 
 def _solve_reeb(s: SampledPair, compute_sigma: bool):
     """The Reeb pair of s: (E_alpha, E_beta, residual, sigma_min, sigma_max)."""
     # one right-hand side per field: alpha(E_alpha) = 1 and beta(E_beta) = 1
-    x, residual, sigma_min, sigma_max = _reeb_least_squares(
+    x, residual, sigma_min, sigma_max = _solve_blocks(
         s.reeb_rows, len(s.points), np.eye(2 * s.n + 2, 2), compute_sigma
     )
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
-def _checked_reeb(s: SampledPair, tol: float, scale: float, check_rank: bool):
+def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, check_commutator: bool):
     """Solve the Reeb systems of s; raise when one is inconsistent or, with
-    check_rank, rank deficient.  Returns (E_alpha, E_beta, max residual,
-    smallest singular value or None)."""
+    check_rank, rank deficient, and, on request, gate the exact commutator
+    at tol * scale.  Returns (E_alpha, E_beta, max residual, smallest
+    singular value or None, commutator defect or None)."""
     pts = s.points
     ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, check_rank)
     reeb_residual = float(np.max(residual))
@@ -371,14 +362,6 @@ def _checked_reeb(s: SampledPair, tol: float, scale: float, check_rank: bool):
                 "Reeb system is rank deficient (non-unique solution)",
                 _witness(pts, idx, value=smin),
             )
-    return ea, eb, reeb_residual, smin
-
-
-def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, check_commutator: bool):
-    """The checked Reeb solve of a sampled pair and, on request, the exact
-    commutator gated at tol * scale.  Returns (E_alpha, E_beta, max
-    residual, smallest singular value or None, commutator defect or None)."""
-    ea, eb, reeb_residual, smin = _checked_reeb(s, tol, scale, check_rank)
     comm = None
     if check_commutator:
         comm = float(np.max(np.abs(_reeb_commutator(s, ea, eb))))
@@ -423,33 +406,40 @@ def _reeb_rows_partial(forms, axis: int, pts: np.ndarray, z: np.ndarray):
     return out
 
 
+def _reeb_derivative(s: SampledPair, z_of_axis) -> np.ndarray:
+    """-(AᵀA)⁻¹ Aᵀ sum_a (∂_a A) z_a for the Reeb rows A of s, with z_a =
+    z_of_axis(a) of shape (P, n) for each coordinate axis a.
+
+    Differentiating the consistent system A E = b along X gives
+    D_X E = -(AᵀA)⁻¹ Aᵀ (D_X A) E, where D_X A = sum_a X^a ∂_a A and ∂_a A
+    holds the exact partials of alpha, beta, d alpha and d beta; so
+    z_a = X^a E gives D_X E.  Each ∂_a A is applied to z_a as soon as it is
+    evaluated, so only (P, 2n+2) vectors are accumulated; A is formed block
+    by block, and only when that sum is nonzero.
+    """
+    w = np.zeros((len(s.points), 2 * s.n + 2))
+    for a in s.forms[0].model.coordinate_axes:
+        w_a = _reeb_rows_partial(s.forms, a, s.points, z_of_axis(a))
+        if w_a is not None:
+            w += w_a
+    if not np.any(w):
+        return np.zeros((len(s.points), s.n))
+    u = _solve_blocks(s.reeb_rows, len(s.points), w[:, :, None], False)[0]
+    return -u[..., 0]
+
+
 def _reeb_commutator(s: SampledPair, ea, eb) -> np.ndarray:
-    """[E_alpha, E_beta] at the sample points from the solved Reeb system A E = b.
+    """[E_alpha, E_beta] at the sample points from the solved Reeb system:
+    with c the frame bracket,
 
-    Differentiating the consistent system along X gives
-    D_X E = -(AᵀA)⁻¹ Aᵀ (D_X A) E, where D_X A = sum_a X^a ∂_a A over the
-    coordinate axes and ∂_a A holds the exact partials of alpha, beta,
-    d alpha and d beta.  Hence, with c the frame bracket,
+        [E_alpha, E_beta] = c(E_alpha, E_beta) + D_{E_alpha} E_beta - D_{E_beta} E_alpha,
 
-        [E_alpha, E_beta] = c(E_alpha, E_beta) - (AᵀA)⁻¹ Aᵀ sum_a (∂_a A) z_a,
-        z_a = E_alpha^a E_beta - E_beta^a E_alpha.
-
-    Each ∂_a A is applied to z_a as soon as it is evaluated, so only
-    (P, 2n+2) vectors are accumulated; A is formed block by block, and only
-    when that sum is nonzero.
+    one derivative solve with z_a = E_alpha^a E_beta - E_beta^a E_alpha.
     """
     model = s.forms[0].model
     out = model.bracket_values(ea, eb)
-    if not model.coordinate_axes:
-        return out
-    w = np.zeros((ea.shape[0], 2 * s.n + 2))
-    for a in model.coordinate_axes:
-        w_a = _reeb_rows_partial(s.forms, a, s.points, ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
-        if w_a is not None:
-            w += w_a
-    if np.any(w):
-        u, _, _, _ = _reeb_least_squares(s.reeb_rows, len(s.points), w[:, :, None], False)
-        out -= u[..., 0]
+    if model.coordinate_axes:
+        out += _reeb_derivative(s, lambda a: ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
     return out
 
 
@@ -618,10 +608,8 @@ def _contact_reeb(av: np.ndarray, da_m: np.ndarray):
     def rows_of(block: slice) -> np.ndarray:
         return np.concatenate([av[block, None, :], np.swapaxes(da_m[block], 1, 2)], axis=1)
 
-    b = np.zeros(av.shape[1] + 1)
-    b[0] = 1.0
-    x, residual, _, _ = _reeb_least_squares(rows_of, av.shape[0], b, False)
-    return x, residual
+    x, residual, _, _ = _solve_blocks(rows_of, av.shape[0], np.eye(av.shape[1] + 1, 1), False)
+    return x[..., 0], residual[..., 0]
 
 
 def darboux_model(k: int, resolution: int = 7):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import expressions as ex
-from .contact import _contact_reeb, verify_contact_pair
+from .contact import _contact_reeb, _solve_blocks, verify_contact_pair
 from .exterior import _BLOCK, two_form_matrices
 from .fields import FormField
 from .models import Model, _tensor_points, default_tolerance, grid_nodes
@@ -143,7 +143,7 @@ class JacobiSide:
         self.e_values = e_values
         self.leaf_basis = leaf_basis
         self.leaf_dim = leaf_basis.shape[2]
-        self._alpha_leaf, self._system, self._solve_mat = solver
+        self._system, self._solve_mat = solver
         self.tol = tol
         self._interior_mask = self._build_interior_mask()
 
@@ -167,7 +167,7 @@ class JacobiSide:
         if not float(np.max(residual)) <= tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
         n = model.n
-        solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape))
+        solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape), tol, pts)
         basis = np.broadcast_to(np.eye(n), (grid.points.shape[0], n, n))  # read-only view
         return cls(model, "contact-form", grid, grid.spread(av), grid.spread(e), basis,
                    [grid.spread(a) for a in solver], tol)
@@ -217,7 +217,7 @@ class JacobiSide:
             raise JacobiError(
                 f"side form vanishes on its leaf distribution at {pts[idx].tolist()}"
             )
-        solver = cls._prepare_solver(own, own_d, basis)
+        solver = cls._prepare_solver(own, own_d, basis, tol, pts)
         # E stays a column of the (P, n, 2) solve of both Reeb fields
         reeb = grid.spread(np.stack([cert.reeb_alpha_values, cert.reeb_beta_values], axis=-1))
         return cls(model, side, grid, grid.spread(own), reeb[..., which], grid.spread(basis),
@@ -226,21 +226,28 @@ class JacobiSide:
     # -- solver -----------------------------------------------------------
 
     @staticmethod
-    def _prepare_solver(alpha_values, dalpha_mat, basis):
-        """(alpha|_V, the restricted system, its least-squares solve matrix)
-        for the equations in leaf coordinates x (X = basis @ x):
+    def _prepare_solver(alpha_values, dalpha_mat, basis, tol, points):
+        """(the restricted system, its least-squares solve matrix) for the
+        equations in leaf coordinates x (X = basis @ x):
             alpha|_V . x = f
             (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
+        The solve matrix (AᵀA)⁻¹Aᵀ solves A against the identity through the
+        Reeb block loop; a system with sigma_min <= tol * sigma_max (smallest
+        and largest over the samples) is rank deficient.
         """
         alpha_leaf = np.einsum("pi,pim->pm", alpha_values, basis)
         d_leaf = np.swapaxes(basis, 1, 2) @ dalpha_mat @ basis
         system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
-        gram = np.einsum("pmi,pmj->pij", system, system)
-        try:
-            solve_mat = np.linalg.solve(gram, np.swapaxes(system, 1, 2))
-        except np.linalg.LinAlgError:
-            raise JacobiError("degenerate leaf data: the restricted contact system is singular")
-        return alpha_leaf, system, solve_mat
+        solve_mat, _, sigma_min, sigma_max = _solve_blocks(
+            lambda block: system[block], len(system), np.eye(system.shape[1]), True
+        )
+        if np.min(sigma_min) <= tol * np.max(sigma_max):
+            idx = int(np.argmin(sigma_min))
+            raise JacobiError(
+                "degenerate leaf data: the restricted contact system is rank deficient "
+                f"at {points[idx].tolist()}"
+            )
+        return system, solve_mat
 
     def _build_interior_mask(self):
         mask = np.ones(self.grid_shape, dtype=bool)
@@ -286,7 +293,7 @@ class JacobiSide:
             vals, grad, ef = self.scalar_data(f)
             grad_leaf = np.einsum("pi,pim->pm", grad, self.leaf_basis)
             rhs = np.concatenate(
-                [vals[:, None], ef[:, None] * self._alpha_leaf - grad_leaf], axis=1
+                [vals[:, None], ef[:, None] * self._system[:, 0] - grad_leaf], axis=1
             )
             coords = np.einsum("pmr,pr->pm", self._solve_mat, rhs)
             residual = np.einsum("prm,pm->pr", self._system, coords) - rhs

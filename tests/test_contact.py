@@ -6,7 +6,8 @@ from contactpairs.contact import (
     ContactPairError,
     SampledPair,
     _contact_reeb,
-    _reeb_least_squares,
+    _reeb_derivative,
+    _solve_blocks,
     _solve_reeb,
     cartan_class,
     darboux_model,
@@ -236,13 +237,10 @@ def test_reeb_pair_on_non_pair_raises():
 
 @pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair])
 def test_implicit_reeb_derivative_matches_central_differences(pair):
-    from contactpairs.contact import _reeb_rows_partial
-
     model, alpha, beta = pair()
     pts = random_points(model, 500, np.random.default_rng(9))
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
-    rows = SampledPair.of(alpha, beta, pts).reeb_rows()
-    forms = (alpha, beta, alpha.d(), beta.d())
+    s = SampledPair.of(alpha, beta, pts)
     h = 1e-5
     for axis in model.coordinate_axes:
         shift = np.zeros(model.n)
@@ -250,11 +248,8 @@ def test_implicit_reeb_derivative_matches_central_differences(pair):
         ahead, behind = (_solve_reeb(SampledPair.of(alpha, beta, pts + sign * shift), False)
                          for sign in (1.0, -1.0))
         for which, values in enumerate((cert.reeb_alpha_values, cert.reeb_beta_values)):
-            # d_a E = -(A^T A)^-1 A^T (d_a A) E
-            w = _reeb_rows_partial(forms, axis, pts, values)
-            exact = np.zeros_like(values)
-            if w is not None:
-                exact = -least_squares_batch(rows, w[:, :, None])[0][..., 0]
+            # D_X E with X = e_axis: z_a = X^a E
+            exact = _reeb_derivative(s, lambda a: values * float(a == axis))
             central = (ahead[which] - behind[which]) / (2.0 * h)
             np.testing.assert_allclose(exact, central, rtol=0.0, atol=1e-9)
 
@@ -277,18 +272,12 @@ def test_commutator_defect_is_exact(name):
 
 
 def test_commutator_terms_cancel_only_in_the_bracket():
-    from contactpairs.contact import _reeb_rows_partial
-
     model, alpha, beta = sheared_t6_pair()
     pts = random_points(model, 500, np.random.default_rng(15))
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
-    rows = SampledPair.of(alpha, beta, pts).reeb_rows()
-    forms = (alpha, beta, alpha.d(), beta.d())
     # D_{E_alpha} E_beta alone, one of the two terms of the bracket
-    parts = [_reeb_rows_partial(forms, a, pts, ea[:, a : a + 1] * eb) for a in model.coordinate_axes]
-    w = sum(p for p in parts if p is not None)
-    one_term = least_squares_batch(rows, w[:, :, None])[0]
+    one_term = _reeb_derivative(SampledPair.of(alpha, beta, pts), lambda a: ea[:, a : a + 1] * eb)
     assert np.max(np.abs(one_term)) > 0.1
     assert cert.commutator_defect <= 1e-12
 
@@ -305,7 +294,7 @@ def _batch_with_singular_values(count, sigma, rng):
 def _blocked_sigma(a):
     """sigma_min and sigma_max of a stack of Reeb-shaped systems, through
     the block loop that solves every Reeb system."""
-    _, _, sigma_min, sigma_max = _reeb_least_squares(lambda block: a[block], len(a), np.eye(14, 2), True)
+    _, _, sigma_min, sigma_max = _solve_blocks(lambda block: a[block], len(a), np.eye(14, 2), True)
     return sigma_min, sigma_max
 
 
@@ -431,15 +420,15 @@ def test_row_maxima_equal_np_max_and_propagate_nan_and_inf():
 
 
 def test_reeb_residual_check_fails_on_nan_rows():
-    from contactpairs.contact import SampledPair, _checked_reeb
+    from contactpairs.contact import SampledPair, _reeb_solution
 
     model, alpha, beta = t6_pair()
     pts = random_points(model, 200, np.random.default_rng(7))
     s = SampledPair.of(alpha, beta, pts)
-    _checked_reeb(s, 1e-6, 1.0, False)
+    _reeb_solution(s, 1e-6, 1.0, False, False)
     s.dalpha[17, :] = np.nan  # the rows of i_E d alpha at point 17
     with np.errstate(invalid="ignore"):
         with pytest.raises(ContactPairError) as err:
-            _checked_reeb(s, 1e-6, 1.0, False)
+            _reeb_solution(s, 1e-6, 1.0, False, False)
     assert err.value.condition == "reeb-residual"
     assert err.value.witness["index"] == 17

@@ -30,22 +30,15 @@ EXPORTS = [
     "box_chart",
     "cartan_class",
     "coframe",
-    "contact",
     "darboux_model",
-    "deformation",
     "evaluate",
-    "expressions",
-    "exterior",
-    "fields",
     "form_from_expressions",
     "grid_points",
     "heisenberg3",
     "integrate",
     "interior",
-    "jacobi",
     "jacobi_bracket",
     "jacobi_identity_defect",
-    "models",
     "norm_inf",
     "product_contact_pair",
     "pullback_form",

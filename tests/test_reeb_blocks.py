@@ -1,23 +1,27 @@
 """The Reeb systems are solved in blocks of ``exterior._BLOCK`` points.
 
-The Reeb pair, the commutator's derivative solve and the Reeb field of one
-contact form share one block loop.  Every solution bit must equal that of
+The Reeb pair, the commutator's derivative solve, the Reeb field of one
+contact form and the leaf-restricted solve of a Jacobi side share one block
+loop, and no other code in the package solves a linear system.  Every solution bit must equal that of
 one least-squares call on the full row stack, written out below as it stood
 before the solve was blocked, and the solve must never hold the full row
 stack.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contactpairs
 from contactpairs import contact
 from contactpairs.contact import (
     SampledPair,
     _contact_reeb,
     _norm_inf_rows,
-    _reeb_least_squares,
+    _solve_blocks,
     _solve_reeb,
     torus_contact,
 )
@@ -127,7 +131,7 @@ def test_one_singular_gram_in_the_last_block_sends_every_block_to_pinv(family_sa
 def test_per_point_right_hand_sides_are_blocked_too(family_samples):
     s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
     w = np.random.default_rng(4).standard_normal((2 * _BLOCK + 3, 2 * s.n + 2, 1))
-    assert_same(_reeb_least_squares(s.reeb_rows, len(s.points), w, False), one_shot(s.reeb_rows(), w))
+    assert_same(_solve_blocks(s.reeb_rows, len(s.points), w, False), one_shot(s.reeb_rows(), w))
 
 
 def test_blocked_single_form_solve_has_the_bits_of_one_call(contact_form_samples):
@@ -172,3 +176,35 @@ def test_blocked_solve_stays_below_one_full_row_stack(family_samples):
     finally:
         tracemalloc.stop()
     assert peak < stack, (peak, stack)
+
+
+def _linalg_solve_sites():
+    """(module, enclosing function) of every np.linalg.solve or
+    np.linalg.pinv in the package, and the names imported from
+    numpy.linalg directly."""
+    sites, imported = [], []
+    for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                imported.extend((path.stem, alias.name) for alias in node.names)
+            if (isinstance(node, ast.Attribute) and node.attr in ("solve", "pinv")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                sites.append((path.stem, function, node.attr))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+    return sites, imported
+
+
+def test_only_least_squares_batch_solves_linear_systems():
+    sites, imported = _linalg_solve_sites()
+    assert sorted(sites) == [
+        ("contact", "least_squares_batch", "pinv"),
+        ("contact", "least_squares_batch", "solve"),
+    ]
+    assert imported == []
