@@ -47,11 +47,15 @@ __all__ = [
 ]
 
 
+# a failure within this factor of its threshold is numerically inconclusive
+MARGINAL_FACTOR = 10.0
+
+
 class ContactPairError(ValueError):
     """A contact condition failed; carries the condition name and a witness.
 
-    ``marginal`` marks failures within a factor 10 of the tolerance, which the
-    CLI reports as numerically inconclusive rather than falsified.
+    ``marginal`` marks failures within ``MARGINAL_FACTOR`` of the threshold,
+    which the CLI reports as numerically inconclusive rather than falsified.
     """
 
     def __init__(
@@ -153,7 +157,7 @@ def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=None) -> ClassReport:
+def cartan_class(alpha: FormField, tol: float | None = None, points=None) -> ClassReport:
     """Largest k with alpha ∧ (d alpha)^k nonvanishing and (d alpha)^{k+1} = 0,
     required to be the same k at every sample point."""
     if alpha.degree != 1:
@@ -162,7 +166,7 @@ def cartan_class(alpha: FormField, tol: float | None = None, points=None, rng=No
     if tol is None:
         tol = default_tolerance(model)
     if points is None:
-        points = sample_points(model, rng)
+        points = sample_points(model)
     pts = np.asarray(points, dtype=float)
     dav = alpha.d().values(pts) if model.n >= 2 else np.zeros((pts.shape[0], 0))
     return _class_report(alpha.values(pts), dav, pts, tol)
@@ -337,21 +341,15 @@ def _solve_reeb(s: SampledPair, compute_sigma: bool):
 
 def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, check_commutator: bool):
     """Solve the Reeb systems of s; raise when one is inconsistent or, with
-    check_rank, rank deficient, and, on request, gate the exact commutator
-    at tol * scale.  Returns (E_alpha, E_beta, max residual, smallest
-    singular value or None, commutator defect or None)."""
+    check_rank, rank deficient, and, on request, gate the exact commutator;
+    both gates are at tol * scale.  Returns (E_alpha, E_beta, max residual,
+    smallest singular value or None, commutator defect or None)."""
     pts = s.points
     ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, check_rank)
-    reeb_residual = float(np.max(residual))
-    if not reeb_residual < tol * scale:  # NaN fails too
-        idx = int(np.argmax(np.max(residual, axis=-1)))
-        raise ContactPairError(
-            "reeb-residual",
-            "Reeb defining relations are inconsistent",
-            _witness(pts, idx, value=reeb_residual),
-            defect=reeb_residual,
-            marginal=reeb_residual < 10.0 * tol * scale,
-        )
+    reeb_residual = _vanishing(
+        "reeb-residual", "Reeb defining relations are inconsistent",
+        np.max(residual, axis=-1), tol * scale, pts,
+    )
     smin = None
     if check_rank:
         smin = float(np.min(sigma_min))
@@ -364,15 +362,10 @@ def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, c
             )
     comm = None
     if check_commutator:
-        comm = float(np.max(np.abs(_reeb_commutator(s, ea, eb))))
-        if not comm <= tol * scale:
-            raise ContactPairError(
-                "reeb-commutator",
-                "solved Reeb fields fail to commute",
-                {"defect": comm},
-                defect=comm,
-                marginal=comm < 10.0 * tol * scale,
-            )
+        comm = _vanishing(
+            "reeb-commutator", "solved Reeb fields fail to commute",
+            _norm_inf_rows(_reeb_commutator(s, ea, eb)), tol * scale, pts,
+        )
     return ea, eb, reeb_residual, smin, comm
 
 
@@ -447,13 +440,10 @@ def _reeb_commutator(s: SampledPair, ea, eb) -> np.ndarray:
 class ContactPairCertificate:
     """A verified contact pair with its Reeb pair and solve diagnostics.
 
-    ``sampled`` keeps the evaluated arrays.  The fields alpha and beta are
-    None when the arrays were not evaluated from fields, as for a family at
-    one t.
+    ``sampled`` keeps the evaluated arrays; its ``forms`` are the fields
+    they were evaluated from, or None for a family at one t.
     """
 
-    alpha: FormField | None
-    beta: FormField | None
     k: int
     l: int
     tol: float
@@ -476,18 +466,18 @@ class ContactPairCertificate:
         )
 
 
-def _vanishing(condition: str, power: str, res: np.ndarray, threshold, pts) -> float:
-    """max res over the points, raising a witnessed failure when the power
-    does not vanish (exceeds threshold)."""
+def _vanishing(condition: str, message: str, res: np.ndarray, threshold, pts) -> float:
+    """max res over the points, raising a failure witnessed at its largest
+    point unless it stays at or below threshold; NaN fails."""
     defect = float(np.max(res))
-    if defect > threshold:
+    if not defect <= threshold:
         idx = int(np.argmax(res))
         raise ContactPairError(
             condition,
-            f"{power} does not vanish",
+            message,
             _witness(pts, idx, value=defect),
             defect=defect,
-            marginal=bool(defect < 10.0 * threshold),
+            marginal=bool(defect < MARGINAL_FACTOR * threshold),
         )
     return defect
 
@@ -499,7 +489,6 @@ def verify_contact_pair(
     l: int,
     tol: float | None = None,
     points=None,
-    rng=None,
     check_commutator: bool = True,
     check_rank: bool = True,
 ) -> ContactPairCertificate:
@@ -513,7 +502,7 @@ def verify_contact_pair(
     if tol is None:
         tol = default_tolerance(model)
     if points is None:
-        points = sample_points(model, rng)
+        points = sample_points(model)
     return _certify(SampledPair.of(alpha, beta, points), k, l, tol, check_commutator, check_rank)
 
 
@@ -554,8 +543,8 @@ def _certify(
                 f"{name} vanishes at a sample point",
                 _witness(pts, idx, value=float(norms[idx])),
             )
-    dalpha_res = _vanishing("dalpha-power", f"(d alpha)^{k + 1}", da_res, da_threshold, pts)
-    dbeta_res = _vanishing("dbeta-power", f"(d beta)^{l + 1}", db_res, db_threshold, pts)
+    dalpha_res = _vanishing("dalpha-power", f"(d alpha)^{k + 1} does not vanish", da_res, da_threshold, pts)
+    dbeta_res = _vanishing("dbeta-power", f"(d beta)^{l + 1} does not vanish", db_res, db_threshold, pts)
 
     abs_vol = np.abs(vol)
     if np.any(abs_vol <= tol * vol_scale):
@@ -565,7 +554,7 @@ def _certify(
             "volume coefficient vanishes at a sample point",
             _witness(pts, idx, value=float(vol[idx])),
             defect=float(abs_vol[idx]),
-            marginal=bool(abs_vol[idx] > 0.1 * tol * vol_scale),
+            marginal=bool(MARGINAL_FACTOR * abs_vol[idx] > tol * vol_scale),
         )
     if vol.min() < 0.0 < vol.max():
         raise ContactPairError(
@@ -580,10 +569,7 @@ def _certify(
     ea, eb, reeb_residual, smin, comm = _reeb_solution(
         s, tol, res_scale, check_rank, check_commutator
     )
-    alpha, beta = s.forms[:2] if s.forms else (None, None)
     return ContactPairCertificate(
-        alpha=alpha,
-        beta=beta,
         k=k,
         l=l,
         tol=tol,
@@ -682,7 +668,6 @@ def verify_single_deformation(
     t_grid=None,
     tol: float | None = None,
     points=None,
-    rng=None,
 ) -> SingleDeformationReport:
     """Check both directions of the deformation criterion for a single form."""
     model = alpha.model
@@ -692,7 +677,7 @@ def verify_single_deformation(
     if tol is None:
         tol = default_tolerance(model)
     if points is None:
-        points = sample_points(model, rng)
+        points = sample_points(model)
     pts = np.asarray(points, dtype=float)
     if t_grid is None:
         t_grid = [10.0**j for j in range(-2, 2)]

@@ -73,7 +73,6 @@ class DeformationFamily:
         l: int,
         tol: float | None = None,
         points=None,
-        rng=None,
     ):
         model = alpha0.model
         for f in (beta0, alpha, beta):
@@ -84,7 +83,7 @@ class DeformationFamily:
         if tol is None:
             tol = default_tolerance(model)
         if points is None:
-            points = sample_points(model, rng)
+            points = sample_points(model)
         pts = np.asarray(points, dtype=float)
 
         # kept: the sampled family evaluates them again without re-deriving
@@ -198,21 +197,21 @@ class SampledFamily:
 
 
 def volume_polynomial(
-    family: DeformationFamily, volume: FormField | None = None, points=None, rng=None
+    family: DeformationFamily, volume: FormField | None = None, points=None
 ) -> VolumePolynomial:
     """Sample the three coefficient functions of the volume polynomial."""
     if points is None:
-        points = sample_points(family.model, rng)
+        points = sample_points(family.model)
     return SampledFamily(family, points).volume_polynomial(volume)
 
 
 def volume_identity_defect(
-    family: DeformationFamily, t_values, volume: FormField | None = None, points=None, rng=None
+    family: DeformationFamily, t_values, volume: FormField | None = None, points=None
 ) -> float:
     """Max relative defect between the expanded family volume form and
     t^{k+l}(Q t^2 + L t + C) * Omega over the t sample set."""
     if points is None:
-        points = sample_points(family.model, rng)
+        points = sample_points(family.model)
     sampled = SampledFamily(family, points)
     vp = sampled.volume_polynomial(volume)
     k, l = family.k, family.l
@@ -338,6 +337,13 @@ class TheoremVerdict:
         }
 
 
+def _gate(name: str, defect: float, threshold: float, witness: dict | None = None) -> CheckItem:
+    """The check that defect stays below threshold (NaN fails); the witness
+    is kept only on failure."""
+    passed = bool(defect < threshold)
+    return CheckItem(name, passed, defect=defect, threshold=threshold, witness=None if passed else witness)
+
+
 def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate | None]:
     try:
         cert = make_cert()
@@ -390,23 +396,13 @@ def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
             for n, _, _ in names
         ]
     reeb = {"ea": cert.reeb_alpha_values, "eb": cert.reeb_beta_values}
-    pts = closed.points
     items = []
     for label, closed_values, key in names:
         vals = np.abs(np.einsum("pi,pi->p", closed_values, reeb[key]))
         defect = float(np.max(vals))
         scale = max(1.0, float(np.max(np.abs(closed_values))) * float(np.max(np.abs(reeb[key]))))
-        passed = defect < tol * scale
-        idx = int(np.argmax(vals))
-        items.append(
-            CheckItem(
-                f"compatibility {label}=0",
-                passed,
-                defect=defect,
-                threshold=tol * scale,
-                witness=None if passed else {"point": [float(v) for v in pts[idx]], "value": defect},
-            )
-        )
+        point = [float(v) for v in closed.points[int(np.argmax(vals))]]
+        items.append(_gate(f"compatibility {label}=0", defect, tol * scale, {"point": point, "value": defect}))
     return items
 
 
@@ -415,7 +411,6 @@ def verify_forward(
     t_grid=None,
     tol: float | None = None,
     points=None,
-    rng=None,
 ) -> TheoremVerdict:
     """Forward direction: a compatible contact pair of deformation directions
     makes every (alpha_t, beta_t), t != 0, a contact pair of the same type
@@ -426,7 +421,7 @@ def verify_forward(
     if t_grid is None:
         t_grid = FORWARD_T_GRID
     if points is None:
-        points = sample_points(model, rng)
+        points = sample_points(model)
     sampled = SampledFamily(family, points)
     pts = sampled.points
 
@@ -449,22 +444,14 @@ def verify_forward(
             np.max(np.abs(t * reeb_t[0] - cert.reeb_alpha_values), axis=1),
             np.max(np.abs(t * reeb_t[1] - cert.reeb_beta_values), axis=1),
         )
-        defect = float(np.max(diff))
         scale = max(
             1.0,
             float(np.max(np.abs(cert.reeb_alpha_values))),
             float(np.max(np.abs(cert.reeb_beta_values))),
         )
-        passed = defect < tol * scale
-        idx = int(np.argmax(diff))
+        point = [float(v) for v in pts[int(np.argmax(diff))]]
         conclusions.append(
-            CheckItem(
-                f"Reeb scaling at t={t:g}",
-                passed,
-                defect=defect,
-                threshold=tol * scale,
-                witness=None if passed else {"t": t, "point": [float(v) for v in pts[idx]]},
-            )
+            _gate(f"Reeb scaling at t={t:g}", float(np.max(diff)), tol * scale, {"t": t, "point": point})
         )
     return TheoremVerdict("forward", hypotheses, conclusions)
 
@@ -474,8 +461,6 @@ def verify_converse(
     t_grid=None,
     tol: float | None = None,
     points=None,
-    rng=None,
-    integral_resolution=None,
 ) -> TheoremVerdict:
     """Converse direction: if every (alpha_t, beta_t), t > 0, is a contact
     pair whose Reeb pair scales as (X/t, Y/t), then (alpha, beta) is a
@@ -495,7 +480,7 @@ def verify_converse(
     if any(t <= 0 for t in t_grid):
         raise ValueError("converse t grid must be strictly positive")
     if points is None:
-        points = sample_points(model, rng)
+        points = sample_points(model)
     sampled = SampledFamily(family, points)
 
     hypotheses = []
@@ -513,14 +498,7 @@ def verify_converse(
             for v in seq[1:]:
                 defect = max(defect, float(np.max(np.abs(v - seq[0]))))
         scale = max(1.0, float(np.max(np.abs(scaled_a[0]))), float(np.max(np.abs(scaled_b[0]))))
-        hypotheses.append(
-            CheckItem(
-                "t * E_{alpha_t}, t * E_{beta_t} constant across t",
-                defect < tol * scale,
-                defect=defect,
-                threshold=tol * scale,
-            )
-        )
+        hypotheses.append(_gate("t * E_{alpha_t}, t * E_{beta_t} constant across t", defect, tol * scale))
         x_vals, y_vals = scaled_a[0], scaled_b[0]
     else:
         hypotheses.append(
@@ -541,46 +519,19 @@ def verify_converse(
             float(np.max(np.abs(cert.reeb_beta_values - y_vals))),
         )
         scale = max(1.0, float(np.max(np.abs(x_vals))), float(np.max(np.abs(y_vals))))
-        conclusions.append(
-            CheckItem(
-                "(E_alpha,E_beta) = (X,Y)", defect < tol * scale, defect=defect, threshold=tol * scale
-            )
-        )
+        conclusions.append(_gate("(E_alpha,E_beta) = (X,Y)", defect, tol * scale))
     else:
         conclusions.append(CheckItem("(E_alpha,E_beta) = (X,Y)", None, note="not evaluated"))
     conclusions.extend(_pairing_items(sampled.closed, cert, tol))
 
     vp = sampled.volume_polynomial()
-    conclusions.append(
-        CheckItem(
-            "constant volume coefficient vanishes pointwise",
-            vp.max_abs_const < tol,
-            defect=vp.max_abs_const,
-            threshold=tol,
-        )
-    )
-    lin_max = float(np.max(np.abs(vp.lin)))
-    conclusions.append(
-        CheckItem(
-            "linear volume coefficient vanishes pointwise",
-            lin_max < tol,
-            defect=lin_max,
-            threshold=tol,
-        )
-    )
+    conclusions.append(_gate("constant volume coefficient vanishes pointwise", vp.max_abs_const, tol))
+    conclusions.append(_gate("linear volume coefficient vanishes pointwise", float(np.max(np.abs(vp.lin))), tol))
     if model.is_closed and family.k >= 1 and family.l >= 1:
-        da, db = sampled.direction.forms[2:]
         del sampled, cert  # free the samples before the quadrature's own arrays
-        i1, i2 = _stokes_integrals(family, da, db, integral_resolution)
+        i1, i2 = stokes_integrals(family)
         for label, value in (("closed-times-direction", i1), ("direction-times-closed", i2)):
-            conclusions.append(
-                CheckItem(
-                    f"quadrature integral ({label}) vanishes",
-                    value < max(tol, 1e-8),
-                    defect=value,
-                    threshold=max(tol, 1e-8),
-                )
-            )
+            conclusions.append(_gate(f"quadrature integral ({label}) vanishes", value, max(tol, 1e-8)))
     else:
         conclusions.append(
             CheckItem(
@@ -592,7 +543,7 @@ def verify_converse(
     return TheoremVerdict("converse", hypotheses, conclusions)
 
 
-def stokes_integrals(family: DeformationFamily, resolution=None) -> tuple[float, float]:
+def stokes_integrals(family: DeformationFamily) -> tuple[float, float]:
     """|∫ alpha0 ∧ (d alpha)^k ∧ beta ∧ (d beta)^l| and
     |∫ alpha ∧ (d alpha)^k ∧ beta0 ∧ (d beta)^l| by tensor quadrature.
 
@@ -604,21 +555,14 @@ def stokes_integrals(family: DeformationFamily, resolution=None) -> tuple[float,
         raise ValueError("quadrature vanishing checks need a closed model")
     if family.k < 1 or family.l < 1:
         raise ValueError("quadrature vanishing checks need type at least (1,1)")
-    return _stokes_integrals(family, family.alpha.d(), family.beta.d(), resolution)
-
-
-def _stokes_integrals(family: DeformationFamily, da: FormField, db: FormField, resolution):
-    da_pow = da.wedge_power(family.k)
-    db_pow = db.wedge_power(family.l)
+    da_pow = family.alpha.d().wedge_power(family.k)
+    db_pow = family.beta.d().wedge_power(family.l)
     first = family.alpha0.wedge(da_pow).wedge(family.beta).wedge(db_pow)
     second = family.alpha.wedge(da_pow).wedge(family.beta0).wedge(db_pow)
-    return (
-        abs(integrate(family.model, first, resolution)),
-        abs(integrate(family.model, second, resolution)),
-    )
+    return abs(integrate(family.model, first)), abs(integrate(family.model, second))
 
 
-def sweep_rows(family: DeformationFamily, t_grid, points=None, rng=None) -> list[dict]:
+def sweep_rows(family: DeformationFamily, t_grid, points=None) -> list[dict]:
     """Per-t sweep of the family: volume coefficient range and Reeb residual.
 
     Rows are produced for every t, including values where the pair fails to
@@ -626,7 +570,7 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, rng=None) -> list
     overflow, whose rows then hold non-finite numbers.
     """
     if points is None:
-        points = sample_points(family.model, rng)
+        points = sample_points(family.model)
     sampled = SampledFamily(family, points)
     rows = []
     for t in t_grid:

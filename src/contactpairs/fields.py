@@ -164,9 +164,6 @@ class FormField:
             self.model, self.degree, [ex.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self) -> "FormField":
-        return FormField(self.model, self.degree, [ex.neg(c) for c in self.coeffs])
-
     def __mul__(self, scalar) -> "FormField":
         s = ex.const(float(scalar))
         return FormField(self.model, self.degree, [ex.mul(s, c) for c in self.coeffs])
@@ -232,15 +229,6 @@ class VectorField:
         for i, c in enumerate(self.comps):
             out[:, i] = ex.evaluate_many(c, pts)
         return out
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.model, [ex.add(a, b) for a, b in zip(self.comps, other.comps)])
-
-    def __mul__(self, scalar) -> "VectorField":
-        s = ex.const(float(scalar))
-        return VectorField(self.model, [ex.mul(s, c) for c in self.comps])
-
-    __rmul__ = __mul__
 
 
 def coframe(model: Model, i: int) -> FormField:

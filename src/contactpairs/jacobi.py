@@ -145,7 +145,7 @@ class JacobiSide:
         self.leaf_dim = leaf_basis.shape[2]
         self._system, self._solve_mat = solver
         self.tol = tol
-        self._interior_mask = self._build_interior_mask()
+        self.interior_mask = self._build_interior_mask()
 
     # -- construction -----------------------------------------------------
 
@@ -258,10 +258,6 @@ class JacobiSide:
             m[0] = False
             m[-1] = False
         return mask.reshape(-1)
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return self._interior_mask
 
     def scalar_data(self, f):
         """Normalize a function to (values, gradient, E.f) on the grid."""

@@ -159,10 +159,12 @@ class ProductModel(Model):
     """Product of two models; left axes precede right axes.
 
     Full tensor grids on products are kept coarse (``grid_cap`` points per
-    axis, default 8); finer sweeps should sample uniformly at random.
+    axis); finer sweeps should sample uniformly at random.
     """
 
-    def __init__(self, left: Model, right: Model, grid_cap: int = 8, name: str = ""):
+    grid_cap = 8
+
+    def __init__(self, left: Model, right: Model, name: str = ""):
         axes = left.axes + right.axes
         n = len(axes)
         nl = left.n
@@ -172,7 +174,6 @@ class ProductModel(Model):
         super().__init__(axes, structure, name=name or f"{left.name or 'left'}x{right.name or 'right'}")
         self.left = left
         self.right = right
-        self.grid_cap = grid_cap
 
 
 def torus(dim: int, resolution: int = 32, name: str = "") -> ChartModel:

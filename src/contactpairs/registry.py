@@ -44,19 +44,19 @@ def _heisenberg_factor(name):
     return model, coframe(model, 2)
 
 
-def _product_pair(left, alpha, right, beta):
-    """The product model with the pulled-back pair, as product_contact_pair
-    builds it, without its class check: the factor forms of the builtins are
-    contact by construction (the tests check that the check accepts them)."""
+def _family_example(left, alpha_l, right, alpha_r, closed_axis_left: int) -> dict:
+    """The type (1,1) family on left x right deforming the closed pair
+    (coframe closed_axis_left of left, coframe 0 of right) along the
+    pulled-back contact forms.
+
+    The product is built as product_contact_pair builds it, without its
+    class check: the factor forms of the builtins are contact by
+    construction (the tests check that the check accepts them).
+    """
     model = ProductModel(left, right)
-    return model, pullback_form(model, alpha, "left"), pullback_form(model, beta, "right")
-
-
-def _heisenberg6_pair():
-    left, alpha_l = _heisenberg_factor("h3-left")
-    right, alpha_r = _heisenberg_factor("h3-right")
-    model, alpha, beta = _product_pair(left, alpha_l, right, alpha_r)
-    alpha0 = pullback_form(model, coframe(left, 0), "left")
+    alpha = pullback_form(model, alpha_l, "left")
+    beta = pullback_form(model, alpha_r, "right")
+    alpha0 = pullback_form(model, coframe(left, closed_axis_left), "left")
     beta0 = pullback_form(model, coframe(right, 0), "right")
     family = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
     return {
@@ -69,28 +69,6 @@ def _heisenberg6_pair():
         "k": 1,
         "l": 1,
     }
-
-
-def _t6_family(closed_axis_left: int):
-    def build():
-        left, alpha_l = torus_contact()
-        right, alpha_r = torus_contact()
-        model, alpha, beta = _product_pair(left, alpha_l, right, alpha_r)
-        alpha0 = pullback_form(model, coframe(left, closed_axis_left), "left")
-        beta0 = pullback_form(model, coframe(right, 0), "right")
-        family = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
-        return {
-            "model": model,
-            "alpha": alpha,
-            "beta": beta,
-            "alpha0": alpha0,
-            "beta0": beta0,
-            "family": family,
-            "k": 1,
-            "l": 1,
-        }
-
-    return build
 
 
 def _t2_pair():
@@ -122,18 +100,18 @@ _REGISTRY = {
     "heisenberg6-pair": (
         ExampleInfo("heisenberg6-pair", 6, "family", "type (1,1)",
                     "product of two Heisenberg contact forms, deforming the closed pair (e0*, f0*)"),
-        _heisenberg6_pair,
+        lambda: _family_example(*_heisenberg_factor("h3-left"), *_heisenberg_factor("h3-right"), 0),
     ),
     "t6-pair-compatible": (
         ExampleInfo("t6-pair-compatible", 6, "family", "type (1,1)",
                     "T^3 x T^3 torus contact pair deforming (dx0 left, dx0 right); compatible"),
-        _t6_family(0),
+        lambda: _family_example(*torus_contact(), *torus_contact(), 0),
     ),
     "t6-pair-incompatible": (
         ExampleInfo("t6-pair-incompatible", 6, "family", "type (1,1)",
                     "T^3 x T^3 torus contact pair deforming (dx1 left, dx0 right); "
                     "alpha0(E_alpha) = cos(x0) breaks compatibility"),
-        _t6_family(1),
+        lambda: _family_example(*torus_contact(), *torus_contact(), 1),
     ),
     "t2-pair-type00": (
         ExampleInfo("t2-pair-type00", 2, "pair", "type (0,0)",

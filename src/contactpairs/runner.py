@@ -2,8 +2,8 @@
 machine-readable run report.
 
 Exit codes: 0 all verdicts pass, 1 some verdict falsified or not applicable,
-2 input error, 3 numerically inconclusive (every failure sits within a factor
-10 of its tolerance).
+2 input error, 3 numerically inconclusive (every failure sits within
+``contact.MARGINAL_FACTOR`` of its threshold).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from . import __version__
 from . import expressions as ex
 from .config import JACOBI_RESOLUTION, RunConfig
 from .contact import (
+    MARGINAL_FACTOR,
     ContactPairError,
     cartan_class,
     verify_contact_pair,
@@ -55,7 +56,7 @@ def _verdict_status(verdict) -> str:
         if i.passed is False
     ]
     if overall == "falsified" and failed and all(
-        i.defect is not None and i.threshold and i.defect < 10.0 * i.threshold for i in failed
+        i.defect is not None and i.threshold and i.defect < MARGINAL_FACTOR * i.threshold for i in failed
     ):
         return "inconclusive"
     return "not-applicable" if overall == "not applicable" else "fail"

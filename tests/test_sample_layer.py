@@ -250,6 +250,8 @@ def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
         verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
     assert err.value.condition == "reeb-commutator"
     assert err.value.defect == 0.5
+    assert err.value.witness["index"] == 0
+    assert len(err.value.witness["point"]) == 6
     # without the check the commutator is neither computed nor gated
     cert = verify_contact_pair(objs["alpha"], objs["beta"], 1, 1, check_commutator=False)
     assert cert.commutator_defect is None
@@ -259,6 +261,8 @@ def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
     assert code == 1
     assert task["status"] == "fail"
     assert task["result"]["error"]["condition"] == "reeb-commutator"
+    assert task["result"]["error"]["index"] == 0
+    assert len(task["result"]["error"]["point"]) == 6
 
 
 # --- t grids are finite numbers ------------------------------------------------
