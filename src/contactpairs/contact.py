@@ -15,6 +15,9 @@ stays strictly above that, so t-scaled families certify at any t.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,30 +307,50 @@ class SampledPair:
 
 def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
     """least_squares_batch on the systems ``rows_of(block)`` of ``points``
-    points, one block of ``_BLOCK`` points at a time, with b of shape (M, R)
-    or (P, M, R), into outputs allocated for every point once the first
-    block gives their shapes.
+    points, one block of ``_BLOCK // 2`` points per call, with b of shape
+    (M, R) or (P, M, R); the outputs of the blocks are joined in order.
 
-    Only one block's row stack is alive at once.  Every batched LAPACK and
-    matmul call treats each system on its own, so each solution bit is that
-    of one call on the full stack.  One exactly singular Gram matrix sends
-    the whole batch to the pseudo-inverse, as it would in that one call;
-    the blocks already solved by LU are then solved again.
+    The calling thread and one worker thread for each further CPU in this
+    process's affinity mask take blocks in turn, so two blocks in flight hold
+    the rows of one ``_BLOCK``; with one block or one CPU no thread starts.
+    numpy releases the GIL in its batched LAPACK and matmul calls.  The
+    partition depends on ``points`` alone, and every batched call treats each
+    system on its own, so each solution bit is that of one call on the full
+    stack, on any number of CPUs.  Workers run in a copy of the caller's
+    context, which holds numpy's errstate, and the caller raises what they
+    raise.  One exactly singular Gram matrix starts no further LU block and
+    sends the whole batch to the pseudo-inverse, as it would in that one call.
     """
+    blocks = [slice(lo, min(lo + _BLOCK // 2, points)) for lo in range(0, points, _BLOCK // 2)]
+    workers = min(len(blocks), len(os.sched_getaffinity(0))) - 1
     for pinv in (False, True):
-        try:
-            out = None
-            for lo in range(0, points, _BLOCK):
-                block = slice(lo, min(lo + _BLOCK, points))
-                solved = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
-                if out is None:
-                    out = [None if v is None else np.empty((points, *v.shape[1:])) for v in solved]
-                for whole, part in zip(out, solved):
-                    if whole is not None:
-                        whole[block] = part
-            return out
-        except _SingularGram:
-            pass  # solved again, every block by the pseudo-inverse
+        todo, parts, errors, lock = iter(range(len(blocks))), [None] * len(blocks), [], threading.Lock()
+
+        def solve():
+            while not errors:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                block = blocks[i]
+                try:
+                    parts[i] = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
+                except BaseException as err:  # re-raised by the caller, or the pinv pass
+                    errors.append(err)
+                    return
+
+        threads = [threading.Thread(target=contextvars.copy_context().run, args=(solve,)) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        solve()
+        for thread in threads:
+            thread.join()
+        if not errors:
+            # joined by this thread: arrays a worker allocated and kept would
+            # keep its malloc arena from shrinking
+            return [None if v[0] is None else np.concatenate(v) for v in zip(*parts)]
+        if not isinstance(errors[0], _SingularGram):
+            raise errors[0]
 
 
 def _solve_reeb(s: SampledPair, compute_sigma: bool):

@@ -1,15 +1,20 @@
-"""The Reeb systems are solved in blocks of ``exterior._BLOCK`` points.
+"""The Reeb systems are solved in blocks of ``exterior._BLOCK // 2`` points,
+shared between the calling thread and one worker thread per further core.
 
 The Reeb pair, the commutator's derivative solve, the Reeb field of one
 contact form and the leaf-restricted solve of a Jacobi side share one block
 loop, and no other code in the package solves a linear system.  Every solution bit must equal that of
 one least-squares call on the full row stack, written out below as it stood
-before the solve was blocked, and the solve must never hold the full row
-stack.
+before the solve was blocked, on any number of cores, and the solve must
+never hold the full row stack.  The core count is what ``contact`` reads
+from ``os.sched_getaffinity``, replaced here by ``use_cores``.
 """
 
 import ast
+import threading
 import tracemalloc
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +36,7 @@ from contactpairs.models import random_points
 from contactpairs.registry import build_example
 from test_exterior import same_bits
 
+HALF = _BLOCK // 2
 POINTS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
 
 
@@ -62,9 +68,14 @@ def reference(s, compute_sigma):
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
+def single_rows(av, da_m):
+    """The full row stack of the Reeb systems of one contact form."""
+    return np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
+
+
 def single_reference(av, da_m):
     """The Reeb field of one contact form from one call on the full row stack."""
-    rows = np.concatenate([av[:, None, :], np.swapaxes(da_m, 1, 2)], axis=1)
+    rows = single_rows(av, da_m)
     x, residual, _, _ = one_shot(rows, np.eye(rows.shape[1], 1))
     return x[..., 0], residual[..., 0]
 
@@ -97,6 +108,18 @@ def head(s: SampledPair, points: int) -> SampledPair:
     return SampledPair(*(np.array(v[:points]) for v in parts))
 
 
+def use_cores(monkeypatch, cores: int) -> None:
+    """Let contact see an affinity mask of ``cores`` CPUs."""
+    monkeypatch.setattr(contact.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def zero_system(s: SampledPair, index: int) -> None:
+    """Make the Reeb system of point ``index`` all zero: its Gram matrix is
+    exactly singular."""
+    for v in (s.alpha, s.beta, s.dalpha, s.dbeta):
+        v[index] = 0.0
+
+
 @pytest.mark.parametrize("compute_sigma", (False, True))
 @pytest.mark.parametrize("points", POINTS)
 def test_blocked_solve_has_the_bits_of_one_call(family_samples, points, compute_sigma):
@@ -118,14 +141,58 @@ def test_blocked_solve_of_overflowing_rows(family_samples, points, compute_sigma
 @pytest.mark.parametrize("points", (_BLOCK + 1, 2 * _BLOCK + 3))
 def test_one_singular_gram_in_the_last_block_sends_every_block_to_pinv(family_samples, points, compute_sigma):
     s = head(family_samples.at(0.7), points)
-    for v in (s.alpha, s.beta, s.dalpha, s.dbeta):
-        v[-1] = 0.0  # the last system is all zero: its Gram matrix is exactly singular
+    zero_system(s, -1)
     want = reference(s, compute_sigma)
     assert_same(_solve_reeb(s, compute_sigma), want)
     # the test can see the rule: per-block fallback would change the bits of
     # the first block, which is regular
-    first = head(s, _BLOCK)
-    assert not same_bits(reference(first, compute_sigma)[0], want[0][:_BLOCK])
+    first = head(s, HALF)
+    assert not same_bits(reference(first, compute_sigma)[0], want[0][:HALF])
+
+
+@pytest.mark.parametrize("cores", (1, 2))
+def test_a_singular_gram_in_the_first_block_starts_no_further_lu_block(family_samples, monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
+    zero_system(s, 0)
+    want = reference(s, True)
+    calls, failed = [], threading.Event()
+    solve = contact.least_squares_batch
+
+    def recorded(a, b, compute_sigma=False, pinv=False):
+        calls.append((len(a), pinv))
+        if not pinv and np.any(a[0]):
+            failed.wait(30)  # a regular LU block ends only after the singular one failed
+        try:
+            return solve(a, b, compute_sigma, pinv)
+        except contact._SingularGram:
+            failed.set()
+            raise
+
+    monkeypatch.setattr(contact, "least_squares_batch", recorded)
+    got = _solve_reeb(s, True)
+    # one LU call per thread at most: the block that failed and those in
+    # flight; then every block by the pseudo-inverse
+    lu = sum(not pinv for _, pinv in calls)
+    assert 1 <= lu <= cores
+    assert not any(pinv for _, pinv in calls[:lu])
+    assert Counter(size for size, _ in calls[lu:]) == Counter({HALF: 4, 3: 1})
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("cores", (1, 2))
+def test_an_error_in_any_block_reaches_the_caller(family_samples, monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    solve = contact.least_squares_batch
+
+    def fails_on_the_last_block(a, *args):
+        if len(a) == 3:
+            raise MemoryError("the last block")
+        return solve(a, *args)
+
+    monkeypatch.setattr(contact, "least_squares_batch", fails_on_the_last_block)
+    with pytest.raises(MemoryError, match="the last block"):
+        _solve_reeb(head(family_samples.at(0.7), 2 * _BLOCK + 3), True)
 
 
 def test_per_point_right_hand_sides_are_blocked_too(family_samples):
@@ -145,37 +212,92 @@ def test_one_singular_single_form_system_sends_every_block_to_pinv(contact_form_
     want = single_reference(av, da_m)
     assert_same(_contact_reeb(av, da_m), want)
     # a per-block fallback would change the bits of the regular first block
-    assert not same_bits(single_reference(av[:_BLOCK], da_m[:_BLOCK])[0], want[0][:_BLOCK])
+    assert not same_bits(single_reference(av[:HALF], da_m[:HALF])[0], want[0][:HALF])
 
 
 def test_every_block_is_one_least_squares_call(family_samples, contact_form_samples, monkeypatch):
-    systems = []
-    solve = contact.least_squares_batch
+    # blocks are taken in no fixed order, so the partition is pinned as a
+    # multiset of block sizes, the same on any number of cores, and each
+    # point's rows are found in exactly one call
+    calls = []
+    solve_batch = contact.least_squares_batch
 
-    def counted(a, *args, **kwargs):
-        systems.append(np.shape(a)[0])
-        return solve(a, *args, **kwargs)
+    def recorded(a, b, compute_sigma=False, pinv=False):
+        calls.append((a, pinv))
+        return solve_batch(a, b, compute_sigma, pinv)
 
-    monkeypatch.setattr(contact, "least_squares_batch", counted)
-    _solve_reeb(head(family_samples.at(0.7), 2 * _BLOCK + 3), True)
-    assert systems == [_BLOCK, _BLOCK, 3]
-    systems.clear()
-    _contact_reeb(*contact_form_samples)
-    assert systems == [_BLOCK, _BLOCK, 3]
+    monkeypatch.setattr(contact, "least_squares_batch", recorded)
+    s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
+    for cores in (1, 2, 4):
+        use_cores(monkeypatch, cores)
+        for solve, rows in (
+            (lambda: _solve_reeb(s, True), s.reeb_rows()),
+            (lambda: _contact_reeb(*contact_form_samples), single_rows(*contact_form_samples)),
+        ):
+            calls.clear()
+            solve()
+            assert Counter(len(a) for a, _ in calls) == Counter({HALF: 4, 3: 1})
+            assert not any(pinv for _, pinv in calls)
+            assert sorted(r.tobytes() for a, _ in calls for r in a) == sorted(r.tobytes() for r in rows)
 
 
-def test_blocked_solve_stays_below_one_full_row_stack(family_samples):
+@pytest.mark.parametrize("cores", (1, 2, 4))
+def test_the_bits_do_not_depend_on_the_core_count(family_samples, contact_form_samples, monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
+    assert_same(_solve_reeb(s, True), reference(s, True))
+    w = np.random.default_rng(4).standard_normal((2 * _BLOCK + 3, 2 * s.n + 2, 1))
+    assert_same(_solve_blocks(s.reeb_rows, len(s.points), w, False), one_shot(s.reeb_rows(), w))
+    assert_same(_contact_reeb(*contact_form_samples), single_reference(*contact_form_samples))
+
+
+@pytest.mark.parametrize(
+    "cores, points, workers",
+    ((1, 2 * _BLOCK + 3, 0), (4, HALF, 0), (2, 2 * _BLOCK + 3, 1), (4, 2 * _BLOCK + 3, 3), (8, _BLOCK + 1, 2)),
+)
+def test_one_worker_per_further_core_and_block(family_samples, monkeypatch, cores, points, workers):
+    use_cores(monkeypatch, cores)
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(contact.threading, "Thread", Counted)
+    _solve_reeb(head(family_samples.at(0.7), points), False)
+    assert len(started) == workers
+
+
+def test_workers_run_under_the_callers_errstate(family_samples, monkeypatch):
+    # a worker that ignored the caller's np.errstate would warn of the
+    # overflow, which is raised here and handed back to the caller
+    use_cores(monkeypatch, 2)
+    s = head(family_samples.at(1e308), 2 * _BLOCK + 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference(s, True)
+            assert_same(_solve_reeb(s, True), want)
+
+
+def test_blocked_solve_stays_below_one_full_row_stack(family_samples, monkeypatch):
+    # each core holds one block in flight, so the core count is pinned: two
+    # blocks of _BLOCK // 2 points hold the rows of one _BLOCK; tracemalloc
+    # sees the allocations of every thread
     s = head(family_samples.at(0.7), 4 * _BLOCK)
     points, n = s.alpha.shape
     stack = points * (2 * n + 2) * n * 8
-    _solve_reeb(s, True)  # warm up: no first-call allocations are measured
-    tracemalloc.start()
-    try:
-        _solve_reeb(s, True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < stack, (peak, stack)
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        _solve_reeb(s, True)  # warm up: no first-call allocations are measured
+        tracemalloc.start()
+        try:
+            _solve_reeb(s, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack, (cores, peak, stack)
 
 
 def _linalg_solve_sites():

@@ -22,7 +22,7 @@ seeds 0 and 7 over this matrix:
 - verify-pair, deform and sweep on a copy of
   ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
   8193, written to a temporary directory: the Reeb systems are solved in
-  blocks of 4096 points, so this is two full blocks and a one-point block.
+  blocks of 2048 points, so this is four full blocks and a one-point block.
 
 It prints one line per run, ``seed exit sha256(body) sha256(stderr) argv``,
 where the body is the report without its ``timing`` field and warnings are
