@@ -310,21 +310,23 @@ def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
     points, one block of ``_BLOCK // 2`` points per call, with b of shape
     (M, R) or (P, M, R); the outputs of the blocks are joined in order.
 
-    The calling thread and one worker thread for each further CPU in this
-    process's affinity mask take blocks in turn, so two blocks in flight hold
-    the rows of one ``_BLOCK``; with one block or one CPU no thread starts.
-    numpy releases the GIL in its batched LAPACK and matmul calls.  The
-    partition depends on ``points`` alone, and every batched call treats each
-    system on its own, so each solution bit is that of one call on the full
-    stack, on any number of CPUs.  Workers run in a copy of the caller's
-    context, which holds numpy's errstate, and the caller raises what they
-    raise.  One exactly singular Gram matrix starts no further LU block and
-    sends the whole batch to the pseudo-inverse, as it would in that one call.
+    The calling thread and, with two blocks or more on a process that may
+    run on two CPUs or more, one worker thread take the blocks in order, so
+    the two blocks in flight hold the rows of one ``_BLOCK``; numpy releases
+    the GIL in its batched LAPACK and matmul calls.  The partition depends
+    on ``points`` alone, and every batched call treats each system on its
+    own, so each solution bit is that of one call on the full stack, on any
+    number of CPUs.  The worker runs in a copy of the caller's context, which
+    holds numpy's errstate.  Once a block fails no further block starts;
+    the caller raises the error of the first failing block, as a serial
+    loop would, and an exactly singular Gram matrix there sends the whole
+    batch to the pseudo-inverse.
     """
     blocks = [slice(lo, min(lo + _BLOCK // 2, points)) for lo in range(0, points, _BLOCK // 2)]
-    workers = min(len(blocks), len(os.sched_getaffinity(0))) - 1
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     for pinv in (False, True):
-        todo, parts, errors, lock = iter(range(len(blocks))), [None] * len(blocks), [], threading.Lock()
+        todo, parts, errors, lock = iter(range(len(blocks))), [None] * len(blocks), {}, threading.Lock()
 
         def solve():
             while not errors:
@@ -336,21 +338,25 @@ def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
                 try:
                     parts[i] = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
                 except BaseException as err:  # re-raised by the caller, or the pinv pass
-                    errors.append(err)
+                    errors[i] = err
                     return
 
-        threads = [threading.Thread(target=contextvars.copy_context().run, args=(solve,)) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
+        worker = None
+        if min(len(blocks), cpus) > 1:
+            worker = threading.Thread(target=contextvars.copy_context().run, args=(solve,))
+            worker.start()
         solve()
-        for thread in threads:
-            thread.join()
+        if worker is not None:
+            worker.join()
         if not errors:
             # joined by this thread: arrays a worker allocated and kept would
             # keep its malloc arena from shrinking
             return [None if v[0] is None else np.concatenate(v) for v in zip(*parts)]
-        if not isinstance(errors[0], _SingularGram):
-            raise errors[0]
+        # blocks are taken in order, so every block before the first failing
+        # one was solved
+        first = errors[min(errors)]
+        if not isinstance(first, _SingularGram):
+            raise first
 
 
 def _solve_reeb(s: SampledPair, compute_sigma: bool):

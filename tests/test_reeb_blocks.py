@@ -1,5 +1,6 @@
 """The Reeb systems are solved in blocks of ``exterior._BLOCK // 2`` points,
-shared between the calling thread and one worker thread per further core.
+shared between the calling thread and, on two cores or more, one worker
+thread.
 
 The Reeb pair, the commutator's derivative solve, the Reeb field of one
 contact form and the leaf-restricted solve of a Jacobi side share one block
@@ -7,11 +8,13 @@ loop, and no other code in the package solves a linear system.  Every solution b
 one least-squares call on the full row stack, written out below as it stood
 before the solve was blocked, on any number of cores, and the solve must
 never hold the full row stack.  The core count is what ``contact`` reads
-from ``os.sched_getaffinity``, replaced here by ``use_cores``.
+from ``os.sched_getaffinity`` (``os.cpu_count`` where that is missing),
+replaced here by ``use_cores``.
 """
 
 import ast
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -150,7 +153,7 @@ def test_one_singular_gram_in_the_last_block_sends_every_block_to_pinv(family_sa
     assert not same_bits(reference(first, compute_sigma)[0], want[0][:HALF])
 
 
-@pytest.mark.parametrize("cores", (1, 2))
+@pytest.mark.parametrize("cores", (1, 2, 8))
 def test_a_singular_gram_in_the_first_block_starts_no_further_lu_block(family_samples, monkeypatch, cores):
     use_cores(monkeypatch, cores)
     s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
@@ -171,10 +174,10 @@ def test_a_singular_gram_in_the_first_block_starts_no_further_lu_block(family_sa
 
     monkeypatch.setattr(contact, "least_squares_batch", recorded)
     got = _solve_reeb(s, True)
-    # one LU call per thread at most: the block that failed and those in
+    # one LU call per thread at most: the block that failed and the one in
     # flight; then every block by the pseudo-inverse
     lu = sum(not pinv for _, pinv in calls)
-    assert 1 <= lu <= cores
+    assert 1 <= lu <= min(cores, 2)
     assert not any(pinv for _, pinv in calls[:lu])
     assert Counter(size for size, _ in calls[lu:]) == Counter({HALF: 4, 3: 1})
     assert_same(got, want)
@@ -193,6 +196,43 @@ def test_an_error_in_any_block_reaches_the_caller(family_samples, monkeypatch, c
     monkeypatch.setattr(contact, "least_squares_batch", fails_on_the_last_block)
     with pytest.raises(MemoryError, match="the last block"):
         _solve_reeb(head(family_samples.at(0.7), 2 * _BLOCK + 3), True)
+
+
+@pytest.mark.parametrize("singular_first", (True, False))
+@pytest.mark.parametrize("cores", (2, 8))
+def test_the_first_failing_block_decides_what_the_caller_gets(family_samples, monkeypatch, cores, singular_first):
+    # blocks 0 and 1 fail, one with a singular Gram matrix and one with
+    # MemoryError; block 1 fails first in time, yet the caller must get what a
+    # serial loop would give: the outcome of block 0
+    use_cores(monkeypatch, cores)
+    s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
+    zero_system(s, 0 if singular_first else HALF)
+    rows = s.reeb_rows()
+    first_rows = {rows[0].tobytes(): 0, rows[HALF].tobytes(): 1}
+    block_one_failed = threading.Event()
+    solve = contact.least_squares_batch
+
+    def failing(a, b, compute_sigma=False, pinv=False):
+        block = None if pinv else first_rows.get(a[0].tobytes())
+        if block == 0:
+            block_one_failed.wait(30)
+            time.sleep(0.05)  # let block 1's error be recorded first
+            if not singular_first:
+                raise MemoryError("block 0")
+        try:
+            if block == 1 and singular_first:
+                raise MemoryError("block 1")
+            return solve(a, b, compute_sigma, pinv)
+        finally:
+            if block == 1:
+                block_one_failed.set()
+
+    monkeypatch.setattr(contact, "least_squares_batch", failing)
+    if singular_first:
+        assert_same(_solve_reeb(s, True), reference(s, True))
+    else:
+        with pytest.raises(MemoryError, match="block 0"):
+            _solve_reeb(s, True)
 
 
 def test_per_point_right_hand_sides_are_blocked_too(family_samples):
@@ -251,12 +291,8 @@ def test_the_bits_do_not_depend_on_the_core_count(family_samples, contact_form_s
     assert_same(_contact_reeb(*contact_form_samples), single_reference(*contact_form_samples))
 
 
-@pytest.mark.parametrize(
-    "cores, points, workers",
-    ((1, 2 * _BLOCK + 3, 0), (4, HALF, 0), (2, 2 * _BLOCK + 3, 1), (4, 2 * _BLOCK + 3, 3), (8, _BLOCK + 1, 2)),
-)
-def test_one_worker_per_further_core_and_block(family_samples, monkeypatch, cores, points, workers):
-    use_cores(monkeypatch, cores)
+def started_threads(monkeypatch) -> list:
+    """The threads contact starts from now on."""
     started = []
 
     class Counted(threading.Thread):
@@ -265,7 +301,29 @@ def test_one_worker_per_further_core_and_block(family_samples, monkeypatch, core
             super().start()
 
     monkeypatch.setattr(contact.threading, "Thread", Counted)
+    return started
+
+
+@pytest.mark.parametrize(
+    "cores, points, workers",
+    ((1, 2 * _BLOCK + 3, 0), (4, HALF, 0), (2, 2 * _BLOCK + 3, 1), (4, 2 * _BLOCK + 3, 1), (8, _BLOCK + 1, 1)),
+)
+def test_at_most_one_worker_and_none_for_one_block(family_samples, monkeypatch, cores, points, workers):
+    # two blocks in flight at most, on any number of cores
+    use_cores(monkeypatch, cores)
+    started = started_threads(monkeypatch)
     _solve_reeb(head(family_samples.at(0.7), points), False)
+    assert len(started) == workers
+
+
+@pytest.mark.parametrize("cpu_count, workers", ((None, 0), (1, 0), (2, 1), (8, 1)))
+def test_without_an_affinity_mask_the_cpu_count_is_read(family_samples, monkeypatch, cpu_count, workers):
+    # os.sched_getaffinity exists on Linux only
+    monkeypatch.delattr(contact.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(contact.os, "cpu_count", lambda: cpu_count)
+    started = started_threads(monkeypatch)
+    s = head(family_samples.at(0.7), 2 * _BLOCK + 3)
+    assert_same(_solve_reeb(s, True), reference(s, True))
     assert len(started) == workers
 
 
@@ -282,14 +340,15 @@ def test_workers_run_under_the_callers_errstate(family_samples, monkeypatch):
 
 
 def test_blocked_solve_stays_below_one_full_row_stack(family_samples, monkeypatch):
-    # each core holds one block in flight, so the core count is pinned: two
-    # blocks of _BLOCK // 2 points hold the rows of one _BLOCK; tracemalloc
-    # sees the allocations of every thread
+    # on the cores this process may use, then on 1, 2 and 8: at most two
+    # blocks of _BLOCK // 2 points are in flight, the rows of one _BLOCK;
+    # tracemalloc sees the allocations of every thread
     s = head(family_samples.at(0.7), 4 * _BLOCK)
     points, n = s.alpha.shape
     stack = points * (2 * n + 2) * n * 8
-    for cores in (1, 2):
-        use_cores(monkeypatch, cores)
+    for cores in (None, 1, 2, 8):
+        if cores is not None:
+            use_cores(monkeypatch, cores)
         _solve_reeb(s, True)  # warm up: no first-call allocations are measured
         tracemalloc.start()
         try:
