@@ -287,21 +287,28 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
     found = len(errors)
     if "t_grid" in params:
         errors.extend(t_grid_errors(params["t_grid"], f"{where}.t_grid"))
-    _field(params, "resolution", int, where, errors, minimum=4)
     _field(params, "out", str, where, errors)
-    if params.get("side", "alpha") not in ("alpha", "beta"):
+    example = params.get("example")
+    info = {e.name: e for e in list_examples()}.get(example) if isinstance(example, str) else None
+    # a jacobi task on declared forms or a contact-form example has one side
+    two_sided = kind == "jacobi" and info is not None and info.kind != "contact-form"
+    if "resolution" in params and kind != "jacobi":
+        errors.append(f"{where}.resolution: only a jacobi task has a grid resolution")
+    else:
+        _field(params, "resolution", int, where, errors, minimum=4)
+    if "side" in params and not two_sided:
+        errors.append(f"{where}.side: only a jacobi task on a pair or family example has a side")
+    elif params.get("side", "alpha") not in ("alpha", "beta"):
         errors.append(f"{where}.side: must be 'alpha' or 'beta', got {params['side']!r}")
 
     objects = {}
-    example = params.get("example")
     if example is not None:
-        registered = {e.name: e for e in list_examples()}
-        if not isinstance(example, str) or example not in registered:
+        if info is None:
             errors.append(f"{where}.example: unknown example {example!r}")
-        elif registered[example].kind not in example_kinds:
+        elif info.kind not in example_kinds:
             errors.append(
                 f"{where}.example: {kind} needs a {' or '.join(example_kinds)} example, "
-                f"{example!r} is a {registered[example].kind}"
+                f"{example!r} is a {info.kind}"
             )
         elif kind == "single-deform" and not isinstance(params.get("alpha0_coefficients"), list):
             errors.append(f"{where}: single-deform on an example needs alpha0_coefficients, a list")
@@ -320,12 +327,11 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
             if pair is not None:
                 objects["k"], objects["l"] = pair
     if kind == "jacobi" and len(errors) == found:
-        pair = example is not None and registered[example].kind != "contact-form"
-        resolution = params.get("resolution", JACOBI_RESOLUTION["pair" if pair else "contact-form"])
+        resolution = params.get("resolution", JACOBI_RESOLUTION["pair" if two_sided else "contact-form"])
         if example is None:
             shape = grid_shape(objects["form"].model, resolution)
         else:  # not built: every axis of a builtin chart example is a grid axis
-            shape = [resolution] * registered[example].dimension
+            shape = [resolution] * info.dimension
         points = math.prod(shape)
         if points > POINT_LIMIT:
             errors.append(

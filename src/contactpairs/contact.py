@@ -54,12 +54,19 @@ __all__ = [
 MARGINAL_FACTOR = 10.0
 
 
-class ContactPairError(ValueError):
-    """A contact condition failed; carries the condition name and a witness.
+def marginal(defect: float | None, threshold: float | None) -> bool:
+    """Whether a failed bound is numerically inconclusive: its defect and the
+    threshold it applied are both given and within ``MARGINAL_FACTOR`` of
+    each other, for an upper bound (defect above) and a lower bound (defect
+    below) alike.  A NaN is never marginal."""
+    if defect is None or threshold is None:
+        return False
+    return bool(defect < MARGINAL_FACTOR * threshold and threshold < MARGINAL_FACTOR * defect)
 
-    ``marginal`` marks failures within ``MARGINAL_FACTOR`` of the threshold,
-    which the CLI reports as numerically inconclusive rather than falsified.
-    """
+
+class ContactPairError(ValueError):
+    """A contact condition failed; carries the condition name, a witness and,
+    from a bound's gate, the defect and the threshold that gate applied."""
 
     def __init__(
         self,
@@ -67,13 +74,13 @@ class ContactPairError(ValueError):
         message: str,
         witness: dict | None = None,
         defect: float | None = None,
-        marginal: bool = False,
+        threshold: float | None = None,
     ):
         super().__init__(message)
         self.condition = condition
         self.witness = witness or {}
         self.defect = defect
-        self.marginal = marginal
+        self.threshold = threshold
 
 
 def _witness(points: np.ndarray, index: int, **extra) -> dict:
@@ -185,15 +192,7 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float) 
     scale_a = float(np.max(np.abs(av)))
     scale_da = float(np.max(np.abs(dav))) if dav.size else 0.0
 
-    a_norm = _norm_inf_rows(av)
-    vanish = a_norm <= tol * scale_a
-    if np.any(vanish):
-        idx = int(np.argmax(vanish))
-        raise ContactPairError(
-            "nonvanishing",
-            "form vanishes at a sample point",
-            _witness(pts, idx, value=float(a_norm[idx])),
-        )
+    _nonvanishing("nonvanishing", "form vanishes at a sample point", _norm_inf_rows(av), tol * scale_a, pts)
 
     k_max = (n - 1) // 2
     # (d alpha)^j for j = 0 .. k_max + 1, as far as the degree allows
@@ -368,16 +367,16 @@ def _solve_reeb(s: SampledPair, compute_sigma: bool):
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
-def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, check_commutator: bool):
+def _reeb_solution(s: SampledPair, tol: float, threshold: float, check_rank: bool, check_commutator: bool):
     """Solve the Reeb systems of s; raise when one is inconsistent or, with
     check_rank, rank deficient, and, on request, gate the exact commutator;
-    both gates are at tol * scale.  Returns (E_alpha, E_beta, max residual,
+    both gates are at threshold.  Returns (E_alpha, E_beta, max residual,
     smallest singular value or None, commutator defect or None)."""
     pts = s.points
     ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, check_rank)
     reeb_residual = _vanishing(
         "reeb-residual", "Reeb defining relations are inconsistent",
-        np.max(residual, axis=-1), tol * scale, pts,
+        np.max(residual, axis=-1), threshold, pts,
     )
     smin = None
     if check_rank:
@@ -393,7 +392,7 @@ def _reeb_solution(s: SampledPair, tol: float, scale: float, check_rank: bool, c
     if check_commutator:
         comm = _vanishing(
             "reeb-commutator", "solved Reeb fields fail to commute",
-            _norm_inf_rows(_reeb_commutator(s, ea, eb)), tol * scale, pts,
+            _norm_inf_rows(_reeb_commutator(s, ea, eb)), threshold, pts,
         )
     return ea, eb, reeb_residual, smin, comm
 
@@ -471,11 +470,14 @@ class ContactPairCertificate:
 
     ``sampled`` keeps the evaluated arrays; its ``forms`` are the fields
     they were evaluated from, or None for a family at one t.
+    ``residual_threshold`` is tol * max(1, scales), the bound the Reeb
+    residual (and the commutator) was gated at.
     """
 
     k: int
     l: int
     tol: float
+    residual_threshold: float
     min_volume: float
     orientation_sign: int
     dalpha_power_residual: float
@@ -501,13 +503,20 @@ def _vanishing(condition: str, message: str, res: np.ndarray, threshold, pts) ->
     defect = float(np.max(res))
     if not defect <= threshold:
         idx = int(np.argmax(res))
-        raise ContactPairError(
-            condition,
-            message,
-            _witness(pts, idx, value=defect),
-            defect=defect,
-            marginal=bool(defect < MARGINAL_FACTOR * threshold),
-        )
+        witness = _witness(pts, idx, value=defect)
+        raise ContactPairError(condition, message, witness, defect=defect, threshold=threshold)
+    return defect
+
+
+def _nonvanishing(condition: str, message: str, values: np.ndarray, threshold, pts) -> float:
+    """min |values| over the points, raising a failure witnessed at its
+    smallest point, with the signed value there, unless it stays strictly
+    above threshold; NaN fails."""
+    idx = int(np.argmin(np.abs(values)))  # the first NaN, if there is one
+    defect = float(np.abs(values[idx]))
+    if not defect > threshold:
+        witness = _witness(pts, idx, value=float(values[idx]))
+        raise ContactPairError(condition, message, witness, defect=defect, threshold=threshold)
     return defect
 
 
@@ -564,27 +573,16 @@ def _certify(
         raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
 
     for name, vals, scale in (("alpha", s.alpha, scale_a), ("beta", s.beta, scale_b)):
-        norms = _norm_inf_rows(vals)
-        if np.any(norms <= tol * scale):
-            idx = int(np.argmin(norms))
-            raise ContactPairError(
-                f"{name}-nonvanishing",
-                f"{name} vanishes at a sample point",
-                _witness(pts, idx, value=float(norms[idx])),
-            )
+        _nonvanishing(
+            f"{name}-nonvanishing", f"{name} vanishes at a sample point",
+            _norm_inf_rows(vals), tol * scale, pts,
+        )
     dalpha_res = _vanishing("dalpha-power", f"(d alpha)^{k + 1} does not vanish", da_res, da_threshold, pts)
     dbeta_res = _vanishing("dbeta-power", f"(d beta)^{l + 1} does not vanish", db_res, db_threshold, pts)
 
-    abs_vol = np.abs(vol)
-    if np.any(abs_vol <= tol * vol_scale):
-        idx = int(np.argmin(abs_vol))
-        raise ContactPairError(
-            "volume",
-            "volume coefficient vanishes at a sample point",
-            _witness(pts, idx, value=float(vol[idx])),
-            defect=float(abs_vol[idx]),
-            marginal=bool(MARGINAL_FACTOR * abs_vol[idx] > tol * vol_scale),
-        )
+    min_volume = _nonvanishing(
+        "volume", "volume coefficient vanishes at a sample point", vol, tol * vol_scale, pts
+    )
     if vol.min() < 0.0 < vol.max():
         raise ContactPairError(
             "orientation",
@@ -595,14 +593,14 @@ def _certify(
             },
         )
 
-    ea, eb, reeb_residual, smin, comm = _reeb_solution(
-        s, tol, res_scale, check_rank, check_commutator
-    )
+    res_threshold = tol * res_scale
+    ea, eb, reeb_residual, smin, comm = _reeb_solution(s, tol, res_threshold, check_rank, check_commutator)
     return ContactPairCertificate(
         k=k,
         l=l,
         tol=tol,
-        min_volume=float(abs_vol.min()),
+        residual_threshold=res_threshold,
+        min_volume=min_volume,
         orientation_sign=1 if vol[0] > 0 else -1,
         dalpha_power_residual=dalpha_res,
         dbeta_power_residual=dbeta_res,

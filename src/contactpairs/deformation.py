@@ -345,20 +345,15 @@ def _gate(name: str, defect: float, threshold: float, witness: dict | None = Non
 
 
 def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate | None]:
+    """On a pass, the Reeb residual and the threshold it was gated at; on a
+    failure, the defect, threshold and witness of the failed gate."""
     try:
         cert = make_cert()
-        return CheckItem(name, True, defect=cert.reeb_residual, threshold=cert.tol), cert
+        defect, threshold, witness, note = cert.reeb_residual, cert.residual_threshold, None, ""
     except ContactPairError as err:
-        return (
-            CheckItem(
-                name,
-                False,
-                defect=err.defect,
-                witness={"condition": err.condition, **err.witness},
-                note=str(err),
-            ),
-            None,
-        )
+        cert, defect, threshold = None, err.defect, err.threshold
+        witness, note = {"condition": err.condition, **err.witness}, str(err)
+    return CheckItem(name, cert is not None, defect, threshold, witness, note), cert
 
 
 def _base_item(sampled: SampledFamily, tol):

@@ -2,8 +2,9 @@
 machine-readable run report.
 
 Exit codes: 0 all verdicts pass, 1 some verdict falsified or not applicable,
-2 input error, 3 numerically inconclusive (every failure sits within
-``contact.MARGINAL_FACTOR`` of its threshold).
+2 input error, 3 numerically inconclusive (every failure of a verify-pair,
+deform or jacobi verdict is ``contact.marginal``: within
+``contact.MARGINAL_FACTOR`` of the threshold it applied).
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ import numpy as np
 from . import __version__
 from . import expressions as ex
 from .config import JACOBI_RESOLUTION, RunConfig
-from .contact import (
-    MARGINAL_FACTOR,
-    ContactPairError,
-    cartan_class,
-    verify_contact_pair,
-    verify_single_deformation,
-)
-from .deformation import sweep_rows, verify_converse, verify_forward
+from .contact import ContactPairError, cartan_class, marginal, verify_contact_pair, verify_single_deformation
+from .deformation import _gate, sweep_rows, verify_converse, verify_forward
 from .fields import FormField
 from .jacobi import JacobiError, JacobiSide, _identity_defect
 from .models import sample_points
@@ -46,20 +41,20 @@ def _witnessed(err: ContactPairError) -> dict:
     return {"condition": err.condition, "message": str(err), **err.witness}
 
 
+def _graded(failures, otherwise: str) -> str:
+    """The status of failures given as (defect, threshold) pairs:
+    inconclusive when there are some and every one is marginal, else
+    ``otherwise``."""
+    return "inconclusive" if failures and all(marginal(*f) for f in failures) else otherwise
+
+
 def _verdict_status(verdict) -> str:
+    """A failed hypothesis is graded like a failed conclusion."""
     overall = verdict.overall
     if overall == "pass":
         return "pass"
-    failed = [
-        i
-        for i in verdict.hypotheses + verdict.conclusions
-        if i.passed is False
-    ]
-    if overall == "falsified" and failed and all(
-        i.defect is not None and i.threshold and i.defect < MARGINAL_FACTOR * i.threshold for i in failed
-    ):
-        return "inconclusive"
-    return "not-applicable" if overall == "not applicable" else "fail"
+    failed = [(i.defect, i.threshold) for i in verdict.hypotheses + verdict.conclusions if i.passed is False]
+    return _graded(failed, "not-applicable" if overall == "not applicable" else "fail")
 
 
 def _task_classify(cfg, params, objs, rng, out_path):
@@ -91,8 +86,7 @@ def _task_verify_pair(cfg, params, objs, rng, out_path):
     try:
         cert = verify_contact_pair(alpha, beta, k, l, tol=cfg.tolerance, points=pts)
     except ContactPairError as err:
-        status = "inconclusive" if err.marginal else "fail"
-        return status, {"error": _witnessed(err)}
+        return _graded([(err.defect, err.threshold)], "fail"), {"error": _witnessed(err)}
     return "pass", {
         "type": [cert.k, cert.l],
         "min_volume": cert.min_volume,
@@ -182,12 +176,13 @@ def _jacobi_verdict(cfg, params, objs):
         "jacobi_identity_defect": identity_defect,
         "grid_step_squared": h_sq,
     }
-    ok = (
-        reeb_defect < side.tol
-        and one_defect < 20.0 * h_sq
-        and identity_defect < 20.0 * h_sq
-    )
-    return ("pass" if ok else "fail"), data
+    items = [
+        _gate("reeb_as_hamiltonian_defect", reeb_defect, side.tol),
+        _gate("constant_bracket_defect", one_defect, 20.0 * h_sq),
+        _gate("jacobi_identity_defect", identity_defect, 20.0 * h_sq),
+    ]
+    failed = [(i.defect, i.threshold) for i in items if not i.passed]
+    return (_graded(failed, "fail") if failed else "pass"), data
 
 
 def _task_sweep(cfg, params, objs, rng, out_path):

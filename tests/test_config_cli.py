@@ -210,6 +210,36 @@ def test_exit_three_on_marginal_failure(tmp_path):
     assert code == 3
 
 
+def leaky_family_doc(leak):
+    """product_pair_doc with beta = leak * e2 + f2, plus the family
+    (alpha0, beta0) = (e0, f0) along (alpha, beta) and its two deform tasks."""
+    doc = product_pair_doc([0, 0, leak, 0, 0, 1])
+    doc["forms"]["alpha0"] = {"model": "prod", "degree": 1, "coefficients": [1, 0, 0, 0, 0, 0]}
+    doc["forms"]["beta0"] = {"model": "prod", "degree": 1, "coefficients": [0, 0, 0, 1, 0, 0]}
+    doc["families"] = {
+        "fam": {"alpha0": "alpha0", "beta0": "beta0", "alpha": "alpha", "beta": "beta", "type": [1, 1]}
+    }
+    doc["tasks"] += [{"task": "deform-forward", "family": "fam"}, {"task": "deform-converse", "family": "fam"}]
+    return doc
+
+
+@pytest.mark.parametrize("leak, statuses, code", [
+    # (d beta)^2 fails at 6x its threshold in every certificate: marginal
+    (3e-6, ["inconclusive", "inconclusive", "inconclusive"], 3),
+    # 600x past the threshold: falsified, and the deform hypotheses fail
+    (3e-4, ["fail", "not-applicable", "not-applicable"], 1),
+])
+def test_marginal_certificate_failure_is_graded_alike_in_verify_and_deform(tmp_path, leak, statuses, code):
+    report, exit_code = run(load_config(write_config(tmp_path, leaky_family_doc(leak))))
+    assert [t["status"] for t in report["tasks"]] == statuses
+    assert exit_code == code
+    for task in report["tasks"][1:]:
+        result = task["result"]
+        failed = [i for i in result["hypotheses"] + result["conclusions"] if i["passed"] is False]
+        assert failed and all(i["witness"]["condition"] == "dbeta-power" for i in failed)
+        assert all(i["defect"] > i["threshold"] for i in failed)
+
+
 def degenerate_t2_doc(tolerance):
     # (dx0, dx0) on T^2 is not a contact pair: it fails the volume check at
     # any finite positive tolerance

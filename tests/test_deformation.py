@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from contactpairs import expressions as ex
 from contactpairs.contact import product_contact_pair, torus_contact, verify_contact_pair
 from contactpairs.deformation import (
     CONVERSE_T_GRID,
+    FORWARD_T_GRID,
     DeformationFamily,
     PairSamples,
+    SampledFamily,
     stokes_integrals,
     sweep_rows,
     verify_converse,
@@ -15,7 +19,8 @@ from contactpairs.deformation import (
     volume_polynomial,
 )
 from contactpairs.fields import coframe, constant_form, pullback_form
-from contactpairs.models import heisenberg3, random_points, torus
+from contactpairs.models import heisenberg3, random_points, sample_points, torus
+from contactpairs.registry import build_example
 
 
 CLOSED_H6_AXES = (0, 1, 3, 4)  # invariant closed coframe directions of h3 x h3
@@ -325,3 +330,44 @@ def test_sweep_rows(t6_points):
     assert rows[2]["max_reeb_residual"] < 1e-8
     again = sweep_rows(fam, [0.01, 0.1, 10.0], points=t6_points)
     assert rows == again  # deterministic
+
+
+# --- every certificate item reports the threshold it was gated at ----------------------
+
+def test_t10_certificate_item_reports_the_applied_threshold(capsys):
+    from contactpairs.cli import main
+
+    argv = ["deform", "--example", "heisenberg6-pair", "--mode", "forward", "--t-grid=0.01,10"]
+    assert main(argv + ["--format", "structured"]) == 0
+    conclusions = json.loads(capsys.readouterr().out)["tasks"][0]["result"]["conclusions"]
+    (item,) = [c for c in conclusions if c["name"] == "(alpha_t,beta_t) is a contact pair at t=10"]
+    assert item["passed"] is True
+    assert item["threshold"] == 1e-07  # tol * max(1, scales at t=10) = 1e-08 * 10
+
+
+def _applied_threshold(s, item, k, l, tol):
+    """The threshold of the gate that decided a certificate item on samples s:
+    the Reeb residual's on a pass, the failed gate's otherwise."""
+    a, b, da, db = s.scales()
+    if item.passed:
+        return tol * max(1.0, a, b, da, db)
+    return {"volume": tol * (a * b * da**k * db**l), "orientation": None}[item.witness["condition"]]
+
+
+@pytest.mark.parametrize("name", ["heisenberg6-pair", "t6-pair-compatible", "t6-pair-incompatible"])
+@pytest.mark.parametrize("verify", [verify_forward, verify_converse])
+def test_certificate_items_report_the_applied_threshold(name, verify):
+    family = build_example(name)["family"]
+    points = sample_points(family.model, np.random.default_rng(0), random_count=2000)
+    sampled = SampledFamily(family, points)
+    verdict = verify(family, points=points)
+    samples = {"(alpha,beta) is a contact pair": sampled.direction}
+    grid = FORWARD_T_GRID if verify is verify_forward else CONVERSE_T_GRID
+    samples.update({f"(alpha_t,beta_t) is a contact pair at t={t:g}": sampled.at(t) for t in grid})
+    items = [i for i in verdict.hypotheses + verdict.conclusions if "is a contact pair" in i.name]
+    assert sorted(i.name for i in items) == sorted(samples)
+    for item in items:
+        expected = _applied_threshold(samples[item.name], item, family.k, family.l, family.tol)
+        assert item.threshold == expected, item.name
+        if item.passed:
+            assert item.defect <= item.threshold

@@ -1,9 +1,11 @@
-"""One gate per kind of check.
+"""One gate per bound, one margin rule.
 
-Every upper bound of the pair certificate goes through ``contact._vanishing``
-and every numeric item of a deformation verdict through
-``deformation._gate``; the factor that makes a failure marginal is
-``contact.MARGINAL_FACTOR``.  A NaN defect fails either gate.
+Every upper bound of the pair certificate goes through ``contact._vanishing``,
+every lower bound through ``contact._nonvanishing``, and every numeric item
+of a deformation or jacobi verdict through ``deformation._gate``.  A failure
+carries the threshold its gate applied, and ``contact.marginal`` alone reads
+``contact.MARGINAL_FACTOR`` to grade it.  A NaN defect fails every gate and
+is never marginal.
 """
 
 import ast
@@ -14,33 +16,43 @@ import numpy as np
 import pytest
 
 import contactpairs
-from contactpairs.contact import MARGINAL_FACTOR, ContactPairError, _vanishing
+from contactpairs.contact import MARGINAL_FACTOR, ContactPairError, _nonvanishing, _vanishing, marginal
 from contactpairs.deformation import _gate
 
 PTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+PACKAGE = Path(contactpairs.__file__).parent
 
 
-def _call_sites(callee: str, keyword: str, positional: int):
-    """(module, enclosing function) of every call of ``callee`` in the package
-    that passes ``keyword``, by name or as positional argument ``positional``."""
+def _sites(matches):
+    """(module, enclosing function) of every AST node of the package for
+    which ``matches(node)`` holds."""
     sites = []
-    for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
 
         def visit(node, function):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
-            if isinstance(node, ast.Call):
-                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                if name == callee and (
-                    any(k.arg == keyword for k in node.keywords) or len(node.args) > positional
-                ):
-                    sites.append((path.stem, function))
+            if matches(node):
+                sites.append((path.stem, function))
             for child in ast.iter_child_nodes(node):
                 visit(child, function)
 
         visit(tree, None)
     return sorted(sites)
+
+
+def _call_sites(callee: str, keyword: str, positional: int):
+    """(module, enclosing function) of every call of ``callee`` in the package
+    that passes ``keyword``, by name or as positional argument ``positional``."""
+
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        return name == callee and (any(k.arg == keyword for k in node.keywords) or len(node.args) > positional)
+
+    return _sites(matches)
 
 
 def test_thresholded_items_come_from_one_gate():
@@ -52,11 +64,35 @@ def test_thresholded_items_come_from_one_gate():
     ]
 
 
-def test_marginal_failures_come_from_the_bound_gate_and_the_volume_check():
-    assert _call_sites("ContactPairError", "marginal", 4) == [
-        ("contact", "_certify"),  # the volume coefficient, a lower bound
+def test_thresholded_failures_come_from_the_two_bound_gates():
+    assert _call_sites("ContactPairError", "threshold", 4) == [
+        ("contact", "_nonvanishing"),
         ("contact", "_vanishing"),
     ]
+
+
+def test_marginal_factor_is_read_only_by_marginal():
+    def reads(node):
+        if isinstance(node, ast.Name):
+            return node.id == "MARGINAL_FACTOR" and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute):
+            return node.attr == "MARGINAL_FACTOR"
+        return isinstance(node, ast.alias) and node.name == "MARGINAL_FACTOR"  # an import
+
+    assert set(_sites(reads)) == {("contact", "marginal")}
+
+
+def test_contact_pair_error_has_no_marginal_flag():
+    err = ContactPairError("cond", "msg", defect=1.0, threshold=2.0)
+    assert not hasattr(err, "marginal")
+    assert _call_sites("ContactPairError", "marginal", 5) == []
+
+
+def test_jacobi_verdict_decides_through_the_gate_only():
+    tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
+    (verdict,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_jacobi_verdict"]
+    ops = [op for n in ast.walk(verdict) if isinstance(n, ast.Compare) for op in n.ops]
+    assert not [op for op in ops if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))]
 
 
 # --- deformation._gate -----------------------------------------------------------------
@@ -94,17 +130,86 @@ def test_vanishing_raises_on_nan():
     assert math.isnan(err.value.defect)
     assert err.value.witness["index"] == 1
     assert err.value.witness["point"] == [2.0, 3.0]
-    assert err.value.marginal is False
+    assert err.value.threshold == 1.0
+    assert marginal(err.value.defect, err.value.threshold) is False
 
 
 def test_vanishing_passes_at_the_threshold():
     assert _vanishing("cond", "msg", np.array([0.25, 1.0, 0.5]), 1.0, PTS) == 1.0
 
 
-@pytest.mark.parametrize("defect, marginal", [(0.5 * MARGINAL_FACTOR, True), (2.0 * MARGINAL_FACTOR, False)])
-def test_vanishing_marks_failures_within_the_marginal_factor(defect, marginal):
+@pytest.mark.parametrize("defect, is_marginal", [(0.5 * MARGINAL_FACTOR, True), (2.0 * MARGINAL_FACTOR, False)])
+def test_vanishing_marks_failures_within_the_marginal_factor(defect, is_marginal):
     with pytest.raises(ContactPairError) as err:
         _vanishing("cond", "msg", np.array([0.0, 0.0, defect]), 1.0, PTS)
     assert err.value.defect == defect
     assert err.value.witness == {"point": [4.0, 5.0], "index": 2, "value": defect}
-    assert err.value.marginal is marginal
+    assert marginal(err.value.defect, err.value.threshold) is is_marginal
+
+
+# --- contact._nonvanishing -------------------------------------------------------------
+
+def test_nonvanishing_raises_on_nan():
+    with pytest.raises(ContactPairError) as err:
+        _nonvanishing("cond", "vanishes", np.array([3.0, np.nan, 2.0]), 1.0, PTS)
+    assert err.value.condition == "cond"
+    assert str(err.value) == "vanishes"
+    assert math.isnan(err.value.defect)
+    assert err.value.witness["index"] == 1
+    assert err.value.threshold == 1.0
+    assert marginal(err.value.defect, err.value.threshold) is False
+
+
+def test_nonvanishing_fails_at_the_threshold():
+    with pytest.raises(ContactPairError) as err:
+        _nonvanishing("cond", "msg", np.array([3.0, -1.0, 2.0]), 1.0, PTS)
+    assert err.value.defect == 1.0
+    assert err.value.threshold == 1.0
+
+
+def test_nonvanishing_passes_strictly_above_the_threshold():
+    assert _nonvanishing("cond", "msg", np.array([3.0, -1.5, 2.0]), 1.0, PTS) == 1.5
+
+
+def test_nonvanishing_witness_is_the_smallest_magnitude_with_its_sign():
+    with pytest.raises(ContactPairError) as err:
+        _nonvanishing("cond", "msg", np.array([-0.5, -0.25, 0.75]), 1.0, PTS)
+    assert err.value.defect == 0.25
+    assert err.value.witness == {"point": [2.0, 3.0], "index": 1, "value": -0.25}
+    assert marginal(err.value.defect, err.value.threshold) is True
+
+
+# --- contact.marginal ------------------------------------------------------------------
+
+@pytest.mark.parametrize("defect, expected", [
+    # a failed upper bound (defect above a threshold of 1): marginal below 10x
+    (1.5, True),
+    (np.nextafter(MARGINAL_FACTOR, 0.0), True),
+    (MARGINAL_FACTOR, False),
+    (2.0 * MARGINAL_FACTOR, False),
+    # a failed lower bound (defect below a threshold of 1): marginal above 1/10
+    (0.5, True),
+    (np.nextafter(1.0 / MARGINAL_FACTOR, 1.0), True),
+    (1.0 / MARGINAL_FACTOR, False),
+    (0.5 / MARGINAL_FACTOR, False),
+    (0.0, False),
+])
+def test_marginal_is_within_the_factor_on_both_sides(defect, expected):
+    assert marginal(defect, 1.0) is expected
+
+
+@pytest.mark.parametrize("defect, threshold", [
+    (None, 1.0), (1.5, None), (None, None),
+    (float("nan"), 1.0), (1.5, float("nan")), (float("nan"), float("nan")),
+])
+def test_marginal_needs_two_numbers(defect, threshold):
+    assert marginal(defect, threshold) is False
+
+
+def test_marginal_matches_the_upper_and_lower_bound_rules():
+    rng = np.random.default_rng(0)
+    for threshold in 10.0 ** rng.uniform(-12, 3, 200):
+        above = threshold * 10.0 ** rng.uniform(0, 2)  # a failed upper bound
+        below = threshold * 10.0 ** rng.uniform(-2, 0)  # a failed lower bound
+        assert marginal(above, threshold) is bool(above < MARGINAL_FACTOR * threshold)
+        assert marginal(below, threshold) is bool(threshold < MARGINAL_FACTOR * below)

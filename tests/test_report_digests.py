@@ -25,11 +25,31 @@ def test_digest_lines_repeat_exactly():
     first = tool.digest_lines(subset)
     assert first == tool.digest_lines(subset)
     assert len(first) == len(tool.SEEDS) * len(subset)
-    fields = [line.split(" ", 4) for line in first]
-    # a passing jacobi verdict and an input error (a contact form is not a pair)
-    assert [(seed, code) for seed, code, *_ in fields] == [("0", "0"), ("0", "2"), ("7", "0"), ("7", "2")]
-    assert all(len(body) == len(err) == 64 for _, _, body, err, _ in fields)
+    fields = [line.split(" ", 5) for line in first]
+    # a passing jacobi verdict and an input error (a contact form is not a
+    # pair), which prints no report
+    assert [(seed, code, statuses) for seed, code, statuses, *_ in fields] == [
+        ("0", "0", "pass"), ("0", "2", "-"), ("7", "0", "pass"), ("7", "2", "-"),
+    ]
+    assert all(len(body) == len(err) == 64 for _, _, _, body, err, _ in fields)
     assert [argv for *_, argv in fields[:2]] == [" ".join(run) for run in subset]
+
+
+def test_digest_line_lists_every_task_status(tmp_path):
+    tool = load_tool()
+    doc = {
+        "models": {"t3": {"kind": "builtin", "name": "torus3"}},
+        "forms": {
+            "contact": {"model": "t3", "coefficients": [0, "cos(x0)", "sin(x0)"]},
+            "vanishing": {"model": "t3", "coefficients": [0, "sin(x0)", 0]},  # 0 at x0 = 0
+        },
+        "tasks": [{"task": "classify", "form": "contact"}, {"task": "classify", "form": "vanishing"}],
+    }
+    path = tmp_path / "two_classify.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    line = tool.digest_line(0, ("classify", "--config", "two.json"), {"two.json": str(path)})
+    assert line.split(" ")[:3] == ["0", "1", "pass,fail"]
+    assert line.endswith(" classify --config two.json")
 
 
 def test_block_edge_config_ends_in_a_one_point_reeb_block(tmp_path):

@@ -155,6 +155,41 @@ def test_flag_task_is_validated_without_config(capsys, argv, field):
     assert field in captured.err
 
 
+# --- only jacobi reads resolution, and only a pair side reads side ------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["jacobi", "--example", "torus-contact", "--side", "beta"],
+    ["jacobi", "--example", "darboux1", "--side", "alpha"],
+])
+def test_side_of_a_contact_form_example_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert "  - tasks[0].side: only a jacobi task on a pair or family example" in capsys.readouterr().err
+
+
+def test_side_and_resolution_where_nothing_reads_them_exit_2(tmp_path, capsys):
+    doc = small_doc()
+    doc["tasks"][1].update(side="beta", resolution=9)  # classify
+    doc["tasks"][3]["side"] = "alpha"  # jacobi on a declared form: a contact-form side
+    assert run_config(tmp_path, doc, "classify") == 2
+    err = capsys.readouterr().err
+    for field in ("tasks[1].side", "tasks[1].resolution", "tasks[3].side"):
+        assert f"  - {field}: " in err
+
+
+@pytest.mark.parametrize("kind, example", [
+    ("classify", "torus-contact"), ("verify-pair", "heisenberg6-pair"), ("sweep", "heisenberg6-pair"),
+])
+def test_resolution_is_read_only_by_jacobi(kind, example):
+    with pytest.raises(ConfigError, match=r"tasks\[0\]\.resolution: only a jacobi task"):
+        parse_config({"tasks": [{"task": kind, "example": example, "resolution": 8}]})
+
+
+@pytest.mark.parametrize("example", ["t2-pair-type00", "t6-pair-compatible"])
+def test_side_is_accepted_on_a_pair_or_family_example(example):
+    cfg = parse_config({"tasks": [{"task": "jacobi", "example": example, "side": "beta"}]})
+    assert cfg.tasks[0].params["side"] == "beta"
+
+
 def test_flag_task_is_validated_with_config(tmp_path, capsys):
     # the config has no jacobi task, so the flags describe one
     doc = small_doc()

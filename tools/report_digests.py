@@ -24,11 +24,14 @@ seeds 0 and 7 over this matrix:
   8193, written to a temporary directory: the Reeb systems are solved in
   blocks of 2048 points, so this is four full blocks and a one-point block.
 
-It prints one line per run, ``seed exit sha256(body) sha256(stderr) argv``,
-where the body is the report without its ``timing`` field and warnings are
-written to stderr as ``Category: message``.  Run it in two checkouts and
-``diff`` the outputs: equal lines mean equal exit codes, report bodies and
-stderr.
+It prints one line per run,
+``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
+the report's task statuses joined by commas (``-`` when the run printed no
+report), the body is the report without its ``timing`` field and warnings
+are written to stderr as ``Category: message``.  Run it in two checkouts and
+``diff`` the outputs: equal lines mean equal exit codes, task statuses,
+report bodies and stderr, and a changed body shows whether it also moved a
+status.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ def _sha(text: str) -> str:
 
 
 def digest_line(seed: int, argv, paths=None) -> str:
-    """Run one verdict and return its ``seed exit body stderr argv`` line;
-    ``paths`` maps a name in argv to the file the run reads instead."""
+    """Run one verdict and return its ``seed exit statuses body stderr argv``
+    line; ``paths`` maps a name in argv to the file the run reads instead."""
     run = [(paths or {}).get(arg, arg) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -122,12 +125,14 @@ def digest_line(seed: int, argv, paths=None) -> str:
         except Exception as exc:  # a run that raises is recorded, not fatal
             code = f"raised:{type(exc).__name__}"
     stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    body = out.getvalue()
+    body, statuses = out.getvalue(), "-"
     try:
-        body = reporting.render_structured(reporting.strip_timing(json.loads(body)))
+        report = json.loads(body)
+        body = reporting.render_structured(reporting.strip_timing(report))
+        statuses = ",".join(task["status"] for task in report["tasks"])
     except ValueError:
         pass  # not a report: digest the raw text
-    return f"{seed} {code} {_sha(body)} {_sha(stderr)} {' '.join(argv)}"
+    return f"{seed} {code} {statuses} {_sha(body)} {_sha(stderr)} {' '.join(argv)}"
 
 
 def digest_lines(runs, seeds=SEEDS) -> list[str]:
