@@ -15,6 +15,7 @@ stays strictly above that, so t-scaled families certify at any t.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import os
 import threading
@@ -367,6 +368,9 @@ def _solve_reeb(s: SampledPair, compute_sigma: bool):
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
 
+_INCONSISTENT = "Reeb defining relations are inconsistent"
+
+
 def _reeb_solution(s: SampledPair, tol: float, threshold: float, check_rank: bool, check_commutator: bool):
     """Solve the Reeb systems of s; raise when one is inconsistent or, with
     check_rank, rank deficient, and, on request, gate the exact commutator;
@@ -374,10 +378,7 @@ def _reeb_solution(s: SampledPair, tol: float, threshold: float, check_rank: boo
     smallest singular value or None, commutator defect or None)."""
     pts = s.points
     ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, check_rank)
-    reeb_residual = _vanishing(
-        "reeb-residual", "Reeb defining relations are inconsistent",
-        np.max(residual, axis=-1), threshold, pts,
-    )
+    reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, np.max(residual, axis=-1), threshold, pts)
     smin = None
     if check_rank:
         smin = float(np.min(sigma_min))
@@ -471,7 +472,9 @@ class ContactPairCertificate:
     ``sampled`` keeps the evaluated arrays; its ``forms`` are the fields
     they were evaluated from, or None for a family at one t.
     ``residual_threshold`` is tol * max(1, scales), the bound the Reeb
-    residual (and the commutator) was gated at.
+    residual (and the commutator) was gated at.  ``substituted`` is True
+    when the Reeb pair is an offered candidate whose residual passed that
+    gate, so that no system was solved.
     """
 
     k: int
@@ -489,6 +492,7 @@ class ContactPairCertificate:
     sampled: SampledPair = field(repr=False)
     reeb_alpha_values: np.ndarray = field(repr=False)
     reeb_beta_values: np.ndarray = field(repr=False)
+    substituted: bool = False
 
     def __repr__(self):
         return (
@@ -545,12 +549,18 @@ def verify_contact_pair(
 
 
 def _certify(
-    s: SampledPair, k: int, l: int, tol: float, check_commutator: bool, check_rank: bool
+    s: SampledPair, k: int, l: int, tol: float, check_commutator: bool, check_rank: bool, candidate=None
 ) -> ContactPairCertificate:
     """The checks of verify_contact_pair on already sampled arrays.
 
     A sample, scale or wedge chain that is not finite fails as "non-finite"
     before any other check: no comparison can be trusted on it.
+
+    ``candidate`` = (E_alpha, E_beta, residual) offers a Reeb pair with its
+    pointwise residual max |A E - b|; a candidate whose residual passes the
+    Reeb residual gate is certified without a solve, otherwise s is solved
+    as without it.  The rank and commutator checks need a solve, so a
+    candidate is offered only to certificates without them.
     """
     n = s.n
     if n != 2 * k + 2 * l + 2:
@@ -594,7 +604,15 @@ def _certify(
         )
 
     res_threshold = tol * res_scale
-    ea, eb, reeb_residual, smin, comm = _reeb_solution(s, tol, res_threshold, check_rank, check_commutator)
+    solved = None
+    if candidate is not None:
+        with contextlib.suppress(ContactPairError):  # then solved, exactly as without a candidate
+            residual = _vanishing("reeb-residual", _INCONSISTENT, candidate[2], res_threshold, pts)
+            solved = (*candidate[:2], residual, None, None)
+    substituted = solved is not None
+    if not substituted:
+        solved = _reeb_solution(s, tol, res_threshold, check_rank, check_commutator)
+    ea, eb, reeb_residual, smin, comm = solved
     return ContactPairCertificate(
         k=k,
         l=l,
@@ -611,6 +629,7 @@ def _certify(
         sampled=s,
         reeb_alpha_values=ea,
         reeb_beta_values=eb,
+        substituted=substituted,
     )
 
 

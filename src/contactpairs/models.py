@@ -115,7 +115,10 @@ class Model:
         return all(a.periodic for a in self.axes if a.kind == COORDINATE)
 
     def bracket_values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Structure-constant bracket on constant frame components."""
+        """Structure-constant bracket on constant frame components; zeros,
+        without the product, when every structure constant is zero."""
+        if not self.structure.any():
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
         return np.einsum("ijk,...i,...j->...k", self.structure, x, y)
 
     def __repr__(self):

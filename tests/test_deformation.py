@@ -7,10 +7,12 @@ from contactpairs import expressions as ex
 from contactpairs.contact import product_contact_pair, torus_contact, verify_contact_pair
 from contactpairs.deformation import (
     CONVERSE_T_GRID,
+    CheckItem,
     FORWARD_T_GRID,
     DeformationFamily,
     PairSamples,
     SampledFamily,
+    TheoremVerdict,
     stokes_integrals,
     sweep_rows,
     verify_converse,
@@ -371,3 +373,52 @@ def test_certificate_items_report_the_applied_threshold(name, verify):
         assert item.threshold == expected, item.name
         if item.passed:
             assert item.defect <= item.threshold
+
+
+# --- a conclusion that was not evaluated fails nothing ---------------------------------
+
+def _heisenberg_times_line_config(path):
+    """A type-(1,0) family on h3 x R: alpha = e2, beta = e3 (the line),
+    alpha0 = e0, beta0 = e1; its quadrature integrals are skipped."""
+    structure = np.zeros((4, 4, 4))
+    structure[0, 1, 2], structure[1, 0, 2] = 1.0, -1.0  # [e0, e1] = e2
+    forms = {name: {"model": "hxr", "degree": 1, "coefficients": {str(axis): 1}}
+             for name, axis in (("alpha", 2), ("beta", 3), ("alpha0", 0), ("beta0", 1))}
+    doc = {
+        "schema_version": 1,
+        "models": {"hxr": {"kind": "lie", "structure": structure.tolist()}},
+        "forms": forms,
+        "families": {"fam": {"alpha0": "alpha0", "beta0": "beta0", "alpha": "alpha", "beta": "beta",
+                             "type": [1, 0]}},
+        "tasks": [{"task": "deform-forward", "family": "fam"}, {"task": "deform-converse", "family": "fam"}],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_converse_below_type_one_one_passes_with_the_quadrature_skipped(tmp_path, capsys):
+    from contactpairs.cli import main
+
+    config = _heisenberg_times_line_config(tmp_path / "hxr.json")
+    statuses = []
+    for mode in ("forward", "converse"):
+        assert main(["deform", "--mode", mode, "--config", config, "--format", "structured"]) == 0
+        (task,) = json.loads(capsys.readouterr().out)["tasks"]
+        statuses.append((task["task"], task["status"]))
+    assert statuses == [("deform-forward", "pass"), ("deform-converse", "pass")]
+    result = task["result"]
+    assert result["overall"] == "pass"
+    skipped = [i for i in result["conclusions"] if i["passed"] is None]
+    assert [i["name"] for i in skipped] == ["quadrature integrals vanish"]
+    assert all(i["passed"] for i in result["hypotheses"] + result["conclusions"] if i not in skipped)
+
+
+@pytest.mark.parametrize("conclusions, overall", [
+    ([True, None], "pass"),
+    ([None], "pass"),
+    ([True, None, False], "falsified"),
+    ([False, None], "falsified"),
+])
+def test_falsified_needs_a_failed_conclusion(conclusions, overall):
+    items = [CheckItem(f"c{i}", passed) for i, passed in enumerate(conclusions)]
+    assert TheoremVerdict("converse", [CheckItem("h", True)], items).overall == overall

@@ -268,6 +268,21 @@ def test_mixed_frame_bracket():
     np.testing.assert_array_equal(prod.bracket_values(e[:, 0], e[:, 1]), e[:, 2])
 
 
+@pytest.mark.parametrize("make", [lambda: torus(3), lambda: ProductModel(torus(3), torus(3))])
+def test_bracket_without_structure_constants_is_zero_without_the_product(monkeypatch, make):
+    model = make()
+    x, y = np.random.default_rng(4).standard_normal((2, 7, model.n))
+    want = np.einsum("ijk,...i,...j->...k", model.structure, x, y)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket of a model without structure constants takes no product")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    got = model.bracket_values(x, y)
+    np.testing.assert_array_equal(got, want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+
+
 def test_structure_matrix_cache_does_not_grow_with_models():
     from contactpairs import fields
     from contactpairs.registry import build_example

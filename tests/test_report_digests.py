@@ -5,6 +5,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from contactpairs import deformation
 from contactpairs.exterior import _BLOCK
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
@@ -62,3 +63,24 @@ def test_block_edge_config_ends_in_a_one_point_reeb_block(tmp_path):
     original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
     original["samples"]["random_count"] = doc["samples"]["random_count"]
     assert doc == original
+
+
+def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):
+    tool = load_tool()
+    run = ("deform", "--mode", "converse", "--example", "t6-pair-incompatible", tool.FALLBACK_GRID)
+    assert run in tool.matrix()
+    offered = []
+    real = deformation._certify
+
+    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None):
+        cert = real(s, k, l, tol, check_commutator, check_rank, candidate)
+        offered.append((candidate is not None, cert.substituted))
+        return cert
+
+    monkeypatch.setattr(deformation, "_certify", recording)
+    for seed in tool.SEEDS:
+        offered.clear()
+        assert tool.digest_line(seed, run).split(" ")[1:3] == ["1", "not-applicable"]
+        # t = 5 is solved; (5 E_5)/10 is offered at t = 10, fails, and t = 10
+        # is solved; then the base pair is solved
+        assert offered == [(False, False), (True, False), (False, False)]

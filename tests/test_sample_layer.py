@@ -74,21 +74,33 @@ def _points(family, seed):
 
 
 def _record_certify(monkeypatch):
-    """Record every (samples, certificate or error) of the deformation checks."""
+    """Record every (samples, offered Reeb candidate, certificate or error)
+    of the deformation checks."""
     calls = []
     real = deformation._certify
 
-    def recording(s, *args, **kwargs):
+    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None):
         try:
-            cert = real(s, *args, **kwargs)
+            cert = real(s, k, l, tol, check_commutator, check_rank, candidate)
         except ContactPairError as err:
-            calls.append((s, err))
+            calls.append((s, candidate, err))
             raise
-        calls.append((s, cert))
+        calls.append((s, candidate, cert))
         return cert
 
     monkeypatch.setattr(deformation, "_certify", recording)
     return calls
+
+
+def _fail_every_substitution(monkeypatch):
+    """Make every offered Reeb candidate fail its residual gate (NaN)."""
+    real = SampledFamily.reeb_terms
+
+    def nan_terms(self, x, y):
+        for block, closed, direction in real(self, x, y):
+            yield block, np.full_like(closed, np.nan), direction
+
+    monkeypatch.setattr(SampledFamily, "reeb_terms", nan_terms)
 
 
 def _reference(family, t, pts):
@@ -103,6 +115,8 @@ def _reference(family, t, pts):
 
 
 def _assert_same(s, got, want, rtol):
+    """The samples and every contact condition of a certificate match the
+    expression path; so does the Reeb pair, unless it was substituted."""
     close = np.testing.assert_array_equal if rtol == 0 else (
         lambda a, b: np.testing.assert_allclose(a, b, rtol=rtol, atol=0)
     )
@@ -115,14 +129,40 @@ def _assert_same(s, got, want, rtol):
     assert not isinstance(got, ContactPairError), got
     for name in ("alpha", "beta", "dalpha", "dbeta"):
         close(getattr(s, name), getattr(want.sampled, name))
-    for name in ("min_volume", "dalpha_power_residual", "dbeta_power_residual", "reeb_residual",
-                 "reeb_alpha_values", "reeb_beta_values"):
+    names = ["min_volume", "dalpha_power_residual", "dbeta_power_residual"]
+    if not got.substituted:
+        names += ["reeb_residual", "reeb_alpha_values", "reeb_beta_values"]
+    for name in names:
         close(getattr(got, name), getattr(want, name))
     assert got.orientation_sign == want.orientation_sign
+    close(got.residual_threshold, want.residual_threshold)
     assert got.sigma_min is None and got.commutator_defect is None
 
 
+def _assert_substituted(t, candidate, got, want, witness, tol):
+    """A substituted certificate at t: its residual is A(t)(X/t, Y/t) - b of
+    the expression path to within a few ulps of its scale, and the solve it
+    replaced gives t * E_t within the Reeb scaling threshold of (X, Y)."""
+    x, y = witness
+    assert got.substituted
+    assert got.reeb_alpha_values is candidate[0] and got.reeb_beta_values is candidate[1]
+    np.testing.assert_array_equal(candidate[0], x / t)
+    np.testing.assert_array_equal(candidate[1], y / t)
+    assert got.reeb_residual == np.max(candidate[2]) <= got.residual_threshold
+
+    rows = want.sampled.reeb_rows()
+    z = np.stack(candidate[:2], axis=-1)
+    direct = np.max(np.abs(rows @ z - np.eye(rows.shape[1], 2)), axis=(1, 2))
+    scale = rows.shape[2] * float(np.max(np.abs(rows))) * float(np.max(np.abs(z))) + 1.0
+    assert np.max(np.abs(candidate[2] - direct)) <= 4 * np.finfo(float).eps * scale
+
+    drift = max(float(np.max(np.abs(t * want.reeb_alpha_values - x))),
+                float(np.max(np.abs(t * want.reeb_beta_values - y))))
+    assert drift < tol * max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+
+
 CASES = [(name, 0.0) for name in FAMILY_EXAMPLES + ("t6-config",)] + [("constant-factors", 1e-14)]
+COMPATIBLE = {"heisenberg6-pair", "t6-pair-compatible", "t6-config", "constant-factors"}
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -131,14 +171,26 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
     family = _family(name)
     pts = _points(family, seed)
     calls = _record_certify(monkeypatch)
-    verify_forward(family, points=pts)
+    verdict = verify_forward(family, points=pts)
+    scaling = {i.name: i for i in verdict.conclusions if i.name.startswith("Reeb scaling")}
     grid = [t for t in FORWARD_T_GRID if t != 0.0]
     assert len(calls) == 1 + len(grid)
     base = verify_contact_pair(family.alpha, family.beta, family.k, family.l, tol=family.tol,
                                points=pts, check_commutator=False, check_rank=False)
-    _assert_same(*calls[0], base, rtol)
-    for t, (s, got) in zip(grid, calls[1:]):
-        _assert_same(s, got, _reference(family, t, pts), rtol)
+    s, candidate, got = calls[0]
+    assert candidate is None
+    _assert_same(s, got, base, rtol)
+    # (E_alpha/t, E_beta/t) is offered at every t of a compatible family
+    witness = (got.reeb_alpha_values, got.reeb_beta_values)
+    for t, (s, candidate, got) in zip(grid, calls[1:]):
+        want = _reference(family, t, pts)
+        _assert_same(s, got, want, rtol)
+        assert (candidate is not None) == (name in COMPATIBLE)
+        if name in COMPATIBLE:
+            _assert_substituted(t, candidate, got, want, witness, family.tol)
+            # the scaling item gates the same backward error
+            item = scaling[f"Reeb scaling at t={t:g}"]
+            assert item.passed and item.defect == got.reeb_residual
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -147,10 +199,93 @@ def test_converse_certificates_match_expression_path(monkeypatch, name, rtol, se
     family = _family(name)
     pts = _points(family, seed)
     calls = _record_certify(monkeypatch)
-    verify_converse(family, points=pts)
+    verdict = verify_converse(family, points=pts)
     assert len(calls) == len(CONVERSE_T_GRID) + 1
-    for t, (s, got) in zip(CONVERSE_T_GRID, calls):
+    witness = None
+    for t, (s, candidate, got) in zip(CONVERSE_T_GRID, calls):
+        want = _reference(family, t, pts)
+        _assert_same(s, got, want, rtol)
+        assert (candidate is None) == (witness is None)
+        if isinstance(got, ContactPairError):
+            continue
+        if got.substituted:
+            _assert_substituted(t, candidate, got, want, witness, family.tol)
+        elif witness is None:  # the first t solved gives (X, Y)
+            witness = (t * got.reeb_alpha_values, t * got.reeb_beta_values)
+    # on a compatible family the solved t = 0.01 gives (X, Y), and every
+    # later t substitutes it
+    substituted = [getattr(got, "substituted", False) for _, _, got in calls[:-1]]
+    assert substituted == [False] + [name in COMPATIBLE] * (len(CONVERSE_T_GRID) - 1)
+    if name in COMPATIBLE:
+        # the constancy item gates the largest backward error of the later t
+        (item,) = [i for i in verdict.hypotheses if "constant across t" in i.name]
+        assert item.passed and item.defect == max(got.reeb_residual for _, _, got in calls[1:-1])
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name,rtol", CASES)
+@pytest.mark.parametrize("verify", [verify_forward, verify_converse])
+def test_failed_substitution_falls_back_to_the_expression_path_solve(monkeypatch, verify, name, rtol, seed):
+    family = _family(name)
+    pts = _points(family, seed)
+    _fail_every_substitution(monkeypatch)
+    calls = _record_certify(monkeypatch)
+    verify(family, points=pts)
+    if verify is verify_forward:
+        grid = [t for t in FORWARD_T_GRID if t != 0.0]
+        calls = calls[1:]  # the base pair, checked above
+    else:
+        grid = CONVERSE_T_GRID
+    offered = 0
+    for t, (s, candidate, got) in zip(grid, calls):
+        offered += candidate is not None
+        if not isinstance(got, ContactPairError):
+            assert not got.substituted
         _assert_same(s, got, _reference(family, t, pts), rtol)
+    if name in COMPATIBLE:
+        assert offered
+    elif verify is verify_forward:
+        assert not offered  # the compatibility hypotheses fail
+
+
+def _count_reeb_solves(monkeypatch):
+    calls = []
+    real = contact._solve_reeb
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(contact, "_solve_reeb", counting)
+    return calls
+
+
+# (forward, converse) Reeb solves of a verdict at seeds 0 and 7: a
+# compatible family solves the base pair (forward) or the first t and the
+# base pair (converse), against 9 and 5 with a solve at every t; the
+# incompatible one offers no candidate forward and fails every candidate
+# converse, so it solves every t that reaches the Reeb step, as it did
+# before substitution
+REEB_SOLVES = {
+    "t6-pair-compatible": {0: (1, 2), 7: (1, 2)},
+    "t6-config": {0: (1, 2), 7: (1, 2)},
+    "heisenberg6-pair": {0: (1, 2), 7: (1, 2)},
+    "t6-pair-incompatible": {0: (3, 2), 7: (5, 3)},
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(REEB_SOLVES))
+def test_reeb_solves_per_verdict(monkeypatch, name, seed):
+    family = _family(name)
+    pts = _points(family, seed)
+    calls = _count_reeb_solves(monkeypatch)
+    counts = []
+    for verify in (verify_forward, verify_converse):
+        calls.clear()
+        verify(family, points=pts)
+        counts.append(len(calls))
+    assert tuple(counts) == REEB_SOLVES[name][seed]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -174,8 +309,8 @@ def test_sweep_rows_match_expression_path(name, rtol, seed):
             assert got[2] < 1e-12 and want[2] < 1e-12
 
 
-def test_affine_samples_keep_the_dalpha0_term():
-    # alpha0 = dx0 + 1e-9 sin(x1) dx0 is closed only to within the tolerance
+def _nearly_closed_family():
+    """alpha0 = (1 + 1e-9 sin(x1)) dx0 is closed only to within the tolerance."""
     left, right = torus(3), torus(3)
     model, alpha, beta = product_contact_pair(
         left, form_from_expressions(left, 1, {1: "cos(x0)", 2: "sin(x0)"}),
@@ -183,8 +318,12 @@ def test_affine_samples_keep_the_dalpha0_term():
     )
     alpha0 = pullback_form(model, form_from_expressions(left, 1, {0: "1 + 1e-9*sin(x1)"}), "left")
     beta0 = pullback_form(model, coframe(right, 0), "right")
-    family = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
-    pts = random_points(model, 300, np.random.default_rng(3))
+    return DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
+
+
+def test_affine_samples_keep_the_dalpha0_term():
+    family = _nearly_closed_family()
+    pts = random_points(family.model, 300, np.random.default_rng(3))
     sampled = SampledFamily(family, pts)
     assert np.max(np.abs(sampled.closed.dalpha)) > 1e-10
     for t in (0.0, 0.5, -2.0):
@@ -192,6 +331,24 @@ def test_affine_samples_keep_the_dalpha0_term():
         want = SampledPair.of(*family.at(t), pts)
         for name in ("alpha", "beta", "dalpha", "dbeta"):
             np.testing.assert_allclose(getattr(s, name), getattr(want, name), rtol=1e-14, atol=1e-24)
+
+
+@pytest.mark.parametrize("name", ["nearly-closed", "t6-pair-incompatible", "heisenberg6-pair"])
+def test_scaled_residual_is_the_residual_of_the_expression_path(name):
+    # any pair (X, Y), not only a Reeb pair, so that A0 (X, Y) is not zero;
+    # on the nearly closed family the d alpha0 rows carry 1e-9 of it
+    family = _nearly_closed_family() if name == "nearly-closed" else _family(name)
+    pts = _points(family, 3)
+    sampled = SampledFamily(family, pts)
+    x, y = np.random.default_rng(8).standard_normal((2, len(pts), family.model.n))
+    grid = (-10.0, -0.1, 0.01, 1.0, 7.0)
+    for t, residual in zip(grid, deformation._scaled_residuals(sampled, x, y, grid)):
+        rows = SampledPair.of(*family.at(t), pts).reeb_rows()
+        z = np.stack((x / t, y / t), axis=-1)
+        direct = np.max(np.abs(rows @ z - np.eye(rows.shape[1], 2)), axis=(1, 2))
+        assert np.min(direct) > 1e-3  # a pair far from the Reeb pair
+        scale = rows.shape[2] * float(np.max(np.abs(rows))) * float(np.max(np.abs(z))) + 1.0
+        assert np.max(np.abs(residual - direct)) <= 4 * np.finfo(float).eps * scale, t
 
 
 # --- each coefficient is evaluated once ---------------------------------------

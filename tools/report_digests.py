@@ -19,6 +19,10 @@ seeds 0 and 7 over this matrix:
   wedge chains overflow, so an identically zero component meets an
   infinite partner, the case in which the exterior kernels must keep a
   term that is zero elsewhere (0 * inf is NaN);
+- deform converse with ``--t-grid=5,10`` on t6-pair-incompatible: both t
+  reach the Reeb step, so t = 5 is solved and its scaled Reeb pair is
+  offered at t = 10, where it fails and t = 10 is solved as without it
+  (the fallback of the substituted Reeb pair);
 - verify-pair, deform and sweep on a copy of
   ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
   8193, written to a temporary directory: the Reeb systems are solved in
@@ -65,6 +69,8 @@ TASK_COMMANDS = (
 )
 # t = 1e308 overflows the wedge chains
 OVERFLOW_GRID = "--t-grid=1,1e308"
+# on t6-pair-incompatible both t reach the converse's Reeb step
+FALLBACK_GRID = "--t-grid=5,10"
 # the t6 config with 2 * 4096 + 1 random samples, named by its file name in
 # the matrix and the digest lines and written to a temporary directory
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
@@ -92,6 +98,7 @@ def matrix() -> list[tuple[str, ...]]:
             runs.append(cmd + ("--example", name, OVERFLOW_GRID))
     runs.append(("deform", "--mode", "single", "--example", "torus-contact",
                  "--alpha0", "1,0,0", OVERFLOW_GRID))
+    runs.append(("deform", "--mode", "converse", "--example", "t6-pair-incompatible", FALLBACK_GRID))
     runs += [(cmd, "--config", BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")]
     return runs
 
