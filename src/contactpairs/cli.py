@@ -111,7 +111,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         if problem:
             raise ConfigError([problem])
         cfg.tolerance = args.tol
-    if args.t_grid:
+    if args.t_grid is not None:
         try:
             grid = [float(s) for s in args.t_grid.split(",")]
         except ValueError:

@@ -98,9 +98,10 @@ def tolerance_error(value, where: str) -> str | None:
 
 
 def t_grid_errors(grid, where: str) -> list[str]:
-    """The validation messages for a t grid that is not a list of finite numbers."""
-    if not isinstance(grid, list):
-        return [f"{where}: must be a list of finite numbers, got {grid!r}"]
+    """The validation messages for a t grid that is not a non-empty list of
+    finite numbers."""
+    if not isinstance(grid, list) or not grid:
+        return [f"{where}: must be a non-empty list of finite numbers, got {grid!r}"]
     return [
         f"{where}[{i}]: must be a finite number, got {t!r}"
         for i, t in enumerate(grid)
@@ -265,7 +266,7 @@ def _build_family(name, decl, forms, errors) -> DeformationFamily | None:
         return None
     try:
         return DeformationFamily(*refs, *pair)
-    except (ValueError, ex.EvaluationError) as err:
+    except ValueError as err:
         errors.append(f"{where}: {err}")
         return None
 

@@ -54,6 +54,10 @@ __all__ = [
 # a failure within this factor of its threshold is numerically inconclusive
 MARGINAL_FACTOR = 10.0
 
+# the positive t grid of the converse, of the single-form criterion and of a
+# sweep, by default
+CONVERSE_T_GRID = (0.01, 0.1, 1.0, 10.0)
+
 
 def marginal(defect: float | None, threshold: float | None) -> bool:
     """Whether a failed bound is numerically inconclusive: its defect and the
@@ -305,9 +309,16 @@ class SampledPair:
         return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[:, 0]
 
 
+def _blocks(points: int) -> list[slice]:
+    """The blocks of ``_BLOCK // 2`` points, in order, that a blocked Reeb
+    solve takes ``points`` points in (the last one may be shorter)."""
+    step = _BLOCK // 2
+    return [slice(lo, min(lo + step, points)) for lo in range(0, points, step)]
+
+
 def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
     """least_squares_batch on the systems ``rows_of(block)`` of ``points``
-    points, one block of ``_BLOCK // 2`` points per call, with b of shape
+    points, one block of ``_blocks(points)`` per call, with b of shape
     (M, R) or (P, M, R); the outputs of the blocks are joined in order.
 
     The calling thread and, with two blocks or more on a process that may
@@ -322,7 +333,7 @@ def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
     loop would, and an exactly singular Gram matrix there sends the whole
     batch to the pseudo-inverse.
     """
-    blocks = [slice(lo, min(lo + _BLOCK // 2, points)) for lo in range(0, points, _BLOCK // 2)]
+    blocks = _blocks(points)
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     for pinv in (False, True):
@@ -524,6 +535,14 @@ def _nonvanishing(condition: str, message: str, values: np.ndarray, threshold, p
     return defect
 
 
+def _require_closed(name: str, values: np.ndarray, dvalues: np.ndarray, tol: float) -> None:
+    """Raise a ValueError, an input error, unless the 1-form ``name`` is
+    closed on its samples: max |d name| at or below tol * max |name|."""
+    defect = float(np.max(np.abs(dvalues))) if dvalues.size else 0.0
+    if defect > tol * float(np.max(np.abs(values))):
+        raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
+
+
 def verify_contact_pair(
     alpha: FormField,
     beta: FormField,
@@ -705,7 +724,6 @@ class SingleDeformationReport:
     pairing_defect: float | None
     per_t: list
     witness: dict = field(default_factory=dict)
-    closed_defect: float = 0.0
 
 
 def verify_single_deformation(
@@ -715,7 +733,8 @@ def verify_single_deformation(
     tol: float | None = None,
     points=None,
 ) -> SingleDeformationReport:
-    """Check both directions of the deformation criterion for a single form."""
+    """Check both directions of the deformation criterion for a single form;
+    the grid needs some t > 0."""
     model = alpha.model
     n = model.n
     if n % 2 == 0:
@@ -725,16 +744,13 @@ def verify_single_deformation(
     if points is None:
         points = sample_points(model)
     pts = np.asarray(points, dtype=float)
-    if t_grid is None:
-        t_grid = [10.0**j for j in range(-2, 2)]
+    t_grid = [float(t) for t in (CONVERSE_T_GRID if t_grid is None else t_grid)]
+    if not any(t > 0.0 for t in t_grid):
+        raise ValueError("single-form t grid has no t > 0")
 
     a0v = alpha0.values(pts)
     da0 = alpha0.d().values(pts)
-    closed_defect = float(np.max(np.abs(da0))) if da0.size else 0.0
-    if closed_defect > tol * float(np.max(np.abs(a0v))):
-        raise ContactPairError(
-            "alpha0-closed", "alpha0 is not closed", {"defect": closed_defect}, defect=closed_defect
-        )
+    _require_closed("alpha0", a0v, da0, tol)
 
     k_max = (n - 1) // 2
     av = alpha.values(pts)
@@ -764,7 +780,6 @@ def verify_single_deformation(
     condition_i = True  # None: undecided, some t overflowed and none failed
     witness_i = {}
     for t in t_grid:
-        t = float(t)
         if t <= 0.0:
             if t == 0.0:
                 per_t.append({"t": 0.0, "note": "closed form, class 0", "passed": None})
@@ -808,5 +823,4 @@ def verify_single_deformation(
         pairing_defect=pairing_defect,
         per_t=per_t,
         witness={"condition_i": witness_i, "condition_ii": witness_ii},
-        closed_defect=closed_defect,
     )

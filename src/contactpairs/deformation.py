@@ -46,14 +46,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import (
+    CONVERSE_T_GRID,
     ContactPairCertificate,
     ContactPairError,
     SampledPair,
+    _blocks,
     _certify,
     _norm_inf_rows,
+    _require_closed,
     _solve_reeb,
 )
-from .exterior import _BLOCK, chain, wedge_values
+from .exterior import chain, wedge_values
 from .fields import FormField, volume_form
 from .models import default_tolerance, integrate, sample_points
 
@@ -75,53 +78,24 @@ __all__ = [
 ]
 
 FORWARD_T_GRID = (-10.0, -1.0, -0.1, -0.01, 0.01, 0.1, 1.0, 10.0)
-CONVERSE_T_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
 class DeformationFamily:
-    """alpha_t = alpha0 + t*alpha, beta_t = beta0 + t*beta with closed,
-    pointwise independent alpha0, beta0 and a declared target type (k, l)."""
+    """alpha_t = alpha0 + t*alpha, beta_t = beta0 + t*beta with a declared
+    target type (k, l).
 
-    def __init__(
-        self,
-        alpha0: FormField,
-        beta0: FormField,
-        alpha: FormField,
-        beta: FormField,
-        k: int,
-        l: int,
-        tol: float | None = None,
-        points=None,
-    ):
+    The four 1-forms share one model; nothing is evaluated here.  The
+    theorem's premises, alpha0 and beta0 closed and pointwise independent,
+    are decided on the samples of each verdict (``SampledFamily``).
+    """
+
+    def __init__(self, alpha0: FormField, beta0: FormField, alpha: FormField, beta: FormField, k: int, l: int):
         model = alpha0.model
         for f in (beta0, alpha, beta):
             if f.model is not model:
                 raise ValueError("all four forms must live on one model")
         if any(f.degree != 1 for f in (alpha0, beta0, alpha, beta)):
             raise ValueError("deformation data must be 1-forms")
-        if tol is None:
-            tol = default_tolerance(model)
-        if points is None:
-            points = sample_points(model)
-        pts = np.asarray(points, dtype=float)
-
-        # kept: the sampled family evaluates them again without re-deriving
-        self.dalpha0, self.dbeta0 = alpha0.d(), beta0.d()
-        a0v = alpha0.values(pts)
-        b0v = beta0.values(pts)
-        for name, values, d in (("alpha0", a0v, self.dalpha0), ("beta0", b0v, self.dbeta0)):
-            dv = d.values(pts)
-            defect = float(np.max(np.abs(dv))) if dv.size else 0.0
-            if defect > tol * float(np.max(np.abs(values))):
-                raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
-
-        indep = _norm_inf_rows(wedge_values(model.n, 1, 1, a0v, b0v))
-        if np.any(indep <= tol * float(np.max(np.abs(a0v))) * float(np.max(np.abs(b0v)))):
-            idx = int(np.argmin(indep))
-            raise ValueError(
-                f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}"
-            )
-
         self.model = model
         self.alpha0 = alpha0
         self.beta0 = beta0
@@ -129,7 +103,6 @@ class DeformationFamily:
         self.beta = beta
         self.k = int(k)
         self.l = int(l)
-        self.tol = tol
 
     def at(self, t: float) -> tuple[FormField, FormField]:
         """The pair (alpha_t, beta_t)."""
@@ -172,7 +145,10 @@ class VolumePolynomial:
 
 class SampledFamily:
     """The forms of a family and their derivatives, evaluated once on a
-    point set.
+    point set, where the family's premises are decided at tol: alpha0 and
+    beta0 closed (max |d alpha0| <= tol * max |alpha0|, the same for beta0)
+    and pointwise independent (|alpha0 ∧ beta0| above tol times the product
+    of their scales at every point), or a ValueError naming the form.
 
     Every sampled quantity of (alpha_t, beta_t) is affine in t, so ``at(t)``
     forms its arrays without building or evaluating expressions.  The
@@ -180,13 +156,18 @@ class SampledFamily:
     within the tolerance.
     """
 
-    def __init__(self, family: DeformationFamily, points):
+    def __init__(self, family: DeformationFamily, points, tol: float):
         self.model = family.model
         self.k, self.l = family.k, family.l
         self.direction = SampledPair.of(family.alpha, family.beta, points)
         self.points = pts = self.direction.points
-        closed = (family.alpha0, family.beta0, family.dalpha0, family.dbeta0)
-        self.closed = SampledPair(pts, *(f.values(pts) for f in closed))
+        self.closed = c = SampledPair.of(family.alpha0, family.beta0, pts)
+        _require_closed("alpha0", c.alpha, c.dalpha, tol)
+        _require_closed("beta0", c.beta, c.dbeta, tol)
+        indep = _norm_inf_rows(wedge_values(c.n, 1, 1, c.alpha, c.beta))
+        if np.any(indep <= tol * float(np.max(np.abs(c.alpha))) * float(np.max(np.abs(c.beta)))):
+            idx = int(np.argmin(indep))
+            raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
 
     def at(self, t: float) -> SampledPair:
         """The samples of (alpha_t, beta_t); entries may overflow for huge t."""
@@ -201,9 +182,9 @@ class SampledFamily:
             )
 
     def reeb_terms(self, x: np.ndarray, y: np.ndarray):
-        """Yield (block, A0 Z, A1 Z - b) for each block of ``_BLOCK // 2``
-        points, the t-free terms of the Reeb residual of the pair
-        (X/t, Y/t) at t, each of shape (block points, 2n+2, 2):
+        """Yield (block, A0 Z, A1 Z - b) for each block of
+        ``contact._blocks``, the t-free terms of the Reeb residual of the
+        pair (X/t, Y/t) at t, each of shape (block points, 2n+2, 2):
 
             A(t) Z/t - b = (A0 Z)/t + (A1 Z - b),   Z = (X, Y) by column,
 
@@ -214,8 +195,7 @@ class SampledFamily:
         """
         c, s = self.closed, self.direction
         b = np.eye(2 * s.n + 2, 2)
-        for lo in range(0, len(self.points), _BLOCK // 2):
-            block = slice(lo, lo + _BLOCK // 2)
+        for block in _blocks(len(self.points)):
             z = np.stack((x[block], y[block]), axis=-1)
             direction = s.reeb_rows(block) @ z
             direction -= b
@@ -242,7 +222,7 @@ def volume_polynomial(
     """Sample the three coefficient functions of the volume polynomial."""
     if points is None:
         points = sample_points(family.model)
-    return SampledFamily(family, points).volume_polynomial(volume)
+    return SampledFamily(family, points, default_tolerance(family.model)).volume_polynomial(volume)
 
 
 def volume_identity_defect(
@@ -252,7 +232,7 @@ def volume_identity_defect(
     t^{k+l}(Q t^2 + L t + C) * Omega over the t sample set."""
     if points is None:
         points = sample_points(family.model)
-    sampled = SampledFamily(family, points)
+    sampled = SampledFamily(family, points, default_tolerance(family.model))
     vp = sampled.volume_polynomial(volume)
     k, l = family.k, family.l
     worst = 0.0
@@ -464,20 +444,21 @@ def verify_forward(
 ) -> TheoremVerdict:
     """Forward direction: a compatible contact pair of deformation directions
     makes every (alpha_t, beta_t), t != 0, a contact pair of the same type
-    with Reeb pair (E_alpha/t, E_beta/t)."""
+    with Reeb pair (E_alpha/t, E_beta/t).  The grid's t = 0 are dropped, and
+    some t must be left."""
     model = family.model
     if tol is None:
-        tol = family.tol
-    if t_grid is None:
-        t_grid = FORWARD_T_GRID
+        tol = default_tolerance(model)
+    t_grid = [float(t) for t in (FORWARD_T_GRID if t_grid is None else t_grid) if float(t) != 0.0]
+    if not t_grid:
+        raise ValueError("forward t grid has no t != 0")
     if points is None:
         points = sample_points(model)
-    sampled = SampledFamily(family, points)
+    sampled = SampledFamily(family, points, tol)
     pts = sampled.points
 
     base_item, cert = _base_item(sampled, tol)
     hypotheses = [base_item] + _pairing_items(sampled.closed, cert, tol)
-    t_grid = [float(t) for t in t_grid if float(t) != 0.0]
     # the theorem's Reeb pair (E_alpha/t, E_beta/t) is offered at each t
     residuals = None
     if all(item.passed for item in hypotheses):
@@ -531,15 +512,15 @@ def verify_converse(
     """
     model = family.model
     if tol is None:
-        tol = family.tol
-    if t_grid is None:
-        t_grid = CONVERSE_T_GRID
-    t_grid = [float(t) for t in t_grid]
+        tol = default_tolerance(model)
+    t_grid = [float(t) for t in (CONVERSE_T_GRID if t_grid is None else t_grid)]
+    if not t_grid:
+        raise ValueError("converse t grid is empty")
     if any(t <= 0 for t in t_grid):
         raise ValueError("converse t grid must be strictly positive")
     if points is None:
         points = sample_points(model)
-    sampled = SampledFamily(family, points)
+    sampled = SampledFamily(family, points, tol)
 
     # the first t solved gives (X, Y) = t * (E_{alpha_t}, E_{beta_t}), and
     # (X/t, Y/t) is offered at every later t
@@ -631,7 +612,7 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None) -> list[dict]:
     """
     if points is None:
         points = sample_points(family.model)
-    sampled = SampledFamily(family, points)
+    sampled = SampledFamily(family, points, default_tolerance(family.model))
     rows = []
     for t in t_grid:
         t = float(t)

@@ -18,7 +18,7 @@ from . import __version__
 from . import expressions as ex
 from .config import JACOBI_RESOLUTION, RunConfig
 from .contact import ContactPairError, cartan_class, marginal, verify_contact_pair, verify_single_deformation
-from .deformation import _gate, sweep_rows, verify_converse, verify_forward
+from .deformation import CONVERSE_T_GRID, _gate, sweep_rows, verify_converse, verify_forward
 from .fields import FormField
 from .jacobi import JacobiError, JacobiSide, _identity_defect
 from .models import sample_points
@@ -189,7 +189,7 @@ def _task_sweep(cfg, params, objs, rng, out_path):
     family = objs["family"]
     t_grid = params.get("t_grid", cfg.t_grid)
     if t_grid is None:
-        t_grid = [0.01, 0.1, 1.0, 10.0]
+        t_grid = CONVERSE_T_GRID
     pts = _points_for(cfg, family.model, rng)
     rows = sweep_rows(family, t_grid, points=pts)
     for row in rows:  # a non-finite entry shows nothing: null in the report, empty in the CSV

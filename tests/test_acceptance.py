@@ -80,12 +80,12 @@ def t6():
     compatible = DeformationFamily(
         pullback_form(model, coframe(left, 0), "left"),
         pullback_form(model, coframe(right, 0), "right"),
-        alpha, beta, 1, 1, points=points,
+        alpha, beta, 1, 1,
     )
     incompatible = DeformationFamily(
         pullback_form(model, coframe(left, 1), "left"),
         pullback_form(model, coframe(right, 0), "right"),
-        alpha, beta, 1, 1, points=points,
+        alpha, beta, 1, 1,
     )
     return {"model": model, "alpha": alpha, "beta": beta, "left": left, "right": right,
             "points": points, "compatible": compatible, "incompatible": incompatible}

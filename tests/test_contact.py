@@ -360,15 +360,19 @@ def test_single_deformation_incompatible_exhibits_t():
 
 def test_single_deformation_t_zero_grid():
     t3, alpha = torus_contact()
-    report = verify_single_deformation(coframe(t3, 0), alpha, t_grid=[0.0])
-    assert report.per_t[0]["t"] == 0.0
-    assert report.condition_i  # vacuous: no positive t failed
+    report = verify_single_deformation(coframe(t3, 0), alpha, t_grid=[0.0, 1.0])
+    assert report.per_t[0] == {"t": 0.0, "note": "closed form, class 0", "passed": None}
+    assert report.condition_i
+    # with no t > 0 left nothing is checked: an error, not a vacuous pass
+    for grid in ([0.0], [-1.0, 0.0], []):
+        with pytest.raises(ValueError, match="no t > 0"):
+            verify_single_deformation(coframe(t3, 0), alpha, t_grid=grid)
 
 
 def test_single_deformation_requires_closed():
     t3, alpha = torus_contact()
     not_closed = form_from_expressions(t3, 1, {1: "cos(x0)"})
-    with pytest.raises(ContactPairError):
+    with pytest.raises(ValueError, match=r"^alpha0 is not closed \(max \|d alpha0\| = "):
         verify_single_deformation(not_closed, alpha)
 
 

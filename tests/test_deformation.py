@@ -21,7 +21,7 @@ from contactpairs.deformation import (
     volume_polynomial,
 )
 from contactpairs.fields import coframe, constant_form, pullback_form
-from contactpairs.models import heisenberg3, random_points, sample_points, torus
+from contactpairs.models import default_tolerance, heisenberg3, random_points, sample_points, torus
 from contactpairs.registry import build_example
 
 
@@ -37,13 +37,13 @@ def heisenberg6_family():
     return DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
 
 
-def t6_family(closed_axis_left=0, points=None):
+def t6_family(closed_axis_left=0):
     left, a = torus_contact()
     right, b = torus_contact()
     model, alpha, beta = product_contact_pair(left, a, right, b)
     alpha0 = pullback_form(model, coframe(left, closed_axis_left), "left")
     beta0 = pullback_form(model, coframe(right, 0), "right")
-    return DeformationFamily(alpha0, beta0, alpha, beta, 1, 1, points=points)
+    return DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
 
 
 @pytest.fixture(scope="module")
@@ -52,20 +52,27 @@ def t6_points():
     return random_points(fam.model, 4000, np.random.default_rng(100))
 
 
-# --- family construction ------------------------------------------------------
+# --- the family's premises are decided by the verdict that samples it ----------
 
-def test_family_requires_closed_forms():
+SAMPLING_VERDICTS = (verify_forward, verify_converse, lambda fam: sweep_rows(fam, CONVERSE_T_GRID))
+
+
+@pytest.mark.parametrize("verdict", SAMPLING_VERDICTS, ids=["forward", "converse", "sweep"])
+def test_family_requires_closed_forms(verdict):
     left, a = torus_contact()
     right, b = torus_contact()
     model, alpha, beta = product_contact_pair(left, a, right, b)
-    with pytest.raises(ValueError, match="closed"):
-        DeformationFamily(alpha, pullback_form(model, coframe(right, 0), "right"), alpha, beta, 1, 1)
+    fam = DeformationFamily(alpha, pullback_form(model, coframe(right, 0), "right"), alpha, beta, 1, 1)
+    with pytest.raises(ValueError, match=r"^alpha0 is not closed \(max \|d alpha0\| = 1\.000e\+00\)$"):
+        verdict(fam)
 
 
-def test_family_requires_independence():
+@pytest.mark.parametrize("verdict", SAMPLING_VERDICTS, ids=["forward", "converse", "sweep"])
+def test_family_requires_independence(verdict):
     fam = heisenberg6_family()
-    with pytest.raises(ValueError, match="dependent"):
-        DeformationFamily(fam.alpha0, fam.alpha0, fam.alpha, fam.beta, 1, 1)
+    fam = DeformationFamily(fam.alpha0, fam.alpha0, fam.alpha, fam.beta, 1, 1)
+    with pytest.raises(ValueError, match="^alpha0 and beta0 are linearly dependent at sample point"):
+        verdict(fam)
 
 
 def test_family_at_is_linear():
@@ -89,7 +96,7 @@ def test_volume_polynomial_heisenberg():
 
 
 def test_volume_polynomial_t6_compatible(t6_points):
-    fam = t6_family(points=t6_points)
+    fam = t6_family()
     vp = volume_polynomial(fam, points=t6_points)
     np.testing.assert_allclose(vp.quad, 1.0, atol=1e-12)
     np.testing.assert_allclose(vp.lin, 0.0, atol=1e-12)
@@ -97,7 +104,7 @@ def test_volume_polynomial_t6_compatible(t6_points):
 
 
 def test_volume_polynomial_t6_incompatible(t6_points):
-    fam = t6_family(1, points=t6_points)
+    fam = t6_family(1)
     vp = volume_polynomial(fam, points=t6_points)
     # the linear coefficient is the left-factor cos(x0), not constant
     np.testing.assert_allclose(vp.lin, np.cos(t6_points[:, 0]), atol=1e-12)
@@ -129,8 +136,8 @@ def test_identity_defect_random_invariant_families():
 
 def test_identity_defect_chart(t6_points):
     t_values = np.linspace(-10.0, 10.0, 8)
-    assert volume_identity_defect(t6_family(points=t6_points), t_values, points=t6_points) < 1e-10
-    assert volume_identity_defect(t6_family(1, points=t6_points), t_values, points=t6_points) < 1e-10
+    assert volume_identity_defect(t6_family(), t_values, points=t6_points) < 1e-10
+    assert volume_identity_defect(t6_family(1), t_values, points=t6_points) < 1e-10
 
 
 def test_identity_defect_at_t_zero():
@@ -165,7 +172,7 @@ def test_replacement_identities_random(t6_points):
     fam_h = heisenberg6_family()
     cert_h = verify_contact_pair(fam_h.alpha, fam_h.beta, 1, 1)
     ctx_h = PairSamples(cert_h)
-    fam_t = t6_family(points=t6_points)
+    fam_t = t6_family()
     cert_t = verify_contact_pair(fam_t.alpha, fam_t.beta, 1, 1, points=t6_points,
                                  check_commutator=False)
     ctx_t = PairSamples(cert_t)
@@ -193,7 +200,7 @@ def test_transverse_identity(t6_points):
 
 
 def test_transverse_identity_chart(t6_points):
-    fam = t6_family(points=t6_points)
+    fam = t6_family()
     cert = verify_contact_pair(fam.alpha, fam.beta, 1, 1, points=t6_points, check_commutator=False)
     ctx = PairSamples(cert)
     rng = np.random.default_rng(79)
@@ -211,12 +218,12 @@ def test_forward_heisenberg_all_t():
 
 
 def test_forward_t6_compatible(t6_points):
-    verdict = verify_forward(t6_family(points=t6_points), points=t6_points)
+    verdict = verify_forward(t6_family(), points=t6_points)
     assert verdict.overall == "pass"
 
 
 def test_forward_incompatible_is_not_applicable(t6_points):
-    verdict = verify_forward(t6_family(1, points=t6_points), points=t6_points)
+    verdict = verify_forward(t6_family(1), points=t6_points)
     assert verdict.overall == "not applicable"
     failed = [i for i in verdict.hypotheses if i.passed is False]
     assert [i.name for i in failed] == ["compatibility alpha0(E_alpha)=0"]
@@ -231,14 +238,14 @@ def test_forward_flags_exactly_the_broken_pairing(t6_points):
     model, alpha, beta = product_contact_pair(left, a, right, b)
     alpha0 = pullback_form(model, coframe(left, 0), "left")
     beta0 = pullback_form(model, coframe(right, 1), "right")
-    fam = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1, points=t6_points)
+    fam = DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
     verdict = verify_forward(fam, points=t6_points)
     failed = [i.name for i in verdict.hypotheses if i.passed is False]
     assert failed == ["compatibility beta0(E_beta)=0"]
 
 
 def test_forward_verdict_serialization(t6_points):
-    verdict = verify_forward(t6_family(points=t6_points), points=t6_points)
+    verdict = verify_forward(t6_family(), points=t6_points)
     d = verdict.to_dict()
     assert d["direction"] == "forward"
     assert d["overall"] == "pass"
@@ -256,14 +263,14 @@ def test_converse_heisenberg():
 
 
 def test_converse_t6_compatible(t6_points):
-    verdict = verify_converse(t6_family(points=t6_points), points=t6_points)
+    verdict = verify_converse(t6_family(), points=t6_points)
     assert verdict.overall == "pass"
     scaling = [i for i in verdict.hypotheses if "constant across t" in i.name][0]
     assert scaling.defect < 1e-6
 
 
 def test_converse_incompatible_small_t_witness(t6_points):
-    verdict = verify_converse(t6_family(1, points=t6_points), points=t6_points)
+    verdict = verify_converse(t6_family(1), points=t6_points)
     assert verdict.overall == "not applicable"
     failed = [i for i in verdict.hypotheses if i.passed is False]
     assert failed, "small t must fail the contact-pair hypothesis"
@@ -285,11 +292,11 @@ def test_default_converse_grid_spans_two_orders():
 # --- quadrature checks --------------------------------------------------------------
 
 def test_stokes_integrals_vanish(t6_points):
-    fam = t6_family(points=t6_points)
+    fam = t6_family()
     i1, i2 = stokes_integrals(fam)
     assert i1 < 1e-8 and i2 < 1e-8
     # independence from compatibility: the incompatible family integrates to zero too
-    fam_i = t6_family(1, points=t6_points)
+    fam_i = t6_family(1)
     j1, j2 = stokes_integrals(fam_i)
     assert j1 < 1e-8 and j2 < 1e-8
 
@@ -322,7 +329,7 @@ def test_stokes_requires_type_one_one():
 # --- sweep -----------------------------------------------------------------------
 
 def test_sweep_rows(t6_points):
-    fam = t6_family(1, points=t6_points)
+    fam = t6_family(1)
     rows = sweep_rows(fam, [0.01, 0.1, 10.0], points=t6_points)
     assert [r["t"] for r in rows] == [0.01, 0.1, 10.0]
     # small t: the signed volume coefficient straddles zero for the broken family
@@ -361,7 +368,7 @@ def _applied_threshold(s, item, k, l, tol):
 def test_certificate_items_report_the_applied_threshold(name, verify):
     family = build_example(name)["family"]
     points = sample_points(family.model, np.random.default_rng(0), random_count=2000)
-    sampled = SampledFamily(family, points)
+    sampled = SampledFamily(family, points, default_tolerance(family.model))
     verdict = verify(family, points=points)
     samples = {"(alpha,beta) is a contact pair": sampled.direction}
     grid = FORWARD_T_GRID if verify is verify_forward else CONVERSE_T_GRID
@@ -369,7 +376,7 @@ def test_certificate_items_report_the_applied_threshold(name, verify):
     items = [i for i in verdict.hypotheses + verdict.conclusions if "is a contact pair" in i.name]
     assert sorted(i.name for i in items) == sorted(samples)
     for item in items:
-        expected = _applied_threshold(samples[item.name], item, family.k, family.l, family.tol)
+        expected = _applied_threshold(samples[item.name], item, family.k, family.l, default_tolerance(family.model))
         assert item.threshold == expected, item.name
         if item.passed:
             assert item.defect <= item.threshold

@@ -35,7 +35,7 @@ from contactpairs.contact import (
 )
 from contactpairs.deformation import SampledFamily
 from contactpairs.exterior import _BLOCK, two_form_matrices
-from contactpairs.models import random_points
+from contactpairs.models import default_tolerance, random_points
 from contactpairs.registry import build_example
 from test_exterior import same_bits
 
@@ -94,7 +94,7 @@ def assert_same(got, want):
 def family_samples():
     objs = build_example("t6-pair-compatible")
     pts = random_points(objs["model"], 4 * _BLOCK, np.random.default_rng(3))
-    return SampledFamily(objs["family"], pts)
+    return SampledFamily(objs["family"], pts, default_tolerance(objs["model"]))
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +357,31 @@ def test_blocked_solve_stays_below_one_full_row_stack(family_samples, monkeypatc
         finally:
             tracemalloc.stop()
         assert peak < stack, (cores, peak, stack)
+
+
+def test_the_scaled_residual_terms_take_the_blocks_of_the_solve(family_samples):
+    objs = build_example("t6-pair-compatible")
+    pts = family_samples.points[: 2 * _BLOCK + 3]
+    sampled = SampledFamily(objs["family"], pts, default_tolerance(objs["model"]))
+    z = np.zeros((len(pts), 6))
+    blocks = [block for block, _, _ in sampled.reeb_terms(z, z)]
+    assert blocks == contact._blocks(len(pts))
+    assert Counter(b.stop - b.start for b in blocks) == Counter({HALF: 4, 3: 1})
+
+
+def test_the_block_partition_is_written_once():
+    # every blocked loop over the Reeb rows reads contact._blocks
+    sites = []
+    for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                sites += [
+                    (path.stem, function.name) for node in ast.walk(function)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                    and getattr(node.left, "id", None) == "_BLOCK"
+                ]
+    assert sites == [("contact", "_blocks")]
 
 
 def _linalg_solve_sites():

@@ -35,7 +35,7 @@ from contactpairs.deformation import (
 )
 from contactpairs.exterior import chain
 from contactpairs.fields import coframe, form_from_expressions, pullback_form
-from contactpairs.models import random_points, sample_points, torus
+from contactpairs.models import default_tolerance, random_points, sample_points, torus
 from contactpairs.registry import build_example
 from contactpairs.reporting import render_structured
 
@@ -107,7 +107,7 @@ def _reference(family, t, pts):
     """verify_contact_pair on the expression trees of (alpha_t, beta_t)."""
     try:
         return verify_contact_pair(
-            *family.at(t), family.k, family.l, tol=family.tol, points=pts,
+            *family.at(t), family.k, family.l, tol=default_tolerance(family.model), points=pts,
             check_commutator=False, check_rank=False,
         )
     except ContactPairError as err:
@@ -175,8 +175,9 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
     scaling = {i.name: i for i in verdict.conclusions if i.name.startswith("Reeb scaling")}
     grid = [t for t in FORWARD_T_GRID if t != 0.0]
     assert len(calls) == 1 + len(grid)
-    base = verify_contact_pair(family.alpha, family.beta, family.k, family.l, tol=family.tol,
-                               points=pts, check_commutator=False, check_rank=False)
+    base = verify_contact_pair(family.alpha, family.beta, family.k, family.l,
+                               tol=default_tolerance(family.model), points=pts,
+                               check_commutator=False, check_rank=False)
     s, candidate, got = calls[0]
     assert candidate is None
     _assert_same(s, got, base, rtol)
@@ -187,7 +188,7 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
         _assert_same(s, got, want, rtol)
         assert (candidate is not None) == (name in COMPATIBLE)
         if name in COMPATIBLE:
-            _assert_substituted(t, candidate, got, want, witness, family.tol)
+            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model))
             # the scaling item gates the same backward error
             item = scaling[f"Reeb scaling at t={t:g}"]
             assert item.passed and item.defect == got.reeb_residual
@@ -209,7 +210,7 @@ def test_converse_certificates_match_expression_path(monkeypatch, name, rtol, se
         if isinstance(got, ContactPairError):
             continue
         if got.substituted:
-            _assert_substituted(t, candidate, got, want, witness, family.tol)
+            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model))
         elif witness is None:  # the first t solved gives (X, Y)
             witness = (t * got.reeb_alpha_values, t * got.reeb_beta_values)
     # on a compatible family the solved t = 0.01 gives (X, Y), and every
@@ -324,7 +325,7 @@ def _nearly_closed_family():
 def test_affine_samples_keep_the_dalpha0_term():
     family = _nearly_closed_family()
     pts = random_points(family.model, 300, np.random.default_rng(3))
-    sampled = SampledFamily(family, pts)
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
     assert np.max(np.abs(sampled.closed.dalpha)) > 1e-10
     for t in (0.0, 0.5, -2.0):
         s = sampled.at(t)
@@ -339,7 +340,7 @@ def test_scaled_residual_is_the_residual_of_the_expression_path(name):
     # on the nearly closed family the d alpha0 rows carry 1e-9 of it
     family = _nearly_closed_family() if name == "nearly-closed" else _family(name)
     pts = _points(family, 3)
-    sampled = SampledFamily(family, pts)
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
     x, y = np.random.default_rng(8).standard_normal((2, len(pts), family.model.n))
     grid = (-10.0, -0.1, 0.01, 1.0, 7.0)
     for t, residual in zip(grid, deformation._scaled_residuals(sampled, x, y, grid)):
@@ -370,7 +371,7 @@ def _count_evaluations(monkeypatch, pts):
 
 def _family_forms(family):
     return (family.alpha0, family.beta0, family.alpha, family.beta,
-            family.dalpha0, family.dbeta0, family.alpha.d(), family.beta.d())
+            family.alpha0.d(), family.beta0.d(), family.alpha.d(), family.beta.d())
 
 
 @pytest.mark.parametrize("name", ["t6-pair-compatible", "heisenberg6-pair"])
@@ -449,11 +450,69 @@ def test_task_t_grid_must_be_finite(tmp_path, capsys, bad):
     assert "tasks[0].t_grid[0]: must be a finite number" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc", "0.1,,1"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "abc", "0.1,,1", ""])
 def test_cli_t_grid_must_be_finite(capsys, bad):
     code = main(["sweep", "--example", "heisenberg6-pair", f"--t-grid={bad}"])
     assert code == 2
     assert "--t-grid: must be comma-separated finite numbers" in capsys.readouterr().err
+
+
+# --- a t grid leaves some t to check ---------------------------------------------
+
+DEFORM_COMMANDS = (["deform"], ["deform", "--mode", "converse"], ["deform", "--mode", "single"], ["sweep"])
+
+
+def _example_task(command):
+    if command[-1] == "single":
+        return {"task": "single-deform", "example": "heisenberg3", "alpha0_coefficients": ["1", "0", "0"]}
+    kind = {"deform": "deform-forward", "converse": "deform-converse", "sweep": "sweep"}[command[-1]]
+    return {"task": kind, "example": "heisenberg6-pair"}
+
+
+@pytest.mark.parametrize("command", DEFORM_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("where", ["t_grid", "tasks[0].t_grid"])
+def test_empty_t_grid_is_an_input_error(tmp_path, capsys, command, where):
+    task = _example_task(command)
+    doc = {"schema_version": 1, "tasks": [task]}
+    if where == "t_grid":
+        doc["t_grid"] = []
+    else:
+        task["t_grid"] = []
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([*command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{where}: must be a non-empty list of finite numbers, got []" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["deform", "--example", "heisenberg6-pair", "--t-grid=0"], "deform-forward: forward t grid has no t != 0"),
+    (["deform", "--mode", "single", "--example", "heisenberg3", "--alpha0", "1,0,0", "--t-grid=-1"],
+     "single-deform: single-form t grid has no t > 0"),
+    (["deform", "--mode", "single", "--example", "heisenberg3", "--alpha0", "1,0,0", "--t-grid=0,-1"],
+     "single-deform: single-form t grid has no t > 0"),
+])
+def test_a_grid_without_a_t_to_check_is_an_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+
+
+def test_sweep_and_single_form_default_to_the_converse_grid(capsys):
+    assert deformation.CONVERSE_T_GRID is contact.CONVERSE_T_GRID
+    code, task = _run_structured(capsys, ["sweep", "--example", "heisenberg6-pair"])
+    assert code == 0
+    assert [row["t"] for row in task["result"]["rows"]] == list(CONVERSE_T_GRID)
+    objs = build_example("heisenberg3")
+    report = contact.verify_single_deformation(coframe(objs["model"], 0), objs["alpha"])
+    assert [entry["t"] for entry in report.per_t] == list(CONVERSE_T_GRID)
+
+
+def test_converse_refuses_an_empty_grid():
+    # config validation rejects an empty grid; a library call is refused too
+    with pytest.raises(ValueError, match="^converse t grid is empty$"):
+        verify_converse(build_example("heisenberg6-pair")["family"], t_grid=[])
 
 
 # --- an overflowing t never passes ---------------------------------------------
