@@ -159,17 +159,14 @@ class ClassReport:
 def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Largest absolute value along one short axis (0 where it is empty).
 
-    A running np.maximum over the slices of that axis: exact in any order,
-    and NaN propagates as in np.max, so a NaN row gives NaN.
+    One reduction over a copy that holds that axis first, so that it runs
+    over contiguous vectors: exact in any order, and NaN propagates as in
+    np.max, so a NaN row gives NaN.
     """
     values = np.moveaxis(np.asarray(values), axis, 0)
     if not values.shape[0]:
         return np.zeros(values.shape[1:])
-    out = np.abs(values[0], out=np.empty(values.shape[1:]))
-    tmp = np.empty_like(out)
-    for v in values[1:]:
-        np.maximum(out, np.abs(v, out=tmp), out=out)
-    return out
+    return np.max(np.abs(values, order="C"), axis=0)
 
 
 def cartan_class(alpha: FormField, tol: float | None = None, points=None) -> ClassReport:
@@ -255,15 +252,23 @@ class SampledPair:
     ``forms`` holds the four fields the arrays were evaluated from, which the
     exact Reeb commutator differentiates; it is None for arrays formed
     otherwise, such as the samples of a family at one t.
+
+    The arrays may carry leading axes before the points axis, such as the t
+    axis of a family's samples at a batch of t; ``scales``, ``top`` and
+    ``certificate_arrays`` broadcast over them.  ``batch`` = (pair, i) marks
+    the arrays as slice i of such a pair's, which holds the
+    ``certificate_arrays`` of its last type in ``arrays``.
     """
 
-    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None):
+    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None, batch=None):
         self.points = points
         self.alpha = alpha
         self.beta = beta
         self.dalpha = dalpha
         self.dbeta = dbeta
         self.forms = forms
+        self.batch = batch
+        self.arrays = None
 
     @classmethod
     def of(cls, alpha: FormField, beta: FormField, points) -> "SampledPair":
@@ -274,7 +279,7 @@ class SampledPair:
 
     @property
     def n(self) -> int:
-        return self.alpha.shape[1]
+        return self.alpha.shape[-1]
 
     @property
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +289,30 @@ class SampledPair:
 
     def scales(self) -> tuple:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""
-        return tuple(np.max(np.abs(v)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
+        return tuple(np.max(np.abs(v), axis=(-2, -1)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
+
+    def certificate_arrays(self, k: int, l: int) -> tuple:
+        """The sample arrays that a certificate of type (k, l) decides on:
+        the four ``scales``, the row norms of alpha, beta, (d alpha)^{k+1}
+        and (d beta)^{l+1}, and the volume coefficient (``top``), in that
+        order; entries may overflow.  A slice of a batch reads its slice of
+        the batch's arrays, which the first slice to ask computes for every
+        t of the batch in one pass of the exterior kernels."""
+        if self.batch is not None:
+            pair, i = self.batch
+            if pair.arrays is None or pair.arrays[0] != (k, l):
+                pair.arrays = ((k, l), pair.certificate_arrays(k, l))
+            return tuple(v[i] for v in pair.arrays[1])
+        n = self.n
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate fails
+            return (
+                *self.scales(),
+                _norm_inf_rows(self.alpha),
+                _norm_inf_rows(self.beta),
+                _norm_inf_rows(chain(n, *[(2, self.dalpha)] * (k + 1))),
+                _norm_inf_rows(chain(n, *[(2, self.dbeta)] * (l + 1))),
+                self.top(k, l, self.alpha, self.beta),
+            )
 
     def reeb_rows(self, block: slice = slice(None)) -> np.ndarray:
         """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of the points in
@@ -306,7 +334,7 @@ class SampledPair:
 
     def top(self, k: int, l: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l per point."""
-        return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[:, 0]
+        return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[..., 0]
 
 
 def _blocks(points: int) -> list[slice]:
@@ -314,6 +342,13 @@ def _blocks(points: int) -> list[slice]:
     solve takes ``points`` points in (the last one may be shorter)."""
     step = _BLOCK // 2
     return [slice(lo, min(lo + step, points)) for lo in range(0, points, step)]
+
+
+def _t_batch(points: int) -> int:
+    """How many values of t a family's samples on ``points`` points are
+    formed and certified together: as many as fit in ``_BLOCK`` points, and
+    at least one."""
+    return max(1, _BLOCK // points)
 
 
 def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
@@ -587,25 +622,19 @@ def _certify(
             "dimension", f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {n}"
         )
     pts = s.points
+    scale_a, scale_b, scale_da, scale_db, a_rows, b_rows, da_res, db_res, vol = s.certificate_arrays(k, l)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale_a, scale_b, scale_da, scale_db = s.scales()
         res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
         da_threshold = tol * scale_da ** (k + 1)
         db_threshold = tol * scale_db ** (l + 1)
         vol_scale = scale_a * scale_b * scale_da**k * scale_db**l
-        da_res = _norm_inf_rows(chain(n, *[(2, s.dalpha)] * (k + 1)))
-        db_res = _norm_inf_rows(chain(n, *[(2, s.dbeta)] * (l + 1)))
-        vol = s.top(k, l, s.alpha, s.beta)
         gram_scale = res_scale * res_scale * (2 * n + 2)  # bounds the normal equations
         checked = (vol_scale, da_threshold, db_threshold, gram_scale, da_res, db_res, vol)
     if not all(np.all(np.isfinite(v)) for v in checked):
         raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
 
-    for name, vals, scale in (("alpha", s.alpha, scale_a), ("beta", s.beta, scale_b)):
-        _nonvanishing(
-            f"{name}-nonvanishing", f"{name} vanishes at a sample point",
-            _norm_inf_rows(vals), tol * scale, pts,
-        )
+    for name, rows, scale in (("alpha", a_rows, scale_a), ("beta", b_rows, scale_b)):
+        _nonvanishing(f"{name}-nonvanishing", f"{name} vanishes at a sample point", rows, tol * scale, pts)
     dalpha_res = _vanishing("dalpha-power", f"(d alpha)^{k + 1} does not vanish", da_res, da_threshold, pts)
     dbeta_res = _vanishing("dbeta-power", f"(d beta)^{l + 1} does not vanish", db_res, db_threshold, pts)
 

@@ -26,8 +26,10 @@ a scaled pair (X/t, Y/t) in the Reeb system of (alpha_t, beta_t) is
 
 with both terms free of t (``SampledFamily.reeb_terms``, read once for the
 whole t grid by ``_scaled_residuals``).  A per-t certificate runs every
-check of the pair certificate on the samples at t, but offers the
-theorem's pair before it solves: ``verify_forward`` offers
+check of the pair certificate on the samples at t (formed, with the
+arrays those checks read, a batch of t at a time by
+``SampledFamily.batches``), but offers the theorem's pair before it
+solves: ``verify_forward`` offers
 (E_alpha/t, E_beta/t) of the base certificate once all five hypotheses
 pass; ``verify_converse`` solves each t until one passes and offers
 (X/t, Y/t), with (X, Y) = t * (E_{alpha_t}, E_{beta_t}) of that t, at every
@@ -55,6 +57,7 @@ from .contact import (
     _norm_inf_rows,
     _require_closed,
     _solve_reeb,
+    _t_batch,
 )
 from .exterior import chain, wedge_values
 from .fields import FormField, volume_form
@@ -151,9 +154,10 @@ class SampledFamily:
     of their scales at every point), or a ValueError naming the form.
 
     Every sampled quantity of (alpha_t, beta_t) is affine in t, so ``at(t)``
-    forms its arrays without building or evaluating expressions.  The
-    d alpha0 and d beta0 terms are kept: alpha0 and beta0 are closed only to
-    within the tolerance.
+    forms its arrays without building or evaluating expressions, and
+    ``batches`` forms those of many t at once.  The d alpha0 and d beta0
+    terms are kept: alpha0 and beta0 are closed only to within the
+    tolerance.
     """
 
     def __init__(self, family: DeformationFamily, points, tol: float):
@@ -169,8 +173,10 @@ class SampledFamily:
             idx = int(np.argmin(indep))
             raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
 
-    def at(self, t: float) -> SampledPair:
-        """The samples of (alpha_t, beta_t); entries may overflow for huge t."""
+    def at(self, t) -> SampledPair:
+        """The samples of (alpha_t, beta_t); entries may overflow for huge t.
+        An array t of shape (T, 1, 1) gives the samples at T values of t,
+        with a leading t axis."""
         c, s = self.closed, self.direction
         with np.errstate(over="ignore", invalid="ignore"):
             return SampledPair(
@@ -180,6 +186,37 @@ class SampledFamily:
                 c.dalpha + t * s.dalpha,
                 c.dbeta + t * s.dbeta,
             )
+
+    def batches(self, t_values):
+        """Yield the samples of (alpha_t, beta_t) at each t of t_values, in
+        order, as slices of batches of ``contact._t_batch(points)`` values
+        of t, each formed by one broadcast of ``at`` over a leading t axis;
+        a batch of one t is ``at(t)``.  The certificate arrays of a batch
+        are computed for all its t in one kernel pass when its first t is
+        certified (``SampledPair.certificate_arrays``), bit for bit those of
+        each t alone.  No t's samples are kept once yielded, so a caller
+        that drops them before the next t holds at most one batch, of at
+        most max(points, ``_BLOCK``) points.
+        """
+        step = _t_batch(len(self.points))
+        for lo in range(0, len(t_values), step):
+            pairs = self._batch(t_values[lo : lo + step])
+            while pairs:
+                yield pairs.pop(0)
+
+    def _batch(self, t_values) -> list[SampledPair]:
+        """The samples at each t of t_values, slices of one batch."""
+        if len(t_values) == 1:
+            # nothing to share: the certificate computes its own arrays and
+            # drops them when it returns, as for ``at(t)``
+            return [self.at(t_values[0])]
+        batch = self.at(np.array(t_values, dtype=float)[:, None, None])
+        return [
+            SampledPair(
+                self.points, batch.alpha[i], batch.beta[i], batch.dalpha[i], batch.dbeta[i], batch=(batch, i)
+            )
+            for i in range(len(t_values))
+        ]
 
     def reeb_terms(self, x: np.ndarray, y: np.ndarray):
         """Yield (block, A0 Z, A1 Z - b) for each block of
@@ -384,15 +421,15 @@ def _base_item(sampled: SampledFamily, tol):
     )
 
 
-def _item_at(sampled: SampledFamily, t: float, tol, candidate=None):
-    """Certify (alpha_t, beta_t) from the family's samples, offering the
-    Reeb pair ``candidate`` = (E_alpha, E_beta, residual) before any solve.
-    Returns the item and (E_alpha, E_beta, substituted) of the certificate
-    (None on failure); the samples at t are dropped here.  A non-finite
-    failure names t as its witness."""
+def _item_at(sampled: SampledFamily, s: SampledPair, t: float, tol, candidate=None):
+    """Certify (alpha_t, beta_t) on its samples s from ``sampled.batches``,
+    offering the Reeb pair ``candidate`` = (E_alpha, E_beta, residual)
+    before any solve.  Returns the item and (E_alpha, E_beta, substituted)
+    of the certificate (None on failure); the samples are dropped here.  A
+    non-finite failure names t as its witness."""
     item, cert = _cert_item(
         f"(alpha_t,beta_t) is a contact pair at t={t:g}",
-        lambda: _certify(sampled.at(t), sampled.k, sampled.l, tol, False, False, candidate),
+        lambda: _certify(s, sampled.k, sampled.l, tol, False, False, candidate),
     )
     if cert is None:
         if item.witness["condition"] == "non-finite":
@@ -408,8 +445,11 @@ def _scaled_residuals(sampled: SampledFamily, x: np.ndarray, y: np.ndarray, t_va
     out = np.empty((len(t_values), len(sampled.points)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails its gate
         for block, closed, direction in sampled.reeb_terms(x, y):
+            residual = np.empty_like(closed)
             for row, t in zip(out, t_values):
-                row[block] = np.max(np.abs(closed / t + direction), axis=(1, 2))
+                np.divide(closed, t, out=residual)
+                residual += direction
+                row[block] = _norm_inf_rows(residual.reshape(len(residual), -1))
     return out
 
 
@@ -465,10 +505,11 @@ def verify_forward(
         ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
         residuals = _scaled_residuals(sampled, ea, eb, t_grid)
 
+    samples = sampled.batches(t_grid)  # each t's samples go straight to _item_at
     conclusions = []
     for i, t in enumerate(t_grid):
         candidate = None if residuals is None else (ea / t, eb / t, residuals[i])
-        item_t, reeb_t = _item_at(sampled, t, tol, candidate)
+        item_t, reeb_t = _item_at(sampled, next(samples), t, tol, candidate)
         conclusions.append(item_t)
         if reeb_t is None or cert is None:
             conclusions.append(
@@ -525,9 +566,10 @@ def verify_converse(
     # the first t solved gives (X, Y) = t * (E_{alpha_t}, E_{beta_t}), and
     # (X/t, Y/t) is offered at every later t
     hypotheses, drift, residuals = [], [], None
+    samples = sampled.batches(t_grid)  # each t's samples go straight to _item_at
     for i, t in enumerate(t_grid):
         candidate = None if residuals is None else (x_vals / t, y_vals / t, residuals[i])
-        item_t, reeb_t = _item_at(sampled, t, tol, candidate)
+        item_t, reeb_t = _item_at(sampled, next(samples), t, tol, candidate)
         hypotheses.append(item_t)
         if reeb_t is None:
             continue
@@ -603,20 +645,24 @@ def stokes_integrals(family: DeformationFamily) -> tuple[float, float]:
     return abs(integrate(family.model, first)), abs(integrate(family.model, second))
 
 
-def sweep_rows(family: DeformationFamily, t_grid, points=None) -> list[dict]:
+def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None = None) -> list[dict]:
     """Per-t sweep of the family: volume coefficient range and Reeb residual.
 
     Rows are produced for every t, including values where the pair fails to
     be contact (that is what the sweep is for) and values where the samples
-    overflow, whose rows then hold non-finite numbers.
+    overflow, whose rows then hold non-finite numbers.  The family's
+    premises are decided at tol (the model's default tolerance by default).
     """
+    if tol is None:
+        tol = default_tolerance(family.model)
     if points is None:
         points = sample_points(family.model)
-    sampled = SampledFamily(family, points, default_tolerance(family.model))
+    sampled = SampledFamily(family, points, tol)
+    t_grid = [float(t) for t in t_grid]
     rows = []
-    for t in t_grid:
-        t = float(t)
-        s = sampled.at(t)
+    # s holds a t's samples until the next are formed: releasing them first
+    # returns their pages to the system only to fault them back in
+    for t, s in zip(t_grid, sampled.batches(t_grid)):
         with np.errstate(over="ignore", invalid="ignore"):
             vol = s.top(family.k, family.l, s.alpha, s.beta)
             _, _, residual, _, _ = _solve_reeb(s, False)

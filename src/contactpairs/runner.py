@@ -191,7 +191,7 @@ def _task_sweep(cfg, params, objs, rng, out_path):
     if t_grid is None:
         t_grid = CONVERSE_T_GRID
     pts = _points_for(cfg, family.model, rng)
-    rows = sweep_rows(family, t_grid, points=pts)
+    rows = sweep_rows(family, t_grid, points=pts, tol=cfg.tolerance)
     for row in rows:  # a non-finite entry shows nothing: null in the report, empty in the CSV
         row.update({c: None for c in SWEEP_COLUMNS if not math.isfinite(row[c])})
     target = params.get("out", out_path)

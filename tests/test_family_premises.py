@@ -129,7 +129,7 @@ def _t6_config(tmp_path, tolerance=None, beta0=None) -> str:
 
 def test_a_nearly_closed_family_gets_verdicts_at_a_looser_tolerance(tmp_path):
     path = _t6_config(tmp_path, tolerance=1e-3)
-    for command in (["deform"], ["deform", "--mode", "converse"]):
+    for command in (["deform"], ["deform", "--mode", "converse"], ["sweep"]):
         code, err = _run([*command, "--config", path])
         assert code in (0, 1, 3), err
 

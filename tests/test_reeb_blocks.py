@@ -370,7 +370,8 @@ def test_the_scaled_residual_terms_take_the_blocks_of_the_solve(family_samples):
 
 
 def test_the_block_partition_is_written_once():
-    # every blocked loop over the Reeb rows reads contact._blocks
+    # every blocked loop over the Reeb rows reads contact._blocks, and
+    # every batch of a family's t grid contact._t_batch
     sites = []
     for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -381,7 +382,7 @@ def test_the_block_partition_is_written_once():
                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
                     and getattr(node.left, "id", None) == "_BLOCK"
                 ]
-    assert sites == [("contact", "_blocks")]
+    assert sites == [("contact", "_blocks"), ("contact", "_t_batch")]
 
 
 def _linalg_solve_sites():

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 from contactpairs import deformation
+from contactpairs.contact import _t_batch
 from contactpairs.exterior import _BLOCK
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
@@ -58,11 +59,25 @@ def test_block_edge_config_ends_in_a_one_point_reeb_block(tmp_path):
     assert [run for run in tool.matrix() if tool.BLOCK_EDGE_CONFIG in run] == [
         (cmd, "--config", tool.BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")
     ]
-    doc = json.loads(open(tool.write_block_edge_config(tmp_path), encoding="utf-8").read())
+    doc = json.loads(open(tool.write_sampled_config(tmp_path, tool.BLOCK_EDGE_CONFIG), encoding="utf-8").read())
     assert doc["samples"]["random_count"] == 2 * _BLOCK + 1
     original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
     original["samples"]["random_count"] = doc["samples"]["random_count"]
     assert doc == original
+
+
+def test_batch_edge_config_certifies_uneven_t_batches(tmp_path):
+    tool = load_tool()
+    assert [run for run in tool.matrix() if tool.BATCH_EDGE_CONFIG in run] == [
+        cmd + ("--config", tool.BATCH_EDGE_CONFIG)
+        for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",))
+    ]
+    doc = json.loads(open(tool.write_sampled_config(tmp_path, tool.BATCH_EDGE_CONFIG), encoding="utf-8").read())
+    original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    original["samples"]["random_count"] = 1365
+    assert doc == original
+    # three t per batch, so the config's four t make a batch of 3 and one of 1
+    assert _t_batch(1365) == 3 and len(doc["t_grid"]) == 4
 
 
 def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):

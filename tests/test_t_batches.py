@@ -1,0 +1,193 @@
+"""A family's t grid is certified in batches of t: the samples of a batch
+are formed by one broadcast over a leading t axis and the arrays of its
+pair certificates by one pass of the exterior kernels, yet every per-t
+certificate is bit for bit the one of that t's own samples
+(``SampledFamily.at(t)``)."""
+
+import json
+import weakref
+
+import numpy as np
+import pytest
+
+from contactpairs import deformation
+from contactpairs.contact import ContactPairError, SampledPair, _t_batch
+from contactpairs.deformation import (
+    CONVERSE_T_GRID,
+    FORWARD_T_GRID,
+    SampledFamily,
+    verify_converse,
+    verify_forward,
+)
+from contactpairs.models import default_tolerance, random_points, sample_points
+from contactpairs.registry import build_example
+
+
+def _setup(name, count):
+    """The family and its points: the one formal point of a Lie model, or
+    ``count`` random points of a chart."""
+    family = build_example(name)["family"]
+    rng = np.random.default_rng(5)
+    if count == 1:
+        pts = sample_points(family.model, rng)
+        assert len(pts) == 1
+    else:
+        pts = random_points(family.model, count, rng)
+    return family, pts
+
+
+def _record_certify(monkeypatch):
+    """Record (samples, offered candidate, certificate or error) of every
+    certificate a verdict makes."""
+    calls = []
+    real = deformation._certify
+
+    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None):
+        try:
+            cert = real(s, k, l, tol, check_commutator, check_rank, candidate)
+        except ContactPairError as err:
+            calls.append((s, candidate, err))
+            raise
+        calls.append((s, candidate, cert))
+        return cert
+
+    monkeypatch.setattr(deformation, "_certify", recording)
+    return calls, real
+
+
+def _item(t, make):
+    """The per-t item of ``make`` as JSON text, which keeps every bit of its
+    floats, and its Reeb pair as bytes (None on failure)."""
+    item, cert = deformation._cert_item(f"(alpha_t,beta_t) is a contact pair at t={t:g}", make)
+    reeb = None if cert is None else (
+        cert.reeb_alpha_values.tobytes(), cert.reeb_beta_values.tobytes(), cert.substituted
+    )
+    return json.dumps(item.to_dict()), reeb
+
+
+def _recorded(result):
+    def make():
+        if isinstance(result, ContactPairError):
+            raise result
+        return result
+    return make
+
+
+def _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid):
+    calls, certify = _record_certify(monkeypatch)
+    verify(family, t_grid=grid, points=pts)
+    # the base pair is certified first (forward) or last (converse)
+    per_t = calls[1:] if verify is verify_forward else calls[:-1]
+    assert len(per_t) == len(grid)
+    tol = default_tolerance(family.model)
+    sampled = SampledFamily(family, pts, tol)
+    for t, (s, candidate, got) in zip(grid, per_t):
+        want = _item(t, lambda: certify(sampled.at(t), family.k, family.l, tol, False, False, candidate))
+        assert _item(t, _recorded(got)) == want
+    return per_t
+
+
+# (example, sample points): one point certifies a whole grid in one batch,
+# two points 2048 t per batch, 1365 points 3, and from 2049 points on one t
+# per batch, so 10^4 points do the work of certifying each t alone
+SIZES = [("heisenberg6-pair", 1)] + [
+    (name, count)
+    for name in ("t6-pair-compatible", "t6-pair-incompatible")
+    for count in (2, 1365, 2049, 10_000)
+]
+
+
+@pytest.mark.parametrize("verify", [verify_forward, verify_converse])
+@pytest.mark.parametrize("name,count", SIZES)
+def test_batched_certificates_equal_the_per_t_certificates(monkeypatch, verify, name, count):
+    family, pts = _setup(name, count)
+    grid = list(FORWARD_T_GRID if verify is verify_forward else CONVERSE_T_GRID)
+    _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid)
+
+
+BATCH_SIZES = {
+    # points: forward batches (8 t), converse batches (4 t)
+    1: ([8], [4]),
+    2: ([8], [4]),
+    1365: ([3, 3, 2], [3, 1]),
+    2049: ([1] * 8, [1] * 4),
+    10_000: ([1] * 8, [1] * 4),
+}
+
+
+@pytest.mark.parametrize("count", sorted(BATCH_SIZES))
+def test_the_t_grid_is_sampled_and_certified_in_batches_of_block_over_points(monkeypatch, count):
+    family, pts = _setup("heisenberg6-pair" if count == 1 else "t6-pair-compatible", count)
+    assert _t_batch(len(pts)) == max(1, 4096 // count)
+    shapes, passes = [], []
+    real_at, real_arrays = SampledFamily.at, SampledPair.certificate_arrays
+
+    def recording_at(self, t):
+        shapes.append(np.shape(t))
+        return real_at(self, t)
+
+    def recording_arrays(self, k, l):
+        if self.alpha.ndim == 3:  # the kernel pass of a batch
+            passes.append(len(self.alpha))
+        return real_arrays(self, k, l)
+
+    monkeypatch.setattr(SampledFamily, "at", recording_at)
+    monkeypatch.setattr(SampledPair, "certificate_arrays", recording_arrays)
+    for verify, sizes in zip((verify_forward, verify_converse), BATCH_SIZES[count]):
+        shapes.clear()
+        passes.clear()
+        verify(family, points=pts)
+        # a batch of one t is sampled and certified as that t alone
+        assert shapes == [(size, 1, 1) if size > 1 else () for size in sizes]
+        assert passes == [size for size in sizes if size > 1]
+
+
+@pytest.mark.parametrize("verify", [verify_forward, verify_converse])
+@pytest.mark.parametrize("name,count", [("heisenberg6-pair", 1), ("t6-pair-compatible", 1365)])
+def test_an_overflowing_t_leaves_the_finite_t_of_its_batch_unchanged(monkeypatch, verify, name, count):
+    family, pts = _setup(name, count)
+    assert _t_batch(len(pts)) >= 2  # both t in one batch
+    per_t = _assert_batched_equals_per_t(monkeypatch, family, pts, verify, [1.0, 1e308])
+    (_, _, finite), (_, _, overflow) = per_t
+    assert isinstance(overflow, ContactPairError) and overflow.condition == "non-finite"
+    assert not isinstance(finite, ContactPairError)
+    # and t = 1 reads as in a grid of its own
+    verdict = verify(family, t_grid=[1.0, 1e308], points=pts)
+    alone = verify(family, t_grid=[1.0], points=pts)
+    items = verdict.conclusions if verify is verify_forward else verdict.hypotheses
+    items_alone = alone.conclusions if verify is verify_forward else alone.hypotheses
+    name_1 = "(alpha_t,beta_t) is a contact pair at t=1"
+    assert [json.dumps(i.to_dict()) for i in items if i.name == name_1] == [
+        json.dumps(i.to_dict()) for i in items_alone if i.name == name_1
+    ]
+    (failed,) = [i for i in items if i.name == "(alpha_t,beta_t) is a contact pair at t=1e+308"]
+    assert failed.passed is False and failed.witness["t"] == 1e308
+
+
+@pytest.mark.parametrize("verify,t_count", [(verify_forward, 8), (verify_converse, 4)])
+def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_count):
+    # one t per batch at 2049 points: the samples of the previous t are gone
+    # by the time the next t's samples are formed, and the converse's
+    # scaled residuals are computed after the samples of the t it solved
+    # are gone
+    family, pts = _setup("t6-pair-compatible", 2049)
+    formed = []
+    real_at, real_residuals = SampledFamily.at, deformation._scaled_residuals
+
+    def released():
+        return all(ref() is None for ref in formed)
+
+    def recording(self, t):
+        assert released()
+        s = real_at(self, t)
+        formed.extend(weakref.ref(v) for v in (s.alpha, s.beta, s.dalpha, s.dbeta))
+        return s
+
+    def residuals(*args):
+        assert released()
+        return real_residuals(*args)
+
+    monkeypatch.setattr(SampledFamily, "at", recording)
+    monkeypatch.setattr(deformation, "_scaled_residuals", residuals)
+    verify(family, points=pts)
+    assert len(formed) == 4 * t_count

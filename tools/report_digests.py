@@ -26,7 +26,11 @@ seeds 0 and 7 over this matrix:
 - verify-pair, deform and sweep on a copy of
   ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
   8193, written to a temporary directory: the Reeb systems are solved in
-  blocks of 2048 points, so this is four full blocks and a one-point block.
+  blocks of 2048 points, so this is four full blocks and a one-point block;
+- deform forward, deform converse and sweep on a copy with
+  ``samples.random_count`` = 1365: a family's t grid is certified in
+  batches of 4096 // 1365 = 3 values of t, so the config's four t make a
+  full batch and a one-t batch.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -71,9 +75,13 @@ TASK_COMMANDS = (
 OVERFLOW_GRID = "--t-grid=1,1e308"
 # on t6-pair-incompatible both t reach the converse's Reeb step
 FALLBACK_GRID = "--t-grid=5,10"
-# the t6 config with 2 * 4096 + 1 random samples, named by its file name in
-# the matrix and the digest lines and written to a temporary directory
+# copies of the t6 config with another random sample count, each named by
+# its file name in the matrix and the digest lines and written to a
+# temporary directory: 2 * 4096 + 1 samples end in a one-point Reeb block,
+# and 1365 make t batches of 3
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
+BATCH_EDGE_CONFIG = "t6_explicit_family_1365.json"
+RANDOM_COUNTS = {BLOCK_EDGE_CONFIG: 2 * 4096 + 1, BATCH_EDGE_CONFIG: 1365}
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -100,14 +108,17 @@ def matrix() -> list[tuple[str, ...]]:
                  "--alpha0", "1,0,0", OVERFLOW_GRID))
     runs.append(("deform", "--mode", "converse", "--example", "t6-pair-incompatible", FALLBACK_GRID))
     runs += [(cmd, "--config", BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")]
+    for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
+        runs.append(cmd + ("--config", BATCH_EDGE_CONFIG))
     return runs
 
 
-def write_block_edge_config(directory) -> str:
-    """Write the block-edge config into directory and return its path."""
+def write_sampled_config(directory, name) -> str:
+    """Write the t6 config with the random sample count of ``name`` into
+    directory as ``name`` and return its path."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
-    doc["samples"]["random_count"] = 2 * 4096 + 1
-    path = os.path.join(directory, BLOCK_EDGE_CONFIG)
+    doc["samples"]["random_count"] = RANDOM_COUNTS[name]
+    path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
@@ -144,7 +155,7 @@ def digest_line(seed: int, argv, paths=None) -> str:
 
 def digest_lines(runs, seeds=SEEDS) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {BLOCK_EDGE_CONFIG: write_block_edge_config(tmp)}
+        paths = {name: write_sampled_config(tmp, name) for name in RANDOM_COUNTS}
         return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
 
