@@ -162,6 +162,14 @@ def main(argv=None) -> int:
             # the flags describe the task: validate it like a config task
             errors: list = []
             spec = _validate_task(0, task, cfg, errors)
+            if not (args.example or getattr(args, "form", None)):
+                # no flag names what the task runs on: say so, not that its
+                # references are missing, and name the flags that could
+                flags = " or ".join(f"--{flag}" for flag in ("example", "form") if hasattr(args, flag))
+                errors = [
+                    f"--config {args.config}: the file has no {task['task']} task; {flags} can describe one",
+                    *(e for e in errors if not e.endswith(" reference None")),
+                ]
             if errors:
                 raise ConfigError(errors)
             cfg.tasks = [spec]

@@ -255,20 +255,17 @@ class SampledPair:
 
     The arrays may carry leading axes before the points axis, such as the t
     axis of a family's samples at a batch of t; ``scales``, ``top`` and
-    ``certificate_arrays`` broadcast over them.  ``batch`` = (pair, i) marks
-    the arrays as slice i of such a pair's, which holds the
-    ``certificate_arrays`` of its last type in ``arrays``.
+    ``certificate_arrays`` broadcast over them.  The pair keeps nothing it
+    computes from them.
     """
 
-    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None, batch=None):
+    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None):
         self.points = points
         self.alpha = alpha
         self.beta = beta
         self.dalpha = dalpha
         self.dbeta = dbeta
         self.forms = forms
-        self.batch = batch
-        self.arrays = None
 
     @classmethod
     def of(cls, alpha: FormField, beta: FormField, points) -> "SampledPair":
@@ -295,14 +292,8 @@ class SampledPair:
         """The sample arrays that a certificate of type (k, l) decides on:
         the four ``scales``, the row norms of alpha, beta, (d alpha)^{k+1}
         and (d beta)^{l+1}, and the volume coefficient (``top``), in that
-        order; entries may overflow.  A slice of a batch reads its slice of
-        the batch's arrays, which the first slice to ask computes for every
-        t of the batch in one pass of the exterior kernels."""
-        if self.batch is not None:
-            pair, i = self.batch
-            if pair.arrays is None or pair.arrays[0] != (k, l):
-                pair.arrays = ((k, l), pair.certificate_arrays(k, l))
-            return tuple(v[i] for v in pair.arrays[1])
+        order, each with the leading axes of the samples; entries may
+        overflow."""
         n = self.n
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate fails
             return (
@@ -603,9 +594,12 @@ def verify_contact_pair(
 
 
 def _certify(
-    s: SampledPair, k: int, l: int, tol: float, check_commutator: bool, check_rank: bool, candidate=None
+    s: SampledPair, k: int, l: int, tol: float, check_commutator: bool, check_rank: bool,
+    candidate=None, arrays=None,
 ) -> ContactPairCertificate:
-    """The checks of verify_contact_pair on already sampled arrays.
+    """The checks of verify_contact_pair on already sampled arrays: on
+    ``arrays``, s's ``certificate_arrays(k, l)`` when the caller has them
+    (a t of ``SampledFamily.batches``), computed here otherwise.
 
     A sample, scale or wedge chain that is not finite fails as "non-finite"
     before any other check: no comparison can be trusted on it.
@@ -622,7 +616,9 @@ def _certify(
             "dimension", f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {n}"
         )
     pts = s.points
-    scale_a, scale_b, scale_da, scale_db, a_rows, b_rows, da_res, db_res, vol = s.certificate_arrays(k, l)
+    if arrays is None:
+        arrays = s.certificate_arrays(k, l)
+    scale_a, scale_b, scale_da, scale_db, a_rows, b_rows, da_res, db_res, vol = arrays
     with np.errstate(over="ignore", invalid="ignore"):
         res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
         da_threshold = tol * scale_da ** (k + 1)

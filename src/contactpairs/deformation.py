@@ -43,7 +43,7 @@ reads as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from .contact import (
     _t_batch,
 )
 from .exterior import chain, wedge_values
-from .fields import FormField, volume_form
+from .fields import FormField
 from .models import default_tolerance, integrate, sample_points
 
 __all__ = [
@@ -87,9 +87,10 @@ class DeformationFamily:
     """alpha_t = alpha0 + t*alpha, beta_t = beta0 + t*beta with a declared
     target type (k, l).
 
-    The four 1-forms share one model; nothing is evaluated here.  The
-    theorem's premises, alpha0 and beta0 closed and pointwise independent,
-    are decided on the samples of each verdict (``SampledFamily``).
+    The four 1-forms share one model, of dimension 2k+2l+2; nothing is
+    evaluated here.  The theorem's premises, alpha0 and beta0 closed and
+    pointwise independent, are decided on the samples of each verdict
+    (``SampledFamily``).
     """
 
     def __init__(self, alpha0: FormField, beta0: FormField, alpha: FormField, beta: FormField, k: int, l: int):
@@ -99,6 +100,8 @@ class DeformationFamily:
                 raise ValueError("all four forms must live on one model")
         if any(f.degree != 1 for f in (alpha0, beta0, alpha, beta)):
             raise ValueError("deformation data must be 1-forms")
+        if model.n != 2 * k + 2 * l + 2:
+            raise ValueError(f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {model.n}")
         self.model = model
         self.alpha0 = alpha0
         self.beta0 = beta0
@@ -118,14 +121,12 @@ class DeformationFamily:
 
 @dataclass
 class VolumePolynomial:
-    """Pointwise coefficients of the volume polynomial t^{k+l}(Q t^2 + L t + C)."""
+    """Pointwise coefficients of the volume polynomial t^{k+l}(Q t^2 + L t + C)
+    in units of Omega = e^0 ∧ .. ∧ e^{n-1} (``fields.volume_form``)."""
 
-    volume: FormField
-    points: np.ndarray = field(repr=False)
-    quad: np.ndarray = field(repr=False)
-    lin: np.ndarray = field(repr=False)
-    const: np.ndarray = field(repr=False)
-    volume_values: np.ndarray = field(repr=False)
+    quad: np.ndarray
+    lin: np.ndarray
+    const: np.ndarray
 
     @property
     def max_abs_const(self) -> float:
@@ -178,45 +179,40 @@ class SampledFamily:
         An array t of shape (T, 1, 1) gives the samples at T values of t,
         with a leading t axis."""
         c, s = self.closed, self.direction
+        samples = []
         with np.errstate(over="ignore", invalid="ignore"):
-            return SampledPair(
-                self.points,
-                c.alpha + t * s.alpha,
-                c.beta + t * s.beta,
-                c.dalpha + t * s.dalpha,
-                c.dbeta + t * s.dbeta,
-            )
+            for name in ("alpha", "beta", "dalpha", "dbeta"):
+                # closed + t * direction, added in place: numpy reuses the
+                # temporary t * direction by itself only if t adds no axis
+                values = t * getattr(s, name)
+                values += getattr(c, name)
+                samples.append(values)
+        return SampledPair(self.points, *samples)
 
     def batches(self, t_values):
-        """Yield the samples of (alpha_t, beta_t) at each t of t_values, in
-        order, as slices of batches of ``contact._t_batch(points)`` values
-        of t, each formed by one broadcast of ``at`` over a leading t axis;
-        a batch of one t is ``at(t)``.  The certificate arrays of a batch
-        are computed for all its t in one kernel pass when its first t is
-        certified (``SampledPair.certificate_arrays``), bit for bit those of
-        each t alone.  No t's samples are kept once yielded, so a caller
-        that drops them before the next t holds at most one batch, of at
-        most max(points, ``_BLOCK``) points.
+        """Yield (samples, arrays) for each t of t_values, in order: slices
+        of the samples of (alpha_t, beta_t) and of their
+        ``certificate_arrays(k, l)``, bit for bit ``at(t)`` and its arrays.
+        Each batch of ``contact._t_batch(points)`` t, one t too, is formed by
+        one ``at`` over a t axis of shape (T, 1, 1) and one kernel pass.
+        Nothing is kept once yielded, so a caller that drops each t's pair
+        before the next holds at most one batch, of at most max(points,
+        ``_BLOCK``) points.
         """
         step = _t_batch(len(self.points))
         for lo in range(0, len(t_values), step):
-            pairs = self._batch(t_values[lo : lo + step])
+            batch = self.at(np.array(t_values[lo : lo + step], dtype=float)[:, None, None])
+            arrays = batch.certificate_arrays(self.k, self.l)
+            pairs = [
+                (
+                    SampledPair(self.points, batch.alpha[i], batch.beta[i], batch.dalpha[i], batch.dbeta[i]),
+                    tuple(v[i] for v in arrays),
+                )
+                for i in range(len(batch.alpha))
+            ]
+            del batch, arrays  # each t's slices alone keep the batch alive
             while pairs:
                 yield pairs.pop(0)
-
-    def _batch(self, t_values) -> list[SampledPair]:
-        """The samples at each t of t_values, slices of one batch."""
-        if len(t_values) == 1:
-            # nothing to share: the certificate computes its own arrays and
-            # drops them when it returns, as for ``at(t)``
-            return [self.at(t_values[0])]
-        batch = self.at(np.array(t_values, dtype=float)[:, None, None])
-        return [
-            SampledPair(
-                self.points, batch.alpha[i], batch.beta[i], batch.dalpha[i], batch.dbeta[i], batch=(batch, i)
-            )
-            for i in range(len(t_values))
-        ]
 
     def reeb_terms(self, x: np.ndarray, y: np.ndarray):
         """Yield (block, A0 Z, A1 Z - b) for each block of
@@ -238,39 +234,29 @@ class SampledFamily:
             direction -= b
             yield block, c.reeb_rows(block) @ z, direction
 
-    def volume_polynomial(self, volume: FormField | None = None) -> VolumePolynomial:
-        if volume is None:
-            volume = volume_form(self.model)
-        pts = self.points
-        omega = volume.values(pts)[:, 0]
-        if np.any(np.abs(omega) <= 1e-14):
-            idx = int(np.argmin(np.abs(omega)))
-            raise ValueError(f"reference volume vanishes at sample point {pts[idx].tolist()}")
+    def volume_polynomial(self) -> VolumePolynomial:
         c, s, k, l = self.closed, self.direction, self.k, self.l
-        quad = s.top(k, l, s.alpha, s.beta) / omega
-        lin = (s.top(k, l, c.alpha, s.beta) + s.top(k, l, s.alpha, c.beta)) / omega
-        const = s.top(k, l, c.alpha, c.beta) / omega
-        return VolumePolynomial(volume, pts, quad, lin, const, omega)
+        return VolumePolynomial(
+            s.top(k, l, s.alpha, s.beta),
+            s.top(k, l, c.alpha, s.beta) + s.top(k, l, s.alpha, c.beta),
+            s.top(k, l, c.alpha, c.beta),
+        )
 
 
-def volume_polynomial(
-    family: DeformationFamily, volume: FormField | None = None, points=None
-) -> VolumePolynomial:
+def volume_polynomial(family: DeformationFamily, points=None) -> VolumePolynomial:
     """Sample the three coefficient functions of the volume polynomial."""
     if points is None:
         points = sample_points(family.model)
-    return SampledFamily(family, points, default_tolerance(family.model)).volume_polynomial(volume)
+    return SampledFamily(family, points, default_tolerance(family.model)).volume_polynomial()
 
 
-def volume_identity_defect(
-    family: DeformationFamily, t_values, volume: FormField | None = None, points=None
-) -> float:
+def volume_identity_defect(family: DeformationFamily, t_values, points=None) -> float:
     """Max relative defect between the expanded family volume form and
     t^{k+l}(Q t^2 + L t + C) * Omega over the t sample set."""
     if points is None:
         points = sample_points(family.model)
     sampled = SampledFamily(family, points, default_tolerance(family.model))
-    vp = sampled.volume_polynomial(volume)
+    vp = sampled.volume_polynomial()
     k, l = family.k, family.l
     worst = 0.0
     scale = 1.0
@@ -278,7 +264,7 @@ def volume_identity_defect(
         t = float(t)
         s = sampled.at(t)
         lhs = s.top(k, l, s.alpha, s.beta)
-        rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const) * vp.volume_values
+        rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         scale = max(scale, float(np.max(np.abs(lhs))))
     return worst / scale
@@ -421,15 +407,16 @@ def _base_item(sampled: SampledFamily, tol):
     )
 
 
-def _item_at(sampled: SampledFamily, s: SampledPair, t: float, tol, candidate=None):
-    """Certify (alpha_t, beta_t) on its samples s from ``sampled.batches``,
-    offering the Reeb pair ``candidate`` = (E_alpha, E_beta, residual)
-    before any solve.  Returns the item and (E_alpha, E_beta, substituted)
-    of the certificate (None on failure); the samples are dropped here.  A
-    non-finite failure names t as its witness."""
+def _item_at(sampled: SampledFamily, s: SampledPair, arrays, t: float, tol, candidate=None):
+    """Certify (alpha_t, beta_t) on its samples s and their arrays from
+    ``sampled.batches``, offering the Reeb pair ``candidate`` = (E_alpha,
+    E_beta, residual) before any solve.  Returns the item and (E_alpha,
+    E_beta, substituted) of the certificate (None on failure); the samples
+    and arrays are dropped here.  A non-finite failure names t as its
+    witness."""
     item, cert = _cert_item(
         f"(alpha_t,beta_t) is a contact pair at t={t:g}",
-        lambda: _certify(s, sampled.k, sampled.l, tol, False, False, candidate),
+        lambda: _certify(s, sampled.k, sampled.l, tol, False, False, candidate, arrays),
     )
     if cert is None:
         if item.witness["condition"] == "non-finite":
@@ -509,7 +496,7 @@ def verify_forward(
     conclusions = []
     for i, t in enumerate(t_grid):
         candidate = None if residuals is None else (ea / t, eb / t, residuals[i])
-        item_t, reeb_t = _item_at(sampled, next(samples), t, tol, candidate)
+        item_t, reeb_t = _item_at(sampled, *next(samples), t, tol, candidate)
         conclusions.append(item_t)
         if reeb_t is None or cert is None:
             conclusions.append(
@@ -569,7 +556,7 @@ def verify_converse(
     samples = sampled.batches(t_grid)  # each t's samples go straight to _item_at
     for i, t in enumerate(t_grid):
         candidate = None if residuals is None else (x_vals / t, y_vals / t, residuals[i])
-        item_t, reeb_t = _item_at(sampled, next(samples), t, tol, candidate)
+        item_t, reeb_t = _item_at(sampled, *next(samples), t, tol, candidate)
         hypotheses.append(item_t)
         if reeb_t is None:
             continue
@@ -662,7 +649,8 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
     rows = []
     # s holds a t's samples until the next are formed: releasing them first
     # returns their pages to the system only to fault them back in
-    for t, s in zip(t_grid, sampled.batches(t_grid)):
+    for t in t_grid:
+        s = sampled.at(t)
         with np.errstate(over="ignore", invalid="ignore"):
             vol = s.top(family.k, family.l, s.alpha, s.beta)
             _, _, residual, _, _ = _solve_reeb(s, False)

@@ -409,12 +409,35 @@ def test_cli_requires_example_or_config(capsys):
         main(["classify"])
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def test_cli_flag_task_is_validated_against_config(tmp_path, capsys):
-    # a config without a classify task and no --form to synthesize one
-    path = Path(__file__).resolve().parent.parent / "configs" / "t6_explicit_family.json"
-    assert main(["classify", "--config", str(path)]) == 2
-    assert "unresolved form reference" in capsys.readouterr().err
+    # the --form of a config without a classify task must name one of its forms
+    path = CONFIGS / "t6_explicit_family.json"
+    assert main(["classify", "--config", str(path), "--form", "nope"]) == 2
+    assert "tasks[0].form: unresolved form reference 'nope'" in capsys.readouterr().err
     assert main(["classify", "--config", str(path), "--form", "alpha_l"]) == 0
+
+
+@pytest.mark.parametrize(
+    "name,argv,kind,flags",
+    [
+        ("heisenberg6_builtin.json", ["deform", "--mode", "single"], "single-deform", "--example"),
+        ("heisenberg6_builtin.json", ["sweep"], "sweep", "--example"),
+        ("heisenberg6_builtin.json", ["jacobi"], "jacobi", "--example"),
+        ("t6_explicit_family.json", ["classify"], "classify", "--example or --form"),
+        ("t6_explicit_family.json", ["deform", "--mode", "single"], "single-deform", "--example"),
+        ("t6_explicit_family.json", ["jacobi"], "jacobi", "--example"),
+    ],
+)
+def test_cli_config_without_a_task_of_the_kind_names_the_file_and_the_kind(capsys, name, argv, kind, flags):
+    path = str(CONFIGS / name)
+    assert kind not in [t["task"] for t in json.loads((CONFIGS / name).read_text(encoding="utf-8"))["tasks"]]
+    assert main(argv + ["--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid configuration:\n  - --config {path}: the file has no {kind} task; {flags} can describe one\n"
+    )
 
 
 def test_cli_config_task_selection(tmp_path, capsys):

@@ -75,6 +75,13 @@ def test_family_requires_independence(verdict):
         verdict(fam)
 
 
+def test_family_type_must_fit_the_model():
+    # the t grid's certificate arrays are formed for the declared type
+    fam = heisenberg6_family()
+    with pytest.raises(ValueError, match=r"^type \(2,1\) needs dimension 8, model has 6$"):
+        DeformationFamily(fam.alpha0, fam.beta0, fam.alpha, fam.beta, 2, 1)
+
+
 def test_family_at_is_linear():
     fam = heisenberg6_family()
     pts = np.zeros((1, 6))
@@ -144,13 +151,6 @@ def test_identity_defect_at_t_zero():
     # k + l >= 1 kills both sides at t = 0
     fam = heisenberg6_family()
     assert volume_identity_defect(fam, [0.0]) == 0.0
-
-
-def test_volume_reference_must_not_vanish():
-    fam = heisenberg6_family()
-    bad = constant_form(fam.model, 6, [0.0])
-    with pytest.raises(ValueError, match="vanishes"):
-        volume_polynomial(fam, volume=bad)
 
 
 # --- wedge insertion identities -------------------------------------------------

@@ -87,8 +87,8 @@ def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):
     offered = []
     real = deformation._certify
 
-    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None):
-        cert = real(s, k, l, tol, check_commutator, check_rank, candidate)
+    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None, arrays=None):
+        cert = real(s, k, l, tol, check_commutator, check_rank, candidate, arrays)
         offered.append((candidate is not None, cert.substituted))
         return cert
 

@@ -79,9 +79,9 @@ def _record_certify(monkeypatch):
     calls = []
     real = deformation._certify
 
-    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None):
+    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None, arrays=None):
         try:
-            cert = real(s, k, l, tol, check_commutator, check_rank, candidate)
+            cert = real(s, k, l, tol, check_commutator, check_rank, candidate, arrays)
         except ContactPairError as err:
             calls.append((s, candidate, err))
             raise

@@ -4,11 +4,13 @@ pair certificates by one pass of the exterior kernels, yet every per-t
 certificate is bit for bit the one of that t's own samples
 (``SampledFamily.at(t)``)."""
 
+import ast
 import json
 import weakref
 
 import numpy as np
 import pytest
+from test_gates import PACKAGE, _sites
 
 from contactpairs import deformation
 from contactpairs.contact import ContactPairError, SampledPair, _t_batch
@@ -42,9 +44,9 @@ def _record_certify(monkeypatch):
     calls = []
     real = deformation._certify
 
-    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None):
+    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None, arrays=None):
         try:
-            cert = real(s, k, l, tol, check_commutator, check_rank, candidate)
+            cert = real(s, k, l, tol, check_commutator, check_rank, candidate, arrays)
         except ContactPairError as err:
             calls.append((s, candidate, err))
             raise
@@ -88,8 +90,8 @@ def _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid):
 
 
 # (example, sample points): one point certifies a whole grid in one batch,
-# two points 2048 t per batch, 1365 points 3, and from 2049 points on one t
-# per batch, so 10^4 points do the work of certifying each t alone
+# two points 2048 t per batch, 1365 points 3, and from 2049 points on a
+# batch holds one t
 SIZES = [("heisenberg6-pair", 1)] + [
     (name, count)
     for name in ("t6-pair-compatible", "t6-pair-incompatible")
@@ -137,9 +139,40 @@ def test_the_t_grid_is_sampled_and_certified_in_batches_of_block_over_points(mon
         shapes.clear()
         passes.clear()
         verify(family, points=pts)
-        # a batch of one t is sampled and certified as that t alone
-        assert shapes == [(size, 1, 1) if size > 1 else () for size in sizes]
-        assert passes == [size for size in sizes if size > 1]
+        # a batch of one t is sampled and certified as a batch too
+        assert shapes == [(size, 1, 1) for size in sizes]
+        assert passes == sizes
+
+
+def _bits(values):
+    return [(np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+@pytest.mark.parametrize("count", [1, 2, 1365, 2049])
+def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count):
+    family, pts = _setup("heisenberg6-pair" if count == 1 else "t6-pair-compatible", count)
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
+    shapes = []
+    real_at = SampledFamily.at
+
+    def recording_at(self, t):
+        shapes.append(np.shape(t))
+        return real_at(self, t)
+
+    monkeypatch.setattr(SampledFamily, "at", recording_at)
+    for grid, sizes in zip((FORWARD_T_GRID, CONVERSE_T_GRID), BATCH_SIZES[count]):
+        shapes.clear()
+        yielded = list(sampled.batches(list(grid)))
+        assert shapes == [(size, 1, 1) for size in sizes]
+        assert len(yielded) == len(grid)
+        c, d = sampled.closed, sampled.direction
+        for t, (s, arrays) in zip(grid, yielded):
+            assert s.points is sampled.points
+            # closed + t * direction, formed for t alone
+            assert _bits((s.alpha, s.beta, s.dalpha, s.dbeta)) == _bits(
+                (c.alpha + t * d.alpha, c.beta + t * d.beta, c.dalpha + t * d.dalpha, c.dbeta + t * d.dbeta)
+            )
+            assert _bits(arrays) == _bits(real_at(sampled, t).certificate_arrays(family.k, family.l))
 
 
 @pytest.mark.parametrize("verify", [verify_forward, verify_converse])
@@ -191,3 +224,25 @@ def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_cou
     monkeypatch.setattr(deformation, "_scaled_residuals", residuals)
     verify(family, points=pts)
     assert len(formed) == 4 * t_count
+
+
+def test_certificate_arrays_are_computed_on_one_path():
+    # the t of a family's grid get theirs from batches, every other
+    # certificate computes its own
+    assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "certificate_arrays") == [
+        ("contact", "_certify"),
+        ("deformation", "batches"),
+    ]
+
+
+def test_a_sampled_pair_keeps_only_its_samples_and_forms():
+    tree = ast.parse((PACKAGE / "contact.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SampledPair"]
+    stored = [
+        (method.name, node.attr)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    ]
+    assert stored == [("__init__", name) for name in ("points", "alpha", "beta", "dalpha", "dbeta", "forms")]
