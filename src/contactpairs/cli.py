@@ -88,6 +88,9 @@ _DEFORM_MODES = {"forward": "deform-forward", "converse": "deform-converse", "si
 # flags that set a field of the task, by the task field they set
 _TASK_FLAGS = {"form": "form", "resolution": "resolution", "side": "side", "alpha0_coefficients": "alpha0"}
 
+# an error about a field of the flags' task names the flag that set it
+_FLAG_LABELS = {f"tasks[0].{key}:": f"--{flag}:" for key, flag in {**_TASK_FLAGS, "example": "example"}.items()}
+
 
 def _task_for(args) -> dict:
     """The task declaration the subcommand's flags describe."""
@@ -162,6 +165,8 @@ def main(argv=None) -> int:
             # the flags describe the task: validate it like a config task
             errors: list = []
             spec = _validate_task(0, task, cfg, errors)
+            errors = [_FLAG_LABELS.get(label, label) + sep + rest
+                      for label, sep, rest in (e.partition(" ") for e in errors)]
             if not (args.example or getattr(args, "form", None)):
                 # no flag names what the task runs on: say so, not that its
                 # references are missing, and name the flags that could

@@ -312,7 +312,7 @@ def _validate_task(i, decl, cfg: RunConfig, errors) -> TaskSpec | None:
                 f"{example!r} is a {info.kind}"
             )
         elif kind == "single-deform" and not isinstance(params.get("alpha0_coefficients"), list):
-            errors.append(f"{where}: single-deform on an example needs alpha0_coefficients, a list")
+            errors.append(f"{where}.alpha0_coefficients: single-deform on an example needs a list of coefficients")
     else:
         for key in refs:
             if key == "family":

@@ -140,11 +140,7 @@ def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = Fals
 
 @dataclass
 class ClassReport:
-    """Result of a Cartan class computation over a sample set.
-
-    ``nonvanishing`` and ``next_power`` carry the per-point norms of
-    alpha ∧ (d alpha)^k and (d alpha)^{k+1} for the reported k.
-    """
+    """Result of a Cartan class computation over a sample set."""
 
     k: int | None
     min_nonvanishing: float
@@ -152,8 +148,6 @@ class ClassReport:
     constant: bool
     tol: float
     witnesses: dict = field(default_factory=dict)
-    nonvanishing: np.ndarray | None = field(default=None, repr=False)
-    next_power: np.ndarray | None = field(default=None, repr=False)
 
 
 def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -234,16 +228,8 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float) 
         return ClassReport(None, float(np.min(nonvanish[best])), float("nan"), False, tol, witnesses)
 
     k = k_lo
-    if k + 1 < len(power_norm):
-        max_res = float(np.max(power_norm[k + 1]))
-        next_power = power_norm[k + 1]
-    else:
-        max_res = 0.0
-        next_power = np.zeros(pts.shape[0])
-    return ClassReport(
-        k, float(np.min(nonvanish[k])), max_res, True, tol,
-        nonvanishing=nonvanish[k], next_power=next_power,
-    )
+    max_res = float(np.max(power_norm[k + 1])) if k + 1 < len(power_norm) else 0.0
+    return ClassReport(k, float(np.min(nonvanish[k])), max_res, True, tol)
 
 
 class SampledPair:
@@ -408,33 +394,6 @@ def _solve_reeb(s: SampledPair, compute_sigma: bool):
 _INCONSISTENT = "Reeb defining relations are inconsistent"
 
 
-def _reeb_solution(s: SampledPair, tol: float, threshold: float, check_rank: bool, check_commutator: bool):
-    """Solve the Reeb systems of s; raise when one is inconsistent or, with
-    check_rank, rank deficient, and, on request, gate the exact commutator;
-    both gates are at threshold.  Returns (E_alpha, E_beta, max residual,
-    smallest singular value or None, commutator defect or None)."""
-    pts = s.points
-    ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, check_rank)
-    reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, np.max(residual, axis=-1), threshold, pts)
-    smin = None
-    if check_rank:
-        smin = float(np.min(sigma_min))
-        if smin <= tol * float(np.max(sigma_max)):
-            idx = int(np.argmin(sigma_min))
-            raise ContactPairError(
-                "reeb-rank",
-                "Reeb system is rank deficient (non-unique solution)",
-                _witness(pts, idx, value=smin),
-            )
-    comm = None
-    if check_commutator:
-        comm = _vanishing(
-            "reeb-commutator", "solved Reeb fields fail to commute",
-            _norm_inf_rows(_reeb_commutator(s, ea, eb)), threshold, pts,
-        )
-    return ea, eb, reeb_residual, smin, comm
-
-
 def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
     """Exact partial along a coordinate axis of the coefficient array of a
     form at pts, or None when it vanishes identically."""
@@ -570,16 +529,10 @@ def _require_closed(name: str, values: np.ndarray, dvalues: np.ndarray, tol: flo
 
 
 def verify_contact_pair(
-    alpha: FormField,
-    beta: FormField,
-    k: int,
-    l: int,
-    tol: float | None = None,
-    points=None,
-    check_commutator: bool = True,
-    check_rank: bool = True,
+    alpha: FormField, beta: FormField, k: int, l: int, tol: float | None = None, points=None
 ) -> ContactPairCertificate:
-    """Certify (alpha, beta) as a contact pair of type (k, l).
+    """Certify (alpha, beta) as a contact pair of type (k, l), with its Reeb
+    pair: unique (``reeb-rank``) and commuting (``reeb-commutator``).
 
     Fails with the first violated condition and a witness point.
     """
@@ -590,12 +543,11 @@ def verify_contact_pair(
         tol = default_tolerance(model)
     if points is None:
         points = sample_points(model)
-    return _certify(SampledPair.of(alpha, beta, points), k, l, tol, check_commutator, check_rank)
+    return _certify(SampledPair.of(alpha, beta, points), k, l, tol, True)
 
 
 def _certify(
-    s: SampledPair, k: int, l: int, tol: float, check_commutator: bool, check_rank: bool,
-    candidate=None, arrays=None,
+    s: SampledPair, k: int, l: int, tol: float, full: bool, candidate=None, arrays=None
 ) -> ContactPairCertificate:
     """The checks of verify_contact_pair on already sampled arrays: on
     ``arrays``, s's ``certificate_arrays(k, l)`` when the caller has them
@@ -604,11 +556,18 @@ def _certify(
     A sample, scale or wedge chain that is not finite fails as "non-finite"
     before any other check: no comparison can be trusted on it.
 
+    The Reeb systems are solved and their residual gated; with ``full``, the
+    smallest singular value of each system must also stay above tol times
+    the largest over the points (``reeb-rank``) and the exact commutator of
+    the Reeb pair must vanish (``reeb-commutator``, which needs s's
+    ``forms``), as in verify_contact_pair.  Without ``full`` both are
+    skipped and ``sigma_min`` and ``commutator_defect`` are None.
+
     ``candidate`` = (E_alpha, E_beta, residual) offers a Reeb pair with its
     pointwise residual max |A E - b|; a candidate whose residual passes the
     Reeb residual gate is certified without a solve, otherwise s is solved
     as without it.  The rank and commutator checks need a solve, so a
-    candidate is offered only to certificates without them.
+    candidate is offered only to certificates without ``full``.
     """
     n = s.n
     if n != 2 * k + 2 * l + 2:
@@ -648,22 +607,30 @@ def _certify(
         )
 
     res_threshold = tol * res_scale
-    solved = None
+    substituted, smin, comm = False, None, None
     if candidate is not None:
         with contextlib.suppress(ContactPairError):  # then solved, exactly as without a candidate
-            residual = _vanishing("reeb-residual", _INCONSISTENT, candidate[2], res_threshold, pts)
-            solved = (*candidate[:2], residual, None, None)
-    substituted = solved is not None
+            reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, candidate[2], res_threshold, pts)
+            ea, eb, substituted = candidate[0], candidate[1], True
     if not substituted:
-        solved = _reeb_solution(s, tol, res_threshold, check_rank, check_commutator)
-    ea, eb, reeb_residual, smin, comm = solved
+        ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, full)
+        reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, np.max(residual, axis=-1), res_threshold, pts)
+        if full:
+            smin = _nonvanishing(
+                "reeb-rank", "Reeb system is rank deficient (non-unique solution)",
+                sigma_min, tol * float(np.max(sigma_max)), pts,
+            )
+            comm = _vanishing(
+                "reeb-commutator", "solved Reeb fields fail to commute",
+                _norm_inf_rows(_reeb_commutator(s, ea, eb)), res_threshold, pts,
+            )
     return ContactPairCertificate(
         k=k,
         l=l,
         tol=tol,
         residual_threshold=res_threshold,
         min_volume=min_volume,
-        orientation_sign=1 if vol[0] > 0 else -1,
+        orientation_sign=int(np.sign(vol[0])),  # vol[0] is finite and nonzero here
         dalpha_power_residual=dalpha_res,
         dbeta_power_residual=dbeta_res,
         reeb_residual=reeb_residual,

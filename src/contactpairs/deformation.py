@@ -403,7 +403,7 @@ def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate 
 def _base_item(sampled: SampledFamily, tol):
     return _cert_item(
         "(alpha,beta) is a contact pair",
-        lambda: _certify(sampled.direction, sampled.k, sampled.l, tol, False, False),
+        lambda: _certify(sampled.direction, sampled.k, sampled.l, tol, False),
     )
 
 
@@ -416,7 +416,7 @@ def _item_at(sampled: SampledFamily, s: SampledPair, arrays, t: float, tol, cand
     witness."""
     item, cert = _cert_item(
         f"(alpha_t,beta_t) is a contact pair at t={t:g}",
-        lambda: _certify(s, sampled.k, sampled.l, tol, False, False, candidate, arrays),
+        lambda: _certify(s, sampled.k, sampled.l, tol, False, candidate, arrays),
     )
     if cert is None:
         if item.witness["condition"] == "non-finite":

@@ -131,10 +131,8 @@ class JacobiSide:
     grid operator works on the grid.
     """
 
-    def __init__(self, model, tag, grid: _SideGrid, alpha_values, e_values, leaf_basis,
-                 solver, tol):
+    def __init__(self, model, grid: _SideGrid, alpha_values, e_values, leaf_basis, solver, tol):
         self.model = model
-        self.tag = tag
         self.grid_shape = grid.shape
         self.points = grid.points
         self.steps = grid.steps
@@ -169,7 +167,7 @@ class JacobiSide:
         n = model.n
         solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape), tol, pts)
         basis = np.broadcast_to(np.eye(n), (grid.points.shape[0], n, n))  # read-only view
-        return cls(model, "contact-form", grid, grid.spread(av), grid.spread(e), basis,
+        return cls(model, grid, grid.spread(av), grid.spread(e), basis,
                    [grid.spread(a) for a in solver], tol)
 
     @classmethod
@@ -192,8 +190,7 @@ class JacobiSide:
             tol = default_tolerance(model)
         grid = _SideGrid(model, resolution, (alpha, beta))
         pts = grid.sub_points
-        cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts,
-                                   check_commutator=False, check_rank=False)
+        cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts)
         av, bv, (da_m, db_m) = cert.sampled.alpha, cert.sampled.beta, cert.sampled.matrices
         if side == "alpha":
             own, own_d, which, other, other_d, m = av, da_m, 0, bv, db_m, 2 * k + 1
@@ -220,7 +217,7 @@ class JacobiSide:
         solver = cls._prepare_solver(own, own_d, basis, tol, pts)
         # E stays a column of the (P, n, 2) solve of both Reeb fields
         reeb = grid.spread(np.stack([cert.reeb_alpha_values, cert.reeb_beta_values], axis=-1))
-        return cls(model, side, grid, grid.spread(own), reeb[..., which], grid.spread(basis),
+        return cls(model, grid, grid.spread(own), reeb[..., which], grid.spread(basis),
                    [grid.spread(a) for a in solver], tol)
 
     # -- solver -----------------------------------------------------------

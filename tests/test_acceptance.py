@@ -172,9 +172,7 @@ def test_criterion_5_lemma_suite(heisenberg6, t6):
     cert_h = verify_contact_pair(heisenberg6["alpha"], heisenberg6["beta"], 1, 1)
     ctx_h = PairSamples(cert_h)
     pts = t6["points"][:4000]
-    cert_t = verify_contact_pair(
-        t6["alpha"], t6["beta"], 1, 1, points=pts, check_commutator=False
-    )
+    cert_t = verify_contact_pair(t6["alpha"], t6["beta"], 1, 1, points=pts)
     ctx_t = PairSamples(cert_t)
     rng = np.random.default_rng(555)
     worst_lie = worst_chart = 0.0

@@ -416,8 +416,15 @@ def test_cli_flag_task_is_validated_against_config(tmp_path, capsys):
     # the --form of a config without a classify task must name one of its forms
     path = CONFIGS / "t6_explicit_family.json"
     assert main(["classify", "--config", str(path), "--form", "nope"]) == 2
-    assert "tasks[0].form: unresolved form reference 'nope'" in capsys.readouterr().err
+    assert "  - --form: unresolved form reference 'nope'\n" in capsys.readouterr().err
     assert main(["classify", "--config", str(path), "--form", "alpha_l"]) == 0
+
+
+@pytest.mark.parametrize("config", [[], ["--config", str(CONFIGS / "heisenberg6_builtin.json")]])
+def test_cli_flag_task_errors_name_the_flag(capsys, config):
+    # the flags' task is no task of the config file: its error names the flag
+    assert main(["jacobi", *config, "--example", "torus-contact", "--resolution", "3"]) == 2
+    assert capsys.readouterr().err == "invalid configuration:\n  - --resolution: must be an integer >= 4, got 3\n"
 
 
 @pytest.mark.parametrize(

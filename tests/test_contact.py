@@ -187,7 +187,7 @@ def test_product_reeb_fields_match_factors():
 def test_t6_reeb_fields_match_factors():
     model, alpha, beta = t6_pair()
     pts = random_points(model, 2000, np.random.default_rng(12))
-    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     expect = np.zeros_like(cert.reeb_alpha_values)
     expect[:, 1] = np.cos(pts[:, 0])
     expect[:, 2] = np.sin(pts[:, 0])
@@ -197,7 +197,7 @@ def test_t6_reeb_fields_match_factors():
 def test_reeb_defining_relations_hold():
     model, alpha, beta = t6_pair()
     pts = random_points(model, 1000, np.random.default_rng(4))
-    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     av = alpha.values(pts)
     bv = beta.values(pts)
     ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
@@ -239,7 +239,7 @@ def test_reeb_pair_on_non_pair_raises():
 def test_implicit_reeb_derivative_matches_central_differences(pair):
     model, alpha, beta = pair()
     pts = random_points(model, 500, np.random.default_rng(9))
-    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts, check_commutator=False)
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     s = SampledPair.of(alpha, beta, pts)
     h = 1e-5
     for axis in model.coordinate_axes:
@@ -424,15 +424,16 @@ def test_row_maxima_equal_np_max_and_propagate_nan_and_inf():
 
 
 def test_reeb_residual_check_fails_on_nan_rows():
-    from contactpairs.contact import SampledPair, _reeb_solution
+    from contactpairs.contact import SampledPair, _certify
 
     model, alpha, beta = t6_pair()
     pts = random_points(model, 200, np.random.default_rng(7))
     s = SampledPair.of(alpha, beta, pts)
-    _reeb_solution(s, 1e-6, 1.0, False, False)
+    arrays = s.certificate_arrays(1, 1)  # of the finite samples: only the Reeb rows see the NaN
+    _certify(s, 1, 1, 1e-6, False, arrays=arrays)
     s.dalpha[17, :] = np.nan  # the rows of i_E d alpha at point 17
     with np.errstate(invalid="ignore"):
         with pytest.raises(ContactPairError) as err:
-            _reeb_solution(s, 1e-6, 1.0, False, False)
+            _certify(s, 1, 1, 1e-6, False, arrays=arrays)
     assert err.value.condition == "reeb-residual"
     assert err.value.witness["index"] == 17

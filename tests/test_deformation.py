@@ -173,8 +173,7 @@ def test_replacement_identities_random(t6_points):
     cert_h = verify_contact_pair(fam_h.alpha, fam_h.beta, 1, 1)
     ctx_h = PairSamples(cert_h)
     fam_t = t6_family()
-    cert_t = verify_contact_pair(fam_t.alpha, fam_t.beta, 1, 1, points=t6_points,
-                                 check_commutator=False)
+    cert_t = verify_contact_pair(fam_t.alpha, fam_t.beta, 1, 1, points=t6_points)
     ctx_t = PairSamples(cert_t)
     for _ in range(25):
         w = rng.standard_normal(6)
@@ -201,7 +200,7 @@ def test_transverse_identity(t6_points):
 
 def test_transverse_identity_chart(t6_points):
     fam = t6_family()
-    cert = verify_contact_pair(fam.alpha, fam.beta, 1, 1, points=t6_points, check_commutator=False)
+    cert = verify_contact_pair(fam.alpha, fam.beta, 1, 1, points=t6_points)
     ctx = PairSamples(cert)
     rng = np.random.default_rng(79)
     for _ in range(25):

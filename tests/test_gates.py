@@ -9,6 +9,7 @@ is never marginal.
 """
 
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -16,8 +17,12 @@ import numpy as np
 import pytest
 
 import contactpairs
+from contactpairs import contact
+from contactpairs.cli import main
 from contactpairs.contact import MARGINAL_FACTOR, ContactPairError, _nonvanishing, _vanishing, marginal
 from contactpairs.deformation import _gate
+from contactpairs.models import default_tolerance
+from contactpairs.registry import build_example
 
 PTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
 PACKAGE = Path(contactpairs.__file__).parent
@@ -88,11 +93,70 @@ def test_contact_pair_error_has_no_marginal_flag():
     assert _call_sites("ContactPairError", "marginal", 5) == []
 
 
+def _ordering_comparisons(module: str, function: str) -> list[str]:
+    """The source of every <, <=, > or >= comparison in a function of the package."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    (body,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    return [ast.unparse(n) for n in ast.walk(body)
+            if isinstance(n, ast.Compare) and any(isinstance(op, ordering) for op in n.ops)]
+
+
 def test_jacobi_verdict_decides_through_the_gate_only():
-    tree = ast.parse((PACKAGE / "runner.py").read_text(encoding="utf-8"))
-    (verdict,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_jacobi_verdict"]
-    ops = [op for n in ast.walk(verdict) if isinstance(n, ast.Compare) for op in n.ops]
-    assert not [op for op in ops if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))]
+    assert _ordering_comparisons("runner", "_jacobi_verdict") == []
+
+
+def test_pair_certificate_decides_its_bounds_through_the_gates_only():
+    # the sign change of the volume is no bound: it has no threshold
+    assert _ordering_comparisons("contact", "_certify") == ["vol.min() < 0.0 < vol.max()"]
+
+
+# --- the Reeb rank bound -------------------------------------------------------------
+
+def _thin_reeb_system(monkeypatch, index: int, factor: float) -> dict:
+    """Make sigma_min of the Reeb system at point ``index`` ``factor`` times
+    the rank threshold, tol * max sigma_max; returns that threshold once the
+    certificate has solved."""
+    real = contact._solve_reeb
+    seen = {}
+
+    def thin(s, compute_sigma):
+        ea, eb, residual, sigma_min, sigma_max = real(s, compute_sigma)
+        seen["threshold"] = default_tolerance(s.forms[0].model) * float(np.max(sigma_max))
+        sigma_min = sigma_min.copy()
+        sigma_min[index] = factor * seen["threshold"]
+        return ea, eb, residual, sigma_min, sigma_max
+
+    monkeypatch.setattr(contact, "_solve_reeb", thin)
+    return seen
+
+
+@pytest.mark.parametrize("factor, is_marginal", [(0.2, True), (2e-4, False)])
+def test_reeb_rank_fails_through_the_lower_bound_gate(monkeypatch, factor, is_marginal):
+    objs = build_example("heisenberg6-pair")
+    pts = np.arange(18.0).reshape(3, 6)  # left-invariant forms: any points of the Lie model
+    seen = _thin_reeb_system(monkeypatch, 1, factor)
+    with pytest.raises(ContactPairError) as err:
+        contact.verify_contact_pair(objs["alpha"], objs["beta"], 1, 1, points=pts)
+    assert err.value.condition == "reeb-rank"
+    assert str(err.value) == "Reeb system is rank deficient (non-unique solution)"
+    assert err.value.threshold == seen["threshold"] > 0.0
+    assert err.value.defect == factor * seen["threshold"]
+    assert err.value.witness == {"point": pts[1].tolist(), "index": 1, "value": factor * seen["threshold"]}
+    assert marginal(err.value.defect, err.value.threshold) is is_marginal
+
+
+@pytest.mark.parametrize("factor, code, status", [(5.0, 0, "pass"), (0.2, 3, "inconclusive"), (2e-4, 1, "fail")])
+def test_verify_pair_grades_the_reeb_rank(monkeypatch, capsys, factor, code, status):
+    seen = _thin_reeb_system(monkeypatch, 0, factor)
+    assert main(["verify-pair", "--example", "heisenberg6-pair", "--format", "structured"]) == code
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["status"] == status
+    if code == 0:
+        assert task["result"]["sigma_min"] == factor * seen["threshold"]
+    else:
+        assert task["result"]["error"]["condition"] == "reeb-rank"
+        assert task["result"]["error"]["index"] == 0
 
 
 # --- deformation._gate -----------------------------------------------------------------

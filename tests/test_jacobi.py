@@ -423,8 +423,7 @@ def _full_grid_reference(objs, side_name, resolution):
     tol = default_tolerance(model)
     if "beta" in objs:
         k, l = objs["k"], objs["l"]
-        cert = verify_contact_pair(alpha, objs["beta"], k, l, tol=tol, points=pts,
-                                   check_commutator=False, check_rank=False)
+        cert = verify_contact_pair(alpha, objs["beta"], k, l, tol=tol, points=pts)
         s = cert.sampled
         (da_m, db_m) = s.matrices
         if side_name == "alpha":

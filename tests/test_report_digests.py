@@ -87,8 +87,8 @@ def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):
     offered = []
     real = deformation._certify
 
-    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None, arrays=None):
-        cert = real(s, k, l, tol, check_commutator, check_rank, candidate, arrays)
+    def recording(s, k, l, tol, full, candidate=None, arrays=None):
+        cert = real(s, k, l, tol, full, candidate, arrays)
         offered.append((candidate is not None, cert.substituted))
         return cert
 
@@ -99,3 +99,16 @@ def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):
         # t = 5 is solved; (5 E_5)/10 is offered at t = 10, fails, and t = 10
         # is solved; then the base pair is solved
         assert offered == [(False, False), (True, False), (False, False)]
+
+
+def test_flag_task_runs_pin_the_error_that_names_the_flag():
+    tool = load_tool()
+    runs = [run for run in tool.matrix() if run[-2:] == ("--resolution", "3")]
+    assert runs == [
+        ("jacobi", "--example", "torus-contact", "--resolution", "3"),
+        ("jacobi", "--config", tool.CONFIGS[0], "--example", "torus-contact", "--resolution", "3"),
+    ]
+    err = tool._sha("invalid configuration:\n  - --resolution: must be an integer >= 4, got 3\n")
+    for run in runs:
+        line = tool.digest_line(0, run, {tool.CONFIGS[0]: str(tool.ROOT / tool.CONFIGS[0])})
+        assert line.split(" ")[1:5] == ["2", "-", tool._sha(""), err]

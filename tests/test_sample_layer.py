@@ -2,7 +2,8 @@
 set, and the samples of (alpha_t, beta_t) are affine in t.
 
 The expression path (``DeformationFamily.at(t)`` evaluated by
-``verify_contact_pair``) is kept as the reference for the affine arrays.
+``SampledPair.of`` and certified like a deformation item) is kept as the
+reference for the affine arrays.
 """
 
 import json
@@ -20,6 +21,7 @@ from contactpairs.config import load_config
 from contactpairs.contact import (
     ContactPairError,
     SampledPair,
+    _certify,
     _solve_reeb,
     product_contact_pair,
     verify_contact_pair,
@@ -79,9 +81,9 @@ def _record_certify(monkeypatch):
     calls = []
     real = deformation._certify
 
-    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None, arrays=None):
+    def recording(s, k, l, tol, full, candidate=None, arrays=None):
         try:
-            cert = real(s, k, l, tol, check_commutator, check_rank, candidate, arrays)
+            cert = real(s, k, l, tol, full, candidate, arrays)
         except ContactPairError as err:
             calls.append((s, candidate, err))
             raise
@@ -104,11 +106,11 @@ def _fail_every_substitution(monkeypatch):
 
 
 def _reference(family, t, pts):
-    """verify_contact_pair on the expression trees of (alpha_t, beta_t)."""
+    """The deformation item's certificate on the expression trees of
+    (alpha_t, beta_t)."""
     try:
-        return verify_contact_pair(
-            *family.at(t), family.k, family.l, tol=default_tolerance(family.model), points=pts,
-            check_commutator=False, check_rank=False,
+        return _certify(
+            SampledPair.of(*family.at(t), pts), family.k, family.l, default_tolerance(family.model), False
         )
     except ContactPairError as err:
         return err
@@ -175,9 +177,8 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
     scaling = {i.name: i for i in verdict.conclusions if i.name.startswith("Reeb scaling")}
     grid = [t for t in FORWARD_T_GRID if t != 0.0]
     assert len(calls) == 1 + len(grid)
-    base = verify_contact_pair(family.alpha, family.beta, family.k, family.l,
-                               tol=default_tolerance(family.model), points=pts,
-                               check_commutator=False, check_rank=False)
+    base = _certify(SampledPair.of(family.alpha, family.beta, pts), family.k, family.l,
+                    default_tolerance(family.model), False)
     s, candidate, got = calls[0]
     assert candidate is None
     _assert_same(s, got, base, rtol)
@@ -410,9 +411,11 @@ def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
     assert err.value.defect == 0.5
     assert err.value.witness["index"] == 0
     assert len(err.value.witness["point"]) == 6
-    # without the check the commutator is neither computed nor gated
-    cert = verify_contact_pair(objs["alpha"], objs["beta"], 1, 1, check_commutator=False)
-    assert cert.commutator_defect is None
+    # a deformation item's certificate neither computes nor gates it
+    model = objs["alpha"].model
+    cert = _certify(SampledPair.of(objs["alpha"], objs["beta"], sample_points(model)), 1, 1,
+                    default_tolerance(model), False)
+    assert cert.commutator_defect is None and cert.sigma_min is None
 
     code = main(["verify-pair", "--example", "heisenberg6-pair", "--format", "structured"])
     task = json.loads(capsys.readouterr().out)["tasks"][0]

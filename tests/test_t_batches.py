@@ -44,9 +44,9 @@ def _record_certify(monkeypatch):
     calls = []
     real = deformation._certify
 
-    def recording(s, k, l, tol, check_commutator, check_rank, candidate=None, arrays=None):
+    def recording(s, k, l, tol, full, candidate=None, arrays=None):
         try:
-            cert = real(s, k, l, tol, check_commutator, check_rank, candidate, arrays)
+            cert = real(s, k, l, tol, full, candidate, arrays)
         except ContactPairError as err:
             calls.append((s, candidate, err))
             raise
@@ -84,7 +84,7 @@ def _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid):
     tol = default_tolerance(family.model)
     sampled = SampledFamily(family, pts, tol)
     for t, (s, candidate, got) in zip(grid, per_t):
-        want = _item(t, lambda: certify(sampled.at(t), family.k, family.l, tol, False, False, candidate))
+        want = _item(t, lambda: certify(sampled.at(t), family.k, family.l, tol, False, candidate))
         assert _item(t, _recorded(got)) == want
     return per_t
 

@@ -116,6 +116,8 @@ BAD_SHAPES = {
     "task-kind-list": (_set(["tasks", 0, "task"], ["classify"]), "tasks[0]"),
     "task-example-kind": (_set(["tasks", 1], {"task": "deform-forward", "example": "darboux1"}),
                           "tasks[1].example"),
+    "task-single-example-alpha0": (_set(["tasks", 1], {"task": "single-deform", "example": "darboux1"}),
+                                   "tasks[1].alpha0_coefficients"),
     "non-finite-literal": (_set(["forms", "a0", "coefficients"], ["1e400", 0, 0]), "forms.a0"),
     "non-finite-number": (_set(["forms", "a0", "coefficients"], [float("inf"), 0, 0]), "forms.a0"),
     "non-finite-structure": (_set(["models", "h", "structure"], [[[float("nan")] * 3] * 3] * 3), "models.h"),
@@ -141,18 +143,18 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["verify-pair", "--example", "darboux1"], "tasks[0].example"),
-    (["sweep", "--example", "t2-pair-type00"], "tasks[0].example"),
-    (["deform", "--mode", "single", "--example", "heisenberg6-pair"], "tasks[0].example"),
-    (["deform", "--mode", "single", "--example", "torus-contact"], "tasks[0]"),
-    (["jacobi", "--example", "torus-contact", "--resolution", "2"], "tasks[0].resolution"),
+    (["verify-pair", "--example", "darboux1"], "--example"),
+    (["sweep", "--example", "t2-pair-type00"], "--example"),
+    (["deform", "--mode", "single", "--example", "heisenberg6-pair"], "--example"),
+    (["deform", "--mode", "single", "--example", "torus-contact"], "--alpha0"),
+    (["jacobi", "--example", "torus-contact", "--resolution", "2"], "--resolution"),
     (["classify", "--example", "darboux1", "--seed", "-1"], "--seed"),
 ])
 def test_flag_task_is_validated_without_config(capsys, argv, field):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert field in captured.err
+    assert f"  - {field}: " in captured.err
 
 
 # --- only jacobi reads resolution, and only a pair side reads side ------------------------
@@ -163,7 +165,7 @@ def test_flag_task_is_validated_without_config(capsys, argv, field):
 ])
 def test_side_of_a_contact_form_example_exits_2(capsys, argv):
     assert main(argv) == 2
-    assert "  - tasks[0].side: only a jacobi task on a pair or family example" in capsys.readouterr().err
+    assert "  - --side: only a jacobi task on a pair or family example" in capsys.readouterr().err
 
 
 def test_side_and_resolution_where_nothing_reads_them_exit_2(tmp_path, capsys):
@@ -195,7 +197,7 @@ def test_flag_task_is_validated_with_config(tmp_path, capsys):
     doc = small_doc()
     doc["tasks"] = doc["tasks"][:1]
     assert run_config(tmp_path, doc, "jacobi", "--resolution", "3") == 2
-    assert "tasks[0].resolution" in capsys.readouterr().err
+    assert "  - --resolution: must be an integer >= 4, got 3\n" in capsys.readouterr().err
     assert run_config(tmp_path, doc, "classify", "--form", "alpha0") == 0
 
 
@@ -271,7 +273,7 @@ def test_huge_jacobi_grid_is_rejected_before_allocation(monkeypatch, capsys):
     assert main(["jacobi", "--example", "darboux2", "--resolution", "100000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "  - tasks[0].resolution: a 100000x100000x100000x100000x100000 grid has" in captured.err
+    assert "  - --resolution: a 100000x100000x100000x100000x100000 grid has" in captured.err
 
 
 def test_huge_sample_count_is_rejected_before_allocation(tmp_path, monkeypatch, capsys):

@@ -30,7 +30,11 @@ seeds 0 and 7 over this matrix:
 - deform forward, deform converse and sweep on a copy with
   ``samples.random_count`` = 1365: a family's t grid is certified in
   batches of 4096 // 1365 = 3 values of t, so the config's four t make a
-  full batch and a one-t batch.
+  full batch and a one-t batch;
+- jacobi on torus-contact with ``--resolution 3``, without and with
+  ``--config configs/heisenberg6_builtin.json``: the flags' task is no task
+  of the file, so its error names the flag, ``--resolution``, not
+  ``tasks[0].resolution``.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -110,6 +114,8 @@ def matrix() -> list[tuple[str, ...]]:
     runs += [(cmd, "--config", BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")]
     for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
         runs.append(cmd + ("--config", BATCH_EDGE_CONFIG))
+    for config in ((), ("--config", CONFIGS[0])):
+        runs.append(("jacobi", *config, "--example", "torus-contact", "--resolution", "3"))
     return runs
 
 
