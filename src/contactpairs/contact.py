@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _BLOCK, _two_form_positions, chain, interior_values, two_form_matrices
+from .exterior import _BLOCK, _two_form_positions, chain, chain_factor, interior_values, two_form_matrices
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -150,17 +150,39 @@ class ClassReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Largest absolute value along one short axis (0 where it is empty).
+def _norm_inf_rows(values: np.ndarray, axis: int = -1, live=None) -> np.ndarray:
+    """Largest absolute value along one short axis (0 where it is empty);
+    with ``live``, along the last axis, read on the span of live alone.
 
     One reduction over a copy that holds that axis first, so that it runs
     over contiguous vectors: exact in any order, and NaN propagates as in
     np.max, so a NaN row gives NaN.
     """
+    if live is not None:
+        return np.abs(_component_major(values)[_span(live)]).max(axis=0, initial=0.0)
     values = np.moveaxis(np.asarray(values), axis, 0)
     if not values.shape[0]:
         return np.zeros(values.shape[1:])
     return np.max(np.abs(values, order="C"), axis=0)
+
+
+def _component_major(values: np.ndarray) -> np.ndarray:
+    """The view of values with its last (component) axis first."""
+    return values.T if values.ndim == 2 else values.transpose(values.ndim - 1, *range(values.ndim - 1))
+
+
+def _span(live: tuple) -> slice:
+    """The components from the first to the last of live.  Every component
+    outside live is ±0, so a maximum of magnitudes over the span is one
+    over all components, and reads a contiguous part of a component-major
+    buffer."""
+    return slice(live[0], live[-1] + 1) if live else slice(0, 0)
+
+
+def _scale(values: np.ndarray, live: tuple) -> np.float64:
+    """max |values| of a (P, C) array, read on the span of the live
+    components (0 when none is)."""
+    return np.abs(values.T[_span(live)]).max(initial=0.0)
 
 
 def cartan_class(alpha: FormField, tol: float | None = None, points=None) -> ClassReport:
@@ -174,30 +196,38 @@ def cartan_class(alpha: FormField, tol: float | None = None, points=None) -> Cla
     if points is None:
         points = sample_points(model)
     pts = np.asarray(points, dtype=float)
-    dav = alpha.d().values(pts) if model.n >= 2 else np.zeros((pts.shape[0], 0))
-    return _class_report(alpha.values(pts), dav, pts, tol)
+    if model.n >= 2:
+        dalpha = alpha.d()
+        dav, live_da = dalpha.values(pts), dalpha.live
+    else:
+        dav, live_da = np.zeros((pts.shape[0], 0)), ()
+    return _class_report(alpha.values(pts), dav, pts, tol, alpha.live, live_da)
 
 
-def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float) -> ClassReport:
-    """Cartan class from the sampled values of alpha and d alpha.
+def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, live_a, live_da) -> ClassReport:
+    """Cartan class from the sampled values of alpha and d alpha, whose
+    components outside live_a and live_da are +0.0 (``FormField.live``).
 
     A wedge chain that is not finite at some sample fails as "non-finite"
     with the first such point: no class can be read off an overflow.
     """
     n = av.shape[1]
-    scale_a = float(np.max(np.abs(av)))
-    scale_da = float(np.max(np.abs(dav))) if dav.size else 0.0
+    scale_a = float(_scale(av, live_a))
+    scale_da = float(_scale(dav, live_da))
 
-    _nonvanishing("nonvanishing", "form vanishes at a sample point", _norm_inf_rows(av), tol * scale_a, pts)
+    alpha_rows = _norm_inf_rows(av, live=live_a)
+    _nonvanishing("nonvanishing", "form vanishes at a sample point", alpha_rows, tol * scale_a, pts)
 
     k_max = (n - 1) // 2
+    alpha, dalpha = (1, av, (live_a, scale_a)), (2, dav, (live_da, scale_da))
     # (d alpha)^j for j = 0 .. k_max + 1, as far as the degree allows
-    powers = [np.ones((pts.shape[0], 1))]
+    powers = [(0, np.ones((pts.shape[0], 1)), ((0,), 1.0))]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite chains are caught below
         for j in range(1, min(k_max + 1, n // 2) + 1):
-            powers.append(chain(n, (2 * j - 2, powers[-1]), (2, dav)))
-        nonvanish = [_norm_inf_rows(chain(n, (1, av), (2 * k, powers[k]))) for k in range(k_max + 1)]
-        power_norm = [_norm_inf_rows(p) for p in powers]
+            powers.append(chain_factor(n, powers[-1], dalpha))
+        nonvanish = [_norm_inf_rows(v, live=lv and lv[0]) for _, v, lv in
+                     (chain_factor(n, alpha, powers[k]) for k in range(k_max + 1))]
+        power_norm = [_norm_inf_rows(v, live=lv and lv[0]) for _, v, lv in powers]
     norms = nonvanish + power_norm
     if not all(np.isfinite(np.max(v)) for v in norms):  # the max of norms is NaN or inf if any is
         finite = np.isfinite(norms).all(axis=0)
@@ -239,26 +269,37 @@ class SampledPair:
     exact Reeb commutator differentiates; it is None for arrays formed
     otherwise, such as the samples of a family at one t.
 
+    ``live`` holds, for each of the four arrays, (live components, bound):
+    the components that can be nonzero, every other one being +0.0, and
+    max |x| over them per leading index, which is the array's ``scales``
+    entry.  Sampled forms and a family's samples at t come with it, and
+    the wedge chains and row maxima read their live components alone; it
+    is None for arrays given without it, whose kernels scan them.
+
     The arrays may carry leading axes before the points axis, such as the t
     axis of a family's samples at a batch of t; ``scales``, ``top`` and
     ``certificate_arrays`` broadcast over them.  The pair keeps nothing it
     computes from them.
     """
 
-    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None):
+    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None, live=None):
         self.points = points
         self.alpha = alpha
         self.beta = beta
         self.dalpha = dalpha
         self.dbeta = dbeta
         self.forms = forms
+        self.live = live
 
     @classmethod
     def of(cls, alpha: FormField, beta: FormField, points) -> "SampledPair":
-        """Evaluate two 1-form fields and their derivatives."""
+        """Evaluate two 1-form fields and their derivatives, with the live
+        components of their coefficients (``FormField.live``)."""
         pts = np.asarray(points, dtype=float)
         forms = (alpha, beta, alpha.d(), beta.d())
-        return cls(pts, *(f.values(pts) for f in forms), forms=forms)
+        values = [f.values(pts) for f in forms]
+        live = tuple((f.live, _scale(v, f.live)) for f, v in zip(forms, values))
+        return cls(pts, *values, forms=forms, live=live)
 
     @property
     def n(self) -> int:
@@ -272,23 +313,34 @@ class SampledPair:
 
     def scales(self) -> tuple:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""
+        if self.live is not None:
+            return tuple(bound for _, bound in self.live)
         return tuple(np.max(np.abs(v), axis=(-2, -1)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
+
+    def factors(self) -> tuple:
+        """alpha, beta, d alpha and d beta as ``exterior.chain_factor``
+        factors (degree, values, live), each live set with one bound over
+        all leading indices."""
+        live = self.live or (None,) * 4
+        return tuple(
+            (degree, values, None if lv is None else (lv[0], float(lv[1] if lv[1].ndim == 0 else lv[1].max())))
+            for degree, values, lv in zip((1, 1, 2, 2), (self.alpha, self.beta, self.dalpha, self.dbeta), live)
+        )
 
     def certificate_arrays(self, k: int, l: int) -> tuple:
         """The sample arrays that a certificate of type (k, l) decides on:
         the four ``scales``, the row norms of alpha, beta, (d alpha)^{k+1}
         and (d beta)^{l+1}, and the volume coefficient (``top``), in that
         order, each with the leading axes of the samples; entries may
-        overflow."""
+        overflow.  Each row norm reads the live components alone."""
         n = self.n
+        alpha, beta, dalpha, dbeta = self.factors()
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate fails
+            powers = (chain_factor(n, *[dalpha] * (k + 1)), chain_factor(n, *[dbeta] * (l + 1)))
             return (
                 *self.scales(),
-                _norm_inf_rows(self.alpha),
-                _norm_inf_rows(self.beta),
-                _norm_inf_rows(chain(n, *[(2, self.dalpha)] * (k + 1))),
-                _norm_inf_rows(chain(n, *[(2, self.dbeta)] * (l + 1))),
-                self.top(k, l, self.alpha, self.beta),
+                *(_norm_inf_rows(values, live=live and live[0]) for _, values, live in (alpha, beta, *powers)),
+                self.top(k, l, alpha, beta),
             )
 
     def reeb_rows(self, block: slice = slice(None)) -> np.ndarray:
@@ -309,9 +361,12 @@ class SampledPair:
             rows[:, start + upper] = -coeffs
         return rows.reshape(-1, 2 * n + 2, n)
 
-    def top(self, k: int, l: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l per point."""
-        return chain(self.n, (1, w), *[(2, self.dalpha)] * k, (1, v), *[(2, self.dbeta)] * l)[..., 0]
+    def top(self, k: int, l: int, w: tuple, v: tuple) -> np.ndarray:
+        """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l per point, for
+        1-form factors w and v given as (1, values) or (1, values, live)
+        (``exterior.chain_factor``; ``factors`` gives those of the pair)."""
+        _, _, dalpha, dbeta = self.factors()
+        return chain(self.n, w, *[dalpha] * k, v, *[dbeta] * l)[..., 0]
 
 
 def _blocks(points: int) -> list[slice]:
@@ -520,11 +575,12 @@ def _nonvanishing(condition: str, message: str, values: np.ndarray, threshold, p
     return defect
 
 
-def _require_closed(name: str, values: np.ndarray, dvalues: np.ndarray, tol: float) -> None:
+def _require_closed(name: str, scale, dscale, tol: float) -> None:
     """Raise a ValueError, an input error, unless the 1-form ``name`` is
-    closed on its samples: max |d name| at or below tol * max |name|."""
-    defect = float(np.max(np.abs(dvalues))) if dvalues.size else 0.0
-    if defect > tol * float(np.max(np.abs(values))):
+    closed on its samples: max |d name| (``dscale``) at or below tol *
+    max |name| (``scale``)."""
+    defect = float(dscale)
+    if defect > tol * float(scale):
         raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
 
 
@@ -740,15 +796,16 @@ def verify_single_deformation(
     if not any(t > 0.0 for t in t_grid):
         raise ValueError("single-form t grid has no t > 0")
 
-    a0v = alpha0.values(pts)
+    # einsum sums in an order that depends on the layout: a0v is C-ordered
+    a0v = np.ascontiguousarray(alpha0.values(pts))
     da0 = alpha0.d().values(pts)
-    _require_closed("alpha0", a0v, da0, tol)
+    _require_closed("alpha0", _scale(a0v, alpha0.live), _scale(da0, alpha0.d().live), tol)
 
     k_max = (n - 1) // 2
     av = alpha.values(pts)
     dav = alpha.d().values(pts)
     try:
-        report = _class_report(av, dav, pts, tol)
+        report = _class_report(av, dav, pts, tol, alpha.live, alpha.d().live)
     except ContactPairError as err:
         if err.condition != "non-finite":
             raise

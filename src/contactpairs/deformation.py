@@ -44,6 +44,7 @@ reads as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,9 +58,10 @@ from .contact import (
     _norm_inf_rows,
     _require_closed,
     _solve_reeb,
+    _span,
     _t_batch,
 )
-from .exterior import chain, wedge_values
+from .exterior import chain, chain_factor
 from .fields import FormField
 from .models import default_tolerance, integrate, sample_points
 
@@ -167,27 +169,41 @@ class SampledFamily:
         self.direction = SampledPair.of(family.alpha, family.beta, points)
         self.points = pts = self.direction.points
         self.closed = c = SampledPair.of(family.alpha0, family.beta0, pts)
-        _require_closed("alpha0", c.alpha, c.dalpha, tol)
-        _require_closed("beta0", c.beta, c.dbeta, tol)
-        indep = _norm_inf_rows(wedge_values(c.n, 1, 1, c.alpha, c.beta))
-        if np.any(indep <= tol * float(np.max(np.abs(c.alpha))) * float(np.max(np.abs(c.beta)))):
+        scale_a, scale_b, scale_da, scale_db = c.scales()
+        _require_closed("alpha0", scale_a, scale_da, tol)
+        _require_closed("beta0", scale_b, scale_db, tol)
+        _, wedge, live = chain_factor(c.n, *c.factors()[:2])
+        indep = _norm_inf_rows(wedge, live=live[0])
+        if np.any(indep <= tol * float(scale_a) * float(scale_b)):
             idx = int(np.argmin(indep))
             raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
 
     def at(self, t) -> SampledPair:
         """The samples of (alpha_t, beta_t); entries may overflow for huge t.
         An array t of shape (T, 1, 1) gives the samples at T values of t,
-        with a leading t axis."""
+        with a leading t axis.
+
+        Each array is the (..., C) view of a component-major buffer of
+        shape (C, T, P) (or (C, P)), on which only the components live in
+        the closed or the direction pair are formed (``_affine``); the
+        others stay the +0.0 of ``np.zeros``, since t * (+0) + (+0) is +0
+        for every finite t.  A t that is not finite makes every component
+        live (0 * inf is NaN).
+        """
         c, s = self.closed, self.direction
-        samples = []
+        t = np.asarray(t, dtype=float)
+        finite = bool(np.isfinite(t).all())
+        samples, live = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for name in ("alpha", "beta", "dalpha", "dbeta"):
-                # closed + t * direction, added in place: numpy reuses the
-                # temporary t * direction by itself only if t adds no axis
-                values = t * getattr(s, name)
-                values += getattr(c, name)
+            for closed, direction, (closed_live, _), (direction_live, _) in zip(
+                (c.alpha, c.beta, c.dalpha, c.dbeta), (s.alpha, s.beta, s.dalpha, s.dbeta), c.live, s.live
+            ):
+                count = closed.shape[-1]
+                comps = _union(closed_live, direction_live) if finite else tuple(range(count))
+                values, bound = _affine(t, closed, direction, comps)
                 samples.append(values)
-        return SampledPair(self.points, *samples)
+                live.append((comps, bound))
+        return SampledPair(self.points, *samples, live=tuple(live))
 
     def batches(self, t_values):
         """Yield (samples, arrays) for each t of t_values, in order: slices
@@ -205,7 +221,10 @@ class SampledFamily:
             arrays = batch.certificate_arrays(self.k, self.l)
             pairs = [
                 (
-                    SampledPair(self.points, batch.alpha[i], batch.beta[i], batch.dalpha[i], batch.dbeta[i]),
+                    SampledPair(
+                        self.points, batch.alpha[i], batch.beta[i], batch.dalpha[i], batch.dbeta[i],
+                        live=tuple((comps, bound[i]) for comps, bound in batch.live),
+                    ),
                     tuple(v[i] for v in arrays),
                 )
                 for i in range(len(batch.alpha))
@@ -235,12 +254,40 @@ class SampledFamily:
             yield block, c.reeb_rows(block) @ z, direction
 
     def volume_polynomial(self) -> VolumePolynomial:
-        c, s, k, l = self.closed, self.direction, self.k, self.l
+        s, k, l = self.direction, self.k, self.l
+        (ca, cb, _, _), (sa, sb, _, _) = self.closed.factors(), s.factors()
         return VolumePolynomial(
-            s.top(k, l, s.alpha, s.beta),
-            s.top(k, l, c.alpha, s.beta) + s.top(k, l, s.alpha, c.beta),
-            s.top(k, l, c.alpha, c.beta),
+            s.top(k, l, sa, sb),
+            s.top(k, l, ca, sb) + s.top(k, l, sa, cb),
+            s.top(k, l, ca, cb),
         )
+
+
+@lru_cache(maxsize=1024)
+def _union(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(set(a).union(b)))
+
+
+def _affine(t: np.ndarray, closed: np.ndarray, direction: np.ndarray, comps: tuple):
+    """closed + t * direction on the components comps, for one t or a t axis
+    of shape (T, 1, 1), as the (..., C) view of a zeroed component-major
+    buffer, and its bound: max |x| over comps per t (``contact._scale``).
+    The span of comps (``contact._span``) is formed in place in the buffer:
+    a component in it that is +0.0 in both arrays gives +0.0."""
+    span = _span(comps)
+    c, d = closed.T[span], direction.T[span]  # (span, P)
+    if not t.ndim:
+        out = np.zeros(closed.shape[::-1])
+        rows = out[span]
+        np.multiply(t, d, out=rows)
+        rows += c
+        return out.T, np.abs(rows).max(initial=0.0)
+    # (T, 1, 1): a (C, T, P) buffer
+    out = np.zeros((closed.shape[1], len(t), closed.shape[0]))
+    rows = out[span]
+    np.multiply(t[:, :, 0], d[:, None], out=rows)
+    rows += c[:, None]
+    return out.transpose(1, 2, 0), np.abs(rows).max(axis=(0, 2), initial=0.0)
 
 
 def volume_polynomial(family: DeformationFamily, points=None) -> VolumePolynomial:
@@ -263,7 +310,7 @@ def volume_identity_defect(family: DeformationFamily, t_values, points=None) -> 
     for t in t_values:
         t = float(t)
         s = sampled.at(t)
-        lhs = s.top(k, l, s.alpha, s.beta)
+        lhs = s.top(k, l, *s.factors()[:2])
         rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         scale = max(scale, float(np.max(np.abs(lhs))))
@@ -279,11 +326,11 @@ class PairSamples:
         self.pts = s.points
         self.k, self.l = cert.k, cert.l
         self.ea, self.eb = cert.reeb_alpha_values, cert.reeb_beta_values
-        self.volume = s.top(self.k, self.l, s.alpha, s.beta)
+        self.volume = s.top(self.k, self.l, *s.factors()[:2])
 
     def _omega_values(self, omega) -> np.ndarray:
         if isinstance(omega, FormField):
-            return omega.values(self.pts)
+            return np.ascontiguousarray(omega.values(self.pts))  # an einsum operand
         w = np.asarray(omega, dtype=float)
         if w.ndim == 1:
             w = np.broadcast_to(w, (self.pts.shape[0], w.shape[0]))
@@ -299,7 +346,7 @@ class PairSamples:
         """
         s, k, l = self.sampled, self.k, self.l
         w = self._omega_values(omega)
-        lhs1 = s.top(k, l, w, s.beta)
+        lhs1 = s.top(k, l, (1, w), s.factors()[1])
         w_ea = np.einsum("pi,pi->p", w, self.ea)
         d1 = float(np.max(np.abs(lhs1 - w_ea * self.volume)))
 
@@ -319,7 +366,7 @@ class PairSamples:
         if project:
             w = w - np.einsum("pi,pi->p", w, self.eb)[:, None] * s.beta
             wb = wb - np.einsum("pi,pi->p", wb, self.eb)[:, None] * s.beta
-        acc = s.top(self.k, self.l, w, wb)
+        acc = s.top(self.k, self.l, (1, w), (1, wb))
         scale = max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(wb))))
         return float(np.max(np.abs(acc))) / scale
 
@@ -442,10 +489,10 @@ def _scaled_residuals(sampled: SampledFamily, x: np.ndarray, y: np.ndarray, t_va
 
 def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
     names = (
-        ("alpha0(E_alpha)", closed.alpha, "ea"),
-        ("alpha0(E_beta)", closed.alpha, "eb"),
-        ("beta0(E_alpha)", closed.beta, "ea"),
-        ("beta0(E_beta)", closed.beta, "eb"),
+        ("alpha0(E_alpha)", 0, "ea"),
+        ("alpha0(E_beta)", 0, "eb"),
+        ("beta0(E_alpha)", 1, "ea"),
+        ("beta0(E_beta)", 1, "eb"),
     )
     if cert is None:
         return [
@@ -453,11 +500,13 @@ def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
             for n, _, _ in names
         ]
     reeb = {"ea": cert.reeb_alpha_values, "eb": cert.reeb_beta_values}
+    # einsum sums in an order that depends on the layout: C-ordered samples
+    samples = [np.ascontiguousarray(v) for v in (closed.alpha, closed.beta)]
     items = []
-    for label, closed_values, key in names:
-        vals = np.abs(np.einsum("pi,pi->p", closed_values, reeb[key]))
+    for label, form, key in names:
+        vals = np.abs(np.einsum("pi,pi->p", samples[form], reeb[key]))
         defect = float(np.max(vals))
-        scale = max(1.0, float(np.max(np.abs(closed_values))) * float(np.max(np.abs(reeb[key]))))
+        scale = max(1.0, float(closed.scales()[form]) * float(np.max(np.abs(reeb[key]))))
         point = [float(v) for v in closed.points[int(np.argmax(vals))]]
         items.append(_gate(f"compatibility {label}=0", defect, tol * scale, {"point": point, "value": defect}))
     return items
@@ -652,7 +701,7 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
     for t in t_grid:
         s = sampled.at(t)
         with np.errstate(over="ignore", invalid="ignore"):
-            vol = s.top(family.k, family.l, s.alpha, s.beta)
+            vol = s.top(family.k, family.l, *s.factors()[:2])
             _, _, residual, _, _ = _solve_reeb(s, False)
         rows.append(
             {

@@ -15,8 +15,10 @@ blocks of points and return a ``(..., C)`` view of a component-major buffer,
 so each inner operation runs on contiguous point vectors; the result is
 bit-identical to the per-column formula ``out[..., io] += sign * a * b``.
 A table row whose term is ±0 at every point (an all-±0 column against a
-finite one) is skipped: adding ±0 to a sum that starts at +0.0 changes no bit,
-since such a sum is zero only by exact cancellation, which gives +0.
+finite operand) is skipped: adding ±0 to a sum that starts at +0.0 changes no
+bit, since such a sum is zero only by exact cancellation, which gives +0.
+Which columns are all ±0 comes from a live set the operand carries
+(``chain_factor``), or from a scan of an operand that carries none.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "norm_inf",
     "wedge_values",
     "chain",
+    "chain_factor",
     "interior_values",
     "two_form_matrices",
     "basis_form",
@@ -112,26 +115,67 @@ _BLOCK = 4096
 @lru_cache(maxsize=1024)  # one entry per table and sparsity pattern met
 def _live_rows(table_of, dims, states_a, states_b) -> tuple:
     """The rows of table_of(*dims) but those with an all-±0 column and a
-    finite partner column (0 * inf and 0 * NaN are NaN), in table order."""
+    finite partner column (0 * inf and 0 * NaN are NaN), in table order,
+    and the sorted output positions of those rows."""
     (fin_a, zero_a), (fin_b, zero_b) = states_a, states_b
-    return tuple(row for row in table_of(*dims)
+    rows = tuple(row for row in table_of(*dims)
                  if not (zero_a[row[0]] and fin_b[row[1]] or zero_b[row[1]] and fin_a[row[0]]))
+    return rows, tuple(sorted({row[2] for row in rows}))
 
 
-def _rows(table_of, dims, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The live rows for a and b, found from the column sums of |a| and |b|:
-    0 only for an all-±0 column, not finite for one with an inf or a NaN or
-    whose sum overflows (which only keeps more rows).  When every column of
-    both is nonzero at the first point, the full table, with no scan."""
-    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
-    if np.count_nonzero(a[:1]) + np.count_nonzero(b[:1]) == a.shape[1] + b.shape[1]:
-        return table_of(*dims)
+@lru_cache(maxsize=None)
+def _full_rows(table_of, dims) -> tuple:
+    table = table_of(*dims)
+    return table, tuple(sorted({row[2] for row in table}))
+
+
+@lru_cache(maxsize=1024)
+def _carried_states(count: int, live: tuple, finite: bool) -> tuple:
+    """The column states of an operand with a live set: a column is all ±0
+    when it is not live, and finite when the operand's bound is."""
+    return bytes([finite] * count), bytes([i not in live for i in range(count)])
+
+
+def _column_states(x: np.ndarray) -> tuple:
+    """The column states of an operand without a live set, from the column
+    sums of |x|: 0 only for an all-±0 column, not finite for one with an
+    inf or a NaN or whose sum overflows (which only keeps more rows)."""
+    x = x.reshape(-1, x.shape[-1])
     with np.errstate(over="ignore"):
-        sums = [np.ones(len(x)) @ np.abs(x) for x in (a, b)]
-    return _live_rows(table_of, dims, *((np.isfinite(s).tobytes(), (s == 0).tobytes()) for s in sums))
+        sums = np.ones(len(x)) @ np.abs(x)
+    return np.isfinite(sums).tobytes(), (sums == 0).tobytes()
 
 
-def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _rows(table_of, dims, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None) -> tuple:
+    """``_live_rows`` for a and b.  An operand with ``live`` = (live
+    components, bound), all other components +0.0 and the bound at least
+    max |x| (inf when unknown), is not read; one without is scanned, unless
+    both operands are nonzero at their first point in every column, which
+    gives the full table."""
+    count_a, count_b = a.shape[-1], b.shape[-1]
+    if live_a and live_b:
+        return _carried_rows(table_of, dims, count_a, count_b, live_a, live_b)
+    dense_a = len(live_a[0]) == count_a if live_a else np.count_nonzero(a.reshape(-1, count_a)[:1]) == count_a
+    dense_b = len(live_b[0]) == count_b if live_b else np.count_nonzero(b.reshape(-1, count_b)[:1]) == count_b
+    if dense_a and dense_b:
+        return _full_rows(table_of, dims)
+    return _live_rows(
+        table_of, dims,
+        _carried_states(count_a, live_a[0], bool(live_a[1] < math.inf)) if live_a else _column_states(a),
+        _carried_states(count_b, live_b[0], bool(live_b[1] < math.inf)) if live_b else _column_states(b),
+    )
+
+
+def _carried_rows(table_of, dims, count_a: int, count_b: int, live_a, live_b) -> tuple:
+    """``_rows`` of two operands with live sets, read from those alone."""
+    return _live_rows(
+        table_of, dims,
+        _carried_states(count_a, live_a[0], bool(live_a[1] < math.inf)),
+        _carried_states(count_b, live_b[0], bool(live_b[1] < math.inf)),
+    )
+
+
+def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None):
     """out[..., io] = sum of sign * a[..., ia] * b[..., ib] over the rows
     (ia, ib, io, sign) of ``_rows``, in table order; leading axes broadcast.
 
@@ -143,7 +187,7 @@ def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray) -> np.nd
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    table = _rows(table_of, dims, a, b)
+    table = _rows(table_of, dims, a, b, live_a, live_b)[0]
     shape = a.shape[:-1]
     if b.shape[:-1] != shape:
         shape = np.broadcast_shapes(shape, b.shape[:-1])
@@ -166,19 +210,38 @@ def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray) -> np.nd
     return out.T.reshape(shape + (count,))
 
 
-def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge on coefficient arrays; leading axes broadcast."""
-    return _bilinear(_wedge_table, (n, p, q), form_count(n, p + q), a, b)
+def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None) -> np.ndarray:
+    """Wedge on coefficient arrays; leading axes broadcast.  An operand may
+    come with its live set (``chain_factor``)."""
+    return _bilinear(_wedge_table, (n, p, q), form_count(n, p + q), a, b, live_a, live_b)
+
+
+def chain_factor(n: int, *factors) -> tuple:
+    """Left-to-right wedge ((f1 ∧ f2) ∧ f3) ∧ .. of factors (degree,
+    values) or (degree, values, live), live = (live components, bound) as
+    in ``_rows``; leading axes broadcast.  Returns (degree, values, live):
+    when every factor has a live set, the product has one, the output
+    positions of the rows run and the bound rows * bound_a * bound_b,
+    doubled to cover the rounding of the sums; an overflowing bound reads
+    as unknown."""
+    (p, acc, *live), *rest = factors
+    live = live[0] if live else None
+    for q, values, *other in rest:
+        other = other[0] if other else None
+        product = wedge_values(n, p, q, acc, values, live, other)
+        if live and other:
+            rows, outputs = _carried_rows(_wedge_table, (n, p, q), acc.shape[-1], values.shape[-1], live, other)
+            with np.errstate(over="ignore", invalid="ignore"):
+                live = outputs, 2.0 * len(rows) * live[1] * other[1]
+        else:
+            live = None
+        acc, p = product, p + q
+    return p, acc, live
 
 
 def chain(n: int, *factors) -> np.ndarray:
-    """Left-to-right wedge of coefficient arrays given as (degree, values)
-    pairs: ((f1 ∧ f2) ∧ f3) ∧ ..; leading axes broadcast."""
-    (p, acc), *rest = factors
-    for q, values in rest:
-        acc = wedge_values(n, p, q, acc, values)
-        p += q
-    return acc
+    """The values of ``chain_factor``."""
+    return chain_factor(n, *factors)[1]
 
 
 def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def _check_coefficients(model: Model, exprs):
 class FormField:
     """A degree-p differential form on a model."""
 
-    __slots__ = ("model", "degree", "coeffs", "_d")
+    __slots__ = ("model", "degree", "coeffs", "_d", "_live")
 
     def __init__(self, model: Model, degree: int, coeffs):
         if not 0 <= degree <= model.n:
@@ -76,21 +76,37 @@ class FormField:
         self.degree = degree
         self.coeffs = coeffs
         self._d = None
+        self._live = None
+
+    @property
+    def live(self) -> tuple[int, ...]:
+        """The positions of the coefficients that are not the constant +0.0,
+        in order: the components ``values`` writes.  A constant -0.0 is
+        live, so that its samples keep their sign."""
+        if self._live is None:
+            self._live = tuple(
+                i for i, c in enumerate(self.coeffs)
+                if not (isinstance(c, ex.Const) and c.value == 0.0 and math.copysign(1.0, c.value) > 0)
+            )
+        return self._live
 
     def values(self, points) -> np.ndarray:
-        """Coefficient array at a batch of points, shape (P, C(n, p))."""
+        """Coefficient array at a batch of points, shape (P, C(n, p)): the
+        view of a component-major (C, P) buffer in which the components
+        that are not ``live`` stay the +0.0 of ``np.zeros``, never written."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array (P, n)")
-        out = np.empty((pts.shape[0], len(self.coeffs)))
-        for i, c in enumerate(self.coeffs):
+        out = np.zeros((len(self.coeffs), pts.shape[0]))
+        for i in self.live:
+            c = self.coeffs[i]
             if isinstance(c, ex.Const):  # filled directly, with evaluate_many's guard
                 if not math.isfinite(c.value):
                     raise ex.EvaluationError("expression evaluated to a non-finite value")
-                out[:, i] = c.value
+                out[i] = c.value
             else:
-                out[:, i] = ex.evaluate_many(c, pts)
-        return out
+                out[i] = ex.evaluate_many(c, pts)
+        return out.T
 
     def d(self) -> "FormField":
         """Exterior derivative (coordinate partials plus the algebraic term),

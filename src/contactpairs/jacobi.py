@@ -157,7 +157,7 @@ class JacobiSide:
             tol = default_tolerance(model)
         grid = _SideGrid(model, resolution, (alpha,))
         pts = grid.sub_points
-        av = alpha.values(pts)
+        av = np.ascontiguousarray(alpha.values(pts))  # an einsum operand, C-ordered
         da_m = two_form_matrices(model.n, alpha.d().values(pts))
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
             e, residual = _contact_reeb(av, da_m)
@@ -191,7 +191,9 @@ class JacobiSide:
         grid = _SideGrid(model, resolution, (alpha, beta))
         pts = grid.sub_points
         cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts)
-        av, bv, (da_m, db_m) = cert.sampled.alpha, cert.sampled.beta, cert.sampled.matrices
+        # einsum operands, C-ordered as the grid's
+        av, bv = (np.ascontiguousarray(v) for v in (cert.sampled.alpha, cert.sampled.beta))
+        da_m, db_m = cert.sampled.matrices
         if side == "alpha":
             own, own_d, which, other, other_d, m = av, da_m, 0, bv, db_m, 2 * k + 1
         else:

@@ -37,8 +37,14 @@ def _points_for(cfg: RunConfig, model, rng):
     return sample_points(model, rng, random_count=cfg.random_count, grid_limit=cfg.grid_limit)
 
 
-def _witnessed(err: ContactPairError) -> dict:
-    return {"condition": err.condition, "message": str(err), **err.witness}
+def _witnessed(err: ContactPairError | JacobiError) -> dict:
+    """The failure's condition, message and witness, with the defect and the
+    threshold of the gate that decided it when it has them."""
+    out = {"condition": err.condition, "message": str(err), **err.witness}
+    for key in ("defect", "threshold"):
+        if getattr(err, key, None) is not None:  # a JacobiError has neither
+            out[key] = getattr(err, key)
+    return out
 
 
 def _graded(failures, otherwise: str) -> str:

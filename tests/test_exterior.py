@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 from itertools import permutations
 
 import numpy as np
@@ -7,6 +8,11 @@ import pytest
 
 from contactpairs import exterior as xt
 from contactpairs.cli import main
+from contactpairs.contact import SampledPair
+from contactpairs.deformation import DeformationFamily, SampledFamily, sweep_rows, verify_converse, verify_forward
+from contactpairs.fields import form_from_expressions
+from contactpairs.models import default_tolerance, sample_points, torus
+from contactpairs.registry import build_example
 
 
 def random_form(rng, n, p):
@@ -416,7 +422,7 @@ def test_rows_drop_only_zero_columns_against_finite_partners():
     # a: all ±0, cancelling, finite with an overflowing sum; b: all +0, inf and NaN, finite
     a = np.array([[0.0, 1.0, 1e308], [-0.0, -1.0, 1e308]])
     b = np.array([[0.0, np.inf, 2.0], [0.0, np.nan, 0.0]])
-    live = xt._rows(xt._wedge_table, (3, 1, 1), a, b)
+    live = xt._rows(xt._wedge_table, (3, 1, 1), a, b)[0]
     # the rows (ia, ib) that go: dx0 ∧ dx2 and dx1 ∧ dx0, an all-zero column
     # against a finite one; the zero dx0 of a meets an inf and a NaN, the
     # cancelling dx1 of a is not zero, and the overflowing dx2 of a reads as
@@ -425,7 +431,7 @@ def test_rows_drop_only_zero_columns_against_finite_partners():
     assert live == tuple(row for row in xt._wedge_table(3, 1, 1) if row[:2] in {(0, 1), (1, 2), (2, 0), (2, 1)})
     with np.errstate(invalid="ignore", over="ignore"):
         assert same_bits(xt.wedge_values(3, 1, 1, a, b), strided_wedge(3, 1, 1, a, b))
-    assert xt._rows(xt._wedge_table, (3, 1, 1), np.zeros((0, 3)), np.zeros((0, 3))) == ()
+    assert xt._rows(xt._wedge_table, (3, 1, 1), np.zeros((0, 3)), np.zeros((0, 3))) == ((), ())
 
 
 def test_dense_operands_run_the_full_table_without_a_scan(monkeypatch):
@@ -436,14 +442,14 @@ def test_dense_operands_run_the_full_table_without_a_scan(monkeypatch):
         raise AssertionError("operands without a zero at their first point were scanned")
 
     monkeypatch.setattr(xt, "_live_rows", no_scan)
-    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)) == 60
+    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)[0]) == 60
     assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
     da[1:, 3] = 0.0  # zero after the first point only: not a zero column
-    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)) == 60
+    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)[0]) == 60
     assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
     monkeypatch.undo()
     da[0, 3] = -0.0  # now all zero: the four rows that read dx0^dx4 are dropped
-    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)) == 56
+    assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)[0]) == 56
     assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
 
 
@@ -456,11 +462,11 @@ def count_rows(monkeypatch, argv):
     counts = [0, 0]
     rows_of = xt._rows
 
-    def counting(table_of, dims, a, b):
-        rows = rows_of(table_of, dims, a, b)
+    def counting(table_of, dims, *operands):
+        rows, outputs = rows_of(table_of, dims, *operands)
         counts[0] += len(rows)
         counts[1] += len(table_of(*dims))
-        return rows
+        return rows, outputs
 
     monkeypatch.setattr(xt, "_rows", counting)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -475,3 +481,100 @@ def test_builtin_pairs_run_only_their_live_rows(monkeypatch):
     # all eight t
     assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (8, 660)
     assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (6, 375)
+
+
+# --- carried live sets: the rows a factor's live set and bound allow --------------------
+
+def component_major(values):
+    """values as the (P, C) view of a component-major (C, P) buffer, the
+    layout of sampled forms."""
+    return np.ascontiguousarray(np.asarray(values, dtype=float).T).T
+
+
+def test_a_dead_column_against_a_partner_holding_an_inf_keeps_the_nan_term():
+    rng = np.random.default_rng(23)
+    points, at = xt._BLOCK + 3, xt._BLOCK + 1
+    a = component_major(rng.standard_normal((points, 6)))
+    a[:, 0] = 0.0  # dx0 is dead: not in the live set of a
+    da = component_major(rng.standard_normal((points, 15)))
+    da[at, xt.index_position(6, 2)[(1, 2)]] = np.inf
+    live_a = ((1, 2, 3, 4, 5), float(np.max(np.abs(a))))
+    # the partner holds an inf: scanned, or carried with the bound it has
+    for live_da in (None, (tuple(range(15)), float(np.max(np.abs(da))))):
+        with np.errstate(invalid="ignore"):
+            got, want = xt.chain(6, (1, a, live_a), (2, da, live_da)), strided_wedge(6, 1, 2, a, da)
+        assert same_bits(got, want)
+        assert np.isnan(got[at, xt.index_position(6, 3)[(0, 1, 2)]])
+    # against a partner known finite the dead column's rows are not run
+    finite = np.delete(da, at, axis=0)
+    rows, _ = xt._rows(xt._wedge_table, (6, 1, 2), a[:-1], finite, live_a, (tuple(range(15)), 1.0))
+    assert len(rows) == 60 - 10 and all(row[0] != 0 for row in rows)
+
+
+def test_a_chain_whose_bound_overflows_keeps_its_rows():
+    rng = np.random.default_rng(29)
+    points = 5
+    a, b, c = (component_major(rng.standard_normal((points, 6))) for _ in range(3))
+    a[:, 2:] = b[:, 2:] = 0.0
+    a[:, 0] = b[:, 1] = 1e200  # dx0 ∧ dx1 of a ∧ b overflows at every point
+    c[:, 5] = 0.0  # dx5 is dead in c
+    factors = [(1, a, ((0, 1), 1e200)), (1, b, ((0, 1), 1e200)), (1, c, ((0, 1, 2, 3, 4), float(np.max(np.abs(c)))))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        degree, got, (live, bound) = xt.chain_factor(6, *factors)
+        want = strided_wedge(6, 2, 1, strided_wedge(6, 1, 1, a, b), c)
+        _, product, (_, product_bound) = xt.chain_factor(6, *factors[:2])
+    assert product_bound == np.inf and np.isinf(product).any()
+    # inf ∧ the dead dx5 is NaN: that row is kept, so the NaN is there
+    assert degree == 3 and same_bits(got, want)
+    assert np.isnan(got[:, xt.index_position(6, 3)[(0, 1, 5)]]).all()
+    assert xt.index_position(6, 3)[(0, 1, 5)] in live and bound == np.inf
+
+
+def test_an_overflowing_t_still_fails_non_finite_with_its_witness(capsys):
+    argv = ["deform", "--example", "t6-pair-compatible", "--t-grid=1,1e308", "--format", "structured"]
+    assert main(argv) == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    (item,) = [i for i in task["result"]["conclusions"] if i["name"] == "(alpha_t,beta_t) is a contact pair at t=1e+308"]
+    assert item["passed"] is False
+    assert item["witness"] == {"condition": "non-finite", "t": 1e308}
+    assert item["note"] == "a sample, its scale or a wedge chain is not finite"
+
+
+def test_a_negative_zero_coefficient_keeps_its_column():
+    model = torus(3)
+    form = form_from_expressions(model, 1, {0: "-0", 1: "cos(x0)"})
+    assert form.live == (0, 1)  # the +0 of dx2 is dead, the -0 of dx0 is not
+    pts = sample_points(model, np.random.default_rng(0))
+    values = form.values(pts)
+    assert np.signbit(values[:, 0]).all() and (values[:, 0] == 0).all()
+    assert not np.signbit(values[:, 2]).any() and (values[:, 2] == 0).all()
+    assert np.shares_memory(values, values.T) and values.T.flags.c_contiguous  # component-major
+    assert SampledPair.of(form, form, pts).live[0] == ((0, 1), 1.0)
+    # a family's samples at t: -0 + t * (+0) is -0 for t < 0 and +0 for t > 0
+    plane = torus(2)
+    alpha0 = form_from_expressions(plane, 1, {0: "1", 1: "-0"})
+    beta0 = form_from_expressions(plane, 1, {1: "1"})
+    alpha, beta = (form_from_expressions(plane, 1, {i: "sin(x0)"}) for i in (0, 1))
+    sampled = SampledFamily(DeformationFamily(alpha0, beta0, alpha, beta, 0, 0), sample_points(plane), 1e-8)
+    assert np.signbit(sampled.at(-1.0).alpha[:, 1]).all()
+    assert not np.signbit(sampled.at(1.0).alpha[:, 1]).any()
+
+
+def test_the_deformation_kernels_scan_no_operand(monkeypatch):
+    # certificate_arrays, volume_polynomial, sweep's volume chain and the
+    # family's independence wedge read only carried live sets
+    for name in ("t6-pair-compatible", "heisenberg6-pair", "t6-pair-incompatible"):
+        family = build_example(name)["family"]
+        pts = sample_points(family.model, np.random.default_rng(0))
+        SampledFamily(family, pts, default_tolerance(family.model))  # builds d and the structure constants
+        scans, scan = [], xt._column_states
+        monkeypatch.setattr(xt, "_column_states", lambda x: scans.append(x.shape) or scan(x))
+        sampled = SampledFamily(family, pts, default_tolerance(family.model))
+        for _, _ in sampled.batches([-1.0, 0.5, 1e308]):
+            pass
+        sampled.volume_polynomial()
+        sweep_rows(family, [0.5, 1e308], points=pts)
+        verify_forward(family, points=pts)
+        verify_converse(family, points=pts)
+        assert scans == [], name
+        monkeypatch.undo()

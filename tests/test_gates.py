@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import contactpairs
-from contactpairs import contact
+from contactpairs import contact, runner
 from contactpairs.cli import main
 from contactpairs.contact import MARGINAL_FACTOR, ContactPairError, _nonvanishing, _vanishing, marginal
 from contactpairs.deformation import _gate
@@ -155,8 +155,20 @@ def test_verify_pair_grades_the_reeb_rank(monkeypatch, capsys, factor, code, sta
     if code == 0:
         assert task["result"]["sigma_min"] == factor * seen["threshold"]
     else:
-        assert task["result"]["error"]["condition"] == "reeb-rank"
-        assert task["result"]["error"]["index"] == 0
+        error = task["result"]["error"]
+        assert error["condition"] == "reeb-rank"
+        assert error["index"] == 0
+        # the report shows how close the bound was
+        assert error["defect"] == factor * seen["threshold"]
+        assert error["threshold"] == seen["threshold"]
+
+
+def test_a_failure_without_a_gate_reports_no_defect_or_threshold():
+    # the orientation check applies no bound: the error keeps only its own keys
+    err = ContactPairError("orientation", "volume coefficient changes sign across sample points", {"negative": {}})
+    assert runner._witnessed(err) == {
+        "condition": "orientation", "message": "volume coefficient changes sign across sample points", "negative": {},
+    }
 
 
 # --- deformation._gate -----------------------------------------------------------------

@@ -426,15 +426,17 @@ def _full_grid_reference(objs, side_name, resolution):
         cert = verify_contact_pair(alpha, objs["beta"], k, l, tol=tol, points=pts)
         s = cert.sampled
         (da_m, db_m) = s.matrices
+        # the einsum operands are C-ordered, as before the samples were component-major
+        alpha_c, beta_c = np.ascontiguousarray(s.alpha), np.ascontiguousarray(s.beta)
         if side_name == "alpha":
-            own, own_d, e, other, other_d, m = s.alpha, da_m, cert.reeb_alpha_values, s.beta, db_m, 2 * k + 1
+            own, own_d, e, other, other_d, m = alpha_c, da_m, cert.reeb_alpha_values, beta_c, db_m, 2 * k + 1
         else:
-            own, own_d, e, other, other_d, m = s.beta, db_m, cert.reeb_beta_values, s.alpha, da_m, 2 * l + 1
+            own, own_d, e, other, other_d, m = beta_c, db_m, cert.reeb_beta_values, alpha_c, da_m, 2 * l + 1
         rows = np.concatenate([other[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
         _, _, vt = np.linalg.svd(rows)
         basis = np.swapaxes(vt[:, n - m:, :], 1, 2)
     else:
-        own = alpha.values(pts)
+        own = np.ascontiguousarray(alpha.values(pts))
         own_d = two_form_matrices(n, alpha.d().values(pts))
         e, _ = _contact_reeb(own, own_d)
         basis = np.broadcast_to(np.eye(n), (pts.shape[0], n, n))

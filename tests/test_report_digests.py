@@ -5,7 +5,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from contactpairs import deformation
+from contactpairs.config import load_config
+from contactpairs.models import sample_points
 from contactpairs.contact import _t_batch
 from contactpairs.exterior import _BLOCK
 
@@ -59,7 +63,7 @@ def test_block_edge_config_ends_in_a_one_point_reeb_block(tmp_path):
     assert [run for run in tool.matrix() if tool.BLOCK_EDGE_CONFIG in run] == [
         (cmd, "--config", tool.BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")
     ]
-    doc = json.loads(open(tool.write_sampled_config(tmp_path, tool.BLOCK_EDGE_CONFIG), encoding="utf-8").read())
+    doc = json.loads(open(tool.write_config(tmp_path, tool.BLOCK_EDGE_CONFIG), encoding="utf-8").read())
     assert doc["samples"]["random_count"] == 2 * _BLOCK + 1
     original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
     original["samples"]["random_count"] = doc["samples"]["random_count"]
@@ -72,7 +76,7 @@ def test_batch_edge_config_certifies_uneven_t_batches(tmp_path):
         cmd + ("--config", tool.BATCH_EDGE_CONFIG)
         for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",))
     ]
-    doc = json.loads(open(tool.write_sampled_config(tmp_path, tool.BATCH_EDGE_CONFIG), encoding="utf-8").read())
+    doc = json.loads(open(tool.write_config(tmp_path, tool.BATCH_EDGE_CONFIG), encoding="utf-8").read())
     original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
     original["samples"]["random_count"] = 1365
     assert doc == original
@@ -112,3 +116,28 @@ def test_flag_task_runs_pin_the_error_that_names_the_flag():
     for run in runs:
         line = tool.digest_line(0, run, {tool.CONFIGS[0]: str(tool.ROOT / tool.CONFIGS[0])})
         assert line.split(" ")[1:5] == ["2", "-", tool._sha(""), err]
+
+
+def test_zero_coefficient_config_has_a_negative_zero_and_a_numerical_zero(tmp_path):
+    tool = load_tool()
+    assert [run for run in tool.matrix() if tool.ZERO_COEFFICIENT_CONFIG in run] == [
+        cmd + ("--config", tool.ZERO_COEFFICIENT_CONFIG)
+        for cmd in (("verify-pair",), ("deform",), ("deform", "--mode", "converse"), ("sweep",))
+    ]
+    path = tool.write_config(tmp_path, tool.ZERO_COEFFICIENT_CONFIG)
+    doc = json.loads(open(path, encoding="utf-8").read())
+    original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    original["forms"]["alpha_l"]["coefficients"]["0"] = "-0"
+    original["forms"]["beta_r"]["coefficients"]["0"] = "x0-x0"
+    assert doc == original
+    # both coefficients are live in the family's samples: alpha's dx0 holds
+    # -0.0, beta's dx3 the +0.0 of x0 - x0
+    cfg = load_config(path)
+    family = cfg.families["fam"]
+    assert family.alpha.live == (0, 1, 2) and family.beta.live == (3, 4, 5)
+    values = family.alpha.values(sample_points(family.model))
+    assert np.signbit(values[:, 0]).all() and not values[:, 0].any()
+    for seed in tool.SEEDS:
+        assert tool.digest_line(seed, ("deform", "--config", "zeros.json"), {"zeros.json": path}).split(" ")[1:3] == [
+            "0", "pass",
+        ]

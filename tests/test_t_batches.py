@@ -245,4 +245,4 @@ def test_a_sampled_pair_keeps_only_its_samples_and_forms():
         for node in ast.walk(method)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
     ]
-    assert stored == [("__init__", name) for name in ("points", "alpha", "beta", "dalpha", "dbeta", "forms")]
+    assert stored == [("__init__", name) for name in ("points", "alpha", "beta", "dalpha", "dbeta", "forms", "live")]

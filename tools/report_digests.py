@@ -34,7 +34,12 @@ seeds 0 and 7 over this matrix:
 - jacobi on torus-contact with ``--resolution 3``, without and with
   ``--config configs/heisenberg6_builtin.json``: the flags' task is no task
   of the file, so its error names the flag, ``--resolution``, not
-  ``tasks[0].resolution``.
+  ``tasks[0].resolution``;
+- verify-pair, deform forward, deform converse and sweep on a copy of the
+  t6 config in which ``alpha_l`` also has ``"0": "-0"`` and ``beta_r`` has
+  ``"0": "x0-x0"``: a constant -0 is a live component whose samples keep
+  their sign, and x0-x0 one that is numerically zero, so these runs pin
+  the samples and kernels on components that are zero but not dead.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -86,6 +91,10 @@ FALLBACK_GRID = "--t-grid=5,10"
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
 BATCH_EDGE_CONFIG = "t6_explicit_family_1365.json"
 RANDOM_COUNTS = {BLOCK_EDGE_CONFIG: 2 * 4096 + 1, BATCH_EDGE_CONFIG: 1365}
+# a copy of the t6 config with dx0 coefficients that are zero but not the
+# constant +0, which the samples treat as live
+ZERO_COEFFICIENT_CONFIG = "t6_explicit_family_zeros.json"
+ZERO_COEFFICIENTS = {"alpha_l": "-0", "beta_r": "x0-x0"}
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -116,14 +125,22 @@ def matrix() -> list[tuple[str, ...]]:
         runs.append(cmd + ("--config", BATCH_EDGE_CONFIG))
     for config in ((), ("--config", CONFIGS[0])):
         runs.append(("jacobi", *config, "--example", "torus-contact", "--resolution", "3"))
+    for cmd in (("verify-pair",), ("deform",), ("deform", "--mode", "converse"), ("sweep",)):
+        runs.append(cmd + ("--config", ZERO_COEFFICIENT_CONFIG))
     return runs
 
 
-def write_sampled_config(directory, name) -> str:
-    """Write the t6 config with the random sample count of ``name`` into
-    directory as ``name`` and return its path."""
+def write_config(directory, name) -> str:
+    """Write the t6 config changed as ``name`` says into directory as
+    ``name`` and return its path: with the random sample count of
+    ``RANDOM_COUNTS``, or with the ``ZERO_COEFFICIENTS`` added as dx0
+    coefficients."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
-    doc["samples"]["random_count"] = RANDOM_COUNTS[name]
+    if name == ZERO_COEFFICIENT_CONFIG:
+        for form, value in ZERO_COEFFICIENTS.items():
+            doc["forms"][form]["coefficients"]["0"] = value
+    else:
+        doc["samples"]["random_count"] = RANDOM_COUNTS[name]
     path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -161,7 +178,7 @@ def digest_line(seed: int, argv, paths=None) -> str:
 
 def digest_lines(runs, seeds=SEEDS) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: write_sampled_config(tmp, name) for name in RANDOM_COUNTS}
+        paths = {name: write_config(tmp, name) for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG)}
         return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
 
