@@ -150,39 +150,37 @@ class ClassReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _norm_inf_rows(values: np.ndarray, axis: int = -1, live=None) -> np.ndarray:
-    """Largest absolute value along one short axis (0 where it is empty);
-    with ``live``, along the last axis, read on the span of live alone.
+def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Largest absolute value along one short axis (0 where it is empty).
 
     One reduction over a copy that holds that axis first, so that it runs
     over contiguous vectors: exact in any order, and NaN propagates as in
     np.max, so a NaN row gives NaN.
     """
-    if live is not None:
-        return np.abs(_component_major(values)[_span(live)]).max(axis=0, initial=0.0)
     values = np.moveaxis(np.asarray(values), axis, 0)
     if not values.shape[0]:
         return np.zeros(values.shape[1:])
     return np.max(np.abs(values, order="C"), axis=0)
 
 
-def _component_major(values: np.ndarray) -> np.ndarray:
-    """The view of values with its last (component) axis first."""
-    return values.T if values.ndim == 2 else values.transpose(values.ndim - 1, *range(values.ndim - 1))
-
-
 def _span(live: tuple) -> slice:
-    """The components from the first to the last of live.  Every component
-    outside live is ±0, so a maximum of magnitudes over the span is one
-    over all components, and reads a contiguous part of a component-major
-    buffer."""
+    """The components from the first to the last of live."""
     return slice(live[0], live[-1] + 1) if live else slice(0, 0)
 
 
-def _scale(values: np.ndarray, live: tuple) -> np.float64:
-    """max |values| of a (P, C) array, read on the span of the live
-    components (0 when none is)."""
-    return np.abs(values.T[_span(live)]).max(initial=0.0)
+def _live_max(values: np.ndarray, live: tuple, axis: tuple | None = None) -> np.ndarray:
+    """max |x| of a (..., C) sample array over its live components and over
+    the leading axes in ``axis`` (all of them by default; ``()`` gives the
+    row maxima), 0 where no component is live.
+
+    Every component outside live is ±0, so this is the maximum over all
+    components.  It reads the span of live (``_span``), a contiguous part
+    of a component-major buffer; a transpose, not ``np.moveaxis``, puts the
+    components first, since the latter costs several times as much on
+    one-point samples.  Exact in any order, and NaN propagates.
+    """
+    rows = values.transpose((-1, *range(values.ndim - 1)))[_span(live)]
+    return np.abs(rows).max(axis=None if axis is None else (0, *(a + 1 for a in axis)), initial=0.0)
 
 
 def cartan_class(alpha: FormField, tol: float | None = None, points=None) -> ClassReport:
@@ -212,10 +210,10 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
     with the first such point: no class can be read off an overflow.
     """
     n = av.shape[1]
-    scale_a = float(_scale(av, live_a))
-    scale_da = float(_scale(dav, live_da))
+    scale_a = float(_live_max(av, live_a))
+    scale_da = float(_live_max(dav, live_da))
 
-    alpha_rows = _norm_inf_rows(av, live=live_a)
+    alpha_rows = _live_max(av, live_a, ())
     _nonvanishing("nonvanishing", "form vanishes at a sample point", alpha_rows, tol * scale_a, pts)
 
     k_max = (n - 1) // 2
@@ -225,9 +223,9 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite chains are caught below
         for j in range(1, min(k_max + 1, n // 2) + 1):
             powers.append(chain_factor(n, powers[-1], dalpha))
-        nonvanish = [_norm_inf_rows(v, live=lv and lv[0]) for _, v, lv in
+        nonvanish = [_live_max(v, live, ()) for _, v, (live, _) in
                      (chain_factor(n, alpha, powers[k]) for k in range(k_max + 1))]
-        power_norm = [_norm_inf_rows(v, live=lv and lv[0]) for _, v, lv in powers]
+        power_norm = [_live_max(v, live, ()) for _, v, (live, _) in powers]
     norms = nonvanish + power_norm
     if not all(np.isfinite(np.max(v)) for v in norms):  # the max of norms is NaN or inf if any is
         finite = np.isfinite(norms).all(axis=0)
@@ -272,9 +270,7 @@ class SampledPair:
     ``live`` holds, for each of the four arrays, (live components, bound):
     the components that can be nonzero, every other one being +0.0, and
     max |x| over them per leading index, which is the array's ``scales``
-    entry.  Sampled forms and a family's samples at t come with it, and
-    the wedge chains and row maxima read their live components alone; it
-    is None for arrays given without it, whose kernels scan them.
+    entry.  The wedge chains and row maxima read the live components alone.
 
     The arrays may carry leading axes before the points axis, such as the t
     axis of a family's samples at a batch of t; ``scales``, ``top`` and
@@ -282,7 +278,7 @@ class SampledPair:
     computes from them.
     """
 
-    def __init__(self, points, alpha, beta, dalpha, dbeta, forms=None, live=None):
+    def __init__(self, points, alpha, beta, dalpha, dbeta, live, forms=None):
         self.points = points
         self.alpha = alpha
         self.beta = beta
@@ -298,8 +294,8 @@ class SampledPair:
         pts = np.asarray(points, dtype=float)
         forms = (alpha, beta, alpha.d(), beta.d())
         values = [f.values(pts) for f in forms]
-        live = tuple((f.live, _scale(v, f.live)) for f, v in zip(forms, values))
-        return cls(pts, *values, forms=forms, live=live)
+        live = tuple((f.live, _live_max(v, f.live)) for f, v in zip(forms, values))
+        return cls(pts, *values, live, forms=forms)
 
     @property
     def n(self) -> int:
@@ -313,18 +309,23 @@ class SampledPair:
 
     def scales(self) -> tuple:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""
-        if self.live is not None:
-            return tuple(bound for _, bound in self.live)
-        return tuple(np.max(np.abs(v), axis=(-2, -1)) for v in (self.alpha, self.beta, self.dalpha, self.dbeta))
+        return tuple(bound for _, bound in self.live)
 
     def factors(self) -> tuple:
         """alpha, beta, d alpha and d beta as ``exterior.chain_factor``
         factors (degree, values, live), each live set with one bound over
         all leading indices."""
-        live = self.live or (None,) * 4
+        arrays = (self.alpha, self.beta, self.dalpha, self.dbeta)
         return tuple(
-            (degree, values, None if lv is None else (lv[0], float(lv[1] if lv[1].ndim == 0 else lv[1].max())))
-            for degree, values, lv in zip((1, 1, 2, 2), (self.alpha, self.beta, self.dalpha, self.dbeta), live)
+            (degree, values, (comps, float(bound if bound.ndim == 0 else bound.max())))
+            for degree, values, (comps, bound) in zip((1, 1, 2, 2), arrays, self.live)
+        )
+
+    def t_slice(self, i: int) -> "SampledPair":
+        """The pair at index i of a leading t axis."""
+        return SampledPair(
+            self.points, self.alpha[i], self.beta[i], self.dalpha[i], self.dbeta[i],
+            tuple((comps, bound[i]) for comps, bound in self.live),
         )
 
     def certificate_arrays(self, k: int, l: int) -> tuple:
@@ -339,7 +340,7 @@ class SampledPair:
             powers = (chain_factor(n, *[dalpha] * (k + 1)), chain_factor(n, *[dbeta] * (l + 1)))
             return (
                 *self.scales(),
-                *(_norm_inf_rows(values, live=live and live[0]) for _, values, live in (alpha, beta, *powers)),
+                *(_live_max(values, live, ()) for _, values, (live, _) in (alpha, beta, *powers)),
                 self.top(k, l, alpha, beta),
             )
 
@@ -799,7 +800,7 @@ def verify_single_deformation(
     # einsum sums in an order that depends on the layout: a0v is C-ordered
     a0v = np.ascontiguousarray(alpha0.values(pts))
     da0 = alpha0.d().values(pts)
-    _require_closed("alpha0", _scale(a0v, alpha0.live), _scale(da0, alpha0.d().live), tol)
+    _require_closed("alpha0", _live_max(a0v, alpha0.live), _live_max(da0, alpha0.d().live), tol)
 
     k_max = (n - 1) // 2
     av = alpha.values(pts)

@@ -44,7 +44,6 @@ reads as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .contact import (
     SampledPair,
     _blocks,
     _certify,
+    _live_max,
     _norm_inf_rows,
     _require_closed,
     _solve_reeb,
@@ -172,11 +172,12 @@ class SampledFamily:
         scale_a, scale_b, scale_da, scale_db = c.scales()
         _require_closed("alpha0", scale_a, scale_da, tol)
         _require_closed("beta0", scale_b, scale_db, tol)
-        _, wedge, live = chain_factor(c.n, *c.factors()[:2])
-        indep = _norm_inf_rows(wedge, live=live[0])
+        _, wedge, (live, _) = chain_factor(c.n, *c.factors()[:2])
+        indep = _live_max(wedge, live, ())
         if np.any(indep <= tol * float(scale_a) * float(scale_b)):
             idx = int(np.argmin(indep))
             raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
+        self._plans = {finite: _plan(c, self.direction, finite) for finite in (True, False)}
 
     def at(self, t) -> SampledPair:
         """The samples of (alpha_t, beta_t); entries may overflow for huge t.
@@ -184,51 +185,43 @@ class SampledFamily:
         with a leading t axis.
 
         Each array is the (..., C) view of a component-major buffer of
-        shape (C, T, P) (or (C, P)), on which only the components live in
-        the closed or the direction pair are formed (``_affine``); the
-        others stay the +0.0 of ``np.zeros``, since t * (+0) + (+0) is +0
-        for every finite t.  A t that is not finite makes every component
-        live (0 * inf is NaN).
+        shape (C, T, P) (or (C, P)), on which only the span of the
+        components live in the closed or the direction pair is formed
+        (``_plan``); the others stay the +0.0 of ``np.zeros``, since
+        t * (+0) + (+0) is +0 for every finite t.  A t that is not finite
+        makes every component live (0 * inf is NaN).
         """
-        c, s = self.closed, self.direction
         t = np.asarray(t, dtype=float)
-        finite = bool(np.isfinite(t).all())
-        samples, live = [], []
+        batch = t.shape[:1]  # (T,) for a t axis
+        factor, axes = (t[:, :, 0], (1, 2, 0)) if batch else (t, (1, 0))
+        arrays, live = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for closed, direction, (closed_live, _), (direction_live, _) in zip(
-                (c.alpha, c.beta, c.dalpha, c.dbeta), (s.alpha, s.beta, s.dalpha, s.dbeta), c.live, s.live
-            ):
-                count = closed.shape[-1]
-                comps = _union(closed_live, direction_live) if finite else tuple(range(count))
-                values, bound = _affine(t, closed, direction, comps)
-                samples.append(values)
-                live.append((comps, bound))
-        return SampledPair(self.points, *samples, live=tuple(live))
+            for count, comps, span, closed, direction in self._plans[bool(np.isfinite(t).all())]:
+                out = np.zeros((count, *batch, len(self.points)))
+                rows = out[span]
+                np.multiply(factor, direction[:, None] if batch else direction, out=rows)
+                rows += closed[:, None] if batch else closed
+                values = out.transpose(axes)
+                arrays.append(values)
+                live.append((comps, _live_max(values, comps, (1,) if batch else None)))
+        return SampledPair(self.points, *arrays, tuple(live))
 
-    def batches(self, t_values):
+    def batches(self, t_values, arrays_of=None):
         """Yield (samples, arrays) for each t of t_values, in order: slices
-        of the samples of (alpha_t, beta_t) and of their
-        ``certificate_arrays(k, l)``, bit for bit ``at(t)`` and its arrays.
-        Each batch of ``contact._t_batch(points)`` t, one t too, is formed by
-        one ``at`` over a t axis of shape (T, 1, 1) and one kernel pass.
-        Nothing is kept once yielded, so a caller that drops each t's pair
-        before the next holds at most one batch, of at most max(points,
-        ``_BLOCK``) points.
+        of the samples of (alpha_t, beta_t) and of the arrays that
+        ``arrays_of`` computes from the samples of a batch of t (their
+        ``certificate_arrays(k, l)`` by default), bit for bit ``at(t)`` and
+        its arrays.  Each batch of ``contact._t_batch(points)`` t, one t
+        too, is formed by one ``at`` over a t axis of shape (T, 1, 1) and
+        one kernel pass.  Nothing is kept once yielded, so a caller that
+        drops each t's pair before the next holds at most one batch, of at
+        most max(points, ``_BLOCK``) points.
         """
         step = _t_batch(len(self.points))
         for lo in range(0, len(t_values), step):
             batch = self.at(np.array(t_values[lo : lo + step], dtype=float)[:, None, None])
-            arrays = batch.certificate_arrays(self.k, self.l)
-            pairs = [
-                (
-                    SampledPair(
-                        self.points, batch.alpha[i], batch.beta[i], batch.dalpha[i], batch.dbeta[i],
-                        live=tuple((comps, bound[i]) for comps, bound in batch.live),
-                    ),
-                    tuple(v[i] for v in arrays),
-                )
-                for i in range(len(batch.alpha))
-            ]
+            arrays = batch.certificate_arrays(self.k, self.l) if arrays_of is None else arrays_of(batch)
+            pairs = [(batch.t_slice(i), tuple(v[i] for v in arrays)) for i in range(len(batch.alpha))]
             del batch, arrays  # each t's slices alone keep the batch alive
             while pairs:
                 yield pairs.pop(0)
@@ -263,31 +256,23 @@ class SampledFamily:
         )
 
 
-@lru_cache(maxsize=1024)
-def _union(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(set(a).union(b)))
-
-
-def _affine(t: np.ndarray, closed: np.ndarray, direction: np.ndarray, comps: tuple):
-    """closed + t * direction on the components comps, for one t or a t axis
-    of shape (T, 1, 1), as the (..., C) view of a zeroed component-major
-    buffer, and its bound: max |x| over comps per t (``contact._scale``).
-    The span of comps (``contact._span``) is formed in place in the buffer:
-    a component in it that is +0.0 in both arrays gives +0.0."""
-    span = _span(comps)
-    c, d = closed.T[span], direction.T[span]  # (span, P)
-    if not t.ndim:
-        out = np.zeros(closed.shape[::-1])
-        rows = out[span]
-        np.multiply(t, d, out=rows)
-        rows += c
-        return out.T, np.abs(rows).max(initial=0.0)
-    # (T, 1, 1): a (C, T, P) buffer
-    out = np.zeros((closed.shape[1], len(t), closed.shape[0]))
-    rows = out[span]
-    np.multiply(t[:, :, 0], d[:, None], out=rows)
-    rows += c[:, None]
-    return out.transpose(1, 2, 0), np.abs(rows).max(axis=(0, 2), initial=0.0)
+def _plan(closed: SampledPair, direction: SampledPair, finite: bool) -> tuple:
+    """Per array of alpha, beta, d alpha and d beta, what ``SampledFamily.at``
+    forms for a finite t or for any t: its component count, its live
+    components (the union of the live sets of the two pairs, or all of
+    them), their span, and the component-major span rows of the closed and
+    the direction pair."""
+    plan = []
+    for c, d, (c_live, _), (d_live, _) in zip(
+        (closed.alpha, closed.beta, closed.dalpha, closed.dbeta),
+        (direction.alpha, direction.beta, direction.dalpha, direction.dbeta),
+        closed.live, direction.live,
+    ):
+        count = c.shape[-1]
+        comps = tuple(sorted(set(c_live).union(d_live))) if finite else tuple(range(count))
+        span = _span(comps)
+        plan.append((count, comps, span, c.T[span], d.T[span]))
+    return tuple(plan)
 
 
 def volume_polynomial(family: DeformationFamily, points=None) -> VolumePolynomial:
@@ -695,20 +680,20 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
         points = sample_points(family.model)
     sampled = SampledFamily(family, points, tol)
     t_grid = [float(t) for t in t_grid]
+    k, l = family.k, family.l
     rows = []
-    # s holds a t's samples until the next are formed: releasing them first
-    # returns their pages to the system only to fault them back in
-    for t in t_grid:
-        s = sampled.at(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vol = s.top(family.k, family.l, *s.factors()[:2])
+    # the volume coefficient of a batch of t is one kernel pass; s holds a
+    # t's samples until the next are formed: releasing them first returns
+    # their pages to the system only to fault them back in
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (s, (vol,)) in zip(t_grid, sampled.batches(t_grid, lambda b: (b.top(k, l, *b.factors()[:2]),))):
             _, _, residual, _, _ = _solve_reeb(s, False)
-        rows.append(
-            {
-                "t": t,
-                "min_volume_coeff": float(np.min(vol)),
-                "max_volume_coeff": float(np.max(vol)),
-                "max_reeb_residual": float(np.max(residual)),
-            }
-        )
+            rows.append(
+                {
+                    "t": t,
+                    "min_volume_coeff": float(np.min(vol)),
+                    "max_volume_coeff": float(np.max(vol)),
+                    "max_reeb_residual": float(np.max(residual)),
+                }
+            )
     return rows

@@ -146,6 +146,12 @@ def _column_states(x: np.ndarray) -> tuple:
     return np.isfinite(sums).tobytes(), (sums == 0).tobytes()
 
 
+def _states(x: np.ndarray, live) -> tuple:
+    """The column states of an operand: from its live set when it carries
+    one (``_carried_states``), from a scan otherwise."""
+    return _carried_states(x.shape[-1], live[0], bool(live[1] < math.inf)) if live else _column_states(x)
+
+
 def _rows(table_of, dims, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None) -> tuple:
     """``_live_rows`` for a and b.  An operand with ``live`` = (live
     components, bound), all other components +0.0 and the bound at least
@@ -153,31 +159,17 @@ def _rows(table_of, dims, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None
     both operands are nonzero at their first point in every column, which
     gives the full table."""
     count_a, count_b = a.shape[-1], b.shape[-1]
-    if live_a and live_b:
-        return _carried_rows(table_of, dims, count_a, count_b, live_a, live_b)
     dense_a = len(live_a[0]) == count_a if live_a else np.count_nonzero(a.reshape(-1, count_a)[:1]) == count_a
     dense_b = len(live_b[0]) == count_b if live_b else np.count_nonzero(b.reshape(-1, count_b)[:1]) == count_b
     if dense_a and dense_b:
         return _full_rows(table_of, dims)
-    return _live_rows(
-        table_of, dims,
-        _carried_states(count_a, live_a[0], bool(live_a[1] < math.inf)) if live_a else _column_states(a),
-        _carried_states(count_b, live_b[0], bool(live_b[1] < math.inf)) if live_b else _column_states(b),
-    )
+    return _live_rows(table_of, dims, _states(a, live_a), _states(b, live_b))
 
 
-def _carried_rows(table_of, dims, count_a: int, count_b: int, live_a, live_b) -> tuple:
-    """``_rows`` of two operands with live sets, read from those alone."""
-    return _live_rows(
-        table_of, dims,
-        _carried_states(count_a, live_a[0], bool(live_a[1] < math.inf)),
-        _carried_states(count_b, live_b[0], bool(live_b[1] < math.inf)),
-    )
-
-
-def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None):
+def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, rows=None):
     """out[..., io] = sum of sign * a[..., ia] * b[..., ib] over the rows
-    (ia, ib, io, sign) of ``_rows``, in table order; leading axes broadcast.
+    (ia, ib, io, sign) of ``_rows`` (given, or found from a scan of a and
+    b), in table order; leading axes broadcast.
 
     Works component by component on blocks of points and returns a
     (..., count) view of a component-major buffer.  With sign = ±1 each
@@ -187,7 +179,7 @@ def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, live_a=N
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    table = _rows(table_of, dims, a, b, live_a, live_b)[0]
+    table = _rows(table_of, dims, a, b)[0] if rows is None else rows
     shape = a.shape[:-1]
     if b.shape[:-1] != shape:
         shape = np.broadcast_shapes(shape, b.shape[:-1])
@@ -210,10 +202,11 @@ def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, live_a=N
     return out.T.reshape(shape + (count,))
 
 
-def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None) -> np.ndarray:
-    """Wedge on coefficient arrays; leading axes broadcast.  An operand may
-    come with its live set (``chain_factor``)."""
-    return _bilinear(_wedge_table, (n, p, q), form_count(n, p + q), a, b, live_a, live_b)
+def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray, rows=None) -> np.ndarray:
+    """Wedge on coefficient arrays; leading axes broadcast.  ``rows`` are
+    the table rows to run (``_rows``; ``chain_factor`` picks them from its
+    factors' live sets), found from a scan of a and b when not given."""
+    return _bilinear(_wedge_table, (n, p, q), form_count(n, p + q), a, b, rows)
 
 
 def chain_factor(n: int, *factors) -> tuple:
@@ -228,14 +221,14 @@ def chain_factor(n: int, *factors) -> tuple:
     live = live[0] if live else None
     for q, values, *other in rest:
         other = other[0] if other else None
-        product = wedge_values(n, p, q, acc, values, live, other)
+        rows, outputs = _rows(_wedge_table, (n, p, q), acc, values, live, other)
+        acc = wedge_values(n, p, q, acc, values, rows)
         if live and other:
-            rows, outputs = _carried_rows(_wedge_table, (n, p, q), acc.shape[-1], values.shape[-1], live, other)
             with np.errstate(over="ignore", invalid="ignore"):
                 live = outputs, 2.0 * len(rows) * live[1] * other[1]
         else:
             live = None
-        acc, p = product, p + q
+        p += q
     return p, acc, live
 
 

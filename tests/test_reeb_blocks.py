@@ -106,9 +106,9 @@ def contact_form_samples():
 
 
 def head(s: SampledPair, points: int) -> SampledPair:
-    """The first points of s, as fresh arrays."""
+    """The first points of s, as fresh arrays, with the live sets of s."""
     parts = (s.points, s.alpha, s.beta, s.dalpha, s.dbeta)
-    return SampledPair(*(np.array(v[:points]) for v in parts))
+    return SampledPair(*(np.array(v[:points]) for v in parts), live=s.live)
 
 
 def use_cores(monkeypatch, cores: int) -> None:

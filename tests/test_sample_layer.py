@@ -298,7 +298,8 @@ def test_sweep_rows_match_expression_path(name, rtol, seed):
     rows = sweep_rows(family, SWEEP_T_GRID, points=pts)
     for t, row in zip(SWEEP_T_GRID, rows):
         s = SampledPair.of(*family.at(t), pts)
-        vol = s.top(family.k, family.l, (1, s.alpha), (1, s.beta))  # scanned, not carried
+        # every factor without a live set, so each wedge scans its operands
+        vol = chain(s.n, (1, s.alpha), *[(2, s.dalpha)] * family.k, (1, s.beta), *[(2, s.dbeta)] * family.l)[..., 0]
         residual = _solve_reeb(s, False)[2]
         want = [float(np.min(vol)), float(np.max(vol)), float(np.max(residual))]
         got = [row["min_volume_coeff"], row["max_volume_coeff"], row["max_reeb_residual"]]

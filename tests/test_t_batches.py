@@ -18,6 +18,7 @@ from contactpairs.deformation import (
     CONVERSE_T_GRID,
     FORWARD_T_GRID,
     SampledFamily,
+    sweep_rows,
     verify_converse,
     verify_forward,
 )
@@ -224,6 +225,20 @@ def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_cou
     monkeypatch.setattr(deformation, "_scaled_residuals", residuals)
     verify(family, points=pts)
     assert len(formed) == 4 * t_count
+
+
+@pytest.mark.parametrize("count", [1, 2049])
+def test_sweep_forms_its_samples_in_batches_of_t(monkeypatch, count):
+    # one formal Lie point sweeps its whole grid with one `at` and one
+    # kernel pass; from 2049 points on each batch holds one t
+    family, pts = _setup("heisenberg6-pair" if count == 1 else "t6-pair-compatible", count)
+    shapes, real_at = [], SampledFamily.at
+    monkeypatch.setattr(SampledFamily, "at", lambda self, t: shapes.append(np.shape(t)) or real_at(self, t))
+    rows = sweep_rows(family, CONVERSE_T_GRID, points=pts)
+    step = _t_batch(count)
+    assert [row["t"] for row in rows] == list(CONVERSE_T_GRID)
+    assert shapes == [(len(CONVERSE_T_GRID[lo : lo + step]), 1, 1) for lo in range(0, len(CONVERSE_T_GRID), step)]
+    assert len(shapes) == (1 if count == 1 else len(CONVERSE_T_GRID))
 
 
 def test_certificate_arrays_are_computed_on_one_path():
