@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,7 +216,7 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
     scale_da = float(_live_max(dav, live_da))
 
     alpha_rows = _live_max(av, live_a, ())
-    _nonvanishing("nonvanishing", "form vanishes at a sample point", alpha_rows, tol * scale_a, pts)
+    _nonvanishing("nonvanishing", "form vanishes at a sample point", _troughs(alpha_rows)[0], tol * scale_a, pts)
 
     k_max = (n - 1) // 2
     alpha, dalpha = (1, av, (live_a, scale_a)), (2, dav, (live_da, scale_da))
@@ -345,19 +347,21 @@ class SampledPair:
             )
 
     def reeb_rows(self, block: slice = slice(None)) -> np.ndarray:
-        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of the points in
-        ``block``, shape (points, 2n+2, n); of every point by default.
+        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of the samples
+        in ``block``, shape (samples, 2n+2, n); of every sample by default.
+        The samples of a leading t axis are taken in t order, so a block
+        indexes the T * P samples of a batch.
 
         Row 2 + j of i_E d alpha holds d alpha(e_i, e_j) in column i, so each
         2-form coefficient is scattered straight into its flat positions.
         """
         n = self.n
-        alpha = self.alpha[block]
-        rows = np.zeros((alpha.shape[0], (2 * n + 2) * n))
-        rows[:, :n] = alpha
-        rows[:, n : 2 * n] = self.beta[block]
+        flat = [v.reshape(-1, v.shape[-1])[block] for v in (self.alpha, self.beta, self.dalpha, self.dbeta)]
+        rows = np.zeros((flat[0].shape[0], (2 * n + 2) * n))
+        rows[:, :n] = flat[0]
+        rows[:, n : 2 * n] = flat[1]
         upper, lower = _two_form_positions(n)
-        for start, coeffs in ((2 * n, self.dalpha[block]), ((n + 2) * n, self.dbeta[block])):
+        for start, coeffs in ((2 * n, flat[2]), ((n + 2) * n, flat[3])):
             rows[:, start + lower] = coeffs
             rows[:, start + upper] = -coeffs
         return rows.reshape(-1, 2 * n + 2, n)
@@ -384,7 +388,7 @@ def _t_batch(points: int) -> int:
     return max(1, _BLOCK // points)
 
 
-def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
+def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool, fallback: bool = True):
     """least_squares_batch on the systems ``rows_of(block)`` of ``points``
     points, one block of ``_blocks(points)`` per call, with b of shape
     (M, R) or (P, M, R); the outputs of the blocks are joined in order.
@@ -399,7 +403,8 @@ def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
     holds numpy's errstate.  Once a block fails no further block starts;
     the caller raises the error of the first failing block, as a serial
     loop would, and an exactly singular Gram matrix there sends the whole
-    batch to the pseudo-inverse.
+    batch to the pseudo-inverse, or, without ``fallback``, raises
+    ``_SingularGram``.
     """
     blocks = _blocks(points)
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
@@ -434,15 +439,18 @@ def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool):
         # blocks are taken in order, so every block before the first failing
         # one was solved
         first = errors[min(errors)]
-        if not isinstance(first, _SingularGram):
+        if pinv or not (fallback and isinstance(first, _SingularGram)):
             raise first
 
 
-def _solve_reeb(s: SampledPair, compute_sigma: bool):
-    """The Reeb pair of s: (E_alpha, E_beta, residual, sigma_min, sigma_max)."""
+def _solve_reeb(s: SampledPair, compute_sigma: bool, fallback: bool = True):
+    """The Reeb pair of s: (E_alpha, E_beta, residual, sigma_min, sigma_max),
+    one system per sample.  The systems of a leading t axis are stacked in
+    t order and solved in one ``_solve_blocks`` call, so the outputs are
+    flat, (T * P, ...); ``fallback`` is that call's."""
     # one right-hand side per field: alpha(E_alpha) = 1 and beta(E_beta) = 1
     x, residual, sigma_min, sigma_max = _solve_blocks(
-        s.reeb_rows, len(s.points), np.eye(2 * s.n + 2, 2), compute_sigma
+        s.reeb_rows, s.alpha.size // s.n, np.eye(2 * s.n + 2, 2), compute_sigma, fallback
     )
     return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
 
@@ -553,25 +561,47 @@ class ContactPairCertificate:
         )
 
 
-def _vanishing(condition: str, message: str, res: np.ndarray, threshold, pts) -> float:
-    """max res over the points, raising a failure witnessed at its largest
-    point unless it stays at or below threshold; NaN fails."""
-    defect = float(np.max(res))
+def _peaks(res: np.ndarray) -> list:
+    """(max, its first index) of res along its last axis, the points, per
+    leading index (one pair for a 1-D res), as Python numbers: the defect
+    of an upper bound and where it is reached.  One max and one argmax
+    serve a whole batch of t; a maximum is exact, so each is that of its
+    row alone, and NaN propagates, its first index being the argmax."""
+    res = np.atleast_2d(res)
+    return list(zip(res.max(axis=-1).tolist(), res.argmax(axis=-1).tolist()))
+
+
+def _troughs(values: np.ndarray) -> list:
+    """(min |values|, its first index, the signed value there) along the
+    last axis, the points, per leading index (one triple for 1-D values),
+    as Python numbers: the defect of a lower bound, where it is reached and
+    its witness value.  One reduction each serves a whole batch of t; a
+    NaN is the first minimum, as in np.argmin."""
+    values = np.atleast_2d(values)
+    idx = np.abs(values).argmin(axis=-1)
+    lowest = values[np.arange(len(values)), idx]
+    return list(zip(np.abs(lowest).tolist(), idx.tolist(), lowest.tolist()))
+
+
+def _vanishing(condition: str, message: str, peak, threshold, pts) -> float:
+    """The max of a quantity over the points, from its peak = (max, first
+    argmax) (``_peaks``), raising a failure witnessed at that point unless
+    it stays at or below threshold; NaN fails."""
+    defect, idx = peak
     if not defect <= threshold:
-        idx = int(np.argmax(res))
         witness = _witness(pts, idx, value=defect)
         raise ContactPairError(condition, message, witness, defect=defect, threshold=threshold)
     return defect
 
 
-def _nonvanishing(condition: str, message: str, values: np.ndarray, threshold, pts) -> float:
-    """min |values| over the points, raising a failure witnessed at its
-    smallest point, with the signed value there, unless it stays strictly
-    above threshold; NaN fails."""
-    idx = int(np.argmin(np.abs(values)))  # the first NaN, if there is one
-    defect = float(np.abs(values[idx]))
+def _nonvanishing(condition: str, message: str, trough, threshold, pts) -> float:
+    """min |values| over the points, from its trough = (min |values|, first
+    argmin, signed value there) (``_troughs``), raising a failure witnessed
+    at that point, with the signed value, unless it stays strictly above
+    threshold; NaN fails."""
+    defect, idx, value = trough
     if not defect > threshold:
-        witness = _witness(pts, idx, value=float(values[idx]))
+        witness = _witness(pts, idx, value=value)
         raise ContactPairError(condition, message, witness, defect=defect, threshold=threshold)
     return defect
 
@@ -600,31 +630,41 @@ def verify_contact_pair(
         tol = default_tolerance(model)
     if points is None:
         points = sample_points(model)
-    return _certify(SampledPair.of(alpha, beta, points), k, l, tol, True)
+    s = SampledPair.of(alpha, beta, points)
+    return _reeb_step(s, _certify(s, k, l, tol)[0], True)  # its gates as a batch of one
 
 
-def _certify(
-    s: SampledPair, k: int, l: int, tol: float, full: bool, candidate=None, arrays=None
-) -> ContactPairCertificate:
-    """The checks of verify_contact_pair on already sampled arrays: on
-    ``arrays``, s's ``certificate_arrays(k, l)`` when the caller has them
-    (a t of ``SampledFamily.batches``), computed here otherwise.
+class _Gated(NamedTuple):
+    """What the gates of ``_certify`` decide of one pair certificate: its
+    first fields, in the order of ``ContactPairCertificate``."""
 
-    A sample, scale or wedge chain that is not finite fails as "non-finite"
-    before any other check: no comparison can be trusted on it.
+    k: int
+    l: int
+    tol: float
+    residual_threshold: float
+    min_volume: float
+    orientation_sign: int
+    dalpha_power_residual: float
+    dbeta_power_residual: float
 
-    The Reeb systems are solved and their residual gated; with ``full``, the
-    smallest singular value of each system must also stay above tol times
-    the largest over the points (``reeb-rank``) and the exact commutator of
-    the Reeb pair must vanish (``reeb-commutator``, which needs s's
-    ``forms``), as in verify_contact_pair.  Without ``full`` both are
-    skipped and ``sigma_min`` and ``commutator_defect`` are None.
 
-    ``candidate`` = (E_alpha, E_beta, residual) offers a Reeb pair with its
-    pointwise residual max |A E - b|; a candidate whose residual passes the
-    Reeb residual gate is certified without a solve, otherwise s is solved
-    as without it.  The rank and commutator checks need a solve, so a
-    candidate is offered only to certificates without ``full``.
+def _certify(s: SampledPair, k: int, l: int, tol: float, arrays=None) -> list:
+    """The checks of verify_contact_pair up to its Reeb step, on already
+    sampled arrays, for each t of a batch: s and ``arrays``, s's
+    ``certificate_arrays(k, l)`` (computed here unless the caller has
+    them), carry a leading t axis, as a batch of ``SampledFamily.batches``
+    does; a pair without one is a batch of one.  Returns, per t in order,
+    the ContactPairError of its first failed check or its ``_Gated``
+    outcome, which ``_reeb_step`` completes.
+
+    Each gate runs once for the whole batch, as a reduction along the
+    points axis (``_peaks``, ``_troughs``); then each t walks the gates in
+    order on its own reductions and thresholds, the latter in scalar
+    arithmetic on that t's scales.  A sample, scale or wedge chain that is
+    not finite fails as "non-finite" before any other check: no comparison
+    can be trusted on it.  The row norms are at least 0 or NaN, so a
+    finite max means a finite row, and the volume is finite where its min
+    and max are.
     """
     n = s.n
     if n != 2 * k + 2 * l + 2:
@@ -634,36 +674,77 @@ def _certify(
     pts = s.points
     if arrays is None:
         arrays = s.certificate_arrays(k, l)
-    scale_a, scale_b, scale_da, scale_db, a_rows, b_rows, da_res, db_res, vol = arrays
-    with np.errstate(over="ignore", invalid="ignore"):
+    if np.ndim(arrays[0]) == 0:
+        arrays = [v[None] for v in arrays]
+    scales, (a_rows, b_rows, da_res, db_res, vol) = arrays[:4], arrays[4:]
+    alpha, beta, volume = _troughs(a_rows), _troughs(b_rows), _troughs(vol)
+    dalpha, dbeta = _peaks(da_res), _peaks(db_res)
+    vol_min, vol_max = vol.min(axis=-1).tolist(), vol.max(axis=-1).tolist()
+    signs = np.sign(vol[:, 0]).tolist()  # read only where vol is finite and nonzero
+    da_message, db_message = f"(d alpha)^{k + 1} does not vanish", f"(d beta)^{l + 1} does not vanish"
+
+    def gate(i, scale_a, scale_b, scale_da, scale_db) -> _Gated:
         res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
         da_threshold = tol * scale_da ** (k + 1)
         db_threshold = tol * scale_db ** (l + 1)
         vol_scale = scale_a * scale_b * scale_da**k * scale_db**l
         gram_scale = res_scale * res_scale * (2 * n + 2)  # bounds the normal equations
-        checked = (vol_scale, da_threshold, db_threshold, gram_scale, da_res, db_res, vol)
-    if not all(np.all(np.isfinite(v)) for v in checked):
-        raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
-
-    for name, rows, scale in (("alpha", a_rows, scale_a), ("beta", b_rows, scale_b)):
-        _nonvanishing(f"{name}-nonvanishing", f"{name} vanishes at a sample point", rows, tol * scale, pts)
-    dalpha_res = _vanishing("dalpha-power", f"(d alpha)^{k + 1} does not vanish", da_res, da_threshold, pts)
-    dbeta_res = _vanishing("dbeta-power", f"(d beta)^{l + 1} does not vanish", db_res, db_threshold, pts)
-
-    min_volume = _nonvanishing(
-        "volume", "volume coefficient vanishes at a sample point", vol, tol * vol_scale, pts
-    )
-    if vol.min() < 0.0 < vol.max():
-        raise ContactPairError(
-            "orientation",
-            "volume coefficient changes sign across sample points",
-            {
-                "negative": _witness(pts, int(np.argmin(vol)), value=float(vol.min())),
-                "positive": _witness(pts, int(np.argmax(vol)), value=float(vol.max())),
-            },
+        checked = (vol_scale, da_threshold, db_threshold, gram_scale, dalpha[i][0], dbeta[i][0], vol_min[i], vol_max[i])
+        if not all(map(math.isfinite, checked)):
+            raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
+        _nonvanishing("alpha-nonvanishing", "alpha vanishes at a sample point", alpha[i], tol * scale_a, pts)
+        _nonvanishing("beta-nonvanishing", "beta vanishes at a sample point", beta[i], tol * scale_b, pts)
+        dalpha_res = _vanishing("dalpha-power", da_message, dalpha[i], da_threshold, pts)
+        dbeta_res = _vanishing("dbeta-power", db_message, dbeta[i], db_threshold, pts)
+        min_volume = _nonvanishing(
+            "volume", "volume coefficient vanishes at a sample point", volume[i], tol * vol_scale, pts
         )
+        if vol_min[i] < 0.0 < vol_max[i]:
+            raise ContactPairError(
+                "orientation",
+                "volume coefficient changes sign across sample points",
+                {
+                    "negative": _witness(pts, int(np.argmin(vol[i])), value=vol_min[i]),
+                    "positive": _witness(pts, int(np.argmax(vol[i])), value=vol_max[i]),
+                },
+            )
+        return _Gated(k, l, tol, tol * res_scale, min_volume, int(signs[i]), dalpha_res, dbeta_res)
 
-    res_threshold = tol * res_scale
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, scales_t in enumerate(zip(*scales)):
+            try:
+                outcomes.append(gate(i, *scales_t))
+            except ContactPairError as err:
+                # kept without its traceback, whose frames hold the batch
+                outcomes.append(err.with_traceback(None))
+    return outcomes
+
+
+def _reeb_step(s: SampledPair, gated, full: bool, candidate=None) -> ContactPairCertificate:
+    """The certificate of the pair s from the outcome ``_certify`` gave it:
+    its failure raised, or its Reeb step.
+
+    The Reeb systems are solved and their residual gated; with ``full``, the
+    smallest singular value of each system must also stay above tol times
+    the largest over the points (``reeb-rank``) and the exact commutator of
+    the Reeb pair must vanish (``reeb-commutator``, which needs s's
+    ``forms``), as in verify_contact_pair.  Without ``full`` both are
+    skipped and ``sigma_min`` and ``commutator_defect`` are None.
+
+    ``candidate`` = (E_alpha, E_beta, peak) offers a Reeb pair with the
+    ``_peaks`` entry of its pointwise residual max |A E - b|; a candidate
+    whose residual passes the Reeb residual gate is certified without a
+    solve, otherwise s is solved as without it.  The rank and commutator
+    checks need a solve, so a candidate is offered only to certificates
+    without ``full``.
+    """
+    if isinstance(gated, ContactPairError):
+        try:
+            raise gated
+        finally:
+            del gated  # a frame of the traceback holding the error is a cycle that would keep s
+    pts, res_threshold = s.points, gated.residual_threshold
     substituted, smin, comm = False, None, None
     if candidate is not None:
         with contextlib.suppress(ContactPairError):  # then solved, exactly as without a candidate
@@ -671,25 +752,20 @@ def _certify(
             ea, eb, substituted = candidate[0], candidate[1], True
     if not substituted:
         ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, full)
-        reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, np.max(residual, axis=-1), res_threshold, pts)
+        reeb_residual = _vanishing(
+            "reeb-residual", _INCONSISTENT, _peaks(np.max(residual, axis=-1))[0], res_threshold, pts
+        )
         if full:
             smin = _nonvanishing(
                 "reeb-rank", "Reeb system is rank deficient (non-unique solution)",
-                sigma_min, tol * float(np.max(sigma_max)), pts,
+                _troughs(sigma_min)[0], gated.tol * float(np.max(sigma_max)), pts,
             )
             comm = _vanishing(
                 "reeb-commutator", "solved Reeb fields fail to commute",
-                _norm_inf_rows(_reeb_commutator(s, ea, eb)), res_threshold, pts,
+                _peaks(_norm_inf_rows(_reeb_commutator(s, ea, eb)))[0], res_threshold, pts,
             )
     return ContactPairCertificate(
-        k=k,
-        l=l,
-        tol=tol,
-        residual_threshold=res_threshold,
-        min_volume=min_volume,
-        orientation_sign=int(np.sign(vol[0])),  # vol[0] is finite and nonzero here
-        dalpha_power_residual=dalpha_res,
-        dbeta_power_residual=dbeta_res,
+        *gated,
         reeb_residual=reeb_residual,
         sigma_min=smin,
         commutator_defect=comm,

@@ -25,11 +25,12 @@ a scaled pair (X/t, Y/t) in the Reeb system of (alpha_t, beta_t) is
     A(t) (X, Y)/t - b = (A0 (X, Y))/t + (A1 (X, Y) - b),
 
 with both terms free of t (``SampledFamily.reeb_terms``, read once for the
-whole t grid by ``_scaled_residuals``).  A per-t certificate runs every
-check of the pair certificate on the samples at t (formed, with the
-arrays those checks read, a batch of t at a time by
-``SampledFamily.batches``), but offers the theorem's pair before it
-solves: ``verify_forward`` offers
+whole t grid by ``_scaled_residuals`` and reduced to one peak per t).  A
+per-t certificate runs every check of the pair certificate on the samples
+at t: the samples and the arrays those checks read are formed a batch of
+t at a time (``SampledFamily.batches``), and the gates before the Reeb
+step run once per batch (``contact._certify``).  Its Reeb step, in t
+order, offers the theorem's pair before it solves: ``verify_forward`` offers
 (E_alpha/t, E_beta/t) of the base certificate once all five hypotheses
 pass; ``verify_converse`` solves each t until one passes and offers
 (X/t, Y/t), with (X, Y) = t * (E_{alpha_t}, E_{beta_t}) of that t, at every
@@ -56,7 +57,10 @@ from .contact import (
     _certify,
     _live_max,
     _norm_inf_rows,
+    _peaks,
+    _reeb_step,
     _require_closed,
+    _SingularGram,
     _solve_reeb,
     _span,
     _t_batch,
@@ -207,24 +211,24 @@ class SampledFamily:
         return SampledPair(self.points, *arrays, tuple(live))
 
     def batches(self, t_values, arrays_of=None):
-        """Yield (samples, arrays) for each t of t_values, in order: slices
-        of the samples of (alpha_t, beta_t) and of the arrays that
-        ``arrays_of`` computes from the samples of a batch of t (their
-        ``certificate_arrays(k, l)`` by default), bit for bit ``at(t)`` and
-        its arrays.  Each batch of ``contact._t_batch(points)`` t, one t
-        too, is formed by one ``at`` over a t axis of shape (T, 1, 1) and
-        one kernel pass.  Nothing is kept once yielded, so a caller that
-        drops each t's pair before the next holds at most one batch, of at
-        most max(points, ``_BLOCK``) points.
+        """Yield (t, samples, arrays) for each batch of
+        ``contact._t_batch(points)`` values of t_values, one value too, in
+        order: the batch's values of t, the samples of (alpha_t, beta_t) at
+        them, formed by one ``at`` over a t axis of shape (T, 1, 1), and the
+        arrays that ``arrays_of`` computes from those samples in one kernel
+        pass (their ``certificate_arrays(k, l)`` by default), each with the
+        leading t axis.  Slice i of both is bit for bit ``at(t[i])`` and its
+        arrays.  Nothing is kept once yielded, so a caller that drops a
+        batch before asking for the next holds one batch, of at most
+        max(points, ``_BLOCK``) points.
         """
         step = _t_batch(len(self.points))
         for lo in range(0, len(t_values), step):
-            batch = self.at(np.array(t_values[lo : lo + step], dtype=float)[:, None, None])
-            arrays = batch.certificate_arrays(self.k, self.l) if arrays_of is None else arrays_of(batch)
-            pairs = [(batch.t_slice(i), tuple(v[i] for v in arrays)) for i in range(len(batch.alpha))]
-            del batch, arrays  # each t's slices alone keep the batch alive
-            while pairs:
-                yield pairs.pop(0)
+            t = t_values[lo : lo + step]
+            batch = self.at(np.array(t, dtype=float)[:, None, None])
+            pending = [(t, batch, batch.certificate_arrays(self.k, self.l) if arrays_of is None else arrays_of(batch))]
+            del batch  # held by the caller alone
+            yield pending.pop()
 
     def reeb_terms(self, x: np.ndarray, y: np.ndarray):
         """Yield (block, A0 Z, A1 Z - b) for each block of
@@ -284,22 +288,25 @@ def volume_polynomial(family: DeformationFamily, points=None) -> VolumePolynomia
 
 def volume_identity_defect(family: DeformationFamily, t_values, points=None) -> float:
     """Max relative defect between the expanded family volume form and
-    t^{k+l}(Q t^2 + L t + C) * Omega over the t sample set."""
+    t^{k+l}(Q t^2 + L t + C) * Omega over the t sample set, whose samples
+    are formed and wedged a batch of t at a time
+    (``SampledFamily.batches``).  A t at which either side overflows makes
+    the defect non-finite (inf or NaN): an overflow shows nothing about
+    the identity."""
     if points is None:
         points = sample_points(family.model)
     sampled = SampledFamily(family, points, default_tolerance(family.model))
     vp = sampled.volume_polynomial()
     k, l = family.k, family.l
-    worst = 0.0
-    scale = 1.0
-    for t in t_values:
-        t = float(t)
-        s = sampled.at(t)
-        lhs = s.top(k, l, *s.factors()[:2])
-        rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        scale = max(scale, float(np.max(np.abs(lhs))))
-    return worst / scale
+    worst, scale = 0.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, _, (lhs,) in sampled.batches(t_values, lambda b: (b.top(k, l, *b.factors()[:2]),)):
+            t = np.array(t, dtype=float)[:, None]
+            rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const)
+            # np.maximum, unlike max, keeps a NaN
+            worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
+            scale = np.maximum(scale, np.max(np.abs(lhs)))
+    return float(worst / scale)
 
 
 class PairSamples:
@@ -427,28 +434,44 @@ def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate 
         cert = make_cert()
         defect, threshold, witness, note = cert.reeb_residual, cert.residual_threshold, None, ""
     except ContactPairError as err:
+        # the frames of its traceback hold the samples, and a caller's may
+        # hold err itself, which makes a cycle that would keep them
+        err.__traceback__ = None
         cert, defect, threshold = None, err.defect, err.threshold
         witness, note = {"condition": err.condition, **err.witness}, str(err)
     return CheckItem(name, cert is not None, defect, threshold, witness, note), cert
 
 
 def _base_item(sampled: SampledFamily, tol):
+    s = sampled.direction
     return _cert_item(
-        "(alpha,beta) is a contact pair",
-        lambda: _certify(sampled.direction, sampled.k, sampled.l, tol, False),
+        "(alpha,beta) is a contact pair", lambda: _reeb_step(s, _certify(s, sampled.k, sampled.l, tol)[0], False)
     )
 
 
-def _item_at(sampled: SampledFamily, s: SampledPair, arrays, t: float, tol, candidate=None):
-    """Certify (alpha_t, beta_t) on its samples s and their arrays from
-    ``sampled.batches``, offering the Reeb pair ``candidate`` = (E_alpha,
-    E_beta, residual) before any solve.  Returns the item and (E_alpha,
-    E_beta, substituted) of the certificate (None on failure); the samples
-    and arrays are dropped here.  A non-finite failure names t as its
-    witness."""
+def _gated(sampled: SampledFamily, t_grid, tol):
+    """Yield (samples, gate outcome) for each t of t_grid, in order: the
+    gates of the pair certificate run once per batch of
+    ``sampled.batches``, on its arrays (``contact._certify``), which are
+    dropped then.  Each t's samples are a slice of its batch, so the batch
+    is released once the caller drops the samples of its last t."""
+    for _, batch, arrays in sampled.batches(t_grid):
+        outcomes = _certify(batch, sampled.k, sampled.l, tol, arrays)
+        pending = [(batch.t_slice(i), gated) for i, gated in enumerate(outcomes)]
+        del batch, arrays, outcomes
+        while pending:
+            yield pending.pop(0)
+
+
+def _item_at(s: SampledPair, gated, t: float, candidate=None):
+    """Complete the certificate of (alpha_t, beta_t) on its samples s from
+    its gate outcome (``_gated``), offering the Reeb pair ``candidate`` =
+    (E_alpha, E_beta, peak of its residual) before any solve.  Returns the
+    item and (E_alpha, E_beta, substituted) of the certificate (None on
+    failure); the samples are dropped here.  A non-finite failure names t
+    as its witness."""
     item, cert = _cert_item(
-        f"(alpha_t,beta_t) is a contact pair at t={t:g}",
-        lambda: _certify(s, sampled.k, sampled.l, tol, False, candidate, arrays),
+        f"(alpha_t,beta_t) is a contact pair at t={t:g}", lambda: _reeb_step(s, gated, False, candidate)
     )
     if cert is None:
         if item.witness["condition"] == "non-finite":
@@ -460,15 +483,19 @@ def _item_at(sampled: SampledFamily, s: SampledPair, arrays, t: float, tol, cand
 def _scaled_residuals(sampled: SampledFamily, x: np.ndarray, y: np.ndarray, t_values) -> np.ndarray:
     """r(t) = max |A(t)(X/t, Y/t) - b| per point for each t of t_values,
     shape (len(t_values), points), from the t-free terms of
-    ``SampledFamily.reeb_terms``, computed once for all t."""
-    out = np.empty((len(t_values), len(sampled.points)))
+    ``SampledFamily.reeb_terms``, computed once for all t.  Each block's
+    terms are combined for as many t at a time as a Reeb block has
+    systems (``contact._t_batch`` of twice its points, a Reeb block being
+    half a ``_BLOCK``), so a block of one point takes every t at once."""
+    t = np.array(t_values, dtype=float)[:, None, None, None]
+    out = np.empty((len(t), len(sampled.points)))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails its gate
         for block, closed, direction in sampled.reeb_terms(x, y):
-            residual = np.empty_like(closed)
-            for row, t in zip(out, t_values):
-                np.divide(closed, t, out=residual)
+            step = _t_batch(2 * len(closed))
+            for lo in range(0, len(t), step):
+                residual = closed / t[lo : lo + step]
                 residual += direction
-                row[block] = _norm_inf_rows(residual.reshape(len(residual), -1))
+                out[lo : lo + step, block] = _norm_inf_rows(residual.reshape(*residual.shape[:2], -1))
     return out
 
 
@@ -520,17 +547,20 @@ def verify_forward(
 
     base_item, cert = _base_item(sampled, tol)
     hypotheses = [base_item] + _pairing_items(sampled.closed, cert, tol)
-    # the theorem's Reeb pair (E_alpha/t, E_beta/t) is offered at each t
-    residuals = None
-    if all(item.passed for item in hypotheses):
+    if cert is not None:
         ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
-        residuals = _scaled_residuals(sampled, ea, eb, t_grid)
+        scale = max(1.0, float(np.max(np.abs(ea))), float(np.max(np.abs(eb))))
+    # the theorem's Reeb pair (E_alpha/t, E_beta/t) is offered at each t,
+    # with the peak of its residual r(t)
+    peaks = None
+    if all(item.passed for item in hypotheses):
+        peaks = _peaks(_scaled_residuals(sampled, ea, eb, t_grid))
 
-    samples = sampled.batches(t_grid)  # each t's samples go straight to _item_at
+    samples = _gated(sampled, t_grid, tol)  # each t's samples go straight to _item_at
     conclusions = []
     for i, t in enumerate(t_grid):
-        candidate = None if residuals is None else (ea / t, eb / t, residuals[i])
-        item_t, reeb_t = _item_at(sampled, *next(samples), t, tol, candidate)
+        candidate = None if peaks is None else (ea / t, eb / t, peaks[i])
+        item_t, reeb_t = _item_at(*next(samples), t, candidate)
         conclusions.append(item_t)
         if reeb_t is None or cert is None:
             conclusions.append(
@@ -539,20 +569,14 @@ def verify_forward(
             continue
         if reeb_t[2]:
             # the backward error of (E_alpha/t, E_beta/t) in the system at t
-            diff = candidate[2]
+            defect, idx = peaks[i]
         else:
-            diff = np.maximum(
-                np.max(np.abs(t * reeb_t[0] - cert.reeb_alpha_values), axis=1),
-                np.max(np.abs(t * reeb_t[1] - cert.reeb_beta_values), axis=1),
-            )
-        scale = max(
-            1.0,
-            float(np.max(np.abs(cert.reeb_alpha_values))),
-            float(np.max(np.abs(cert.reeb_beta_values))),
-        )
-        point = [float(v) for v in pts[int(np.argmax(diff))]]
+            defect, idx = _peaks(np.maximum(
+                np.max(np.abs(t * reeb_t[0] - ea), axis=1),
+                np.max(np.abs(t * reeb_t[1] - eb), axis=1),
+            ))[0]
         conclusions.append(
-            _gate(f"Reeb scaling at t={t:g}", float(np.max(diff)), tol * scale, {"t": t, "point": point})
+            _gate(f"Reeb scaling at t={t:g}", defect, tol * scale, {"t": t, "point": pts[idx].tolist()})
         )
     return TheoremVerdict("forward", hypotheses, conclusions)
 
@@ -586,21 +610,21 @@ def verify_converse(
 
     # the first t solved gives (X, Y) = t * (E_{alpha_t}, E_{beta_t}), and
     # (X/t, Y/t) is offered at every later t
-    hypotheses, drift, residuals = [], [], None
-    samples = sampled.batches(t_grid)  # each t's samples go straight to _item_at
+    hypotheses, drift, peaks = [], [], None
+    samples = _gated(sampled, t_grid, tol)  # each t's samples go straight to _item_at
     for i, t in enumerate(t_grid):
-        candidate = None if residuals is None else (x_vals / t, y_vals / t, residuals[i])
-        item_t, reeb_t = _item_at(sampled, *next(samples), t, tol, candidate)
+        candidate = None if peaks is None else (x_vals / t, y_vals / t, peaks[i])
+        item_t, reeb_t = _item_at(*next(samples), t, candidate)
         hypotheses.append(item_t)
         if reeb_t is None:
             continue
         if reeb_t[2]:
-            drift.append(float(np.max(candidate[2])))
+            drift.append(peaks[i][0])
             continue
         ea, eb = t * reeb_t[0], t * reeb_t[1]
-        if residuals is None:
+        if peaks is None:
             x_vals, y_vals = ea, eb
-            residuals = _scaled_residuals(sampled, x_vals, y_vals, t_grid)
+            peaks = _peaks(_scaled_residuals(sampled, x_vals, y_vals, t_grid))
         else:
             drift.append(max(float(np.max(np.abs(ea - x_vals))), float(np.max(np.abs(eb - y_vals)))))
 
@@ -673,6 +697,12 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
     be contact (that is what the sweep is for) and values where the samples
     overflow, whose rows then hold non-finite numbers.  The family's
     premises are decided at tol (the model's default tolerance by default).
+
+    The grid is read in the batches of ``SampledFamily.batches``: a batch's
+    volume coefficients are one kernel pass, and its T * P Reeb systems one
+    stacked solve, each system bit for bit as solved alone.  An exactly
+    singular Gram matrix there solves each t of the batch alone instead, so
+    that only a t with one goes to the pseudo-inverse.
     """
     if tol is None:
         tol = default_tolerance(family.model)
@@ -682,18 +712,19 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
     t_grid = [float(t) for t in t_grid]
     k, l = family.k, family.l
     rows = []
-    # the volume coefficient of a batch of t is one kernel pass; s holds a
-    # t's samples until the next are formed: releasing them first returns
-    # their pages to the system only to fault them back in
+    # the loop holds a batch's samples until the next are formed: releasing
+    # them first returns their pages to the system only to fault them back in
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, (s, (vol,)) in zip(t_grid, sampled.batches(t_grid, lambda b: (b.top(k, l, *b.factors()[:2]),))):
-            _, _, residual, _, _ = _solve_reeb(s, False)
-            rows.append(
-                {
-                    "t": t,
-                    "min_volume_coeff": float(np.min(vol)),
-                    "max_volume_coeff": float(np.max(vol)),
-                    "max_reeb_residual": float(np.max(residual)),
-                }
-            )
+        for t, batch, (vol,) in sampled.batches(t_grid, lambda b: (b.top(k, l, *b.factors()[:2]),)):
+            try:
+                residual = _solve_reeb(batch, False, fallback=False)[2]
+            except _SingularGram:
+                residual = np.concatenate([_solve_reeb(batch.t_slice(i), False)[2] for i in range(len(t))])
+            rows += [
+                {"t": t_i, "min_volume_coeff": low, "max_volume_coeff": high, "max_reeb_residual": top}
+                for t_i, low, high, top in zip(
+                    t, vol.min(axis=-1).tolist(), vol.max(axis=-1).tolist(),
+                    residual.reshape(len(t), -1).max(axis=-1).tolist(),
+                )
+            ]
     return rows

@@ -8,6 +8,12 @@ precedence associate to the left.
 
 Expressions are immutable trees.  Differentiation is exact and symbolic;
 evaluation raises instead of ever returning a non-finite value silently.
+A derivative tree shares subtrees (that of a quotient refers to the
+numerator, the denominator and their derivatives), so ``partial``,
+``evaluate_many`` and ``variables_of`` visit each node once per call: they
+remember what they found per node object, by ``id``, not by equality, which
+would take ``Const(-0.0)`` for ``Const(0.0)``.  ``evaluate_many`` keeps the
+values of a shared node only until its last reference.
 Trees are walked recursively, so ``parse`` rejects text nested deeper than
 ``MAX_DEPTH`` (brackets, calls, unary minus) or whose tree is deeper than
 ``MAX_DEPTH`` (a chain of n binary operators is n deep): the second
@@ -348,20 +354,44 @@ def parse(text: str, n: int) -> Expr:
     return node
 
 
+def _children(e: Expr):
+    """The subexpressions e refers to, in field order."""
+    return (c for c in (getattr(e, f) for f in e.__slots__) if isinstance(c, Expr))
+
+
 def _depth(e: Expr) -> int:
     """Height of the tree, found without recursion."""
     best, stack = 0, [(e, 1)]
     while stack:
         node, d = stack.pop()
         best = max(best, d)
-        stack.extend((c, d + 1) for c in (getattr(node, f) for f in node.__slots__) if isinstance(c, Expr))
+        stack.extend((c, d + 1) for c in _children(node))
     return best
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _eval(e: Expr, pts: np.ndarray):
+def _shared_nodes(e: Expr) -> dict:
+    """id(node) -> [references, None] for each inner node of e that more
+    than one parent refers to, found in one walk over the distinct nodes."""
+    refs, stack = {}, [e]
+    while stack:
+        for child in _children(stack.pop()):
+            if not isinstance(child, (Const, Var)):
+                seen = refs.get(id(child), 0)
+                refs[id(child)] = seen + 1
+                if not seen:
+                    stack.append(child)
+    return {key: [count, None] for key, count in refs.items() if count > 1}
+
+
+def _eval(e: Expr, pts: np.ndarray, shared: dict):
+    """The values of e at pts.  ``shared`` (``_shared_nodes``) keeps the
+    values of a node that several parents refer to from its evaluation to
+    its last reference, so that it is evaluated once and dropped then; the
+    values of every other node are dropped once their parent has used them,
+    as in a walk of a tree.  Values are never written to."""
     match e:
         case Const(value=v):
             return v
@@ -369,24 +399,36 @@ def _eval(e: Expr, pts: np.ndarray):
             if i >= pts.shape[1]:
                 raise EvaluationError(f"variable x{i} out of range for point dimension {pts.shape[1]}")
             return pts[:, i]
+    entry = shared.get(id(e))
+    if entry is not None and entry[1] is not None:
+        entry[0] -= 1
+        if not entry[0]:
+            del shared[id(e)]
+        return entry[1]
+    match e:
         case Neg(arg=u):
-            return -_eval(u, pts)
+            out = -_eval(u, pts, shared)
         case Add(left=a, right=b):
-            return _eval(a, pts) + _eval(b, pts)
+            out = _eval(a, pts, shared) + _eval(b, pts, shared)
         case Sub(left=a, right=b):
-            return _eval(a, pts) - _eval(b, pts)
+            out = _eval(a, pts, shared) - _eval(b, pts, shared)
         case Mul(left=a, right=b):
-            return _eval(a, pts) * _eval(b, pts)
+            out = _eval(a, pts, shared) * _eval(b, pts, shared)
         case Div(left=a, right=b):
-            den = _eval(b, pts)
+            den = _eval(b, pts, shared)
             if np.any(np.asarray(den) == 0.0):
                 raise EvaluationError("division by zero")
-            return _eval(a, pts) / den
+            out = _eval(a, pts, shared) / den
         case Pow(base=b, exponent=k):
-            return _eval(b, pts) ** k
+            out = _eval(b, pts, shared) ** k
         case Call(func=f, arg=u):
-            return getattr(np, f)(_eval(u, pts))
-    raise TypeError(f"not an expression node: {e!r}")
+            out = getattr(np, f)(_eval(u, pts, shared))
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    if entry is not None:
+        entry[0] -= 1
+        entry[1] = out
+    return out
 
 
 def evaluate_many(e: Expr, points) -> np.ndarray:
@@ -395,7 +437,7 @@ def evaluate_many(e: Expr, points) -> np.ndarray:
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array (P, n)")
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _eval(e, pts)
+        out = _eval(e, pts, _shared_nodes(e))
     out = np.asarray(out, dtype=float)
     if out.ndim == 0:
         out = np.full(pts.shape[0], float(out))
@@ -417,48 +459,72 @@ def evaluate(e: Expr, point) -> float:
 
 def partial(e: Expr, axis: int) -> Expr:
     """Exact symbolic partial derivative with respect to ``x{axis}``."""
+    return _partial(e, axis, {})
+
+
+def _partial(e: Expr, axis: int, memo: dict) -> Expr:
+    """partial(e, axis); ``memo`` maps id(node) to the derivative of each
+    node taken so far in this call, so a shared subtree is differentiated
+    once and its derivative shared in turn."""
     match e:
         case Const():
             return _ZERO
         case Var(index=i):
             return _ONE if i == axis else _ZERO
+        case _ if id(e) in memo:
+            return memo[id(e)]
         case Neg(arg=u):
-            return neg(partial(u, axis))
+            out = neg(_partial(u, axis, memo))
         case Add(left=a, right=b):
-            return add(partial(a, axis), partial(b, axis))
+            out = add(_partial(a, axis, memo), _partial(b, axis, memo))
         case Sub(left=a, right=b):
-            return sub(partial(a, axis), partial(b, axis))
+            out = sub(_partial(a, axis, memo), _partial(b, axis, memo))
         case Mul(left=a, right=b):
-            return add(mul(partial(a, axis), b), mul(a, partial(b, axis)))
+            out = add(mul(_partial(a, axis, memo), b), mul(a, _partial(b, axis, memo)))
         case Div(left=a, right=b):
-            num = sub(mul(partial(a, axis), b), mul(a, partial(b, axis)))
-            return div(num, power(b, 2))
+            num = sub(mul(_partial(a, axis, memo), b), mul(a, _partial(b, axis, memo)))
+            out = div(num, power(b, 2))
         case Pow(base=b, exponent=k):
-            return mul(Const(float(k)), mul(power(b, k - 1), partial(b, axis)))
+            out = mul(Const(float(k)), mul(power(b, k - 1), _partial(b, axis, memo)))
         case Call(func=f, arg=u):
-            du = partial(u, axis)
+            du = _partial(u, axis, memo)
             if f == "sin":
-                return mul(call("cos", u), du)
-            if f == "cos":
-                return neg(mul(call("sin", u), du))
-            return mul(e, du)
-    raise TypeError(f"not an expression node: {e!r}")
+                out = mul(call("cos", u), du)
+            elif f == "cos":
+                out = neg(mul(call("sin", u), du))
+            else:
+                out = mul(e, du)
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # structural helpers
 
 def variables_of(e: Expr) -> set[int]:
+    return _variables(e, {})
+
+
+def _variables(e: Expr, memo: dict) -> set[int]:
+    """The variables of e; ``memo`` maps id(node) to those of each inner
+    node visited so far in this call, which are never written to."""
     match e:
         case Const():
             return set()
         case Var(index=i):
             return {i}
+        case _ if id(e) in memo:
+            return memo[id(e)]
         case Neg(arg=u) | Call(arg=u) | Pow(base=u):
-            return variables_of(u)
+            out = _variables(u, memo)
         case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b) | Div(left=a, right=b):
-            return variables_of(a) | variables_of(b)
-    raise TypeError(f"not an expression node: {e!r}")
+            out = _variables(a, memo) | _variables(b, memo)
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 def shift_variables(e: Expr, offset: int) -> Expr:

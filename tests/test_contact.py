@@ -424,16 +424,16 @@ def test_row_maxima_equal_np_max_and_propagate_nan_and_inf():
 
 
 def test_reeb_residual_check_fails_on_nan_rows():
-    from contactpairs.contact import SampledPair, _certify
+    from contactpairs.contact import SampledPair, _certify, _reeb_step
 
     model, alpha, beta = t6_pair()
     pts = random_points(model, 200, np.random.default_rng(7))
     s = SampledPair.of(alpha, beta, pts)
-    arrays = s.certificate_arrays(1, 1)  # of the finite samples: only the Reeb rows see the NaN
-    _certify(s, 1, 1, 1e-6, False, arrays=arrays)
+    (gated,) = _certify(s, 1, 1, 1e-6)  # of the finite samples: only the Reeb rows see the NaN
+    _reeb_step(s, gated, False)
     s.dalpha[17, :] = np.nan  # the rows of i_E d alpha at point 17
     with np.errstate(invalid="ignore"):
         with pytest.raises(ContactPairError) as err:
-            _certify(s, 1, 1, 1e-6, False, arrays=arrays)
+            _reeb_step(s, gated, False)
     assert err.value.condition == "reeb-residual"
     assert err.value.witness["index"] == 17

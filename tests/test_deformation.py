@@ -153,6 +153,33 @@ def test_identity_defect_at_t_zero():
     assert volume_identity_defect(fam, [0.0]) == 0.0
 
 
+def test_identity_defect_forms_its_t_in_batches(monkeypatch, t6_points):
+    # one Lie point takes the whole grid in one batch; 2049 chart points
+    # take one t per batch; both read as the identity at each t alone
+    t_values = [-10.0, -0.5, 0.01, 3.0]
+    for fam, pts, shapes_want in (
+        (heisenberg6_family(), None, [(4, 1, 1)]),
+        (t6_family(1), random_points(t6_family(1).model, 2049, np.random.default_rng(2)), [(1, 1, 1)] * 4),
+    ):
+        shapes, real_at = [], SampledFamily.at
+        monkeypatch.setattr(SampledFamily, "at", lambda self, t: shapes.append(np.shape(t)) or real_at(self, t))
+        got = volume_identity_defect(fam, t_values, points=pts)
+        monkeypatch.undo()
+        assert shapes == shapes_want
+        worst = max(volume_identity_defect(fam, [t], points=pts) for t in t_values)
+        assert got <= worst * (1 + 1e-12) and got < 1e-10
+
+
+@pytest.mark.parametrize("t", [1e120, 1e200])
+def test_identity_defect_of_an_overflowing_t_is_not_finite(t):
+    # at 1e120 both sides overflow (inf - inf is NaN), at 1e200 t^(k+l)
+    # does; either way the defect shows the overflow, never a pass of 0.0
+    fam = build_example("heisenberg6-pair")["family"]
+    for grid in ([t], [1.0, t], [t, 1.0]):
+        defect = volume_identity_defect(fam, grid)
+        assert not np.isfinite(defect), grid
+
+
 # --- wedge insertion identities -------------------------------------------------
 
 def test_replacement_identities_trivial_cases():

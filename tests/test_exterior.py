@@ -570,7 +570,7 @@ def test_the_deformation_kernels_scan_no_operand(monkeypatch):
         scans, scan = [], xt._column_states
         monkeypatch.setattr(xt, "_column_states", lambda x: scans.append(x.shape) or scan(x))
         sampled = SampledFamily(family, pts, default_tolerance(family.model))
-        for _, _ in sampled.batches([-1.0, 0.5, 1e308]):
+        for _ in sampled.batches([-1.0, 0.5, 1e308]):
             pass
         sampled.volume_polynomial()
         sweep_rows(family, [0.5, 1e308], points=pts)

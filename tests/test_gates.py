@@ -19,7 +19,15 @@ import pytest
 import contactpairs
 from contactpairs import contact, runner
 from contactpairs.cli import main
-from contactpairs.contact import MARGINAL_FACTOR, ContactPairError, _nonvanishing, _vanishing, marginal
+from contactpairs.contact import (
+    MARGINAL_FACTOR,
+    ContactPairError,
+    _nonvanishing,
+    _peaks,
+    _troughs,
+    _vanishing,
+    marginal,
+)
 from contactpairs.deformation import _gate
 from contactpairs.models import default_tolerance
 from contactpairs.registry import build_example
@@ -108,7 +116,8 @@ def test_jacobi_verdict_decides_through_the_gate_only():
 
 def test_pair_certificate_decides_its_bounds_through_the_gates_only():
     # the sign change of the volume is no bound: it has no threshold
-    assert _ordering_comparisons("contact", "_certify") == ["vol.min() < 0.0 < vol.max()"]
+    assert _ordering_comparisons("contact", "_certify") == ["vol_min[i] < 0.0 < vol_max[i]"]
+    assert _ordering_comparisons("contact", "_reeb_step") == []
 
 
 # --- the Reeb rank bound -------------------------------------------------------------
@@ -200,7 +209,7 @@ def test_gate_is_strict_at_the_threshold():
 
 def test_vanishing_raises_on_nan():
     with pytest.raises(ContactPairError) as err:
-        _vanishing("cond", "does not vanish", np.array([0.0, np.nan, 0.1]), 1.0, PTS)
+        _vanishing("cond", "does not vanish", _peaks(np.array([0.0, np.nan, 0.1]))[0], 1.0, PTS)
     assert err.value.condition == "cond"
     assert str(err.value) == "does not vanish"
     assert math.isnan(err.value.defect)
@@ -211,13 +220,13 @@ def test_vanishing_raises_on_nan():
 
 
 def test_vanishing_passes_at_the_threshold():
-    assert _vanishing("cond", "msg", np.array([0.25, 1.0, 0.5]), 1.0, PTS) == 1.0
+    assert _vanishing("cond", "msg", _peaks(np.array([0.25, 1.0, 0.5]))[0], 1.0, PTS) == 1.0
 
 
 @pytest.mark.parametrize("defect, is_marginal", [(0.5 * MARGINAL_FACTOR, True), (2.0 * MARGINAL_FACTOR, False)])
 def test_vanishing_marks_failures_within_the_marginal_factor(defect, is_marginal):
     with pytest.raises(ContactPairError) as err:
-        _vanishing("cond", "msg", np.array([0.0, 0.0, defect]), 1.0, PTS)
+        _vanishing("cond", "msg", _peaks(np.array([0.0, 0.0, defect]))[0], 1.0, PTS)
     assert err.value.defect == defect
     assert err.value.witness == {"point": [4.0, 5.0], "index": 2, "value": defect}
     assert marginal(err.value.defect, err.value.threshold) is is_marginal
@@ -227,7 +236,7 @@ def test_vanishing_marks_failures_within_the_marginal_factor(defect, is_marginal
 
 def test_nonvanishing_raises_on_nan():
     with pytest.raises(ContactPairError) as err:
-        _nonvanishing("cond", "vanishes", np.array([3.0, np.nan, 2.0]), 1.0, PTS)
+        _nonvanishing("cond", "vanishes", _troughs(np.array([3.0, np.nan, 2.0]))[0], 1.0, PTS)
     assert err.value.condition == "cond"
     assert str(err.value) == "vanishes"
     assert math.isnan(err.value.defect)
@@ -238,21 +247,46 @@ def test_nonvanishing_raises_on_nan():
 
 def test_nonvanishing_fails_at_the_threshold():
     with pytest.raises(ContactPairError) as err:
-        _nonvanishing("cond", "msg", np.array([3.0, -1.0, 2.0]), 1.0, PTS)
+        _nonvanishing("cond", "msg", _troughs(np.array([3.0, -1.0, 2.0]))[0], 1.0, PTS)
     assert err.value.defect == 1.0
     assert err.value.threshold == 1.0
 
 
 def test_nonvanishing_passes_strictly_above_the_threshold():
-    assert _nonvanishing("cond", "msg", np.array([3.0, -1.5, 2.0]), 1.0, PTS) == 1.5
+    assert _nonvanishing("cond", "msg", _troughs(np.array([3.0, -1.5, 2.0]))[0], 1.0, PTS) == 1.5
 
 
 def test_nonvanishing_witness_is_the_smallest_magnitude_with_its_sign():
     with pytest.raises(ContactPairError) as err:
-        _nonvanishing("cond", "msg", np.array([-0.5, -0.25, 0.75]), 1.0, PTS)
+        _nonvanishing("cond", "msg", _troughs(np.array([-0.5, -0.25, 0.75]))[0], 1.0, PTS)
     assert err.value.defect == 0.25
     assert err.value.witness == {"point": [2.0, 3.0], "index": 1, "value": -0.25}
     assert marginal(err.value.defect, err.value.threshold) is True
+
+
+# --- contact._peaks and contact._troughs ---------------------------------------------------
+
+def test_peaks_and_troughs_of_a_batch_are_those_of_each_row():
+    # one reduction for a batch of t gives each row's own extremum, its
+    # first index and, for a trough, its signed value; NaN comes first
+    rows = np.array([
+        [0.5, -2.0, 2.0, -0.25, 0.25],
+        [1.0, np.nan, 3.0, np.nan, -0.0],
+        [np.inf, 1.0, -np.inf, 1.0, 1.0],
+        [-0.0, 0.0, 0.0, 4.0, -4.0],
+    ])
+    peaks, troughs = _peaks(rows), _troughs(rows)
+    assert len(peaks) == len(troughs) == len(rows)
+    for row, peak, trough in zip(rows, peaks, troughs):
+        for got, want in zip(peak, (float(np.max(row)), int(np.argmax(row)))):
+            assert type(got) is type(want) and (got == want or (math.isnan(got) and math.isnan(want)))
+        idx = int(np.argmin(np.abs(row)))
+        want = (float(np.abs(row[idx])), idx, float(row[idx]))
+        assert [type(v) for v in trough] == [float, int, float]
+        assert np.array(trough[::2]).tobytes() == np.array(want[::2]).tobytes() and trough[1] == want[1]
+        assert np.array(_peaks(row)[0]).tobytes() == np.array(peak).tobytes()  # a row alone
+        assert np.array(_troughs(row)[0]).tobytes() == np.array(trough).tobytes()
+    assert np.signbit(troughs[3][2])  # the first of the zeros, -0.0, keeps its sign
 
 
 # --- contact.marginal ------------------------------------------------------------------

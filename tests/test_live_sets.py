@@ -98,7 +98,8 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
                 assert same(got, closed + t * direction)
             assert all(same(a, b) for a, b in zip(s.scales(), dense(s).scales()))
             assert all(same(a, b) for a, b in zip(s.certificate_arrays(1, 1), dense(s).certificate_arrays(1, 1)))
-        for (s, arrays), (r, want) in zip(sampled.batches(T_GRID), reference.batches(T_GRID)):
+        for (t, s, arrays), (t_ref, r, want) in zip(sampled.batches(T_GRID), reference.batches(T_GRID)):
+            assert t == t_ref
             for got, expected in zip((s.alpha, s.beta, s.dalpha, s.dbeta), (r.alpha, r.beta, r.dalpha, r.dbeta)):
                 assert same(got, expected)
             assert all(same(a, b) for a, b in zip(arrays, want))

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from contactpairs import deformation
+from contactpairs import cli, deformation
 from contactpairs.config import load_config
 from contactpairs.models import sample_points
-from contactpairs.contact import _t_batch
+from contactpairs.contact import _t_batch, marginal
 from contactpairs.exterior import _BLOCK
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
@@ -89,14 +89,14 @@ def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):
     run = ("deform", "--mode", "converse", "--example", "t6-pair-incompatible", tool.FALLBACK_GRID)
     assert run in tool.matrix()
     offered = []
-    real = deformation._certify
+    real = deformation._reeb_step
 
-    def recording(s, k, l, tol, full, candidate=None, arrays=None):
-        cert = real(s, k, l, tol, full, candidate, arrays)
+    def recording(s, gated, full, candidate=None):
+        cert = real(s, gated, full, candidate)
         offered.append((candidate is not None, cert.substituted))
         return cert
 
-    monkeypatch.setattr(deformation, "_certify", recording)
+    monkeypatch.setattr(deformation, "_reeb_step", recording)
     for seed in tool.SEEDS:
         offered.clear()
         assert tool.digest_line(seed, run).split(" ")[1:3] == ["1", "not-applicable"]
@@ -141,3 +141,30 @@ def test_zero_coefficient_config_has_a_negative_zero_and_a_numerical_zero(tmp_pa
         assert tool.digest_line(seed, ("deform", "--config", "zeros.json"), {"zeros.json": path}).split(" ")[1:3] == [
             "0", "pass",
         ]
+
+
+def test_mixed_batch_config_fails_some_t_of_a_batch_beside_a_passing_one(tmp_path, capsys):
+    tool = load_tool()
+    assert [run for run in tool.matrix() if tool.MIXED_BATCH_CONFIG in run] == [
+        cmd + ("--config", tool.MIXED_BATCH_CONFIG, tool.MIXED_BATCH_GRID)
+        for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",))
+    ]
+    path = tool.write_config(tmp_path, tool.MIXED_BATCH_CONFIG)
+    doc = json.loads(open(path, encoding="utf-8").read())
+    original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    original["samples"]["random_count"] = 1365
+    original["forms"]["alpha0_l"]["coefficients"] = {"1": "1"}  # dx1: the incompatible closed pair
+    assert doc == original
+    grid = [float(t) for t in tool.MIXED_BATCH_GRID.split("=")[1].split(",")]
+    assert _t_batch(1365) == 3 and grid == [0.01, 10.0, 0.1, 1.0]
+    for cmd, section in ((("deform",), "conclusions"), (("deform", "--mode", "converse"), "hypotheses")):
+        argv = [*cmd, "--config", path, tool.MIXED_BATCH_GRID, "--format", "structured", "--seed", "0"]
+        assert cli.main(argv) == 1
+        (task,) = json.loads(capsys.readouterr().out)["tasks"]
+        items = [i for i in task["result"][section] if i["name"].startswith("(alpha_t,beta_t)")]
+        # the batch of three fails at 0.01 and 0.1 around the pass at 10;
+        # t = 1 fails alone, by a margin no gate reads as marginal
+        assert [(i["passed"], i.get("witness", {}).get("condition")) for i in items] == [
+            (False, "orientation"), (True, None), (False, "orientation"), (False, "volume"),
+        ]
+        assert not marginal(items[3]["defect"], items[3]["threshold"])

@@ -22,6 +22,8 @@ from contactpairs.contact import (
     ContactPairError,
     SampledPair,
     _certify,
+    _peaks,
+    _reeb_step,
     _solve_reeb,
     product_contact_pair,
     verify_contact_pair,
@@ -75,23 +77,44 @@ def _points(family, seed):
     return sample_points(family.model, np.random.default_rng(seed), random_count=800)
 
 
+def _certificate(s, k, l, tol, full):
+    """The certificate of one sampled pair: its gates as a batch of one,
+    then its Reeb step."""
+    return _reeb_step(s, _certify(s, k, l, tol)[0], full)
+
+
 def _record_certify(monkeypatch):
     """Record every (samples, offered Reeb candidate, certificate or error)
-    of the deformation checks."""
+    of the deformation checks, the base pair's and each t's, whose gates
+    ran with those of its batch: the Reeb step completes each of them."""
     calls = []
-    real = deformation._certify
+    real = deformation._reeb_step
 
-    def recording(s, k, l, tol, full, candidate=None, arrays=None):
+    def recording(s, gated, full, candidate=None):
         try:
-            cert = real(s, k, l, tol, full, candidate, arrays)
+            cert = real(s, gated, full, candidate)
         except ContactPairError as err:
             calls.append((s, candidate, err))
             raise
         calls.append((s, candidate, cert))
         return cert
 
-    monkeypatch.setattr(deformation, "_certify", recording)
+    monkeypatch.setattr(deformation, "_reeb_step", recording)
     return calls
+
+
+def _record_residuals(monkeypatch):
+    """Record the rows r(t) of every ``_scaled_residuals`` call, by t."""
+    rows = {}
+    real = deformation._scaled_residuals
+
+    def recording(sampled, x, y, t_values):
+        out = real(sampled, x, y, t_values)
+        rows.update(zip(t_values, out))
+        return out
+
+    monkeypatch.setattr(deformation, "_scaled_residuals", recording)
+    return rows
 
 
 def _fail_every_substitution(monkeypatch):
@@ -109,7 +132,7 @@ def _reference(family, t, pts):
     """The deformation item's certificate on the expression trees of
     (alpha_t, beta_t)."""
     try:
-        return _certify(
+        return _certificate(
             SampledPair.of(*family.at(t), pts), family.k, family.l, default_tolerance(family.model), False
         )
     except ContactPairError as err:
@@ -141,22 +164,24 @@ def _assert_same(s, got, want, rtol):
     assert got.sigma_min is None and got.commutator_defect is None
 
 
-def _assert_substituted(t, candidate, got, want, witness, tol):
-    """A substituted certificate at t: its residual is A(t)(X/t, Y/t) - b of
-    the expression path to within a few ulps of its scale, and the solve it
-    replaced gives t * E_t within the Reeb scaling threshold of (X, Y)."""
+def _assert_substituted(t, candidate, got, want, witness, tol, residual):
+    """A substituted certificate at t: the offered peak is that of r(t),
+    the row ``residual``, which is A(t)(X/t, Y/t) - b of the expression
+    path to within a few ulps of its scale, and the solve it replaced gives
+    t * E_t within the Reeb scaling threshold of (X, Y)."""
     x, y = witness
     assert got.substituted
     assert got.reeb_alpha_values is candidate[0] and got.reeb_beta_values is candidate[1]
     np.testing.assert_array_equal(candidate[0], x / t)
     np.testing.assert_array_equal(candidate[1], y / t)
-    assert got.reeb_residual == np.max(candidate[2]) <= got.residual_threshold
+    assert candidate[2] == _peaks(residual)[0] == (float(np.max(residual)), int(np.argmax(residual)))
+    assert got.reeb_residual == candidate[2][0] <= got.residual_threshold
 
     rows = want.sampled.reeb_rows()
     z = np.stack(candidate[:2], axis=-1)
     direct = np.max(np.abs(rows @ z - np.eye(rows.shape[1], 2)), axis=(1, 2))
     scale = rows.shape[2] * float(np.max(np.abs(rows))) * float(np.max(np.abs(z))) + 1.0
-    assert np.max(np.abs(candidate[2] - direct)) <= 4 * np.finfo(float).eps * scale
+    assert np.max(np.abs(residual - direct)) <= 4 * np.finfo(float).eps * scale
 
     drift = max(float(np.max(np.abs(t * want.reeb_alpha_values - x))),
                 float(np.max(np.abs(t * want.reeb_beta_values - y))))
@@ -172,13 +197,13 @@ COMPATIBLE = {"heisenberg6-pair", "t6-pair-compatible", "t6-config", "constant-f
 def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, seed):
     family = _family(name)
     pts = _points(family, seed)
-    calls = _record_certify(monkeypatch)
+    calls, residuals = _record_certify(monkeypatch), _record_residuals(monkeypatch)
     verdict = verify_forward(family, points=pts)
     scaling = {i.name: i for i in verdict.conclusions if i.name.startswith("Reeb scaling")}
     grid = [t for t in FORWARD_T_GRID if t != 0.0]
     assert len(calls) == 1 + len(grid)
-    base = _certify(SampledPair.of(family.alpha, family.beta, pts), family.k, family.l,
-                    default_tolerance(family.model), False)
+    base = _certificate(SampledPair.of(family.alpha, family.beta, pts), family.k, family.l,
+                        default_tolerance(family.model), False)
     s, candidate, got = calls[0]
     assert candidate is None
     _assert_same(s, got, base, rtol)
@@ -189,7 +214,7 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
         _assert_same(s, got, want, rtol)
         assert (candidate is not None) == (name in COMPATIBLE)
         if name in COMPATIBLE:
-            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model))
+            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model), residuals[t])
             # the scaling item gates the same backward error
             item = scaling[f"Reeb scaling at t={t:g}"]
             assert item.passed and item.defect == got.reeb_residual
@@ -200,7 +225,7 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
 def test_converse_certificates_match_expression_path(monkeypatch, name, rtol, seed):
     family = _family(name)
     pts = _points(family, seed)
-    calls = _record_certify(monkeypatch)
+    calls, residuals = _record_certify(monkeypatch), _record_residuals(monkeypatch)
     verdict = verify_converse(family, points=pts)
     assert len(calls) == len(CONVERSE_T_GRID) + 1
     witness = None
@@ -211,7 +236,7 @@ def test_converse_certificates_match_expression_path(monkeypatch, name, rtol, se
         if isinstance(got, ContactPairError):
             continue
         if got.substituted:
-            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model))
+            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model), residuals[t])
         elif witness is None:  # the first t solved gives (X, Y)
             witness = (t * got.reeb_alpha_values, t * got.reeb_beta_values)
     # on a compatible family the solved t = 0.01 gives (X, Y), and every
@@ -414,8 +439,8 @@ def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
     assert len(err.value.witness["point"]) == 6
     # a deformation item's certificate neither computes nor gates it
     model = objs["alpha"].model
-    cert = _certify(SampledPair.of(objs["alpha"], objs["beta"], sample_points(model)), 1, 1,
-                    default_tolerance(model), False)
+    cert = _certificate(SampledPair.of(objs["alpha"], objs["beta"], sample_points(model)), 1, 1,
+                        default_tolerance(model), False)
     assert cert.commutator_defect is None and cert.sigma_min is None
 
     code = main(["verify-pair", "--example", "heisenberg6-pair", "--format", "structured"])

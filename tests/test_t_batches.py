@@ -13,7 +13,7 @@ import pytest
 from test_gates import PACKAGE, _sites
 
 from contactpairs import deformation
-from contactpairs.contact import ContactPairError, SampledPair, _t_batch
+from contactpairs.contact import ContactPairError, SampledPair, _certify, _t_batch
 from contactpairs.deformation import (
     CONVERSE_T_GRID,
     FORWARD_T_GRID,
@@ -41,20 +41,20 @@ def _setup(name, count):
 
 def _record_certify(monkeypatch):
     """Record (samples, offered candidate, certificate or error) of every
-    certificate a verdict makes."""
+    certificate a verdict makes, as its Reeb step completes it."""
     calls = []
-    real = deformation._certify
+    real = deformation._reeb_step
 
-    def recording(s, k, l, tol, full, candidate=None, arrays=None):
+    def recording(s, gated, full, candidate=None):
         try:
-            cert = real(s, k, l, tol, full, candidate, arrays)
+            cert = real(s, gated, full, candidate)
         except ContactPairError as err:
             calls.append((s, candidate, err))
             raise
         calls.append((s, candidate, cert))
         return cert
 
-    monkeypatch.setattr(deformation, "_certify", recording)
+    monkeypatch.setattr(deformation, "_reeb_step", recording)
     return calls, real
 
 
@@ -77,7 +77,7 @@ def _recorded(result):
 
 
 def _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid):
-    calls, certify = _record_certify(monkeypatch)
+    calls, reeb_step = _record_certify(monkeypatch)
     verify(family, t_grid=grid, points=pts)
     # the base pair is certified first (forward) or last (converse)
     per_t = calls[1:] if verify is verify_forward else calls[:-1]
@@ -85,7 +85,8 @@ def _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid):
     tol = default_tolerance(family.model)
     sampled = SampledFamily(family, pts, tol)
     for t, (s, candidate, got) in zip(grid, per_t):
-        want = _item(t, lambda: certify(sampled.at(t), family.k, family.l, tol, False, candidate))
+        alone = sampled.at(t)  # t's own samples, gated as a batch of one
+        want = _item(t, lambda: reeb_step(alone, _certify(alone, family.k, family.l, tol)[0], False, candidate))
         assert _item(t, _recorded(got)) == want
     return per_t
 
@@ -165,9 +166,14 @@ def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count
         shapes.clear()
         yielded = list(sampled.batches(list(grid)))
         assert shapes == [(size, 1, 1) for size in sizes]
-        assert len(yielded) == len(grid)
+        assert [t for batch_t, _, _ in yielded for t in batch_t] == list(grid)
+        assert all(len(batch.alpha) == len(batch_t) for batch_t, batch, _ in yielded)
+        per_t = [
+            (batch.t_slice(i), [v[i] for v in arrays])
+            for batch_t, batch, arrays in yielded for i in range(len(batch_t))
+        ]
         c, d = sampled.closed, sampled.direction
-        for t, (s, arrays) in zip(grid, yielded):
+        for t, (s, arrays) in zip(grid, per_t):
             assert s.points is sampled.points
             # closed + t * direction, formed for t alone
             assert _bits((s.alpha, s.beta, s.dalpha, s.dbeta)) == _bits(

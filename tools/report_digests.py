@@ -39,7 +39,13 @@ seeds 0 and 7 over this matrix:
   t6 config in which ``alpha_l`` also has ``"0": "-0"`` and ``beta_r`` has
   ``"0": "x0-x0"``: a constant -0 is a live component whose samples keep
   their sign, and x0-x0 one that is numerically zero, so these runs pin
-  the samples and kernels on components that are zero but not dead.
+  the samples and kernels on components that are zero but not dead;
+- deform forward, deform converse and sweep with ``--t-grid=0.01,10,0.1,1``
+  on a copy with ``samples.random_count`` = 1365 whose closed alpha0 is
+  ``dx1`` instead of ``dx0``, the incompatible pair: its first batch of
+  three t fails the orientation gate at t = 0.01 and 0.1 beside a pass at
+  t = 10, and t = 1 fails the volume gate in a batch of its own, so each
+  gate outcome of a batch is its own t's.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -90,7 +96,13 @@ FALLBACK_GRID = "--t-grid=5,10"
 # and 1365 make t batches of 3
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
 BATCH_EDGE_CONFIG = "t6_explicit_family_1365.json"
-RANDOM_COUNTS = {BLOCK_EDGE_CONFIG: 2 * 4096 + 1, BATCH_EDGE_CONFIG: 1365}
+MIXED_BATCH_CONFIG = "t6_explicit_family_1365_dx1.json"
+RANDOM_COUNTS = {BLOCK_EDGE_CONFIG: 2 * 4096 + 1, BATCH_EDGE_CONFIG: 1365, MIXED_BATCH_CONFIG: 1365}
+# the mixed batch copy deforms the incompatible closed pair (dx1, dx0) of
+# the t6-pair-incompatible example; its grid puts failing t beside a
+# passing one in the batch of three
+MIXED_BATCH_ALPHA0 = {"1": "1"}
+MIXED_BATCH_GRID = "--t-grid=0.01,10,0.1,1"
 # a copy of the t6 config with dx0 coefficients that are zero but not the
 # constant +0, which the samples treat as live
 ZERO_COEFFICIENT_CONFIG = "t6_explicit_family_zeros.json"
@@ -127,20 +139,25 @@ def matrix() -> list[tuple[str, ...]]:
         runs.append(("jacobi", *config, "--example", "torus-contact", "--resolution", "3"))
     for cmd in (("verify-pair",), ("deform",), ("deform", "--mode", "converse"), ("sweep",)):
         runs.append(cmd + ("--config", ZERO_COEFFICIENT_CONFIG))
+    for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
+        runs.append(cmd + ("--config", MIXED_BATCH_CONFIG, MIXED_BATCH_GRID))
     return runs
 
 
 def write_config(directory, name) -> str:
     """Write the t6 config changed as ``name`` says into directory as
     ``name`` and return its path: with the random sample count of
-    ``RANDOM_COUNTS``, or with the ``ZERO_COEFFICIENTS`` added as dx0
-    coefficients."""
+    ``RANDOM_COUNTS`` (and, for the mixed batch copy, the coefficients
+    ``MIXED_BATCH_ALPHA0`` of alpha0), or with the ``ZERO_COEFFICIENTS``
+    added as dx0 coefficients."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
     if name == ZERO_COEFFICIENT_CONFIG:
         for form, value in ZERO_COEFFICIENTS.items():
             doc["forms"][form]["coefficients"]["0"] = value
     else:
         doc["samples"]["random_count"] = RANDOM_COUNTS[name]
+    if name == MIXED_BATCH_CONFIG:
+        doc["forms"]["alpha0_l"]["coefficients"] = MIXED_BATCH_ALPHA0
     path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
