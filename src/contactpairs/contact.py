@@ -1,4 +1,4 @@
-"""Cartan class, contact-pair certification, and Reeb vector field solving.
+"""Cartan class, contact-pair certification, and Reeb vector fields.
 
 A pair (alpha, beta) of 1-forms is a contact pair of type (k, l) on a
 2k+2l+2-dimensional model when alpha ∧ (d alpha)^k ∧ beta ∧ (d beta)^l is a
@@ -7,19 +7,28 @@ Reeb pair (E_alpha, E_beta) is the unique solution of
 
     alpha(E_alpha) = 1,  beta(E_alpha) = 0,  i_{E_alpha} d alpha = i_{E_alpha} d beta = 0,
 
-and symmetrically for E_beta.  All pointwise checks run over a sample set and
-use relative thresholds: a quantity must vanish when it stays at or below
-tol * (norm_inf scale of its wedge factors), and must be nonzero when it
-stays strictly above that, so t-scaled families certify at any t.
+and symmetrically for E_beta.  It is computed, not solved for, by the
+insertion identity: with vol = alpha ∧ (d alpha)^k ∧ beta ∧ (d beta)^l =
+v dx^0 ∧ .. ∧ dx^{n-1},
+
+    i_{E_alpha} vol = (d alpha)^k ∧ beta ∧ (d beta)^l,
+    i_{E_beta} vol = -alpha ∧ (d alpha)^k ∧ (d beta)^l,
+
+and a field X with i_X vol = c has X^i = (-1)^i c_î / v, c_î being the
+coefficient of c on dx^0 ∧ .. ∧ \\hat{dx^i} ∧ .. ∧ dx^{n-1} (``_vol_dual``).
+Both numerators and v are wedge chains the certificate forms anyway
+(``SampledPair.chains``).  The residual gate max |A E - b| of the defining
+relations then checks the identity independently; a single contact form's
+Reeb field is the case c = (d alpha)^k, v = alpha ∧ (d alpha)^k.  All
+pointwise checks run over a sample set and use relative thresholds: a
+quantity must vanish when it stays at or below tol * (norm_inf scale of its
+wedge factors), and must be nonzero when it stays strictly above that, so
+t-scaled families certify at any t.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +58,6 @@ __all__ = [
     "torus_contact",
     "product_contact_pair",
     "verify_single_deformation",
-    "least_squares_batch",
 ]
 
 
@@ -94,50 +102,6 @@ def _witness(points: np.ndarray, index: int, **extra) -> dict:
     w = {"point": [float(v) for v in points[index]], "index": int(index)}
     w.update(extra)
     return w
-
-
-class _SingularGram(np.linalg.LinAlgError):
-    """Some Gram matrix of a batch solved by LU is exactly singular."""
-
-
-def least_squares_batch(a: np.ndarray, b: np.ndarray, compute_sigma: bool = False, pinv: bool = False):
-    """Least squares for a batch of small stacked systems.
-
-    a has shape (P, M, N) with M >= N, b shape (M, R) or, for one right-hand
-    side per system, (P, M, R).  Solves the normal equations and
-    returns (x, residual_inf, sigma_min, sigma_max); the extreme singular
-    values of a are computed only on request and are None otherwise.
-
-    The normal equations are factored by LU, which raises ``_SingularGram``
-    when some Gram matrix is exactly singular; with ``pinv`` they are solved
-    by the pseudo-inverse instead.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a_t = np.swapaxes(a, 1, 2)
-    gram = a_t @ a
-    rhs = a_t @ b
-    if pinv:
-        # rank-deficient somewhere in the batch; minimum-norm solve, the
-        # residual and sigma_min diagnostics report the deficiency
-        x = np.linalg.pinv(gram, hermitian=True) @ rhs
-    else:
-        try:
-            x = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as err:
-            raise _SingularGram(*err.args) from err
-    del gram, rhs  # not held through the residual and the singular values
-    residual = a @ x
-    residual -= b
-    residual_inf = _norm_inf_rows(residual, axis=1)
-    sigma_min = sigma_max = None
-    if compute_sigma:
-        # from a itself: the spectrum of the Gram matrix squares the condition
-        # number, so its square root cannot resolve sigma ratios below ~1e-8
-        sigma = np.linalg.svd(a, compute_uv=False)
-        sigma_min = sigma[:, -1]
-        sigma_max = sigma[:, 0]
-    return x, residual_inf, sigma_min, sigma_max
 
 
 @dataclass
@@ -330,21 +294,30 @@ class SampledPair:
             tuple((comps, bound[i]) for comps, bound in self.live),
         )
 
-    def certificate_arrays(self, k: int, l: int) -> tuple:
-        """The sample arrays that a certificate of type (k, l) decides on:
-        the four ``scales``, the row norms of alpha, beta, (d alpha)^{k+1}
-        and (d beta)^{l+1}, and the volume coefficient (``top``), in that
-        order, each with the leading axes of the samples; entries may
-        overflow.  Each row norm reads the live components alone."""
+    def chains(self, k: int, l: int) -> "_Chains":
+        """The wedge chains of a certificate of type (k, l) (``_Chains``),
+        with the leading axes of the samples; entries may overflow."""
         n = self.n
         alpha, beta, dalpha, dbeta = self.factors()
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite certificate fails
-            powers = (chain_factor(n, *[dalpha] * (k + 1)), chain_factor(n, *[dbeta] * (l + 1)))
-            return (
-                *self.scales(),
-                *(_live_max(values, live, ()) for _, values, (live, _) in (alpha, beta, *powers)),
-                self.top(k, l, alpha, beta),
-            )
+            pa, pb = _wedge(n, *[dalpha] * k), _wedge(n, *[dbeta] * l)
+            m = _wedge(n, pa, pb)
+            na = _wedge(n, m, beta)
+            return _Chains(pa, pb, m, na, _wedge(n, alpha, m), _wedge(n, alpha, na)[1][..., 0])
+
+    def certificate_arrays(self, k: int, l: int) -> tuple:
+        """(arrays, chains): the sample arrays that a certificate of type
+        (k, l) decides on, and the ``chains`` they were read from.  The
+        arrays are the four ``scales``, the row norms of alpha, beta, (d
+        alpha)^{k+1} and (d beta)^{l+1}, and the volume coefficient, in
+        that order, each with the leading axes of the samples; entries may
+        overflow.  Each row norm reads the live components alone."""
+        ch = self.chains(k, l)
+        n, (alpha, beta, dalpha, dbeta) = self.n, self.factors()
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = (_wedge(n, ch.pa, dalpha), _wedge(n, ch.pb, dbeta))  # (d alpha)^{k+1}, (d beta)^{l+1}
+            rows = [_live_max(values, live, ()) for _, values, (live, _) in (alpha, beta, *powers)]
+        return (*self.scales(), *rows, ch.volume), ch
 
     def reeb_rows(self, block: slice = slice(None)) -> np.ndarray:
         """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of the samples
@@ -374,11 +347,97 @@ class SampledPair:
         return chain(self.n, w, *[dalpha] * k, v, *[dbeta] * l)[..., 0]
 
 
-def _blocks(points: int) -> list[slice]:
-    """The blocks of ``_BLOCK // 2`` points, in order, that a blocked Reeb
-    solve takes ``points`` points in (the last one may be shorter)."""
-    step = _BLOCK // 2
-    return [slice(lo, min(lo + step, points)) for lo in range(0, points, step)]
+class _Chains(NamedTuple):
+    """The wedge chains of a pair of type (k, l), as ``exterior.chain_factor``
+    outputs (degree, values, live), with None for the unit 1.
+
+    ``pa`` and ``pb`` are (d alpha)^k and (d beta)^l, which give M =
+    (d alpha)^k ∧ (d beta)^l and, with one more factor, the power checks.
+    By the insertion identity i_{E_alpha} vol = N_alpha and i_{E_beta} vol =
+    -N_beta, where
+
+        N_alpha = M ∧ beta = (d alpha)^k ∧ beta ∧ (d beta)^l,
+        N_beta = alpha ∧ M = alpha ∧ (d alpha)^k ∧ (d beta)^l,
+
+    and ``volume`` is the coefficient v of vol = alpha ∧ N_alpha.
+    """
+
+    pa: tuple | None
+    pb: tuple | None
+    m: tuple | None
+    na: tuple
+    nb: tuple
+    volume: np.ndarray
+
+
+def _wedge(n: int, *factors):
+    """``exterior.chain_factor`` of the factors that are not None (the unit
+    1); None when every factor is."""
+    factors = [f for f in factors if f is not None]
+    return chain_factor(n, *factors) if factors else None
+
+
+def _vol_dual(volume: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The field X with i_X vol = c, for vol = volume * dx^0 ∧ .. ∧ dx^{n-1}
+    and an (n-1)-form c: X^i = (-1)^i c_î / volume, where c_î, the
+    coefficient on dx^0 ∧ .. ∧ \\hat{dx^i} ∧ .. ∧ dx^{n-1}, sits at position
+    n-1-i.  Leading axes broadcast; the result is C-ordered, and not
+    finite where the volume vanishes."""
+    x = np.empty(np.broadcast_shapes(volume.shape + (1,), c.shape))
+    np.divide(c[..., ::-1], volume[..., None], out=x)
+    np.negative(x[..., 1::2], out=x[..., 1::2])
+    return x
+
+
+def _reeb_residual(n: int, fields, forms) -> np.ndarray:
+    """max |A E - b| per sample over the Reeb fields E_j of ``fields``,
+    each (values, live) with live None when unknown (then scanned), and the
+    forms of their defining relations, 1-forms first, as chain factors
+    (degree, values) or (degree, values, live): w(E_j) - [w is the j-th
+    1-form] for a 1-form w, i_{E_j} w for a 2-form.  NaN propagates."""
+    worst = None
+    for j, (x, live) in enumerate(fields):
+        for i, (degree, values, *form_live) in enumerate(forms):
+            rows = interior_values(n, degree, x, values, live, *form_live)
+            if i == j:
+                rows[..., 0] -= 1.0
+            peak = np.abs(rows, out=rows).max(axis=-1)
+            worst = peak if worst is None else np.maximum(worst, peak, out=worst)
+    return worst
+
+
+def _reeb_pair(s: SampledPair, ch: _Chains) -> tuple:
+    """(E_alpha, E_beta, max |A E - b| per sample) of the pair s from its
+    chains ``ch`` (``SampledPair.chains``), with the leading axes of s: one
+    division per field (``_vol_dual``), where N_alpha and N_beta are
+    i_{E_alpha} vol and -i_{E_beta} vol.  Where the volume vanishes the
+    pair and its residual are not finite.  Where no volume is 0 or NaN,
+    E^i is live only where the numerator's coefficient c_î is (±0 / v is
+    ±0 otherwise), and the residual's kernels read those live sets and
+    s's."""
+    n = s.n
+    finite = bool(np.all(np.abs(ch.volume) > 0.0))
+    fields = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite residual fails
+        for volume, (_, c, (c_live, _)) in ((ch.volume, ch.na), (-ch.volume, ch.nb)):
+            x = _vol_dual(volume, c)
+            live = tuple(n - 1 - p for p in reversed(c_live)) if finite else tuple(range(n))
+            fields.append((x, (live, float(_live_max(x, live)))))  # a NaN bound reads as unknown
+        residual = _reeb_residual(n, fields, s.factors())
+    return fields[0][0], fields[1][0], residual
+
+
+def _form_reeb(n: int, alpha_values: np.ndarray, dalpha_values: np.ndarray) -> tuple:
+    """(R, v, max |A R - b| per sample) of one contact form on odd n = 2k+1
+    from its samples: i_R (alpha ∧ (d alpha)^k) = (d alpha)^k, so R is the
+    ``_vol_dual`` of c = (d alpha)^k with v = alpha ∧ c, and A R - b holds
+    alpha(R) - 1 and i_R d alpha."""
+    alpha, dalpha = (1, alpha_values), (2, dalpha_values)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the callers check
+        c = _wedge(n, *[dalpha] * ((n - 1) // 2))
+        volume = _wedge(n, alpha, c)[1][..., 0]
+        reeb = _vol_dual(volume, np.ones_like(alpha_values[..., :1]) if c is None else c[1])
+        return reeb, volume, _reeb_residual(n, [(reeb, None)], (alpha, dalpha))
 
 
 def _t_batch(points: int) -> int:
@@ -388,153 +447,130 @@ def _t_batch(points: int) -> int:
     return max(1, _BLOCK // points)
 
 
-def _solve_blocks(rows_of, points: int, b: np.ndarray, compute_sigma: bool, fallback: bool = True):
-    """least_squares_batch on the systems ``rows_of(block)`` of ``points``
-    points, one block of ``_blocks(points)`` per call, with b of shape
-    (M, R) or (P, M, R); the outputs of the blocks are joined in order.
-
-    The calling thread and, with two blocks or more on a process that may
-    run on two CPUs or more, one worker thread take the blocks in order, so
-    the two blocks in flight hold the rows of one ``_BLOCK``; numpy releases
-    the GIL in its batched LAPACK and matmul calls.  The partition depends
-    on ``points`` alone, and every batched call treats each system on its
-    own, so each solution bit is that of one call on the full stack, on any
-    number of CPUs.  The worker runs in a copy of the caller's context, which
-    holds numpy's errstate.  Once a block fails no further block starts;
-    the caller raises the error of the first failing block, as a serial
-    loop would, and an exactly singular Gram matrix there sends the whole
-    batch to the pseudo-inverse, or, without ``fallback``, raises
-    ``_SingularGram``.
-    """
-    blocks = _blocks(points)
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    for pinv in (False, True):
-        todo, parts, errors, lock = iter(range(len(blocks))), [None] * len(blocks), {}, threading.Lock()
-
-        def solve():
-            while not errors:
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                block = blocks[i]
-                try:
-                    parts[i] = least_squares_batch(rows_of(block), b if b.ndim < 3 else b[block], compute_sigma, pinv)
-                except BaseException as err:  # re-raised by the caller, or the pinv pass
-                    errors[i] = err
-                    return
-
-        worker = None
-        if min(len(blocks), cpus) > 1:
-            worker = threading.Thread(target=contextvars.copy_context().run, args=(solve,))
-            worker.start()
-        solve()
-        if worker is not None:
-            worker.join()
-        if not errors:
-            # joined by this thread: arrays a worker allocated and kept would
-            # keep its malloc arena from shrinking
-            return [None if v[0] is None else np.concatenate(v) for v in zip(*parts)]
-        # blocks are taken in order, so every block before the first failing
-        # one was solved
-        first = errors[min(errors)]
-        if pinv or not (fallback and isinstance(first, _SingularGram)):
-            raise first
-
-
-def _solve_reeb(s: SampledPair, compute_sigma: bool, fallback: bool = True):
-    """The Reeb pair of s: (E_alpha, E_beta, residual, sigma_min, sigma_max),
-    one system per sample.  The systems of a leading t axis are stacked in
-    t order and solved in one ``_solve_blocks`` call, so the outputs are
-    flat, (T * P, ...); ``fallback`` is that call's."""
-    # one right-hand side per field: alpha(E_alpha) = 1 and beta(E_beta) = 1
-    x, residual, sigma_min, sigma_max = _solve_blocks(
-        s.reeb_rows, s.alpha.size // s.n, np.eye(2 * s.n + 2, 2), compute_sigma, fallback
-    )
-    return x[..., 0], x[..., 1], residual, sigma_min, sigma_max
+def _reeb_sigma(s: SampledPair) -> tuple:
+    """(smallest, largest) singular value of the Reeb rows of each sample
+    (``SampledPair.reeb_rows``), ``_BLOCK`` samples at a time."""
+    sigma = np.concatenate([
+        np.linalg.svd(s.reeb_rows(slice(lo, lo + _BLOCK)), compute_uv=False)
+        for lo in range(0, len(s.points), _BLOCK)
+    ])
+    return sigma[:, -1], sigma[:, 0]
 
 
 _INCONSISTENT = "Reeb defining relations are inconsistent"
 
 
 def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
-    """Exact partial along a coordinate axis of the coefficient array of a
-    form at pts, or None when it vanishes identically."""
+    """(values, live) of the exact partial along a coordinate axis of the
+    coefficient array of a form at pts, live the components whose partial
+    is not identically 0 (the others are +0.0); None when none is."""
     parts = [ex.partial(c, axis) for c in form.coeffs]
-    if all(ex.is_zero(p) for p in parts):
+    live = tuple(i for i, p in enumerate(parts) if not ex.is_zero(p))
+    if not live:
         return None
     out = np.zeros((pts.shape[0], len(parts)))
-    for i, p in enumerate(parts):
-        if not ex.is_zero(p):
-            out[:, i] = ex.evaluate_many(p, pts)
-    return out
+    for i in live:
+        out[:, i] = ex.evaluate_many(parts[i], pts)
+    return out, live
 
 
-def _reeb_rows_partial(forms, axis: int, pts: np.ndarray, z: np.ndarray):
-    """(∂_axis A) z for the stacked Reeb rows A of forms = (alpha, beta,
-    d alpha, d beta), shape (P, 2n+2); None when ∂_axis A vanishes."""
-    parts = [_coordinate_partials(f, axis, pts) for f in forms]
-    if all(p is None for p in parts):
-        return None
-    n = z.shape[1]
-    out = np.zeros((z.shape[0], 2 * n + 2))
-    for row, p in enumerate(parts[:2]):
-        if p is not None:
-            out[:, row] = np.sum(p * z, axis=1)
-    for start, p in zip((2, 2 + n), parts[2:]):
-        if p is not None:
-            out[:, start : start + n] = interior_values(n, 2, z, p)
-    return out
+def _product_rule(n: int, pairs):
+    """D(f_1 ∧ .. ∧ f_m) = sum_j f_1 ∧ .. ∧ D f_j ∧ .. ∧ f_m for the pairs
+    (f_j, D f_j) of chain factors, f_j None for the unit 1 and D f_j None
+    for 0, as a chain factor (degree, values, live); None when every D f_j
+    is 0.  The sum is live where a term is, within the sum of their bounds,
+    while every term has a live set."""
+    total = None
+    for j, (_, df) in enumerate(pairs):
+        if df is not None:
+            term = _wedge(n, *(f for f, _ in pairs[:j]), df, *(f for f, _ in pairs[j + 1 :]))
+            if total is None:
+                total = term
+            else:
+                live = None
+                if total[2] and term[2]:
+                    live = tuple(sorted({*total[2][0], *term[2][0]})), total[2][1] + term[2][1]
+                total = (total[0], total[1] + term[1], live)
+    return total
 
 
-def _reeb_derivative(s: SampledPair, z_of_axis) -> np.ndarray:
-    """-(AᵀA)⁻¹ Aᵀ sum_a (∂_a A) z_a for the Reeb rows A of s, with z_a =
-    z_of_axis(a) of shape (P, n) for each coordinate axis a.
-
-    Differentiating the consistent system A E = b along X gives
-    D_X E = -(AᵀA)⁻¹ Aᵀ (D_X A) E, where D_X A = sum_a X^a ∂_a A and ∂_a A
-    holds the exact partials of alpha, beta, d alpha and d beta; so
-    z_a = X^a E gives D_X E.  Each ∂_a A is applied to z_a as soon as it is
-    evaluated, so only (P, 2n+2) vectors are accumulated; A is formed block
-    by block, and only when that sum is nonzero.
-    """
-    w = np.zeros((len(s.points), 2 * s.n + 2))
+def _moved(s: SampledPair, fields) -> list:
+    """Per field X = x of ``fields``, D_X of alpha, beta, d alpha and d
+    beta at the samples of s, as chain factors (degree, values, live), None
+    where 0: sum_a X^a ∂_a over the coordinate axes a, from the exact
+    partials of s's ``forms`` (``_coordinate_partials``), each evaluated
+    once for all the fields.  A component is live where one of its
+    partials is not identically 0."""
+    moved = [[None] * 4 for _ in fields]
+    live = [set() for _ in range(4)]
     for a in s.forms[0].model.coordinate_axes:
-        w_a = _reeb_rows_partial(s.forms, a, s.points, z_of_axis(a))
-        if w_a is not None:
-            w += w_a
-    if not np.any(w):
-        return np.zeros((len(s.points), s.n))
-    u = _solve_blocks(s.reeb_rows, len(s.points), w[:, :, None], False)[0]
-    return -u[..., 0]
+        for f, form in enumerate(s.forms):
+            partial = _coordinate_partials(form, a, s.points)
+            if partial is None:
+                continue
+            values, comps = partial
+            live[f].update(comps)
+            for d, x in zip(moved, fields):
+                term = values * x[:, a : a + 1]
+                if d[f] is None:
+                    d[f] = term
+                else:
+                    d[f] += term
+    live = [tuple(sorted(c)) for c in live]
+    return [
+        [None if v is None else (degree, v, (comps, float(_live_max(v, comps))))
+         for degree, v, comps in zip((1, 1, 2, 2), d, live)]
+        for d in moved
+    ]
 
 
-def _reeb_commutator(s: SampledPair, ea, eb) -> np.ndarray:
-    """[E_alpha, E_beta] at the sample points from the solved Reeb system:
-    with c the frame bracket,
+def _reeb_directional(s: SampledPair, ch: _Chains, e: np.ndarray, moved, j: int) -> np.ndarray:
+    """D_X E for the Reeb field E = e of s, E_alpha for j = 0 and E_beta for
+    j = 1, from the exact derivative of the insertion identity: with c the
+    numerator of E,
+
+        D_X E = (♯D_X c - E D_X v) / v,   ♯ the vol-dual (``_vol_dual``),
+
+    where D_X c and D_X v follow by the product rule over the factors of
+    the chains ``ch`` of s and ``moved``, D_X of its forms (``_moved``)."""
+    n, (alpha, beta, dalpha, dbeta) = s.n, s.factors()
+    k, l = (0 if p is None else p[0] // 2 for p in (ch.pa, ch.pb))  # the powers' degrees are 2k and 2l
+    da, db, dda, ddb = moved
+    dm = _product_rule(n, [(dalpha, dda)] * k + [(dbeta, ddb)] * l)
+    dna = _product_rule(n, [(ch.m, dm), (beta, db)])
+    dv = _product_rule(n, [(alpha, da), (ch.na, dna)])
+    dc, volume = (dna, ch.volume) if j == 0 else (_product_rule(n, [(alpha, da), (ch.m, dm)]), -ch.volume)
+    rate = np.zeros_like(ch.volume) if dv is None else dv[1][..., 0] / ch.volume
+    de = e * -rate[..., None]
+    if dc is not None:
+        de += _vol_dual(volume, dc[1])
+    return de
+
+
+def _reeb_commutator(s: SampledPair, ch: _Chains, ea, eb) -> np.ndarray:
+    """[E_alpha, E_beta] at the sample points of s, with c the frame
+    bracket,
 
         [E_alpha, E_beta] = c(E_alpha, E_beta) + D_{E_alpha} E_beta - D_{E_beta} E_alpha,
 
-    one derivative solve with z_a = E_alpha^a E_beta - E_beta^a E_alpha.
-    """
+    the derivatives exact (``_reeb_directional``)."""
     model = s.forms[0].model
     out = model.bracket_values(ea, eb)
     if model.coordinate_axes:
-        out += _reeb_derivative(s, lambda a: ea[:, a : a + 1] * eb - eb[:, a : a + 1] * ea)
+        along_a, along_b = _moved(s, (ea, eb))
+        out += _reeb_directional(s, ch, eb, along_a, 1)
+        out -= _reeb_directional(s, ch, ea, along_b, 0)
     return out
 
 
 @dataclass(repr=False)
 class ContactPairCertificate:
-    """A verified contact pair with its Reeb pair and solve diagnostics.
+    """A verified contact pair with its Reeb pair and its diagnostics.
 
     ``sampled`` keeps the evaluated arrays; its ``forms`` are the fields
     they were evaluated from, or None for a family at one t.
     ``residual_threshold`` is tol * max(1, scales), the bound the Reeb
-    residual (and the commutator) was gated at.  ``substituted`` is True
-    when the Reeb pair is an offered candidate whose residual passed that
-    gate, so that no system was solved.
+    residual (and the commutator) was gated at.
     """
 
     k: int
@@ -552,7 +588,6 @@ class ContactPairCertificate:
     sampled: SampledPair = field(repr=False)
     reeb_alpha_values: np.ndarray = field(repr=False)
     reeb_beta_values: np.ndarray = field(repr=False)
-    substituted: bool = False
 
     def __repr__(self):
         return (
@@ -630,8 +665,21 @@ def verify_contact_pair(
         tol = default_tolerance(model)
     if points is None:
         points = sample_points(model)
-    s = SampledPair.of(alpha, beta, points)
-    return _reeb_step(s, _certify(s, k, l, tol)[0], True)  # its gates as a batch of one
+    return _certificate(SampledPair.of(alpha, beta, points), k, l, tol, True)
+
+
+def _certificate(s: SampledPair, k: int, l: int, tol: float, full: bool) -> ContactPairCertificate:
+    """The certificate of type (k, l) of the sampled pair s, its gates as a
+    batch of one (``_certify``) and then its Reeb step on the chains they
+    read; ``full`` as in verify_contact_pair (``_reeb_step``)."""
+    if s.n != 2 * k + 2 * l + 2:
+        raise ContactPairError(
+            "dimension", f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {s.n}"
+        )
+    arrays, chains = s.certificate_arrays(k, l)
+    ea, eb, residual = _reeb_pair(s, chains)
+    gated = _certify(s, k, l, tol, arrays)[0]
+    return _reeb_step(s, gated, (ea, eb, _peaks(residual)[0]), chains if full else None)
 
 
 class _Gated(NamedTuple):
@@ -648,14 +696,13 @@ class _Gated(NamedTuple):
     dbeta_power_residual: float
 
 
-def _certify(s: SampledPair, k: int, l: int, tol: float, arrays=None) -> list:
+def _certify(s: SampledPair, k: int, l: int, tol: float, arrays) -> list:
     """The checks of verify_contact_pair up to its Reeb step, on already
-    sampled arrays, for each t of a batch: s and ``arrays``, s's
-    ``certificate_arrays(k, l)`` (computed here unless the caller has
-    them), carry a leading t axis, as a batch of ``SampledFamily.batches``
-    does; a pair without one is a batch of one.  Returns, per t in order,
-    the ContactPairError of its first failed check or its ``_Gated``
-    outcome, which ``_reeb_step`` completes.
+    sampled arrays, for each t of a batch: s and ``arrays``, the arrays of
+    s's ``certificate_arrays(k, l)``, carry a leading t axis, as a batch of
+    ``SampledFamily.batches`` does; a pair without one is a batch of one.  Returns, per t in order, the
+    ContactPairError of its first failed check or its ``_Gated`` outcome,
+    which ``_reeb_step`` completes.
 
     Each gate runs once for the whole batch, as a reduction along the
     points axis (``_peaks``, ``_troughs``); then each t walks the gates in
@@ -666,14 +713,7 @@ def _certify(s: SampledPair, k: int, l: int, tol: float, arrays=None) -> list:
     finite max means a finite row, and the volume is finite where its min
     and max are.
     """
-    n = s.n
-    if n != 2 * k + 2 * l + 2:
-        raise ContactPairError(
-            "dimension", f"type ({k},{l}) needs dimension {2 * k + 2 * l + 2}, model has {n}"
-        )
     pts = s.points
-    if arrays is None:
-        arrays = s.certificate_arrays(k, l)
     if np.ndim(arrays[0]) == 0:
         arrays = [v[None] for v in arrays]
     scales, (a_rows, b_rows, da_res, db_res, vol) = arrays[:4], arrays[4:]
@@ -688,8 +728,7 @@ def _certify(s: SampledPair, k: int, l: int, tol: float, arrays=None) -> list:
         da_threshold = tol * scale_da ** (k + 1)
         db_threshold = tol * scale_db ** (l + 1)
         vol_scale = scale_a * scale_b * scale_da**k * scale_db**l
-        gram_scale = res_scale * res_scale * (2 * n + 2)  # bounds the normal equations
-        checked = (vol_scale, da_threshold, db_threshold, gram_scale, dalpha[i][0], dbeta[i][0], vol_min[i], vol_max[i])
+        checked = (vol_scale, da_threshold, db_threshold, dalpha[i][0], dbeta[i][0], vol_min[i], vol_max[i])
         if not all(map(math.isfinite, checked)):
             raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
         _nonvanishing("alpha-nonvanishing", "alpha vanishes at a sample point", alpha[i], tol * scale_a, pts)
@@ -721,23 +760,19 @@ def _certify(s: SampledPair, k: int, l: int, tol: float, arrays=None) -> list:
     return outcomes
 
 
-def _reeb_step(s: SampledPair, gated, full: bool, candidate=None) -> ContactPairCertificate:
+def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> ContactPairCertificate:
     """The certificate of the pair s from the outcome ``_certify`` gave it:
     its failure raised, or its Reeb step.
 
-    The Reeb systems are solved and their residual gated; with ``full``, the
-    smallest singular value of each system must also stay above tol times
-    the largest over the points (``reeb-rank``) and the exact commutator of
-    the Reeb pair must vanish (``reeb-commutator``, which needs s's
-    ``forms``), as in verify_contact_pair.  Without ``full`` both are
-    skipped and ``sigma_min`` and ``commutator_defect`` are None.
-
-    ``candidate`` = (E_alpha, E_beta, peak) offers a Reeb pair with the
-    ``_peaks`` entry of its pointwise residual max |A E - b|; a candidate
-    whose residual passes the Reeb residual gate is certified without a
-    solve, otherwise s is solved as without it.  The rank and commutator
-    checks need a solve, so a candidate is offered only to certificates
-    without ``full``.
+    ``reeb`` = (E_alpha, E_beta, peak) is s's Reeb pair by the insertion
+    identity (``_reeb_pair``) with the ``_peaks`` entry of its pointwise
+    residual max |A E - b|, which is gated.  With the pair's ``chains`` (a
+    full certificate, as in verify_contact_pair; they need s's ``forms``),
+    the smallest singular value of each Reeb system must also stay above
+    tol times the largest over the points (``reeb-rank``) and the exact
+    commutator of the Reeb pair must vanish (``reeb-commutator``).  Without
+    them both are skipped and ``sigma_min`` and ``commutator_defect`` are
+    None.
     """
     if isinstance(gated, ContactPairError):
         try:
@@ -745,25 +780,19 @@ def _reeb_step(s: SampledPair, gated, full: bool, candidate=None) -> ContactPair
         finally:
             del gated  # a frame of the traceback holding the error is a cycle that would keep s
     pts, res_threshold = s.points, gated.residual_threshold
-    substituted, smin, comm = False, None, None
-    if candidate is not None:
-        with contextlib.suppress(ContactPairError):  # then solved, exactly as without a candidate
-            reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, candidate[2], res_threshold, pts)
-            ea, eb, substituted = candidate[0], candidate[1], True
-    if not substituted:
-        ea, eb, residual, sigma_min, sigma_max = _solve_reeb(s, full)
-        reeb_residual = _vanishing(
-            "reeb-residual", _INCONSISTENT, _peaks(np.max(residual, axis=-1))[0], res_threshold, pts
+    ea, eb, peak = reeb
+    reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, peak, res_threshold, pts)
+    smin = comm = None
+    if chains is not None:
+        sigma_min, sigma_max = _reeb_sigma(s)
+        smin = _nonvanishing(
+            "reeb-rank", "Reeb system is rank deficient (non-unique solution)",
+            _troughs(sigma_min)[0], gated.tol * float(np.max(sigma_max)), pts,
         )
-        if full:
-            smin = _nonvanishing(
-                "reeb-rank", "Reeb system is rank deficient (non-unique solution)",
-                _troughs(sigma_min)[0], gated.tol * float(np.max(sigma_max)), pts,
-            )
-            comm = _vanishing(
-                "reeb-commutator", "solved Reeb fields fail to commute",
-                _peaks(_norm_inf_rows(_reeb_commutator(s, ea, eb)))[0], res_threshold, pts,
-            )
+        comm = _vanishing(
+            "reeb-commutator", "Reeb fields fail to commute",
+            _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea, eb)))[0], res_threshold, pts,
+        )
     return ContactPairCertificate(
         *gated,
         reeb_residual=reeb_residual,
@@ -773,19 +802,7 @@ def _reeb_step(s: SampledPair, gated, full: bool, candidate=None) -> ContactPair
         sampled=s,
         reeb_alpha_values=ea,
         reeb_beta_values=eb,
-        substituted=substituted,
     )
-
-
-def _contact_reeb(av: np.ndarray, da_m: np.ndarray):
-    """Reeb field of one contact form from its samples, alpha(Z) = 1 and
-    i_Z d alpha = 0; returns (Z, least-squares residual)."""
-
-    def rows_of(block: slice) -> np.ndarray:
-        return np.concatenate([av[block, None, :], np.swapaxes(da_m[block], 1, 2)], axis=1)
-
-    x, residual, _, _ = _solve_blocks(rows_of, av.shape[0], np.eye(av.shape[1] + 1, 1), False)
-    return x[..., 0], residual[..., 0]
 
 
 def darboux_model(k: int, resolution: int = 7):
@@ -892,7 +909,7 @@ def verify_single_deformation(
     if report is None:  # an overflow shows nothing about the class of alpha
         condition_ii = None
     elif report.constant and report.k == k_max:
-        zv, _ = _contact_reeb(av, two_form_matrices(n, dav))
+        zv = _form_reeb(n, av, dav)[0]
         pairings = np.abs(np.einsum("pi,pi->p", a0v, zv))
         pairing_defect = float(np.max(pairings))
         scale = float(np.max(np.abs(a0v))) * max(1.0, float(np.max(np.abs(zv))))

@@ -19,27 +19,18 @@ including the vanishing of the constant and linear coefficients and the two
 quadrature integrals that force the linear coefficient to vanish on closed
 models.
 
-The Reeb rows are linear in the forms, A(t) = A0 + t A1, so the residual of
-a scaled pair (X/t, Y/t) in the Reeb system of (alpha_t, beta_t) is
-
-    A(t) (X, Y)/t - b = (A0 (X, Y))/t + (A1 (X, Y) - b),
-
-with both terms free of t (``SampledFamily.reeb_terms``, read once for the
-whole t grid by ``_scaled_residuals`` and reduced to one peak per t).  A
-per-t certificate runs every check of the pair certificate on the samples
-at t: the samples and the arrays those checks read are formed a batch of
-t at a time (``SampledFamily.batches``), and the gates before the Reeb
-step run once per batch (``contact._certify``).  Its Reeb step, in t
-order, offers the theorem's pair before it solves: ``verify_forward`` offers
-(E_alpha/t, E_beta/t) of the base certificate once all five hypotheses
-pass; ``verify_converse`` solves each t until one passes and offers
-(X/t, Y/t), with (X, Y) = t * (E_{alpha_t}, E_{beta_t}) of that t, at every
-later t.  The pair's backward error r(t), the largest entry of that
-residual per point, is gated at the certificate's residual threshold, and
-the "Reeb scaling" and "t * E constant" items gate the same r(t) at their
-own thresholds.  A t whose r(t) fails is solved as if nothing had been
-offered, and its items compare the solved pair, so an incompatible family
-reads as before.
+A per-t certificate runs every check of the pair certificate on the
+samples at t: the samples and the wedge chains those checks read are formed
+a batch of t at a time (``SampledFamily.batches``), and the gates before
+the Reeb step run once per batch (``contact._certify``).  Each t's Reeb
+pair is one division on the chains its batch already formed, by the
+insertion identity (``contact._reeb_pair``), and its residual
+max |A E - b|, which checks the identity independently of the formula, is
+gated at the certificate's residual threshold.  The "Reeb scaling" and
+"t * E constant" items then compare t * E_t with the base pair and with the
+first certified t.  The formula divides by the volume coefficient, so the
+Reeb column of ``sweep_rows`` grows where that coefficient nears 0 and is
+not finite where it is 0.
 """
 
 from __future__ import annotations
@@ -53,15 +44,13 @@ from .contact import (
     ContactPairCertificate,
     ContactPairError,
     SampledPair,
-    _blocks,
+    _certificate,
     _certify,
     _live_max,
-    _norm_inf_rows,
     _peaks,
+    _reeb_pair,
     _reeb_step,
     _require_closed,
-    _SingularGram,
-    _solve_reeb,
     _span,
     _t_batch,
 )
@@ -229,26 +218,6 @@ class SampledFamily:
             pending = [(t, batch, batch.certificate_arrays(self.k, self.l) if arrays_of is None else arrays_of(batch))]
             del batch  # held by the caller alone
             yield pending.pop()
-
-    def reeb_terms(self, x: np.ndarray, y: np.ndarray):
-        """Yield (block, A0 Z, A1 Z - b) for each block of
-        ``contact._blocks``, the t-free terms of the Reeb residual of the
-        pair (X/t, Y/t) at t, each of shape (block points, 2n+2, 2):
-
-            A(t) Z/t - b = (A0 Z)/t + (A1 Z - b),   Z = (X, Y) by column,
-
-        where A(t) = A0 + t A1 are the Reeb rows of (alpha_t, beta_t), A0
-        those of the closed pair (with its d alpha0 and d beta0 rows, as in
-        ``at``) and A1 those of the directions.  The rows of one block are
-        held at a time, as in a blocked Reeb solve.
-        """
-        c, s = self.closed, self.direction
-        b = np.eye(2 * s.n + 2, 2)
-        for block in _blocks(len(self.points)):
-            z = np.stack((x[block], y[block]), axis=-1)
-            direction = s.reeb_rows(block) @ z
-            direction -= b
-            yield block, c.reeb_rows(block) @ z, direction
 
     def volume_polynomial(self) -> VolumePolynomial:
         s, k, l = self.direction, self.k, self.l
@@ -445,58 +414,40 @@ def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate 
 def _base_item(sampled: SampledFamily, tol):
     s = sampled.direction
     return _cert_item(
-        "(alpha,beta) is a contact pair", lambda: _reeb_step(s, _certify(s, sampled.k, sampled.l, tol)[0], False)
+        "(alpha,beta) is a contact pair", lambda: _certificate(s, sampled.k, sampled.l, tol, False)
     )
 
 
 def _gated(sampled: SampledFamily, t_grid, tol):
-    """Yield (samples, gate outcome) for each t of t_grid, in order: the
-    gates of the pair certificate run once per batch of
-    ``sampled.batches``, on its arrays (``contact._certify``), which are
-    dropped then.  Each t's samples are a slice of its batch, so the batch
-    is released once the caller drops the samples of its last t."""
-    for _, batch, arrays in sampled.batches(t_grid):
+    """Yield (samples, gate outcome, Reeb pair) for each t of t_grid, in
+    order: the gates of the pair certificate run once per batch of
+    ``sampled.batches``, on its arrays (``contact._certify``), and the
+    batch's Reeb pairs are one division on its chains, their residuals one
+    pass and one reduction (``contact._reeb_pair``, ``_peaks``); the arrays
+    are dropped then.  Each t's samples and Reeb pair are slices of its
+    batch's, so the batch is released once the caller drops those of its
+    last t."""
+    for _, batch, (arrays, chains) in sampled.batches(t_grid):
         outcomes = _certify(batch, sampled.k, sampled.l, tol, arrays)
-        pending = [(batch.t_slice(i), gated) for i, gated in enumerate(outcomes)]
-        del batch, arrays, outcomes
+        ea, eb, residual = _reeb_pair(batch, chains)
+        peaks = _peaks(residual)
+        pending = [(batch.t_slice(i), gated, (ea[i], eb[i], peaks[i])) for i, gated in enumerate(outcomes)]
+        del batch, arrays, chains, outcomes, ea, eb, residual
         while pending:
             yield pending.pop(0)
 
 
-def _item_at(s: SampledPair, gated, t: float, candidate=None):
+def _item_at(s: SampledPair, gated, reeb, t: float):
     """Complete the certificate of (alpha_t, beta_t) on its samples s from
-    its gate outcome (``_gated``), offering the Reeb pair ``candidate`` =
-    (E_alpha, E_beta, peak of its residual) before any solve.  Returns the
-    item and (E_alpha, E_beta, substituted) of the certificate (None on
-    failure); the samples are dropped here.  A non-finite failure names t
-    as its witness."""
-    item, cert = _cert_item(
-        f"(alpha_t,beta_t) is a contact pair at t={t:g}", lambda: _reeb_step(s, gated, False, candidate)
-    )
+    its gate outcome and Reeb pair (``_gated``).  Returns the item and
+    (E_alpha, E_beta) of the certificate (None on failure); the samples
+    are dropped here.  A non-finite failure names t as its witness."""
+    item, cert = _cert_item(f"(alpha_t,beta_t) is a contact pair at t={t:g}", lambda: _reeb_step(s, gated, reeb))
     if cert is None:
         if item.witness["condition"] == "non-finite":
             item.witness["t"] = t
         return item, None
-    return item, (cert.reeb_alpha_values, cert.reeb_beta_values, cert.substituted)
-
-
-def _scaled_residuals(sampled: SampledFamily, x: np.ndarray, y: np.ndarray, t_values) -> np.ndarray:
-    """r(t) = max |A(t)(X/t, Y/t) - b| per point for each t of t_values,
-    shape (len(t_values), points), from the t-free terms of
-    ``SampledFamily.reeb_terms``, computed once for all t.  Each block's
-    terms are combined for as many t at a time as a Reeb block has
-    systems (``contact._t_batch`` of twice its points, a Reeb block being
-    half a ``_BLOCK``), so a block of one point takes every t at once."""
-    t = np.array(t_values, dtype=float)[:, None, None, None]
-    out = np.empty((len(t), len(sampled.points)))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails its gate
-        for block, closed, direction in sampled.reeb_terms(x, y):
-            step = _t_batch(2 * len(closed))
-            for lo in range(0, len(t), step):
-                residual = closed / t[lo : lo + step]
-                residual += direction
-                out[lo : lo + step, block] = _norm_inf_rows(residual.reshape(*residual.shape[:2], -1))
-    return out
+    return item, (cert.reeb_alpha_values, cert.reeb_beta_values)
 
 
 def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
@@ -550,31 +501,21 @@ def verify_forward(
     if cert is not None:
         ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
         scale = max(1.0, float(np.max(np.abs(ea))), float(np.max(np.abs(eb))))
-    # the theorem's Reeb pair (E_alpha/t, E_beta/t) is offered at each t,
-    # with the peak of its residual r(t)
-    peaks = None
-    if all(item.passed for item in hypotheses):
-        peaks = _peaks(_scaled_residuals(sampled, ea, eb, t_grid))
 
     samples = _gated(sampled, t_grid, tol)  # each t's samples go straight to _item_at
     conclusions = []
-    for i, t in enumerate(t_grid):
-        candidate = None if peaks is None else (ea / t, eb / t, peaks[i])
-        item_t, reeb_t = _item_at(*next(samples), t, candidate)
+    for t in t_grid:
+        item_t, reeb_t = _item_at(*next(samples), t)
         conclusions.append(item_t)
         if reeb_t is None or cert is None:
             conclusions.append(
                 CheckItem(f"Reeb scaling at t={t:g}", None, note="not evaluated (no certificate)")
             )
             continue
-        if reeb_t[2]:
-            # the backward error of (E_alpha/t, E_beta/t) in the system at t
-            defect, idx = peaks[i]
-        else:
-            defect, idx = _peaks(np.maximum(
-                np.max(np.abs(t * reeb_t[0] - ea), axis=1),
-                np.max(np.abs(t * reeb_t[1] - eb), axis=1),
-            ))[0]
+        defect, idx = _peaks(np.maximum(
+            np.max(np.abs(t * reeb_t[0] - ea), axis=1),
+            np.max(np.abs(t * reeb_t[1] - eb), axis=1),
+        ))[0]
         conclusions.append(
             _gate(f"Reeb scaling at t={t:g}", defect, tol * scale, {"t": t, "point": pts[idx].tolist()})
         )
@@ -608,23 +549,18 @@ def verify_converse(
         points = sample_points(model)
     sampled = SampledFamily(family, points, tol)
 
-    # the first t solved gives (X, Y) = t * (E_{alpha_t}, E_{beta_t}), and
-    # (X/t, Y/t) is offered at every later t
-    hypotheses, drift, peaks = [], [], None
+    # the first certified t gives (X, Y) = t * (E_{alpha_t}, E_{beta_t}),
+    # which every later t is compared with
+    hypotheses, drift, x_vals = [], [], None
     samples = _gated(sampled, t_grid, tol)  # each t's samples go straight to _item_at
-    for i, t in enumerate(t_grid):
-        candidate = None if peaks is None else (x_vals / t, y_vals / t, peaks[i])
-        item_t, reeb_t = _item_at(*next(samples), t, candidate)
+    for t in t_grid:
+        item_t, reeb_t = _item_at(*next(samples), t)
         hypotheses.append(item_t)
         if reeb_t is None:
             continue
-        if reeb_t[2]:
-            drift.append(peaks[i][0])
-            continue
         ea, eb = t * reeb_t[0], t * reeb_t[1]
-        if peaks is None:
+        if x_vals is None:
             x_vals, y_vals = ea, eb
-            peaks = _peaks(_scaled_residuals(sampled, x_vals, y_vals, t_grid))
         else:
             drift.append(max(float(np.max(np.abs(ea - x_vals))), float(np.max(np.abs(eb - y_vals)))))
 
@@ -699,10 +635,10 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
     premises are decided at tol (the model's default tolerance by default).
 
     The grid is read in the batches of ``SampledFamily.batches``: a batch's
-    volume coefficients are one kernel pass, and its T * P Reeb systems one
-    stacked solve, each system bit for bit as solved alone.  An exactly
-    singular Gram matrix there solves each t of the batch alone instead, so
-    that only a t with one goes to the pseudo-inverse.
+    wedge chains are one kernel pass, and its Reeb pairs, by the insertion
+    identity, one division on them (``contact._reeb_pair``).  The Reeb
+    column is the largest residual max |A E - b| of that pair: it grows
+    where the volume coefficient nears 0, and is not finite where it is 0.
     """
     if tol is None:
         tol = default_tolerance(family.model)
@@ -711,20 +647,19 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
     sampled = SampledFamily(family, points, tol)
     t_grid = [float(t) for t in t_grid]
     k, l = family.k, family.l
+    def columns(batch):
+        chains = batch.chains(k, l)
+        return chains.volume, _reeb_pair(batch, chains)[2]
+
     rows = []
     # the loop holds a batch's samples until the next are formed: releasing
     # them first returns their pages to the system only to fault them back in
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, batch, (vol,) in sampled.batches(t_grid, lambda b: (b.top(k, l, *b.factors()[:2]),)):
-            try:
-                residual = _solve_reeb(batch, False, fallback=False)[2]
-            except _SingularGram:
-                residual = np.concatenate([_solve_reeb(batch.t_slice(i), False)[2] for i in range(len(t))])
+        for t, batch, (vol, residual) in sampled.batches(t_grid, columns):
             rows += [
                 {"t": t_i, "min_volume_coeff": low, "max_volume_coeff": high, "max_reeb_residual": top}
                 for t_i, low, high, top in zip(
-                    t, vol.min(axis=-1).tolist(), vol.max(axis=-1).tolist(),
-                    residual.reshape(len(t), -1).max(axis=-1).tolist(),
+                    t, vol.min(axis=-1).tolist(), vol.max(axis=-1).tolist(), residual.max(axis=-1).tolist(),
                 )
             ]
     return rows

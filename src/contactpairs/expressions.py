@@ -10,9 +10,11 @@ Expressions are immutable trees.  Differentiation is exact and symbolic;
 evaluation raises instead of ever returning a non-finite value silently.
 A derivative tree shares subtrees (that of a quotient refers to the
 numerator, the denominator and their derivatives), so ``partial``,
-``evaluate_many`` and ``variables_of`` visit each node once per call: they
-remember what they found per node object, by ``id``, not by equality, which
-would take ``Const(-0.0)`` for ``Const(0.0)``.  ``evaluate_many`` keeps the
+``evaluate_many``, ``variables_of``, ``shift_variables`` and ``to_string``
+visit each node once per call: they remember what they found per node
+object, by ``id``, not by equality, which would take ``Const(-0.0)`` for
+``Const(0.0)``.  ``shift_variables`` shares the copy of a shared subtree
+as the original shares it, so a pulled-back derivative keeps its sharing.  ``evaluate_many`` keeps the
 values of a shared node only until its last reference.
 Trees are walked recursively, so ``parse`` rejects text nested deeper than
 ``MAX_DEPTH`` (brackets, calls, unary minus) or whose tree is deeper than
@@ -529,65 +531,84 @@ def _variables(e: Expr, memo: dict) -> set[int]:
 
 def shift_variables(e: Expr, offset: int) -> Expr:
     """Rename every variable ``xi`` to ``x{i+offset}``."""
+    return _shift(e, offset, {})
+
+
+def _shift(e: Expr, offset: int, memo: dict) -> Expr:
+    """shift_variables(e, offset); ``memo`` maps id(node) to the copy of
+    each inner node made so far in this call, so a shared subtree is copied
+    once and its copy shared in turn."""
     match e:
         case Const():
             return e
         case Var(index=i):
             return Var(i + offset)
+        case _ if id(e) in memo:
+            return memo[id(e)]
         case Neg(arg=u):
-            return Neg(shift_variables(u, offset))
+            out = Neg(_shift(u, offset, memo))
         case Add(left=a, right=b):
-            return Add(shift_variables(a, offset), shift_variables(b, offset))
+            out = Add(_shift(a, offset, memo), _shift(b, offset, memo))
         case Sub(left=a, right=b):
-            return Sub(shift_variables(a, offset), shift_variables(b, offset))
+            out = Sub(_shift(a, offset, memo), _shift(b, offset, memo))
         case Mul(left=a, right=b):
-            return Mul(shift_variables(a, offset), shift_variables(b, offset))
+            out = Mul(_shift(a, offset, memo), _shift(b, offset, memo))
         case Div(left=a, right=b):
-            return Div(shift_variables(a, offset), shift_variables(b, offset))
+            out = Div(_shift(a, offset, memo), _shift(b, offset, memo))
         case Pow(base=b, exponent=k):
-            return Pow(shift_variables(b, offset), k)
+            out = Pow(_shift(b, offset, memo), k)
         case Call(func=f, arg=u):
-            return Call(f, shift_variables(u, offset))
-    raise TypeError(f"not an expression node: {e!r}")
+            out = Call(f, _shift(u, offset, memo))
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # levels for the printer: + - / * / unary - / ^ / atoms
 _LVL_ADD, _LVL_MUL, _LVL_NEG, _LVL_POW, _LVL_ATOM = 1, 2, 3, 4, 5
 
 
-def _fmt(e: Expr) -> tuple[str, int]:
+def _fmt(e: Expr, memo: dict) -> tuple[str, int]:
+    """(text, level) of e; ``memo`` maps id(node) to those of each inner
+    node printed so far in this call."""
     match e:
         case Const(value=v):
             s = repr(v)
             return (f"({s})", _LVL_ATOM) if v < 0 else (s, _LVL_ATOM)
         case Var(index=i):
             return f"x{i}", _LVL_ATOM
+        case _ if id(e) in memo:
+            return memo[id(e)]
         case Call(func=f, arg=u):
-            return f"{f}({_fmt(u)[0]})", _LVL_ATOM
+            out = f"{f}({_fmt(u, memo)[0]})", _LVL_ATOM
         case Pow(base=b, exponent=k):
-            bs, bl = _fmt(b)
+            bs, bl = _fmt(b, memo)
             if bl < _LVL_ATOM:
                 bs = f"({bs})"
-            return f"{bs}^{k}", _LVL_POW
+            out = f"{bs}^{k}", _LVL_POW
         case Neg(arg=u):
-            us, ul = _fmt(u)
+            us, ul = _fmt(u, memo)
             if ul < _LVL_NEG:
                 us = f"({us})"
-            return f"-{us}", _LVL_NEG
+            out = f"-{us}", _LVL_NEG
         case Mul(left=a, right=b):
-            return _fmt_binary(a, b, "*", _LVL_MUL, right_strict=False), _LVL_MUL
+            out = _fmt_binary(a, b, "*", _LVL_MUL, False, memo), _LVL_MUL
         case Div(left=a, right=b):
-            return _fmt_binary(a, b, "/", _LVL_MUL, right_strict=True), _LVL_MUL
+            out = _fmt_binary(a, b, "/", _LVL_MUL, True, memo), _LVL_MUL
         case Add(left=a, right=b):
-            return _fmt_binary(a, b, " + ", _LVL_ADD, right_strict=False), _LVL_ADD
+            out = _fmt_binary(a, b, " + ", _LVL_ADD, False, memo), _LVL_ADD
         case Sub(left=a, right=b):
-            return _fmt_binary(a, b, " - ", _LVL_ADD, right_strict=True), _LVL_ADD
-    raise TypeError(f"not an expression node: {e!r}")
+            out = _fmt_binary(a, b, " - ", _LVL_ADD, True, memo), _LVL_ADD
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
-def _fmt_binary(a: Expr, b: Expr, op: str, level: int, right_strict: bool) -> str:
-    al, all_ = _fmt(a)
-    bl, bll = _fmt(b)
+def _fmt_binary(a: Expr, b: Expr, op: str, level: int, right_strict: bool, memo: dict) -> str:
+    al, all_ = _fmt(a, memo)
+    bl, bll = _fmt(b, memo)
     if all_ < level:
         al = f"({al})"
     if bll < level or (right_strict and bll == level):
@@ -597,4 +618,4 @@ def _fmt_binary(a: Expr, b: Expr, op: str, level: int, right_strict: bool) -> st
 
 def to_string(e: Expr) -> str:
     """Render to text that reparses to a semantically equal expression."""
-    return _fmt(e)[0]
+    return _fmt(e, {})[0]

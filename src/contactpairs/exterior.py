@@ -107,8 +107,8 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 # points per block of the bilinear kernel, which keeps its strided reads and
-# its one temporary cache-sized, and of the Reeb solves in contact, which
-# hold the row stack of one block at a time
+# its one temporary cache-sized, and of the singular values of the Reeb rows
+# in contact, which hold the rows of one block at a time
 _BLOCK = 4096
 
 
@@ -237,9 +237,12 @@ def chain(n: int, *factors) -> np.ndarray:
     return chain_factor(n, *factors)[1]
 
 
-def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Contraction i_X w on raw arrays; x has component axis last."""
-    return _bilinear(_interior_table, (n, p), form_count(n, p - 1), x, w)
+def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray, live_x=None, live_w=None) -> np.ndarray:
+    """Contraction i_X w on raw arrays; x has component axis last.  The
+    rows run are picked from the live sets of x and w, as in ``_rows``,
+    where they are given."""
+    rows = _rows(_interior_table, (n, p), x, w, live_x, live_w)[0]
+    return _bilinear(_interior_table, (n, p), form_count(n, p - 1), x, w, rows)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import expressions as ex
-from .contact import _contact_reeb, _solve_blocks, verify_contact_pair
+from .contact import _form_reeb, verify_contact_pair
 from .exterior import _BLOCK, two_form_matrices
 from .fields import FormField
 from .models import Model, _tensor_points, default_tolerance, grid_nodes
@@ -158,14 +158,15 @@ class JacobiSide:
         grid = _SideGrid(model, resolution, (alpha,))
         pts = grid.sub_points
         av = np.ascontiguousarray(alpha.values(pts))  # an einsum operand, C-ordered
-        da_m = two_form_matrices(model.n, alpha.d().values(pts))
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
-            e, residual = _contact_reeb(av, da_m)
-        _require_finite("Reeb system", residual, pts, grid.grid_index)
+        dav = alpha.d().values(pts)
+        n = model.n
+        e, volume, residual = _form_reeb(n, av, dav)
+        # an overflow first; a volume that vanishes is a rank deficiency
+        _require_finite("Reeb system", volume, pts, grid.grid_index)
+        da_m = two_form_matrices(n, dav)
+        solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape), tol, pts)
         if not float(np.max(residual)) <= tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
-        n = model.n
-        solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape), tol, pts)
         basis = np.broadcast_to(np.eye(n), (grid.points.shape[0], n, n))  # read-only view
         return cls(model, grid, grid.spread(av), grid.spread(e), basis,
                    [grid.spread(a) for a in solver], tol)
@@ -217,9 +218,8 @@ class JacobiSide:
                 f"side form vanishes on its leaf distribution at {pts[idx].tolist()}"
             )
         solver = cls._prepare_solver(own, own_d, basis, tol, pts)
-        # E stays a column of the (P, n, 2) solve of both Reeb fields
-        reeb = grid.spread(np.stack([cert.reeb_alpha_values, cert.reeb_beta_values], axis=-1))
-        return cls(model, grid, grid.spread(own), reeb[..., which], grid.spread(basis),
+        reeb = (cert.reeb_alpha_values, cert.reeb_beta_values)[which]
+        return cls(model, grid, grid.spread(own), grid.spread(reeb), grid.spread(basis),
                    [grid.spread(a) for a in solver], tol)
 
     # -- solver -----------------------------------------------------------
@@ -230,23 +230,26 @@ class JacobiSide:
         equations in leaf coordinates x (X = basis @ x):
             alpha|_V . x = f
             (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
-        The solve matrix (AᵀA)⁻¹Aᵀ solves A against the identity through the
-        Reeb block loop; a system with sigma_min <= tol * sigma_max (smallest
-        and largest over the samples) is rank deficient.
+        A system with sigma_min <= tol * sigma_max (smallest and largest
+        singular values over the samples) is rank deficient; otherwise the
+        solve matrix (AᵀA)⁻¹Aᵀ is the LU solve of the normal equations
+        against Aᵀ times the identity.
         """
         alpha_leaf = np.einsum("pi,pim->pm", alpha_values, basis)
         d_leaf = np.swapaxes(basis, 1, 2) @ dalpha_mat @ basis
         system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
-        solve_mat, _, sigma_min, sigma_max = _solve_blocks(
-            lambda block: system[block], len(system), np.eye(system.shape[1]), True
-        )
+        # from the system itself: the spectrum of the Gram matrix squares the
+        # condition number, so its square root cannot resolve ratios below ~1e-8
+        sigma = np.linalg.svd(system, compute_uv=False)
+        sigma_min, sigma_max = sigma[:, -1], sigma[:, 0]
         if np.min(sigma_min) <= tol * np.max(sigma_max):
             idx = int(np.argmin(sigma_min))
             raise JacobiError(
                 "degenerate leaf data: the restricted contact system is rank deficient "
                 f"at {points[idx].tolist()}"
             )
-        return system, solve_mat
+        system_t = np.swapaxes(system, 1, 2)
+        return system, np.linalg.solve(system_t @ system, system_t @ np.eye(system.shape[1]))
 
     def _build_interior_mask(self):
         mask = np.ones(self.grid_shape, dtype=bool)

@@ -207,7 +207,9 @@ def _task_sweep(cfg, params, objs, rng, out_path):
         data["csv_path"] = str(target)
     else:
         data["csv"] = csv_text
-    overflowed = [row["t"] for row in rows if None in row.values()]
+    # a null Reeb column alone is a t where the volume is 0 (the Reeb pair
+    # is 0 / 0), which the sweep reports; a null volume column is an overflow
+    overflowed = [row["t"] for row in rows if None in (row["min_volume_coeff"], row["max_volume_coeff"])]
     if overflowed:
         data["witness"] = {"t": overflowed[0]}
         return "fail", data

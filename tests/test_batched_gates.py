@@ -19,10 +19,9 @@ from hypothesis import assume, event, given, settings, strategies as st  # noqa:
 from contactpairs import contact, deformation  # noqa: E402
 from contactpairs.contact import (  # noqa: E402
     ContactPairError,
-    _SingularGram,
+    _reeb_pair,
     _t_batch,
     _witness,
-    least_squares_batch,
     marginal,
 )
 from contactpairs.deformation import (  # noqa: E402
@@ -61,19 +60,17 @@ def _nonvanishing(condition, message, values, threshold, pts):
     return defect
 
 
-def _reference_certificate(s, k, l, tol, candidate, residual):
-    """The per-t certificate of s with scalar gates, offering ``candidate``
-    whose residual row r(t) is ``residual``: (reeb_residual,
-    residual_threshold, E_alpha, E_beta, substituted), or the failure."""
-    n, pts = s.n, s.points
-    scale_a, scale_b, scale_da, scale_db, a_rows, b_rows, da_res, db_res, vol = s.certificate_arrays(k, l)
+def _reference_certificate(s, k, l, tol):
+    """The per-t certificate of s with scalar gates: (reeb_residual,
+    residual_threshold, E_alpha, E_beta), or the failure."""
+    pts = s.points
+    (scale_a, scale_b, scale_da, scale_db, a_rows, b_rows, da_res, db_res, vol), chains = s.certificate_arrays(k, l)
     with np.errstate(over="ignore", invalid="ignore"):
         res_scale = max(1.0, scale_a, scale_b, scale_da, scale_db)
         da_threshold = tol * scale_da ** (k + 1)
         db_threshold = tol * scale_db ** (l + 1)
         vol_scale = scale_a * scale_b * scale_da**k * scale_db**l
-        gram_scale = res_scale * res_scale * (2 * n + 2)
-        checked = (vol_scale, da_threshold, db_threshold, gram_scale, da_res, db_res, vol)
+        checked = (vol_scale, da_threshold, db_threshold, da_res, db_res, vol)
     if not all(np.all(np.isfinite(v)) for v in checked):
         raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
     for name, rows, scale in (("alpha", a_rows, scale_a), ("beta", b_rows, scale_b)):
@@ -87,18 +84,12 @@ def _reference_certificate(s, k, l, tol, candidate, residual):
             "positive": _witness(pts, int(np.argmax(vol)), value=float(vol.max())),
         })
     res_threshold = tol * res_scale
-    if candidate is not None:
-        try:
-            defect = _vanishing("reeb-residual", "", residual, res_threshold, pts)
-            return defect, res_threshold, candidate[0], candidate[1], True
-        except ContactPairError:
-            pass
-    ea, eb, res, _, _ = contact._solve_reeb(s, False)
-    defect = _vanishing("reeb-residual", contact._INCONSISTENT, np.max(res, axis=-1), res_threshold, pts)
-    return defect, res_threshold, ea, eb, False
+    ea, eb, res = _reeb_pair(s, chains)
+    defect = _vanishing("reeb-residual", contact._INCONSISTENT, res, res_threshold, pts)
+    return defect, res_threshold, ea, eb
 
 
-def _reference_items(sampled, t, candidate, residual, tol, forward, base):
+def _reference_items(sampled, t, tol, forward, base):
     """The contact-pair item at t and, in a forward verdict, its Reeb
     scaling item against the Reeb pair ``base`` of the base certificate
     (None when it failed)."""
@@ -106,7 +97,7 @@ def _reference_items(sampled, t, candidate, residual, tol, forward, base):
 
     def make():
         nonlocal outcome
-        outcome = _reference_certificate(sampled.at(t), sampled.k, sampled.l, tol, candidate, residual)
+        outcome = _reference_certificate(sampled.at(t), sampled.k, sampled.l, tol)
         return types.SimpleNamespace(reeb_residual=outcome[0], residual_threshold=outcome[1])
 
     item, cert = deformation._cert_item(f"(alpha_t,beta_t) is a contact pair at t={t:g}", make)
@@ -119,7 +110,7 @@ def _reference_items(sampled, t, candidate, residual, tol, forward, base):
             items.append(deformation.CheckItem(name, None, note="not evaluated (no certificate)"))
         else:
             ea0, eb0 = base
-            diff = residual if outcome[4] else np.maximum(
+            diff = np.maximum(
                 np.max(np.abs(t * outcome[2] - ea0), axis=1), np.max(np.abs(t * outcome[3] - eb0), axis=1)
             )
             scale = max(1.0, float(np.max(np.abs(ea0))), float(np.max(np.abs(eb0))))
@@ -136,28 +127,12 @@ def _text(items):
 def _assert_items_equal_the_reference(monkeypatch, family, pts, verify, grid):
     """Run the verdict and compare each per-t item with certifying that t
     alone; returns the verdict's per-t contact-pair items."""
-    offered, rows = [], {}
-    real_step, real_residuals = deformation._reeb_step, deformation._scaled_residuals
-
-    def recording_step(s, gated, full, candidate=None):
-        offered.append(candidate)
-        return real_step(s, gated, full, candidate)
-
-    def recording_residuals(sampled, x, y, t_values):
-        out = real_residuals(sampled, x, y, t_values)
-        rows.update(zip(t_values, out))
-        return out
-
-    monkeypatch.setattr(deformation, "_reeb_step", recording_step)
-    monkeypatch.setattr(deformation, "_scaled_residuals", recording_residuals)
     verdict = verify(family, t_grid=grid, points=pts)
-    monkeypatch.undo()
     tol = default_tolerance(family.model)
     sampled = SampledFamily(family, pts, tol)
     forward = verify is verify_forward
     # the base pair is certified first (forward) or last (converse)
-    base_item, base = (verdict.hypotheses[0], offered.pop(0)) if forward else (verdict.conclusions[0], offered.pop())
-    assert base is None and len(offered) == len(grid)
+    base_item = verdict.hypotheses[0] if forward else verdict.conclusions[0]
     base_pair = None
     if forward and base_item.passed:
         cert = deformation._base_item(sampled, tol)[1]
@@ -168,7 +143,7 @@ def _assert_items_equal_the_reference(monkeypatch, family, pts, verify, grid):
     # each t's outcome goes through the Reeb step, which raises a failed gate
     want = []
     for t in grid:
-        want += _reference_items(sampled, t, offered.pop(0), rows.get(t), tol, forward, base_pair)
+        want += _reference_items(sampled, t, tol, forward, base_pair)
     assert _text(items if forward else per_t) == _text(want)
     return per_t
 
@@ -263,18 +238,21 @@ def test_one_batch_mixes_passing_failing_marginal_and_overflowing_t(monkeypatch)
         assert [_kind(item) for item in per_t] == ["fail", "pass", "marginal", "overflow"]
 
 
-# --- one gate pass per batch, one stacked Reeb solve per sweep batch -----------------
+# --- one gate pass and one Reeb pair formula per batch --------------------------------
 
 
-def _count(monkeypatch, module, name):
+def _count(monkeypatch, modules, name):
+    """Record the arguments of every call of ``name`` through its binding
+    in each of ``modules``."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(modules[0], name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -283,60 +261,31 @@ def test_a_one_point_forward_verdict_gates_each_batch_once(monkeypatch):
     pts = sample_points(family.model)
     counts = []
     for grid in ([1.0], [0.5, 2.0], [-10.0, -1.0, -0.1, -0.01, 0.01, 0.1, 1.0, 10.0]):
-        gates = _count(monkeypatch, deformation, "_certify")
-        reductions = [_count(monkeypatch, contact, name) for name in ("_peaks", "_troughs")]
+        gates = _count(monkeypatch, (contact, deformation), "_certify")
+        reductions = [_count(monkeypatch, (contact,), name) for name in ("_peaks", "_troughs")]
         verify_forward(family, t_grid=grid, points=pts)
         monkeypatch.undo()
         # the base pair, then the grid's one batch
-        assert [len(args[4][0]) if len(args) == 5 else None for args in gates] == [None, len(grid)]
+        assert [len(args[4][0]) if np.ndim(args[4][0]) else None for args in gates] == [None, len(grid)]
         counts.append([len(calls) for calls in reductions])
     # the reductions of the gates do not grow with the t of a batch
     assert counts[0] == counts[1] == counts[2]
 
 
 @pytest.mark.parametrize("count", [1, 2049])
-def test_a_sweep_solves_each_batch_in_one_stacked_call(monkeypatch, count):
+def test_a_sweep_forms_each_batchs_reeb_pairs_at_once(monkeypatch, count):
     family = build_example("heisenberg6-pair" if count == 1 else "t6-pair-compatible")["family"]
     rng = np.random.default_rng(4)
     pts = sample_points(family.model, rng) if count == 1 else random_points(family.model, count, rng)
     grid = [0.01, 0.1, 1.0, 10.0]
-    solves = _count(monkeypatch, contact, "_solve_blocks")
+    pairs = _count(monkeypatch, (deformation,), "_reeb_pair")
     rows = sweep_rows(family, grid, points=pts)
     step = _t_batch(len(pts))
-    assert [points for _, points, *_ in solves] == [
-        len(grid[lo : lo + step]) * len(pts) for lo in range(0, len(grid), step)
+    assert [s.alpha.shape[:-1] for s, _ in pairs] == [
+        (len(grid[lo : lo + step]), len(pts)) for lo in range(0, len(grid), step)
     ]
     monkeypatch.undo()
     sampled = SampledFamily(family, pts, default_tolerance(family.model))
     for t, row in zip(grid, rows):
-        alone = contact._solve_reeb(sampled.at(t), False)[2]
-        assert row["max_reeb_residual"] == float(np.max(alone))
-
-
-def test_a_singular_gram_in_a_sweep_batch_sends_only_its_t_to_the_pseudo_inverse(monkeypatch):
-    family = build_example("heisenberg6-pair")["family"]
-    pts = sample_points(family.model)
-    grid = [0.01, 0.1, 1.0, 10.0]
-    singular = 2  # the index of the t whose own solve meets a singular Gram matrix
-    calls = []
-    real = contact.least_squares_batch
-
-    def least_squares(a, b, compute_sigma=False, pinv=False):
-        calls.append((len(a), pinv))
-        stacked, alone = len(a) == len(grid), len(calls) - 2 == singular
-        if not pinv and (stacked or alone):
-            raise _SingularGram("exactly singular")
-        return real(a, b, compute_sigma, pinv)
-
-    monkeypatch.setattr(contact, "least_squares_batch", least_squares)
-    rows = sweep_rows(family, grid, points=pts)
-    # the stacked call fails, then each t is solved alone, and only the
-    # singular t is solved again by the pseudo-inverse
-    assert calls == [(4, False), (1, False), (1, False), (1, False), (1, True), (1, False)]
-    monkeypatch.undo()
-    sampled = SampledFamily(family, pts, default_tolerance(family.model))
-    for i, (t, row) in enumerate(zip(grid, rows)):
-        s = sampled.at(t)
-        pinv = i == singular
-        residual = least_squares_batch(s.reeb_rows(), np.eye(2 * s.n + 2, 2), False, pinv)[1]
-        assert row["max_reeb_residual"] == float(np.max(residual))
+        alone = sampled.at(t)
+        assert row["max_reeb_residual"] == float(np.max(_reeb_pair(alone, alone.chains(1, 1))[2]))

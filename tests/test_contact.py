@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+import types
+
 from contactpairs import expressions as ex
 from contactpairs.contact import (
     ContactPairError,
     SampledPair,
-    _contact_reeb,
-    _reeb_derivative,
-    _solve_blocks,
-    _solve_reeb,
+    _form_reeb,
+    _moved,
+    _reeb_directional,
+    _reeb_pair,
+    _reeb_sigma,
     cartan_class,
     darboux_model,
-    least_squares_batch,
     product_contact_pair,
     torus_contact,
     verify_contact_pair,
@@ -235,25 +237,6 @@ def test_reeb_pair_on_non_pair_raises():
 
 # --- exact Reeb commutator ---------------------------------------------------
 
-@pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair])
-def test_implicit_reeb_derivative_matches_central_differences(pair):
-    model, alpha, beta = pair()
-    pts = random_points(model, 500, np.random.default_rng(9))
-    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
-    s = SampledPair.of(alpha, beta, pts)
-    h = 1e-5
-    for axis in model.coordinate_axes:
-        shift = np.zeros(model.n)
-        shift[axis] = h
-        ahead, behind = (_solve_reeb(SampledPair.of(alpha, beta, pts + sign * shift), False)
-                         for sign in (1.0, -1.0))
-        for which, values in enumerate((cert.reeb_alpha_values, cert.reeb_beta_values)):
-            # D_X E with X = e_axis: z_a = X^a E
-            exact = _reeb_derivative(s, lambda a: values * float(a == axis))
-            central = (ahead[which] - behind[which]) / (2.0 * h)
-            np.testing.assert_allclose(exact, central, rtol=0.0, atol=1e-9)
-
-
 @pytest.mark.parametrize("name", ["t6", "sheared-t6", "heisenberg6", "heisenberg3xT3"])
 def test_commutator_defect_is_exact(name):
     if name in ("t6", "sheared-t6"):
@@ -277,12 +260,13 @@ def test_commutator_terms_cancel_only_in_the_bracket():
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
     # D_{E_alpha} E_beta alone, one of the two terms of the bracket
-    one_term = _reeb_derivative(SampledPair.of(alpha, beta, pts), lambda a: ea[:, a : a + 1] * eb)
+    s = SampledPair.of(alpha, beta, pts)
+    one_term = _reeb_directional(s, s.chains(1, 1), eb, _moved(s, (ea,))[0], 1)
     assert np.max(np.abs(one_term)) > 0.1
     assert cert.commutator_defect <= 1e-12
 
 
-# --- rank check on the Reeb least squares ------------------------------------
+# --- rank check on the Reeb rows ----------------------------------------------
 
 def _batch_with_singular_values(count, sigma, rng):
     """count 14x6 matrices U diag(sigma) V^T with random orthonormal U, V."""
@@ -293,9 +277,8 @@ def _batch_with_singular_values(count, sigma, rng):
 
 def _blocked_sigma(a):
     """sigma_min and sigma_max of a stack of Reeb-shaped systems, through
-    the block loop that solves every Reeb system."""
-    _, _, sigma_min, sigma_max = _solve_blocks(lambda block: a[block], len(a), np.eye(14, 2), True)
-    return sigma_min, sigma_max
+    the blocked singular values of the rank check."""
+    return _reeb_sigma(types.SimpleNamespace(points=a, reeb_rows=lambda block: a[block]))
 
 
 def test_rank_check_sees_exact_rank_deficiency():
@@ -318,20 +301,12 @@ def test_rank_check_resolves_smallest_singular_value(smallest):
     assert np.all((sigma_min <= 1e-8 * sigma_max) == (smallest < 1e-8))
 
 
-def test_least_squares_per_system_right_hand_sides():
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((50, 14, 6))
-    x = rng.standard_normal((50, 6, 1))
-    got, residual, _, _ = least_squares_batch(a, a @ x)
-    np.testing.assert_allclose(got, x, atol=1e-12)
-    assert np.max(residual) < 1e-12
-
-
 def test_single_form_reeb():
     _, alpha = torus_contact()
     pts = random_points(alpha.model, 500, np.random.default_rng(5))
-    vals, residual = _contact_reeb(alpha.values(pts), two_form_matrices(3, alpha.d().values(pts)))
+    vals, volume, residual = _form_reeb(3, alpha.values(pts), alpha.d().values(pts))
     assert np.max(residual) < 1e-12
+    np.testing.assert_allclose(volume, -1.0, atol=1e-12)
     expect = np.stack([np.zeros(500), np.cos(pts[:, 0]), np.sin(pts[:, 0])], axis=1)
     np.testing.assert_allclose(vals, expect, atol=1e-10)
 
@@ -424,16 +399,19 @@ def test_row_maxima_equal_np_max_and_propagate_nan_and_inf():
 
 
 def test_reeb_residual_check_fails_on_nan_rows():
-    from contactpairs.contact import SampledPair, _certify, _reeb_step
+    from contactpairs.contact import SampledPair, _certify, _peaks, _reeb_step
 
     model, alpha, beta = t6_pair()
     pts = random_points(model, 200, np.random.default_rng(7))
     s = SampledPair.of(alpha, beta, pts)
-    (gated,) = _certify(s, 1, 1, 1e-6)  # of the finite samples: only the Reeb rows see the NaN
-    _reeb_step(s, gated, False)
+    arrays, chains = s.certificate_arrays(1, 1)
+    # of the finite samples: only the residual's rows see the NaN
+    (gated,), (ea, eb, residual) = _certify(s, 1, 1, 1e-6, arrays), _reeb_pair(s, chains)
+    _reeb_step(s, gated, (ea, eb, _peaks(residual)[0]))
     s.dalpha[17, :] = np.nan  # the rows of i_E d alpha at point 17
     with np.errstate(invalid="ignore"):
+        residual = _reeb_pair(s, chains)[2]
         with pytest.raises(ContactPairError) as err:
-            _reeb_step(s, gated, False)
+            _reeb_step(s, gated, (ea, eb, _peaks(residual)[0]))
     assert err.value.condition == "reeb-residual"
     assert err.value.witness["index"] == 17

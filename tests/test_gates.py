@@ -120,23 +120,46 @@ def test_pair_certificate_decides_its_bounds_through_the_gates_only():
     assert _ordering_comparisons("contact", "_reeb_step") == []
 
 
+# --- no solve on a Reeb path, no threads ----------------------------------------------
+
+def test_no_linear_solve_on_a_reeb_path():
+    # the Reeb pair is the insertion identity's closed formula; the one
+    # least squares left is the Jacobi side's restricted system
+    def solves(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("solve", "pinv", "lstsq")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
+
+    sites = _sites(solves)
+    assert [site for site in sites if site[0] in ("contact", "deformation")] == []
+    assert sites == [("jacobi", "_prepare_solver")]
+
+
+def test_no_module_imports_threading_or_contextvars():
+    def imports(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] in ("threading", "contextvars") for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in ("threading", "contextvars")
+
+    assert _sites(imports) == []
+
+
 # --- the Reeb rank bound -------------------------------------------------------------
 
 def _thin_reeb_system(monkeypatch, index: int, factor: float) -> dict:
     """Make sigma_min of the Reeb system at point ``index`` ``factor`` times
     the rank threshold, tol * max sigma_max; returns that threshold once the
-    certificate has solved."""
-    real = contact._solve_reeb
+    certificate has taken the singular values."""
+    real = contact._reeb_sigma
     seen = {}
 
-    def thin(s, compute_sigma):
-        ea, eb, residual, sigma_min, sigma_max = real(s, compute_sigma)
+    def thin(s):
+        sigma_min, sigma_max = real(s)
         seen["threshold"] = default_tolerance(s.forms[0].model) * float(np.max(sigma_max))
         sigma_min = sigma_min.copy()
         sigma_min[index] = factor * seen["threshold"]
-        return ea, eb, residual, sigma_min, sigma_max
+        return sigma_min, sigma_max
 
-    monkeypatch.setattr(contact, "_solve_reeb", thin)
+    monkeypatch.setattr(contact, "_reeb_sigma", thin)
     return seen
 
 

@@ -8,9 +8,8 @@ from contactpairs import expressions as ex
 from contactpairs.cli import main
 from contactpairs.config import parse_config
 from contactpairs.contact import (
-    _contact_reeb,
+    _form_reeb,
     darboux_model,
-    least_squares_batch,
     product_contact_pair,
     torus_contact,
     verify_contact_pair,
@@ -437,13 +436,15 @@ def _full_grid_reference(objs, side_name, resolution):
         basis = np.swapaxes(vt[:, n - m:, :], 1, 2)
     else:
         own = np.ascontiguousarray(alpha.values(pts))
-        own_d = two_form_matrices(n, alpha.d().values(pts))
-        e, _ = _contact_reeb(own, own_d)
+        dav = alpha.d().values(pts)
+        own_d = two_form_matrices(n, dav)
+        e = _form_reeb(n, own, dav)[0]
         basis = np.broadcast_to(np.eye(n), (pts.shape[0], n, n))
     alpha_leaf = np.einsum("pi,pim->pm", own, basis)
     d_leaf = np.swapaxes(basis, 1, 2) @ own_d @ basis
     system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
-    solve_mat = least_squares_batch(system, np.eye(system.shape[1]))[0]  # one call, whole stack
+    system_t = np.swapaxes(system, 1, 2)  # the normal equations, the whole stack at once
+    solve_mat = np.linalg.solve(system_t @ system, system_t @ np.eye(system.shape[1]))
     return {
         "points": pts, "alpha_values": own, "e_values": e, "leaf_basis": basis,
         "_system": system, "_solve_mat": solve_mat,
@@ -488,14 +489,17 @@ def test_sub_grid_side_equals_the_full_grid_reference(example, side_name, resolu
 
 
 def test_overflow_witness_is_the_first_full_grid_point():
-    # the coefficients mention x0 only: the sub-grid is x0's six nodes
+    # the coefficients mention x0 only: the sub-grid is x0's six nodes; the
+    # amplitude 1e100 + 1e200 sin(x0)^2 keeps alpha ∧ d alpha finite at the
+    # first node, x0 = 0, and overflows it at the second
     model = torus(3)
-    alpha = form_from_expressions(model, 1, {1: "1e200*cos(x0)", 2: "1e200*sin(x0)"})
+    g = "(1e100 + 1e200*sin(x0)^2)"
+    alpha = form_from_expressions(model, 1, {1: f"{g}*cos(x0)", 2: f"{g}*sin(x0)"})
     pts = grid_points(model, 6)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, residual = _contact_reeb(alpha.values(pts), two_form_matrices(3, alpha.d().values(pts)))
+    volume = _form_reeb(3, alpha.values(pts), alpha.d().values(pts))[1]
+    assert np.isfinite(volume[0])
     with pytest.raises(JacobiError) as expected:
-        _require_finite("Reeb system", residual, pts)
+        _require_finite("Reeb system", volume, pts)
     with pytest.raises(JacobiError) as err:
         JacobiSide.from_contact_form(alpha, resolution=6)
     assert err.value.witness == expected.value.witness
@@ -505,13 +509,19 @@ def test_overflow_witness_is_the_first_full_grid_point():
 
 def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, capsys):
     systems = []
-    solve = contact.least_squares_batch
+    reeb_pair, prepare = contact._reeb_pair, JacobiSide._prepare_solver
 
-    def counted(a, *args, **kwargs):
-        systems.append(np.shape(a))
-        return solve(a, *args, **kwargs)
+    def counted_reeb(s, chains):
+        systems.append(np.shape(s.reeb_rows()))
+        return reeb_pair(s, chains)
 
-    monkeypatch.setattr(contact, "least_squares_batch", counted)
+    def counted_solver(alpha_values, dalpha_mat, basis, tol, points):
+        system, solve_mat = prepare(alpha_values, dalpha_mat, basis, tol, points)
+        systems.append(system.shape)
+        return system, solve_mat
+
+    monkeypatch.setattr(contact, "_reeb_pair", counted_reeb)
+    monkeypatch.setattr(JacobiSide, "_prepare_solver", staticmethod(counted_solver))
     assert main(["jacobi", "--example", "t6-pair-compatible"]) == 0
     capsys.readouterr()
     # the forms mention x0 and x3 only: 6 x 6 of the 6^6 grid points, each

@@ -6,7 +6,8 @@ Only the components that are not the constant +0 are formed and read
 array must be byte for byte, signs of zero included, that of a dense
 reference in which every component is live: the forms evaluated coefficient
 by coefficient, and the samples at t formed as closed + t * direction on
-every component.
+every component.  So must the Reeb pair and its residual, whose kernels
+read the live sets of the chains.
 """
 
 import copy
@@ -19,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from contactpairs import expressions as ex  # noqa: E402
-from contactpairs.contact import SampledPair  # noqa: E402
+from contactpairs.contact import SampledPair, _reeb_pair  # noqa: E402
 from contactpairs.deformation import DeformationFamily, SampledFamily  # noqa: E402
 from contactpairs.fields import FormField  # noqa: E402
 from contactpairs.models import torus  # noqa: E402
@@ -52,6 +53,13 @@ def dense(pair: SampledPair) -> SampledPair:
     arrays = (pair.alpha, pair.beta, pair.dalpha, pair.dbeta)
     live = tuple((tuple(range(v.shape[-1])), np.max(np.abs(v), axis=(-2, -1))) for v in arrays)
     return SampledPair(pair.points, *arrays, forms=pair.forms, live=live)
+
+
+def certified(pair: SampledPair) -> tuple:
+    """The certificate arrays of type (1, 1) of the pair and its Reeb pair
+    with the residual."""
+    arrays, chains = pair.certificate_arrays(1, 1)
+    return (*arrays, *_reeb_pair(pair, chains))
 
 
 def one_form(draw, choices, fixed=None):
@@ -97,11 +105,14 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
             ):
                 assert same(got, closed + t * direction)
             assert all(same(a, b) for a, b in zip(s.scales(), dense(s).scales()))
-            assert all(same(a, b) for a, b in zip(s.certificate_arrays(1, 1), dense(s).certificate_arrays(1, 1)))
-        for (t, s, arrays), (t_ref, r, want) in zip(sampled.batches(T_GRID), reference.batches(T_GRID)):
+            assert all(same(a, b) for a, b in zip(certified(s), certified(dense(s))))
+        for (t, s, (arrays, chains)), (t_ref, r, (want, want_chains)) in zip(
+            sampled.batches(T_GRID), reference.batches(T_GRID)
+        ):
             assert t == t_ref
             for got, expected in zip((s.alpha, s.beta, s.dalpha, s.dbeta), (r.alpha, r.beta, r.dalpha, r.dbeta)):
                 assert same(got, expected)
             assert all(same(a, b) for a, b in zip(arrays, want))
+            assert all(same(a, b) for a, b in zip(_reeb_pair(s, chains), _reeb_pair(r, want_chains)))
     got, want = sampled.volume_polynomial(), reference.volume_polynomial()
     assert all(same(getattr(got, k), getattr(want, k)) for k in ("quad", "lin", "const"))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from contactpairs import cli, deformation
+from contactpairs import cli
 from contactpairs.config import load_config
 from contactpairs.models import sample_points
 from contactpairs.contact import _t_batch, marginal
@@ -84,25 +84,20 @@ def test_batch_edge_config_certifies_uneven_t_batches(tmp_path):
     assert _t_batch(1365) == 3 and len(doc["t_grid"]) == 4
 
 
-def test_fallback_run_solves_after_a_failed_substitution(monkeypatch):
+def test_two_t_converse_run_compares_two_reeb_pairs(capsys):
     tool = load_tool()
-    run = ("deform", "--mode", "converse", "--example", "t6-pair-incompatible", tool.FALLBACK_GRID)
+    run = ("deform", "--mode", "converse", "--example", "t6-pair-incompatible", tool.REEB_STEP_GRID)
     assert run in tool.matrix()
-    offered = []
-    real = deformation._reeb_step
-
-    def recording(s, gated, full, candidate=None):
-        cert = real(s, gated, full, candidate)
-        offered.append((candidate is not None, cert.substituted))
-        return cert
-
-    monkeypatch.setattr(deformation, "_reeb_step", recording)
     for seed in tool.SEEDS:
-        offered.clear()
         assert tool.digest_line(seed, run).split(" ")[1:3] == ["1", "not-applicable"]
-        # t = 5 is solved; (5 E_5)/10 is offered at t = 10, fails, and t = 10
-        # is solved; then the base pair is solved
-        assert offered == [(False, False), (True, False), (False, False)]
+        assert cli.main([*run, "--format", "structured", "--seed", str(seed)]) == 1
+        hypotheses = json.loads(capsys.readouterr().out)["tasks"][0]["result"]["hypotheses"]
+        # both t reach the Reeb step and pass; t * E_t then differs across t
+        assert [(item["name"], item["passed"]) for item in hypotheses] == [
+            ("(alpha_t,beta_t) is a contact pair at t=5", True),
+            ("(alpha_t,beta_t) is a contact pair at t=10", True),
+            ("t * E_{alpha_t}, t * E_{beta_t} constant across t", False),
+        ]
 
 
 def test_flag_task_runs_pin_the_error_that_names_the_flag():

@@ -21,10 +21,9 @@ from contactpairs.config import load_config
 from contactpairs.contact import (
     ContactPairError,
     SampledPair,
-    _certify,
-    _peaks,
-    _reeb_step,
-    _solve_reeb,
+    _certificate,
+    _reeb_residual,
+    _vol_dual,
     product_contact_pair,
     verify_contact_pair,
 )
@@ -77,55 +76,25 @@ def _points(family, seed):
     return sample_points(family.model, np.random.default_rng(seed), random_count=800)
 
 
-def _certificate(s, k, l, tol, full):
-    """The certificate of one sampled pair: its gates as a batch of one,
-    then its Reeb step."""
-    return _reeb_step(s, _certify(s, k, l, tol)[0], full)
-
-
 def _record_certify(monkeypatch):
-    """Record every (samples, offered Reeb candidate, certificate or error)
-    of the deformation checks, the base pair's and each t's, whose gates
-    ran with those of its batch: the Reeb step completes each of them."""
+    """Record every (samples, certificate or error) of the deformation
+    checks, the base pair's and each t's, whose gates ran with those of its
+    batch: the Reeb step completes each of them."""
     calls = []
-    real = deformation._reeb_step
+    real = contact._reeb_step
 
-    def recording(s, gated, full, candidate=None):
+    def recording(s, gated, reeb, chains=None):
         try:
-            cert = real(s, gated, full, candidate)
+            cert = real(s, gated, reeb, chains)
         except ContactPairError as err:
-            calls.append((s, candidate, err))
+            calls.append((s, err))
             raise
-        calls.append((s, candidate, cert))
+        calls.append((s, cert))
         return cert
 
-    monkeypatch.setattr(deformation, "_reeb_step", recording)
+    for module in (contact, deformation):
+        monkeypatch.setattr(module, "_reeb_step", recording)
     return calls
-
-
-def _record_residuals(monkeypatch):
-    """Record the rows r(t) of every ``_scaled_residuals`` call, by t."""
-    rows = {}
-    real = deformation._scaled_residuals
-
-    def recording(sampled, x, y, t_values):
-        out = real(sampled, x, y, t_values)
-        rows.update(zip(t_values, out))
-        return out
-
-    monkeypatch.setattr(deformation, "_scaled_residuals", recording)
-    return rows
-
-
-def _fail_every_substitution(monkeypatch):
-    """Make every offered Reeb candidate fail its residual gate (NaN)."""
-    real = SampledFamily.reeb_terms
-
-    def nan_terms(self, x, y):
-        for block, closed, direction in real(self, x, y):
-            yield block, np.full_like(closed, np.nan), direction
-
-    monkeypatch.setattr(SampledFamily, "reeb_terms", nan_terms)
 
 
 def _reference(family, t, pts):
@@ -140,8 +109,8 @@ def _reference(family, t, pts):
 
 
 def _assert_same(s, got, want, rtol):
-    """The samples and every contact condition of a certificate match the
-    expression path; so does the Reeb pair, unless it was substituted."""
+    """The samples, every contact condition and the Reeb pair of a
+    certificate match the expression path."""
     close = np.testing.assert_array_equal if rtol == 0 else (
         lambda a, b: np.testing.assert_allclose(a, b, rtol=rtol, atol=0)
     )
@@ -154,38 +123,13 @@ def _assert_same(s, got, want, rtol):
     assert not isinstance(got, ContactPairError), got
     for name in ("alpha", "beta", "dalpha", "dbeta"):
         close(getattr(s, name), getattr(want.sampled, name))
-    names = ["min_volume", "dalpha_power_residual", "dbeta_power_residual"]
-    if not got.substituted:
-        names += ["reeb_residual", "reeb_alpha_values", "reeb_beta_values"]
+    names = ["min_volume", "dalpha_power_residual", "dbeta_power_residual",
+             "reeb_residual", "reeb_alpha_values", "reeb_beta_values"]
     for name in names:
         close(getattr(got, name), getattr(want, name))
     assert got.orientation_sign == want.orientation_sign
     close(got.residual_threshold, want.residual_threshold)
     assert got.sigma_min is None and got.commutator_defect is None
-
-
-def _assert_substituted(t, candidate, got, want, witness, tol, residual):
-    """A substituted certificate at t: the offered peak is that of r(t),
-    the row ``residual``, which is A(t)(X/t, Y/t) - b of the expression
-    path to within a few ulps of its scale, and the solve it replaced gives
-    t * E_t within the Reeb scaling threshold of (X, Y)."""
-    x, y = witness
-    assert got.substituted
-    assert got.reeb_alpha_values is candidate[0] and got.reeb_beta_values is candidate[1]
-    np.testing.assert_array_equal(candidate[0], x / t)
-    np.testing.assert_array_equal(candidate[1], y / t)
-    assert candidate[2] == _peaks(residual)[0] == (float(np.max(residual)), int(np.argmax(residual)))
-    assert got.reeb_residual == candidate[2][0] <= got.residual_threshold
-
-    rows = want.sampled.reeb_rows()
-    z = np.stack(candidate[:2], axis=-1)
-    direct = np.max(np.abs(rows @ z - np.eye(rows.shape[1], 2)), axis=(1, 2))
-    scale = rows.shape[2] * float(np.max(np.abs(rows))) * float(np.max(np.abs(z))) + 1.0
-    assert np.max(np.abs(residual - direct)) <= 4 * np.finfo(float).eps * scale
-
-    drift = max(float(np.max(np.abs(t * want.reeb_alpha_values - x))),
-                float(np.max(np.abs(t * want.reeb_beta_values - y))))
-    assert drift < tol * max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
 
 
 CASES = [(name, 0.0) for name in FAMILY_EXAMPLES + ("t6-config",)] + [("constant-factors", 1e-14)]
@@ -197,27 +141,19 @@ COMPATIBLE = {"heisenberg6-pair", "t6-pair-compatible", "t6-config", "constant-f
 def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, seed):
     family = _family(name)
     pts = _points(family, seed)
-    calls, residuals = _record_certify(monkeypatch), _record_residuals(monkeypatch)
+    calls = _record_certify(monkeypatch)
     verdict = verify_forward(family, points=pts)
     scaling = {i.name: i for i in verdict.conclusions if i.name.startswith("Reeb scaling")}
     grid = [t for t in FORWARD_T_GRID if t != 0.0]
     assert len(calls) == 1 + len(grid)
     base = _certificate(SampledPair.of(family.alpha, family.beta, pts), family.k, family.l,
                         default_tolerance(family.model), False)
-    s, candidate, got = calls[0]
-    assert candidate is None
+    s, got = calls[0]
     _assert_same(s, got, base, rtol)
-    # (E_alpha/t, E_beta/t) is offered at every t of a compatible family
-    witness = (got.reeb_alpha_values, got.reeb_beta_values)
-    for t, (s, candidate, got) in zip(grid, calls[1:]):
-        want = _reference(family, t, pts)
-        _assert_same(s, got, want, rtol)
-        assert (candidate is not None) == (name in COMPATIBLE)
-        if name in COMPATIBLE:
-            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model), residuals[t])
-            # the scaling item gates the same backward error
-            item = scaling[f"Reeb scaling at t={t:g}"]
-            assert item.passed and item.defect == got.reeb_residual
+    for t, (s, got) in zip(grid, calls[1:]):
+        _assert_same(s, got, _reference(family, t, pts), rtol)
+        if name in COMPATIBLE:  # its Reeb pair scales as (E_alpha/t, E_beta/t)
+            assert scaling[f"Reeb scaling at t={t:g}"].passed
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -225,94 +161,14 @@ def test_forward_certificates_match_expression_path(monkeypatch, name, rtol, see
 def test_converse_certificates_match_expression_path(monkeypatch, name, rtol, seed):
     family = _family(name)
     pts = _points(family, seed)
-    calls, residuals = _record_certify(monkeypatch), _record_residuals(monkeypatch)
+    calls = _record_certify(monkeypatch)
     verdict = verify_converse(family, points=pts)
     assert len(calls) == len(CONVERSE_T_GRID) + 1
-    witness = None
-    for t, (s, candidate, got) in zip(CONVERSE_T_GRID, calls):
-        want = _reference(family, t, pts)
-        _assert_same(s, got, want, rtol)
-        assert (candidate is None) == (witness is None)
-        if isinstance(got, ContactPairError):
-            continue
-        if got.substituted:
-            _assert_substituted(t, candidate, got, want, witness, default_tolerance(family.model), residuals[t])
-        elif witness is None:  # the first t solved gives (X, Y)
-            witness = (t * got.reeb_alpha_values, t * got.reeb_beta_values)
-    # on a compatible family the solved t = 0.01 gives (X, Y), and every
-    # later t substitutes it
-    substituted = [getattr(got, "substituted", False) for _, _, got in calls[:-1]]
-    assert substituted == [False] + [name in COMPATIBLE] * (len(CONVERSE_T_GRID) - 1)
-    if name in COMPATIBLE:
-        # the constancy item gates the largest backward error of the later t
-        (item,) = [i for i in verdict.hypotheses if "constant across t" in i.name]
-        assert item.passed and item.defect == max(got.reeb_residual for _, _, got in calls[1:-1])
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("name,rtol", CASES)
-@pytest.mark.parametrize("verify", [verify_forward, verify_converse])
-def test_failed_substitution_falls_back_to_the_expression_path_solve(monkeypatch, verify, name, rtol, seed):
-    family = _family(name)
-    pts = _points(family, seed)
-    _fail_every_substitution(monkeypatch)
-    calls = _record_certify(monkeypatch)
-    verify(family, points=pts)
-    if verify is verify_forward:
-        grid = [t for t in FORWARD_T_GRID if t != 0.0]
-        calls = calls[1:]  # the base pair, checked above
-    else:
-        grid = CONVERSE_T_GRID
-    offered = 0
-    for t, (s, candidate, got) in zip(grid, calls):
-        offered += candidate is not None
-        if not isinstance(got, ContactPairError):
-            assert not got.substituted
+    for t, (s, got) in zip(CONVERSE_T_GRID, calls):
         _assert_same(s, got, _reference(family, t, pts), rtol)
     if name in COMPATIBLE:
-        assert offered
-    elif verify is verify_forward:
-        assert not offered  # the compatibility hypotheses fail
-
-
-def _count_reeb_solves(monkeypatch):
-    calls = []
-    real = contact._solve_reeb
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(contact, "_solve_reeb", counting)
-    return calls
-
-
-# (forward, converse) Reeb solves of a verdict at seeds 0 and 7: a
-# compatible family solves the base pair (forward) or the first t and the
-# base pair (converse), against 9 and 5 with a solve at every t; the
-# incompatible one offers no candidate forward and fails every candidate
-# converse, so it solves every t that reaches the Reeb step, as it did
-# before substitution
-REEB_SOLVES = {
-    "t6-pair-compatible": {0: (1, 2), 7: (1, 2)},
-    "t6-config": {0: (1, 2), 7: (1, 2)},
-    "heisenberg6-pair": {0: (1, 2), 7: (1, 2)},
-    "t6-pair-incompatible": {0: (3, 2), 7: (5, 3)},
-}
-
-
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("name", sorted(REEB_SOLVES))
-def test_reeb_solves_per_verdict(monkeypatch, name, seed):
-    family = _family(name)
-    pts = _points(family, seed)
-    calls = _count_reeb_solves(monkeypatch)
-    counts = []
-    for verify in (verify_forward, verify_converse):
-        calls.clear()
-        verify(family, points=pts)
-        counts.append(len(calls))
-    assert tuple(counts) == REEB_SOLVES[name][seed]
+        (item,) = [i for i in verdict.hypotheses if "constant across t" in i.name]
+        assert item.passed
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -321,11 +177,18 @@ def test_sweep_rows_match_expression_path(name, rtol, seed):
     family = _family(name)
     pts = _points(family, seed)
     rows = sweep_rows(family, SWEEP_T_GRID, points=pts)
+    assert (family.k, family.l) == (1, 1)
     for t, row in zip(SWEEP_T_GRID, rows):
         s = SampledPair.of(*family.at(t), pts)
-        # every factor without a live set, so each wedge scans its operands
-        vol = chain(s.n, (1, s.alpha), *[(2, s.dalpha)] * family.k, (1, s.beta), *[(2, s.dbeta)] * family.l)[..., 0]
-        residual = _solve_reeb(s, False)[2]
+        # the formula's chains with every factor without a live set, so
+        # that each wedge and contraction scans its operands
+        m = chain(6, (2, s.dalpha), (2, s.dbeta))
+        na, nb = chain(6, (4, m), (1, s.beta)), chain(6, (1, s.alpha), (4, m))
+        vol = chain(6, (1, s.alpha), (5, na))[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fields = [(_vol_dual(vol, na), None), (_vol_dual(-vol, nb), None)]
+            forms = ((1, s.alpha), (1, s.beta), (2, s.dalpha), (2, s.dbeta))
+            residual = _reeb_residual(6, fields, forms)
         want = [float(np.min(vol)), float(np.max(vol)), float(np.max(residual))]
         got = [row["min_volume_coeff"], row["max_volume_coeff"], row["max_reeb_residual"]]
         assert row["t"] == t
@@ -359,24 +222,6 @@ def test_affine_samples_keep_the_dalpha0_term():
         want = SampledPair.of(*family.at(t), pts)
         for name in ("alpha", "beta", "dalpha", "dbeta"):
             np.testing.assert_allclose(getattr(s, name), getattr(want, name), rtol=1e-14, atol=1e-24)
-
-
-@pytest.mark.parametrize("name", ["nearly-closed", "t6-pair-incompatible", "heisenberg6-pair"])
-def test_scaled_residual_is_the_residual_of_the_expression_path(name):
-    # any pair (X, Y), not only a Reeb pair, so that A0 (X, Y) is not zero;
-    # on the nearly closed family the d alpha0 rows carry 1e-9 of it
-    family = _nearly_closed_family() if name == "nearly-closed" else _family(name)
-    pts = _points(family, 3)
-    sampled = SampledFamily(family, pts, default_tolerance(family.model))
-    x, y = np.random.default_rng(8).standard_normal((2, len(pts), family.model.n))
-    grid = (-10.0, -0.1, 0.01, 1.0, 7.0)
-    for t, residual in zip(grid, deformation._scaled_residuals(sampled, x, y, grid)):
-        rows = SampledPair.of(*family.at(t), pts).reeb_rows()
-        z = np.stack((x / t, y / t), axis=-1)
-        direct = np.max(np.abs(rows @ z - np.eye(rows.shape[1], 2)), axis=(1, 2))
-        assert np.min(direct) > 1e-3  # a pair far from the Reeb pair
-        scale = rows.shape[2] * float(np.max(np.abs(rows))) * float(np.max(np.abs(z))) + 1.0
-        assert np.max(np.abs(residual - direct)) <= 4 * np.finfo(float).eps * scale, t
 
 
 # --- each coefficient is evaluated once ---------------------------------------
@@ -429,7 +274,7 @@ def test_each_coefficient_is_evaluated_once(monkeypatch, name, task):
 # --- the commutator is one gate ------------------------------------------------
 
 def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
-    monkeypatch.setattr(contact, "_reeb_commutator", lambda s, ea, eb: np.full(ea.shape, 0.5))
+    monkeypatch.setattr(contact, "_reeb_commutator", lambda s, chains, ea, eb: np.full(ea.shape, 0.5))
     objs = build_example("heisenberg6-pair")
     with pytest.raises(ContactPairError) as err:
         verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
@@ -633,7 +478,10 @@ def test_overflowing_sweep_row_is_strict_json_with_nulls(capsys):
                                  "max_reeb_residual": 0.0}
     assert result["rows"][1]["min_volume_coeff"] is None
     assert result["rows"][1]["max_volume_coeff"] is None
-    assert result["csv"].splitlines()[2] == "1e+308,,,1"
+    # the Reeb pair divides by a volume that is not finite, so its
+    # residual is not finite either
+    assert result["rows"][1]["max_reeb_residual"] is None
+    assert result["csv"].splitlines()[2] == "1e+308,,,"
 
 
 def test_structured_report_writes_non_finite_numbers_as_null():

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from test_gates import PACKAGE, _sites
 
-from contactpairs import deformation
-from contactpairs.contact import ContactPairError, SampledPair, _certify, _t_batch
+from contactpairs import contact, deformation
+from contactpairs.contact import ContactPairError, SampledPair, _certify, _peaks, _reeb_pair, _t_batch
 from contactpairs.deformation import (
     CONVERSE_T_GRID,
     FORWARD_T_GRID,
@@ -40,21 +40,22 @@ def _setup(name, count):
 
 
 def _record_certify(monkeypatch):
-    """Record (samples, offered candidate, certificate or error) of every
+    """Record (samples, Reeb pair, certificate or error) of every
     certificate a verdict makes, as its Reeb step completes it."""
     calls = []
-    real = deformation._reeb_step
+    real = contact._reeb_step
 
-    def recording(s, gated, full, candidate=None):
+    def recording(s, gated, reeb, chains=None):
         try:
-            cert = real(s, gated, full, candidate)
+            cert = real(s, gated, reeb, chains)
         except ContactPairError as err:
-            calls.append((s, candidate, err))
+            calls.append((s, reeb, err))
             raise
-        calls.append((s, candidate, cert))
+        calls.append((s, reeb, cert))
         return cert
 
-    monkeypatch.setattr(deformation, "_reeb_step", recording)
+    for module in (contact, deformation):
+        monkeypatch.setattr(module, "_reeb_step", recording)
     return calls, real
 
 
@@ -62,9 +63,7 @@ def _item(t, make):
     """The per-t item of ``make`` as JSON text, which keeps every bit of its
     floats, and its Reeb pair as bytes (None on failure)."""
     item, cert = deformation._cert_item(f"(alpha_t,beta_t) is a contact pair at t={t:g}", make)
-    reeb = None if cert is None else (
-        cert.reeb_alpha_values.tobytes(), cert.reeb_beta_values.tobytes(), cert.substituted
-    )
+    reeb = None if cert is None else (cert.reeb_alpha_values.tobytes(), cert.reeb_beta_values.tobytes())
     return json.dumps(item.to_dict()), reeb
 
 
@@ -84,9 +83,12 @@ def _assert_batched_equals_per_t(monkeypatch, family, pts, verify, grid):
     assert len(per_t) == len(grid)
     tol = default_tolerance(family.model)
     sampled = SampledFamily(family, pts, tol)
-    for t, (s, candidate, got) in zip(grid, per_t):
+    for t, (s, reeb, got) in zip(grid, per_t):
         alone = sampled.at(t)  # t's own samples, gated as a batch of one
-        want = _item(t, lambda: reeb_step(alone, _certify(alone, family.k, family.l, tol)[0], False, candidate))
+        arrays, chains = alone.certificate_arrays(family.k, family.l)
+        gated = _certify(alone, family.k, family.l, tol, arrays)[0]
+        ea, eb, residual = _reeb_pair(alone, chains)
+        want = _item(t, lambda: reeb_step(alone, gated, (ea, eb, _peaks(residual)[0])))
         assert _item(t, _recorded(got)) == want
     return per_t
 
@@ -169,8 +171,8 @@ def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count
         assert [t for batch_t, _, _ in yielded for t in batch_t] == list(grid)
         assert all(len(batch.alpha) == len(batch_t) for batch_t, batch, _ in yielded)
         per_t = [
-            (batch.t_slice(i), [v[i] for v in arrays])
-            for batch_t, batch, arrays in yielded for i in range(len(batch_t))
+            (batch.t_slice(i), [v[i] for v in (*arrays, *_reeb_pair(batch, chains))])
+            for batch_t, batch, (arrays, chains) in yielded for i in range(len(batch_t))
         ]
         c, d = sampled.closed, sampled.direction
         for t, (s, arrays) in zip(grid, per_t):
@@ -179,7 +181,10 @@ def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count
             assert _bits((s.alpha, s.beta, s.dalpha, s.dbeta)) == _bits(
                 (c.alpha + t * d.alpha, c.beta + t * d.beta, c.dalpha + t * d.dalpha, c.dbeta + t * d.dbeta)
             )
-            assert _bits(arrays) == _bits(real_at(sampled, t).certificate_arrays(family.k, family.l))
+            alone = real_at(sampled, t)
+            want, chains = alone.certificate_arrays(family.k, family.l)
+            # the arrays and the Reeb pair with its residual
+            assert _bits(arrays) == _bits((*want, *_reeb_pair(alone, chains)))
 
 
 @pytest.mark.parametrize("verify", [verify_forward, verify_converse])
@@ -207,12 +212,10 @@ def test_an_overflowing_t_leaves_the_finite_t_of_its_batch_unchanged(monkeypatch
 @pytest.mark.parametrize("verify,t_count", [(verify_forward, 8), (verify_converse, 4)])
 def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_count):
     # one t per batch at 2049 points: the samples of the previous t are gone
-    # by the time the next t's samples are formed, and the converse's
-    # scaled residuals are computed after the samples of the t it solved
-    # are gone
+    # by the time the next t's samples are formed
     family, pts = _setup("t6-pair-compatible", 2049)
     formed = []
-    real_at, real_residuals = SampledFamily.at, deformation._scaled_residuals
+    real_at = SampledFamily.at
 
     def released():
         return all(ref() is None for ref in formed)
@@ -223,12 +226,7 @@ def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_cou
         formed.extend(weakref.ref(v) for v in (s.alpha, s.beta, s.dalpha, s.dbeta))
         return s
 
-    def residuals(*args):
-        assert released()
-        return real_residuals(*args)
-
     monkeypatch.setattr(SampledFamily, "at", recording)
-    monkeypatch.setattr(deformation, "_scaled_residuals", residuals)
     verify(family, points=pts)
     assert len(formed) == 4 * t_count
 
@@ -251,7 +249,7 @@ def test_certificate_arrays_are_computed_on_one_path():
     # the t of a family's grid get theirs from batches, every other
     # certificate computes its own
     assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "certificate_arrays") == [
-        ("contact", "_certify"),
+        ("contact", "_certificate"),
         ("deformation", "batches"),
     ]
 

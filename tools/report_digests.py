@@ -20,13 +20,15 @@ seeds 0 and 7 over this matrix:
   infinite partner, the case in which the exterior kernels must keep a
   term that is zero elsewhere (0 * inf is NaN);
 - deform converse with ``--t-grid=5,10`` on t6-pair-incompatible: both t
-  reach the Reeb step, so t = 5 is solved and its scaled Reeb pair is
-  offered at t = 10, where it fails and t = 10 is solved as without it
-  (the fallback of the substituted Reeb pair);
+  pass every gate before the Reeb step, so the converse compares
+  t * E_t of two Reeb pairs of a pair whose Reeb fields do not scale as
+  1/t, and the "t * E constant" item fails on numbers of its own;
 - verify-pair, deform and sweep on a copy of
   ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
-  8193, written to a temporary directory: the Reeb systems are solved in
-  blocks of 2048 points, so this is four full blocks and a one-point block;
+  8193, written to a temporary directory: the rank check takes the
+  singular values of the Reeb rows in blocks of 4096 points, so this is
+  two full blocks and a one-point block, and every t of a deformation
+  grid is a batch of its own;
 - deform forward, deform converse and sweep on a copy with
   ``samples.random_count`` = 1365: a family's t grid is certified in
   batches of 4096 // 1365 = 3 values of t, so the config's four t make a
@@ -89,11 +91,11 @@ TASK_COMMANDS = (
 # t = 1e308 overflows the wedge chains
 OVERFLOW_GRID = "--t-grid=1,1e308"
 # on t6-pair-incompatible both t reach the converse's Reeb step
-FALLBACK_GRID = "--t-grid=5,10"
+REEB_STEP_GRID = "--t-grid=5,10"
 # copies of the t6 config with another random sample count, each named by
 # its file name in the matrix and the digest lines and written to a
-# temporary directory: 2 * 4096 + 1 samples end in a one-point Reeb block,
-# and 1365 make t batches of 3
+# temporary directory: 2 * 4096 + 1 samples end in a one-point block of
+# the rank check's singular values, and 1365 make t batches of 3
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
 BATCH_EDGE_CONFIG = "t6_explicit_family_1365.json"
 MIXED_BATCH_CONFIG = "t6_explicit_family_1365_dx1.json"
@@ -131,7 +133,7 @@ def matrix() -> list[tuple[str, ...]]:
             runs.append(cmd + ("--example", name, OVERFLOW_GRID))
     runs.append(("deform", "--mode", "single", "--example", "torus-contact",
                  "--alpha0", "1,0,0", OVERFLOW_GRID))
-    runs.append(("deform", "--mode", "converse", "--example", "t6-pair-incompatible", FALLBACK_GRID))
+    runs.append(("deform", "--mode", "converse", "--example", "t6-pair-incompatible", REEB_STEP_GRID))
     runs += [(cmd, "--config", BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")]
     for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
         runs.append(cmd + ("--config", BATCH_EDGE_CONFIG))
