@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _BLOCK, _two_form_positions, chain, chain_factor, interior_values, two_form_matrices
+from .exterior import _BLOCK, _two_form_positions, chain, chain_factor, interior_values
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -266,12 +266,6 @@ class SampledPair:
     @property
     def n(self) -> int:
         return self.alpha.shape[-1]
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Antisymmetric matrices of d alpha and d beta, shape (P, n, n) each;
-        formed on use, so that a pair kept across a t loop holds none."""
-        return two_form_matrices(self.n, self.dalpha), two_form_matrices(self.n, self.dbeta)
 
     def scales(self) -> tuple:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""

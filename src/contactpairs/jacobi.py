@@ -1,17 +1,22 @@
 """Jacobi structures induced by contact data, tested gridwise on charts.
 
-A side carries a leaf distribution V, the side's 1-form alpha restricted to V
-(a contact form on the leaves), and the side's Reeb field E.  For a contact
-pair the alpha-side leaves integrate the kernel of the other form and its
-differential; a single contact form on an odd chart is the degenerate case
-V = TM with one leaf.  Each function f gets a Hamiltonian field X_f in V:
+A side carries its 1-form alpha, its Reeb field E and the operator Λ♯ of
+its bivector.  The leaves V of the alpha side of a pair of type (k, l) are
+the kernel of beta and d beta (dimension 2k+1); a single contact form on an
+odd chart is the degenerate case V = TM.  Each function f gets a
+Hamiltonian field X_f in V:
 
-    alpha(X_f) = f,      i_{X_f} (d alpha)|_V = (E.f) alpha|_V - (df)|_V,
+    alpha(X_f) = f,      i_{X_f} (d alpha)|_V = (E.f) alpha|_V - (df)|_V.
 
-and the bracket on functions is {f, g} = alpha([X_f, X_g]).  All grid
-derivatives are second-order central differences with periodic wrap; box
-axes use one-sided second-order stencils at the boundary and are excluded
-from defect suprema through the interior mask.
+With T = beta ∧ (d beta)^l (1 on a contact form), (d beta)^{l+1} = 0 kills
+every conormal term in a wedge with T, so the insertion identity gives X_f
+with no leaf basis: i_{X_f} vol = (f (d alpha)^k + k alpha ∧ df ∧
+(d alpha)^{k-1}) ∧ T for vol = alpha ∧ (d alpha)^k ∧ T, that is X_f = f E +
+Λ♯df (``contact._vol_dual``).  The bracket on functions is {f, g} =
+alpha([X_f, X_g]).  All grid derivatives are second-order central
+differences with periodic wrap; box axes use one-sided second-order
+stencils at the boundary and are excluded from defect suprema through the
+interior mask.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import math
 import numpy as np
 
 from . import expressions as ex
-from .contact import _form_reeb, verify_contact_pair
-from .exterior import _BLOCK, two_form_matrices
+from .contact import _form_reeb, _vol_dual, _wedge, verify_contact_pair
+from .exterior import _BLOCK, two_form_matrices, wedge_values
 from .fields import FormField
 from .models import Model, _tensor_points, default_tolerance, grid_nodes
 
@@ -121,27 +126,74 @@ def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
     return out
 
 
+def _hamiltonian_operator(n: int, k: int, form, dform, tail=None) -> np.ndarray:
+    """Λ♯ of a side, shape (P, n, n), C-ordered, from the chain factors
+    ``form`` = alpha, ``dform`` = d alpha and ``tail`` = T (None for 1):
+    with B = alpha ∧ (d alpha)^{k-1} ∧ T and vol = B ∧ d alpha, column j
+    is the ``_vol_dual`` of k alpha ∧ dx^j ∧ (d alpha)^{k-1} ∧ T = -k dx^j ∧
+    B.  Λ♯ = 0 when k = 0."""
+    if k == 0:
+        return np.zeros((len(form[1]), n, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the relations gate checks
+        b = _wedge(n, form, *[dform] * (k - 1), tail)
+        volume = _wedge(n, b, dform)[1][:, :1]
+        columns = wedge_values(n, 1, n - 2, np.eye(n), b[1][:, None, :])
+        return np.ascontiguousarray(np.swapaxes(_vol_dual(-volume, k * columns), 1, 2))
+
+
+def _gate(lam, e, own_rows, tol, grid: _SideGrid, other=None) -> None:
+    """Raise a JacobiError unless Λ♯ is finite and the relations of its
+    columns L_j = Λ♯dx^j hold on the sub-grid, from the rows (alpha; i_.
+    d alpha) of the side and, on a pair side, ``other`` = (the rows (beta;
+    i_. d beta), the chain factor T):
+
+        alpha(L_j) = 0,   (i_{L_j} d alpha + dx^j - E^j alpha) ∧ T = 0,
+        beta(L_j) = 0,    i_{L_j} d beta = 0.
+
+    The second is i_{X_f} d alpha = (E.f) alpha - df on V = ker T where f =
+    0 and df = dx^j (on a contact form V = TM, and the 1-form vanishes);
+    the relations are linear in (f, df), so these decide every f.  The
+    threshold is tol times the peaks of the fields (Λ♯, E) and of the
+    forms, each at least 1."""
+    pts = grid.sub_points
+    _require_finite("Hamiltonian operator", lam, pts, grid.grid_index)
+    n = lam.shape[1]
+    r = own_rows @ lam  # row 0: alpha(L_j), row 1 + i: (i_{L_j} d alpha)_i, in column j
+    w = np.swapaxes(r[:, 1:], 1, 2) + np.eye(n) - e[:, :, None] * own_rows[:, :1, :]
+    parts, forms = [r[:, 0]], [own_rows]
+    if other is not None:
+        other_rows, (degree, t, _) = other
+        w = wedge_values(n, 1, degree, w, t[:, None, :])
+        parts.append(other_rows @ lam)
+        forms += [other_rows, t]
+    peak = np.max([np.abs(a).reshape(len(a), -1).max(axis=1) for a in (*parts, w)], axis=0)
+    scale = math.prod(max(1.0, *(float(np.max(np.abs(a))) for a in arrays)) for arrays in ((lam, e), forms))
+    worst = float(np.max(peak))
+    if not worst <= tol * scale:
+        idx = int(np.argmax(peak))
+        raise JacobiError(f"Hamiltonian relations defect {worst:.3e} at {pts[idx].tolist()}")
+
+
 class JacobiSide:
     """One side of the induced Jacobi data, sampled on a tensor grid.
 
-    The side's pointwise algebra (Reeb field, leaf basis, restricted solver)
-    depends on its forms only: the constructors compute it once per sample
-    of the sub-grid and spread it to the grid, keeping the memory layout
-    within a point, since einsum sums in a layout-dependent order.  Every
-    grid operator works on the grid.
+    The side's pointwise algebra (form, Reeb field E, operator Λ♯) depends
+    on its forms only: the constructors compute it and gate it (``_gate``)
+    once per sample of the sub-grid and spread it to the grid, keeping the
+    memory layout within a point, since einsum sums in a layout-dependent
+    order.  Every grid operator works on the grid.
     """
 
-    def __init__(self, model, grid: _SideGrid, alpha_values, e_values, leaf_basis, solver, tol):
+    def __init__(self, model, grid: _SideGrid, leaf_dim: int, alpha_values, e_values, lambda_sharp, tol):
         self.model = model
         self.grid_shape = grid.shape
         self.points = grid.points
         self.steps = grid.steps
         self.periodic = grid.periodic
-        self.alpha_values = alpha_values
-        self.e_values = e_values
-        self.leaf_basis = leaf_basis
-        self.leaf_dim = leaf_basis.shape[2]
-        self._system, self._solve_mat = solver
+        self.leaf_dim = leaf_dim
+        self.alpha_values = grid.spread(alpha_values)
+        self.e_values = grid.spread(e_values)
+        self.lambda_sharp = grid.spread(lambda_sharp)
         self.tol = tol
         self.interior_mask = self._build_interior_mask()
 
@@ -151,7 +203,8 @@ class JacobiSide:
     def from_contact_form(cls, alpha: FormField, resolution=None, tol: float | None = None):
         """Degenerate side of a single contact form: V = TM, one leaf."""
         model = alpha.model
-        if model.n % 2 == 0:
+        n = model.n
+        if n % 2 == 0:
             raise JacobiError("a single contact form needs an odd-dimensional model")
         if tol is None:
             tol = default_tolerance(model)
@@ -159,17 +212,25 @@ class JacobiSide:
         pts = grid.sub_points
         av = np.ascontiguousarray(alpha.values(pts))  # an einsum operand, C-ordered
         dav = alpha.d().values(pts)
-        n = model.n
         e, volume, residual = _form_reeb(n, av, dav)
         # an overflow first; a volume that vanishes is a rank deficiency
         _require_finite("Reeb system", volume, pts, grid.grid_index)
-        da_m = two_form_matrices(n, dav)
-        solver = cls._prepare_solver(av, da_m, np.broadcast_to(np.eye(n), da_m.shape), tol, pts)
+        rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
+        # from the rows themselves: the spectrum of their Gram matrix squares the
+        # condition number, so its square root cannot resolve ratios below ~1e-8
+        sigma = np.linalg.svd(rows, compute_uv=False)
+        sigma_min, sigma_max = sigma[:, -1], sigma[:, 0]
+        if np.min(sigma_min) <= tol * np.max(sigma_max):
+            idx = int(np.argmin(sigma_min))
+            raise JacobiError(
+                "degenerate leaf data: the restricted contact system is rank deficient "
+                f"at {pts[idx].tolist()}"
+            )
         if not float(np.max(residual)) <= tol * max(1.0, float(np.max(np.abs(av)))):
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
-        basis = np.broadcast_to(np.eye(n), (grid.points.shape[0], n, n))  # read-only view
-        return cls(model, grid, grid.spread(av), grid.spread(e), basis,
-                   [grid.spread(a) for a in solver], tol)
+        lam = _hamiltonian_operator(n, n // 2, (1, av), (2, dav))
+        _gate(lam, e, rows, tol, grid)
+        return cls(model, grid, n, av, e, lam, tol)
 
     @classmethod
     def from_pair(
@@ -183,73 +244,25 @@ class JacobiSide:
         tol: float | None = None,
     ):
         """A side of a certified contact pair; the leaf distribution of the
-        alpha side is the kernel of beta and d beta (dimension 2k+1)."""
+        alpha side is the kernel of beta and d beta (dimension 2k+1), and T
+        is beta ∧ (d beta)^l."""
         if side not in ("alpha", "beta"):
             raise ValueError("side must be 'alpha' or 'beta'")
         model = alpha.model
+        n = model.n
         if tol is None:
             tol = default_tolerance(model)
         grid = _SideGrid(model, resolution, (alpha, beta))
-        pts = grid.sub_points
-        cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=pts)
-        # einsum operands, C-ordered as the grid's
-        av, bv = (np.ascontiguousarray(v) for v in (cert.sampled.alpha, cert.sampled.beta))
-        da_m, db_m = cert.sampled.matrices
-        if side == "alpha":
-            own, own_d, which, other, other_d, m = av, da_m, 0, bv, db_m, 2 * k + 1
-        else:
-            own, own_d, which, other, other_d, m = bv, db_m, 1, av, da_m, 2 * l + 1
-        n = model.n
-        rows = np.concatenate([other[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
-        _, s, vt = np.linalg.svd(rows)
-        rank = n - m
-        sig_max = s[:, 0]
-        if np.any(s[:, rank - 1] <= 1e-6 * sig_max) or np.any(s[:, rank] >= 1e-6 * sig_max):
-            idx = int(np.argmax(s[:, rank]))
-            raise JacobiError(
-                f"leaf distribution dimension is not constant ({m} expected); "
-                f"witness point {pts[idx].tolist()}"
-            )
-        basis = np.swapaxes(vt[:, rank:, :], 1, 2)  # (P, n, m), orthonormal columns
-        restricted = np.einsum("pi,pim->pm", own, basis)
-        if np.any(np.max(np.abs(restricted), axis=1) <= tol):
-            idx = int(np.argmin(np.max(np.abs(restricted), axis=1)))
-            raise JacobiError(
-                f"side form vanishes on its leaf distribution at {pts[idx].tolist()}"
-            )
-        solver = cls._prepare_solver(own, own_d, basis, tol, pts)
-        reeb = (cert.reeb_alpha_values, cert.reeb_beta_values)[which]
-        return cls(model, grid, grid.spread(own), grid.spread(reeb), grid.spread(basis),
-                   [grid.spread(a) for a in solver], tol)
-
-    # -- solver -----------------------------------------------------------
-
-    @staticmethod
-    def _prepare_solver(alpha_values, dalpha_mat, basis, tol, points):
-        """(the restricted system, its least-squares solve matrix) for the
-        equations in leaf coordinates x (X = basis @ x):
-            alpha|_V . x = f
-            (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
-        A system with sigma_min <= tol * sigma_max (smallest and largest
-        singular values over the samples) is rank deficient; otherwise the
-        solve matrix (AᵀA)⁻¹Aᵀ is the LU solve of the normal equations
-        against Aᵀ times the identity.
-        """
-        alpha_leaf = np.einsum("pi,pim->pm", alpha_values, basis)
-        d_leaf = np.swapaxes(basis, 1, 2) @ dalpha_mat @ basis
-        system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
-        # from the system itself: the spectrum of the Gram matrix squares the
-        # condition number, so its square root cannot resolve ratios below ~1e-8
-        sigma = np.linalg.svd(system, compute_uv=False)
-        sigma_min, sigma_max = sigma[:, -1], sigma[:, 0]
-        if np.min(sigma_min) <= tol * np.max(sigma_max):
-            idx = int(np.argmin(sigma_min))
-            raise JacobiError(
-                "degenerate leaf data: the restricted contact system is rank deficient "
-                f"at {points[idx].tolist()}"
-            )
-        system_t = np.swapaxes(system, 1, 2)
-        return system, np.linalg.solve(system_t @ system, system_t @ np.eye(system.shape[1]))
+        cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=grid.sub_points)
+        w, powers, factors = ("alpha", "beta").index(side), (k, l), cert.sampled.factors()
+        rows = cert.sampled.reeb_rows()  # alpha, beta, i_. d alpha, i_. d beta
+        own_rows, other_rows = (rows[:, [i, *range(2 + i * n, 2 + (i + 1) * n)]] for i in (w, 1 - w))
+        with np.errstate(over="ignore", invalid="ignore"):  # the gate checks
+            tail = _wedge(n, factors[1 - w], *[factors[3 - w]] * powers[1 - w])
+        lam = _hamiltonian_operator(n, powers[w], factors[w], factors[2 + w], tail)
+        e = (cert.reeb_alpha_values, cert.reeb_beta_values)[w]
+        _gate(lam, e, own_rows, tol, grid, (other_rows, tail))
+        return cls(model, grid, 2 * powers[w] + 1, own_rows[:, 0], e, lam, tol)
 
     def _build_interior_mask(self):
         mask = np.ones(self.grid_shape, dtype=bool)
@@ -263,6 +276,10 @@ class JacobiSide:
 
     def scalar_data(self, f):
         """Normalize a function to (values, gradient, E.f) on the grid."""
+        vals, grad = self._value_and_gradient(f)
+        return vals, grad, np.einsum("pi,pi->p", self.e_values, grad)
+
+    def _value_and_gradient(self, f):
         if isinstance(f, str):
             f = ex.parse(f, self.model.n)
         if isinstance(f, ex.Expr):
@@ -270,13 +287,11 @@ class JacobiSide:
             grad = np.zeros((self.points.shape[0], self.model.n))
             for a in self.model.coordinate_axes:
                 grad[:, a] = ex.evaluate_many(ex.partial(f, a), self.points)
-        else:
-            vals = np.asarray(f, dtype=float).reshape(-1)
-            if vals.shape[0] != self.points.shape[0]:
-                raise ValueError("grid function has the wrong number of samples")
-            grad = self.grid_gradient(vals)
-        ef = np.einsum("pi,pi->p", self.e_values, grad)
-        return vals, grad, ef
+            return vals, grad
+        vals = np.asarray(f, dtype=float).reshape(-1)
+        if vals.shape[0] != self.points.shape[0]:
+            raise ValueError("grid function has the wrong number of samples")
+        return vals, self.grid_gradient(vals)
 
     def grid_gradient(self, values: np.ndarray) -> np.ndarray:
         """Finite-difference gradient of a grid function, shape (P, n)."""
@@ -287,24 +302,13 @@ class JacobiSide:
         return out
 
     def solve_hamiltonian(self, f) -> np.ndarray:
+        """The Hamiltonian field X_f = f E + Λ♯df on the grid."""
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
-            vals, grad, ef = self.scalar_data(f)
-            grad_leaf = np.einsum("pi,pim->pm", grad, self.leaf_basis)
-            rhs = np.concatenate(
-                [vals[:, None], ef[:, None] * self._system[:, 0] - grad_leaf], axis=1
-            )
-            coords = np.einsum("pmr,pr->pm", self._solve_mat, rhs)
-            residual = np.einsum("prm,pm->pr", self._system, coords) - rhs
-        _require_finite("Hamiltonian system", residual, self.points)
-        scale = max(1.0, float(np.max(np.abs(vals))), float(np.max(np.abs(grad))))
-        worst = float(np.max(np.abs(residual)))
-        if not worst <= self.tol * scale:
-            idx = int(np.argmax(np.max(np.abs(residual), axis=1)))
-            raise JacobiError(
-                f"leaf-restricted Hamiltonian system residual {worst:.3e} at "
-                f"{self.points[idx].tolist()}"
-            )
-        return np.einsum("pim,pm->pi", self.leaf_basis, coords)
+            vals, grad = self._value_and_gradient(f)
+            x = vals[:, None] * self.e_values
+            x += np.einsum("pij,pj->pi", self.lambda_sharp, grad)
+        _require_finite("Hamiltonian system", x, self.points)
+        return x
 
     def brackets(self, pairs) -> list[np.ndarray]:
         """alpha([X, Y]) pointwise for each pair (X, Y) of grid vector fields.

@@ -164,26 +164,23 @@ def _jacobi_verdict(cfg, params, objs):
     g = ex.parse(f"sin(x{c[2 % len(c)]})", n)
     h = ex.parse(f"cos(x{c[1 % len(c)]})", n)
 
-    # each function's Hamiltonian field is solved once
-    x1, xf, xg, xh = (side.solve_hamiltonian(u) for u in (ex.const(1.0), f, g, h))
-    reeb_defect = float(np.max(np.abs(x1 - side.e_values)))
+    # each function's Hamiltonian field is solved once; X_1 = 1 E + Λ♯0 is E
+    xf, xg, xh = (side.solve_hamiltonian(u) for u in (f, g, h))
     # one shared pass differentiates each of the four fields once per axis
-    one_g, fg, gh, hf = side.brackets([(x1, xg), (xf, xg), (xg, xh), (xh, xf)])
+    one_g, fg, gh, hf = side.brackets([(side.e_values, xg), (xf, xg), (xg, xh), (xh, xf)])
     _, _, eg = side.scalar_data(g)
     one_defect = float(np.max(np.abs(one_g - eg)[side.interior_mask]))
-    del x1, one_g, eg  # only the identity's fields and inner brackets stay for its solves
+    del one_g, eg  # only the identity's fields and inner brackets stay for its solves
     identity_defect = _identity_defect(xf, xg, xh, side, (fg, gh, hf))
     h_sq = max(s * s for s in side.steps)
     data = {
         "leaf_dimension": side.leaf_dim,
         "grid": list(side.grid_shape),
-        "reeb_as_hamiltonian_defect": reeb_defect,
         "constant_bracket_defect": one_defect,
         "jacobi_identity_defect": identity_defect,
         "grid_step_squared": h_sq,
     }
     items = [
-        _gate("reeb_as_hamiltonian_defect", reeb_defect, side.tol),
         _gate("constant_bracket_defect", one_defect, 20.0 * h_sq),
         _gate("jacobi_identity_defect", identity_defect, 20.0 * h_sq),
     ]

@@ -133,17 +133,42 @@ def test_hamiltonian_solve_fails_on_non_finite_grid_values(t3_side, bad):
     assert err.value.witness["point"] == t3_side.points[err.value.witness["index"]].tolist()
 
 
-def test_pair_side_leaf_dimension(pair_side):
-    assert pair_side.leaf_dim == 3
-    # leaves are tangent to the left factor: basis has no right components
-    assert np.max(np.abs(pair_side.leaf_basis[:, 3:, :])) < 1e-12
+def test_pair_side_leaf_dimension(pair_side, t3_side):
+    assert pair_side.leaf_dim == 3 and t3_side.leaf_dim == 3
+    # leaves are tangent to the left factor: Λ♯ and E have no right components
+    assert np.max(np.abs(pair_side.lambda_sharp[:, 3:, :])) < 1e-12
+    assert np.max(np.abs(pair_side.e_values[:, 3:])) < 1e-12
+    objs = build_example("t2-pair-type00")
+    for name in ("alpha", "beta"):
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], 0, 0, side=name, resolution=6)
+        # 1-dimensional leaves: X_f = f E
+        assert side.leaf_dim == 1 and not np.any(side.lambda_sharp)
+
+
+@pytest.mark.parametrize("example, side_name", [
+    ("torus-contact", "alpha"), ("darboux2", "alpha"),
+    ("t6-pair-compatible", "alpha"), ("t6-pair-compatible", "beta"),
+])
+def test_relations_gate_rejects_a_wrong_operator(monkeypatch, example, side_name):
+    # half of Λ♯, which doubling d alpha in the operator's chains gives on k = 1
+    operator = jacobi._hamiltonian_operator
+    monkeypatch.setattr(jacobi, "_hamiltonian_operator", lambda *args: 0.5 * operator(*args))
+    objs = build_example(example)
+    with pytest.raises(JacobiError, match="Hamiltonian relations defect") as err:
+        if "beta" in objs:
+            JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                 side=side_name, resolution=4)
+        else:
+            JacobiSide.from_contact_form(objs["alpha"], resolution=5)
+    assert err.value.condition is None  # an input error (exit 2), not a non-finite failure
 
 
 # --- Hamiltonian fields -----------------------------------------------------------
 
-def test_constant_function_gives_reeb(t3_side):
-    x1 = t3_side.solve_hamiltonian(ex.const(1.0))
-    assert np.max(np.abs(x1 - t3_side.e_values)) < t3_side.tol
+def test_constant_function_gives_reeb(t3_side, pair_side):
+    # X_1 = 1 E + Λ♯0 is E exactly, so the jacobi verdict takes E as X_1
+    for side in (t3_side, pair_side):
+        assert np.array_equal(side.solve_hamiltonian(ex.const(1.0)), side.e_values)
 
 
 def test_defining_relation_darboux():
@@ -268,8 +293,8 @@ def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
                  ["--example", "t6-pair-compatible", "--resolution", "5"]):
         calls.clear()
         assert main(["jacobi", *argv]) == 0
-        # 1, f, g, h and the three inner brackets of the Jacobi identity
-        assert len(calls) == 7
+        # f, g, h and the three inner brackets of the Jacobi identity; X_1 is E
+        assert len(calls) == 6
     capsys.readouterr()
 
 
@@ -297,9 +322,9 @@ def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys,
     # only a pair side takes --side; a contact form has one side
     argv = ["jacobi", "--example", example, "--resolution", str(resolution)]
     assert main(argv + (["--side", side_name] if "beta" in objs else [])) == 0
-    # 1, f, g, h once each in the shared pass, three outer brackets of two
-    # fields each, and the gradients of the three inner solves
-    assert len(sweeps) == per_verdict and len(solves) == 7
+    # E = X_1, X_f, X_g, X_h once each in the shared pass, three outer
+    # brackets of two fields each, and the gradients of the three inner solves
+    assert len(sweeps) == per_verdict and len(solves) == 6
     capsys.readouterr()
     if "beta" in objs:
         side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
@@ -365,13 +390,14 @@ def test_jacobi_task_equals_the_public_bracket_functions(example, side_name, res
     _, _, eg = side.scalar_data(g)
     one_bracket = jacobi_bracket(one, g, side)
     expected = {
-        "reeb_as_hamiltonian_defect": float(np.max(np.abs(side.solve_hamiltonian(one) - side.e_values))),
         "constant_bracket_defect": float(np.max(np.abs(one_bracket - eg)[side.interior_mask])),
         "jacobi_identity_defect": jacobi_identity_defect(f, g, h, side),
     }
     assert status == "pass"
     assert {key: data[key] for key in expected} == expected
-    assert "bracket_antisymmetry_defect" not in data
+    # neither defect can be other than 0.0: the bracket of (Y, X) negates
+    # that of (X, Y), and X_1 is E
+    assert "bracket_antisymmetry_defect" not in data and "reeb_as_hamiltonian_defect" not in data
 
 
 def test_identity_defect_equals_the_nested_brackets(t3_side):
@@ -384,7 +410,7 @@ def test_identity_defect_equals_the_nested_brackets(t3_side):
     assert jacobi_identity_defect(f, g, h, t3_side) == float(np.max(np.abs(nested[t3_side.interior_mask])))
 
 
-# --- copy-free stencils and the identity leaf basis -------------------------------------
+# --- copy-free stencils ------------------------------------------------------------------
 
 def _rolled_derivative(g, axis, h, periodic):
     out = (np.roll(g, -1, axis=axis) - np.roll(g, 1, axis=axis)) / (2.0 * h)
@@ -405,12 +431,6 @@ def test_axis_derivative_is_bit_identical_to_shifted_copies(shape, periodic):
         assert new.tobytes() == _rolled_derivative(g, axis, 0.37, periodic).tobytes()
 
 
-def test_contact_form_leaf_basis_is_a_read_only_identity(t3_side):
-    basis = t3_side.leaf_basis
-    assert not basis.flags.writeable
-    assert basis.shape == (16**3, 3, 3) and np.array_equal(basis[123], np.eye(3))
-
-
 # --- pointwise algebra once per distinct sample ------------------------------------------
 
 def _full_grid_reference(objs, side_name, resolution):
@@ -424,31 +444,21 @@ def _full_grid_reference(objs, side_name, resolution):
         k, l = objs["k"], objs["l"]
         cert = verify_contact_pair(alpha, objs["beta"], k, l, tol=tol, points=pts)
         s = cert.sampled
-        (da_m, db_m) = s.matrices
+        fa, fb, fda, fdb = s.factors()
         # the einsum operands are C-ordered, as before the samples were component-major
-        alpha_c, beta_c = np.ascontiguousarray(s.alpha), np.ascontiguousarray(s.beta)
         if side_name == "alpha":
-            own, own_d, e, other, other_d, m = alpha_c, da_m, cert.reeb_alpha_values, beta_c, db_m, 2 * k + 1
+            own, e, lam = s.alpha, cert.reeb_alpha_values, jacobi._hamiltonian_operator(
+                n, k, fa, fda, contact._wedge(n, fb, *[fdb] * l))
         else:
-            own, own_d, e, other, other_d, m = beta_c, db_m, cert.reeb_beta_values, alpha_c, da_m, 2 * l + 1
-        rows = np.concatenate([other[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
-        _, _, vt = np.linalg.svd(rows)
-        basis = np.swapaxes(vt[:, n - m:, :], 1, 2)
+            own, e, lam = s.beta, cert.reeb_beta_values, jacobi._hamiltonian_operator(
+                n, l, fb, fdb, contact._wedge(n, fa, *[fda] * k))
+        own = np.ascontiguousarray(own)
     else:
         own = np.ascontiguousarray(alpha.values(pts))
         dav = alpha.d().values(pts)
-        own_d = two_form_matrices(n, dav)
         e = _form_reeb(n, own, dav)[0]
-        basis = np.broadcast_to(np.eye(n), (pts.shape[0], n, n))
-    alpha_leaf = np.einsum("pi,pim->pm", own, basis)
-    d_leaf = np.swapaxes(basis, 1, 2) @ own_d @ basis
-    system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
-    system_t = np.swapaxes(system, 1, 2)  # the normal equations, the whole stack at once
-    solve_mat = np.linalg.solve(system_t @ system, system_t @ np.eye(system.shape[1]))
-    return {
-        "points": pts, "alpha_values": own, "e_values": e, "leaf_basis": basis,
-        "_system": system, "_solve_mat": solve_mat,
-    }
+        lam = jacobi._hamiltonian_operator(n, n // 2, (1, own), (2, dav))
+    return {"points": pts, "alpha_values": own, "e_values": e, "lambda_sharp": lam}
 
 
 def _every_axis_form():
@@ -485,7 +495,7 @@ def test_sub_grid_side_equals_the_full_grid_reference(example, side_name, resolu
         # einsum sums in an order that depends on the strides within a point
         assert kept.strides[1:] == expected.strides[1:], name
     assert side.grid_shape == grid_shape(objs["alpha"].model, resolution)
-    assert not hasattr(side, "dalpha_mat")
+    assert not any(hasattr(side, name) for name in ("dalpha_mat", "leaf_basis", "_system", "_solve_mat"))
 
 
 def test_overflow_witness_is_the_first_full_grid_point():
@@ -508,22 +518,105 @@ def test_overflow_witness_is_the_first_full_grid_point():
 
 
 def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, capsys):
-    systems = []
-    reeb_pair, prepare = contact._reeb_pair, JacobiSide._prepare_solver
+    systems, operators = [], []
+    reeb_pair, operator = contact._reeb_pair, jacobi._hamiltonian_operator
 
     def counted_reeb(s, chains):
         systems.append(np.shape(s.reeb_rows()))
         return reeb_pair(s, chains)
 
-    def counted_solver(alpha_values, dalpha_mat, basis, tol, points):
-        system, solve_mat = prepare(alpha_values, dalpha_mat, basis, tol, points)
-        systems.append(system.shape)
-        return system, solve_mat
+    def counted_operator(*args):
+        lam = operator(*args)
+        operators.append(lam.shape)
+        return lam
 
     monkeypatch.setattr(contact, "_reeb_pair", counted_reeb)
-    monkeypatch.setattr(JacobiSide, "_prepare_solver", staticmethod(counted_solver))
+    monkeypatch.setattr(jacobi, "_hamiltonian_operator", counted_operator)
     assert main(["jacobi", "--example", "t6-pair-compatible"]) == 0
     capsys.readouterr()
     # the forms mention x0 and x3 only: 6 x 6 of the 6^6 grid points, each
-    # with one Reeb system and one leaf-restricted system
-    assert systems == [(36, 14, 6), (36, 4, 3)]
+    # with one Reeb system and one operator Λ♯
+    assert systems == [(36, 14, 6)] and operators == [(36, 6, 6)]
+
+
+# --- an independent reference: the leaf-basis least squares -----------------------------
+
+def _leaf_least_squares(objs, side_name, resolution, f):
+    """X_f at every grid point from a leaf basis and the normal equations,
+    with no wedge and no vol-dual: the right singular vectors of (beta;
+    i_. d beta) for the smallest singular values span the leaves V of the
+    alpha side (V = TM on a contact form), and X = basis x solves
+
+        alpha|_V . x = f,   (d alpha)|_V^T x = (E.f) alpha|_V - (df)|_V
+
+    in the least-squares sense, after E itself (f = 1, df = 0)."""
+    model = objs["alpha"].model
+    n = model.n
+    pts = grid_points(model, resolution)
+    forms = [objs["alpha"]]
+    if "beta" in objs:
+        forms = [objs["alpha"], objs["beta"]][:: 1 if side_name == "alpha" else -1]
+    own, own_d = forms[0].values(pts), two_form_matrices(n, forms[0].d().values(pts))
+    if len(forms) == 2:
+        m = 2 * (objs["k"] if side_name == "alpha" else objs["l"]) + 1
+        other_d = two_form_matrices(n, forms[1].d().values(pts))
+        rows = np.concatenate([forms[1].values(pts)[:, None, :], np.swapaxes(other_d, 1, 2)], axis=1)
+        basis = np.swapaxes(np.linalg.svd(rows)[2][:, n - m:, :], 1, 2)
+    else:
+        basis = np.broadcast_to(np.eye(n), (len(pts), n, n))
+    alpha_leaf = np.einsum("pi,pim->pm", own, basis)
+    d_leaf = np.swapaxes(basis, 1, 2) @ own_d @ basis
+    system = np.concatenate([alpha_leaf[:, None, :], np.swapaxes(d_leaf, 1, 2)], axis=1)
+    system_t = np.swapaxes(system, 1, 2)
+    gram = system_t @ system
+
+    def solve(rhs):
+        return np.einsum("pim,pm->pi", basis, np.linalg.solve(gram, (system_t @ rhs[..., None]))[..., 0])
+
+    e = solve(np.concatenate([np.ones((len(pts), 1)), np.zeros(alpha_leaf.shape)], axis=1))
+    vals = ex.evaluate_many(f, pts)
+    grad = np.stack([ex.evaluate_many(ex.partial(f, a), pts) for a in range(n)], axis=1)
+    ef = np.einsum("pi,pi->p", e, grad)
+    rhs = ef[:, None] * alpha_leaf - np.einsum("pi,pim->pm", grad, basis)
+    return solve(np.concatenate([vals[:, None], rhs], axis=1))
+
+
+def _non_constant_volume_pair():
+    """The every-axis form times torus-contact: a (1, 1) pair on a box times
+    T^3 whose volume 0.9 (1 + 0.1 x2) is not constant."""
+    left = _every_axis_form()
+    right, b = torus_contact()
+    _, alpha, beta = product_contact_pair(left["model"], left["alpha"], right, b)
+    return {"alpha": alpha, "beta": beta, "k": 1, "l": 1}
+
+
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("torus-contact", "alpha", 32),
+    ("darboux1", "alpha", 24),
+    ("darboux2", "alpha", 10),
+    ("t6-pair-compatible", "alpha", 6),
+    ("t6-pair-compatible", "beta", 6),
+    ("t6-pair-incompatible", "alpha", 6),
+    ("t6-pair-incompatible", "beta", 6),
+    ("t2-pair-type00", "alpha", 16),
+    ("t2-pair-type00", "beta", 16),
+    ("every-axis", "alpha", 9),
+    ("non-constant-volume", "alpha", 5),
+    ("non-constant-volume", "beta", 5),
+])
+def test_hamiltonian_field_equals_the_leaf_least_squares(example, side_name, resolution):
+    # the jacobi sides of the digest matrix at their resolutions, the
+    # every-axis form and a pair side whose volume is not constant
+    objs = {"every-axis": _every_axis_form, "non-constant-volume": _non_constant_volume_pair}.get(
+        example, lambda: build_example(example))()
+    if "beta" in objs:
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                    side=side_name, resolution=resolution)
+    else:
+        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
+    n = side.model.n
+    # a function whose gradient has a component on every axis
+    f = ex.parse("sin(x0)+0.5*cos(x1)" + "".join(f"+0.25*sin(x{a})*cos(x0)" for a in range(2, n)), n)
+    x = side.solve_hamiltonian(f)
+    reference = _leaf_least_squares(objs, side_name, resolution, f)
+    assert np.max(np.abs(x - reference)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))

@@ -9,9 +9,11 @@ seeds 0 and 7 over this matrix:
   builtin example;
 - deform single with ``--alpha0 1,0,0`` on the three 3-dimensional contact
   forms;
-- jacobi on both sides of both T^3 x T^3 pairs, on torus-contact at
-  resolution 32, on darboux1 at resolution 24 and on darboux2 at
-  resolution 10 (the periodic and box grids of the jacobi benchmark);
+- jacobi on both sides of both T^3 x T^3 pairs and of the type (0,0)
+  pair on T^2, whose sides have 1-dimensional leaves (X_f = f E), on
+  torus-contact at resolution 32, on darboux1 at resolution 24 and on
+  darboux2 at resolution 10 (the periodic and box grids of the jacobi
+  benchmark);
 - all seven task kinds on both shipped configs;
 - sweep, deform forward and deform converse with ``--t-grid=1,1e308`` on
   heisenberg6-pair and t6-pair-compatible, and deform single with
@@ -121,7 +123,7 @@ def matrix() -> list[tuple[str, ...]]:
     ]
     for name in ("darboux1", "torus-contact", "heisenberg3"):
         runs.append(("deform", "--mode", "single", "--example", name, "--alpha0", "1,0,0"))
-    for name in ("t6-pair-compatible", "t6-pair-incompatible"):
+    for name in ("t6-pair-compatible", "t6-pair-incompatible", "t2-pair-type00"):
         runs.append(("jacobi", "--example", name))
         runs.append(("jacobi", "--example", name, "--side", "beta"))
     runs.append(("jacobi", "--example", "torus-contact", "--resolution", "32"))
