@@ -56,7 +56,7 @@ from .contact import (
 )
 from .exterior import chain, chain_factor
 from .fields import FormField
-from .models import default_tolerance, integrate, sample_points
+from .models import _integrals, default_tolerance, sample_points
 
 __all__ = [
     "DeformationFamily",
@@ -220,13 +220,17 @@ class SampledFamily:
             yield pending.pop()
 
     def volume_polynomial(self) -> VolumePolynomial:
-        s, k, l = self.direction, self.k, self.l
-        (ca, cb, _, _), (sa, sb, _, _) = self.closed.factors(), s.factors()
-        return VolumePolynomial(
-            s.top(k, l, sa, sb),
-            s.top(k, l, ca, sb) + s.top(k, l, sa, cb),
-            s.top(k, l, ca, cb),
-        )
+        s, c, k, l = self.direction, self.closed, self.k, self.l
+        first, second = _lin_terms(s, c, k, l)
+        return VolumePolynomial(s.top(k, l, *s.factors()[:2]), first + second, s.top(k, l, *c.factors()[:2]))
+
+
+def _lin_terms(direction: SampledPair, closed: SampledPair, k: int, l: int) -> tuple:
+    """The two terms alpha0 ∧ (d alpha)^k ∧ beta ∧ (d beta)^l and alpha ∧
+    (d alpha)^k ∧ beta0 ∧ (d beta)^l of the volume polynomial's L per point,
+    from the samples of (alpha, beta) and (alpha0, beta0)."""
+    (ca, cb, _, _), (sa, sb, _, _) = closed.factors(), direction.factors()
+    return direction.top(k, l, ca, sb), direction.top(k, l, sa, cb)
 
 
 def _plan(closed: SampledPair, direction: SampledPair, finite: bool) -> tuple:
@@ -613,17 +617,21 @@ def stokes_integrals(family: DeformationFamily) -> tuple[float, float]:
 
     Both integrands are exact forms on closed models (their primitives drop
     one power of d alpha, resp. d beta), so both integrals vanish; this needs
-    k >= 1 and l >= 1 and a closed model.
+    k >= 1 and l >= 1 and a closed model.  They are the L terms of
+    ``_lin_terms`` on the nodes ``models._integrals`` keeps; the premises
+    are decided by a verdict on its own samples, not here.
     """
     if not family.model.is_closed:
         raise ValueError("quadrature vanishing checks need a closed model")
     if family.k < 1 or family.l < 1:
         raise ValueError("quadrature vanishing checks need type at least (1,1)")
-    da_pow = family.alpha.d().wedge_power(family.k)
-    db_pow = family.beta.d().wedge_power(family.l)
-    first = family.alpha0.wedge(da_pow).wedge(family.beta).wedge(db_pow)
-    second = family.alpha.wedge(da_pow).wedge(family.beta0).wedge(db_pow)
-    return abs(integrate(family.model, first)), abs(integrate(family.model, second))
+    f = family
+
+    def terms(pts):
+        return _lin_terms(SampledPair.of(f.alpha, f.beta, pts), SampledPair.of(f.alpha0, f.beta0, pts), f.k, f.l)
+
+    first, second = _integrals(f.model, (f.alpha0, f.beta0, f.alpha, f.beta), terms)
+    return abs(first), abs(second)
 
 
 def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None = None) -> list[dict]:

@@ -160,14 +160,6 @@ class FormField:
             out[io] = ex.add(out[io], term)
         return FormField(self.model, p + q, out)
 
-    def wedge_power(self, k: int) -> "FormField":
-        if self.degree != 2:
-            raise ValueError("wedge_power requires a 2-form field")
-        out = FormField(self.model, 0, [ex.const(1.0)])
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
-
     def __add__(self, other: "FormField") -> "FormField":
         self._check_compatible(other)
         return FormField(

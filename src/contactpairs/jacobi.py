@@ -29,7 +29,7 @@ from . import expressions as ex
 from .contact import _form_reeb, _vol_dual, _wedge, verify_contact_pair
 from .exterior import _BLOCK, two_form_matrices, wedge_values
 from .fields import FormField
-from .models import Model, _tensor_points, default_tolerance, grid_nodes
+from .models import Model, _mentioned_nodes, _tensor_points, default_tolerance, grid_nodes
 
 __all__ = [
     "JacobiError",
@@ -51,23 +51,22 @@ class JacobiError(ValueError):
 
 def _require_finite(what: str, values: np.ndarray, points: np.ndarray, grid_index=None) -> None:
     """Raise a witnessed "non-finite" JacobiError unless every row of values
-    is finite; ``grid_index`` maps a row of sub-grid values to the grid
-    index the witness reports."""
-    finite = np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
-    if not finite.all():
-        idx = int(np.argmin(finite))
-        point = points[idx].tolist()
-        index = idx if grid_index is None else grid_index(idx)
-        raise JacobiError(
-            f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": index}
-        )
+    is finite, the first row that is not being the witness; ``grid_index``
+    maps a row of sub-grid values to the grid index the witness reports."""
+    if np.isfinite(values).all():
+        return
+    idx = int(np.argmin(np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)))
+    point = points[idx].tolist()
+    index = idx if grid_index is None else grid_index(idx)
+    raise JacobiError(f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": index})
 
 
 class _SideGrid:
     """A side's tensor grid and the sub-grid of its distinct samples.
 
     The sub-grid takes the nodes of the axes that the side's form
-    coefficients mention and holds every other axis at its first node.  Its
+    coefficients mention and holds every other axis at its first node
+    (``models._mentioned_nodes``, the rule of the quadrature's nodes).  Its
     points are exact copies of grid points, in the order in which they first
     occur in the grid, so a first argmin or argmax picks the same point on
     either.  Pointwise algebra of the forms runs on the sub-grid, and
@@ -79,9 +78,7 @@ class _SideGrid:
             raise JacobiError("Jacobi sides are chart-only (no algebraic directions)")
         coord = model.coordinate_axes
         nodes = grid_nodes(model, resolution)
-        # on a chart d mentions no new variable, so the coefficients decide
-        used = set().union(*(ex.variables_of(c) for form in forms for c in form.coeffs))
-        sub_nodes = [g if i in used else g[:1] for i, g in zip(coord, nodes)]
+        sub_nodes, _ = _mentioned_nodes(model, nodes, forms)
         self.shape = tuple(len(g) for g in nodes)
         self.sub_shape = tuple(len(g) for g in sub_nodes)
         self.points = _tensor_points(model.n, coord, nodes)
@@ -304,7 +301,11 @@ class JacobiSide:
     def solve_hamiltonian(self, f) -> np.ndarray:
         """The Hamiltonian field X_f = f E + Λ♯df on the grid."""
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
-            vals, grad = self._value_and_gradient(f)
+            return self._hamiltonian(*self._value_and_gradient(f))
+
+    def _hamiltonian(self, vals: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """X_f from the grid values and gradient of f."""
+        with np.errstate(over="ignore", invalid="ignore"):
             x = vals[:, None] * self.e_values
             x += np.einsum("pij,pj->pi", self.lambda_sharp, grad)
         _require_finite("Hamiltonian system", x, self.points)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expressions as ex
+
 __all__ = [
     "TWO_PI",
     "Axis",
@@ -244,8 +246,6 @@ def _tensor_points(n: int, coord, grids) -> np.ndarray:
     """The tensor grid of the node arrays ``grids`` on the coordinate axes
     ``coord`` (first axis slowest), shape (P, n), zero on the other axes.
     Each axis is broadcast into its column: no meshgrid copies."""
-    if not grids:
-        return np.zeros((1, n))
     pts = np.zeros(tuple(len(g) for g in grids) + (n,))
     for d, (i, g) in enumerate(zip(coord, grids)):
         pts[..., i] = g.reshape((-1,) + (1,) * (len(grids) - 1 - d))
@@ -264,18 +264,13 @@ def integration_points(model: Model, resolution=None) -> tuple[np.ndarray, float
 
 
 def _quadrature_axes(model: Model, resolution) -> tuple[list, float]:
-    """The 1-d node arrays of integration_points and its cell weight."""
-    coord = model.coordinate_axes
-    res = _axis_resolutions(model, resolution)
-    grids = []
-    weight = 1.0
-    for i, r in zip(coord, res):
+    """The 1-d node arrays of integration_points and its cell weight: the
+    grid nodes of a periodic axis, the cell midpoints of a box axis."""
+    grids, weight = [], 1.0
+    for i, g in zip(model.coordinate_axes, grid_nodes(model, resolution)):
         a = model.axes[i]
-        step = a.length / r
-        if a.periodic:
-            grids.append(a.lo + np.arange(r) * step)
-        else:
-            grids.append(a.lo + (np.arange(r) + 0.5) * step)
+        step = a.length / len(g)
+        grids.append(g if a.periodic else a.lo + (np.arange(len(g)) + 0.5) * step)
         weight *= step
     return grids, weight
 
@@ -306,13 +301,31 @@ def integrate(model: Model, field, resolution=None) -> float:
     """Integrate a top-degree form field by the model's tensor quadrature."""
     if field.degree != model.n:
         raise ValueError(f"integrate requires degree {model.n}, got {field.degree}")
+    return _integrals(model, (field,), lambda pts: (field.values(pts)[:, 0],), resolution)[0]
+
+
+def _mentioned_nodes(model: Model, nodes, forms) -> tuple[list, int]:
+    """The coordinate axes' node arrays ``nodes`` with each axis no
+    coefficient of ``forms`` mentions held at its first node, and the held
+    node count: d mentions no new variable, so what is formed pointwise from
+    the forms and their derivatives is constant along a held axis."""
+    used = set().union(*(ex.variables_of(c) for form in forms for c in form.coeffs))
+    held = [i not in used for i in model.coordinate_axes]
+    count = math.prod(len(g) for g, h in zip(nodes, held) if h)
+    return [g[:1] if h else g for g, h in zip(nodes, held)], count
+
+
+def _integrals(model: Model, forms, integrands, resolution=None) -> list[float]:
+    """The quadrature of each array of ``integrands(points)``, formed
+    pointwise from ``forms`` and their derivatives, on the nodes of
+    ``integration_points`` that ``_mentioned_nodes`` keeps, which are never
+    all held at once: one slice of the first axis at a time, each array
+    summed over all slices at once."""
     grids, weight = _quadrature_axes(model, resolution)
-    # one slice of the first axis at a time, so the nodes are never all held
-    # at once; the values, and so their sum, are those of the whole grid
+    grids, held = _mentioned_nodes(model, grids, forms)
     slices = [[grids[0][j : j + 1], *grids[1:]] for j in range(len(grids[0]))] if grids else [[]]
-    coord = model.coordinate_axes
-    vals = np.concatenate([field.values(_tensor_points(model.n, coord, s))[:, 0] for s in slices])
-    return float(np.sum(vals) * weight)
+    values = zip(*(integrands(_tensor_points(model.n, model.coordinate_axes, s)) for s in slices))
+    return [float(np.sum(np.concatenate(v)) * (weight * held)) for v in values]
 
 
 def default_tolerance(model: Model) -> float:

@@ -164,11 +164,13 @@ def _jacobi_verdict(cfg, params, objs):
     g = ex.parse(f"sin(x{c[2 % len(c)]})", n)
     h = ex.parse(f"cos(x{c[1 % len(c)]})", n)
 
-    # each function's Hamiltonian field is solved once; X_1 = 1 E + Λ♯0 is E
-    xf, xg, xh = (side.solve_hamiltonian(u) for u in (f, g, h))
+    # each function's Hamiltonian field is solved once, X_1 = 1 E + Λ♯0 is E,
+    # and g is evaluated once, for X_g and for the expected {1,g} = E.g
+    g_vals, g_grad, eg = side.scalar_data(g)
+    xf, xg, xh = side.solve_hamiltonian(f), side._hamiltonian(g_vals, g_grad), side.solve_hamiltonian(h)
+    del g_vals, g_grad
     # one shared pass differentiates each of the four fields once per axis
     one_g, fg, gh, hf = side.brackets([(side.e_values, xg), (xf, xg), (xg, xh), (xh, xf)])
-    _, _, eg = side.scalar_data(g)
     one_defect = float(np.max(np.abs(one_g - eg)[side.interior_mask]))
     del one_g, eg  # only the identity's fields and inner brackets stay for its solves
     identity_defect = _identity_defect(xf, xg, xh, side, (fg, gh, hf))

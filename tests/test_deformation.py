@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from contactpairs import expressions as ex
-from contactpairs.contact import product_contact_pair, torus_contact, verify_contact_pair
+from contactpairs.config import parse_config
+from contactpairs.contact import SampledPair, product_contact_pair, torus_contact, verify_contact_pair
 from contactpairs.deformation import (
     CONVERSE_T_GRID,
     CheckItem,
@@ -20,8 +22,17 @@ from contactpairs.deformation import (
     volume_identity_defect,
     volume_polynomial,
 )
-from contactpairs.fields import coframe, constant_form, pullback_form
-from contactpairs.models import default_tolerance, heisenberg3, random_points, sample_points, torus
+from contactpairs.fields import FormField, coframe, constant_form, form_from_expressions, pullback_form
+from contactpairs.models import (
+    box_chart,
+    default_tolerance,
+    heisenberg3,
+    integrate,
+    integration_points,
+    random_points,
+    sample_points,
+    torus,
+)
 from contactpairs.registry import build_example
 
 
@@ -330,6 +341,114 @@ def test_stokes_integrals_vanish(t6_points):
 def test_stokes_integrals_heisenberg_exact():
     i1, i2 = stokes_integrals(heisenberg6_family())
     assert i1 == 0.0 and i2 == 0.0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# closed forms with coefficients that are not constant: the family mentions
+# x0, x1, x3 and x5 of T^3 x T^3
+NONCONSTANT_CLOSED = {"alpha0_l": {"0": "1", "1": "0.5*cos(x1)"}, "beta0_r": {"0": "1", "2": "0.25*sin(x2)"}}
+
+
+def _t6_config_family(coefficients=None):
+    doc = json.loads((ROOT / "configs/t6_explicit_family.json").read_text(encoding="utf-8"))
+    for form, coeffs in (coefficients or {}).items():
+        doc["forms"][form]["coefficients"] = coeffs
+    return parse_config(doc).families["fam"]
+
+
+def _five_axes_family():
+    """A family on T^3 x T^3 whose forms mention every axis but x5, with an
+    alpha0 that is not closed, so that its first integral is not 0."""
+    left, a = torus_contact()
+    right, b = torus_contact()
+    model, alpha, beta = product_contact_pair(left, a, right, b)
+    alpha0 = form_from_expressions(left, 1, {0: "1", 1: "cos(x0)*(1 + 0.5*sin(x2))", 2: "0.2*cos(x1)"})
+    beta0 = form_from_expressions(right, 1, {0: "1", 1: "0.25*sin(x1)"})
+    return DeformationFamily(
+        pullback_form(model, alpha0, "left"), pullback_form(model, beta0, "right"), alpha, beta, 1, 1
+    )
+
+
+def _symbolic_integral(model, integrand: FormField) -> float:
+    """The quadrature sum of an expression-tree top form over every node."""
+    pts, weight = integration_points(model)
+    return float(np.sum(integrand.values(pts)[:, 0]) * weight)
+
+
+def _symbolic_stokes(family) -> tuple[float, float]:
+    """Both integrands of ``stokes_integrals`` wedged as expression trees and
+    summed over the full tensor grid: the reference for its sample route."""
+    k, l = family.k, family.l
+    dalpha, dbeta = family.alpha.d(), family.beta.d()
+
+    def integrand(w, v):
+        out = w
+        for factor in [dalpha] * k + [v] + [dbeta] * l:
+            out = out.wedge(factor)
+        return out
+
+    first = integrand(family.alpha0, family.beta)
+    second = integrand(family.alpha, family.beta0)
+    return tuple(abs(_symbolic_integral(family.model, f)) for f in (first, second))
+
+
+STOKES_CASES = {
+    "heisenberg6-pair": lambda: build_example("heisenberg6-pair")["family"],
+    "t6-pair-compatible": lambda: build_example("t6-pair-compatible")["family"],
+    "t6-pair-incompatible": lambda: build_example("t6-pair-incompatible")["family"],
+    "t6-config": _t6_config_family,
+    "t6-config-nonconstant-closed": lambda: _t6_config_family(NONCONSTANT_CLOSED),
+    "five-axes": _five_axes_family,
+}
+
+
+@pytest.mark.parametrize("case", STOKES_CASES)
+def test_stokes_integrals_equal_the_symbolic_full_grid_sum(case):
+    family = STOKES_CASES[case]()
+    got, want = stokes_integrals(family), _symbolic_stokes(family)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-10 * max(1.0, w)
+    if case == "five-axes":  # a reference that is not 0
+        assert want[0] > 1.0
+
+
+def _quadrature_points(monkeypatch, family) -> list:
+    """The point arrays on which ``stokes_integrals`` samples (alpha, beta)."""
+    seen, of = [], SampledPair.of.__func__
+
+    def recording(cls, alpha, beta, points):
+        if alpha is family.alpha:
+            seen.append(np.array(points))
+        return of(cls, alpha, beta, points)
+
+    monkeypatch.setattr(SampledPair, "of", classmethod(recording))
+    stokes_integrals(family)
+    return seen
+
+
+@pytest.mark.parametrize("case, mentioned, nodes", [
+    ("t6-pair-compatible", (0, 3), 64),
+    ("t6-pair-incompatible", (0, 3), 64),
+    ("t6-config-nonconstant-closed", (0, 1, 3, 5), 8**4),
+    ("five-axes", (0, 1, 2, 3, 4), 8**5),
+])
+def test_stokes_integrals_sample_the_mentioned_axes_only(monkeypatch, case, mentioned, nodes):
+    family = STOKES_CASES[case]()
+    pts = np.concatenate(_quadrature_points(monkeypatch, family))
+    assert pts.shape == (nodes, 6)
+    held = [i for i in range(6) if i not in mentioned]
+    assert np.all(pts[:, held] == 0.0)  # the first node of a periodic axis
+    assert all(len(np.unique(pts[:, i])) == 8 for i in mentioned)
+
+
+def test_integrate_on_a_box_chart_with_an_unmentioned_axis():
+    model = box_chart([(-1.0, 2.0), (0.0, 1.0), (0.5, 3.0)], resolution=6)
+    alpha = form_from_expressions(model, 1, {0: "cos(x1)", 2: "x0*x0 + x1"})
+    top = alpha.wedge(alpha.d())
+    assert 2 not in set().union(*(ex.variables_of(c) for c in top.coeffs))
+    want = _symbolic_integral(model, top)
+    assert abs(want) > 1.0
+    assert abs(integrate(model, top) - want) <= 1e-12 * abs(want)
 
 
 def test_stokes_requires_closed_model():

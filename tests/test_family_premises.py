@@ -68,7 +68,7 @@ def _record_point_sets(monkeypatch):
     """Every point array ``FormField.values`` sees, each with whether the
     quadrature of the converse asked for it."""
     seen, in_quadrature = [], []
-    values, integrate = fields.FormField.values, deformation.integrate
+    values, integrate = fields.FormField.values, deformation.stokes_integrals
 
     def recording(self, points):
         seen.append((np.array(points, dtype=float), bool(in_quadrature)))
@@ -82,7 +82,7 @@ def _record_point_sets(monkeypatch):
             in_quadrature.pop()
 
     monkeypatch.setattr(fields.FormField, "values", recording)
-    monkeypatch.setattr(deformation, "integrate", integrating)
+    monkeypatch.setattr(deformation, "stokes_integrals", integrating)
     return seen
 
 

@@ -132,6 +132,16 @@ def test_no_linear_solve_on_a_reeb_path():
     assert _sites(solves) == []
 
 
+def test_no_expression_tree_wedge_outside_fields():
+    # every verdict wedges sampled arrays (exterior.chain_factor); only
+    # fields.py, which defines FormField.wedge, builds expression-tree wedges
+    def wedges(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wedge", "wedge_power"))
+
+    assert [module for module, _ in _sites(wedges) if module != "fields"] == []
+
+
 def test_no_module_imports_threading_or_contextvars():
     def imports(node):
         if isinstance(node, ast.Import):

@@ -281,20 +281,28 @@ def _task_functions(side):
 
 
 def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
-    calls = []
-    solve = JacobiSide.solve_hamiltonian
+    calls, evaluated = [], []
+    form, evaluate = JacobiSide._hamiltonian, ex.evaluate_many
 
-    def counted(self, f):
-        calls.append(f)
-        return solve(self, f)
+    def counted(self, vals, grad):
+        calls.append(vals)
+        return form(self, vals, grad)
 
-    monkeypatch.setattr(JacobiSide, "solve_hamiltonian", counted)
-    for argv in (["--example", "torus-contact", "--resolution", "12"],
-                 ["--example", "t6-pair-compatible", "--resolution", "5"]):
+    def recording(e, points):
+        evaluated.append(ex.to_string(e))
+        return evaluate(e, points)
+
+    monkeypatch.setattr(JacobiSide, "_hamiltonian", counted)
+    monkeypatch.setattr(ex, "evaluate_many", recording)
+    for example, resolution in (("torus-contact", 12), ("t6-pair-compatible", 5)):
         calls.clear()
-        assert main(["jacobi", *argv]) == 0
+        evaluated.clear()
+        assert main(["jacobi", "--example", example, "--resolution", str(resolution)]) == 0
         # f, g, h and the three inner brackets of the Jacobi identity; X_1 is E
         assert len(calls) == 6
+        # each function once: g for X_g and for the expected {1,g} = E.g
+        for u in _task_functions(build_example(example)["alpha"]):  # a form has the side's model
+            assert evaluated.count(ex.to_string(u)) == 1
     capsys.readouterr()
 
 
@@ -306,18 +314,18 @@ def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
 def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys, example,
                                                            side_name, resolution, per_verdict):
     sweeps, solves = [], []
-    derivative, solve = jacobi._axis_derivative, JacobiSide.solve_hamiltonian
+    derivative, solve = jacobi._axis_derivative, JacobiSide._hamiltonian
 
     def counted_derivative(*args):
         sweeps.append(args[1])
         return derivative(*args)
 
-    def counted_solve(self, f):
-        solves.append(f)
-        return solve(self, f)
+    def counted_solve(self, vals, grad):
+        solves.append(vals)
+        return solve(self, vals, grad)
 
     monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
-    monkeypatch.setattr(JacobiSide, "solve_hamiltonian", counted_solve)
+    monkeypatch.setattr(JacobiSide, "_hamiltonian", counted_solve)
     objs = build_example(example)
     # only a pair side takes --side; a contact form has one side
     argv = ["jacobi", "--example", example, "--resolution", str(resolution)]

@@ -163,3 +163,20 @@ def test_mixed_batch_config_fails_some_t_of_a_batch_beside_a_passing_one(tmp_pat
             (False, "orientation"), (True, None), (False, "orientation"), (False, "volume"),
         ]
         assert not marginal(items[3]["defect"], items[3]["threshold"])
+
+
+def test_closed_pair_config_integrates_on_a_sub_grid(tmp_path, capsys):
+    tool = load_tool()
+    run = ("deform", "--mode", "converse", "--config", tool.CLOSED_PAIR_CONFIG)
+    assert [r for r in tool.matrix() if tool.CLOSED_PAIR_CONFIG in r] == [run]
+    path = tool.write_config(tmp_path, tool.CLOSED_PAIR_CONFIG)
+    doc = json.loads(open(path, encoding="utf-8").read())
+    original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    original["forms"]["alpha0_l"]["coefficients"] = {"0": "1", "1": "0.5*cos(x1)"}
+    original["forms"]["beta0_r"]["coefficients"] = {"0": "1", "2": "0.25*sin(x2)"}
+    assert doc == original
+    assert cli.main([*run[:-1], path, "--format", "structured", "--seed", "0"]) == 1
+    (task,) = json.loads(capsys.readouterr().out)["tasks"]
+    assert task["status"] == "not-applicable"
+    quadrature = [i for i in task["result"]["conclusions"] if i["name"].startswith("quadrature")]
+    assert len(quadrature) == 2 and all(i["passed"] for i in quadrature)

@@ -49,7 +49,11 @@ seeds 0 and 7 over this matrix:
   ``dx1`` instead of ``dx0``, the incompatible pair: its first batch of
   three t fails the orientation gate at t = 0.01 and 0.1 beside a pass at
   t = 10, and t = 1 fails the volume gate in a batch of its own, so each
-  gate outcome of a batch is its own t's.
+  gate outcome of a batch is its own t's;
+- deform converse on a copy whose closed forms are ``dx0 + 0.5 cos(x1)
+  dx1`` and ``dx0 + 0.25 sin(x2) dx2``, with coefficients that are not
+  constant: the family mentions 4 of the 6 axes, so the quadrature of the
+  converse runs on a sub-grid of 8^4 of the 8^6 nodes.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -111,6 +115,10 @@ MIXED_BATCH_GRID = "--t-grid=0.01,10,0.1,1"
 # constant +0, which the samples treat as live
 ZERO_COEFFICIENT_CONFIG = "t6_explicit_family_zeros.json"
 ZERO_COEFFICIENTS = {"alpha_l": "-0", "beta_r": "x0-x0"}
+# a copy of the t6 config whose closed forms have coefficients that are not
+# constant, so the converse's quadrature holds axes x2 and x4 only
+CLOSED_PAIR_CONFIG = "t6_explicit_family_closed_pair.json"
+CLOSED_PAIR = {"alpha0_l": {"0": "1", "1": "0.5*cos(x1)"}, "beta0_r": {"0": "1", "2": "0.25*sin(x2)"}}
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -145,6 +153,7 @@ def matrix() -> list[tuple[str, ...]]:
         runs.append(cmd + ("--config", ZERO_COEFFICIENT_CONFIG))
     for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
         runs.append(cmd + ("--config", MIXED_BATCH_CONFIG, MIXED_BATCH_GRID))
+    runs.append(("deform", "--mode", "converse", "--config", CLOSED_PAIR_CONFIG))
     return runs
 
 
@@ -152,12 +161,16 @@ def write_config(directory, name) -> str:
     """Write the t6 config changed as ``name`` says into directory as
     ``name`` and return its path: with the random sample count of
     ``RANDOM_COUNTS`` (and, for the mixed batch copy, the coefficients
-    ``MIXED_BATCH_ALPHA0`` of alpha0), or with the ``ZERO_COEFFICIENTS``
-    added as dx0 coefficients."""
+    ``MIXED_BATCH_ALPHA0`` of alpha0), with the ``ZERO_COEFFICIENTS``
+    added as dx0 coefficients, or with the closed forms of
+    ``CLOSED_PAIR``."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
     if name == ZERO_COEFFICIENT_CONFIG:
         for form, value in ZERO_COEFFICIENTS.items():
             doc["forms"][form]["coefficients"]["0"] = value
+    elif name == CLOSED_PAIR_CONFIG:
+        for form, coefficients in CLOSED_PAIR.items():
+            doc["forms"][form]["coefficients"] = coefficients
     else:
         doc["samples"]["random_count"] = RANDOM_COUNTS[name]
     if name == MIXED_BATCH_CONFIG:
@@ -199,7 +212,10 @@ def digest_line(seed: int, argv, paths=None) -> str:
 
 def digest_lines(runs, seeds=SEEDS) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: write_config(tmp, name) for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG)}
+        paths = {
+            name: write_config(tmp, name)
+            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG)
+        }
         return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
 
