@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _BLOCK, _two_form_positions, chain, chain_factor, interior_values
+from .exterior import _BLOCK, _per_block, _two_form_positions, chain, chain_factor, interior_values
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -436,9 +436,8 @@ def _form_reeb(n: int, alpha_values: np.ndarray, dalpha_values: np.ndarray) -> t
 
 def _t_batch(points: int) -> int:
     """How many values of t a family's samples on ``points`` points are
-    formed and certified together: as many as fit in ``_BLOCK`` points, and
-    at least one."""
-    return max(1, _BLOCK // points)
+    formed and certified together (``exterior._per_block``)."""
+    return _per_block(points)
 
 
 def _reeb_sigma(s: SampledPair) -> tuple:

@@ -112,6 +112,12 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
 _BLOCK = 4096
 
 
+def _per_block(points: int) -> int:
+    """How many groups of ``points`` points are formed together: as many as
+    fit in ``_BLOCK`` points, and at least one."""
+    return max(1, _BLOCK // points)
+
+
 @lru_cache(maxsize=1024)  # one entry per table and sparsity pattern met
 def _live_rows(table_of, dims, states_a, states_b) -> tuple:
     """The rows of table_of(*dims) but those with an all-±0 column and a

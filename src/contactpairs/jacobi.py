@@ -49,43 +49,55 @@ class JacobiError(ValueError):
         self.witness = witness or {}
 
 
-def _require_finite(what: str, values: np.ndarray, points: np.ndarray, grid_index=None) -> None:
+def _require_finite(what: str, values: np.ndarray, points: np.ndarray, shapes=None) -> None:
     """Raise a witnessed "non-finite" JacobiError unless every row of values
-    is finite, the first row that is not being the witness; ``grid_index``
-    maps a row of sub-grid values to the grid index the witness reports."""
+    is finite, the first row that is not being the witness; with ``shapes``
+    = (the shape of the values' grid, which holds axes of the grid at their
+    first node, the grid's shape), the witness reports the grid index at
+    which its point first occurs."""
     if np.isfinite(values).all():
         return
     idx = int(np.argmin(np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)))
     point = points[idx].tolist()
-    index = idx if grid_index is None else grid_index(idx)
+    index = idx if shapes is None else int(np.ravel_multi_index(np.unravel_index(idx, shapes[0]), shapes[1]))
     raise JacobiError(f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": index})
 
 
 class _SideGrid:
-    """A side's tensor grid and the sub-grid of its distinct samples.
+    """A side's tensor grid, its verdict grid and the sub-grid of its
+    distinct samples.
 
-    The sub-grid takes the nodes of the axes that the side's form
-    coefficients mention and holds every other axis at its first node
-    (``models._mentioned_nodes``, the rule of the quadrature's nodes).  Its
-    points are exact copies of grid points, in the order in which they first
-    occur in the grid, so a first argmin or argmax picks the same point on
-    either.  Pointwise algebra of the forms runs on the sub-grid, and
-    ``spread`` copies its results to the grid.
+    Both smaller grids hold axes at their first node by the quadrature's
+    rule (``models._mentioned_nodes``).  The sub-grid keeps the axes that
+    the side's form coefficients mention.  The verdict grid also keeps those
+    that ``functions`` mention, and every box axis, since a one-sided
+    stencil of equal values is not exactly 0, as a periodic central
+    difference is; without ``functions`` it is the grid.  Their points are
+    exact copies of grid points, in the order in which they first occur in
+    the grid, so a first argmin or argmax picks the same point on each.
+    Pointwise algebra of the forms runs on the sub-grid, and ``spread``
+    copies its results to the verdict grid, where the grid operators run.
     """
 
-    def __init__(self, model: Model, resolution, forms):
+    def __init__(self, model: Model, resolution, forms, functions=None):
         if model.algebraic_axes:
             raise JacobiError("Jacobi sides are chart-only (no algebraic directions)")
         coord = model.coordinate_axes
         nodes = grid_nodes(model, resolution)
         sub_nodes, _ = _mentioned_nodes(model, nodes, forms)
+        verdict_nodes = nodes
+        if functions is not None:
+            mentioned, _ = _mentioned_nodes(model, nodes, forms, functions)
+            verdict_nodes = [m if model.axes[i].periodic else g for i, g, m in zip(coord, nodes, mentioned)]
         self.shape = tuple(len(g) for g in nodes)
         self.sub_shape = tuple(len(g) for g in sub_nodes)
-        self.points = _tensor_points(model.n, coord, nodes)
+        self.verdict_shape = tuple(len(g) for g in verdict_nodes)
+        self.held = tuple(v < r for v, r in zip(self.verdict_shape, self.shape))
+        self.points = _tensor_points(model.n, coord, verdict_nodes)
         self.sub_points = _tensor_points(model.n, coord, sub_nodes)
-        # the sub-grid sample of each grid point
+        # the sub-grid sample of each verdict grid point
         sub_index = np.arange(math.prod(self.sub_shape)).reshape(self.sub_shape)
-        self.source = np.broadcast_to(sub_index, self.shape).reshape(-1)
+        self.source = np.broadcast_to(sub_index, self.verdict_shape).reshape(-1)
         self.steps, self.periodic = [], []
         for i, r in zip(coord, self.shape):
             a = model.axes[i]
@@ -93,16 +105,12 @@ class _SideGrid:
             self.periodic.append(a.periodic)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
-        """Grid samples from sub-grid samples, with the axes of a point in the
+        """Verdict grid samples from sub-grid samples, with the axes of a point in the
         memory order they have in ``values`` (taken in that order, so that
         the take is one contiguous copy)."""
         order = sorted(range(1, values.ndim), key=lambda axis: -values.strides[axis])
         taken = np.take(values.transpose(0, *order), self.source, axis=0)
         return taken.transpose(0, *(np.argsort(order) + 1))
-
-    def grid_index(self, sub_index: int) -> int:
-        """The grid index at which a sub-grid sample first occurs."""
-        return int(np.ravel_multi_index(np.unravel_index(sub_index, self.sub_shape), self.shape))
 
 
 def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
@@ -153,7 +161,7 @@ def _gate(lam, e, own_rows, tol, grid: _SideGrid, other=None) -> None:
     threshold is tol times the peaks of the fields (Λ♯, E) and of the
     forms, each at least 1."""
     pts = grid.sub_points
-    _require_finite("Hamiltonian operator", lam, pts, grid.grid_index)
+    _require_finite("Hamiltonian operator", lam, pts, (grid.sub_shape, grid.shape))
     n = lam.shape[1]
     r = own_rows @ lam  # row 0: alpha(L_j), row 1 + i: (i_{L_j} d alpha)_i, in column j
     w = np.swapaxes(r[:, 1:], 1, 2) + np.eye(n) - e[:, :, None] * own_rows[:, :1, :]
@@ -176,14 +184,19 @@ class JacobiSide:
 
     The side's pointwise algebra (form, Reeb field E, operator Λ♯) depends
     on its forms only: the constructors compute it and gate it (``_gate``)
-    once per sample of the sub-grid and spread it to the grid, keeping the
-    memory layout within a point, since einsum sums in a layout-dependent
-    order.  Every grid operator works on the grid.
+    once per sample of the sub-grid and spread it to the verdict grid,
+    keeping the memory layout within a point, since einsum sums in a
+    layout-dependent order.  Every grid operator works on the verdict grid
+    (``points``, of ``verdict_shape``); ``grid_shape`` is the grid's.  The
+    constructors' ``functions`` are the expressions the side will be given,
+    by default any: then the verdict grid is the grid.
     """
 
     def __init__(self, model, grid: _SideGrid, leaf_dim: int, alpha_values, e_values, lambda_sharp, tol):
         self.model = model
         self.grid_shape = grid.shape
+        self.verdict_shape = grid.verdict_shape
+        self.held = grid.held
         self.points = grid.points
         self.steps = grid.steps
         self.periodic = grid.periodic
@@ -197,7 +210,9 @@ class JacobiSide:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_contact_form(cls, alpha: FormField, resolution=None, tol: float | None = None):
+    def from_contact_form(
+        cls, alpha: FormField, resolution=None, tol: float | None = None, *, functions=None
+    ):
         """Degenerate side of a single contact form: V = TM, one leaf."""
         model = alpha.model
         n = model.n
@@ -205,13 +220,13 @@ class JacobiSide:
             raise JacobiError("a single contact form needs an odd-dimensional model")
         if tol is None:
             tol = default_tolerance(model)
-        grid = _SideGrid(model, resolution, (alpha,))
+        grid = _SideGrid(model, resolution, (alpha,), functions)
         pts = grid.sub_points
         av = np.ascontiguousarray(alpha.values(pts))  # an einsum operand, C-ordered
         dav = alpha.d().values(pts)
         e, volume, residual = _form_reeb(n, av, dav)
         # an overflow first; a volume that vanishes is a rank deficiency
-        _require_finite("Reeb system", volume, pts, grid.grid_index)
+        _require_finite("Reeb system", volume, pts, (grid.sub_shape, grid.shape))
         rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
         # from the rows themselves: the spectrum of their Gram matrix squares the
         # condition number, so its square root cannot resolve ratios below ~1e-8
@@ -239,6 +254,8 @@ class JacobiSide:
         side: str = "alpha",
         resolution=None,
         tol: float | None = None,
+        *,
+        functions=None,
     ):
         """A side of a certified contact pair; the leaf distribution of the
         alpha side is the kernel of beta and d beta (dimension 2k+1), and T
@@ -249,7 +266,7 @@ class JacobiSide:
         n = model.n
         if tol is None:
             tol = default_tolerance(model)
-        grid = _SideGrid(model, resolution, (alpha, beta))
+        grid = _SideGrid(model, resolution, (alpha, beta), functions)
         cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=grid.sub_points)
         w, powers, factors = ("alpha", "beta").index(side), (k, l), cert.sampled.factors()
         rows = cert.sampled.reeb_rows()  # alpha, beta, i_. d alpha, i_. d beta
@@ -262,7 +279,7 @@ class JacobiSide:
         return cls(model, grid, 2 * powers[w] + 1, own_rows[:, 0], e, lam, tol)
 
     def _build_interior_mask(self):
-        mask = np.ones(self.grid_shape, dtype=bool)
+        mask = np.ones(self.verdict_shape, dtype=bool)
         for d, per in enumerate(self.periodic):
             if per:
                 continue
@@ -272,7 +289,7 @@ class JacobiSide:
         return mask.reshape(-1)
 
     def scalar_data(self, f):
-        """Normalize a function to (values, gradient, E.f) on the grid."""
+        """Normalize a function to (values, gradient, E.f) on the verdict grid."""
         vals, grad = self._value_and_gradient(f)
         return vals, grad, np.einsum("pi,pi->p", self.e_values, grad)
 
@@ -280,9 +297,12 @@ class JacobiSide:
         if isinstance(f, str):
             f = ex.parse(f, self.model.n)
         if isinstance(f, ex.Expr):
+            held = {a for a, h in zip(self.model.coordinate_axes, self.held) if h}
+            if ex.variables_of(f) & held:  # its grid values would differ along the axis
+                raise ValueError(f"{ex.to_string(f)} mentions an axis that the verdict grid holds")
             vals = ex.evaluate_many(f, self.points)
             grad = np.zeros((self.points.shape[0], self.model.n))
-            for a in self.model.coordinate_axes:
+            for _, a, _, _ in self._kept_axes():
                 grad[:, a] = ex.evaluate_many(ex.partial(f, a), self.points)
             return vals, grad
         vals = np.asarray(f, dtype=float).reshape(-1)
@@ -290,16 +310,21 @@ class JacobiSide:
             raise ValueError("grid function has the wrong number of samples")
         return vals, self.grid_gradient(vals)
 
+    def _kept_axes(self):
+        """(grid dimension, axis, step, periodic) of each axis the verdict grid keeps."""
+        axes = zip(self.model.coordinate_axes, self.steps, self.periodic, self.held)
+        return [(d, i, h, per) for d, (i, h, per, held) in enumerate(axes) if not held]
+
     def grid_gradient(self, values: np.ndarray) -> np.ndarray:
-        """Finite-difference gradient of a grid function, shape (P, n)."""
-        g = values.reshape(self.grid_shape)
+        """Finite-difference gradient of a verdict grid function, shape (P, n)."""
+        g = values.reshape(self.verdict_shape)
         out = np.zeros((values.shape[0], self.model.n))
-        for d, (i, h, per) in enumerate(zip(self.model.coordinate_axes, self.steps, self.periodic)):
+        for d, i, h, per in self._kept_axes():
             out[:, i] = _axis_derivative(g, d, h, per).reshape(-1)
         return out
 
     def solve_hamiltonian(self, f) -> np.ndarray:
-        """The Hamiltonian field X_f = f E + Λ♯df on the grid."""
+        """The Hamiltonian field X_f = f E + Λ♯df on the verdict grid."""
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are caught below
             return self._hamiltonian(*self._value_and_gradient(f))
 
@@ -308,13 +333,14 @@ class JacobiSide:
         with np.errstate(over="ignore", invalid="ignore"):
             x = vals[:, None] * self.e_values
             x += np.einsum("pij,pj->pi", self.lambda_sharp, grad)
-        _require_finite("Hamiltonian system", x, self.points)
+        _require_finite("Hamiltonian system", x, self.points, (self.verdict_shape, self.grid_shape))
         return x
 
     def brackets(self, pairs) -> list[np.ndarray]:
-        """alpha([X, Y]) pointwise for each pair (X, Y) of grid vector fields.
+        """alpha([X, Y]) pointwise for each pair (X, Y) of verdict grid vector fields.
 
-        [X, Y] = sum over axes of x_i dY - y_i dX, by central differences.
+        [X, Y] = sum over the kept axes of x_i dY - y_i dX, by central
+        differences: along a held axis dX = dY = 0.
         On each axis every distinct field of ``pairs`` is differentiated
         once, when a pair first needs it, and its derivative is dropped
         after its last pair; each pair adds its term to its own accumulator,
@@ -327,12 +353,12 @@ class JacobiSide:
         outs = [np.zeros_like(xv) for xv, _ in pairs]
         rows = len(self.points)
         t1, t2 = (np.empty((min(rows, _BLOCK), n)) for _ in range(2))
-        for d, (i, h, per) in enumerate(zip(self.model.coordinate_axes, self.steps, self.periodic)):
+        for d, i, h, per in self._kept_axes():
             derivs: dict[int, np.ndarray] = {}
             for p, ((xv, yv), (a, b), out) in enumerate(zip(pairs, uses, outs)):
                 for k, v in ((a, xv), (b, yv)):
                     if k not in derivs:
-                        g = v.reshape(self.grid_shape + (n,))
+                        g = v.reshape(self.verdict_shape + (n,))
                         derivs[k] = _axis_derivative(g, d, h, per).reshape(-1, n)
                 dx, dy = derivs[a], derivs[b]
                 for lo in range(0, rows, _BLOCK):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
+from .exterior import _per_block
 
 __all__ = [
     "TWO_PI",
@@ -304,12 +305,15 @@ def integrate(model: Model, field, resolution=None) -> float:
     return _integrals(model, (field,), lambda pts: (field.values(pts)[:, 0],), resolution)[0]
 
 
-def _mentioned_nodes(model: Model, nodes, forms) -> tuple[list, int]:
-    """The coordinate axes' node arrays ``nodes`` with each axis no
-    coefficient of ``forms`` mentions held at its first node, and the held
-    node count: d mentions no new variable, so what is formed pointwise from
-    the forms and their derivatives is constant along a held axis."""
-    used = set().union(*(ex.variables_of(c) for form in forms for c in form.coeffs))
+def _mentioned_nodes(model: Model, nodes, forms, functions=()) -> tuple[list, int]:
+    """The coordinate axes' node arrays ``nodes`` with each axis that no
+    coefficient of ``forms`` and no expression of ``functions`` mentions
+    held at its first node, and the held node count: d mentions no new
+    variable, so what is formed pointwise from the forms, the functions and
+    their derivatives is constant along a held axis."""
+    used = set().union(
+        *(ex.variables_of(c) for form in forms for c in form.coeffs), *map(ex.variables_of, functions)
+    )
     held = [i not in used for i in model.coordinate_axes]
     count = math.prod(len(g) for g, h in zip(nodes, held) if h)
     return [g[:1] if h else g for g, h in zip(nodes, held)], count
@@ -319,11 +323,13 @@ def _integrals(model: Model, forms, integrands, resolution=None) -> list[float]:
     """The quadrature of each array of ``integrands(points)``, formed
     pointwise from ``forms`` and their derivatives, on the nodes of
     ``integration_points`` that ``_mentioned_nodes`` keeps, which are never
-    all held at once: one slice of the first axis at a time, each array
-    summed over all slices at once."""
+    all held at once: as many nodes of the first axis at a time as fit in
+    one block (``exterior._per_block``), each array summed over all blocks
+    at once."""
     grids, weight = _quadrature_axes(model, resolution)
     grids, held = _mentioned_nodes(model, grids, forms)
-    slices = [[grids[0][j : j + 1], *grids[1:]] for j in range(len(grids[0]))] if grids else [[]]
+    step = _per_block(math.prod(len(g) for g in grids[1:]))
+    slices = [[grids[0][j : j + step], *grids[1:]] for j in range(0, len(grids[0]), step)] if grids else [[]]
     values = zip(*(integrands(_tensor_points(model.n, model.coordinate_axes, s)) for s in slices))
     return [float(np.sum(np.concatenate(v)) * (weight * held)) for v in values]
 

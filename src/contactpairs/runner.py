@@ -148,21 +148,23 @@ def _task_jacobi(cfg, params, objs, rng, out_path):
 
 def _jacobi_verdict(cfg, params, objs):
     tol = cfg.tolerance
-    if "beta" in objs:
-        resolution = params.get("resolution", JACOBI_RESOLUTION["pair"])
-        side = JacobiSide.from_pair(
-            objs["alpha"], objs["beta"], objs["k"], objs["l"],
-            side=params.get("side", "alpha"), resolution=resolution, tol=tol,
-        )
-    else:
-        resolution = params.get("resolution", JACOBI_RESOLUTION["contact-form"])
-        alpha = objs.get("form") or objs["alpha"]
-        side = JacobiSide.from_contact_form(alpha, resolution=resolution, tol=tol)
-    n = side.model.n
-    c = list(side.model.coordinate_axes)
+    alpha = objs.get("form") or objs["alpha"]
+    n = alpha.model.n
+    c = list(alpha.model.coordinate_axes)
     f = ex.parse(f"sin(x{c[1 % len(c)]})*cos(x{c[2 % len(c)]})", n)
     g = ex.parse(f"sin(x{c[2 % len(c)]})", n)
     h = ex.parse(f"cos(x{c[1 % len(c)]})", n)
+    # the side's verdict grid holds every periodic axis that neither its
+    # forms nor f, g and h mention
+    if "beta" in objs:
+        resolution = params.get("resolution", JACOBI_RESOLUTION["pair"])
+        side = JacobiSide.from_pair(
+            alpha, objs["beta"], objs["k"], objs["l"],
+            side=params.get("side", "alpha"), resolution=resolution, tol=tol, functions=(f, g, h),
+        )
+    else:
+        resolution = params.get("resolution", JACOBI_RESOLUTION["contact-form"])
+        side = JacobiSide.from_contact_form(alpha, resolution=resolution, tol=tol, functions=(f, g, h))
 
     # each function's Hamiltonian field is solved once, X_1 = 1 E + Λ♯0 is E,
     # and g is evaluated once, for X_g and for the expected {1,g} = E.g

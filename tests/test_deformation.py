@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from contactpairs import expressions as ex
+from contactpairs import models
 from contactpairs.config import parse_config
 from contactpairs.contact import SampledPair, product_contact_pair, torus_contact, verify_contact_pair
 from contactpairs.deformation import (
@@ -22,6 +23,7 @@ from contactpairs.deformation import (
     volume_identity_defect,
     volume_polynomial,
 )
+from contactpairs.exterior import _BLOCK
 from contactpairs.fields import FormField, coframe, constant_form, form_from_expressions, pullback_form
 from contactpairs.models import (
     box_chart,
@@ -439,6 +441,24 @@ def test_stokes_integrals_sample_the_mentioned_axes_only(monkeypatch, case, ment
     held = [i for i in range(6) if i not in mentioned]
     assert np.all(pts[:, held] == 0.0)  # the first node of a periodic axis
     assert all(len(np.unique(pts[:, i])) == 8 for i in mentioned)
+
+
+@pytest.mark.parametrize("case, blocks", [
+    ("t6-pair-compatible", 1),  # 8 first-axis nodes of 8 points each
+    ("t6-config-nonconstant-closed", 1),  # 8 of 8^3 points
+    ("five-axes", 8),  # 8 of 8^4 points: one node per block of 4096
+])
+def test_quadrature_takes_first_axis_nodes_in_blocks(monkeypatch, case, blocks):
+    family = STOKES_CASES[case]()
+    arrays = _quadrature_points(monkeypatch, family)
+    assert len(arrays) == blocks
+    assert all(len(a) <= _BLOCK for a in arrays)
+    # one first-axis node at a time concatenates the same values in the same
+    # order, so the sums keep their bits
+    got = stokes_integrals(family)
+    monkeypatch.setattr(models, "_per_block", lambda points: 1)
+    assert len(_quadrature_points(monkeypatch, family)) == 8
+    assert stokes_integrals(family) == got
 
 
 def test_integrate_on_a_box_chart_with_an_unmentioned_axis():

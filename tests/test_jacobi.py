@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -306,13 +307,13 @@ def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("example, side_name, resolution, per_verdict", [
-    ("torus-contact", "alpha", 12, 13 * 3),
-    ("darboux2", "alpha", 5, 13 * 5),
-    ("t6-pair-compatible", "alpha", 5, 13 * 6),
+@pytest.mark.parametrize("example, side_name, resolution, kept", [
+    ("torus-contact", "alpha", 12, (0, 1, 2)),
+    ("darboux2", "alpha", 5, (0, 1, 2, 3, 4)),  # box axes x3 and x4 are mentioned by nothing
+    ("t6-pair-compatible", "alpha", 5, (0, 1, 2, 3)),  # periodic x4 and x5 are held
 ])
 def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys, example,
-                                                           side_name, resolution, per_verdict):
+                                                           side_name, resolution, kept):
     sweeps, solves = [], []
     derivative, solve = jacobi._axis_derivative, JacobiSide._hamiltonian
 
@@ -331,8 +332,9 @@ def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys,
     argv = ["jacobi", "--example", example, "--resolution", str(resolution)]
     assert main(argv + (["--side", side_name] if "beta" in objs else [])) == 0
     # E = X_1, X_f, X_g, X_h once each in the shared pass, three outer
-    # brackets of two fields each, and the gradients of the three inner solves
-    assert len(sweeps) == per_verdict and len(solves) == 6
+    # brackets of two fields each, and the gradients of the three inner
+    # solves, along each axis the verdict grid keeps and none other
+    assert sorted(sweeps) == sorted(13 * kept) and len(solves) == 6
     capsys.readouterr()
     if "beta" in objs:
         side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
@@ -341,7 +343,8 @@ def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys,
         side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
     sweeps.clear()
     jacobi_identity_defect(*_task_functions(side), side)
-    assert len(sweeps) == per_verdict // 13 * 12  # f, g, h shared: 3 + 6 + 3 per axis
+    # a side built without functions keeps every axis: f, g, h shared, 3 + 6 + 3 per axis
+    assert sorted(sweeps) == sorted(12 * tuple(range(side.model.n)))
 
 
 def _reference_bracket(side, xv, yv):
@@ -545,6 +548,130 @@ def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, caps
     # the forms mention x0 and x3 only: 6 x 6 of the 6^6 grid points, each
     # with one Reeb system and one operator Λ♯
     assert systems == [(36, 14, 6)] and operators == [(36, 6, 6)]
+
+
+# --- the verdict grid: only the axes the forms and the functions mention --------------------
+
+def _sides(objs, side_name, resolution, functions):
+    """The side of ``objs`` built for ``functions`` and the one built for any."""
+    if "beta" in objs:
+        def build(**kw):
+            return JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                        side=side_name, resolution=resolution, **kw)
+    else:
+        def build(**kw):
+            return JacobiSide.from_contact_form(objs["alpha"], resolution=resolution, **kw)
+    return build(functions=functions), build()
+
+
+def _spread(side, values):
+    """Grid values from the verdict grid values of ``side``."""
+    shape = side.verdict_shape + values.shape[1:]
+    return np.broadcast_to(values.reshape(shape), side.grid_shape + values.shape[1:]).reshape(
+        (-1,) + values.shape[1:])
+
+
+def _verdict(side, f, g, h):
+    """The jacobi task's brackets and defects on ``side``, as the runner takes them."""
+    g_vals, g_grad, eg = side.scalar_data(g)
+    xf, xg, xh = side.solve_hamiltonian(f), side._hamiltonian(g_vals, g_grad), side.solve_hamiltonian(h)
+    brackets = side.brackets([(side.e_values, xg), (xf, xg), (xg, xh), (xh, xf)])
+    one = float(np.max(np.abs(brackets[0] - eg)[side.interior_mask]))
+    identity = jacobi._identity_defect(xf, xg, xh, side, tuple(brackets[1:]))
+    return [eg, xf, xg, xh, *brackets], (one, identity)
+
+
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("t6-pair-compatible", "alpha", 6),
+    ("t6-pair-compatible", "beta", 6),
+    ("t6-pair-incompatible", "alpha", 6),
+    ("t6-pair-incompatible", "beta", 6),
+    ("t2-pair-type00", "alpha", 6),
+    ("t2-pair-type00", "beta", 6),
+    ("torus-contact", "alpha", 32),
+    ("darboux1", "alpha", 24),
+    ("darboux2", "alpha", 10),
+    ("t6-pair-compatible", "alpha", 5),
+    ("t6-pair-compatible", "beta", 5),
+    ("t6-pair-compatible", "alpha", 7),
+    ("t6-pair-compatible", "beta", 7),
+])
+def test_verdict_grid_equals_the_full_grid_bit_for_bit(example, side_name, resolution):
+    # the jacobi sides of the digest matrix and t6 at an odd resolution:
+    # every field, bracket and defect of the verdict equals the full grid's
+    # (up to the sign of a zero, which a skipped sweep of exact zeros can flip)
+    objs = build_example(example)
+    functions = _task_functions(objs["alpha"])
+    side, full = _sides(objs, side_name, resolution, functions)
+    assert side.grid_shape == full.grid_shape == full.verdict_shape
+    assert side.steps == full.steps and side.periodic == full.periodic
+    # each verdict grid point is the grid point with its multi-index
+    index = np.ravel_multi_index(np.unravel_index(np.arange(len(side.points)), side.verdict_shape), side.grid_shape)
+    assert np.array_equal(side.points, full.points[index])
+    arrays, defects = _verdict(side, *functions)
+    full_arrays, full_defects = _verdict(full, *functions)
+    for got, expected in zip(arrays, full_arrays):
+        assert (_spread(side, got) + 0.0).tobytes() == (expected + 0.0).tobytes()
+    assert defects == full_defects
+    status, data = runner._task_jacobi(parse_config({}), {"resolution": resolution, "side": side_name},
+                                       objs, None, None)
+    assert (data["constant_bracket_defect"], data["jacobi_identity_defect"]) == defects
+    assert data["grid"] == list(full.grid_shape)
+
+
+@pytest.mark.parametrize("example, resolution, kept, nominal", [
+    ("t6-pair-compatible", None, 6 ** 4, 6 ** 6),  # x0, x3 from the forms, x1, x2 from f, g, h
+    ("torus-contact", None, 16 ** 3, 16 ** 3),  # x0 from the form, x1, x2 from f, g, h
+    ("darboux1", None, 16 ** 3, 16 ** 3),
+    ("darboux2", 10, 10 ** 5, 10 ** 5),  # box axes x3 and x4, which nothing mentions, are kept
+])
+def test_verdict_grid_point_counts(monkeypatch, capsys, example, resolution, kept, nominal):
+    grids = []
+
+    class Recorded(jacobi._SideGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(jacobi, "_SideGrid", Recorded)
+    argv = ["jacobi", "--example", example, "--format", "structured"]
+    assert main(argv + ([] if resolution is None else ["--resolution", str(resolution)])) == 0
+    (grid,) = grids
+    # the report names the grid, not the verdict grid
+    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["grid"] == list(grid.shape)
+    assert len(grid.points) == kept and math.prod(grid.shape) == nominal
+    assert grid.held == tuple(v < r for v, r in zip(grid.verdict_shape, grid.shape))
+
+
+def test_a_function_of_a_held_axis_is_rejected():
+    objs = build_example("t6-pair-compatible")
+    side = JacobiSide.from_pair(objs["alpha"], objs["beta"], 1, 1, functions=_task_functions(objs["alpha"]))
+    assert side.held == (False, False, False, False, True, True)
+    with pytest.raises(ValueError, match="holds"):
+        side.solve_hamiltonian(ex.parse("sin(x1)*cos(x4)", 6))
+    # a grid function has the verdict grid's samples
+    with pytest.raises(ValueError, match="wrong number"):
+        side.solve_hamiltonian(np.zeros(6 ** 6))
+
+
+def test_overflow_witness_on_the_verdict_grid_is_the_full_grid_point():
+    # exp(355 (1 - cos(x1))) overflows at the node x1 = pi alone, so X_f is
+    # first non-finite where the x1 stencil reaches it, at x1 = 2 pi / 3:
+    # grid index 2 * 6^4 of the full grid and 2 * 6^2 of the verdict grid,
+    # which holds x4 and x5
+    objs = build_example("t6-pair-compatible")
+    side, full = _sides(objs, "alpha", 6, _task_functions(objs["alpha"]))
+    witnesses = []
+    for s in (side, full):
+        with np.errstate(over="ignore"):
+            values = np.exp(355 * (1 - np.cos(s.points[:, 1])))
+        assert np.isinf(values).sum() == len(values) // 6
+        with pytest.raises(JacobiError) as err:
+            s.solve_hamiltonian(values)
+        assert err.value.condition == "non-finite"
+        witnesses.append((str(err.value), err.value.witness))
+    assert witnesses[0] == witnesses[1]
+    assert witnesses[0][1]["index"] == 2 * 6 ** 4 and len(side.points) == 6 ** 4
 
 
 # --- an independent reference: the leaf-basis least squares -----------------------------

@@ -205,18 +205,25 @@ def test_the_scaled_pair_commutes_exactly():
 # --- structure ------------------------------------------------------------------------------
 
 def test_the_t_batch_is_the_one_block_division():
-    # every batch of a family's t grid reads contact._t_batch
-    sites = []
+    # every batch of a family's t grid reads contact._t_batch, and it and
+    # the quadrature's blocks of first-axis nodes read exterior._per_block
+    sites, callers = [], []
     for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function in ast.walk(tree):
             if isinstance(function, ast.FunctionDef):
+                nodes = list(ast.walk(function))
                 sites += [
-                    (path.stem, function.name) for node in ast.walk(function)
+                    (path.stem, function.name) for node in nodes
                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
                     and getattr(node.left, "id", None) == "_BLOCK"
                 ]
-    assert sites == [("contact", "_t_batch")]
+                callers += [
+                    (path.stem, function.name) for node in nodes
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_per_block"
+                ]
+    assert sites == [("exterior", "_per_block")]
+    assert callers == [("contact", "_t_batch"), ("models", "_integrals")]
 
 
 # --- the sweep's Reeb column where the volume vanishes ------------------------------------

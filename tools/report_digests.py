@@ -13,7 +13,9 @@ seeds 0 and 7 over this matrix:
   pair on T^2, whose sides have 1-dimensional leaves (X_f = f E), on
   torus-contact at resolution 32, on darboux1 at resolution 24 and on
   darboux2 at resolution 10 (the periodic and box grids of the jacobi
-  benchmark);
+  benchmark), and on both sides of t6-pair-compatible at resolution 5:
+  their verdict grid holds x4 and x5, which nothing mentions, at one node
+  and keeps four axes of an odd resolution;
 - all seven task kinds on both shipped configs;
 - sweep, deform forward and deform converse with ``--t-grid=1,1e308`` on
   heisenberg6-pair and t6-pair-compatible, and deform single with
@@ -137,6 +139,8 @@ def matrix() -> list[tuple[str, ...]]:
     runs.append(("jacobi", "--example", "torus-contact", "--resolution", "32"))
     runs.append(("jacobi", "--example", "darboux1", "--resolution", "24"))
     runs.append(("jacobi", "--example", "darboux2", "--resolution", "10"))
+    for side in ((), ("--side", "beta")):
+        runs.append(("jacobi", "--example", "t6-pair-compatible", "--resolution", "5", *side))
     runs += [cmd + ("--config", path) for path in CONFIGS for cmd in TASK_COMMANDS]
     for name in ("heisenberg6-pair", "t6-pair-compatible"):
         for cmd in (("sweep",), ("deform",), ("deform", "--mode", "converse")):
