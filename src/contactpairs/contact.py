@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _BLOCK, _per_block, _two_form_positions, chain, chain_factor, interior_values
+from .exterior import _BLOCK, _columns, _interior, _per_block, _reaches, _scatter, _two_form_positions, chain_factor
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -140,12 +140,13 @@ def _live_max(values: np.ndarray, live: tuple, axis: tuple | None = None) -> np.
     row maxima), 0 where no component is live.
 
     Every component outside live is ±0, so this is the maximum over all
-    components.  It reads the span of live (``_span``), a contiguous part
-    of a component-major buffer; a transpose, not ``np.moveaxis``, puts the
+    components.  It reads the span of live (``_span``), or all of a
+    compact array (``exterior.chain_factor``), a contiguous part of a
+    component-major buffer; a transpose, not ``np.moveaxis``, puts the
     components first, since the latter costs several times as much on
     one-point samples.  Exact in any order, and NaN propagates.
     """
-    rows = values.transpose((-1, *range(values.ndim - 1)))[_span(live)]
+    rows = values.transpose((-1, *range(values.ndim - 1)))[_span(live) if values.shape[-1] > len(live) else ...]
     return np.abs(rows).max(axis=None if axis is None else (0, *(a + 1 for a in axis)), initial=0.0)
 
 
@@ -297,7 +298,7 @@ class SampledPair:
             pa, pb = _wedge(n, *[dalpha] * k), _wedge(n, *[dbeta] * l)
             m = _wedge(n, pa, pb)
             na = _wedge(n, m, beta)
-            return _Chains(pa, pb, m, na, _wedge(n, alpha, m), _wedge(n, alpha, na)[1][..., 0])
+            return _Chains(pa, pb, m, na, _wedge(n, alpha, m), _top(_wedge(n, alpha, na)))
 
     def certificate_arrays(self, k: int, l: int) -> tuple:
         """(arrays, chains): the sample arrays that a certificate of type
@@ -338,7 +339,7 @@ class SampledPair:
         1-form factors w and v given as (1, values) or (1, values, live)
         (``exterior.chain_factor``; ``factors`` gives those of the pair)."""
         _, _, dalpha, dbeta = self.factors()
-        return chain(self.n, w, *[dalpha] * k, v, *[dbeta] * l)[..., 0]
+        return _top(chain_factor(self.n, w, *[dalpha] * k, v, *[dbeta] * l))
 
 
 class _Chains(NamedTuple):
@@ -371,14 +372,26 @@ def _wedge(n: int, *factors):
     return chain_factor(n, *factors) if factors else None
 
 
-def _vol_dual(volume: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _top(factor) -> np.ndarray:
+    """The coefficient of a top-degree chain factor per point."""
+    return _scatter(factor[1], factor[2] and factor[2][0], 1)[..., 0]
+
+
+def _vol_dual(volume: np.ndarray, c) -> np.ndarray:
     """The field X with i_X vol = c, for vol = volume * dx^0 ∧ .. ∧ dx^{n-1}
     and an (n-1)-form c: X^i = (-1)^i c_î / volume, where c_î, the
     coefficient on dx^0 ∧ .. ∧ \\hat{dx^i} ∧ .. ∧ dx^{n-1}, sits at position
-    n-1-i.  Leading axes broadcast; the result is C-ordered, and not
+    n-1-i.  c is a coefficient array or a chain factor, maybe compact
+    (``exterior.chain_factor``).  Leading axes broadcast; the division runs
+    along the component rows of c, and the result is C-ordered, and not
     finite where the volume vanishes."""
-    x = np.empty(np.broadcast_shapes(volume.shape + (1,), c.shape))
-    np.divide(c[..., ::-1], volume[..., None], out=x)
+    degree, values, *live = c if isinstance(c, tuple) else (c.shape[-1] - 1, c)
+    n, held = degree + 1, _columns(values, live and live[0], degree + 1)
+    x = np.empty(np.broadcast_shapes(volume.shape + (1,), values.shape[:-1] + (1,))[:-1] + (n,))
+    rows = x.transpose((-1, *range(x.ndim - 1)))[::-1]
+    numerators = dict(zip(held, values.transpose((-1, *range(values.ndim - 1)))))
+    for comp in range(n):  # row comp holds X^{n-1-comp}; a component not held is +0.0
+        np.divide(numerators.get(comp, 0.0), volume, out=rows[comp])
     np.negative(x[..., 1::2], out=x[..., 1::2])
     return x
 
@@ -388,15 +401,23 @@ def _reeb_residual(n: int, fields, forms) -> np.ndarray:
     each (values, live) with live None when unknown (then scanned), and the
     forms of their defining relations, 1-forms first, as chain factors
     (degree, values) or (degree, values, live): w(E_j) - [w is the j-th
-    1-form] for a 1-form w, i_{E_j} w for a 2-form.  NaN propagates."""
-    worst = None
+    1-form] for a 1-form w, i_{E_j} w for a 2-form.  NaN propagates.
+
+    A contraction that reaches no output (known without a kernel from
+    live sets with finite bounds, ``exterior._reaches``) adds its constant
+    part alone: 1 for w(E_j) - 1, else 0."""
+    worst = np.zeros(np.broadcast_shapes(fields[0][0].shape[:-1], forms[0][1].shape[:-1]))
     for j, (x, live) in enumerate(fields):
         for i, (degree, values, *form_live) in enumerate(forms):
-            rows = interior_values(n, degree, x, values, live, *form_live)
+            form_live, outputs = form_live[0] if form_live else None, ()
+            if not all(f and f[1] < math.inf for f in (live, form_live)) or _reaches(n, degree, live[0], form_live[0]):
+                rows, outputs = _interior(n, degree, x, values, live, form_live)
+            if not outputs:
+                np.maximum(worst, float(i == j), out=worst)
+                continue
             if i == j:
                 rows[..., 0] -= 1.0
-            peak = np.abs(rows, out=rows).max(axis=-1)
-            worst = peak if worst is None else np.maximum(worst, peak, out=worst)
+            np.maximum(worst, np.abs(rows, out=rows).max(axis=-1), out=worst)
     return worst
 
 
@@ -413,9 +434,9 @@ def _reeb_pair(s: SampledPair, ch: _Chains) -> tuple:
     finite = bool(np.all(np.abs(ch.volume) > 0.0))
     fields = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite residual fails
-        for volume, (_, c, (c_live, _)) in ((ch.volume, ch.na), (-ch.volume, ch.nb)):
+        for volume, c in ((ch.volume, ch.na), (-ch.volume, ch.nb)):
             x = _vol_dual(volume, c)
-            live = tuple(n - 1 - p for p in reversed(c_live)) if finite else tuple(range(n))
+            live = tuple(n - 1 - p for p in reversed(c[2][0])) if finite else tuple(range(n))
             fields.append((x, (live, float(_live_max(x, live)))))  # a NaN bound reads as unknown
         residual = _reeb_residual(n, fields, s.factors())
     return fields[0][0], fields[1][0], residual
@@ -429,8 +450,8 @@ def _form_reeb(n: int, alpha_values: np.ndarray, dalpha_values: np.ndarray) -> t
     alpha, dalpha = (1, alpha_values), (2, dalpha_values)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the callers check
         c = _wedge(n, *[dalpha] * ((n - 1) // 2))
-        volume = _wedge(n, alpha, c)[1][..., 0]
-        reeb = _vol_dual(volume, np.ones_like(alpha_values[..., :1]) if c is None else c[1])
+        volume = _top(_wedge(n, alpha, c))
+        reeb = _vol_dual(volume, c or np.ones_like(alpha_values[..., :1]))
         return reeb, volume, _reeb_residual(n, [(reeb, None)], (alpha, dalpha))
 
 
@@ -471,20 +492,25 @@ def _product_rule(n: int, pairs):
     """D(f_1 ∧ .. ∧ f_m) = sum_j f_1 ∧ .. ∧ D f_j ∧ .. ∧ f_m for the pairs
     (f_j, D f_j) of chain factors, f_j None for the unit 1 and D f_j None
     for 0, as a chain factor (degree, values, live); None when every D f_j
-    is 0.  The sum is live where a term is, within the sum of their bounds,
-    while every term has a live set."""
+    is 0 (``_sum``)."""
     total = None
     for j, (_, df) in enumerate(pairs):
         if df is not None:
             term = _wedge(n, *(f for f, _ in pairs[:j]), df, *(f for f, _ in pairs[j + 1 :]))
-            if total is None:
-                total = term
-            else:
-                live = None
-                if total[2] and term[2]:
-                    live = tuple(sorted({*total[2][0], *term[2][0]})), total[2][1] + term[2][1]
-                total = (total[0], total[1] + term[1], live)
+            total = term if total is None else _sum(total, term)
     return total
+
+
+def _sum(a, b) -> tuple:
+    """a + b for chain factors of one degree with live sets, compact on the
+    union of those, within the sum of their bounds."""
+    live = tuple(sorted({*a[2][0], *b[2][0]}))
+    placed = []
+    for _, values, (comps, _) in (a, b):
+        term = np.zeros(values.shape[:-1] + (len(live),))
+        term[..., [live.index(c) for c in comps]] = values if values.shape[-1] == len(comps) else values[..., comps]
+        placed.append(term)
+    return a[0], placed[0] + placed[1], (live, a[2][1] + b[2][1])
 
 
 def _moved(s: SampledPair, fields) -> list:
@@ -533,10 +559,10 @@ def _reeb_directional(s: SampledPair, ch: _Chains, e: np.ndarray, moved, j: int)
     dna = _product_rule(n, [(ch.m, dm), (beta, db)])
     dv = _product_rule(n, [(alpha, da), (ch.na, dna)])
     dc, volume = (dna, ch.volume) if j == 0 else (_product_rule(n, [(alpha, da), (ch.m, dm)]), -ch.volume)
-    rate = np.zeros_like(ch.volume) if dv is None else dv[1][..., 0] / ch.volume
+    rate = np.zeros_like(ch.volume) if dv is None else _top(dv) / ch.volume
     de = e * -rate[..., None]
     if dc is not None:
-        de += _vol_dual(volume, dc[1])
+        de += _vol_dual(volume, dc)
     return de
 
 
@@ -921,7 +947,7 @@ def verify_single_deformation(
                 per_t.append({"t": 0.0, "note": "closed form, class 0", "passed": None})
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            coeff = chain(n, (1, a0v + t * av), *[(2, da0 + t * dav)] * k_max)[:, 0]
+            coeff = _top(chain_factor(n, (1, a0v + t * av), *[(2, da0 + t * dav)] * k_max))
         if not np.all(np.isfinite(coeff)):
             # an overflow shows nothing about the class of alpha_t
             overflow = {"condition": "non-finite", "t": t}

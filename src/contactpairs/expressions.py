@@ -438,14 +438,18 @@ def evaluate_many(e: Expr, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array (P, n)")
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _eval(e, pts, _shared_nodes(e))
-    out = np.asarray(out, dtype=float)
-    if out.ndim == 0:
-        out = np.full(pts.shape[0], float(out))
+    out = _values(e, pts)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("expression evaluated to a non-finite value")
     return out
+
+
+def _values(e: Expr, pts: np.ndarray) -> np.ndarray:
+    """The values of e at the (P, n) points pts, inf or NaN where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        out = _eval(e, pts, _shared_nodes(e))
+    out = np.asarray(out, dtype=float)
+    return np.full(pts.shape[0], float(out)) if out.ndim == 0 else out
 
 
 def evaluate(e: Expr, point) -> float:

@@ -8,17 +8,21 @@ order, shared by every module in the package.  The wedge uses the determinant
     (w ∧ h)(v_1..v_{p+q}) = sum over (p,q)-shuffles s of
                             sgn(s) w(v_{s(1..p)}) h(v_{s(p+1..p+q)}).
 
-The ``*_values`` kernels operate on raw coefficient arrays whose last axis is
-the coefficient axis; leading axes broadcast, which the field pipelines use to
-evaluate at many sample points at once.  They loop over the components on
-blocks of points and return a ``(..., C)`` view of a component-major buffer,
+The kernels operate on raw coefficient arrays whose last axis is the
+coefficient axis; leading axes broadcast, which the field pipelines use to
+evaluate at many sample points at once.  One kernel (``_bilinear``) loops over
+the components on blocks of points and returns a ``(..., m)`` view of a
+component-major buffer holding only the m output components its rows reach,
 so each inner operation runs on contiguous point vectors; the result is
 bit-identical to the per-column formula ``out[..., io] += sign * a * b``.
 A table row whose term is ±0 at every point (an all-±0 column against a
 finite operand) is skipped: adding ±0 to a sum that starts at +0.0 changes no
 bit, since such a sum is zero only by exact cancellation, which gives +0.
 Which columns are all ±0 comes from a live set the operand carries
-(``chain_factor``), or from a scan of an operand that carries none.
+(``chain_factor``), or from a scan of an operand that carries none.  Products
+hold their live components alone; dense ``(..., C)`` arrays exist only at the
+public boundary (``wedge_values``, ``interior_values``, ``chain``,
+``FormValue``), built by one scatter into zeros.
 """
 
 from __future__ import annotations
@@ -118,21 +122,20 @@ def _per_block(points: int) -> int:
     return max(1, _BLOCK // points)
 
 
-@lru_cache(maxsize=1024)  # one entry per table and sparsity pattern met
-def _live_rows(table_of, dims, states_a, states_b) -> tuple:
+@lru_cache(maxsize=1024)  # one entry per table, sparsity pattern and layout met
+def _live_rows(table_of, dims, states_a, states_b, cols_a, cols_b) -> tuple:
     """The rows of table_of(*dims) but those with an all-±0 column and a
-    finite partner column (0 * inf and 0 * NaN are NaN), in table order,
-    and the sorted output positions of those rows."""
-    (fin_a, zero_a), (fin_b, zero_b) = states_a, states_b
-    rows = tuple(row for row in table_of(*dims)
-                 if not (zero_a[row[0]] and fin_b[row[1]] or zero_b[row[1]] and fin_a[row[0]]))
-    return rows, tuple(sorted({row[2] for row in rows}))
-
-
-@lru_cache(maxsize=None)
-def _full_rows(table_of, dims) -> tuple:
-    table = table_of(*dims)
-    return table, tuple(sorted({row[2] for row in table}))
+    finite partner column (0 * inf and 0 * NaN are NaN), all without
+    states, in table order, and the sorted output positions of those rows.
+    Each row (ia, ib, io, sign) gives ia as its place among the columns
+    cols_a that a holds (-1 if none), ib alike, io among the outputs."""
+    rows = table_of(*dims)
+    if states_a:
+        (fin_a, zero_a), (fin_b, zero_b) = states_a, states_b
+        rows = [row for row in rows if not (zero_a[row[0]] and fin_b[row[1]] or zero_b[row[1]] and fin_a[row[0]])]
+    outputs = tuple(sorted({row[2] for row in rows}))
+    place = [{c: i for i, c in enumerate(cols)} for cols in (cols_a, cols_b, outputs)]
+    return tuple((place[0].get(ia, -1), place[1].get(ib, -1), place[2][io], sign) for ia, ib, io, sign in rows), outputs
 
 
 @lru_cache(maxsize=1024)
@@ -152,53 +155,66 @@ def _column_states(x: np.ndarray) -> tuple:
     return np.isfinite(sums).tobytes(), (sums == 0).tobytes()
 
 
-def _states(x: np.ndarray, live) -> tuple:
-    """The column states of an operand: from its live set when it carries
-    one (``_carried_states``), from a scan otherwise."""
-    return _carried_states(x.shape[-1], live[0], bool(live[1] < math.inf)) if live else _column_states(x)
+def _columns(x: np.ndarray, live, count: int):
+    """The components the operand x holds: its live ones if compact."""
+    return live[0] if live and x.shape[-1] < count else range(count)
 
 
 def _rows(table_of, dims, a: np.ndarray, b: np.ndarray, live_a=None, live_b=None) -> tuple:
     """``_live_rows`` for a and b.  An operand with ``live`` = (live
     components, bound), all other components +0.0 and the bound at least
-    max |x| (inf when unknown), is not read; one without is scanned, unless
-    both operands are nonzero at their first point in every column, which
-    gives the full table."""
-    count_a, count_b = a.shape[-1], b.shape[-1]
-    dense_a = len(live_a[0]) == count_a if live_a else np.count_nonzero(a.reshape(-1, count_a)[:1]) == count_a
-    dense_b = len(live_b[0]) == count_b if live_b else np.count_nonzero(b.reshape(-1, count_b)[:1]) == count_b
-    if dense_a and dense_b:
-        return _full_rows(table_of, dims)
-    return _live_rows(table_of, dims, _states(a, live_a), _states(b, live_b))
+    max |x| (inf when unknown), is not read; it holds every component or,
+    compact, its live ones alone, in order.  One without is scanned,
+    unless both operands are nonzero at their first point in every
+    column, which gives the full table."""
+    n, p, *q = dims
+    operands = (a, live_a, form_count(n, p) if q else n), (b, live_b, form_count(n, q[0] if q else p))
+    cols = [_columns(x, live, count) for x, live, count in operands]
+    if all(len(live[0]) == count if live else np.count_nonzero(x.reshape(-1, count)[:1]) == count
+           for x, live, count in operands):
+        return _live_rows(table_of, dims, None, None, *cols)
+    # the column states, from a live set (``_carried_states``) or a scan
+    states = [_carried_states(count, live[0], bool(live[1] < math.inf)) if live else _column_states(x)
+              for x, live, count in operands]
+    return _live_rows(table_of, dims, *states, *cols)
 
 
-def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, rows=None):
+@lru_cache(maxsize=1024)
+def _reaches(n: int, p: int, axes: tuple, comps: tuple) -> bool:
+    """Whether i_X w has a row for X live on axes and w on comps."""
+    indices = multi_indices(n, p)
+    return any(not set(axes).isdisjoint(indices[c]) for c in comps)
+
+
+def _bilinear(a: np.ndarray, b: np.ndarray, rows, count: int) -> np.ndarray:
     """out[..., io] = sum of sign * a[..., ia] * b[..., ib] over the rows
-    (ia, ib, io, sign) of ``_rows`` (given, or found from a scan of a and
-    b), in table order; leading axes broadcast.
+    (ia, ib, io, sign) of ``_rows``, in order, for the count outputs of
+    those rows; a column -1 reads as +0.0 and leading axes broadcast.
 
     Works component by component on blocks of points and returns a
-    (..., count) view of a component-major buffer.  With sign = ±1 each
-    term is added or subtracted as a * b, which is bit-identical to adding
-    (sign * a) * b.  A dropped row would add ±0 at every point, which in
-    round-to-nearest changes no bit of a sum that starts at +0.0.
+    (..., count) view of a component-major buffer; without rows, it is
+    empty.  With sign = ±1 each term is added or subtracted as a * b,
+    which is bit-identical to adding (sign * a) * b.  A dropped row would
+    add ±0 at every point, which in round-to-nearest changes no bit of a
+    sum that starts at +0.0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    table = _rows(table_of, dims, a, b)[0] if rows is None else rows
     shape = a.shape[:-1]
     if b.shape[:-1] != shape:
         shape = np.broadcast_shapes(shape, b.shape[:-1])
         a, b = np.broadcast_to(a, shape + a.shape[-1:]), np.broadcast_to(b, shape + b.shape[-1:])
-    a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
-    points = a.shape[0]
+    if not rows:
+        return np.zeros(shape + (count,))
+    points = math.prod(shape)
+    a, b = a.reshape(points, a.shape[-1]), b.reshape(points, b.shape[-1])
     out = np.zeros((count, points))
     tmp = np.empty(min(points, _BLOCK))
-    for lo in range(0, points if table else 0, _BLOCK):
+    for lo in range(0, points, _BLOCK):
         hi = min(lo + _BLOCK, points)
         t = tmp[: hi - lo]
-        a_cols, b_cols, o_rows = list(a[lo:hi].T), list(b[lo:hi].T), list(out[:, lo:hi])
-        for ia, ib, io, sign in table:
+        a_cols, b_cols, o_rows = [*a[lo:hi].T, 0.0], [*b[lo:hi].T, 0.0], list(out[:, lo:hi])
+        for ia, ib, io, sign in rows:
             np.multiply(a_cols[ia], b_cols[ib], out=t)
             o = o_rows[io]
             if sign > 0:
@@ -208,47 +224,60 @@ def _bilinear(table_of, dims, count: int, a: np.ndarray, b: np.ndarray, rows=Non
     return out.T.reshape(shape + (count,))
 
 
-def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray, rows=None) -> np.ndarray:
-    """Wedge on coefficient arrays; leading axes broadcast.  ``rows`` are
-    the table rows to run (``_rows``; ``chain_factor`` picks them from its
-    factors' live sets), found from a scan of a and b when not given."""
-    return _bilinear(_wedge_table, (n, p, q), form_count(n, p + q), a, b, rows)
+def _scatter(values: np.ndarray, outputs: tuple, count: int) -> np.ndarray:
+    """The dense (..., count) array of values held at outputs, +0.0 elsewhere."""
+    if values.shape[-1] == count:
+        return values
+    out = np.zeros(values.shape[:-1] + (count,))
+    out[..., outputs] = values
+    return out
+
+
+def wedge_values(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Wedge on coefficient arrays; leading axes broadcast."""
+    rows, outputs = _rows(_wedge_table, (n, p, q), a, b)
+    return _scatter(_bilinear(a, b, rows, len(outputs)), outputs, form_count(n, p + q))
 
 
 def chain_factor(n: int, *factors) -> tuple:
     """Left-to-right wedge ((f1 ∧ f2) ∧ f3) ∧ .. of factors (degree,
     values) or (degree, values, live), live = (live components, bound) as
-    in ``_rows``; leading axes broadcast.  Returns (degree, values, live):
-    when every factor has a live set, the product has one, the output
-    positions of the rows run and the bound rows * bound_a * bound_b,
-    doubled to cover the rounding of the sums; an overflowing bound reads
-    as unknown."""
+    in ``_rows``; leading axes broadcast.  Returns (degree, values, live),
+    a product's values compact: their last axis holds its live
+    components, the output components of the rows run, in order.  Its
+    bound is rows * bound_a * bound_b, doubled to cover the rounding of
+    the sums, when both factors have a live set, and its max |x|
+    otherwise; an overflowing or NaN bound reads as unknown."""
     (p, acc, *live), *rest = factors
     live = live[0] if live else None
     for q, values, *other in rest:
         other = other[0] if other else None
         rows, outputs = _rows(_wedge_table, (n, p, q), acc, values, live, other)
-        acc = wedge_values(n, p, q, acc, values, rows)
-        if live and other:
-            with np.errstate(over="ignore", invalid="ignore"):
-                live = outputs, 2.0 * len(rows) * live[1] * other[1]
-        else:
-            live = None
+        acc = _bilinear(acc, values, rows, len(outputs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = 2.0 * len(rows) * live[1] * other[1] if live and other else float(np.abs(acc).max(initial=0.0))
+        live = outputs, bound
         p += q
     return p, acc, live
 
 
 def chain(n: int, *factors) -> np.ndarray:
-    """The values of ``chain_factor``."""
-    return chain_factor(n, *factors)[1]
+    """The values of ``chain_factor``, dense."""
+    p, values, live = chain_factor(n, *factors)
+    return _scatter(values, live and live[0], form_count(n, p))
+
+
+def _interior(n: int, p: int, x: np.ndarray, w: np.ndarray, live_x=None, live_w=None) -> tuple:
+    """Contraction i_X w on raw arrays, x with its component axis last, as
+    (values, outputs), compact.  The rows run are picked from the live sets
+    of x and w, as in ``_rows``, where they are given."""
+    rows, outputs = _rows(_interior_table, (n, p), x, w, live_x, live_w)
+    return _bilinear(x, w, rows, len(outputs)), outputs
 
 
 def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray, live_x=None, live_w=None) -> np.ndarray:
-    """Contraction i_X w on raw arrays; x has component axis last.  The
-    rows run are picked from the live sets of x and w, as in ``_rows``,
-    where they are given."""
-    rows = _rows(_interior_table, (n, p), x, w, live_x, live_w)[0]
-    return _bilinear(_interior_table, (n, p), form_count(n, p - 1), x, w, rows)
+    """Contraction i_X w on raw arrays, dense (``_interior``)."""
+    return _scatter(*_interior(n, p, x, w, live_x, live_w), form_count(n, p - 1))
 
 
 @lru_cache(maxsize=None)

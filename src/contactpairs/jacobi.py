@@ -26,8 +26,8 @@ import math
 import numpy as np
 
 from . import expressions as ex
-from .contact import _form_reeb, _vol_dual, _wedge, verify_contact_pair
-from .exterior import _BLOCK, two_form_matrices, wedge_values
+from .contact import _form_reeb, _top, _vol_dual, _wedge, verify_contact_pair
+from .exterior import _BLOCK, chain_factor, two_form_matrices
 from .fields import FormField
 from .models import Model, _mentioned_nodes, _tensor_points, default_tolerance, grid_nodes
 
@@ -141,9 +141,9 @@ def _hamiltonian_operator(n: int, k: int, form, dform, tail=None) -> np.ndarray:
         return np.zeros((len(form[1]), n, n))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the relations gate checks
         b = _wedge(n, form, *[dform] * (k - 1), tail)
-        volume = _wedge(n, b, dform)[1][:, :1]
-        columns = wedge_values(n, 1, n - 2, np.eye(n), b[1][:, None, :])
-        return np.ascontiguousarray(np.swapaxes(_vol_dual(-volume, k * columns), 1, 2))
+        volume = _top(_wedge(n, b, dform))[:, None]
+        _, columns, live = chain_factor(n, (1, np.eye(n)), (n - 2, b[1][:, None, :], b[2]))
+        return np.ascontiguousarray(np.swapaxes(_vol_dual(-volume, (n - 1, k * columns, live)), 1, 2))
 
 
 def _gate(lam, e, own_rows, tol, grid: _SideGrid, other=None) -> None:
@@ -167,12 +167,13 @@ def _gate(lam, e, own_rows, tol, grid: _SideGrid, other=None) -> None:
     w = np.swapaxes(r[:, 1:], 1, 2) + np.eye(n) - e[:, :, None] * own_rows[:, :1, :]
     parts, forms = [r[:, 0]], [own_rows]
     if other is not None:
-        other_rows, (degree, t, _) = other
-        w = wedge_values(n, 1, degree, w, t[:, None, :])
+        other_rows, (degree, t, live) = other
+        _, w, _ = chain_factor(n, (1, w), (degree, t[:, None, :], live))
         parts.append(other_rows @ lam)
         forms += [other_rows, t]
-    peak = np.max([np.abs(a).reshape(len(a), -1).max(axis=1) for a in (*parts, w)], axis=0)
-    scale = math.prod(max(1.0, *(float(np.max(np.abs(a))) for a in arrays)) for arrays in ((lam, e), forms))
+    # w and t may hold their live components alone, +0.0 being the others
+    peak = np.max([np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0) for a in (*parts, w)], axis=0)
+    scale = math.prod(max(1.0, *(float(np.abs(a).max(initial=0.0)) for a in arrays)) for arrays in ((lam, e), forms))
     worst = float(np.max(peak))
     if not worst <= tol * scale:
         idx = int(np.argmax(peak))
@@ -300,15 +301,23 @@ class JacobiSide:
             held = {a for a, h in zip(self.model.coordinate_axes, self.held) if h}
             if ex.variables_of(f) & held:  # its grid values would differ along the axis
                 raise ValueError(f"{ex.to_string(f)} mentions an axis that the verdict grid holds")
-            vals = ex.evaluate_many(f, self.points)
+            vals = self._grid_values(f, "function values")
             grad = np.zeros((self.points.shape[0], self.model.n))
             for _, a, _, _ in self._kept_axes():
-                grad[:, a] = ex.evaluate_many(ex.partial(f, a), self.points)
+                grad[:, a] = self._grid_values(ex.partial(f, a), f"partial along x{a}")
             return vals, grad
         vals = np.asarray(f, dtype=float).reshape(-1)
         if vals.shape[0] != self.points.shape[0]:
             raise ValueError("grid function has the wrong number of samples")
         return vals, self.grid_gradient(vals)
+
+    def _grid_values(self, e, what: str) -> np.ndarray:
+        """e on the verdict grid; where it overflows, ``_require_finite`` fails."""
+        try:
+            return ex.evaluate_many(e, self.points)
+        except ex.EvaluationError:
+            _require_finite(what, ex._values(e, self.points), self.points, (self.verdict_shape, self.grid_shape))
+            raise
 
     def _kept_axes(self):
         """(grid dimension, axis, step, periodic) of each axis the verdict grid keeps."""

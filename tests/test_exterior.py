@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -441,7 +443,7 @@ def test_dense_operands_run_the_full_table_without_a_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("operands without a zero at their first point were scanned")
 
-    monkeypatch.setattr(xt, "_live_rows", no_scan)
+    monkeypatch.setattr(xt, "_column_states", no_scan)
     assert len(xt._rows(xt._wedge_table, (6, 1, 2), a, da)[0]) == 60
     assert same_bits(xt.wedge_values(6, 1, 2, a, da), strided_wedge(6, 1, 2, a, da))
     da[1:, 3] = 0.0  # zero after the first point only: not a zero column
@@ -482,8 +484,8 @@ def test_builtin_pairs_run_only_their_live_rows(monkeypatch):
     # contractions and, in verify-pair, the commutator's product rule, whose
     # factors carry live sets instead of being scanned: looser than a scan,
     # which also finds the columns that cancel, but read from no operand
-    assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (13, 990)
-    assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (70, 1044)
+    assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (13, 726)
+    assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (70, 972)
 
 
 # --- carried live sets: the rows a factor's live set and bound allow --------------------
@@ -528,9 +530,97 @@ def test_a_chain_whose_bound_overflows_keeps_its_rows():
         _, product, (_, product_bound) = xt.chain_factor(6, *factors[:2])
     assert product_bound == np.inf and np.isinf(product).any()
     # inf ∧ the dead dx5 is NaN: that row is kept, so the NaN is there
-    assert degree == 3 and same_bits(got, want)
-    assert np.isnan(got[:, xt.index_position(6, 3)[(0, 1, 5)]]).all()
+    assert degree == 3 and got.shape == (points, len(live)) and same_bits(xt._scatter(got, live, 20), want)
+    assert np.isnan(got[:, live.index(xt.index_position(6, 3)[(0, 1, 5)])]).all()
     assert xt.index_position(6, 3)[(0, 1, 5)] in live and bound == np.inf
+
+
+# --- compact products: a chain_factor product holds its live components alone ------------
+
+def random_factor(rng, n, p, shape, kind):
+    """(factor, dense values) of degree p with leading axes shape: about
+    half the components dead (+0.0), a live one sometimes all -0.0 and
+    sometimes inf or NaN at one point.  kind "carried" gives the live set
+    with its bound (NaN or inf where a value is not finite), "overflowed"
+    with bound inf, "scanned" no live set."""
+    count = xt.form_count(n, p)
+    values = sample(rng, max(1, math.prod(shape)), count).reshape(shape + (count,))
+    live = tuple(int(c) for c in np.flatnonzero(rng.random(count) < 0.5))
+    values[..., [c for c in range(count) if c not in live]] = 0.0
+    if live and rng.random() < 0.3:
+        values[..., live[0]] = -0.0
+    if live and rng.random() < 0.3:
+        values.reshape(-1, count)[-1, live[-1]] = rng.choice([np.inf, -np.inf, np.nan])
+    if kind == "scanned":
+        return (p, values), values
+    bound = np.inf if kind == "overflowed" else float(np.max(np.abs(values[..., list(live)]), initial=0.0))
+    return (p, component_major(values.reshape(-1, count)).reshape(values.shape), (live, bound)), values
+
+
+@pytest.mark.parametrize("shapes", [
+    ((xt._BLOCK + 1,),) * 4,  # more than one block of points
+    ((1,),) * 4,  # one point
+    ((), (5,), (5,), ()),  # one-point operands broadcast against five points
+    ((3, 7),) * 4,  # a leading t axis
+    ((3, 7), (7,), (3, 7), (7,)),  # a t axis against operands without one
+])
+def test_chain_factor_products_scattered_are_the_strided_chain(shapes):
+    # against the strided formula, and bit for bit against wedge_values on
+    # the dense values, which reads no live set
+    rng = np.random.default_rng(len(shapes[0]) + sum(map(sum, shapes)))
+    for trial in range(40):
+        n = 6
+        degrees = [(1, 2, 1, 2), (2, 1, 1, 0), (1, 1, 2, 1), (2, 2, 2, 0), (0, 1, 2, 3)][trial % 5]
+        kinds = rng.choice(["carried", "carried", "overflowed", "scanned"], size=4)
+        made = [random_factor(rng, n, p, shape, kind) for p, shape, kind in zip(degrees, shapes, kinds)]
+        factors, dense = [f for f, _ in made], [v for _, v in made]
+        want, unread, p = dense[0], dense[0], degrees[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for m in range(1, 4):
+                want, p = strided_wedge(n, p, degrees[m], want, dense[m]), p + degrees[m]
+                unread = xt.wedge_values(n, p - degrees[m], degrees[m], unread, dense[m])
+                degree, got, (live, bound) = xt.chain_factor(n, *factors[: m + 1])
+                assert degree == p and got.shape[-1] == len(live), (trial, m)
+                scattered = xt._scatter(got, live, xt.form_count(n, p))
+                assert same_bits(scattered, unread) and same_bits_but_nan(scattered, want), (trial, m)
+                assert same_bits(xt.chain(n, *factors[: m + 1]), scattered), (trial, m)
+                # a compact product is a factor in turn
+                again = xt.chain_factor(n, (degree, got, (live, bound)), factors[0])[1:]
+                assert same_bits(xt._scatter(again[0], again[1][0], xt.form_count(n, p + degrees[0])),
+                                 xt.wedge_values(n, p, degrees[0], unread, dense[0])), (trial, m)
+
+
+def same_bits_but_nan(got, want):
+    """NaN at the same entries and the same bits at every other: the
+    strided formula runs on strided columns, where a NaN can come out with
+    another sign bit than in the contiguous kernel, compact or dense."""
+    nan = np.isnan(want)
+    return got.shape == want.shape and (np.isnan(got) == nan).all() and same_bits(got[~nan], want[~nan])
+
+
+def test_a_product_without_live_outputs_allocates_no_buffer(monkeypatch):
+    # alpha ∧ d alpha and the like: on t6-pair-compatible many products
+    # of the certificate reach no live output; each is an empty array
+    objs = build_example("t6-pair-compatible")
+    pts = sample_points(objs["alpha"].model, np.random.default_rng(0))
+    dead, live, bilinear = [], [], xt._bilinear
+
+    def recording(a, b, rows, count):
+        if rows:
+            out = bilinear(a, b, rows, count)
+            live.append(out.shape[-1] == count)
+            return out
+        tracemalloc.start()
+        out = bilinear(a, b, rows, count)
+        dead.append((count, out.size, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(xt, "_bilinear", recording)
+    SampledPair.of(objs["alpha"], objs["beta"], pts).certificate_arrays(1, 1)
+    assert dead and live and all(live)
+    # no output, no values, and far less than one float per point allocated
+    assert all(count == 0 and size == 0 and peak < len(pts) for count, size, peak in dead), dead
 
 
 def test_an_overflowing_t_still_fails_non_finite_with_its_witness(capsys):

@@ -654,6 +654,35 @@ def test_a_function_of_a_held_axis_is_rejected():
         side.solve_hamiltonian(np.zeros(6 ** 6))
 
 
+@pytest.mark.parametrize("example", ["t6-pair-compatible", "torus-contact"])
+def test_an_overflowing_expression_fails_non_finite_with_its_grid_witness(example):
+    # exp(1000 sin(x1)) overflows first at the x1 node 2 pi / 6 on the t6
+    # verdict grid, which holds x4 and x5 (6^4 rows before it on the full
+    # grid), and at the node pi / 2 of the 8-node torus-contact grid
+    objs = build_example(example)
+    if example == "torus-contact":
+        side, n, first, full = JacobiSide.from_contact_form(objs["alpha"], resolution=8), 3, 2 * 8, 2 * 8
+    else:
+        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], 1, 1, resolution=6,
+                                    functions=_task_functions(objs["alpha"]))
+        n, first, full = 6, 6 ** 2, 6 ** 4
+    with pytest.raises(JacobiError, match="non-finite function values") as err:
+        side.solve_hamiltonian(ex.parse("exp(1000*sin(x1))", n))
+    assert err.value.condition == "non-finite"
+    assert err.value.witness == {"point": side.points[first].tolist(), "index": full}
+    # values that stay finite, with a partial along x1 that overflows: its
+    # first non-finite row is the witness, as a full-grid index
+    f = ex.parse("1e306*cos(1001*x1)", n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = ex._values(ex.partial(f, 1), side.points)
+    row = int(np.argmin(np.isfinite(partial)))
+    assert np.isfinite(ex.evaluate_many(f, side.points)).all() and not np.isfinite(partial[row])
+    with pytest.raises(JacobiError, match="non-finite partial along x1") as err:
+        side.scalar_data(f)
+    index = np.ravel_multi_index(np.unravel_index(row, side.verdict_shape), side.grid_shape)
+    assert err.value.witness == {"point": side.points[row].tolist(), "index": int(index)}
+
+
 def test_overflow_witness_on_the_verdict_grid_is_the_full_grid_point():
     # exp(355 (1 - cos(x1))) overflows at the node x1 = pi alone, so X_f is
     # first non-finite where the x1 stencil reaches it, at x1 = 2 pi / 3:

@@ -215,6 +215,25 @@ def test_vol_dual_inverts_the_insertion_over_leading_axes(n):
         assert not np.any(np.isfinite(_vol_dual(np.zeros(4), c[0])))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vol_dual_of_a_compact_numerator_keeps_the_dense_bits(n):
+    # a chain factor that holds its live components alone gives the bits
+    # of the dense formula, +0 / v for every component it does not hold
+    # included: ±0 by the sign of v, and NaN where v is 0
+    rng = np.random.default_rng(41 + n)
+    volume = rng.uniform(0.5, 2.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
+    volume[0, 0] = 0.0
+    live = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
+    c = np.zeros((3, 4, n))
+    c[..., live] = rng.standard_normal((3, 4, len(live)))
+    want = np.empty_like(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(c[..., ::-1], volume[..., None], out=want)
+        np.negative(want[..., 1::2], out=want[..., 1::2])
+        got = _vol_dual(volume, (n - 1, np.ascontiguousarray(c[..., live].T).T, (live, 1.0)))
+    assert got.flags.c_contiguous and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # --- each sample reaches the formula once ------------------------------------------------------
 
 def _family(name):

@@ -55,7 +55,12 @@ seeds 0 and 7 over this matrix:
 - deform converse on a copy whose closed forms are ``dx0 + 0.5 cos(x1)
   dx1`` and ``dx0 + 0.25 sin(x2) dx2``, with coefficients that are not
   constant: the family mentions 4 of the 6 axes, so the quadrature of the
-  converse runs on a sub-grid of 8^4 of the 8^6 nodes.
+  converse runs on a sub-grid of 8^4 of the 8^6 nodes;
+- verify-pair, deform forward, deform converse and sweep on a copy whose
+  beta is the shear ``cos(u) dx4 + sin(u) dx5``, u = x3 + 0.3 sin(x1 +
+  x4), of tests/test_contact.py, and whose beta0 is ``dx3``: a pair that is
+  no product, whose wedge chains have wider live sets than those of a
+  product pair.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -121,6 +126,14 @@ ZERO_COEFFICIENTS = {"alpha_l": "-0", "beta_r": "x0-x0"}
 # constant, so the converse's quadrature holds axes x2 and x4 only
 CLOSED_PAIR_CONFIG = "t6_explicit_family_closed_pair.json"
 CLOSED_PAIR = {"alpha0_l": {"0": "1", "1": "0.5*cos(x1)"}, "beta0_r": {"0": "1", "2": "0.25*sin(x2)"}}
+# a copy of the t6 config whose beta is sheared along x1 and x4 and whose
+# beta0 is dx3, forms on the product model itself
+SHEARED_CONFIG = "t6_explicit_family_sheared.json"
+SHEARED_FORMS = {
+    "beta": {"model": "t6", "degree": 1,
+             "coefficients": {"4": "cos(x3 + 0.3*sin(x1 + x4))", "5": "sin(x3 + 0.3*sin(x1 + x4))"}},
+    "beta0": {"model": "t6", "degree": 1, "coefficients": {"3": "1"}},
+}
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -158,6 +171,7 @@ def matrix() -> list[tuple[str, ...]]:
     for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
         runs.append(cmd + ("--config", MIXED_BATCH_CONFIG, MIXED_BATCH_GRID))
     runs.append(("deform", "--mode", "converse", "--config", CLOSED_PAIR_CONFIG))
+    runs += [cmd + ("--config", SHEARED_CONFIG) for cmd in TASK_COMMANDS[1:4] + TASK_COMMANDS[5:6]]
     return runs
 
 
@@ -166,8 +180,8 @@ def write_config(directory, name) -> str:
     ``name`` and return its path: with the random sample count of
     ``RANDOM_COUNTS`` (and, for the mixed batch copy, the coefficients
     ``MIXED_BATCH_ALPHA0`` of alpha0), with the ``ZERO_COEFFICIENTS``
-    added as dx0 coefficients, or with the closed forms of
-    ``CLOSED_PAIR``."""
+    added as dx0 coefficients, with the closed forms of ``CLOSED_PAIR``,
+    or with the forms of ``SHEARED_FORMS``."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
     if name == ZERO_COEFFICIENT_CONFIG:
         for form, value in ZERO_COEFFICIENTS.items():
@@ -175,6 +189,8 @@ def write_config(directory, name) -> str:
     elif name == CLOSED_PAIR_CONFIG:
         for form, coefficients in CLOSED_PAIR.items():
             doc["forms"][form]["coefficients"] = coefficients
+    elif name == SHEARED_CONFIG:
+        doc["forms"].update(SHEARED_FORMS)
     else:
         doc["samples"]["random_count"] = RANDOM_COUNTS[name]
     if name == MIXED_BATCH_CONFIG:
@@ -218,7 +234,7 @@ def digest_lines(runs, seeds=SEEDS) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {
             name: write_config(tmp, name)
-            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG)
+            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG, SHEARED_CONFIG)
         }
         return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
