@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _BLOCK, _columns, _interior, _per_block, _reaches, _scatter, _two_form_positions, chain_factor
+from .exterior import _columns, _interior, _per_block, _reaches, _scatter, _two_form_positions, chain_factor
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -314,17 +314,16 @@ class SampledPair:
             rows = [_live_max(values, live, ()) for _, values, (live, _) in (alpha, beta, *powers)]
         return (*self.scales(), *rows, ch.volume), ch
 
-    def reeb_rows(self, block: slice = slice(None)) -> np.ndarray:
-        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of the samples
-        in ``block``, shape (samples, 2n+2, n); of every sample by default.
-        The samples of a leading t axis are taken in t order, so a block
-        indexes the T * P samples of a batch.
+    def reeb_rows(self) -> np.ndarray:
+        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of every
+        sample, shape (samples, 2n+2, n), the samples of a leading t axis
+        taken in t order.
 
         Row 2 + j of i_E d alpha holds d alpha(e_i, e_j) in column i, so each
         2-form coefficient is scattered straight into its flat positions.
         """
         n = self.n
-        flat = [v.reshape(-1, v.shape[-1])[block] for v in (self.alpha, self.beta, self.dalpha, self.dbeta)]
+        flat = [v.reshape(-1, v.shape[-1]) for v in (self.alpha, self.beta, self.dalpha, self.dbeta)]
         rows = np.zeros((flat[0].shape[0], (2 * n + 2) * n))
         rows[:, :n] = flat[0]
         rows[:, n : 2 * n] = flat[1]
@@ -461,31 +460,19 @@ def _t_batch(points: int) -> int:
     return _per_block(points)
 
 
-def _reeb_sigma(s: SampledPair) -> tuple:
-    """(smallest, largest) singular value of the Reeb rows of each sample
-    (``SampledPair.reeb_rows``), ``_BLOCK`` samples at a time."""
-    sigma = np.concatenate([
-        np.linalg.svd(s.reeb_rows(slice(lo, lo + _BLOCK)), compute_uv=False)
-        for lo in range(0, len(s.points), _BLOCK)
-    ])
-    return sigma[:, -1], sigma[:, 0]
-
-
 _INCONSISTENT = "Reeb defining relations are inconsistent"
 
 
 def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
-    """(values, live) of the exact partial along a coordinate axis of the
+    """(rows, live) of the exact partial along a coordinate axis of the
     coefficient array of a form at pts, live the components whose partial
-    is not identically 0 (the others are +0.0); None when none is."""
+    is not identically 0 and rows their values, one row per component of
+    live (the others are +0.0); None when none is."""
     parts = [ex.partial(c, axis) for c in form.coeffs]
     live = tuple(i for i, p in enumerate(parts) if not ex.is_zero(p))
     if not live:
         return None
-    out = np.zeros((pts.shape[0], len(parts)))
-    for i in live:
-        out[:, i] = ex.evaluate_many(parts[i], pts)
-    return out, live
+    return np.array([ex.evaluate_many(parts[i], pts) for i in live]), live
 
 
 def _product_rule(n: int, pairs):
@@ -502,45 +489,38 @@ def _product_rule(n: int, pairs):
 
 
 def _sum(a, b) -> tuple:
-    """a + b for chain factors of one degree with live sets, compact on the
-    union of those, within the sum of their bounds."""
+    """a + b for compact chain factors of one degree, compact on the union
+    of their live sets, within the sum of their bounds."""
     live = tuple(sorted({*a[2][0], *b[2][0]}))
     placed = []
     for _, values, (comps, _) in (a, b):
         term = np.zeros(values.shape[:-1] + (len(live),))
-        term[..., [live.index(c) for c in comps]] = values if values.shape[-1] == len(comps) else values[..., comps]
+        term[..., [live.index(c) for c in comps]] = values
         placed.append(term)
     return a[0], placed[0] + placed[1], (live, a[2][1] + b[2][1])
 
 
 def _moved(s: SampledPair, fields) -> list:
     """Per field X = x of ``fields``, D_X of alpha, beta, d alpha and d
-    beta at the samples of s, as chain factors (degree, values, live), None
-    where 0: sum_a X^a ∂_a over the coordinate axes a, from the exact
-    partials of s's ``forms`` (``_coordinate_partials``), each evaluated
-    once for all the fields.  A component is live where one of its
-    partials is not identically 0."""
+    beta at the samples of s, as compact chain factors (degree, values,
+    live), None where 0: sum_a X^a ∂_a over the coordinate axes a, in axis
+    order, from the exact partials of s's ``forms``
+    (``_coordinate_partials``), each evaluated once for all the fields.  A
+    component is live where one of its partials is not identically 0; the
+    values are a view of a component-major buffer of the live components."""
     moved = [[None] * 4 for _ in fields]
-    live = [set() for _ in range(4)]
-    for a in s.forms[0].model.coordinate_axes:
-        for f, form in enumerate(s.forms):
-            partial = _coordinate_partials(form, a, s.points)
-            if partial is None:
-                continue
-            values, comps = partial
-            live[f].update(comps)
-            for d, x in zip(moved, fields):
-                term = values * x[:, a : a + 1]
-                if d[f] is None:
-                    d[f] = term
-                else:
-                    d[f] += term
-    live = [tuple(sorted(c)) for c in live]
-    return [
-        [None if v is None else (degree, v, (comps, float(_live_max(v, comps))))
-         for degree, v, comps in zip((1, 1, 2, 2), d, live)]
-        for d in moved
-    ]
+    for f, (degree, form) in enumerate(zip((1, 1, 2, 2), s.forms)):
+        partials = [(a, p) for a in s.forms[0].model.coordinate_axes
+                    if (p := _coordinate_partials(form, a, s.points)) is not None]
+        if not partials:
+            continue
+        live = tuple(sorted({c for _, (_, comps) in partials for c in comps}))
+        for d, x in zip(moved, fields):
+            rows = np.zeros((len(live), len(x)))
+            for a, (values, comps) in partials:
+                rows[[live.index(c) for c in comps]] += values * x[:, a]
+            d[f] = (degree, rows.T, (live, float(_live_max(rows.T, live))))
+    return moved
 
 
 def _reeb_directional(s: SampledPair, ch: _Chains, e: np.ndarray, moved, j: int) -> np.ndarray:
@@ -601,7 +581,6 @@ class ContactPairCertificate:
     dalpha_power_residual: float
     dbeta_power_residual: float
     reeb_residual: float
-    sigma_min: float | None
     commutator_defect: float | None
     sample_count: int
     sampled: SampledPair = field(repr=False)
@@ -673,7 +652,8 @@ def verify_contact_pair(
     alpha: FormField, beta: FormField, k: int, l: int, tol: float | None = None, points=None
 ) -> ContactPairCertificate:
     """Certify (alpha, beta) as a contact pair of type (k, l), with its Reeb
-    pair: unique (``reeb-rank``) and commuting (``reeb-commutator``).
+    pair, which must commute (``reeb-commutator``).  Where the volume gate
+    passes, the Reeb pair is unique: A X = 0 gives i_X vol = 0, so X = 0.
 
     Fails with the first violated condition and a witness point.
     """
@@ -787,11 +767,9 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     identity (``_reeb_pair``) with the ``_peaks`` entry of its pointwise
     residual max |A E - b|, which is gated.  With the pair's ``chains`` (a
     full certificate, as in verify_contact_pair; they need s's ``forms``),
-    the smallest singular value of each Reeb system must also stay above
-    tol times the largest over the points (``reeb-rank``) and the exact
-    commutator of the Reeb pair must vanish (``reeb-commutator``).  Without
-    them both are skipped and ``sigma_min`` and ``commutator_defect`` are
-    None.
+    the exact commutator of the Reeb pair must also vanish
+    (``reeb-commutator``).  Without them it is skipped and
+    ``commutator_defect`` is None.
     """
     if isinstance(gated, ContactPairError):
         try:
@@ -801,13 +779,8 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     pts, res_threshold = s.points, gated.residual_threshold
     ea, eb, peak = reeb
     reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, peak, res_threshold, pts)
-    smin = comm = None
+    comm = None
     if chains is not None:
-        sigma_min, sigma_max = _reeb_sigma(s)
-        smin = _nonvanishing(
-            "reeb-rank", "Reeb system is rank deficient (non-unique solution)",
-            _troughs(sigma_min)[0], gated.tol * float(np.max(sigma_max)), pts,
-        )
         comm = _vanishing(
             "reeb-commutator", "Reeb fields fail to commute",
             _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea, eb)))[0], res_threshold, pts,
@@ -815,7 +788,6 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     return ContactPairCertificate(
         *gated,
         reeb_residual=reeb_residual,
-        sigma_min=smin,
         commutator_defect=comm,
         sample_count=pts.shape[0],
         sampled=s,

@@ -111,8 +111,7 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 # points per block of the bilinear kernel, which keeps its strided reads and
-# its one temporary cache-sized, and of the singular values of the Reeb rows
-# in contact, which hold the rows of one block at a time
+# its one temporary cache-sized
 _BLOCK = 4096
 
 

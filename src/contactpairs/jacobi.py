@@ -49,18 +49,24 @@ class JacobiError(ValueError):
         self.witness = witness or {}
 
 
+def _grid_witness(idx: int, points: np.ndarray, shapes=None) -> dict:
+    """The witness of row idx of points: its point and, with ``shapes`` =
+    (the shape of the points' grid, which holds axes of the grid at their
+    first node, the grid's shape), the grid index at which the point first
+    occurs, else idx."""
+    index = idx if shapes is None else int(np.ravel_multi_index(np.unravel_index(idx, shapes[0]), shapes[1]))
+    return {"point": points[idx].tolist(), "index": index}
+
+
 def _require_finite(what: str, values: np.ndarray, points: np.ndarray, shapes=None) -> None:
     """Raise a witnessed "non-finite" JacobiError unless every row of values
-    is finite, the first row that is not being the witness; with ``shapes``
-    = (the shape of the values' grid, which holds axes of the grid at their
-    first node, the grid's shape), the witness reports the grid index at
-    which its point first occurs."""
+    is finite, the first row that is not being the witness
+    (``_grid_witness``)."""
     if np.isfinite(values).all():
         return
-    idx = int(np.argmin(np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)))
-    point = points[idx].tolist()
-    index = idx if shapes is None else int(np.ravel_multi_index(np.unravel_index(idx, shapes[0]), shapes[1]))
-    raise JacobiError(f"non-finite {what} at grid point {point}", "non-finite", {"point": point, "index": index})
+    first = int(np.argmin(np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)))
+    witness = _grid_witness(first, points, shapes)
+    raise JacobiError(f"non-finite {what} at grid point {witness['point']}", "non-finite", witness)
 
 
 class _SideGrid:
@@ -226,22 +232,23 @@ class JacobiSide:
         av = np.ascontiguousarray(alpha.values(pts))  # an einsum operand, C-ordered
         dav = alpha.d().values(pts)
         e, volume, residual = _form_reeb(n, av, dav)
-        # an overflow first; a volume that vanishes is a rank deficiency
+        # an overflow first; where the volume v = alpha ∧ (d alpha)^k is
+        # nonzero, A R = 0 gives i_R vol = 0, so the Reeb system has full rank
         _require_finite("Reeb system", volume, pts, (grid.sub_shape, grid.shape))
-        rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
-        # from the rows themselves: the spectrum of their Gram matrix squares the
-        # condition number, so its square root cannot resolve ratios below ~1e-8
-        sigma = np.linalg.svd(rows, compute_uv=False)
-        sigma_min, sigma_max = sigma[:, -1], sigma[:, 0]
-        if np.min(sigma_min) <= tol * np.max(sigma_max):
-            idx = int(np.argmin(sigma_min))
+        k = n // 2
+        scale = max(1.0, float(np.max(np.abs(av))))
+        threshold = tol * scale * max(1.0, float(np.max(np.abs(dav)))) ** k
+        idx = int(np.argmin(np.abs(volume)))
+        if not abs(float(volume[idx])) > threshold:
+            witness = _grid_witness(idx, pts, (grid.sub_shape, grid.shape))
             raise JacobiError(
-                "degenerate leaf data: the restricted contact system is rank deficient "
-                f"at {pts[idx].tolist()}"
+                f"degenerate contact form: the volume alpha ^ (d alpha)^{k} vanishes at grid point "
+                f"{witness['point']}", None, witness,
             )
-        if not float(np.max(residual)) <= tol * max(1.0, float(np.max(np.abs(av)))):
+        if not float(np.max(residual)) <= tol * scale:
             raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
-        lam = _hamiltonian_operator(n, n // 2, (1, av), (2, dav))
+        lam = _hamiltonian_operator(n, k, (1, av), (2, dav))
+        rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
         _gate(lam, e, rows, tol, grid)
         return cls(model, grid, n, av, e, lam, tol)
 

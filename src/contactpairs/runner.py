@@ -100,7 +100,6 @@ def _task_verify_pair(cfg, params, objs, rng, out_path):
         "dalpha_power_residual": cert.dalpha_power_residual,
         "dbeta_power_residual": cert.dbeta_power_residual,
         "reeb_residual": cert.reeb_residual,
-        "sigma_min": cert.sigma_min,
         "commutator_defect": cert.commutator_defect,
         "samples": cert.sample_count,
         "tolerance": cert.tol,

@@ -189,6 +189,13 @@ def test_criterion_5_lemma_suite(heisenberg6, t6):
                    f"Lie {worst_lie:.3e}, chart {worst_chart:.3e}")
 
 
+def _sigma_min(cert) -> float:
+    """The smallest singular value of the Reeb systems of a certificate's
+    samples, which the certificate itself need not take: where its volume
+    gate passes, the systems have full rank."""
+    return float(np.min(np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)[:, -1]))
+
+
 def test_criterion_6_reeb_correctness(heisenberg6, t6):
     checks = []
 
@@ -201,7 +208,7 @@ def test_criterion_6_reeb_correctness(heisenberg6, t6):
         float(np.max(np.abs(cert_h.reeb_alpha_values - expect_a))),
         float(np.max(np.abs(cert_h.reeb_beta_values - expect_b))),
     )
-    checks.append(("heisenberg6", match_h, cert_h.sigma_min, cert_h.commutator_defect, 1e-8))
+    checks.append(("heisenberg6", match_h, _sigma_min(cert_h), cert_h.commutator_defect, 1e-8))
 
     pts = t6["points"][:2000]
     cert_t = verify_contact_pair(t6["alpha"], t6["beta"], 1, 1, points=pts)
@@ -215,7 +222,7 @@ def test_criterion_6_reeb_correctness(heisenberg6, t6):
     )
     # chart commutator bound pinned at the chart tolerance 1e-6 (it is exact,
     # by implicit differentiation, so it only carries rounding)
-    checks.append(("t6", match_t, cert_t.sigma_min, cert_t.commutator_defect, 1e-6))
+    checks.append(("t6", match_t, _sigma_min(cert_t), cert_t.commutator_defect, 1e-6))
 
     ok = all(m < 1e-8 and s > 0.1 and c < ctol for _, m, s, c, ctol in checks)
     detail = "; ".join(

@@ -7,7 +7,7 @@ import pytest
 from contactpairs import cli
 from contactpairs.cli import build_parser, main
 from contactpairs.config import ConfigError, load_config, parse_config
-from contactpairs.contact import ContactPairError, product_contact_pair, torus_contact
+from contactpairs.contact import ContactPairError, product_contact_pair, torus_contact, verify_contact_pair
 from contactpairs.fields import coframe
 from contactpairs.registry import _heisenberg_factor, build_example, example_names, list_examples
 from contactpairs.reporting import render_structured, strip_timing
@@ -330,9 +330,13 @@ def test_cli_classify_example(capsys):
 
 def test_cli_verify_pair_structured(capsys):
     assert main(["verify-pair", "--example", "heisenberg6-pair", "--format", "structured"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["tasks"][0]["result"]["type"] == [1, 1]
-    assert doc["tasks"][0]["result"]["sigma_min"] > 0.1
+    result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+    assert result["type"] == [1, 1]
+    # the report takes no singular values; the bound holds in-process
+    assert "sigma_min" not in result
+    objs = build_example("heisenberg6-pair")
+    cert = verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
+    assert np.min(np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)[:, -1]) > 0.1
 
 
 def test_cli_deform_single_modes(capsys):

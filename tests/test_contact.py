@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-import types
-
 from contactpairs import expressions as ex
 from contactpairs.contact import (
     ContactPairError,
@@ -11,7 +9,6 @@ from contactpairs.contact import (
     _moved,
     _reeb_directional,
     _reeb_pair,
-    _reeb_sigma,
     cartan_class,
     darboux_model,
     product_contact_pair,
@@ -127,7 +124,7 @@ def test_heisenberg6_pair_certificate():
     assert cert.min_volume == pytest.approx(1.0)
     assert cert.orientation_sign == 1
     assert cert.commutator_defect == pytest.approx(0.0, abs=1e-14)
-    assert cert.sigma_min > 0.1
+    assert np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)[:, -1].min() > 0.1
     np.testing.assert_allclose(cert.reeb_alpha_values[0], [0, 0, 1, 0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(cert.reeb_beta_values[0], [0, 0, 0, 0, 0, 1], atol=1e-12)
 
@@ -264,41 +261,6 @@ def test_commutator_terms_cancel_only_in_the_bracket():
     one_term = _reeb_directional(s, s.chains(1, 1), eb, _moved(s, (ea,))[0], 1)
     assert np.max(np.abs(one_term)) > 0.1
     assert cert.commutator_defect <= 1e-12
-
-
-# --- rank check on the Reeb rows ----------------------------------------------
-
-def _batch_with_singular_values(count, sigma, rng):
-    """count 14x6 matrices U diag(sigma) V^T with random orthonormal U, V."""
-    u, _ = np.linalg.qr(rng.standard_normal((count, 14, 6)))
-    v, _ = np.linalg.qr(rng.standard_normal((count, 6, 6)))
-    return (u * np.asarray(sigma)) @ np.swapaxes(v, 1, 2)
-
-
-def _blocked_sigma(a):
-    """sigma_min and sigma_max of a stack of Reeb-shaped systems, through
-    the blocked singular values of the rank check."""
-    return _reeb_sigma(types.SimpleNamespace(points=a, reeb_rows=lambda block: a[block]))
-
-
-def test_rank_check_sees_exact_rank_deficiency():
-    # exactly rank 5: the square root of the Gram spectrum put sigma ratios
-    # up to ~2e-8 on such systems, above the 1e-8 Lie-backend threshold
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((2000, 14, 5)) @ rng.standard_normal((2000, 5, 6))
-    sigma_min, sigma_max = _blocked_sigma(a)
-    assert np.all(sigma_min <= 1e-8 * sigma_max)
-    assert np.max(sigma_min / sigma_max) < 1e-13
-
-
-@pytest.mark.parametrize("smallest", [1e-10, 0.1])
-def test_rank_check_resolves_smallest_singular_value(smallest):
-    rng = np.random.default_rng(12)
-    a = _batch_with_singular_values(2000, [3.0, 2.0, 1.5, 1.0, 0.5, smallest], rng)
-    sigma_min, sigma_max = _blocked_sigma(a)
-    np.testing.assert_allclose(sigma_min, smallest, rtol=1e-4)
-    np.testing.assert_allclose(sigma_max, 3.0, rtol=1e-12)
-    assert np.all((sigma_min <= 1e-8 * sigma_max) == (smallest < 1e-8))
 
 
 def test_single_form_reeb():

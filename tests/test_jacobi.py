@@ -74,7 +74,7 @@ def test_side_rejects_even_dimension():
 def test_side_rejects_non_contact_form():
     # alpha = dz: the Reeb system is consistent (E = d/dz), but d alpha = 0
     t3 = torus(3)
-    with pytest.raises(JacobiError, match="contact system is rank deficient"):
+    with pytest.raises(JacobiError, match=r"volume alpha \^ \(d alpha\)\^1 vanishes"):
         JacobiSide.from_contact_form(coframe(t3, 2), resolution=8)
 
 
@@ -105,21 +105,23 @@ def test_jacobi_on_a_closed_form_exits_2(tmp_path, capsys):
     path = tmp_path / "closed.json"
     path.write_text(json.dumps(doc))
     assert main(["jacobi", "--config", str(path), "--format", "structured"]) == 2
-    assert "rank deficient" in capsys.readouterr().err
+    assert "volume alpha ^ (d alpha)^1 vanishes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale, degenerate", [(1e-9, True), (1e-5, False)])
 def test_rank_gate_sees_a_nearly_degenerate_contact_form(scale, degenerate):
     # dz + scale x0 dx1 on a box is contact (alpha ^ d alpha = scale dx0 dx1 dz)
-    # with the consistent Reeb field d/dz; its restricted system has sigma
-    # ratio scale, against tol = 1e-6.  At 1e-9 the Gram matrices are far
-    # from exactly singular, so an LU solve alone accepts them.
+    # with the consistent Reeb field d/dz; its volume is scale, against the
+    # threshold tol = 1e-6 (every coefficient is at most 1 in size).  At
+    # 1e-9 the Reeb system is far from exactly singular, so a solve alone
+    # accepts it.
     model = box_chart([(-1.0, 1.0)] * 3, resolution=8)
     alpha = form_from_expressions(model, 1, {1: f"{scale}*x0", 2: "1"})
     if degenerate:
-        with pytest.raises(JacobiError, match="rank deficient") as err:
+        with pytest.raises(JacobiError, match=r"volume alpha \^ \(d alpha\)\^1 vanishes") as err:
             JacobiSide.from_contact_form(alpha, resolution=8)
         assert err.value.condition is None  # an input error, not a non-finite failure
+        assert len(err.value.witness["point"]) == 3
     else:
         JacobiSide.from_contact_form(alpha, resolution=8)
 

@@ -26,6 +26,7 @@ from contactpairs.contact import (
     _t_batch,
     _vol_dual,
     product_contact_pair,
+    verify_contact_pair,
 )
 from contactpairs.deformation import (
     CONVERSE_T_GRID,
@@ -153,6 +154,22 @@ def test_scaling_alpha_by_a_constant_divides_e_alpha(name, c):
     np.testing.assert_allclose(fa * c, ea, rtol=0, atol=1e-14 * max(1.0, float(np.max(np.abs(ea)))))
     np.testing.assert_allclose(fb, eb, rtol=0, atol=1e-14 * max(1.0, float(np.max(np.abs(eb)))))
     assert float(np.max(residual)) <= 1e-13 * max(1.0, float(np.max(np.abs(fa))))
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e4])
+def test_a_scaled_pair_is_certified_in_either_order(c):
+    # (c alpha, beta) is a contact pair for every c != 0, and every gate of
+    # the certificate scales with c; its Reeb pair is (E_alpha / c, E_beta)
+    model, alpha, beta, k, l = _pair("t6-pair-compatible")
+    pts = _points(model, 2000, 17)
+    cert = verify_contact_pair(alpha, beta, k, l, points=pts)
+    ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
+    scaled = verify_contact_pair(c * alpha, beta, k, l, points=pts)
+    swapped = verify_contact_pair(beta, c * alpha, l, k, points=pts)
+    for fa, fb in ((scaled.reeb_alpha_values, scaled.reeb_beta_values),
+                   (swapped.reeb_beta_values, swapped.reeb_alpha_values)):
+        assert np.max(np.abs(fa - ea / c)) <= 1e-12 * np.max(np.abs(ea / c))
+        assert np.max(np.abs(fb - eb)) <= 1e-12 * np.max(np.abs(eb))
 
 
 @pytest.mark.parametrize("right", SINGLE_FORMS)

@@ -58,7 +58,7 @@ def test_digest_line_lists_every_task_status(tmp_path):
     assert line.endswith(" classify --config two.json")
 
 
-def test_block_edge_config_ends_in_a_one_point_reeb_block(tmp_path):
+def test_block_edge_config_ends_in_a_one_point_kernel_block(tmp_path):
     tool = load_tool()
     assert [run for run in tool.matrix() if tool.BLOCK_EDGE_CONFIG in run] == [
         (cmd, "--config", tool.BLOCK_EDGE_CONFIG) for cmd in ("verify-pair", "deform", "sweep")
@@ -180,3 +180,19 @@ def test_closed_pair_config_integrates_on_a_sub_grid(tmp_path, capsys):
     assert task["status"] == "not-applicable"
     quadrature = [i for i in task["result"]["conclusions"] if i["name"].startswith("quadrature")]
     assert len(quadrature) == 2 and all(i["passed"] for i in quadrature)
+
+
+def test_scaled_config_passes_every_pair_task(tmp_path):
+    # (1e-8 alpha, beta) is a contact pair, and every gate scales with 1e-8
+    tool = load_tool()
+    commands = (("verify-pair",), ("deform", "--mode", "forward"), ("deform", "--mode", "converse"), ("sweep",))
+    runs = [cmd + ("--config", tool.SCALED_CONFIG) for cmd in commands]
+    assert [run for run in tool.matrix() if tool.SCALED_CONFIG in run] == runs
+    path = tool.write_config(tmp_path, tool.SCALED_CONFIG)
+    doc = json.loads(open(path, encoding="utf-8").read())
+    original = json.loads((tool.ROOT / "configs" / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    original["forms"]["alpha_l"]["coefficients"] = {"1": "1e-8*(cos(x0))", "2": "1e-8*(sin(x0))"}
+    original["forms"]["alpha0_l"]["coefficients"] = {"0": "1e-8*(1)"}
+    assert doc == original
+    for run in runs:
+        assert tool.digest_line(0, run, {tool.SCALED_CONFIG: path}).split(" ")[1:3] == ["0", "pass"]

@@ -129,7 +129,7 @@ def _assert_same(s, got, want, rtol):
         close(getattr(got, name), getattr(want, name))
     assert got.orientation_sign == want.orientation_sign
     close(got.residual_threshold, want.residual_threshold)
-    assert got.sigma_min is None and got.commutator_defect is None
+    assert got.commutator_defect is None
 
 
 CASES = [(name, 0.0) for name in FAMILY_EXAMPLES + ("t6-config",)] + [("constant-factors", 1e-14)]
@@ -286,7 +286,7 @@ def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
     model = objs["alpha"].model
     cert = _certificate(SampledPair.of(objs["alpha"], objs["beta"], sample_points(model)), 1, 1,
                         default_tolerance(model), False)
-    assert cert.commutator_defect is None and cert.sigma_min is None
+    assert cert.commutator_defect is None
 
     code = main(["verify-pair", "--example", "heisenberg6-pair", "--format", "structured"])
     task = json.loads(capsys.readouterr().out)["tasks"][0]

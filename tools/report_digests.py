@@ -29,10 +29,9 @@ seeds 0 and 7 over this matrix:
   1/t, and the "t * E constant" item fails on numbers of its own;
 - verify-pair, deform and sweep on a copy of
   ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
-  8193, written to a temporary directory: the rank check takes the
-  singular values of the Reeb rows in blocks of 4096 points, so this is
-  two full blocks and a one-point block, and every t of a deformation
-  grid is a batch of its own;
+  8193, written to a temporary directory: the exterior kernels run on
+  blocks of 4096 points, so this is two full blocks and a one-point
+  remainder, and every t of a deformation grid is a batch of its own;
 - deform forward, deform converse and sweep on a copy with
   ``samples.random_count`` = 1365: a family's t grid is certified in
   batches of 4096 // 1365 = 3 values of t, so the config's four t make a
@@ -60,7 +59,11 @@ seeds 0 and 7 over this matrix:
   beta is the shear ``cos(u) dx4 + sin(u) dx5``, u = x3 + 0.3 sin(x1 +
   x4), of tests/test_contact.py, and whose beta0 is ``dx3``: a pair that is
   no product, whose wedge chains have wider live sets than those of a
-  product pair.
+  product pair;
+- verify-pair, deform forward, deform converse and sweep on a copy whose
+  ``alpha_l`` and ``alpha0_l`` are multiplied by 1e-8: (c alpha, beta)
+  is a contact pair for every c != 0, and every gate scales with c, so
+  all four pass as on the original.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -108,7 +111,7 @@ REEB_STEP_GRID = "--t-grid=5,10"
 # copies of the t6 config with another random sample count, each named by
 # its file name in the matrix and the digest lines and written to a
 # temporary directory: 2 * 4096 + 1 samples end in a one-point block of
-# the rank check's singular values, and 1365 make t batches of 3
+# the exterior kernels, and 1365 make t batches of 3
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
 BATCH_EDGE_CONFIG = "t6_explicit_family_1365.json"
 MIXED_BATCH_CONFIG = "t6_explicit_family_1365_dx1.json"
@@ -134,6 +137,9 @@ SHEARED_FORMS = {
              "coefficients": {"4": "cos(x3 + 0.3*sin(x1 + x4))", "5": "sin(x3 + 0.3*sin(x1 + x4))"}},
     "beta0": {"model": "t6", "degree": 1, "coefficients": {"3": "1"}},
 }
+# a copy of the t6 config whose alpha_l and alpha0_l are scaled by a constant
+SCALED_CONFIG = "t6_explicit_family_scaled.json"
+SCALED_FORMS, SCALE = ("alpha_l", "alpha0_l"), "1e-8"
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -171,7 +177,8 @@ def matrix() -> list[tuple[str, ...]]:
     for cmd in (("deform",), ("deform", "--mode", "converse"), ("sweep",)):
         runs.append(cmd + ("--config", MIXED_BATCH_CONFIG, MIXED_BATCH_GRID))
     runs.append(("deform", "--mode", "converse", "--config", CLOSED_PAIR_CONFIG))
-    runs += [cmd + ("--config", SHEARED_CONFIG) for cmd in TASK_COMMANDS[1:4] + TASK_COMMANDS[5:6]]
+    for config in (SHEARED_CONFIG, SCALED_CONFIG):
+        runs += [cmd + ("--config", config) for cmd in TASK_COMMANDS[1:4] + TASK_COMMANDS[5:6]]
     return runs
 
 
@@ -181,7 +188,8 @@ def write_config(directory, name) -> str:
     ``RANDOM_COUNTS`` (and, for the mixed batch copy, the coefficients
     ``MIXED_BATCH_ALPHA0`` of alpha0), with the ``ZERO_COEFFICIENTS``
     added as dx0 coefficients, with the closed forms of ``CLOSED_PAIR``,
-    or with the forms of ``SHEARED_FORMS``."""
+    with the forms of ``SHEARED_FORMS``, or with those of ``SCALED_FORMS``
+    times ``SCALE``."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
     if name == ZERO_COEFFICIENT_CONFIG:
         for form, value in ZERO_COEFFICIENTS.items():
@@ -191,6 +199,10 @@ def write_config(directory, name) -> str:
             doc["forms"][form]["coefficients"] = coefficients
     elif name == SHEARED_CONFIG:
         doc["forms"].update(SHEARED_FORMS)
+    elif name == SCALED_CONFIG:
+        for form in SCALED_FORMS:
+            coefficients = doc["forms"][form]["coefficients"]
+            doc["forms"][form]["coefficients"] = {i: f"{SCALE}*({c})" for i, c in coefficients.items()}
     else:
         doc["samples"]["random_count"] = RANDOM_COUNTS[name]
     if name == MIXED_BATCH_CONFIG:
@@ -234,7 +246,7 @@ def digest_lines(runs, seeds=SEEDS) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {
             name: write_config(tmp, name)
-            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG, SHEARED_CONFIG)
+            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG, SHEARED_CONFIG, SCALED_CONFIG)
         }
         return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
