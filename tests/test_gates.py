@@ -9,6 +9,7 @@ is never marginal.
 """
 
 import ast
+import json
 import math
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 
 import contactpairs
 from contactpairs import runner
+from contactpairs.cli import main
 from contactpairs.contact import (
     MARGINAL_FACTOR,
     ContactPairError,
@@ -25,8 +27,11 @@ from contactpairs.contact import (
     _troughs,
     _vanishing,
     marginal,
+    verify_contact_pair,
 )
 from contactpairs.deformation import _gate
+from contactpairs.fields import form_from_expressions
+from contactpairs.models import torus
 
 PTS = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
 PACKAGE = Path(contactpairs.__file__).parent
@@ -158,6 +163,80 @@ def test_a_failure_without_a_gate_reports_no_defect_or_threshold():
     assert runner._witnessed(err) == {
         "condition": "orientation", "message": "volume coefficient changes sign across sample points", "negative": {},
     }
+
+
+# --- the volume bound, which decides the Reeb rank ----------------------------------
+
+def _thin_pair(thin: float):
+    """(dx0, dx0 + (thin + x1) dx1) on T^2, a pair of type (0, 0): both
+    forms are closed, and the volume alpha ^ beta = thin + x1 is thinnest
+    where x1 = 0."""
+    t2 = torus(2)
+    return form_from_expressions(t2, 1, {0: "1"}), form_from_expressions(t2, 1, {0: "1", 1: f"{thin!r} + x1"})
+
+
+@pytest.mark.parametrize("ratio, is_marginal", [(0.2, True), (2e-4, False)])
+def test_volume_fails_through_the_lower_bound_gate(ratio, is_marginal):
+    # max |beta| = 2 + thin on these points, so the threshold is tol (2 + thin)
+    # and the volume at point 1 is ratio times it, to rounding
+    tol, pts = 1e-6, np.array([[0.5, 1.0], [2.0, 0.0], [1.0, 2.0]])
+    thin = ratio * tol * 2.0
+    with pytest.raises(ContactPairError) as err:
+        verify_contact_pair(*_thin_pair(thin), 0, 0, tol=tol, points=pts)
+    assert err.value.condition == "volume"
+    assert str(err.value) == "volume coefficient vanishes at a sample point"
+    assert err.value.threshold == tol * (2.0 + thin)
+    assert err.value.defect == thin
+    assert err.value.witness == {"point": pts[1].tolist(), "index": 1, "value": thin}
+    assert marginal(err.value.defect, err.value.threshold) is is_marginal
+
+
+@pytest.mark.parametrize("ratio", [5.0, 0.2, 2e-4])
+def test_the_volume_of_a_type_00_pair_is_the_determinant_of_its_reeb_system(ratio):
+    # for type (0, 0) the Reeb rows are (alpha; beta) and two zero blocks, so
+    # the product of their singular values is |alpha ^ beta|: the volume
+    # gate bounds the rank of the system away from deficiency
+    pts = np.array([[0.5, 1.0], [2.0, 0.0], [1.0, 2.0]])
+    thin = ratio * 2e-6
+    alpha, beta = _thin_pair(thin)
+    cert = verify_contact_pair(alpha, beta, 0, 0, tol=0.1 * thin, points=pts)
+    sigma = np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)
+    np.testing.assert_allclose(np.prod(sigma, axis=-1), thin + pts[:, 1], rtol=1e-12)
+    assert cert.min_volume == thin
+
+
+def _thin_t2_doc(thin: float) -> dict:
+    """(dx0, dx0 + thin dx1) on T^2 at tolerance 1e-6: its volume is thin
+    everywhere, and its scales are 1, so the volume threshold is 1e-6."""
+    return {
+        "schema_version": 1,
+        "tolerance": 1e-6,
+        "models": {"t2": {"kind": "builtin", "name": "torus2"}},
+        "forms": {
+            "alpha": {"model": "t2", "degree": 1, "coefficients": [1, 0]},
+            "beta": {"model": "t2", "degree": 1, "coefficients": [1, thin]},
+        },
+        "tasks": [{"task": "verify-pair", "alpha": "alpha", "beta": "beta", "type": [0, 0]}],
+    }
+
+
+@pytest.mark.parametrize("ratio, code, status", [(5.0, 0, "pass"), (0.2, 3, "inconclusive"), (2e-4, 1, "fail")])
+def test_verify_pair_grades_the_volume(tmp_path, capsys, ratio, code, status):
+    thin = ratio * 1e-6
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(_thin_t2_doc(thin)))
+    assert main(["verify-pair", "--config", str(path), "--format", "structured"]) == code
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["status"] == status
+    if code == 0:
+        assert task["result"]["min_volume"] == thin
+    else:
+        error = task["result"]["error"]
+        assert error["condition"] == "volume"
+        assert error["index"] == 0
+        # the report shows how close the bound was
+        assert error["defect"] == thin
+        assert error["threshold"] == 1e-6
 
 
 # --- deformation._gate -----------------------------------------------------------------
