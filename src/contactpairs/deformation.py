@@ -47,6 +47,7 @@ from .contact import (
     _certificate,
     _certify,
     _live_max,
+    _norm_inf_rows,
     _peaks,
     _reeb_pair,
     _reeb_step,
@@ -516,10 +517,7 @@ def verify_forward(
                 CheckItem(f"Reeb scaling at t={t:g}", None, note="not evaluated (no certificate)")
             )
             continue
-        defect, idx = _peaks(np.maximum(
-            np.max(np.abs(t * reeb_t[0] - ea), axis=1),
-            np.max(np.abs(t * reeb_t[1] - eb), axis=1),
-        ))[0]
+        defect, idx = _peaks(np.maximum(_norm_inf_rows(t * reeb_t[0] - ea), _norm_inf_rows(t * reeb_t[1] - eb)))[0]
         conclusions.append(
             _gate(f"Reeb scaling at t={t:g}", defect, tol * scale, {"t": t, "point": pts[idx].tolist()})
         )

@@ -13,10 +13,12 @@ every conormal term in a wedge with T, so the insertion identity gives X_f
 with no leaf basis: i_{X_f} vol = (f (d alpha)^k + k alpha ∧ df ∧
 (d alpha)^{k-1}) ∧ T for vol = alpha ∧ (d alpha)^k ∧ T, that is X_f = f E +
 Λ♯df (``contact._vol_dual``).  The bracket on functions is {f, g} =
-alpha([X_f, X_g]).  All grid derivatives are second-order central
-differences with periodic wrap; box axes use one-sided second-order
-stencils at the boundary and are excluded from defect suprema through the
-interior mask.
+alpha([X_f, X_g]), formed on component-major rows of the components of [X_f,
+X_g] that alpha reads: the others add alpha_j * 0 = ±0 to the pairing, bit for
+bit as when formed (``JacobiSide.brackets``).  All grid derivatives are
+second-order central differences with periodic wrap; box axes use one-sided
+second-order stencils at the boundary and are excluded from defect suprema
+through the interior mask.
 """
 
 from __future__ import annotations
@@ -120,13 +122,14 @@ class _SideGrid:
 
 
 def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.ndarray:
-    """Second-order derivative along one grid axis (array may carry trailing
-    component axes; ``axis`` indexes grid dimensions).  The central
-    differences are written into one output array, without shifted copies."""
-    gm = np.moveaxis(g, axis, 0)
-    out = np.empty_like(g)
-    om = np.moveaxis(out, axis, 0)
-    np.subtract(gm[2:], gm[:-2], out=om[1:-1])
+    """Second-order derivative along ``axis`` of an array whose other axes
+    are grid or component axes.  The central differences are one flat
+    subtraction; at the two ends of each line it mixes in neighbouring lines,
+    and the periodic wrap or the one-sided stencil overwrites those values."""
+    g = np.ascontiguousarray(g)
+    step, out = math.prod(g.shape[axis + 1 :]), np.empty(g.shape)
+    np.subtract(g.reshape(-1)[2 * step :], g.reshape(-1)[: -2 * step], out=out.reshape(-1)[step:-step])
+    gm, om = np.moveaxis(g, axis, 0), np.moveaxis(out, axis, 0)
     if periodic:
         np.subtract(gm[1:2], gm[-1:], out=om[:1])
         np.subtract(gm[:1], gm[-2:-1], out=om[-1:])
@@ -209,6 +212,8 @@ class JacobiSide:
         self.periodic = grid.periodic
         self.leaf_dim = leaf_dim
         self.alpha_values = grid.spread(alpha_values)
+        # the components of alpha that are not ±0 at some point
+        self.alpha_live = np.flatnonzero(np.any(alpha_values != 0, axis=0))
         self.e_values = grid.spread(e_values)
         self.lambda_sharp = grid.spread(lambda_sharp)
         self.tol = tol
@@ -356,38 +361,53 @@ class JacobiSide:
         """alpha([X, Y]) pointwise for each pair (X, Y) of verdict grid vector fields.
 
         [X, Y] = sum over the kept axes of x_i dY - y_i dX, by central
-        differences: along a held axis dX = dY = 0.
-        On each axis every distinct field of ``pairs`` is differentiated
-        once, when a pair first needs it, and its derivative is dropped
-        after its last pair; each pair adds its term to its own accumulator,
-        in axis order, through two temporaries of ``_BLOCK`` rows.
+        differences: along a held axis dX = dY = 0.  Only its components J =
+        ``alpha_live`` are formed, on component-major (|J|, P) rows: each
+        distinct field's J rows are gathered once, differentiated once per
+        axis when a pair first needs them and dropped after its last pair,
+        and each pair adds its term to its own accumulator, in axis order,
+        through two temporaries of ``_BLOCK`` points.  The einsum reads the
+        accumulator scattered into (P, n) zeros: a skipped component adds
+        alpha_j * 0 = ±0, as before, unless the fields' peak M leaves 16 M^2
+        sum 1/h, twice a bound of |[X, Y]|, not finite (0 * inf = NaN); then
+        every component is formed.
         """
-        n = self.model.n
         number: dict[int, int] = {}  # id of each distinct field -> its number
         uses = [[number.setdefault(id(v), len(number)) for v in pair] for pair in pairs]
+        fields = {k: v for pair, ks in zip(pairs, uses) for k, v in zip(ks, pair)}
         last = {k: p for p, ks in enumerate(uses) for k in ks}
-        outs = [np.zeros_like(xv) for xv, _ in pairs]
-        rows = len(self.points)
-        t1, t2 = (np.empty((min(rows, _BLOCK), n)) for _ in range(2))
-        for d, i, h, per in self._kept_axes():
+        axes = self._kept_axes()
+        peak = float(np.max([(v.max(), -v.min()) for v in fields.values()], initial=0.0))  # NaN stays
+        bounded = math.isfinite(16.0 * peak * peak * sum(1.0 / h for _, _, h, _ in axes))
+        live = self.alpha_live if bounded else np.arange(self.model.n)
+        m, rows = len(live), len(self.points)
+        rows_of = {k: v.T[live].reshape((m,) + self.verdict_shape) for k, v in fields.items()}
+        outs = [np.zeros((m, rows)) for _ in pairs]
+        t1, t2 = (np.empty((m, min(rows, _BLOCK))) for _ in range(2))
+        for d, i, h, per in axes:
             derivs: dict[int, np.ndarray] = {}
             for p, ((xv, yv), (a, b), out) in enumerate(zip(pairs, uses, outs)):
-                for k, v in ((a, xv), (b, yv)):
+                for k in (a, b):
                     if k not in derivs:
-                        g = v.reshape(self.verdict_shape + (n,))
-                        derivs[k] = _axis_derivative(g, d, h, per).reshape(-1, n)
+                        derivs[k] = _axis_derivative(rows_of[k], d + 1, h, per).reshape(m, -1)
                 dx, dy = derivs[a], derivs[b]
                 for lo in range(0, rows, _BLOCK):
                     hi = min(lo + _BLOCK, rows)
-                    u, w = t1[: hi - lo], t2[: hi - lo]
-                    np.multiply(xv[lo:hi, i : i + 1], dy[lo:hi], out=u)
-                    np.multiply(yv[lo:hi, i : i + 1], dx[lo:hi], out=w)
+                    u, w = t1[:, : hi - lo], t2[:, : hi - lo]
+                    np.multiply(xv[lo:hi, i], dy[:, lo:hi], out=u)
+                    np.multiply(yv[lo:hi, i], dx[:, lo:hi], out=w)
                     u -= w
-                    out[lo:hi] += u
+                    out[:, lo:hi] += u
                 for k in (a, b):
                     if last[k] == p:
                         derivs.pop(k, None)
-        return [np.einsum("pi,pi->p", self.alpha_values, out) for out in outs]
+        del rows_of
+        full = np.zeros((rows, self.model.n))
+        values = []
+        for out in outs:
+            full[:, live] = out.T
+            values.append(np.einsum("pi,pi->p", self.alpha_values, full))
+        return values
 
     def bracket_values(self, xv: np.ndarray, yv: np.ndarray) -> np.ndarray:
         """alpha([X, Y]) pointwise."""

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from contactpairs import contact
 from contactpairs import expressions as ex
 from contactpairs.contact import (
     ContactPairError,
     SampledPair,
     _form_reeb,
     _moved,
+    _reeb_commutator,
     _reeb_directional,
     _reeb_pair,
+    _sum,
     cartan_class,
     darboux_model,
     product_contact_pair,
@@ -261,6 +264,42 @@ def test_commutator_terms_cancel_only_in_the_bracket():
     one_term = _reeb_directional(s, s.chains(1, 1), eb, _moved(s, (ea,))[0], 1)
     assert np.max(np.abs(one_term)) > 0.1
     assert cert.commutator_defect <= 1e-12
+
+
+def _union_sum(a, b):
+    """a + b of compact chain factors, each zero-filled and scattered onto
+    the union of the live sets, whether or not they are one set."""
+    live = tuple(sorted({*a[2][0], *b[2][0]}))
+    placed = []
+    for _, values, (comps, _) in (a, b):
+        term = np.zeros(values.shape[:-1] + (len(live),))
+        term[..., [live.index(c) for c in comps]] = values
+        placed.append(term)
+    return a[0], placed[0] + placed[1], (live, a[2][1] + b[2][1])
+
+
+@pytest.mark.parametrize("live_b", [(0, 2, 5), (1, 2)])  # one live set, two
+def test_sum_of_compact_factors_equals_the_union_sum_bit_for_bit(live_b):
+    rng = np.random.default_rng(3)
+    va, vb = rng.normal(size=(2, 7, 3)) * 1e3, rng.normal(size=(2, 7, len(live_b)))
+    va[0, 0], vb[0, 0, 0] = [-0.0, np.inf, np.nan], -0.0
+    a, b = (2, va, ((0, 2, 5), 1.5)), (2, vb, (live_b, 2.0))
+    got, want = _sum(a, b), _union_sum(a, b)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("make", [t6_pair, sheared_t6_pair])
+def test_reeb_commutator_equals_the_union_sums_bit_for_bit(monkeypatch, make):
+    # every _sum of these pairs adds terms of one live set
+    model, alpha, beta = make()
+    pts = random_points(model, 300, np.random.default_rng(4))
+    cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
+    s = SampledPair.of(alpha, beta, pts)
+    args = (s, s.chains(1, 1), cert.reeb_alpha_values, cert.reeb_beta_values)
+    got = _reeb_commutator(*args)
+    monkeypatch.setattr(contact, "_sum", _union_sum)
+    assert got.tobytes() == _reeb_commutator(*args).tobytes()
 
 
 def test_single_form_reeb():

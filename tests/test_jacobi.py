@@ -318,9 +318,11 @@ def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys,
                                                            side_name, resolution, kept):
     sweeps, solves = [], []
     derivative, solve = jacobi._axis_derivative, JacobiSide._hamiltonian
+    n = build_example(example)["alpha"].model.n
 
     def counted_derivative(*args):
-        sweeps.append(args[1])
+        # a field's rows come before its grid axes, a function has none
+        sweeps.append(args[1] - (args[0].ndim - n))
         return derivative(*args)
 
     def counted_solve(self, vals, grad):
@@ -349,6 +351,45 @@ def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys,
     assert sorted(sweeps) == sorted(12 * tuple(range(side.model.n)))
 
 
+@pytest.mark.parametrize("example, side_name, resolution, rows", [
+    ("torus-contact", "alpha", 12, 2),  # cos(x0) dx1 + sin(x0) dx2
+    ("darboux1", "alpha", 8, 2),  # dz + x dy
+    ("darboux2", "alpha", 5, 3),  # dz + x1 dy1 + x2 dy2
+    ("t6-pair-compatible", "alpha", 5, 2),  # components 1, 2 of 6
+    ("t6-pair-compatible", "beta", 5, 2),  # components 4, 5
+])
+def test_bracket_sweeps_run_on_the_components_alpha_reads(monkeypatch, capsys, example,
+                                                          side_name, resolution, rows):
+    objs = build_example(example)
+    n, derivative, counts = objs["alpha"].model.n, jacobi._axis_derivative, []
+
+    def counted_derivative(g, axis, h, periodic):
+        if g.ndim > n:  # a field's component rows, not a function
+            counts.append(g.shape[0])
+        return derivative(g, axis, h, periodic)
+
+    monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
+    argv = ["jacobi", "--example", example, "--resolution", str(resolution)]
+    assert main(argv + (["--side", side_name] if "beta" in objs else [])) == 0
+    capsys.readouterr()
+    # 10 field sweeps per kept axis (4 shared, 2 for each outer bracket)
+    assert counts and set(counts) == {rows} and len(counts) % 10 == 0
+
+
+def test_a_bracket_whose_unread_component_overflows_is_not_finite(t3_side):
+    # alpha reads components 1 and 2; component 0 of Y runs -1e308, -1e308,
+    # 1e308, 1e308, ... along x0, so its central difference overflows and
+    # alpha_0 [X, Y]_0 = 0 * inf is NaN, as when every component is formed
+    assert list(t3_side.alpha_live) == [1, 2]
+    x = t3_side.e_values
+    y = np.zeros_like(x)
+    y[:, 0] = np.where(np.indices(t3_side.grid_shape)[0].reshape(-1) // 2 % 2, 1e308, -1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = t3_side.bracket_values(x, y)
+        want = _reference_bracket(t3_side, x, y)
+    assert np.isnan(got).any() and np.array_equal(got, want, equal_nan=True)
+
+
 def _reference_bracket(side, xv, yv):
     """alpha([X, Y]) with full-size temporaries, one pair at a time."""
     n = side.model.n
@@ -363,10 +404,21 @@ def _reference_bracket(side, xv, yv):
 
 @pytest.mark.parametrize("example, side_name, resolution", [
     ("torus-contact", "alpha", 20),  # periodic, more rows than one block
+    ("darboux1", "alpha", 9),
     ("darboux2", "alpha", 6),  # box axes with one-sided stencils
-    ("t6-pair-compatible", "beta", 5),  # a pair side
+    ("t6-pair-compatible", "alpha", 5),  # a pair side
+    ("t6-pair-compatible", "beta", 5),
 ])
 def test_shared_brackets_equal_the_per_pair_brackets(example, side_name, resolution):
+    _check_shared_brackets(example, side_name, resolution)
+
+
+def test_brackets_of_grid_function_fields_equal_the_per_pair_brackets():
+    # f, g, h given as grid arrays: their gradients are stencil sweeps too
+    _check_shared_brackets("darboux2", "alpha", 6, grid_arrays=True)
+
+
+def _check_shared_brackets(example, side_name, resolution, grid_arrays=False):
     objs = build_example(example)
     if "beta" in objs:
         side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
@@ -374,6 +426,8 @@ def test_shared_brackets_equal_the_per_pair_brackets(example, side_name, resolut
     else:
         side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
     f, g, h = _task_functions(side)
+    if grid_arrays:
+        f, g, h = (ex.evaluate_many(u, side.points) for u in (f, g, h))
     x1, xf, xg, xh = (side.solve_hamiltonian(u) for u in (ex.const(1.0), f, g, h))
     pairs = [(x1, xg), (xf, xg), (xg, xf), (xg, xh), (xh, xf), (xf, xf)]
     shared = side.brackets(pairs)
@@ -436,12 +490,15 @@ def _rolled_derivative(g, axis, h, periodic):
 
 
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("shape", [(7, 5, 6), (4, 9, 5, 3), (3, 4)])
+@pytest.mark.parametrize("shape", [(7, 5, 6), (4, 9, 5, 3), (3, 4), (3, 4, 9, 5)])
 def test_axis_derivative_is_bit_identical_to_shifted_copies(shape, periodic):
+    # along every axis: a field's components may come last or, as in
+    # JacobiSide.brackets, first
     g = np.random.default_rng(5).normal(size=shape) * 1e3
-    for axis in range(len(shape) - 1 if len(shape) == 4 else len(shape)):
-        new = _axis_derivative(g, axis, 0.37, periodic)
-        assert new.tobytes() == _rolled_derivative(g, axis, 0.37, periodic).tobytes()
+    for axis in range(len(shape)):
+        want = _rolled_derivative(g, axis, 0.37, periodic).tobytes()
+        assert _axis_derivative(g, axis, 0.37, periodic).tobytes() == want
+        assert _axis_derivative(np.asfortranarray(g), axis, 0.37, periodic).tobytes() == want
 
 
 # --- pointwise algebra once per distinct sample ------------------------------------------
