@@ -543,12 +543,22 @@ def _reeb_directional(s: SampledPair, ch: _Chains, e: np.ndarray, moved, j: int)
     dm = _product_rule(n, [(dalpha, dda)] * k + [(dbeta, ddb)] * l)
     dna = _product_rule(n, [(ch.m, dm), (beta, db)])
     dv = _product_rule(n, [(alpha, da), (ch.na, dna)])
-    dc, volume = (dna, ch.volume) if j == 0 else (_product_rule(n, [(alpha, da), (ch.m, dm)]), -ch.volume)
-    rate = np.zeros_like(ch.volume) if dv is None else _top(dv) / ch.volume
-    de = e * -rate[..., None]
+    if j == 0:
+        return _dual_derivative(e, ch.volume, dna, None if dv is None else _top(dv))
+    dc = _product_rule(n, [(alpha, da), (ch.m, dm)])
+    return _dual_derivative(e, -ch.volume, dc, None if dv is None else -_top(dv))
+
+
+def _dual_derivative(x: np.ndarray, volume: np.ndarray, dc, dv) -> np.ndarray:
+    """D x of the vol-dual x = ♯c / v (``_vol_dual``) from D c, a chain
+    factor, and the array D v, each None for 0, by the quotient rule
+
+        D x = (♯D c - x D v) / v."""
+    rate = np.zeros_like(volume) if dv is None else dv / volume
+    out = x * -rate[..., None]
     if dc is not None:
-        de += _vol_dual(volume, dc)
-    return de
+        out += _vol_dual(volume, dc)
+    return out
 
 
 def _reeb_commutator(s: SampledPair, ch: _Chains, ea, eb) -> np.ndarray:

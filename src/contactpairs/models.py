@@ -305,15 +305,12 @@ def integrate(model: Model, field, resolution=None) -> float:
     return _integrals(model, (field,), lambda pts: (field.values(pts)[:, 0],), resolution)[0]
 
 
-def _mentioned_nodes(model: Model, nodes, forms, functions=()) -> tuple[list, int]:
+def _mentioned_nodes(model: Model, nodes, forms) -> tuple[list, int]:
     """The coordinate axes' node arrays ``nodes`` with each axis that no
-    coefficient of ``forms`` and no expression of ``functions`` mentions
-    held at its first node, and the held node count: d mentions no new
-    variable, so what is formed pointwise from the forms, the functions and
-    their derivatives is constant along a held axis."""
-    used = set().union(
-        *(ex.variables_of(c) for form in forms for c in form.coeffs), *map(ex.variables_of, functions)
-    )
+    coefficient of ``forms`` mentions held at its first node, and the held
+    node count: d mentions no new variable, so what is formed pointwise from
+    the forms and their derivatives is constant along a held axis."""
+    used = set().union(*(ex.variables_of(c) for form in forms for c in form.coeffs))
     held = [i not in used for i in model.coordinate_axes]
     count = math.prod(len(g) for g, h in zip(nodes, held) if h)
     return [g[:1] if h else g for g, h in zip(nodes, held)], count

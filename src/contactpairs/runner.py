@@ -20,7 +20,7 @@ from .config import JACOBI_RESOLUTION, RunConfig
 from .contact import ContactPairError, cartan_class, marginal, verify_contact_pair, verify_single_deformation
 from .deformation import CONVERSE_T_GRID, _gate, sweep_rows, verify_converse, verify_forward
 from .fields import FormField
-from .jacobi import JacobiError, JacobiSide, _identity_defect
+from .jacobi import JacobiError, _form_side, _pair_side, _structure_checks
 from .models import sample_points
 from .registry import build_example
 from .reporting import SWEEP_COLUMNS, write_sweep_csv
@@ -146,49 +146,23 @@ def _task_jacobi(cfg, params, objs, rng, out_path):
 
 
 def _jacobi_verdict(cfg, params, objs):
-    tol = cfg.tolerance
+    """The structure checks of a Jacobi side at the distinct samples of its
+    grid (``jacobi._structure_checks``), each through the gate; a failed
+    check is listed with its threshold and witness."""
     alpha = objs.get("form") or objs["alpha"]
-    n = alpha.model.n
-    c = list(alpha.model.coordinate_axes)
-    f = ex.parse(f"sin(x{c[1 % len(c)]})*cos(x{c[2 % len(c)]})", n)
-    g = ex.parse(f"sin(x{c[2 % len(c)]})", n)
-    h = ex.parse(f"cos(x{c[1 % len(c)]})", n)
-    # the side's verdict grid holds every periodic axis that neither its
-    # forms nor f, g and h mention
     if "beta" in objs:
         resolution = params.get("resolution", JACOBI_RESOLUTION["pair"])
-        side = JacobiSide.from_pair(
-            alpha, objs["beta"], objs["k"], objs["l"],
-            side=params.get("side", "alpha"), resolution=resolution, tol=tol, functions=(f, g, h),
-        )
+        side = _pair_side(alpha, objs["beta"], objs["k"], objs["l"], params.get("side", "alpha"), resolution,
+                          cfg.tolerance, partials=True)
     else:
         resolution = params.get("resolution", JACOBI_RESOLUTION["contact-form"])
-        side = JacobiSide.from_contact_form(alpha, resolution=resolution, tol=tol, functions=(f, g, h))
-
-    # each function's Hamiltonian field is solved once, X_1 = 1 E + Λ♯0 is E,
-    # and g is evaluated once, for X_g and for the expected {1,g} = E.g
-    g_vals, g_grad, eg = side.scalar_data(g)
-    xf, xg, xh = side.solve_hamiltonian(f), side._hamiltonian(g_vals, g_grad), side.solve_hamiltonian(h)
-    del g_vals, g_grad
-    # one shared pass differentiates each of the four fields once per axis
-    one_g, fg, gh, hf = side.brackets([(side.e_values, xg), (xf, xg), (xg, xh), (xh, xf)])
-    one_defect = float(np.max(np.abs(one_g - eg)[side.interior_mask]))
-    del one_g, eg  # only the identity's fields and inner brackets stay for its solves
-    identity_defect = _identity_defect(xf, xg, xh, side, (fg, gh, hf))
-    h_sq = max(s * s for s in side.steps)
-    data = {
-        "leaf_dimension": side.leaf_dim,
-        "grid": list(side.grid_shape),
-        "constant_bracket_defect": one_defect,
-        "jacobi_identity_defect": identity_defect,
-        "grid_step_squared": h_sq,
-    }
-    items = [
-        _gate("constant_bracket_defect", one_defect, 20.0 * h_sq),
-        _gate("jacobi_identity_defect", identity_defect, 20.0 * h_sq),
-    ]
-    failed = [(i.defect, i.threshold) for i in items if not i.passed]
-    return (_graded(failed, "fail") if failed else "pass"), data
+        side = _form_side(alpha, resolution, cfg.tolerance, partials=True)
+    items = [_gate(*check) for check in _structure_checks(side)]
+    data = {"leaf_dimension": side.leaf_dim, "grid": list(side.grid.shape), **{i.name: i.defect for i in items}}
+    failed = [i for i in items if not i.passed]
+    if failed:
+        data["failures"] = [i.to_dict() for i in failed]
+    return (_graded([(i.defect, i.threshold) for i in failed], "fail") if failed else "pass"), data
 
 
 def _task_sweep(cfg, params, objs, rng, out_path):

@@ -313,6 +313,15 @@ def test_criterion_9_jacobi_suite():
                    f"identity ratios {id_ratios[0]:.2f}/{id_ratios[1]:.2f}")
 
 
+def test_criterion_9_identity_converges_for_independent_functions():
+    # f, g, h with df ∧ dg ∧ dh not identically 0, unlike those above
+    _, alpha = torus_contact()
+    f, g, h = (ex.parse(u, 3) for u in ("sin(x0)+0.5*cos(x1)", "cos(x1)*sin(x2)", "sin(x2-x0)"))
+    defects = [jacobi_identity_defect(f, g, h, JacobiSide.from_contact_form(alpha, resolution=res))
+               for res in (16, 32, 64)]
+    assert defects[0] / defects[1] >= 3.5 and defects[1] / defects[2] >= 3.5
+
+
 def test_criterion_10_exterior_kernel_properties():
     start = time.perf_counter()
     rng = np.random.default_rng(1000)

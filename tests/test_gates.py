@@ -115,6 +115,47 @@ def test_jacobi_verdict_decides_through_the_gate_only():
     assert _ordering_comparisons("runner", "_jacobi_verdict") == []
 
 
+def _reached_calls(module: str, function: str) -> set:
+    """The names called by the functions of the package that a call of
+    ``module.function`` can reach, a call resolved by its name alone to every
+    function, method or class (its methods) of that name, except the methods
+    of ``jacobi.JacobiSide``: those need an instance, and the caller is
+    checked not to make one."""
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                defined.setdefault(node.name, []).extend(methods)
+                if node.name != "JacobiSide":
+                    for m in methods:
+                        defined.setdefault(m.name, []).append(m)
+            elif isinstance(node, ast.FunctionDef):
+                defined.setdefault(node.name, []).append(node)
+                if path.stem == module and node.name == function:
+                    start = node
+    seen, todo, called = set(), [start], set()
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
+            name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+            called.add(name)
+            todo.extend(defined.get(name, ()))
+    return called
+
+
+def test_jacobi_verdict_makes_no_grid_stencil_solve_or_bracket():
+    # the verdict reads exact partials at the side's distinct samples: it
+    # forms no library side, and so no grid field, sweep or bracket
+    called = _reached_calls("runner", "_jacobi_verdict")
+    assert "verify_contact_pair" in called and "_structure_checks" in called  # the walk reaches them
+    assert not called & {"JacobiSide", "from_pair", "from_contact_form"}
+    assert not called & {"_axis_derivative", "grid_gradient", "brackets", "solve_hamiltonian"}
+
+
 def test_pair_certificate_decides_its_bounds_through_the_gates_only():
     # the sign change of the volume is no bound: it has no threshold
     assert _ordering_comparisons("contact", "_certify") == ["vol_min[i] < 0.0 < vol_max[i]"]

@@ -271,10 +271,10 @@ def test_jacobi_identity_converges():
     assert defects[0] / defects[1] >= 3.5
 
 
-# --- one solve per function ---------------------------------------------------------
+# --- the library identity's stencil sweeps ---------------------------------------------
 
 def _task_functions(side):
-    """The f, g, h of the jacobi task on this side."""
+    """Functions of two of the side's axes, as the jacobi task once took them."""
     n = side.model.n
     c = list(side.model.coordinate_axes)
     f = ex.parse(f"sin(x{c[1 % len(c)]})*cos(x{c[2 % len(c)]})", n)
@@ -283,72 +283,35 @@ def _task_functions(side):
     return f, g, h
 
 
-def test_jacobi_task_solves_each_hamiltonian_field_once(monkeypatch, capsys):
-    calls, evaluated = [], []
-    form, evaluate = JacobiSide._hamiltonian, ex.evaluate_many
-
-    def counted(self, vals, grad):
-        calls.append(vals)
-        return form(self, vals, grad)
-
-    def recording(e, points):
-        evaluated.append(ex.to_string(e))
-        return evaluate(e, points)
-
-    monkeypatch.setattr(JacobiSide, "_hamiltonian", counted)
-    monkeypatch.setattr(ex, "evaluate_many", recording)
-    for example, resolution in (("torus-contact", 12), ("t6-pair-compatible", 5)):
-        calls.clear()
-        evaluated.clear()
-        assert main(["jacobi", "--example", example, "--resolution", str(resolution)]) == 0
-        # f, g, h and the three inner brackets of the Jacobi identity; X_1 is E
-        assert len(calls) == 6
-        # each function once: g for X_g and for the expected {1,g} = E.g
-        for u in _task_functions(build_example(example)["alpha"]):  # a form has the side's model
-            assert evaluated.count(ex.to_string(u)) == 1
-    capsys.readouterr()
+def _library_side(example, side_name, resolution):
+    objs = build_example(example)
+    if "beta" in objs:
+        return JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
+                                    side=side_name, resolution=resolution)
+    return JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
 
 
-@pytest.mark.parametrize("example, side_name, resolution, kept", [
-    ("torus-contact", "alpha", 12, (0, 1, 2)),
-    ("darboux2", "alpha", 5, (0, 1, 2, 3, 4)),  # box axes x3 and x4 are mentioned by nothing
-    ("t6-pair-compatible", "alpha", 5, (0, 1, 2, 3)),  # periodic x4 and x5 are held
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("torus-contact", "alpha", 12),
+    ("darboux2", "alpha", 5),
+    ("t6-pair-compatible", "alpha", 5),
 ])
-def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys, example,
-                                                           side_name, resolution, kept):
-    sweeps, solves = [], []
-    derivative, solve = jacobi._axis_derivative, JacobiSide._hamiltonian
-    n = build_example(example)["alpha"].model.n
+def test_jacobi_identity_defect_makes_twelve_stencil_sweeps_per_axis(monkeypatch, example, side_name,
+                                                                    resolution):
+    sweeps, derivative = [], jacobi._axis_derivative
+    side = _library_side(example, side_name, resolution)
+    n = side.model.n
 
     def counted_derivative(*args):
         # a field's rows come before its grid axes, a function has none
         sweeps.append(args[1] - (args[0].ndim - n))
         return derivative(*args)
 
-    def counted_solve(self, vals, grad):
-        solves.append(vals)
-        return solve(self, vals, grad)
-
     monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
-    monkeypatch.setattr(JacobiSide, "_hamiltonian", counted_solve)
-    objs = build_example(example)
-    # only a pair side takes --side; a contact form has one side
-    argv = ["jacobi", "--example", example, "--resolution", str(resolution)]
-    assert main(argv + (["--side", side_name] if "beta" in objs else [])) == 0
-    # E = X_1, X_f, X_g, X_h once each in the shared pass, three outer
-    # brackets of two fields each, and the gradients of the three inner
-    # solves, along each axis the verdict grid keeps and none other
-    assert sorted(sweeps) == sorted(13 * kept) and len(solves) == 6
-    capsys.readouterr()
-    if "beta" in objs:
-        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
-                                    resolution=resolution)
-    else:
-        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
-    sweeps.clear()
     jacobi_identity_defect(*_task_functions(side), side)
-    # a side built without functions keeps every axis: f, g, h shared, 3 + 6 + 3 per axis
-    assert sorted(sweeps) == sorted(12 * tuple(range(side.model.n)))
+    # f, g, h shared, 3 + 6 + 3 per axis: the inner pass, the outer
+    # brackets and the gradients of the three inner solves
+    assert sorted(sweeps) == sorted(12 * tuple(range(n)))
 
 
 @pytest.mark.parametrize("example, side_name, resolution, rows", [
@@ -358,10 +321,9 @@ def test_jacobi_task_makes_thirteen_stencil_sweeps_per_axis(monkeypatch, capsys,
     ("t6-pair-compatible", "alpha", 5, 2),  # components 1, 2 of 6
     ("t6-pair-compatible", "beta", 5, 2),  # components 4, 5
 ])
-def test_bracket_sweeps_run_on_the_components_alpha_reads(monkeypatch, capsys, example,
-                                                          side_name, resolution, rows):
-    objs = build_example(example)
-    n, derivative, counts = objs["alpha"].model.n, jacobi._axis_derivative, []
+def test_bracket_sweeps_run_on_the_components_alpha_reads(monkeypatch, example, side_name, resolution, rows):
+    side = _library_side(example, side_name, resolution)
+    n, derivative, counts = side.model.n, jacobi._axis_derivative, []
 
     def counted_derivative(g, axis, h, periodic):
         if g.ndim > n:  # a field's component rows, not a function
@@ -369,11 +331,9 @@ def test_bracket_sweeps_run_on_the_components_alpha_reads(monkeypatch, capsys, e
         return derivative(g, axis, h, periodic)
 
     monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
-    argv = ["jacobi", "--example", example, "--resolution", str(resolution)]
-    assert main(argv + (["--side", side_name] if "beta" in objs else [])) == 0
-    capsys.readouterr()
-    # 10 field sweeps per kept axis (4 shared, 2 for each outer bracket)
-    assert counts and set(counts) == {rows} and len(counts) % 10 == 0
+    jacobi_identity_defect(*_task_functions(side), side)
+    # 9 field sweeps per axis (3 shared, 2 for each outer bracket)
+    assert set(counts) == {rows} and len(counts) == 9 * n
 
 
 def test_a_bracket_whose_unread_component_overflows_is_not_finite(t3_side):
@@ -437,36 +397,6 @@ def _check_shared_brackets(example, side_name, resolution, grid_arrays=False):
         assert np.array_equal(got, _reference_bracket(side, xv, yv))
 
 
-@pytest.mark.parametrize("example, side_name, resolution", [
-    ("torus-contact", "alpha", 12),
-    ("t6-pair-compatible", "alpha", 5),
-    ("t6-pair-compatible", "beta", 5),
-])
-def test_jacobi_task_equals_the_public_bracket_functions(example, side_name, resolution):
-    objs = build_example(example)
-    cfg = parse_config({})
-    params = {"task": "jacobi", "resolution": resolution, "side": side_name}
-    status, data = runner._task_jacobi(cfg, params, objs, None, None)
-    if "beta" in objs:
-        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
-                                    side=side_name, resolution=resolution)
-    else:
-        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
-    f, g, h = _task_functions(side)
-    one = ex.const(1.0)
-    _, _, eg = side.scalar_data(g)
-    one_bracket = jacobi_bracket(one, g, side)
-    expected = {
-        "constant_bracket_defect": float(np.max(np.abs(one_bracket - eg)[side.interior_mask])),
-        "jacobi_identity_defect": jacobi_identity_defect(f, g, h, side),
-    }
-    assert status == "pass"
-    assert {key: data[key] for key in expected} == expected
-    # neither defect can be other than 0.0: the bracket of (Y, X) negates
-    # that of (X, Y), and X_1 is E
-    assert "bracket_antisymmetry_defect" not in data and "reeb_as_hamiltonian_defect" not in data
-
-
 def test_identity_defect_equals_the_nested_brackets(t3_side):
     f, g, h = _task_functions(t3_side)
     nested = (
@@ -518,16 +448,16 @@ def _full_grid_reference(objs, side_name, resolution):
         # the einsum operands are C-ordered, as before the samples were component-major
         if side_name == "alpha":
             own, e, lam = s.alpha, cert.reeb_alpha_values, jacobi._hamiltonian_operator(
-                n, k, fa, fda, contact._wedge(n, fb, *[fdb] * l))
+                n, k, (fa,), (fda,), (contact._wedge(n, fb, *[fdb] * l),))[0]
         else:
             own, e, lam = s.beta, cert.reeb_beta_values, jacobi._hamiltonian_operator(
-                n, l, fb, fdb, contact._wedge(n, fa, *[fda] * k))
+                n, l, (fb,), (fdb,), (contact._wedge(n, fa, *[fda] * k),))[0]
         own = np.ascontiguousarray(own)
     else:
         own = np.ascontiguousarray(alpha.values(pts))
         dav = alpha.d().values(pts)
         e = _form_reeb(n, own, dav)[0]
-        lam = jacobi._hamiltonian_operator(n, n // 2, (1, own), (2, dav))
+        lam = jacobi._hamiltonian_operator(n, n // 2, ((1, own),), ((2, dav),))[0]
     return {"points": pts, "alpha_values": own, "e_values": e, "lambda_sharp": lam}
 
 
@@ -561,6 +491,9 @@ def test_sub_grid_side_equals_the_full_grid_reference(example, side_name, resolu
     reference = _full_grid_reference(objs, side_name, resolution)
     for name, expected in reference.items():
         kept = getattr(side, name)
+        if name == "lambda_sharp":  # kept at the sub-grid's samples, read at row source[p]
+            assert kept.flags.c_contiguous and len(kept) == side.source.max() + 1
+            kept = kept[side.source]
         assert np.array_equal(kept, expected), name
         # einsum sums in an order that depends on the strides within a point
         assert kept.strides[1:] == expected.strides[1:], name
@@ -587,6 +520,23 @@ def test_overflow_witness_is_the_first_full_grid_point():
     assert str(err.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("darboux2", "alpha", 6),  # 7776 points, two blocks of 4096
+    ("t6-pair-compatible", "beta", 5),
+])
+def test_hamiltonian_fields_read_the_sub_grid_operator_bit_for_bit(example, side_name, resolution):
+    # Λ♯ stays at the sub-grid's samples; each block takes its rows into the
+    # einsum that the spread operator went through
+    side = _library_side(example, side_name, resolution)
+    f = ex.parse("sin(x0)+0.5*cos(x1)" + "".join(f"+0.25*sin(x{a})*cos(x0)" for a in range(2, side.model.n)),
+                 side.model.n)
+    vals, grad, _ = side.scalar_data(f)
+    spread = np.ascontiguousarray(side.lambda_sharp[side.source])
+    assert len(side.lambda_sharp) < len(side.points) == len(spread)
+    expected = vals[:, None] * side.e_values + np.einsum("pij,pj->pi", spread, grad)
+    assert side.solve_hamiltonian(f).tobytes() == expected.tobytes()
+
+
 def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, capsys):
     systems, operators = [], []
     reeb_pair, operator = contact._reeb_pair, jacobi._hamiltonian_operator
@@ -605,132 +555,199 @@ def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, caps
     assert main(["jacobi", "--example", "t6-pair-compatible"]) == 0
     capsys.readouterr()
     # the forms mention x0 and x3 only: 6 x 6 of the 6^6 grid points, each
-    # with one Reeb system and one operator Λ♯
-    assert systems == [(36, 14, 6)] and operators == [(36, 6, 6)]
+    # with one Reeb system and one operator Λ♯ with its partials along x0 and x3
+    assert systems == [(36, 14, 6)] and operators == [(3, 36, 6, 6)]
 
 
-# --- the verdict grid: only the axes the forms and the functions mention --------------------
+# --- the jacobi verdict: exact structure tensors at the distinct samples ------------------
 
-def _sides(objs, side_name, resolution, functions):
-    """The side of ``objs`` built for ``functions`` and the one built for any."""
+def _verdict_side(objs, side_name, resolution):
+    """The jacobi verdict's side of objs, with the partials of Λ♯ and E."""
     if "beta" in objs:
-        def build(**kw):
-            return JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
-                                        side=side_name, resolution=resolution, **kw)
-    else:
-        def build(**kw):
-            return JacobiSide.from_contact_form(objs["alpha"], resolution=resolution, **kw)
-    return build(functions=functions), build()
+        return jacobi._pair_side(objs["alpha"], objs["beta"], objs["k"], objs["l"], side_name, resolution,
+                                 partials=True)
+    return jacobi._form_side(objs["alpha"], resolution, partials=True)
 
 
-def _spread(side, values):
-    """Grid values from the verdict grid values of ``side``."""
-    shape = side.verdict_shape + values.shape[1:]
-    return np.broadcast_to(values.reshape(shape), side.grid_shape + values.shape[1:]).reshape(
-        (-1,) + values.shape[1:])
+def _jacobi_run(example, side_name, resolution, capsys):
+    """(exit code, task) of the CLI jacobi verdict on a builtin example."""
+    argv = ["jacobi", "--example", example, "--resolution", str(resolution), "--format", "structured"]
+    code = main(argv + (["--side", side_name] if "beta" in build_example(example) else []))
+    return code, json.loads(capsys.readouterr().out)["tasks"][0]
 
 
-def _verdict(side, f, g, h):
-    """The jacobi task's brackets and defects on ``side``, as the runner takes them."""
-    g_vals, g_grad, eg = side.scalar_data(g)
-    xf, xg, xh = side.solve_hamiltonian(f), side._hamiltonian(g_vals, g_grad), side.solve_hamiltonian(h)
-    brackets = side.brackets([(side.e_values, xg), (xf, xg), (xg, xh), (xh, xf)])
-    one = float(np.max(np.abs(brackets[0] - eg)[side.interior_mask]))
-    identity = jacobi._identity_defect(xf, xg, xh, side, tuple(brackets[1:]))
-    return [eg, xf, xg, xh, *brackets], (one, identity)
-
-
-@pytest.mark.parametrize("example, side_name, resolution", [
-    ("t6-pair-compatible", "alpha", 6),
-    ("t6-pair-compatible", "beta", 6),
-    ("t6-pair-incompatible", "alpha", 6),
-    ("t6-pair-incompatible", "beta", 6),
-    ("t2-pair-type00", "alpha", 6),
-    ("t2-pair-type00", "beta", 6),
-    ("torus-contact", "alpha", 32),
-    ("darboux1", "alpha", 24),
-    ("darboux2", "alpha", 10),
-    ("t6-pair-compatible", "alpha", 5),
-    ("t6-pair-compatible", "beta", 5),
-    ("t6-pair-compatible", "alpha", 7),
-    ("t6-pair-compatible", "beta", 7),
+@pytest.mark.parametrize("example, resolution, samples, nominal", [
+    ("t6-pair-compatible", None, 36, 6 ** 6),  # the forms mention x0 and x3
+    ("torus-contact", 32, 32, 32 ** 3),  # x0
+    ("darboux1", None, 16, 16 ** 3),  # x; the box axes y and z are held too
+    ("darboux2", 10, 100, 10 ** 5),  # x1 and x2
+    ("darboux2", None, 256, 16 ** 5),  # the default, 2^20 grid points
 ])
-def test_verdict_grid_equals_the_full_grid_bit_for_bit(example, side_name, resolution):
-    # the jacobi sides of the digest matrix and t6 at an odd resolution:
-    # every field, bracket and defect of the verdict equals the full grid's
-    # (up to the sign of a zero, which a skipped sweep of exact zeros can flip)
-    objs = build_example(example)
-    functions = _task_functions(objs["alpha"])
-    side, full = _sides(objs, side_name, resolution, functions)
-    assert side.grid_shape == full.grid_shape == full.verdict_shape
-    assert side.steps == full.steps and side.periodic == full.periodic
-    # each verdict grid point is the grid point with its multi-index
-    index = np.ravel_multi_index(np.unravel_index(np.arange(len(side.points)), side.verdict_shape), side.grid_shape)
-    assert np.array_equal(side.points, full.points[index])
-    arrays, defects = _verdict(side, *functions)
-    full_arrays, full_defects = _verdict(full, *functions)
-    for got, expected in zip(arrays, full_arrays):
-        assert (_spread(side, got) + 0.0).tobytes() == (expected + 0.0).tobytes()
-    assert defects == full_defects
-    status, data = runner._task_jacobi(parse_config({}), {"resolution": resolution, "side": side_name},
-                                       objs, None, None)
-    assert (data["constant_bracket_defect"], data["jacobi_identity_defect"]) == defects
-    assert data["grid"] == list(full.grid_shape)
+def test_verdict_forms_only_the_distinct_samples(monkeypatch, capsys, example, resolution, samples, nominal):
+    formed, tensor_points = [], jacobi._tensor_points
 
+    def recorded(n, coord, grids):
+        formed.append(math.prod(len(g) for g in grids))
+        return tensor_points(n, coord, grids)
 
-@pytest.mark.parametrize("example, resolution, kept, nominal", [
-    ("t6-pair-compatible", None, 6 ** 4, 6 ** 6),  # x0, x3 from the forms, x1, x2 from f, g, h
-    ("torus-contact", None, 16 ** 3, 16 ** 3),  # x0 from the form, x1, x2 from f, g, h
-    ("darboux1", None, 16 ** 3, 16 ** 3),
-    ("darboux2", 10, 10 ** 5, 10 ** 5),  # box axes x3 and x4, which nothing mentions, are kept
-])
-def test_verdict_grid_point_counts(monkeypatch, capsys, example, resolution, kept, nominal):
-    grids = []
-
-    class Recorded(jacobi._SideGrid):
-        def __init__(self, *args):
-            super().__init__(*args)
-            grids.append(self)
-
-    monkeypatch.setattr(jacobi, "_SideGrid", Recorded)
+    monkeypatch.setattr(jacobi, "_tensor_points", recorded)
     argv = ["jacobi", "--example", example, "--format", "structured"]
     assert main(argv + ([] if resolution is None else ["--resolution", str(resolution)])) == 0
-    (grid,) = grids
-    # the report names the grid, not the verdict grid
-    assert json.loads(capsys.readouterr().out)["tasks"][0]["result"]["grid"] == list(grid.shape)
-    assert len(grid.points) == kept and math.prod(grid.shape) == nominal
-    assert grid.held == tuple(v < r for v, r in zip(grid.verdict_shape, grid.shape))
+    result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+    # the report names the grid; no point of it but the sub-grid's is formed
+    assert math.prod(result["grid"]) == nominal and formed == [samples]
+    assert set(result) == {"leaf_dimension", "grid", "hamiltonian_relations_defect",
+                           "jacobi_identity_defect", "reeb_invariance_defect"}
 
 
-def test_a_function_of_a_held_axis_is_rejected():
-    objs = build_example("t6-pair-compatible")
-    side = JacobiSide.from_pair(objs["alpha"], objs["beta"], 1, 1, functions=_task_functions(objs["alpha"]))
-    assert side.held == (False, False, False, False, True, True)
-    with pytest.raises(ValueError, match="holds"):
-        side.solve_hamiltonian(ex.parse("sin(x1)*cos(x4)", 6))
-    # a grid function has the verdict grid's samples
-    with pytest.raises(ValueError, match="wrong number"):
-        side.solve_hamiltonian(np.zeros(6 ** 6))
+_DIGEST_SIDES = [
+    ("torus-contact", "alpha", 32), ("darboux1", "alpha", 24), ("darboux2", "alpha", 10),
+    ("t6-pair-compatible", "alpha", 6), ("t6-pair-compatible", "beta", 6),
+    ("t6-pair-incompatible", "alpha", 6), ("t6-pair-incompatible", "beta", 6),
+    ("t2-pair-type00", "alpha", 6), ("t2-pair-type00", "beta", 6),
+]
+
+
+def _cyclic(t):
+    """t^{abc} + t^{bca} + t^{cab} of a (P, n, n, n) array."""
+    return t + t.transpose(0, 3, 1, 2) + t.transpose(0, 2, 3, 1)
+
+
+@pytest.mark.parametrize("example, side_name, resolution", _DIGEST_SIDES)
+def test_structure_defects_are_rounding_errors_of_nonzero_terms(example, side_name, resolution):
+    side = _verdict_side(build_example(example), side_name, resolution)
+    checks = {name: (defect, threshold) for name, defect, threshold, _ in jacobi._structure_checks(side)}
+    assert all(defect <= 1e-8 * threshold for defect, threshold in checks.values())
+    # the sign is pinned: C = -W, and W = Σ_cyc E^a Λ^{bc} is no rounding error
+    # where Λ♯ is not 0 (every side here but the 1-dimensional leaves of type (0, 0))
+    w = np.abs(_cyclic(np.einsum("pa,pbc->pabc", side.e, side.lam))).max()
+    assert (w > 0.5) == (example != "t2-pair-type00")
+
+
+@pytest.mark.parametrize("make, side_name, resolutions", [
+    (_every_axis_form, "alpha", (9, 17)),  # every axis mentioned, on a box
+    (lambda: _non_constant_volume_pair(), "alpha", (9, 17)),  # a box times T^3
+    (lambda: build_example("t6-pair-compatible"), "beta", (16, 32)),
+])
+def test_exact_partials_are_the_limit_of_central_differences(make, side_name, resolutions):
+    # along each axis the forms mention, the central differences of Λ♯ and E
+    # at the sub-grid approach the exact partials at second order
+    objs, errors = make(), []
+    model = objs["alpha"].model
+    for resolution in resolutions:
+        side = _verdict_side(objs, side_name, resolution)
+        assert side.axes and all(side.grid.sub_shape[a] > 1 for a in side.axes)
+        worst = 0.0
+        for exact, values in ((side.dlam, side.lam), (side.de, side.e)):
+            grid = values.reshape(side.grid.sub_shape + values.shape[1:])
+            for a, partial in zip(side.axes, exact):
+                nodes = side.grid.nodes[a]
+                fd = _axis_derivative(grid, a, nodes[1] - nodes[0], model.axes[a].periodic)
+                worst = max(worst, float(np.abs(fd.reshape(partial.shape) - partial).max()))
+        errors.append(worst)
+    assert errors[0] / errors[1] >= 3.5
+
+
+# --- mutants the verdict must kill -------------------------------------------------------
+
+_OPERATOR, _PRODUCT_RULE = jacobi._hamiltonian_operator, jacobi._product_rule
+_PARTIALS, _REEB_PARTIALS, _STRUCTURE = jacobi._coordinate_partials, jacobi._reeb_partials, jacobi._structure
+
+
+def _doubled(jet):
+    return tuple(None if f is None else (f[0], 2.0 * f[1], *f[2:]) for f in jet)
+
+
+def _first_term_dropped(n, pairs):
+    pairs = list(pairs)
+    first = next((i for i, (_, d) in enumerate(pairs) if d is not None), None)
+    if first is not None:
+        pairs[first] = (pairs[first][0], None)
+    return _PRODUCT_RULE(n, pairs)
+
+
+def _broken_partials(form, axis, pts):
+    partial = _PARTIALS(form, axis, pts)
+    return None if partial is None else (2.0 * partial[0], partial[1])
+
+
+_MUTANTS = {
+    "double d alpha": ("_hamiltonian_operator", lambda n, k, form, dform, tail=None: _OPERATOR(
+        n, k, form, _doubled(dform), tail)),
+    "negate E": ("_structure", lambda grid, k, leaf_dim, tol, jets, axes, e, *rows: _STRUCTURE(
+        grid, k, leaf_dim, tol, jets, axes, -e, *rows)),
+    "transpose Λ♯": ("_hamiltonian_operator", lambda *args: np.ascontiguousarray(
+        np.swapaxes(_OPERATOR(*args), -1, -2))),
+    "drop a product-rule term": ("_product_rule", _first_term_dropped),
+    "break the coordinate partials": ("_coordinate_partials", _broken_partials),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+@pytest.mark.parametrize("example, side_name, resolution", [
+    ("torus-contact", "alpha", 32), ("darboux1", "alpha", 24), ("darboux2", "alpha", 10),
+    ("t6-pair-compatible", "alpha", 6), ("t6-pair-compatible", "beta", 6),
+])
+def test_the_verdict_kills_each_mutant(monkeypatch, capsys, mutant, example, side_name, resolution):
+    monkeypatch.setattr(jacobi, *_MUTANTS[mutant])
+    code, task = _jacobi_run(example, side_name, resolution, capsys)
+    assert code == 1 and task["status"] == "fail"
+    failures = {item["name"]: item for item in task["result"]["failures"]}
+    # the identity of the structure tensors sees every one of them, the
+    # relations of Λ♯ those that change Λ♯ or E, each at least 10x its threshold
+    assert "jacobi_identity_defect" in failures
+    assert ("hamiltonian_relations_defect" in failures) == (mutant in ("double d alpha", "negate E", "transpose Λ♯"))
+    for item in failures.values():
+        assert item["passed"] is False and item["defect"] >= 10.0 * item["threshold"]
+        assert set(item["witness"]) == {"point", "index"} and len(item["witness"]["point"]) == len(task["result"]["grid"])
+
+
+def _every_axis_doc(resolution):
+    return {
+        "models": {"box": {"kind": "chart", "axes": [{"lo": -1.0, "hi": 1.0}] * 3}},
+        "forms": {"a": {"model": "box", "degree": 1, "coefficients": {"0": "0.1*x1", "1": "x0", "2": "1+0.1*x2"}}},
+        "tasks": [{"task": "jacobi", "form": "a", "resolution": resolution}],
+    }
+
+
+def test_only_the_reeb_invariance_sees_a_zero_reeb_partial(monkeypatch, tmp_path, capsys):
+    # C and W never read ∂E: with ∂E := 0 the identity passes and L_E Λ
+    # fails.  On torus-contact, darboux and the t6 sides this mutant cannot
+    # show: there ∂E = 0 (darboux) or Λ^{l.} ∂_l E is symmetric (E turns in
+    # the plane of Λ), so the ∂E terms of L_E Λ cancel
+    path = tmp_path / "every_axis.json"
+    path.write_text(json.dumps(_every_axis_doc(9)))
+    argv = ["jacobi", "--config", str(path), "--format", "structured"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(jacobi, "_reeb_partials", lambda *args: [np.zeros_like(d) for d in _REEB_PARTIALS(*args)])
+    assert main(argv) == 1
+    result = json.loads(capsys.readouterr().out)["tasks"][0]["result"]
+    (failure,) = result["failures"]
+    assert failure["name"] == "reeb_invariance_defect" and failure["defect"] >= 10.0 * failure["threshold"]
+    assert result["jacobi_identity_defect"] < 1e-12
+    # so it does on the alpha side of a pair whose volume is not constant
+    objs = _non_constant_volume_pair()
+    checks = jacobi._structure_checks(_verdict_side(objs, "alpha", 5))
+    assert [name for name, defect, threshold, _ in checks if not defect < threshold] == ["reeb_invariance_defect"]
 
 
 @pytest.mark.parametrize("example", ["t6-pair-compatible", "torus-contact"])
 def test_an_overflowing_expression_fails_non_finite_with_its_grid_witness(example):
-    # exp(1000 sin(x1)) overflows first at the x1 node 2 pi / 6 on the t6
-    # verdict grid, which holds x4 and x5 (6^4 rows before it on the full
-    # grid), and at the node pi / 2 of the 8-node torus-contact grid
+    # exp(1000 sin(x1)) overflows first at the x1 node 2 pi / 6 of the 6^6
+    # t6 grid (6^4 rows before it) and at the node pi / 2 of the 8-node
+    # torus-contact grid
     objs = build_example(example)
     if example == "torus-contact":
-        side, n, first, full = JacobiSide.from_contact_form(objs["alpha"], resolution=8), 3, 2 * 8, 2 * 8
+        side, n, first = JacobiSide.from_contact_form(objs["alpha"], resolution=8), 3, 2 * 8
     else:
-        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], 1, 1, resolution=6,
-                                    functions=_task_functions(objs["alpha"]))
-        n, first, full = 6, 6 ** 2, 6 ** 4
+        side, n, first = JacobiSide.from_pair(objs["alpha"], objs["beta"], 1, 1, resolution=6), 6, 6 ** 4
     with pytest.raises(JacobiError, match="non-finite function values") as err:
         side.solve_hamiltonian(ex.parse("exp(1000*sin(x1))", n))
     assert err.value.condition == "non-finite"
-    assert err.value.witness == {"point": side.points[first].tolist(), "index": full}
+    assert err.value.witness == {"point": side.points[first].tolist(), "index": first}
     # values that stay finite, with a partial along x1 that overflows: its
-    # first non-finite row is the witness, as a full-grid index
+    # first non-finite row is the witness
     f = ex.parse("1e306*cos(1001*x1)", n)
     with np.errstate(over="ignore", invalid="ignore"):
         partial = ex._values(ex.partial(f, 1), side.points)
@@ -738,28 +755,24 @@ def test_an_overflowing_expression_fails_non_finite_with_its_grid_witness(exampl
     assert np.isfinite(ex.evaluate_many(f, side.points)).all() and not np.isfinite(partial[row])
     with pytest.raises(JacobiError, match="non-finite partial along x1") as err:
         side.scalar_data(f)
-    index = np.ravel_multi_index(np.unravel_index(row, side.verdict_shape), side.grid_shape)
-    assert err.value.witness == {"point": side.points[row].tolist(), "index": int(index)}
+    assert err.value.witness == {"point": side.points[row].tolist(), "index": row}
 
 
-def test_overflow_witness_on_the_verdict_grid_is_the_full_grid_point():
-    # exp(355 (1 - cos(x1))) overflows at the node x1 = pi alone, so X_f is
-    # first non-finite where the x1 stencil reaches it, at x1 = 2 pi / 3:
-    # grid index 2 * 6^4 of the full grid and 2 * 6^2 of the verdict grid,
-    # which holds x4 and x5
-    objs = build_example("t6-pair-compatible")
-    side, full = _sides(objs, "alpha", 6, _task_functions(objs["alpha"]))
-    witnesses = []
-    for s in (side, full):
-        with np.errstate(over="ignore"):
-            values = np.exp(355 * (1 - np.cos(s.points[:, 1])))
-        assert np.isinf(values).sum() == len(values) // 6
-        with pytest.raises(JacobiError) as err:
-            s.solve_hamiltonian(values)
-        assert err.value.condition == "non-finite"
-        witnesses.append((str(err.value), err.value.witness))
-    assert witnesses[0] == witnesses[1]
-    assert witnesses[0][1]["index"] == 2 * 6 ** 4 and len(side.points) == 6 ** 4
+def test_a_form_partial_that_overflows_fails_non_finite_with_its_grid_witness():
+    # 1e306 cos(1001 x0) dx1 is finite; its partial along x0 overflows first
+    # at a sub-grid row of x0 alone, witnessed at its grid index
+    model = torus(3)
+    form = form_from_expressions(model, 1, {1: "1e306*cos(1001*x0)", 2: "1"})
+    grid = jacobi._SideGrid(model, 8, (form,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = ex._values(ex.partial(form.coeffs[1], 0), grid.sub_points)
+    row = int(np.argmin(np.isfinite(partial)))
+    assert grid.sub_shape == (8, 1, 1) and not np.isfinite(partial[row])
+    with pytest.raises(JacobiError, match="non-finite partial along x0") as err:
+        jacobi._partial_factor(grid, form, 0)
+    assert err.value.condition == "non-finite"
+    assert err.value.witness == {"point": grid.sub_points[row].tolist(), "index": row * 64}
+    assert jacobi._partial_factor(grid, form, 1) is None  # no coefficient mentions x1
 
 
 # --- an independent reference: the leaf-basis least squares -----------------------------

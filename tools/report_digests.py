@@ -13,9 +13,9 @@ seeds 0 and 7 over this matrix:
   pair on T^2, whose sides have 1-dimensional leaves (X_f = f E), on
   torus-contact at resolution 32, on darboux1 at resolution 24 and on
   darboux2 at resolution 10 (the periodic and box grids of the jacobi
-  benchmark), and on both sides of t6-pair-compatible at resolution 5:
-  their verdict grid holds x4 and x5, which nothing mentions, at one node
-  and keeps four axes of an odd resolution;
+  benchmark), and on both sides of t6-pair-compatible at resolution 5,
+  an odd resolution: the verdict checks the 5 x 5 samples of x0 and x3,
+  the axes the forms mention;
 - all seven task kinds on both shipped configs;
 - sweep, deform forward and deform converse with ``--t-grid=1,1e308`` on
   heisenberg6-pair and t6-pair-compatible, and deform single with
