@@ -401,9 +401,9 @@ class JacobiSide:
     The side's pointwise algebra (form, Reeb field E, operator Λ♯) depends
     on its forms only: the constructors compute it and gate it
     (``_relations``) once per sample of the sub-grid.  alpha and E are
-    spread to the grid, keeping the memory layout within a point, since
-    einsum sums in a layout-dependent order; Λ♯ stays at the sub-grid's
-    samples (``lambda_sharp``), each grid point reading row ``source[p]``.
+    copied to the grid, C-ordered, since einsum sums in a layout-dependent
+    order; Λ♯ stays at the sub-grid's samples (``lambda_sharp``), each grid
+    point reading row ``source[p]``.
     Every grid operator works on the grid (``points``, of ``grid_shape``).
     """
 
@@ -426,21 +426,14 @@ class JacobiSide:
         # the sub-grid sample of each grid point
         sub_index = np.arange(math.prod(grid.sub_shape)).reshape(grid.sub_shape)
         self.source = np.broadcast_to(sub_index, grid.shape).reshape(-1)
-        self.alpha_values = self._spread(side.alpha)
+        # einsum operands, C-ordered: one contiguous take each
+        self.alpha_values = np.take(side.alpha, self.source, axis=0)
         # the components of alpha that are not ±0 at some point
         self.alpha_live = np.flatnonzero(np.any(side.alpha != 0, axis=0))
-        self.e_values = self._spread(side.e)
+        self.e_values = np.take(side.e, self.source, axis=0)
         self.lambda_sharp = side.lam
         self.tol = side.tol
         self.interior_mask = self._build_interior_mask()
-
-    def _spread(self, values: np.ndarray) -> np.ndarray:
-        """Grid samples from sub-grid samples, with the axes of a point in the
-        memory order they have in ``values`` (taken in that order, so that
-        the take is one contiguous copy)."""
-        order = sorted(range(1, values.ndim), key=lambda axis: -values.strides[axis])
-        taken = np.take(values.transpose(0, *order), self.source, axis=0)
-        return taken.transpose(0, *(np.argsort(order) + 1))
 
     # -- construction -----------------------------------------------------
 
@@ -587,22 +580,17 @@ def jacobi_bracket(f, g, side: JacobiSide) -> np.ndarray:
     return side.bracket_values(xf, xg)
 
 
-def _identity_defect(xf, xg, xh, side: JacobiSide) -> float:
-    """The Jacobi identity defect of f, g, h from their Hamiltonian fields.
+def jacobi_identity_defect(f, g, h, side: JacobiSide) -> float:
+    """sup over interior grid points of |{{f,g},h} + {{g,h},f} + {{h,f},g}|.
 
     The inner brackets {f,g}, {g,h}, {h,f} are taken in one shared pass;
     only they are solved for again, and each outer bracket is taken on its
     own, so one solved field is alive at a time.
     """
+    xf, xg, xh = (side.solve_hamiltonian(u) for u in (f, g, h))
     inner = side.brackets([(xf, xg), (xg, xh), (xh, xf)])
     b1, b2, b3 = (
         side.bracket_values(side.solve_hamiltonian(b), x) for b, x in zip(inner, (xh, xf, xg))
     )
     total = b1 + b2 + b3
     return float(np.max(np.abs(total[side.interior_mask])))
-
-
-def jacobi_identity_defect(f, g, h, side: JacobiSide) -> float:
-    """sup over interior grid points of |{{f,g},h} + {{g,h},f} + {{h,f},g}|."""
-    xf, xg, xh = (side.solve_hamiltonian(u) for u in (f, g, h))
-    return _identity_defect(xf, xg, xh, side)
