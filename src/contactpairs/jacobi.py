@@ -125,9 +125,10 @@ def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
     """Second-order derivative along ``axis`` of an array whose other axes
     are grid or component axes.  The central differences are one flat
     subtraction; at the two ends of each line it mixes in neighbouring lines,
-    and the periodic wrap or the one-sided stencil overwrites those values,
-    the latter in place through one temporary, in the order of
-    (-3 g[0] + 4 g[1] - g[2]) / 2h."""
+    and the periodic wrap or the one-sided stencil overwrites those values.
+    The latter is formed in place in two contiguous temporaries, in the
+    order of (-3 g[0] + 4 g[1] - g[2]) / 2h, and copied to its strided end
+    row once."""
     g = np.ascontiguousarray(g)
     step, out = math.prod(g.shape[axis + 1 :]), np.empty(g.shape)
     np.subtract(g.reshape(-1)[2 * step :], g.reshape(-1)[: -2 * step], out=out.reshape(-1)[step:-step])
@@ -137,15 +138,17 @@ def _axis_derivative(g: np.ndarray, axis: int, h: float, periodic: bool) -> np.n
         np.subtract(gm[:1], gm[-2:-1], out=om[-1:])
     out /= 2.0 * h
     if not periodic:
-        t = np.empty(gm.shape[1:])
-        np.multiply(gm[0], -3.0, out=om[0])
-        om[0] += np.multiply(gm[1], 4.0, out=t)
-        om[0] -= gm[2]
-        om[0] /= 2.0 * h
-        np.multiply(gm[-1], 3.0, out=om[-1])
-        om[-1] -= np.multiply(gm[-2], 4.0, out=t)
-        om[-1] += gm[-3]
-        om[-1] /= 2.0 * h
+        t, u = np.empty(gm.shape[1:]), np.empty(gm.shape[1:])
+        np.multiply(gm[0], -3.0, out=t)
+        t += np.multiply(gm[1], 4.0, out=u)
+        t -= gm[2]
+        t /= 2.0 * h
+        om[0] = t
+        np.multiply(gm[-1], 3.0, out=t)
+        t -= np.multiply(gm[-2], 4.0, out=u)
+        t += gm[-3]
+        t /= 2.0 * h
+        om[-1] = t
     return out
 
 

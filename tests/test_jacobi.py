@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from contactpairs import contact, jacobi, runner
+from contactpairs import contact, jacobi
 from contactpairs import expressions as ex
 from contactpairs.cli import main
-from contactpairs.config import parse_config
 from contactpairs.contact import (
     _form_reeb,
     darboux_model,
