@@ -259,10 +259,11 @@ class SampledPair:
     @classmethod
     def of(cls, alpha: FormField, beta: FormField, points) -> "SampledPair":
         """Evaluate two 1-form fields and their derivatives, with the live
-        components of their coefficients (``FormField.live``)."""
+        components of their coefficients (``FormField.live``), each
+        coefficient and call node of one structure once (``ex.Known``)."""
         pts = np.asarray(points, dtype=float)
-        forms = (alpha, beta, alpha.d(), beta.d())
-        values = [f.values(pts) for f in forms]
+        forms, known = (alpha, beta, alpha.d(), beta.d()), ex.Known()
+        values = [f.values(pts, known) for f in forms]
         live = tuple((f.live, _live_max(v, f.live)) for f, v in zip(forms, values))
         return cls(pts, *values, live, forms=forms)
 
@@ -384,17 +385,76 @@ def _vol_dual(volume: np.ndarray, c) -> np.ndarray:
     coefficient on dx^0 ∧ .. ∧ \\hat{dx^i} ∧ .. ∧ dx^{n-1}, sits at position
     n-1-i.  c is a coefficient array or a chain factor, maybe compact
     (``exterior.chain_factor``).  Leading axes broadcast; the division runs
-    along the component rows of c, and the result is C-ordered, and not
-    finite where the volume vanishes."""
-    degree, values, *live = c if isinstance(c, tuple) else (c.shape[-1] - 1, c)
-    n, held = degree + 1, _columns(values, live and live[0], degree + 1)
-    x = np.empty(np.broadcast_shapes(volume.shape + (1,), values.shape[:-1] + (1,))[:-1] + (n,))
-    rows = x.transpose((-1, *range(x.ndim - 1)))[::-1]
-    numerators = dict(zip(held, values.transpose((-1, *range(values.ndim - 1)))))
-    for comp in range(n):  # row comp holds X^{n-1-comp}; a component not held is +0.0
-        np.divide(numerators.get(comp, 0.0), volume, out=rows[comp])
-    np.negative(x[..., 1::2], out=x[..., 1::2])
+    along the component rows of c (``_dual_rows``), and the result is
+    C-ordered, and not finite where the volume vanishes."""
+    n, lead, numerators = _numerators(c)
+    x = np.empty(np.broadcast_shapes(volume.shape, lead) + (n,))
+    _dual_rows(volume, numerators, range(n), x.transpose((-1, *range(x.ndim - 1))))
     return x
+
+
+def _numerators(c) -> tuple:
+    """(n, leading shape, {i: c_î}) of the (n-1)-form c of ``_vol_dual``,
+    c_î over the components c holds, each a row of its buffer."""
+    degree, values, *live = c if isinstance(c, tuple) else (c.shape[-1] - 1, c)
+    held = _columns(values, live and live[0], degree + 1)
+    rows = values.transpose((-1, *range(values.ndim - 1)))
+    return degree + 1, values.shape[:-1], dict(zip((degree - p for p in held), rows))
+
+
+def _dual_rows(volume: np.ndarray, numerators: dict, comps, rows) -> None:
+    """The one vol-dual division: row j of rows gets X^i = (-1)^i c_î /
+    volume for i = comps[j], c_î the row ``numerators`` holds for i or
+    +0.0.  An odd row is negated out of place: numpy 2.4's in-place
+    ``np.negative`` is wrong on a view whose stride is 8 elements."""
+    for i, row in zip(comps, rows):
+        if i % 2:
+            np.negative(np.divide(numerators.get(i, 0.0), volume), out=row)
+        else:
+            np.divide(numerators.get(i, 0.0), volume, out=row)
+
+
+class _Field(NamedTuple):
+    """A vector field X as component-major rows of its live components,
+    ``rows[j]`` = X^i for i = live[j] with the samples' leading axes, every
+    other component ±0, and the volume it is the vol-dual of
+    (``_reeb_pair``; None for a ``scaled`` one)."""
+
+    n: int
+    live: tuple
+    rows: np.ndarray
+    volume: np.ndarray | None
+
+    def t_slice(self, i: int) -> "_Field":
+        return _Field(self.n, self.live, self.rows[:, i], self.volume[i])
+
+    def scaled(self, t: float) -> "_Field":
+        """t X, on the same live set: t * (±0) is ±0 for a finite t."""
+        return _Field(self.n, self.live, t * self.rows, None)
+
+    def max_abs(self) -> float:
+        return float(np.abs(self.rows).max(initial=0.0))
+
+    def values(self) -> np.ndarray:
+        """X dense and C-ordered, (..., n), with (-1)^i (+0.0 / volume) in
+        each component outside live: the bits of the formula."""
+        x = np.empty(self.rows.shape[1:] + (self.n,))
+        cols = x.transpose((-1, *range(x.ndim - 1)))
+        dead = [i for i in range(self.n) if i not in self.live]
+        _dual_rows(self.volume, {}, dead, [cols[i] for i in dead])
+        cols[list(self.live)] = self.rows
+        return x
+
+
+def _gap(x: _Field, y: _Field) -> np.ndarray:
+    """max_i |x^i - y^i| per sample, ``_norm_inf_rows`` of the dense
+    difference: over the union of the live sets, a component live in one
+    field alone reading |x^i - (±0)| = |x^i| (or |y^i|).  NaN propagates."""
+    xs, ys = dict(zip(x.live, x.rows)), dict(zip(y.live, y.rows))
+    gap = np.zeros(x.rows.shape[1:])
+    for i in xs.keys() | ys.keys():
+        np.maximum(gap, np.abs(xs[i] - ys[i] if i in xs and i in ys else xs.get(i, ys.get(i))), out=gap)
+    return gap
 
 
 def _reeb_residual(n: int, fields, forms) -> np.ndarray:
@@ -424,23 +484,25 @@ def _reeb_residual(n: int, fields, forms) -> np.ndarray:
 
 def _reeb_pair(s: SampledPair, ch: _Chains) -> tuple:
     """(E_alpha, E_beta, max |A E - b| per sample) of the pair s from its
-    chains ``ch`` (``SampledPair.chains``), with the leading axes of s: one
-    division per field (``_vol_dual``), where N_alpha and N_beta are
-    i_{E_alpha} vol and -i_{E_beta} vol.  Where the volume vanishes the
-    pair and its residual are not finite.  Where no volume is 0 or NaN,
-    E^i is live only where the numerator's coefficient c_î is (±0 / v is
-    ±0 otherwise), and the residual's kernels read those live sets and
-    s's."""
-    n = s.n
-    finite = bool(np.all(np.abs(ch.volume) > 0.0))
-    fields = []
+    chains ``ch`` (``SampledPair.chains``), with the leading axes of s, the
+    fields as vol-duals (``_vol_dual``) of N_alpha = i_{E_alpha} vol and
+    N_beta = -i_{E_beta} vol.  Where the volume vanishes the pair and its
+    residual are not finite.  Where no volume is 0 or NaN, each field is a
+    compact ``_Field``, live only where its numerator's coefficient c_î is
+    (+0.0 / v is ±0 otherwise), one contiguous division per live component
+    (``_dual_rows``); else every component is live.  The residual's
+    kernels read the rows of those live sets and s's."""
+    finite, fields = bool(np.all(np.abs(ch.volume) > 0.0)), []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite residual fails
         for volume, c in ((ch.volume, ch.na), (-ch.volume, ch.nb)):
-            x = _vol_dual(volume, c)
-            live = tuple(n - 1 - p for p in reversed(c[2][0])) if finite else tuple(range(n))
-            fields.append((x, (live, float(_live_max(x, live)))))  # a NaN bound reads as unknown
-        residual = _reeb_residual(n, fields, s.factors())
-    return fields[0][0], fields[1][0], residual
+            n, lead, numerators = _numerators(c)
+            live = tuple(sorted(numerators)) if finite else tuple(range(n))
+            rows = np.empty((len(live), *np.broadcast_shapes(volume.shape, lead)))
+            _dual_rows(volume, numerators, live, rows)
+            fields.append(_Field(n, live, rows, volume))
+        # a NaN bound reads as unknown
+        operands = [(f.rows.transpose((*range(1, f.rows.ndim), 0)), (f.live, f.max_abs())) for f in fields]
+        return (*fields, _reeb_residual(s.n, operands, s.factors()))
 
 
 def _form_reeb(n: int, alpha_values: np.ndarray, dalpha_values: np.ndarray) -> tuple:
@@ -465,7 +527,7 @@ def _t_batch(points: int) -> int:
 _INCONSISTENT = "Reeb defining relations are inconsistent"
 
 
-def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
+def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray, known: ex.Known | None = None):
     """(rows, live) of the exact partial along a coordinate axis of the
     coefficient array of a form at pts, live the components whose partial
     is not identically 0 and rows their values, one row per component of
@@ -474,7 +536,7 @@ def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray):
     live = tuple(i for i, p in enumerate(parts) if not ex.is_zero(p))
     if not live:
         return None
-    return np.array([ex.evaluate_many(parts[i], pts) for i in live]), live
+    return np.array([ex.evaluate_many(parts[i], pts, known) for i in live]), live
 
 
 def _product_rule(n: int, pairs):
@@ -510,13 +572,17 @@ def _moved(s: SampledPair, fields) -> list:
     beta at the samples of s, as compact chain factors (degree, values,
     live), None where 0: sum_a X^a ∂_a over the coordinate axes a, in axis
     order, from the exact partials of s's ``forms``
-    (``_coordinate_partials``), each evaluated once for all the fields.  A
+    (``_coordinate_partials``), each evaluated once for all the fields, a
+    call node that is a coefficient of s's forms read from s's samples.  A
     component is live where one of its partials is not identically 0; the
     values are a view of a component-major buffer of the live components."""
-    moved = [[None] * 4 for _ in fields]
+    moved, known = [[None] * 4 for _ in fields], ex.Known()
+    for form, values in zip(s.forms, (s.alpha, s.beta, s.dalpha, s.dbeta)):
+        for i in form.live:
+            known.add(form.coeffs[i], values[:, i])
     for f, (degree, form) in enumerate(zip((1, 1, 2, 2), s.forms)):
         partials = [(a, p) for a in s.forms[0].model.coordinate_axes
-                    if (p := _coordinate_partials(form, a, s.points)) is not None]
+                    if (p := _coordinate_partials(form, a, s.points, known)) is not None]
         if not partials:
             continue
         live = tuple(sorted({c for _, (_, comps) in partials for c in comps}))
@@ -584,7 +650,9 @@ class ContactPairCertificate:
     ``sampled`` keeps the evaluated arrays; its ``forms`` are the fields
     they were evaluated from, or None for a family at one t.
     ``residual_threshold`` is tol * max(1, scales), the bound the Reeb
-    residual (and the commutator) was gated at.
+    residual (and the commutator) was gated at.  ``reeb_fields`` holds
+    (E_alpha, E_beta) compact (``_Field``), formed dense at each read of
+    ``reeb_alpha_values`` and ``reeb_beta_values``.
     """
 
     k: int
@@ -599,8 +667,9 @@ class ContactPairCertificate:
     commutator_defect: float | None
     sample_count: int
     sampled: SampledPair = field(repr=False)
-    reeb_alpha_values: np.ndarray = field(repr=False)
-    reeb_beta_values: np.ndarray = field(repr=False)
+    reeb_fields: tuple = field(repr=False)
+    reeb_alpha_values = property(lambda self: self.reeb_fields[0].values())
+    reeb_beta_values = property(lambda self: self.reeb_fields[1].values())
 
     def __repr__(self):
         return (
@@ -778,9 +847,9 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     """The certificate of the pair s from the outcome ``_certify`` gave it:
     its failure raised, or its Reeb step.
 
-    ``reeb`` = (E_alpha, E_beta, peak) is s's Reeb pair by the insertion
-    identity (``_reeb_pair``) with the ``_peaks`` entry of its pointwise
-    residual max |A E - b|, which is gated.  With the pair's ``chains`` (a
+    ``reeb`` = (E_alpha, E_beta, peak) is s's compact Reeb pair by the
+    insertion identity (``_reeb_pair``) with the ``_peaks`` entry of its
+    pointwise residual max |A E - b|, which is gated.  With the pair's ``chains`` (a
     full certificate, as in verify_contact_pair; they need s's ``forms``),
     the exact commutator of the Reeb pair must also vanish
     (``reeb-commutator``).  Without them it is skipped and
@@ -798,7 +867,7 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     if chains is not None:
         comm = _vanishing(
             "reeb-commutator", "Reeb fields fail to commute",
-            _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea, eb)))[0], res_threshold, pts,
+            _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea.values(), eb.values())))[0], res_threshold, pts,
         )
     return ContactPairCertificate(
         *gated,
@@ -806,8 +875,7 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
         commutator_defect=comm,
         sample_count=pts.shape[0],
         sampled=s,
-        reeb_alpha_values=ea,
-        reeb_beta_values=eb,
+        reeb_fields=(ea, eb),
     )
 
 

@@ -35,6 +35,7 @@ not finite where it is 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ from .contact import (
     SampledPair,
     _certificate,
     _certify,
+    _gap,
     _live_max,
-    _norm_inf_rows,
     _peaks,
     _reeb_pair,
     _reeb_step,
@@ -172,6 +173,7 @@ class SampledFamily:
             idx = int(np.argmin(indep))
             raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
         self._plans = {finite: _plan(c, self.direction, finite) for finite in (True, False)}
+        self._buffers = {}
 
     def at(self, t) -> SampledPair:
         """The samples of (alpha_t, beta_t); entries may overflow for huge t.
@@ -183,15 +185,22 @@ class SampledFamily:
         components live in the closed or the direction pair is formed
         (``_plan``); the others stay the +0.0 of ``np.zeros``, since
         t * (+0) + (+0) is +0 for every finite t.  A t that is not finite
-        makes every component live (0 * inf is NaN).
+        makes every component live (0 * inf is NaN).  A buffer is zero-filled
+        once per plan and shape and formed again by the next call, unless an
+        array still refers to it: samples a caller holds keep their bytes,
+        and every bit is that of forming t alone in a fresh buffer.
         """
         t = np.asarray(t, dtype=float)
         batch = t.shape[:1]  # (T,) for a t axis
         factor, axes = (t[:, :, 0], (1, 2, 0)) if batch else (t, (1, 0))
+        finite = bool(np.isfinite(t).all())
+        buffers = self._buffers.setdefault((finite, batch), [None] * 4)
         arrays, live = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for count, comps, span, closed, direction in self._plans[bool(np.isfinite(t).all())]:
-                out = np.zeros((count, *batch, len(self.points)))
+            for j, (count, comps, span, closed, direction) in enumerate(self._plans[finite]):
+                if buffers[j] is None or sys.getrefcount(buffers[j]) > 2:  # the list's and the argument's
+                    buffers[j] = np.zeros((count, *batch, len(self.points)))
+                out = buffers[j]
                 rows = out[span]
                 np.multiply(factor, direction[:, None] if batch else direction, out=rows)
                 rows += closed[:, None] if batch else closed
@@ -208,9 +217,11 @@ class SampledFamily:
         arrays that ``arrays_of`` computes from those samples in one kernel
         pass (their ``certificate_arrays(k, l)`` by default), each with the
         leading t axis.  Slice i of both is bit for bit ``at(t[i])`` and its
-        arrays.  Nothing is kept once yielded, so a caller that drops a
-        batch before asking for the next holds one batch, of at most
-        max(points, ``_BLOCK``) points.
+        arrays: every bit is that of certifying t alone.  Nothing is kept
+        once yielded, so a caller that drops a batch and its arrays (whose
+        chains may be views of the samples) before asking for the next
+        holds one batch, of at most max(points, ``_BLOCK``) points, and the
+        next is formed in its buffers; one that is held keeps them (``at``).
         """
         step = _t_batch(len(self.points))
         for lo in range(0, len(t_values), step):
@@ -274,7 +285,8 @@ def volume_identity_defect(family: DeformationFamily, t_values, points=None) -> 
     k, l = family.k, family.l
     worst, scale = 0.0, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, _, (lhs,) in sampled.batches(t_values, lambda b: (b.top(k, l, *b.factors()[:2]),)):
+        for t, batch, (lhs,) in sampled.batches(t_values, lambda b: (b.top(k, l, *b.factors()[:2]),)):
+            del batch  # so that the next batch is formed in its buffers
             t = np.array(t, dtype=float)[:, None]
             rhs = t ** (k + l) * (t**2 * vp.quad + t * vp.lin + vp.const)
             # np.maximum, unlike max, keeps a NaN
@@ -429,14 +441,15 @@ def _gated(sampled: SampledFamily, t_grid, tol):
     ``sampled.batches``, on its arrays (``contact._certify``), and the
     batch's Reeb pairs are one division on its chains, their residuals one
     pass and one reduction (``contact._reeb_pair``, ``_peaks``); the arrays
-    are dropped then.  Each t's samples and Reeb pair are slices of its
-    batch's, so the batch is released once the caller drops those of its
-    last t."""
+    are dropped then.  Each t's samples and compact Reeb pair are slices
+    of its batch's, so the batch is released once the caller drops those
+    of its last t."""
     for _, batch, (arrays, chains) in sampled.batches(t_grid):
         outcomes = _certify(batch, sampled.k, sampled.l, tol, arrays)
         ea, eb, residual = _reeb_pair(batch, chains)
         peaks = _peaks(residual)
-        pending = [(batch.t_slice(i), gated, (ea[i], eb[i], peaks[i])) for i, gated in enumerate(outcomes)]
+        pending = [(batch.t_slice(i), gated, (ea.t_slice(i), eb.t_slice(i), peaks[i]))
+                   for i, gated in enumerate(outcomes)]
         del batch, arrays, chains, outcomes, ea, eb, residual
         while pending:
             yield pending.pop(0)
@@ -444,15 +457,15 @@ def _gated(sampled: SampledFamily, t_grid, tol):
 
 def _item_at(s: SampledPair, gated, reeb, t: float):
     """Complete the certificate of (alpha_t, beta_t) on its samples s from
-    its gate outcome and Reeb pair (``_gated``).  Returns the item and
-    (E_alpha, E_beta) of the certificate (None on failure); the samples
-    are dropped here.  A non-finite failure names t as its witness."""
+    its gate outcome and Reeb pair (``_gated``).  Returns the item and the
+    compact (E_alpha, E_beta) of the certificate (None on failure); the
+    samples are dropped here.  A non-finite failure names t as witness."""
     item, cert = _cert_item(f"(alpha_t,beta_t) is a contact pair at t={t:g}", lambda: _reeb_step(s, gated, reeb))
     if cert is None:
         if item.witness["condition"] == "non-finite":
             item.witness["t"] = t
         return item, None
-    return item, (cert.reeb_alpha_values, cert.reeb_beta_values)
+    return item, cert.reeb_fields
 
 
 def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
@@ -504,8 +517,8 @@ def verify_forward(
     base_item, cert = _base_item(sampled, tol)
     hypotheses = [base_item] + _pairing_items(sampled.closed, cert, tol)
     if cert is not None:
-        ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
-        scale = max(1.0, float(np.max(np.abs(ea))), float(np.max(np.abs(eb))))
+        ea, eb = cert.reeb_fields
+        scale = max(1.0, ea.max_abs(), eb.max_abs())
 
     samples = _gated(sampled, t_grid, tol)  # each t's samples go straight to _item_at
     conclusions = []
@@ -517,7 +530,7 @@ def verify_forward(
                 CheckItem(f"Reeb scaling at t={t:g}", None, note="not evaluated (no certificate)")
             )
             continue
-        defect, idx = _peaks(np.maximum(_norm_inf_rows(t * reeb_t[0] - ea), _norm_inf_rows(t * reeb_t[1] - eb)))[0]
+        defect, idx = _peaks(np.maximum(_gap(reeb_t[0].scaled(t), ea), _gap(reeb_t[1].scaled(t), eb)))[0]
         conclusions.append(
             _gate(f"Reeb scaling at t={t:g}", defect, tol * scale, {"t": t, "point": pts[idx].tolist()})
         )
@@ -560,15 +573,15 @@ def verify_converse(
         hypotheses.append(item_t)
         if reeb_t is None:
             continue
-        ea, eb = t * reeb_t[0], t * reeb_t[1]
+        ea, eb = reeb_t[0].scaled(t), reeb_t[1].scaled(t)
         if x_vals is None:
             x_vals, y_vals = ea, eb
         else:
-            drift.append(max(float(np.max(np.abs(ea - x_vals))), float(np.max(np.abs(eb - y_vals)))))
+            drift.append(max(float(np.max(_gap(ea, x_vals))), float(np.max(_gap(eb, y_vals)))))
 
     constant = "t * E_{alpha_t}, t * E_{beta_t} constant across t"
     if all(item.passed for item in hypotheses):
-        scale = max(1.0, float(np.max(np.abs(x_vals))), float(np.max(np.abs(y_vals))))
+        scale = max(1.0, x_vals.max_abs(), y_vals.max_abs())
         hypotheses.append(_gate(constant, max(drift, default=0.0), tol * scale))
     else:
         hypotheses.append(
@@ -580,11 +593,9 @@ def verify_converse(
     base_item, cert = _base_item(sampled, tol)
     conclusions.append(base_item)
     if cert is not None and x_vals is not None:
-        defect = max(
-            float(np.max(np.abs(cert.reeb_alpha_values - x_vals))),
-            float(np.max(np.abs(cert.reeb_beta_values - y_vals))),
-        )
-        scale = max(1.0, float(np.max(np.abs(x_vals))), float(np.max(np.abs(y_vals))))
+        ea, eb = cert.reeb_fields
+        defect = max(float(np.max(_gap(ea, x_vals))), float(np.max(_gap(eb, y_vals))))
+        scale = max(1.0, x_vals.max_abs(), y_vals.max_abs())
         conclusions.append(_gate("(E_alpha,E_beta) = (X,Y)", defect, tol * scale))
     else:
         conclusions.append(CheckItem("(E_alpha,E_beta) = (X,Y)", None, note="not evaluated"))
@@ -658,10 +669,9 @@ def sweep_rows(family: DeformationFamily, t_grid, points=None, tol: float | None
         return chains.volume, _reeb_pair(batch, chains)[2]
 
     rows = []
-    # the loop holds a batch's samples until the next are formed: releasing
-    # them first returns their pages to the system only to fault them back in
     with np.errstate(over="ignore", invalid="ignore"):
         for t, batch, (vol, residual) in sampled.batches(t_grid, columns):
+            del batch  # so that the next batch is formed in its buffers
             rows += [
                 {"t": t_i, "min_volume_coeff": low, "max_volume_coeff": high, "max_reeb_residual": top}
                 for t_i, low, high, top in zip(

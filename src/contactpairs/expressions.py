@@ -13,7 +13,8 @@ numerator, the denominator and their derivatives), so ``partial``,
 ``evaluate_many``, ``variables_of``, ``shift_variables`` and ``to_string``
 visit each node once per call: they remember what they found per node
 object, by ``id``, not by equality, which would take ``Const(-0.0)`` for
-``Const(0.0)``.  ``shift_variables`` shares the copy of a shared subtree
+``Const(0.0)``; a ``Known`` carries values across ``evaluate_many`` calls
+on one point set, by structure.  ``shift_variables`` shares the copy of a shared subtree
 as the original shares it, so a pulled-back derivative keeps its sharing.  ``evaluate_many`` keeps the
 values of a shared node only until its last reference.
 Trees are walked recursively, so ``parse`` rejects text nested deeper than
@@ -37,6 +38,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_many",
+    "Known",
     "partial",
     "to_string",
     "const",
@@ -388,12 +390,13 @@ def _shared_nodes(e: Expr) -> dict:
     return {key: [count, None] for key, count in refs.items() if count > 1}
 
 
-def _eval(e: Expr, pts: np.ndarray, shared: dict):
+def _eval(e: Expr, pts: np.ndarray, shared: dict, known: Known | None = None):
     """The values of e at pts.  ``shared`` (``_shared_nodes``) keeps the
     values of a node that several parents refer to from its evaluation to
     its last reference, so that it is evaluated once and dropped then; the
     values of every other node are dropped once their parent has used them,
-    as in a walk of a tree.  Values are never written to."""
+    as in a walk of a tree.  A call node is looked up in ``known`` and
+    recorded there.  Values are never written to."""
     match e:
         case Const(value=v):
             return v
@@ -409,22 +412,26 @@ def _eval(e: Expr, pts: np.ndarray, shared: dict):
         return entry[1]
     match e:
         case Neg(arg=u):
-            out = -_eval(u, pts, shared)
+            out = -_eval(u, pts, shared, known)
         case Add(left=a, right=b):
-            out = _eval(a, pts, shared) + _eval(b, pts, shared)
+            out = _eval(a, pts, shared, known) + _eval(b, pts, shared, known)
         case Sub(left=a, right=b):
-            out = _eval(a, pts, shared) - _eval(b, pts, shared)
+            out = _eval(a, pts, shared, known) - _eval(b, pts, shared, known)
         case Mul(left=a, right=b):
-            out = _eval(a, pts, shared) * _eval(b, pts, shared)
+            out = _eval(a, pts, shared, known) * _eval(b, pts, shared, known)
         case Div(left=a, right=b):
-            den = _eval(b, pts, shared)
+            den = _eval(b, pts, shared, known)
             if np.any(np.asarray(den) == 0.0):
                 raise EvaluationError("division by zero")
-            out = _eval(a, pts, shared) / den
+            out = _eval(a, pts, shared, known) / den
         case Pow(base=b, exponent=k):
-            out = _eval(b, pts, shared) ** k
+            out = _eval(b, pts, shared, known) ** k
         case Call(func=f, arg=u):
-            out = getattr(np, f)(_eval(u, pts, shared))
+            out = None if known is None else known.get(e)
+            if out is None:
+                out = getattr(np, f)(_eval(u, pts, shared, known))
+                if known is not None:
+                    known.add(e, out)
         case _:
             raise TypeError(f"not an expression node: {e!r}")
     if entry is not None:
@@ -433,21 +440,49 @@ def _eval(e: Expr, pts: np.ndarray, shared: dict):
     return out
 
 
-def evaluate_many(e: Expr, points) -> np.ndarray:
-    """Evaluate at a batch of points, shape (P, n); returns shape (P,)."""
+class Known:
+    """Values at one point set of the call nodes (sin, cos, exp) that
+    ``evaluate_many`` evaluated with it, and of the expressions ``add``
+    recorded, found again by structure: node by node, a constant by its
+    value and sign, so ``Const(-0.0)`` is not ``Const(0.0)``.  A node object
+    is keyed once and held, so that its ``id`` is not reused."""
+
+    def __init__(self):
+        # id(node) -> (node, key); (type, fields with keys for children) -> key; key -> values
+        self._nodes, self._keys, self._values = {}, {}, {}
+
+    def key(self, e: Expr) -> int:
+        found = self._nodes.get(id(e))
+        if found is None:
+            parts = tuple(self.key(v) if isinstance(v, Expr) else (v, math.copysign(1.0, v)) if isinstance(v, float)
+                          else v for v in (getattr(e, f) for f in e.__slots__))
+            found = self._nodes[id(e)] = e, self._keys.setdefault((type(e), parts), len(self._keys))
+        return found[1]
+
+    def get(self, e: Expr):
+        return self._values.get(self.key(e))
+
+    def add(self, e: Expr, values) -> None:
+        self._values[self.key(e)] = values
+
+
+def evaluate_many(e: Expr, points, known: Known | None = None) -> np.ndarray:
+    """Evaluate at a batch of points, shape (P, n); returns shape (P,).
+    A call node whose values ``known`` holds for these points is read from
+    it, and every other is recorded there."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array (P, n)")
-    out = _values(e, pts)
+    out = _values(e, pts, known)
     if not np.all(np.isfinite(out)):
         raise EvaluationError("expression evaluated to a non-finite value")
     return out
 
 
-def _values(e: Expr, pts: np.ndarray) -> np.ndarray:
+def _values(e: Expr, pts: np.ndarray, known: Known | None = None) -> np.ndarray:
     """The values of e at the (P, n) points pts, inf or NaN where it overflows."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        out = _eval(e, pts, _shared_nodes(e))
+        out = _eval(e, pts, _shared_nodes(e), known)
     out = np.asarray(out, dtype=float)
     return np.full(pts.shape[0], float(out)) if out.ndim == 0 else out
 

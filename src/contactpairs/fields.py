@@ -90,7 +90,7 @@ class FormField:
             )
         return self._live
 
-    def values(self, points) -> np.ndarray:
+    def values(self, points, known: ex.Known | None = None) -> np.ndarray:
         """Coefficient array at a batch of points, shape (P, C(n, p)): the
         view of a component-major (C, P) buffer in which the components
         that are not ``live`` stay the +0.0 of ``np.zeros``, never written."""
@@ -105,7 +105,7 @@ class FormField:
                     raise ex.EvaluationError("expression evaluated to a non-finite value")
                 out[i] = c.value
             else:
-                out[i] = ex.evaluate_many(c, pts)
+                out[i] = ex.evaluate_many(c, pts, known)
         return out.T
 
     def d(self) -> "FormField":

@@ -40,6 +40,7 @@ from contactpairs.models import (  # noqa: E402
     sample_points,
 )
 from contactpairs.registry import build_example  # noqa: E402
+from test_reeb_formula import dense_reeb_pair  # noqa: E402
 
 # --- the reference: one t certified alone, each bound on its own row ----------------
 
@@ -84,7 +85,7 @@ def _reference_certificate(s, k, l, tol):
             "positive": _witness(pts, int(np.argmax(vol)), value=float(vol.max())),
         })
     res_threshold = tol * res_scale
-    ea, eb, res = _reeb_pair(s, chains)
+    ea, eb, res = dense_reeb_pair(s, chains)
     defect = _vanishing("reeb-residual", contact._INCONSISTENT, res, res_threshold, pts)
     return defect, res_threshold, ea, eb
 

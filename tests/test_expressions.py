@@ -160,6 +160,28 @@ def test_shift_variables():
     assert ex.evaluate_many(shifted, pts)[0] == pytest.approx(math.sin(0.5) * 2.0)
 
 
+def test_known_values_are_found_by_structure_with_the_sign_of_a_zero(monkeypatch):
+    # sin(+0 x0) is +0 and sin(-0 x0) is -0 for x0 > 0: a Known keeps a
+    # call node's values for an equal tree built apart, never for the twin
+    # whose zero constant has the other sign
+    pts = np.array([[0.5], [2.0]])
+    calls, sin = [], np.sin
+    monkeypatch.setattr(np, "sin", lambda x: calls.append(x) or sin(x))
+
+    def tree(zero):
+        return ex.Call("sin", ex.Mul(ex.Const(zero), ex.Var(0)))
+
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        known, calls[:] = ex.Known(), []
+        got = [ex.evaluate_many(tree(z), pts, known) for z in (first, second, first, second)]
+        assert len(calls) == 2
+        assert all(np.all(v == 0.0) for v in got)
+        assert [np.signbit(v).tolist() for v in got] == [[math.copysign(1.0, z) < 0] * 2 for z in (first, second) * 2]
+    known = ex.Known()
+    assert known.key(ex.Const(-0.0)) != known.key(ex.Const(0.0))
+    assert known.key(ex.parse("cos(x0) + 2", 1)) == known.key(ex.parse("cos(x0) + 2", 1))
+
+
 DEEP_TEXTS = {
     "unary-minus": "-" * 3000 + "x0",
     "calls": "sin(" * 3000 + "x0" + ")" * 3000,

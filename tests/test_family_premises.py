@@ -70,9 +70,9 @@ def _record_point_sets(monkeypatch):
     seen, in_quadrature = [], []
     values, integrate = fields.FormField.values, deformation.stokes_integrals
 
-    def recording(self, points):
+    def recording(self, points, *known):
         seen.append((np.array(points, dtype=float), bool(in_quadrature)))
-        return values(self, points)
+        return values(self, points, *known)
 
     def integrating(*args, **kwargs):
         in_quadrature.append(True)

@@ -20,10 +20,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from contactpairs import expressions as ex  # noqa: E402
-from contactpairs.contact import SampledPair, _reeb_pair  # noqa: E402
+from contactpairs.contact import SampledPair  # noqa: E402
 from contactpairs.deformation import DeformationFamily, SampledFamily  # noqa: E402
 from contactpairs.fields import FormField  # noqa: E402
 from contactpairs.models import torus  # noqa: E402
+from test_reeb_formula import dense_reeb_pair  # noqa: E402
 
 MODEL = torus(6)
 ZEROS = ("0", "-0", "x0-x0")
@@ -59,7 +60,7 @@ def certified(pair: SampledPair) -> tuple:
     """The certificate arrays of type (1, 1) of the pair and its Reeb pair
     with the residual."""
     arrays, chains = pair.certificate_arrays(1, 1)
-    return (*arrays, *_reeb_pair(pair, chains))
+    return (*arrays, *dense_reeb_pair(pair, chains))
 
 
 def one_form(draw, choices, fixed=None):
@@ -113,6 +114,6 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
             for got, expected in zip((s.alpha, s.beta, s.dalpha, s.dbeta), (r.alpha, r.beta, r.dalpha, r.dbeta)):
                 assert same(got, expected)
             assert all(same(a, b) for a, b in zip(arrays, want))
-            assert all(same(a, b) for a, b in zip(_reeb_pair(s, chains), _reeb_pair(r, want_chains)))
+            assert all(same(a, b) for a, b in zip(dense_reeb_pair(s, chains), dense_reeb_pair(r, want_chains)))
     got, want = sampled.volume_polynomial(), reference.volume_polynomial()
     assert all(same(getattr(got, k), getattr(want, k)) for k in ("quad", "lin", "const"))

@@ -305,7 +305,7 @@ def test_constant_coefficients_fill_without_evaluation(monkeypatch):
     pts = random_points(t3, 7, np.random.default_rng(0))
     evaluated = []
     many = ex.evaluate_many
-    monkeypatch.setattr(ex, "evaluate_many", lambda e, p: evaluated.append(e) or many(e, p))
+    monkeypatch.setattr(ex, "evaluate_many", lambda e, p, *known: evaluated.append(e) or many(e, p, *known))
     values = form.values(pts)
     assert evaluated == [form.coeffs[1]]
     assert values.tobytes() == np.stack([many(c, pts) for c in form.coeffs], axis=1).tobytes()

@@ -26,7 +26,9 @@ from contactpairs.config import load_config
 from contactpairs.contact import (
     SampledPair,
     _form_reeb,
+    _gap,
     _moved,
+    _norm_inf_rows,
     _reeb_directional,
     _reeb_pair,
     _vol_dual,
@@ -42,6 +44,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("configs/heisenberg6_builtin.json", "configs/t6_explicit_family.json")
 PAIRS = [name for name in example_names() if "beta" in build_example(name)]
 SINGLE_FORMS = ("torus-contact", "darboux1", "darboux2", "heisenberg3")
+
+
+def dense_reeb_pair(s: SampledPair, chains) -> tuple:
+    """``_reeb_pair`` with its two compact fields formed dense."""
+    ea, eb, residual = _reeb_pair(s, chains)
+    return ea.values(), eb.values(), residual
 
 
 def one_shot(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,7 +72,7 @@ def assert_pair_agrees(s: SampledPair, k: int, l: int) -> None:
     rows (alpha; beta; i_E d alpha; i_E d beta) = (1, 0; 0, 1; 0; 0), |E|
     the largest entry of either field: where the volume nears 0 both
     fields carry the same conditioning."""
-    ea, eb, residual = _reeb_pair(s, s.chains(k, l))
+    ea, eb, residual = dense_reeb_pair(s, s.chains(k, l))
     x = one_shot(s.reeb_rows(), np.eye(2 * s.n + 2, 2))
     assert_agrees(np.stack((ea, eb), axis=-1), x)
     assert float(np.max(residual)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
@@ -153,7 +161,7 @@ def test_reeb_rows_of_the_formula_pair_hold_the_defining_relations():
     model, alpha, beta = sheared_t6_pair()
     pts = random_points(model, 500, np.random.default_rng(6))
     s = SampledPair.of(alpha, beta, pts)
-    ea, eb, residual = _reeb_pair(s, s.chains(1, 1))
+    ea, eb, residual = dense_reeb_pair(s, s.chains(1, 1))
     got = s.reeb_rows() @ np.stack((ea, eb), axis=-1)
     assert np.max(np.abs(got - np.eye(14, 2))) < 1e-13
     assert np.max(residual) < 1e-13
@@ -176,14 +184,14 @@ def test_derivative_matches_central_differences_with_an_h_squared_error(pair):
     pts = random_points(model, 300, np.random.default_rng(9))
     s = SampledPair.of(alpha, beta, pts)
     chains = s.chains(1, 1)
-    ea, eb, _ = _reeb_pair(s, chains)
+    ea, eb, _ = dense_reeb_pair(s, chains)
     x = np.random.default_rng(10).standard_normal(6)  # a constant field X
     (moved,) = _moved(s, (np.broadcast_to(x, pts.shape),))
     exact = [_reeb_directional(s, chains, e, moved, j) for j, e in enumerate((ea, eb))]
 
     def formula(shifted):
         moved = SampledPair.of(alpha, beta, shifted)
-        return _reeb_pair(moved, moved.chains(1, 1))[:2]
+        return dense_reeb_pair(moved, moved.chains(1, 1))[:2]
 
     errors = []
     for h in (2e-2, 1e-2, 5e-3):
@@ -200,6 +208,82 @@ def test_the_scaled_pair_commutes_exactly():
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     assert np.ptp(cert.sampled.chains(1, 1).volume) > 1.0  # the volume varies
     assert cert.commutator_defect <= 1e-12
+
+
+# --- the compact Reeb fields ---------------------------------------------------------------
+
+def _compact_case(case):
+    """(samples, k, l) of a pair whose Reeb fields are formed compact."""
+    if case in ("t6-pair-compatible", "heisenberg6-pair"):
+        objs = build_example(case)
+        model, alpha, beta, k, l = objs["model"], objs["alpha"], objs["beta"], objs["k"], objs["l"]
+    else:
+        (model, alpha, beta), k, l = sheared_t6_pair(), 1, 1
+    pts = sample_points(model, np.random.default_rng(8), random_count=1000)
+    if not model.coordinate_axes:
+        assert len(pts) == 1
+    return SampledPair.of(alpha, beta, pts), k, l
+
+
+def _family_batch(t_values):
+    """The samples of t6-pair-compatible's family at a batch of t."""
+    family = build_example("t6-pair-compatible")["family"]
+    pts = random_points(family.model, 300, np.random.default_rng(8))
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
+    return sampled.at(np.array(t_values)[:, None, None]), family.k, family.l
+
+
+@pytest.mark.parametrize("case", ["t6-pair-compatible", "sheared-t6", "heisenberg6-pair", "t=1,1e308", "t=0,1"])
+def test_the_compact_reeb_fields_form_the_bits_of_the_formula(case):
+    # the dense field formed from a compact one is _vol_dual's (-1)^i c_î / v
+    # byte for byte, the signed zero (-1)^i (+0.0 / v) of each component
+    # outside its live set included
+    if case.startswith("t="):
+        s, k, l = _family_batch([float(t) for t in case[2:].split(",")])
+    else:
+        s, k, l = _compact_case(case)
+    chains = s.chains(k, l)
+    ea, eb, _ = _reeb_pair(s, chains)
+    finite = bool(np.all(np.abs(chains.volume) > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for field, volume, c in ((ea, chains.volume, chains.na), (eb, -chains.volume, chains.nb)):
+            want = _vol_dual(volume, c)
+            got = field.values()
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            dead = [i for i in range(s.n) if i not in field.live]
+            assert np.all(want[..., dead] == 0.0)
+            # where some volume is 0 or NaN, every component is live
+            assert (len(dead) > 0) == finite
+            if s.alpha.ndim == 3:  # a t batch: each t's slice forms that t's bits
+                for i in range(len(s.alpha)):
+                    assert field.t_slice(i).values().tobytes() == want[i].tobytes()
+    if case == "t=1,1e308":
+        assert not finite and not np.isfinite(chains.volume[1]).all()
+    if case == "t=0,1":  # the closed pair's volume is 0
+        assert not finite and np.all(chains.volume[0] == 0.0)
+
+
+def test_compact_comparisons_equal_the_dense_ones():
+    # the per-sample max_i |x^i - y^i| of two compact fields equals
+    # _norm_inf_rows of the dense difference, over differing live sets and
+    # a non-finite field too
+    s, _, _ = _compact_case("sheared-t6")
+    t6, _, _ = _compact_case("t6-pair-compatible")
+    batch, _, _ = _family_batch([1.0, 1e308])
+    fields = [*_reeb_pair(s, s.chains(1, 1))[:2], *_reeb_pair(t6, t6.chains(1, 1))[:2]]
+    family_fields = [f.t_slice(i) for f in _reeb_pair(batch, batch.chains(1, 1))[:2] for i in (0, 1)]
+    assert len({f.live for f in fields}) > 1 and any(len(f.live) == 6 for f in family_fields)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in (fields, family_fields):
+            for x in group:
+                for y in group:
+                    for t in (1.0, -0.1, 10.0):
+                        diff = t * x.values() - y.values()
+                        got = _gap(x.scaled(t), y)
+                        assert got.tobytes() == _norm_inf_rows(diff).tobytes()
+                        assert np.array_equal(np.max(got), np.max(np.abs(diff)), equal_nan=True)
+                    assert np.array_equal(x.max_abs(), np.max(np.abs(x.values())), equal_nan=True)
 
 
 # --- structure ------------------------------------------------------------------------------

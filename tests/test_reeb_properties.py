@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from test_contact import sheared_t6_pair, t6_pair
+from test_reeb_formula import dense_reeb_pair
 
 from contactpairs import contact, deformation
 from contactpairs.config import load_config
@@ -22,7 +23,6 @@ from contactpairs.contact import (
     SampledPair,
     _form_reeb,
     _live_max,
-    _reeb_pair,
     _t_batch,
     _vol_dual,
     product_contact_pair,
@@ -63,7 +63,7 @@ def _points(model, count, seed):
 
 
 def _formula(s: SampledPair, k: int, l: int) -> tuple:
-    return _reeb_pair(s, s.chains(k, l))
+    return dense_reeb_pair(s, s.chains(k, l))
 
 
 def _rescaled(s: SampledPair, a: float, b: float, p=None) -> SampledPair:

@@ -37,7 +37,7 @@ from contactpairs.deformation import (
     verify_forward,
 )
 from contactpairs.exterior import chain
-from contactpairs.fields import coframe, form_from_expressions, pullback_form
+from contactpairs.fields import FormField, coframe, form_from_expressions, pullback_form
 from contactpairs.models import default_tolerance, random_points, sample_points, torus
 from contactpairs.registry import build_example
 from contactpairs.reporting import render_structured
@@ -231,11 +231,11 @@ def _count_evaluations(monkeypatch, pts):
     calls = []
     real = ex.evaluate_many
 
-    def counting(e, points):
+    def counting(e, points, *known):
         p = np.asarray(points, dtype=float)
         if p.shape == pts.shape and zlib.crc32(np.ascontiguousarray(p)) == key:
             calls.append(e)
-        return real(e, points)
+        return real(e, points, *known)
 
     monkeypatch.setattr(ex, "evaluate_many", counting)
     return calls
@@ -269,6 +269,42 @@ def test_each_coefficient_is_evaluated_once(monkeypatch, name, task):
     assert bool(varying) == bool(family.model.coordinate_axes)
     for c in varying:
         assert sum(e is c for e in calls) == 1, ex.to_string(c)
+
+
+def test_a_full_certificate_evaluates_each_call_once(monkeypatch):
+    # verify-pair on t6-pair-compatible: alpha, beta, d alpha, d beta and
+    # the commutator's exact partials are all built from sin and cos of x0
+    # and x3, each evaluated once on the sample points
+    objs = build_example("t6-pair-compatible")
+    pts = random_points(objs["model"], 500, np.random.default_rng(5))
+    calls = []
+
+    def counting(name):
+        real = getattr(np, name)
+
+        def call(x):
+            calls.append((name, zlib.crc32(np.ascontiguousarray(x))))
+            return real(x)
+        return call
+
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(np, name, counting(name))
+    cert = verify_contact_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"], points=pts)
+    monkeypatch.undo()
+    assert cert.commutator_defect is not None
+    columns = [zlib.crc32(np.ascontiguousarray(pts[:, a])) for a in (0, 3)]
+    assert sorted(calls) == sorted((name, crc) for name in ("sin", "cos") for crc in columns)
+
+
+def test_a_negative_zero_constant_keeps_its_sign_in_the_samples():
+    # sin(-0 x0) and sin(+0 x0) are twins by value, not by structure
+    t3 = torus(3)
+    alpha = FormField(t3, 1, [ex.Call("sin", ex.Mul(ex.Const(z), ex.Var(0))) for z in (-0.0, 0.0)] + ["1"])
+    pts = random_points(t3, 50, np.random.default_rng(2)) + 0.1  # every x0 > 0
+    s = SampledPair.of(alpha, alpha, pts)
+    assert np.all(s.alpha[:, :2] == 0.0)
+    assert np.signbit(s.alpha[:, 0]).all() and not np.signbit(s.alpha[:, 1]).any()
+    assert s.alpha.tobytes() == np.column_stack([ex.evaluate_many(c, pts) for c in alpha.coeffs]).tobytes()
 
 
 # --- the commutator is one gate ------------------------------------------------

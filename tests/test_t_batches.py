@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 from test_gates import PACKAGE, _sites
+from test_reeb_formula import dense_reeb_pair
 
 from contactpairs import contact, deformation
 from contactpairs.contact import ContactPairError, SampledPair, _certify, _peaks, _reeb_pair, _t_batch
@@ -171,7 +172,7 @@ def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count
         assert [t for batch_t, _, _ in yielded for t in batch_t] == list(grid)
         assert all(len(batch.alpha) == len(batch_t) for batch_t, batch, _ in yielded)
         per_t = [
-            (batch.t_slice(i), [v[i] for v in (*arrays, *_reeb_pair(batch, chains))])
+            (batch.t_slice(i), [v[i] for v in (*arrays, *dense_reeb_pair(batch, chains))])
             for batch_t, batch, (arrays, chains) in yielded for i in range(len(batch_t))
         ]
         c, d = sampled.closed, sampled.direction
@@ -184,7 +185,7 @@ def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count
             alone = real_at(sampled, t)
             want, chains = alone.certificate_arrays(family.k, family.l)
             # the arrays and the Reeb pair with its residual
-            assert _bits(arrays) == _bits((*want, *_reeb_pair(alone, chains)))
+            assert _bits(arrays) == _bits((*want, *dense_reeb_pair(alone, chains)))
 
 
 @pytest.mark.parametrize("verify", [verify_forward, verify_converse])
@@ -209,6 +210,34 @@ def test_an_overflowing_t_leaves_the_finite_t_of_its_batch_unchanged(monkeypatch
     assert failed.passed is False and failed.witness["t"] == 1e308
 
 
+def _dense_reeb(sampled, t, tol):
+    """The dense (E_alpha, E_beta) of t's certificate alone."""
+    cert = contact._certificate(sampled.at(t), sampled.k, sampled.l, tol, False)
+    return cert.reeb_alpha_values, cert.reeb_beta_values
+
+
+@pytest.mark.parametrize("name,count", [("heisenberg6-pair", 1), ("t6-pair-compatible", 1365)])
+def test_the_converse_compares_reeb_pairs_as_the_dense_fields_do(name, count):
+    # the drift of t * E_t across t and the (E_alpha,E_beta) = (X,Y) item
+    # read compact fields; each defect is that of np.abs(a - b) on the
+    # dense (P, n) fields of the certificates, bit for bit (the forward
+    # "Reeb scaling" items are compared so in test_batched_gates)
+    family, pts = _setup(name, count)
+    tol = default_tolerance(family.model)
+    sampled = SampledFamily(family, pts, tol)
+    scaled = [(t * a, t * b) for t in CONVERSE_T_GRID for a, b in [_dense_reeb(sampled, t, tol)]]
+    x, y = scaled[0]
+    drift = max(max(float(np.max(np.abs(a - x))), float(np.max(np.abs(b - y)))) for a, b in scaled[1:])
+    base = deformation._base_item(sampled, tol)[1]
+    defect = max(float(np.max(np.abs(base.reeb_alpha_values - x))), float(np.max(np.abs(base.reeb_beta_values - y))))
+    verdict = verify_converse(family, points=pts)
+    items = {i.name: i for i in verdict.hypotheses + verdict.conclusions}
+    scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    assert items["t * E_{alpha_t}, t * E_{beta_t} constant across t"].defect == drift
+    matched = items["(E_alpha,E_beta) = (X,Y)"]
+    assert (matched.defect, matched.threshold) == (defect, tol * scale)
+
+
 @pytest.mark.parametrize("verify,t_count", [(verify_forward, 8), (verify_converse, 4)])
 def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_count):
     # one t per batch at 2049 points: the samples of the previous t are gone
@@ -229,6 +258,58 @@ def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_cou
     monkeypatch.setattr(SampledFamily, "at", recording)
     verify(family, points=pts)
     assert len(formed) == 4 * t_count
+
+
+def _affine_bits(sampled, s, t):
+    """Whether the samples s hold closed + t * direction, bit for bit."""
+    c, d = sampled.closed, sampled.direction
+    return _bits((s.alpha, s.beta, s.dalpha, s.dbeta)) == _bits(
+        (c.alpha + t * d.alpha, c.beta + t * d.beta, c.dalpha + t * d.dalpha, c.dbeta + t * d.dbeta)
+    )
+
+
+@pytest.mark.parametrize("verify", [verify_forward, verify_converse])
+def test_samples_held_past_the_next_batch_keep_their_bytes(monkeypatch, verify):
+    # every certificate, with its samples, is held to the end of the
+    # verdict: one t per batch, so each later batch is formed in new buffers
+    family, pts = _setup("t6-pair-compatible", 2049)
+    calls, _ = _record_certify(monkeypatch)
+    verify(family, points=pts)
+    grid = FORWARD_T_GRID if verify is verify_forward else CONVERSE_T_GRID
+    per_t = calls[1:] if verify is verify_forward else calls[:-1]
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
+    assert len(per_t) == len(grid)
+    assert all(_affine_bits(sampled, s, t) for t, (s, _, _) in zip(grid, per_t))
+
+
+def test_a_dropped_batch_lends_its_buffers_to_the_next():
+    family, pts = _setup("t6-pair-compatible", 2049)
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
+    owners = []
+    for t, batch, arrays in sampled.batches([0.5, -1.0, 2.0]):
+        assert _affine_bits(sampled, batch.t_slice(0), t[0])
+        owners.append([id(v.base) for v in (batch.alpha, batch.beta, batch.dalpha, batch.dbeta)])
+        del batch, arrays  # the chains of a power of one factor are that factor's samples
+    assert owners[0] == owners[1] == owners[2] == [id(b) for b in sampled._buffers[(True, (1,))]]
+
+
+def test_a_non_finite_t_leaves_every_dead_component_zero():
+    # a t that is not finite forms every component, in buffers of its own:
+    # the finite batches before and after it hold +0.0 outside their live
+    # components
+    family, pts = _setup("t6-pair-compatible", 2)
+    sampled = SampledFamily(family, pts, default_tolerance(family.model))
+    dead = [[i for i in range(count) if i not in comps] for count, comps, *_ in sampled._plans[True]]
+    assert all(dead)
+    for t in (1.0, np.inf, 1.0, np.nan, -2.0):
+        s = sampled.at(np.array([t])[:, None, None])
+        arrays = (s.alpha, s.beta, s.dalpha, s.dbeta)
+        if np.isfinite(t):
+            assert _affine_bits(sampled, s.t_slice(0), t)
+            assert all(np.all(v[..., d] == 0.0) and not np.any(np.signbit(v[..., d])) for v, d in zip(arrays, dead))
+        else:
+            assert not all(np.isfinite(v).all() for v in arrays)
+        del s, arrays
 
 
 @pytest.mark.parametrize("count", [1, 2049])
