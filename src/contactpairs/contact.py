@@ -20,10 +20,9 @@ Both numerators and v are wedge chains the certificate forms anyway
 (``SampledPair.chains``).  The residual gate max |A E - b| of the defining
 relations then checks the identity independently; a single contact form's
 Reeb field is the case c = (d alpha)^k, v = alpha ∧ (d alpha)^k.  All
-pointwise checks run over a sample set and use relative thresholds: a
-quantity must vanish when it stays at or below tol * (norm_inf scale of its
-wedge factors), and must be nonzero when it stays strictly above that, so
-t-scaled families certify at any t.
+pointwise checks run over a sample set and use relative thresholds, tol *
+(norm_inf scale of the wedge factors), so t-scaled families certify at any
+t; one rule (``passes``) decides every such check in the package.
 """
 
 from __future__ import annotations
@@ -79,6 +78,13 @@ def marginal(defect: float | None, threshold: float | None) -> bool:
     return bool(defect < MARGINAL_FACTOR * threshold and threshold < MARGINAL_FACTOR * defect)
 
 
+def passes(defect, threshold, *, lower: bool):
+    """The pass/fail rule of every gate, elementwise: an upper bound passes
+    iff defect <= threshold (zero data passes at zero scale), a lower bound
+    iff defect > threshold; a NaN fails both."""
+    return defect > threshold if lower else defect <= threshold
+
+
 class ContactPairError(ValueError):
     """A contact condition failed; carries the condition name, a witness and,
     from a bound's gate, the defect and the threshold that gate applied."""
@@ -98,10 +104,39 @@ class ContactPairError(ValueError):
         self.threshold = threshold
 
 
+@dataclass
+class CheckItem:
+    """One named pointwise check inside a verdict."""
+
+    name: str
+    passed: bool | None
+    defect: float | None = None
+    threshold: float | None = None
+    witness: dict | None = None
+    note: str = ""
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name, "passed": self.passed}
+        if self.defect is not None:
+            out["defect"] = self.defect
+        if self.threshold is not None:
+            out["threshold"] = self.threshold
+        if self.witness:
+            out["witness"] = self.witness
+        if self.note:
+            out["note"] = self.note
+        return out
+
+
+def _gate(name: str, defect: float, threshold: float, witness: dict | None = None) -> CheckItem:
+    """The verdict item of an upper bound, decided by ``passes``; the
+    witness is kept only on failure."""
+    passed = bool(passes(defect, threshold, lower=False))
+    return CheckItem(name, passed, defect=defect, threshold=threshold, witness=None if passed else witness)
+
+
 def _witness(points: np.ndarray, index: int, **extra) -> dict:
-    w = {"point": [float(v) for v in points[index]], "index": int(index)}
-    w.update(extra)
-    return w
+    return {"point": [float(v) for v in points[index]], "index": int(index), **extra}
 
 
 @dataclass
@@ -183,7 +218,7 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
     scale_da = float(_live_max(dav, live_da))
 
     alpha_rows = _live_max(av, live_a, ())
-    _nonvanishing("nonvanishing", "form vanishes at a sample point", _troughs(alpha_rows)[0], tol * scale_a, pts)
+    _bound("nonvanishing", "form vanishes at a sample point", _troughs(alpha_rows)[0], tol * scale_a, pts, lower=True)
 
     k_max = (n - 1) // 2
     alpha, dalpha = (1, av, (live_a, scale_a)), (2, dav, (live_da, scale_da))
@@ -205,13 +240,9 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
 
     pointwise = np.full(pts.shape[0], -1, dtype=int)
     for k in range(k_max + 1):
-        # "nonzero" is strict against the factor-norm scale; "vanishes" is
-        # non-strict so that exactly zero data passes at zero scale
-        ok_nv = nonvanish[k] > tol * scale_a * scale_da**k
-        if k + 1 < len(power_norm):
-            ok_z = power_norm[k + 1] <= tol * scale_da ** (k + 1)
-        else:
-            ok_z = np.ones(pts.shape[0], dtype=bool)
+        ok_nv = passes(nonvanish[k], tol * scale_a * scale_da**k, lower=True)
+        # past the degree, (d alpha)^{k+1} is 0
+        ok_z = passes(power_norm[k + 1], tol * scale_da ** (k + 1), lower=False) if k + 1 < len(power_norm) else True
         pointwise = np.where(ok_nv & ok_z, k, pointwise)
 
     k_lo, k_hi = int(pointwise.min()), int(pointwise.max())
@@ -700,35 +731,24 @@ def _troughs(values: np.ndarray) -> list:
     return list(zip(np.abs(lowest).tolist(), idx.tolist(), lowest.tolist()))
 
 
-def _vanishing(condition: str, message: str, peak, threshold, pts) -> float:
-    """The max of a quantity over the points, from its peak = (max, first
-    argmax) (``_peaks``), raising a failure witnessed at that point unless
-    it stays at or below threshold; NaN fails."""
-    defect, idx = peak
-    if not defect <= threshold:
-        witness = _witness(pts, idx, value=defect)
-        raise ContactPairError(condition, message, witness, defect=defect, threshold=threshold)
-    return defect
-
-
-def _nonvanishing(condition: str, message: str, trough, threshold, pts) -> float:
-    """min |values| over the points, from its trough = (min |values|, first
-    argmin, signed value there) (``_troughs``), raising a failure witnessed
-    at that point, with the signed value, unless it stays strictly above
-    threshold; NaN fails."""
-    defect, idx, value = trough
-    if not defect > threshold:
-        witness = _witness(pts, idx, value=value)
+def _bound(condition: str, message: str, extremum, threshold, pts, *, lower: bool) -> float:
+    """The defect of a bound from its ``_peaks`` entry (max, first argmax)
+    for an upper bound or its ``_troughs`` entry (min |values|, first
+    argmin, signed value there) for a lower one; unless it ``passes``, a
+    failure witnessed at that point with the value there."""
+    defect, idx = extremum[0], extremum[1]
+    if not passes(defect, threshold, lower=lower):
+        witness = _witness(pts, idx, value=extremum[2] if lower else defect)
         raise ContactPairError(condition, message, witness, defect=defect, threshold=threshold)
     return defect
 
 
 def _require_closed(name: str, scale, dscale, tol: float) -> None:
     """Raise a ValueError, an input error, unless the 1-form ``name`` is
-    closed on its samples: max |d name| (``dscale``) at or below tol *
-    max |name| (``scale``)."""
+    closed on its samples: max |d name| (``dscale``) ``passes`` as an
+    upper bound at tol * max |name| (``scale``)."""
     defect = float(dscale)
-    if defect > tol * float(scale):
+    if not passes(defect, tol * float(scale), lower=False):
         raise ValueError(f"{name} is not closed (max |d {name}| = {defect:.3e})")
 
 
@@ -814,12 +834,12 @@ def _certify(s: SampledPair, k: int, l: int, tol: float, arrays) -> list:
         checked = (vol_scale, da_threshold, db_threshold, dalpha[i][0], dbeta[i][0], vol_min[i], vol_max[i])
         if not all(map(math.isfinite, checked)):
             raise ContactPairError("non-finite", "a sample, its scale or a wedge chain is not finite")
-        _nonvanishing("alpha-nonvanishing", "alpha vanishes at a sample point", alpha[i], tol * scale_a, pts)
-        _nonvanishing("beta-nonvanishing", "beta vanishes at a sample point", beta[i], tol * scale_b, pts)
-        dalpha_res = _vanishing("dalpha-power", da_message, dalpha[i], da_threshold, pts)
-        dbeta_res = _vanishing("dbeta-power", db_message, dbeta[i], db_threshold, pts)
-        min_volume = _nonvanishing(
-            "volume", "volume coefficient vanishes at a sample point", volume[i], tol * vol_scale, pts
+        _bound("alpha-nonvanishing", "alpha vanishes at a sample point", alpha[i], tol * scale_a, pts, lower=True)
+        _bound("beta-nonvanishing", "beta vanishes at a sample point", beta[i], tol * scale_b, pts, lower=True)
+        dalpha_res = _bound("dalpha-power", da_message, dalpha[i], da_threshold, pts, lower=False)
+        dbeta_res = _bound("dbeta-power", db_message, dbeta[i], db_threshold, pts, lower=False)
+        min_volume = _bound(
+            "volume", "volume coefficient vanishes at a sample point", volume[i], tol * vol_scale, pts, lower=True
         )
         if vol_min[i] < 0.0 < vol_max[i]:
             raise ContactPairError(
@@ -862,12 +882,13 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
             del gated  # a frame of the traceback holding the error is a cycle that would keep s
     pts, res_threshold = s.points, gated.residual_threshold
     ea, eb, peak = reeb
-    reeb_residual = _vanishing("reeb-residual", _INCONSISTENT, peak, res_threshold, pts)
+    reeb_residual = _bound("reeb-residual", _INCONSISTENT, peak, res_threshold, pts, lower=False)
     comm = None
     if chains is not None:
-        comm = _vanishing(
+        comm = _bound(
             "reeb-commutator", "Reeb fields fail to commute",
             _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea.values(), eb.values())))[0], res_threshold, pts,
+            lower=False,
         )
     return ContactPairCertificate(
         *gated,
@@ -984,11 +1005,10 @@ def verify_single_deformation(
         condition_ii = None
     elif report.constant and report.k == k_max:
         zv = _form_reeb(n, av, dav)[0]
-        pairings = np.abs(np.einsum("pi,pi->p", a0v, zv))
-        pairing_defect = float(np.max(pairings))
+        pairing_defect, idx = _peaks(np.abs(np.einsum("pi,pi->p", a0v, zv)))[0]
         scale = float(np.max(np.abs(a0v))) * max(1.0, float(np.max(np.abs(zv))))
-        condition_ii = pairing_defect <= tol * scale
-        witness_ii = _witness(pts, int(np.argmax(pairings)), value=pairing_defect)
+        condition_ii = passes(pairing_defect, tol * scale, lower=False)
+        witness_ii = _witness(pts, idx, value=pairing_defect)
     else:
         condition_ii = False
         witness_ii = {"reason": "alpha does not have maximal constant class", **report.witnesses}
@@ -1013,7 +1033,7 @@ def verify_single_deformation(
         scale = float(np.max(np.abs(coeff)))
         min_abs = float(np.min(np.abs(coeff)))
         sign_change = coeff.min() < 0.0 < coeff.max()
-        passed = (min_abs > tol * scale) and not sign_change
+        passed = passes(min_abs, tol * scale, lower=True) and not sign_change
         entry = {
             "t": t,
             "min_abs_coefficient": min_abs,

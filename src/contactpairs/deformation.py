@@ -42,12 +42,14 @@ import numpy as np
 
 from .contact import (
     CONVERSE_T_GRID,
+    CheckItem,
     ContactPairCertificate,
     ContactPairError,
     SampledPair,
     _certificate,
     _certify,
     _gap,
+    _gate,
     _live_max,
     _peaks,
     _reeb_pair,
@@ -55,6 +57,8 @@ from .contact import (
     _require_closed,
     _span,
     _t_batch,
+    _troughs,
+    passes,
 )
 from .exterior import chain, chain_factor
 from .fields import FormField
@@ -147,9 +151,10 @@ class VolumePolynomial:
 class SampledFamily:
     """The forms of a family and their derivatives, evaluated once on a
     point set, where the family's premises are decided at tol: alpha0 and
-    beta0 closed (max |d alpha0| <= tol * max |alpha0|, the same for beta0)
-    and pointwise independent (|alpha0 ∧ beta0| above tol times the product
-    of their scales at every point), or a ValueError naming the form.
+    beta0 closed (max |d alpha0| at most tol * max |alpha0|, the same for
+    beta0) and pointwise independent (min |alpha0 ∧ beta0| above tol times
+    the product of their scales), each decided by ``contact.passes``, or a
+    ValueError naming the forms.
 
     Every sampled quantity of (alpha_t, beta_t) is affine in t, so ``at(t)``
     forms its arrays without building or evaluating expressions, and
@@ -167,10 +172,10 @@ class SampledFamily:
         scale_a, scale_b, scale_da, scale_db = c.scales()
         _require_closed("alpha0", scale_a, scale_da, tol)
         _require_closed("beta0", scale_b, scale_db, tol)
-        _, wedge, (live, _) = chain_factor(c.n, *c.factors()[:2])
-        indep = _live_max(wedge, live, ())
-        if np.any(indep <= tol * float(scale_a) * float(scale_b)):
-            idx = int(np.argmin(indep))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite wedge fails the premise
+            _, wedge, (live, _) = chain_factor(c.n, *c.factors()[:2])
+        indep, idx, _ = _troughs(_live_max(wedge, live, ()))[0]
+        if not passes(indep, tol * float(scale_a) * float(scale_b), lower=True):
             raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
         self._plans = {finite: _plan(c, self.direction, finite) for finite in (True, False)}
         self._buffers = {}
@@ -350,30 +355,6 @@ class PairSamples:
 
 
 @dataclass
-class CheckItem:
-    """One named pointwise check inside a verdict."""
-
-    name: str
-    passed: bool | None
-    defect: float | None = None
-    threshold: float | None = None
-    witness: dict | None = None
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.defect is not None:
-            out["defect"] = self.defect
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        if self.witness:
-            out["witness"] = self.witness
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-@dataclass
 class TheoremVerdict:
     """Hypotheses and conclusions of one theorem direction.
 
@@ -404,13 +385,6 @@ class TheoremVerdict:
             "hypotheses": [i.to_dict() for i in self.hypotheses],
             "conclusions": [i.to_dict() for i in self.conclusions],
         }
-
-
-def _gate(name: str, defect: float, threshold: float, witness: dict | None = None) -> CheckItem:
-    """The check that defect stays below threshold (NaN fails); the witness
-    is kept only on failure."""
-    passed = bool(defect < threshold)
-    return CheckItem(name, passed, defect=defect, threshold=threshold, witness=None if passed else witness)
 
 
 def _cert_item(name: str, make_cert) -> tuple[CheckItem, ContactPairCertificate | None]:
@@ -485,11 +459,10 @@ def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
     samples = [np.ascontiguousarray(v) for v in (closed.alpha, closed.beta)]
     items = []
     for label, form, key in names:
-        vals = np.abs(np.einsum("pi,pi->p", samples[form], reeb[key]))
-        defect = float(np.max(vals))
+        defect, idx = _peaks(np.abs(np.einsum("pi,pi->p", samples[form], reeb[key])))[0]
         scale = max(1.0, float(closed.scales()[form]) * float(np.max(np.abs(reeb[key]))))
-        point = [float(v) for v in closed.points[int(np.argmax(vals))]]
-        items.append(_gate(f"compatibility {label}=0", defect, tol * scale, {"point": point, "value": defect}))
+        witness = {"point": closed.points[idx].tolist(), "value": defect}
+        items.append(_gate(f"compatibility {label}=0", defect, tol * scale, witness))
     return items
 
 

@@ -43,10 +43,13 @@ from .contact import (
     _coordinate_partials,
     _dual_derivative,
     _form_reeb,
+    _peaks,
     _product_rule,
     _top,
+    _troughs,
     _vol_dual,
     _wedge,
+    passes,
     verify_contact_pair,
 )
 from .exterior import _BLOCK, chain_factor, two_form_matrices
@@ -63,12 +66,15 @@ __all__ = [
 
 class JacobiError(ValueError):
     """A Jacobi side cannot be built or solved; ``condition`` is "non-finite"
-    when a grid value overflowed, with the first such grid point as witness."""
+    when a grid value overflowed, with the first such grid point as witness.
+    A side's failed gate gives the defect and the threshold it applied."""
 
-    def __init__(self, message: str, condition: str | None = None, witness: dict | None = None):
+    def __init__(self, message: str, condition: str | None = None, witness: dict | None = None,
+                 defect: float | None = None, threshold: float | None = None):
         super().__init__(message)
         self.condition = condition
         self.witness = witness or {}
+        self.defect, self.threshold = defect, threshold
 
 
 def _grid_witness(idx: int, points: np.ndarray, shapes=None) -> dict:
@@ -311,18 +317,19 @@ def _form_side(alpha: FormField, resolution=None, tol: float | None = None, part
     # an overflow first; where the volume v = alpha ∧ (d alpha)^k is
     # nonzero, A R = 0 gives i_R vol = 0, so the Reeb system has full rank
     grid.require_finite("Reeb system", volume)
-    k = n // 2
-    scale = max(1.0, float(np.max(np.abs(av))))
-    threshold = tol * scale * max(1.0, float(np.max(np.abs(dav)))) ** k
-    idx = int(np.argmin(np.abs(volume)))
-    if not abs(float(volume[idx])) > threshold:
+    k, scale_a, scale_da = n // 2, float(np.max(np.abs(av))), float(np.max(np.abs(dav)))
+    defect, idx, _ = _troughs(volume)[0]
+    threshold = tol * scale_a * scale_da**k  # the scale of the pair certificate and of classify
+    if not passes(defect, threshold, lower=True):
         witness = grid.witness(idx)
         raise JacobiError(
             f"degenerate contact form: the volume alpha ^ (d alpha)^{k} vanishes at grid point "
-            f"{witness['point']}", None, witness,
+            f"{witness['point']}", None, witness, defect=defect, threshold=threshold,
         )
-    if not float(np.max(residual)) <= tol * scale:
-        raise JacobiError("Reeb system inconsistent: the form is not contact on the grid")
+    defect, threshold = float(np.max(residual)), tol * max(1.0, scale_a, scale_da)
+    if not passes(defect, threshold, lower=False):
+        raise JacobiError("Reeb system inconsistent: the form is not contact on the grid",
+                          defect=defect, threshold=threshold)
     jets, axes = _jets(grid, (alpha, alpha.d()), ((1, av), (2, dav)), partials)
     rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
     return _structure(grid, k, n, tol, (*jets, None), axes, e, rows)
@@ -412,10 +419,10 @@ class JacobiSide:
 
     def __init__(self, model, side: _Side):
         peaks, scale = side.relations
-        worst = float(np.max(peaks))
-        if not worst <= side.tol * scale:
-            point = side.grid.sub_points[int(np.argmax(peaks))]
-            raise JacobiError(f"Hamiltonian relations defect {worst:.3e} at {point.tolist()}")
+        (worst, idx), threshold = _peaks(peaks)[0], side.tol * scale
+        if not passes(worst, threshold, lower=False):
+            point = side.grid.sub_points[idx].tolist()
+            raise JacobiError(f"Hamiltonian relations defect {worst:.3e} at {point}", defect=worst, threshold=threshold)
         grid = side.grid
         self.model = model
         self.grid_shape = grid.shape

@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from . import expressions as ex
 from .config import JACOBI_RESOLUTION, RunConfig
-from .contact import ContactPairError, cartan_class, marginal, verify_contact_pair, verify_single_deformation
-from .deformation import CONVERSE_T_GRID, _gate, sweep_rows, verify_converse, verify_forward
+from .contact import ContactPairError, _gate, cartan_class, marginal, verify_contact_pair, verify_single_deformation
+from .deformation import CONVERSE_T_GRID, sweep_rows, verify_converse, verify_forward
 from .fields import FormField
 from .jacobi import JacobiError, _form_side, _pair_side, _structure_checks
 from .models import sample_points
@@ -40,11 +40,9 @@ def _points_for(cfg: RunConfig, model, rng):
 def _witnessed(err: ContactPairError | JacobiError) -> dict:
     """The failure's condition, message and witness, with the defect and the
     threshold of the gate that decided it when it has them."""
-    out = {"condition": err.condition, "message": str(err), **err.witness}
-    for key in ("defect", "threshold"):
-        if getattr(err, key, None) is not None:  # a JacobiError has neither
-            out[key] = getattr(err, key)
-    return out
+    gate = {"defect": err.defect, "threshold": err.threshold}
+    return {"condition": err.condition, "message": str(err), **err.witness,
+            **{key: value for key, value in gate.items() if value is not None}}
 
 
 def _graded(failures, otherwise: str) -> str:

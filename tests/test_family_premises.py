@@ -11,6 +11,7 @@ it in exit 2, naming the form.
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from contactpairs import deformation, fields
 from contactpairs import expressions as ex
 from contactpairs.cli import main
 from contactpairs.config import load_config
-from contactpairs.deformation import DeformationFamily
+from contactpairs.deformation import DeformationFamily, SampledFamily
+from contactpairs.fields import form_from_expressions
 from contactpairs.models import sample_points
 from contactpairs.registry import build_example
 
@@ -149,6 +151,33 @@ def test_dependent_closed_forms_fail_every_sampling_task(tmp_path):
         code, err = _run([*command, "--config", path])
         assert code == 2
         assert "alpha0 and beta0 are linearly dependent at sample point" in err
+
+
+# alpha0 = beta0 = 1e200 (dx0 + dx3) on T^6: alpha0 ∧ beta0 is inf - inf = NaN
+HUGE_DEPENDENT = {"0": "1e200", "3": "1e200"}
+
+
+def test_a_nan_wedge_of_alpha0_and_beta0_fails_the_independence_premise():
+    objs = build_example("t6-pair-compatible")
+    closed = form_from_expressions(objs["model"], 1, {int(i): c for i, c in HUGE_DEPENDENT.items()})
+    family = DeformationFamily(closed, closed, objs["alpha"], objs["beta"], 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes the premise
+        with pytest.raises(ValueError, match=r"alpha0 and beta0 are linearly dependent at sample point \["):
+            SampledFamily(family, sample_points(objs["model"]), 1e-6)
+
+
+@pytest.mark.parametrize("command", SAMPLING_COMMANDS, ids=" ".join)
+def test_a_nan_wedge_of_alpha0_and_beta0_ends_every_sampling_task_in_exit_2(tmp_path, command):
+    doc = json.loads(T6_CONFIG.read_text(encoding="utf-8"))
+    for name in ("alpha0", "beta0"):
+        doc["forms"][name] = {"model": "t6", "degree": 1, "coefficients": HUGE_DEPENDENT}
+    path = tmp_path / "t6_nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _run([*command, "--config", str(path)])
+    assert code == 2
+    assert "alpha0 and beta0 are linearly dependent at sample point [" in err
+    assert "Warning" not in err
 
 
 def test_single_deform_names_a_non_closed_alpha0():

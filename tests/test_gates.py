@@ -1,11 +1,14 @@
-"""One gate per bound, one margin rule.
+"""One decision rule for every gate, one margin rule.
 
-Every upper bound of the pair certificate goes through ``contact._vanishing``,
-every lower bound through ``contact._nonvanishing``, and every numeric item
-of a deformation or jacobi verdict through ``deformation._gate``.  A failure
-carries the threshold its gate applied, and ``contact.marginal`` alone reads
-``contact.MARGINAL_FACTOR`` to grade it.  A NaN defect fails every gate and
-is never marginal.
+``contact.passes`` alone compares a defect with a threshold: an upper bound
+passes iff defect <= threshold, a lower bound iff defect > threshold, and a
+NaN fails both.  The pair certificate's bounds go through its raising
+wrapper ``contact._bound``, every numeric item of a deformation or jacobi
+verdict through its item wrapper ``contact._gate``, and the premises, the
+pointwise class, the single-form criterion and the Jacobi sides' gates call
+it directly.  A failure carries the threshold its gate applied, and
+``contact.marginal`` alone reads ``contact.MARGINAL_FACTOR`` to grade it.
+A NaN defect is never marginal.
 """
 
 import ast
@@ -22,14 +25,14 @@ from contactpairs.cli import main
 from contactpairs.contact import (
     MARGINAL_FACTOR,
     ContactPairError,
-    _nonvanishing,
+    _bound,
+    _gate,
     _peaks,
     _troughs,
-    _vanishing,
     marginal,
+    passes,
     verify_contact_pair,
 )
-from contactpairs.deformation import _gate
 from contactpairs.fields import form_from_expressions
 from contactpairs.models import torus
 
@@ -69,20 +72,61 @@ def _call_sites(callee: str, keyword: str, positional: int):
     return _sites(matches)
 
 
-def test_thresholded_items_come_from_one_gate():
-    # _cert_item only reports the certificate's pass, which _vanishing
-    # decided; every other item with a threshold is decided by _gate
-    assert _call_sites("CheckItem", "threshold", 3) == [
-        ("deformation", "_cert_item"),
-        ("deformation", "_gate"),
-    ]
+def _mentions_a_threshold(node) -> bool:
+    """Whether node mentions ``tol`` or a name containing "threshold"."""
+    for n in ast.walk(node):
+        name = n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else ""
+        if name == "tol" or "threshold" in name:
+            return True
+    return False
 
 
-def test_thresholded_failures_come_from_the_two_bound_gates():
-    assert _call_sites("ContactPairError", "threshold", 4) == [
-        ("contact", "_nonvanishing"),
-        ("contact", "_vanishing"),
-    ]
+def test_only_the_rule_compares_with_a_threshold():
+    # contact.marginal grades a failure the rule decided; it decides nothing
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+    def compares(node):
+        return (isinstance(node, ast.Compare) and any(isinstance(op, ordering) for op in node.ops)
+                and any(map(_mentions_a_threshold, (node.left, *node.comparators))))
+
+    assert set(_sites(compares)) == {("contact", "marginal"), ("contact", "passes")}
+
+
+NAN = float("nan")
+# (defect, threshold, passes as an upper bound, passes as a lower bound)
+RULE_CASES = [
+    (0.5, 1.0, True, False),
+    (1.0, 1.0, True, False),  # equality passes an upper bound and fails a lower one
+    (2.0, 1.0, False, True),
+    (0.0, 0.0, True, False),  # exactly zero data passes at zero scale
+    (NAN, 1.0, False, False),
+    (1.0, NAN, False, False),
+    (NAN, NAN, False, False),
+]
+
+
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_the_rule_and_its_wrappers(lower, shape):
+    defects, thresholds, upper_ok, lower_ok = (list(c) for c in zip(*RULE_CASES))
+    expected = lower_ok if lower else upper_ok
+    if shape == "array":
+        got = passes(np.array(defects), np.array(thresholds), lower=lower)
+        assert got.dtype == bool and got.tolist() == expected
+        return
+    got = [passes(d, t, lower=lower) for d, t in zip(defects, thresholds)]
+    assert [type(g) for g in got] == [bool] * len(got) and got == expected
+    # the wrappers decide by the rule alone: a verdict item (an upper bound)
+    # and a certificate bound, which returns the defect or raises
+    if not lower:
+        assert [_gate("check", d, t).passed for d, t in zip(defects, thresholds)] == expected
+    for d, t, ok in zip(defects, thresholds, expected):
+        extremum = (d, 1, -d) if lower else (d, 1)
+        if ok:
+            assert _bound("cond", "msg", extremum, t, PTS, lower=lower) == d
+        else:
+            with pytest.raises(ContactPairError):
+                _bound("cond", "msg", extremum, t, PTS, lower=lower)
 
 
 def test_marginal_factor_is_read_only_by_marginal():
@@ -280,7 +324,7 @@ def test_verify_pair_grades_the_volume(tmp_path, capsys, ratio, code, status):
         assert error["threshold"] == 1e-6
 
 
-# --- deformation._gate -----------------------------------------------------------------
+# --- contact._gate ----------------------------------------------------------------------
 
 def test_gate_nan_defect_fails_with_its_witness():
     item = _gate("check", float("nan"), 1.0, {"point": [0.0]})
@@ -301,15 +345,11 @@ def test_gate_passed_is_a_python_bool(defect):
     assert type(_gate("check", defect, np.float64(1.0)).passed) is bool
 
 
-def test_gate_is_strict_at_the_threshold():
-    assert _gate("check", 1.0, 1.0).passed is False
-
-
-# --- contact._vanishing ----------------------------------------------------------------
+# --- contact._bound on an upper bound ---------------------------------------------------
 
 def test_vanishing_raises_on_nan():
     with pytest.raises(ContactPairError) as err:
-        _vanishing("cond", "does not vanish", _peaks(np.array([0.0, np.nan, 0.1]))[0], 1.0, PTS)
+        _bound("cond", "does not vanish", _peaks(np.array([0.0, np.nan, 0.1]))[0], 1.0, PTS, lower=False)
     assert err.value.condition == "cond"
     assert str(err.value) == "does not vanish"
     assert math.isnan(err.value.defect)
@@ -319,24 +359,20 @@ def test_vanishing_raises_on_nan():
     assert marginal(err.value.defect, err.value.threshold) is False
 
 
-def test_vanishing_passes_at_the_threshold():
-    assert _vanishing("cond", "msg", _peaks(np.array([0.25, 1.0, 0.5]))[0], 1.0, PTS) == 1.0
-
-
 @pytest.mark.parametrize("defect, is_marginal", [(0.5 * MARGINAL_FACTOR, True), (2.0 * MARGINAL_FACTOR, False)])
 def test_vanishing_marks_failures_within_the_marginal_factor(defect, is_marginal):
     with pytest.raises(ContactPairError) as err:
-        _vanishing("cond", "msg", _peaks(np.array([0.0, 0.0, defect]))[0], 1.0, PTS)
+        _bound("cond", "msg", _peaks(np.array([0.0, 0.0, defect]))[0], 1.0, PTS, lower=False)
     assert err.value.defect == defect
     assert err.value.witness == {"point": [4.0, 5.0], "index": 2, "value": defect}
     assert marginal(err.value.defect, err.value.threshold) is is_marginal
 
 
-# --- contact._nonvanishing -------------------------------------------------------------
+# --- contact._bound on a lower bound ----------------------------------------------------
 
 def test_nonvanishing_raises_on_nan():
     with pytest.raises(ContactPairError) as err:
-        _nonvanishing("cond", "vanishes", _troughs(np.array([3.0, np.nan, 2.0]))[0], 1.0, PTS)
+        _bound("cond", "vanishes", _troughs(np.array([3.0, np.nan, 2.0]))[0], 1.0, PTS, lower=True)
     assert err.value.condition == "cond"
     assert str(err.value) == "vanishes"
     assert math.isnan(err.value.defect)
@@ -345,20 +381,13 @@ def test_nonvanishing_raises_on_nan():
     assert marginal(err.value.defect, err.value.threshold) is False
 
 
-def test_nonvanishing_fails_at_the_threshold():
-    with pytest.raises(ContactPairError) as err:
-        _nonvanishing("cond", "msg", _troughs(np.array([3.0, -1.0, 2.0]))[0], 1.0, PTS)
-    assert err.value.defect == 1.0
-    assert err.value.threshold == 1.0
-
-
 def test_nonvanishing_passes_strictly_above_the_threshold():
-    assert _nonvanishing("cond", "msg", _troughs(np.array([3.0, -1.5, 2.0]))[0], 1.0, PTS) == 1.5
+    assert _bound("cond", "msg", _troughs(np.array([3.0, -1.5, 2.0]))[0], 1.0, PTS, lower=True) == 1.5
 
 
 def test_nonvanishing_witness_is_the_smallest_magnitude_with_its_sign():
     with pytest.raises(ContactPairError) as err:
-        _nonvanishing("cond", "msg", _troughs(np.array([-0.5, -0.25, 0.75]))[0], 1.0, PTS)
+        _bound("cond", "msg", _troughs(np.array([-0.5, -0.25, 0.75]))[0], 1.0, PTS, lower=True)
     assert err.value.defect == 0.25
     assert err.value.witness == {"point": [2.0, 3.0], "index": 1, "value": -0.25}
     assert marginal(err.value.defect, err.value.threshold) is True

@@ -109,20 +109,42 @@ def test_jacobi_on_a_closed_form_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("scale, degenerate", [(1e-9, True), (1e-5, False)])
 def test_rank_gate_sees_a_nearly_degenerate_contact_form(scale, degenerate):
-    # dz + scale x0 dx1 on a box is contact (alpha ^ d alpha = scale dx0 dx1 dz)
-    # with the consistent Reeb field d/dz; its volume is scale, against the
-    # threshold tol = 1e-6 (every coefficient is at most 1 in size).  At
-    # 1e-9 the Reeb system is far from exactly singular, so a solve alone
-    # accepts it.
+    # scale dz + x0 dx1 on a box is contact (alpha ^ d alpha = scale dx0 dx1 dz)
+    # with the consistent Reeb field d/dz / scale; its volume is scale,
+    # against the threshold tol |alpha| |d alpha| = 1e-6.  At 1e-9 the Reeb
+    # system is far from exactly singular, so a solve alone accepts it.
     model = box_chart([(-1.0, 1.0)] * 3, resolution=8)
-    alpha = form_from_expressions(model, 1, {1: f"{scale}*x0", 2: "1"})
+    alpha = form_from_expressions(model, 1, {1: "x0", 2: f"{scale}"})
     if degenerate:
         with pytest.raises(JacobiError, match=r"volume alpha \^ \(d alpha\)\^1 vanishes") as err:
             JacobiSide.from_contact_form(alpha, resolution=8)
         assert err.value.condition is None  # an input error, not a non-finite failure
         assert len(err.value.witness["point"]) == 3
+        assert (err.value.defect, err.value.threshold) == (scale, 1e-6)  # the gate's, with |alpha| = |d alpha| = 1
     else:
         JacobiSide.from_contact_form(alpha, resolution=8)
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e-6])
+def test_a_scaled_contact_form_passes_jacobi_as_it_passes_classify(tmp_path, capsys, c):
+    # c (cos(x0) dx1 + sin(x0) dx2) has volume c^2, which the volume gate
+    # reads against tol |alpha| |d alpha| = 1e-6 c^2, as classify does
+    doc = {
+        "models": {"t3": {"kind": "builtin", "name": "torus3"}},
+        "forms": {"a": {"model": "t3", "degree": 1, "coefficients": {"1": f"{c!r}*cos(x0)", "2": f"{c!r}*sin(x0)"}}},
+        "tasks": [{"task": "classify", "form": "a"}, {"task": "jacobi", "form": "a"}],
+    }
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    tasks = {}
+    for command in ("classify", "jacobi"):
+        assert main([command, "--config", str(path), "--format", "structured"]) == 0
+        (tasks[command],) = json.loads(capsys.readouterr().out)["tasks"]
+    assert tasks["classify"]["result"]["class"] == 3
+    result = tasks["jacobi"]["result"]
+    assert tasks["jacobi"]["status"] == "pass" and "failures" not in result
+    for name in ("hamiltonian_relations_defect", "jacobi_identity_defect", "reeb_invariance_defect"):
+        assert 0.0 <= result[name] < 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

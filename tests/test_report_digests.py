@@ -196,3 +196,18 @@ def test_scaled_config_passes_every_pair_task(tmp_path):
     assert doc == original
     for run in runs:
         assert tool.digest_line(0, run, {tool.SCALED_CONFIG: path}).split(" ")[1:3] == ["0", "pass"]
+
+
+def test_nan_premise_and_scaled_contact_runs_end_as_the_rule_decides(tmp_path):
+    # a NaN alpha0 ∧ beta0 fails the independence premise (exit 2); the
+    # 1e-4 scaled contact form passes jacobi at the certificate's scale
+    tool = load_tool()
+    commands = (("deform", "--mode", "forward"), ("deform", "--mode", "converse"), ("sweep",))
+    nan_runs = [cmd + ("--config", tool.NAN_PREMISE_CONFIG) for cmd in commands]
+    scaled_run = ("jacobi", "--config", tool.SCALED_CONTACT_CONFIG)
+    assert [run for run in tool.matrix() if tool.NAN_PREMISE_CONFIG in run] == nan_runs
+    assert [run for run in tool.matrix() if tool.SCALED_CONTACT_CONFIG in run] == [scaled_run]
+    paths = {name: tool.write_config(tmp_path, name) for name in (tool.NAN_PREMISE_CONFIG, tool.SCALED_CONTACT_CONFIG)}
+    for run in nan_runs:
+        assert tool.digest_line(0, run, paths).split(" ")[1:3] == ["2", "error"]
+    assert tool.digest_line(0, scaled_run, paths).split(" ")[1:3] == ["0", "pass"]

@@ -63,7 +63,13 @@ seeds 0 and 7 over this matrix:
 - verify-pair, deform forward, deform converse and sweep on a copy whose
   ``alpha_l`` and ``alpha0_l`` are multiplied by 1e-8: (c alpha, beta)
   is a contact pair for every c != 0, and every gate scales with c, so
-  all four pass as on the original.
+  all four pass as on the original;
+- deform forward, deform converse and sweep on a copy whose alpha0 and
+  beta0 are both ``1e200 dx0 + 1e200 dx3`` on T^6: alpha0 ∧ beta0 is
+  inf - inf = NaN, which fails the independence premise (exit 2);
+- jacobi on a config of its own that holds torus-contact's form times
+  1e-4: its volume 1e-8 is gated at tol |alpha| |d alpha|^k, the scale of
+  the pair certificate and of classify, so the verdict passes.
 
 It prints one line per run,
 ``seed exit statuses sha256(body) sha256(stderr) argv``, where statuses are
@@ -140,6 +146,18 @@ SHEARED_FORMS = {
 # a copy of the t6 config whose alpha_l and alpha0_l are scaled by a constant
 SCALED_CONFIG = "t6_explicit_family_scaled.json"
 SCALED_FORMS, SCALE = ("alpha_l", "alpha0_l"), "1e-8"
+# a copy of the t6 config whose closed forms are equal and so large that
+# their wedge is NaN
+NAN_PREMISE_CONFIG = "t6_explicit_family_nan_premise.json"
+NAN_PREMISE_FORM = {"model": "t6", "degree": 1, "coefficients": {"0": "1e200", "3": "1e200"}}
+# torus-contact's form times 1e-4, with a jacobi task
+SCALED_CONTACT_CONFIG = "torus_contact_scaled.json"
+SCALED_CONTACT = {
+    "schema_version": 1,
+    "models": {"t3": {"kind": "builtin", "name": "torus3"}},
+    "forms": {"alpha": {"model": "t3", "degree": 1, "coefficients": {"1": "1e-4*cos(x0)", "2": "1e-4*sin(x0)"}}},
+    "tasks": [{"task": "jacobi", "form": "alpha"}],
+}
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -179,6 +197,8 @@ def matrix() -> list[tuple[str, ...]]:
     runs.append(("deform", "--mode", "converse", "--config", CLOSED_PAIR_CONFIG))
     for config in (SHEARED_CONFIG, SCALED_CONFIG):
         runs += [cmd + ("--config", config) for cmd in TASK_COMMANDS[1:4] + TASK_COMMANDS[5:6]]
+    runs += [cmd + ("--config", NAN_PREMISE_CONFIG) for cmd in TASK_COMMANDS[2:4] + TASK_COMMANDS[5:6]]
+    runs.append(("jacobi", "--config", SCALED_CONTACT_CONFIG))
     return runs
 
 
@@ -188,10 +208,15 @@ def write_config(directory, name) -> str:
     ``RANDOM_COUNTS`` (and, for the mixed batch copy, the coefficients
     ``MIXED_BATCH_ALPHA0`` of alpha0), with the ``ZERO_COEFFICIENTS``
     added as dx0 coefficients, with the closed forms of ``CLOSED_PAIR``,
-    with the forms of ``SHEARED_FORMS``, or with those of ``SCALED_FORMS``
-    times ``SCALE``."""
+    with the forms of ``SHEARED_FORMS``, with those of ``SCALED_FORMS``
+    times ``SCALE`` or with ``NAN_PREMISE_FORM`` as alpha0 and beta0; or
+    the config ``SCALED_CONTACT``."""
     doc = json.loads((ROOT / CONFIGS[1]).read_text(encoding="utf-8"))
-    if name == ZERO_COEFFICIENT_CONFIG:
+    if name == SCALED_CONTACT_CONFIG:
+        doc = SCALED_CONTACT
+    elif name == NAN_PREMISE_CONFIG:
+        doc["forms"].update(alpha0=NAN_PREMISE_FORM, beta0=NAN_PREMISE_FORM)
+    elif name == ZERO_COEFFICIENT_CONFIG:
         for form, value in ZERO_COEFFICIENTS.items():
             doc["forms"][form]["coefficients"]["0"] = value
     elif name == CLOSED_PAIR_CONFIG:
@@ -246,7 +271,8 @@ def digest_lines(runs, seeds=SEEDS) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         paths = {
             name: write_config(tmp, name)
-            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG, SHEARED_CONFIG, SCALED_CONFIG)
+            for name in (*RANDOM_COUNTS, ZERO_COEFFICIENT_CONFIG, CLOSED_PAIR_CONFIG, SHEARED_CONFIG, SCALED_CONFIG,
+                         NAN_PREMISE_CONFIG, SCALED_CONTACT_CONFIG)
         }
         return [digest_line(seed, argv, paths) for seed in seeds for argv in runs]
 
