@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _columns, _interior, _per_block, _reaches, _scatter, _two_form_positions, chain_factor
+from .exterior import _columns, _interior, _per_block, _reaches, _scatter, _two_form_positions, chain_factor, form_count
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -187,6 +187,17 @@ def _live_max(values: np.ndarray, live: tuple, axis: tuple | None = None) -> np.
     return np.abs(rows).max(axis=None if axis is None else (0, *(a + 1 for a in axis)), initial=0.0)
 
 
+def _components_last(rows: np.ndarray) -> np.ndarray:
+    """The (..., C) view of component-major rows (C, ...)."""
+    return rows.transpose((*range(1, rows.ndim), 0))
+
+
+def _row_bound(rows: np.ndarray) -> np.ndarray:
+    """max |x| of component-major rows per leading index of the samples
+    (0 where there is no row); exact, and NaN propagates."""
+    return np.abs(rows).max(axis=(0, -1), initial=0.0)
+
+
 def cartan_class(alpha: FormField, tol: float | None = None, points=None) -> ClassReport:
     """Largest k with alpha ∧ (d alpha)^k nonvanishing and (d alpha)^{k+1} = 0,
     required to be the same k at every sample point."""
@@ -261,67 +272,78 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
 
 
 class SampledPair:
-    """alpha, beta, d alpha and d beta evaluated once on a point set.
+    """alpha, beta, d alpha and d beta evaluated once on a point set, each
+    held as component-major rows of its live components alone, as
+    ``_Field`` holds a vector field.
 
-    ``forms`` holds the four fields the arrays were evaluated from, which the
-    exact Reeb commutator differentiates; it is None for arrays formed
-    otherwise, such as the samples of a family at one t.
+    ``rows`` holds the four arrays in that order: row j of one is its
+    component live[j] with the samples' leading axes, every other component
+    being +0.0.  ``live`` holds, for each, (live components, bound), bound
+    being max |x| over them per leading index, the array's ``scales`` entry.
+    The wedge chains, row maxima and the Reeb pair read the rows alone;
+    ``alpha``, ``beta``, ``dalpha`` and ``dbeta`` scatter them into dense,
+    C-ordered (..., C) arrays for the readers that need every component.
 
-    ``live`` holds, for each of the four arrays, (live components, bound):
-    the components that can be nonzero, every other one being +0.0, and
-    max |x| over them per leading index, which is the array's ``scales``
-    entry.  The wedge chains and row maxima read the live components alone.
-
-    The arrays may carry leading axes before the points axis, such as the t
-    axis of a family's samples at a batch of t; ``scales``, ``top`` and
-    ``certificate_arrays`` broadcast over them.  The pair keeps nothing it
-    computes from them.
+    ``forms`` holds the four fields the rows were evaluated from, which the
+    exact Reeb commutator and the Jacobi jets differentiate (``partials``);
+    it is None for rows formed otherwise, such as the samples of a family
+    at one t.  The rows may carry leading axes before the points axis, such
+    as the t axis of a family's samples at a batch of t; ``scales``, ``top``
+    and ``certificate_arrays`` broadcast over them.  The pair keeps nothing
+    it computes from them but its forms' partials.
     """
 
-    def __init__(self, points, alpha, beta, dalpha, dbeta, live, forms=None):
+    def __init__(self, points, n, rows, live, forms=None):
         self.points = points
-        self.alpha = alpha
-        self.beta = beta
-        self.dalpha = dalpha
-        self.dbeta = dbeta
-        self.forms = forms
+        self.n = n
+        self.rows = tuple(rows)
         self.live = live
+        self.forms = forms
+        self._partials = None
 
     @classmethod
     def of(cls, alpha: FormField, beta: FormField, points) -> "SampledPair":
-        """Evaluate two 1-form fields and their derivatives, with the live
-        components of their coefficients (``FormField.live``), each
-        coefficient and call node of one structure once (``ex.Known``)."""
+        """Evaluate the live coefficients (``FormField.live``) of two 1-form
+        fields and their derivatives, each coefficient and call node of one
+        structure once (``ex.Known``)."""
         pts = np.asarray(points, dtype=float)
         forms, known = (alpha, beta, alpha.d(), beta.d()), ex.Known()
-        values = [f.values(pts, known) for f in forms]
-        live = tuple((f.live, _live_max(v, f.live)) for f, v in zip(forms, values))
-        return cls(pts, *values, live, forms=forms)
+        rows = [f.live_rows(pts, known) for f in forms]
+        return cls(pts, alpha.model.n, rows, tuple((f.live, _row_bound(r)) for f, r in zip(forms, rows)), forms)
 
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[-1]
+    def _dense(self, j: int) -> np.ndarray:
+        """Array j dense and C-ordered, (..., C), +0.0 off its live set."""
+        rows, comps = self.rows[j], self.live[j][0]
+        out = np.zeros(rows.shape[1:] + (form_count(self.n, 1 + j // 2),))
+        out[..., list(comps)] = _components_last(rows)
+        return out
+
+    alpha, beta, dalpha, dbeta = (property(lambda self, j=j: self._dense(j)) for j in range(4))
 
     def scales(self) -> tuple:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""
         return tuple(bound for _, bound in self.live)
 
     def factors(self) -> tuple:
-        """alpha, beta, d alpha and d beta as ``exterior.chain_factor``
-        factors (degree, values, live), each live set with one bound over
-        all leading indices."""
-        arrays = (self.alpha, self.beta, self.dalpha, self.dbeta)
+        """alpha, beta, d alpha and d beta as compact
+        ``exterior.chain_factor`` factors (degree, values, live), each live
+        set with one bound over all leading indices."""
         return tuple(
-            (degree, values, (comps, float(bound if bound.ndim == 0 else bound.max())))
-            for degree, values, (comps, bound) in zip((1, 1, 2, 2), arrays, self.live)
+            (degree, _components_last(rows), (comps, float(bound if bound.ndim == 0 else bound.max())))
+            for degree, rows, (comps, bound) in zip((1, 1, 2, 2), self.rows, self.live)
         )
+
+    def partials(self) -> dict:
+        """The exact partials of ``forms`` (``_partials``), evaluated on
+        first use and kept."""
+        if self._partials is None:
+            self._partials = _partials(self.forms, self.rows, self.points, None)
+        return self._partials
 
     def t_slice(self, i: int) -> "SampledPair":
         """The pair at index i of a leading t axis."""
-        return SampledPair(
-            self.points, self.alpha[i], self.beta[i], self.dalpha[i], self.dbeta[i],
-            tuple((comps, bound[i]) for comps, bound in self.live),
-        )
+        return SampledPair(self.points, self.n, (r[:, i] for r in self.rows),
+                           tuple((comps, bound[i]) for comps, bound in self.live))
 
     def chains(self, k: int, l: int) -> "_Chains":
         """The wedge chains of a certificate of type (k, l) (``_Chains``),
@@ -532,7 +554,7 @@ def _reeb_pair(s: SampledPair, ch: _Chains) -> tuple:
             _dual_rows(volume, numerators, live, rows)
             fields.append(_Field(n, live, rows, volume))
         # a NaN bound reads as unknown
-        operands = [(f.rows.transpose((*range(1, f.rows.ndim), 0)), (f.live, f.max_abs())) for f in fields]
+        operands = [(_components_last(f.rows), (f.live, f.max_abs())) for f in fields]
         return (*fields, _reeb_residual(s.n, operands, s.factors()))
 
 
@@ -558,16 +580,42 @@ def _t_batch(points: int) -> int:
 _INCONSISTENT = "Reeb defining relations are inconsistent"
 
 
-def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray, known: ex.Known | None = None):
-    """(rows, live) of the exact partial along a coordinate axis of the
-    coefficient array of a form at pts, live the components whose partial
-    is not identically 0 and rows their values, one row per component of
-    live (the others are +0.0); None when none is."""
-    parts = [ex.partial(c, axis) for c in form.coeffs]
-    live = tuple(i for i, p in enumerate(parts) if not ex.is_zero(p))
-    if not live:
+def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray, known, require_finite):
+    """(rows, (live, bound)) of the exact partial along a coordinate axis of
+    the coefficient array of a form at pts, live the components whose
+    partial is not identically 0, rows their values, one row per component
+    of live (the others are +0.0), and bound max |rows|; None when none is.
+    Only the live coefficients (``FormField.live``) are differentiated.
+    Where a partial is not finite, ``require_finite(what, values)``, unless
+    None, raises with its witness; else ``ex.EvaluationError`` is raised."""
+    parts = [(i, p) for i in form.live if not ex.is_zero(p := ex.partial(form.coeffs[i], axis))]
+    if not parts:
         return None
-    return np.array([ex.evaluate_many(parts[i], pts, known) for i in live]), live
+    rows = np.empty((len(parts), len(pts)))
+    try:
+        for row, (_, p) in zip(rows, parts):
+            row[...] = ex.evaluate_many(p, pts, known)
+    except ex.EvaluationError:
+        if require_finite is not None:
+            require_finite(f"partial along x{axis}", np.stack([ex._values(p, pts) for _, p in parts], axis=1))
+        raise
+    return rows, (tuple(i for i, _ in parts), float(np.abs(rows).max()))
+
+
+def _partials(forms, samples, pts: np.ndarray, require_finite) -> dict:
+    """{axis: per form of forms, its ``_coordinate_partials`` along axis or
+    None}, over the coordinate axes along which some form's partial is not
+    identically 0, in axis order, each evaluated once.  A call node that is
+    a live coefficient of a form is read from ``samples``, per form the
+    rows of its live coefficients (``ex.Known``); an overflow as in
+    ``_coordinate_partials``."""
+    known = ex.Known()
+    for form, rows in zip(forms, samples):
+        for i, row in zip(form.live, rows):
+            known.add(form.coeffs[i], row)
+    found = {a: [_coordinate_partials(f, a, pts, known, require_finite) for f in forms]
+             for a in forms[0].model.coordinate_axes}
+    return {a: column for a, column in found.items() if any(p is not None for p in column)}
 
 
 def _product_rule(n: int, pairs):
@@ -599,29 +647,26 @@ def _sum(a, b) -> tuple:
 
 
 def _moved(s: SampledPair, fields) -> list:
-    """Per field X = x of ``fields``, D_X of alpha, beta, d alpha and d
+    """Per ``_Field`` X of ``fields``, D_X of alpha, beta, d alpha and d
     beta at the samples of s, as compact chain factors (degree, values,
     live), None where 0: sum_a X^a ∂_a over the coordinate axes a, in axis
-    order, from the exact partials of s's ``forms``
-    (``_coordinate_partials``), each evaluated once for all the fields, a
-    call node that is a coefficient of s's forms read from s's samples.  A
-    component is live where one of its partials is not identically 0; the
-    values are a view of a component-major buffer of the live components."""
-    moved, known = [[None] * 4 for _ in fields], ex.Known()
-    for form, values in zip(s.forms, (s.alpha, s.beta, s.dalpha, s.dbeta)):
-        for i in form.live:
-            known.add(form.coeffs[i], values[:, i])
-    for f, (degree, form) in enumerate(zip((1, 1, 2, 2), s.forms)):
-        partials = [(a, p) for a in s.forms[0].model.coordinate_axes
-                    if (p := _coordinate_partials(form, a, s.points, known)) is not None]
-        if not partials:
-            continue
-        live = tuple(sorted({c for _, (_, comps) in partials for c in comps}))
-        for d, x in zip(moved, fields):
-            rows = np.zeros((len(live), len(x)))
-            for a, (values, comps) in partials:
-                rows[[live.index(c) for c in comps]] += values * x[:, a]
-            d[f] = (degree, rows.T, (live, float(_live_max(rows.T, live))))
+    order, from the exact partials of s's forms (``SampledPair.partials``).
+    An axis outside X's live set is skipped: X^a is ±0 there and every
+    partial is finite (``_coordinate_partials``), so its term would add ±0
+    to a sum that starts at +0.0, which changes no bit.  A component is
+    live where a partial along a kept axis is not identically 0; the values
+    are a view of a component-major buffer of the live components."""
+    partials, moved = s.partials(), []
+    for x in fields:
+        rows_of, along = dict(zip(x.live, x.rows)), []
+        for f, degree in enumerate((1, 1, 2, 2)):
+            terms = [(rows_of[a], column[f]) for a, column in partials.items() if a in rows_of and column[f]]
+            live = tuple(sorted({c for _, (_, (comps, _)) in terms for c in comps}))
+            rows = np.zeros((len(live), *x.rows.shape[1:]))
+            for xa, (values, (comps, _)) in terms:
+                rows[[live.index(c) for c in comps]] += values * xa
+            along.append((degree, rows.T, (live, float(_live_max(rows.T, live)))) if terms else None)
+        moved.append(along)
     return moved
 
 
@@ -664,13 +709,14 @@ def _reeb_commutator(s: SampledPair, ch: _Chains, ea, eb) -> np.ndarray:
 
         [E_alpha, E_beta] = c(E_alpha, E_beta) + D_{E_alpha} E_beta - D_{E_beta} E_alpha,
 
-    the derivatives exact (``_reeb_directional``)."""
-    model = s.forms[0].model
-    out = model.bracket_values(ea, eb)
+    the derivatives exact (``_reeb_directional``), for the compact pair
+    (E_alpha, E_beta) = (ea, eb) (``_Field``)."""
+    model, xa, xb = s.forms[0].model, ea.values(), eb.values()
+    out = model.bracket_values(xa, xb)
     if model.coordinate_axes:
         along_a, along_b = _moved(s, (ea, eb))
-        out += _reeb_directional(s, ch, eb, along_a, 1)
-        out -= _reeb_directional(s, ch, ea, along_b, 0)
+        out += _reeb_directional(s, ch, xb, along_a, 1)
+        out -= _reeb_directional(s, ch, xa, along_b, 0)
     return out
 
 
@@ -678,7 +724,7 @@ def _reeb_commutator(s: SampledPair, ch: _Chains, ea, eb) -> np.ndarray:
 class ContactPairCertificate:
     """A verified contact pair with its Reeb pair and its diagnostics.
 
-    ``sampled`` keeps the evaluated arrays; its ``forms`` are the fields
+    ``sampled`` keeps the evaluated rows; its ``forms`` are the fields
     they were evaluated from, or None for a family at one t.
     ``residual_threshold`` is tol * max(1, scales), the bound the Reeb
     residual (and the commutator) was gated at.  ``reeb_fields`` holds
@@ -887,7 +933,7 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     if chains is not None:
         comm = _bound(
             "reeb-commutator", "Reeb fields fail to commute",
-            _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea.values(), eb.values())))[0], res_threshold, pts,
+            _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea, eb)))[0], res_threshold, pts,
             lower=False,
         )
     return ContactPairCertificate(

@@ -55,12 +55,12 @@ from .contact import (
     _reeb_pair,
     _reeb_step,
     _require_closed,
-    _span,
+    _row_bound,
     _t_batch,
     _troughs,
     passes,
 )
-from .exterior import chain, chain_factor
+from .exterior import chain, chain_factor, form_count
 from .fields import FormField
 from .models import _integrals, default_tolerance, sample_points
 
@@ -177,42 +177,42 @@ class SampledFamily:
         indep, idx, _ = _troughs(_live_max(wedge, live, ()))[0]
         if not passes(indep, tol * float(scale_a) * float(scale_b), lower=True):
             raise ValueError(f"alpha0 and beta0 are linearly dependent at sample point {pts[idx].tolist()}")
-        self._plans = {finite: _plan(c, self.direction, finite) for finite in (True, False)}
-        self._buffers = {}
+        self._plans, self._buffers = {}, {}
 
     def at(self, t) -> SampledPair:
         """The samples of (alpha_t, beta_t); entries may overflow for huge t.
         An array t of shape (T, 1, 1) gives the samples at T values of t,
         with a leading t axis.
 
-        Each array is the (..., C) view of a component-major buffer of
-        shape (C, T, P) (or (C, P)), on which only the span of the
-        components live in the closed or the direction pair is formed
-        (``_plan``); the others stay the +0.0 of ``np.zeros``, since
-        t * (+0) + (+0) is +0 for every finite t.  A t that is not finite
-        makes every component live (0 * inf is NaN).  A buffer is zero-filled
-        once per plan and shape and formed again by the next call, unless an
-        array still refers to it: samples a caller holds keep their bytes,
-        and every bit is that of forming t alone in a fresh buffer.
+        Each array is formed as component-major rows (U, T, P) (or (U, P))
+        of the union U of the components live in the closed or the
+        direction pair, row by row t * direction + closed from the pairs'
+        own rows (``_plan``), in a buffer from ``np.empty`` of which every
+        row is written; every other component is +0.0, since t * (+0) +
+        (+0) is +0 for every finite t.  A t that is not finite makes every
+        component live (0 * inf is NaN), by a plan formed at the first such
+        t.  A buffer is allocated once per plan and shape and formed again
+        by the next call, unless an array still refers to it: samples a
+        caller holds keep their bytes, and every bit is that of forming t
+        alone in a fresh buffer.
         """
         t = np.asarray(t, dtype=float)
         batch = t.shape[:1]  # (T,) for a t axis
-        factor, axes = (t[:, :, 0], (1, 2, 0)) if batch else (t, (1, 0))
+        factor = t[:, :, 0] if batch else t
         finite = bool(np.isfinite(t).all())
+        if finite not in self._plans:
+            self._plans[finite] = _plan(self.closed, self.direction, finite)
         buffers = self._buffers.setdefault((finite, batch), [None] * 4)
-        arrays, live = [], []
+        live = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, (count, comps, span, closed, direction) in enumerate(self._plans[finite]):
+            for j, (comps, terms) in enumerate(self._plans[finite]):
                 if buffers[j] is None or sys.getrefcount(buffers[j]) > 2:  # the list's and the argument's
-                    buffers[j] = np.zeros((count, *batch, len(self.points)))
-                out = buffers[j]
-                rows = out[span]
-                np.multiply(factor, direction[:, None] if batch else direction, out=rows)
-                rows += closed[:, None] if batch else closed
-                values = out.transpose(axes)
-                arrays.append(values)
-                live.append((comps, _live_max(values, comps, (1,) if batch else None)))
-        return SampledPair(self.points, *arrays, tuple(live))
+                    buffers[j] = np.empty((len(comps), *batch, len(self.points)))
+                for row, (closed, direction) in zip(buffers[j], terms):
+                    np.multiply(factor, direction, out=row)
+                    row += closed
+                live.append((comps, _row_bound(buffers[j])))
+        return SampledPair(self.points, self.model.n, buffers, tuple(live))
 
     def batches(self, t_values, arrays_of=None):
         """Yield (t, samples, arrays) for each batch of
@@ -252,20 +252,15 @@ def _lin_terms(direction: SampledPair, closed: SampledPair, k: int, l: int) -> t
 
 def _plan(closed: SampledPair, direction: SampledPair, finite: bool) -> tuple:
     """Per array of alpha, beta, d alpha and d beta, what ``SampledFamily.at``
-    forms for a finite t or for any t: its component count, its live
-    components (the union of the live sets of the two pairs, or all of
-    them), their span, and the component-major span rows of the closed and
-    the direction pair."""
+    forms for a finite t or for any t: its live components U (the union of
+    the live sets of the two pairs, or all of them) and, per component of
+    U, the rows of the closed and of the direction pair that hold it, or
+    +0.0 for a pair whose live set misses it; nothing is copied."""
     plan = []
-    for c, d, (c_live, _), (d_live, _) in zip(
-        (closed.alpha, closed.beta, closed.dalpha, closed.dbeta),
-        (direction.alpha, direction.beta, direction.dalpha, direction.dbeta),
-        closed.live, direction.live,
-    ):
-        count = c.shape[-1]
-        comps = tuple(sorted(set(c_live).union(d_live))) if finite else tuple(range(count))
-        span = _span(comps)
-        plan.append((count, comps, span, c.T[span], d.T[span]))
+    for j, count in enumerate((closed.n, closed.n, *[form_count(closed.n, 2)] * 2)):
+        comps = tuple(sorted({*closed.live[j][0], *direction.live[j][0]})) if finite else tuple(range(count))
+        rows = [dict(zip(p.live[j][0], p.rows[j])) for p in (closed, direction)]
+        plan.append((comps, [(rows[0].get(c, 0.0), rows[1].get(c, 0.0)) for c in comps]))
     return tuple(plan)
 
 
@@ -455,8 +450,8 @@ def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
             for n, _, _ in names
         ]
     reeb = {"ea": cert.reeb_alpha_values, "eb": cert.reeb_beta_values}
-    # einsum sums in an order that depends on the layout: C-ordered samples
-    samples = [np.ascontiguousarray(v) for v in (closed.alpha, closed.beta)]
+    # einsum sums in an order that depends on the layout: the dense samples are C-ordered
+    samples = [closed.alpha, closed.beta]
     items = []
     for label, form, key in names:
         defect, idx = _peaks(np.abs(np.einsum("pi,pi->p", samples[form], reeb[key])))[0]

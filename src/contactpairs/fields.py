@@ -81,7 +81,7 @@ class FormField:
     @property
     def live(self) -> tuple[int, ...]:
         """The positions of the coefficients that are not the constant +0.0,
-        in order: the components ``values`` writes.  A constant -0.0 is
+        in order: the components ``live_rows`` evaluates.  A constant -0.0 is
         live, so that its samples keep their sign."""
         if self._live is None:
             self._live = tuple(
@@ -92,21 +92,30 @@ class FormField:
 
     def values(self, points, known: ex.Known | None = None) -> np.ndarray:
         """Coefficient array at a batch of points, shape (P, C(n, p)): the
-        view of a component-major (C, P) buffer in which the components
-        that are not ``live`` stay the +0.0 of ``np.zeros``, never written."""
+        view of a component-major (C, P) buffer of the ``live_rows``, the
+        other components +0.0."""
+        rows = self.live_rows(points, known)
+        out = np.zeros((len(self.coeffs), rows.shape[1]))
+        out[list(self.live)] = rows
+        return out.T
+
+    def live_rows(self, points, known: ex.Known | None = None) -> np.ndarray:
+        """The ``live`` coefficients at a batch of points, component-major:
+        shape (len(live), P), row j holding coefficient live[j], each call
+        node of one structure evaluated once (``ex.Known``)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array (P, n)")
-        out = np.zeros((len(self.coeffs), pts.shape[0]))
-        for i in self.live:
+        out = np.empty((len(self.live), pts.shape[0]))
+        for i, row in zip(self.live, out):
             c = self.coeffs[i]
             if isinstance(c, ex.Const):  # filled directly, with evaluate_many's guard
                 if not math.isfinite(c.value):
                     raise ex.EvaluationError("expression evaluated to a non-finite value")
-                out[i] = c.value
+                row[...] = c.value
             else:
-                out[i] = ex.evaluate_many(c, pts, known)
-        return out.T
+                row[...] = ex.evaluate_many(c, pts, known)
+        return out
 
     def d(self) -> "FormField":
         """Exterior derivative (coordinate partials plus the algebraic term),

@@ -40,9 +40,9 @@ import numpy as np
 
 from . import expressions as ex
 from .contact import (
-    _coordinate_partials,
     _dual_derivative,
     _form_reeb,
+    _partials,
     _peaks,
     _product_rule,
     _top,
@@ -259,33 +259,13 @@ class _Side(NamedTuple):
     relations: tuple
 
 
-def _partial_factor(grid: _SideGrid, form: FormField, axis: int):
-    """The exact partial of form along a coordinate axis at the sub-grid
-    points as a compact chain factor (``contact._coordinate_partials``), or
-    None where it is identically 0; where it overflows, a witnessed
-    "non-finite" JacobiError."""
-    pts = grid.sub_points
-    try:
-        partial = _coordinate_partials(form, axis, pts)
-    except ex.EvaluationError:
-        grid.require_finite(f"partial along x{axis}", np.stack(
-            [ex._values(ex.partial(c, axis), pts) for c in form.coeffs], axis=1))
-        raise
-    if partial is None:
-        return None
-    rows, live = partial
-    return form.degree, rows.T, (live, float(np.abs(rows).max(initial=0.0)))
-
-
-def _jets(grid: _SideGrid, forms, factors, partials: bool) -> tuple:
-    """(jets, axes): each form's chain factor of ``factors`` followed, with
-    ``partials``, by the form's partials (``_partial_factor``) along the
-    coordinate axes that some form's coefficients mention, ``axes``."""
-    if not partials:
-        return [(f,) for f in factors], ()
-    found = [(a, [_partial_factor(grid, form, a) for form in forms]) for a in forms[0].model.coordinate_axes]
-    found = [(a, column) for a, column in found if any(p is not None for p in column)]
-    return [(f, *(column[i] for _, column in found)) for i, f in enumerate(factors)], tuple(a for a, _ in found)
+def _jets(factors, partials: dict) -> tuple:
+    """(jets, axes): each form's chain factor of ``factors`` followed by its
+    exact partials along the axes of ``partials`` (``contact._partials``;
+    empty for none) as compact chain factors, None where identically 0,
+    and those axes."""
+    return [(f, *(None if p is None else (f[0], p[0].T, p[1]) for p in (column[i] for column in partials.values())))
+            for i, f in enumerate(factors)], tuple(partials)
 
 
 def _structure(grid, k, leaf_dim, tol, jets, axes, e, own_rows, other=None) -> _Side:
@@ -330,7 +310,9 @@ def _form_side(alpha: FormField, resolution=None, tol: float | None = None, part
     if not passes(defect, threshold, lower=False):
         raise JacobiError("Reeb system inconsistent: the form is not contact on the grid",
                           defect=defect, threshold=threshold)
-    jets, axes = _jets(grid, (alpha, alpha.d()), ((1, av), (2, dav)), partials)
+    forms = (alpha, alpha.d())  # with the rows of their live coefficients, which the partials read
+    samples = [v.T[list(f.live)] for f, v in zip(forms, (av, dav))]
+    jets, axes = _jets(((1, av), (2, dav)), _partials(forms, samples, pts, grid.require_finite) if partials else {})
     rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
     return _structure(grid, k, n, tol, (*jets, None), axes, e, rows)
 
@@ -351,7 +333,7 @@ def _pair_side(alpha: FormField, beta: FormField, k: int, l: int, side: str = "a
     s, w, powers = cert.sampled, ("alpha", "beta").index(side), (k, l)
     rows = s.reeb_rows()  # alpha, beta, i_. d alpha, i_. d beta
     own_rows, other_rows = (rows[:, [i, *range(2 + i * n, 2 + (i + 1) * n)]] for i in (w, 1 - w))
-    jets, axes = _jets(grid, s.forms, s.factors(), partials)
+    jets, axes = _jets(s.factors(), s.partials() if partials else {})
     with np.errstate(over="ignore", invalid="ignore"):  # the gate checks
         tail = _jet_wedge(n, jets[1 - w], *[jets[3 - w]] * powers[1 - w])
     e = (cert.reeb_alpha_values, cert.reeb_beta_values)[w]

@@ -6,6 +6,7 @@ from contactpairs import expressions as ex
 from contactpairs.contact import (
     ContactPairError,
     SampledPair,
+    _Field,
     _form_reeb,
     _moved,
     _reeb_commutator,
@@ -28,6 +29,7 @@ from contactpairs.models import (
     random_points,
     torus,
 )
+from contactpairs.registry import build_example
 
 
 def heisenberg6():
@@ -258,10 +260,9 @@ def test_commutator_terms_cancel_only_in_the_bracket():
     model, alpha, beta = sheared_t6_pair()
     pts = random_points(model, 500, np.random.default_rng(15))
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
-    ea, eb = cert.reeb_alpha_values, cert.reeb_beta_values
     # D_{E_alpha} E_beta alone, one of the two terms of the bracket
     s = SampledPair.of(alpha, beta, pts)
-    one_term = _reeb_directional(s, s.chains(1, 1), eb, _moved(s, (ea,))[0], 1)
+    one_term = _reeb_directional(s, s.chains(1, 1), cert.reeb_beta_values, _moved(s, cert.reeb_fields[:1])[0], 1)
     assert np.max(np.abs(one_term)) > 0.1
     assert cert.commutator_defect <= 1e-12
 
@@ -296,10 +297,40 @@ def test_reeb_commutator_equals_the_union_sums_bit_for_bit(monkeypatch, make):
     pts = random_points(model, 300, np.random.default_rng(4))
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     s = SampledPair.of(alpha, beta, pts)
-    args = (s, s.chains(1, 1), cert.reeb_alpha_values, cert.reeb_beta_values)
+    args = (s, s.chains(1, 1), *cert.reeb_fields)
     got = _reeb_commutator(*args)
     monkeypatch.setattr(contact, "_sum", _union_sum)
     assert got.tobytes() == _reeb_commutator(*args).tobytes()
+
+
+def every_component_live(x: _Field) -> _Field:
+    """The compact field x with every component live: no axis is outside
+    its live set."""
+    return _Field(x.n, tuple(range(x.n)), np.moveaxis(x.values(), -1, 0), x.volume)
+
+
+@pytest.mark.parametrize("make", [t6_pair, sheared_t6_pair])
+def test_skipping_the_axes_outside_a_reeb_field_changes_no_bit(monkeypatch, make):
+    # X^a is ±0 off X's live set, so a D_X term along such an axis adds ±0;
+    # without the skip every axis is read, as when the fields were dense
+    model, alpha, beta = make()
+    pts = random_points(model, 300, np.random.default_rng(4))
+    s = SampledPair.of(alpha, beta, pts)
+    args = (s, s.chains(1, 1), *verify_contact_pair(alpha, beta, 1, 1, points=pts).reeb_fields)
+    got, defect = _reeb_commutator(*args), verify_contact_pair(alpha, beta, 1, 1, points=pts).commutator_defect
+    monkeypatch.setattr(contact, "_moved", lambda s, fields: _moved(s, [every_component_live(x) for x in fields]))
+    want = _reeb_commutator(*args)
+    assert np.array_equal(got, want) and np.array_equal(np.abs(got), np.abs(want))
+    assert verify_contact_pair(alpha, beta, 1, 1, points=pts).commutator_defect == defect
+
+
+def test_no_d_x_factor_is_formed_on_a_product_pair(monkeypatch):
+    # on t6-pair-compatible the live components of each Reeb field never
+    # meet the one axis along which each form's partials run
+    objs, formed = build_example("t6-pair-compatible"), []
+    monkeypatch.setattr(contact, "_moved", lambda s, fields: formed.append(_moved(s, fields)) or formed[-1])
+    verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
+    assert formed == [[[None] * 4, [None] * 4]]
 
 
 def test_single_form_reeb():
@@ -409,7 +440,7 @@ def test_reeb_residual_check_fails_on_nan_rows():
     # of the finite samples: only the residual's rows see the NaN
     (gated,), (ea, eb, residual) = _certify(s, 1, 1, 1e-6, arrays), _reeb_pair(s, chains)
     _reeb_step(s, gated, (ea, eb, _peaks(residual)[0]))
-    s.dalpha[17, :] = np.nan  # the rows of i_E d alpha at point 17
+    s.rows[2][:, 17] = np.nan  # the live components of d alpha, so the rows of i_E d alpha, at point 17
     with np.errstate(invalid="ignore"):
         residual = _reeb_pair(s, chains)[2]
         with pytest.raises(ContactPairError) as err:

@@ -481,11 +481,13 @@ def test_builtin_pairs_run_only_their_live_rows(monkeypatch):
     # regression to dense work runs the full tables.  The one-point Lie
     # model certifies its whole t grid in one batch, one kernel pass for
     # all eight t.  The counts take in the Reeb pair's chains and residual
-    # contractions and, in verify-pair, the commutator's product rule, whose
-    # factors carry live sets instead of being scanned: looser than a scan,
-    # which also finds the columns that cancel, but read from no operand
+    # contractions, whose factors carry live sets instead of being scanned:
+    # looser than a scan, which also finds the columns that cancel, but read
+    # from no operand.  verify-pair's commutator forms no D_X factor on
+    # t6-pair-compatible (each Reeb field is dead along the axes of the
+    # partials), so its product rule runs no row
     assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (13, 726)
-    assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (70, 972)
+    assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (22, 408)
 
 
 # --- carried live sets: the rows a factor's live set and bound allow --------------------

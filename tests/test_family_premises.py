@@ -48,6 +48,7 @@ def _refuse(*args, **kwargs):
 
 def test_building_a_family_evaluates_nothing(monkeypatch):
     monkeypatch.setattr(fields.FormField, "values", _refuse)
+    monkeypatch.setattr(fields.FormField, "live_rows", _refuse)
     monkeypatch.setattr(ex, "evaluate_many", _refuse)
     for name in ("heisenberg6-pair", "t6-pair-compatible", "t6-pair-incompatible"):
         assert isinstance(build_example(name)["family"], DeformationFamily)
@@ -67,14 +68,15 @@ def test_a_family_takes_no_tolerance_and_no_points(keyword):
 # --- one sample bundle per verdict ----------------------------------------------
 
 def _record_point_sets(monkeypatch):
-    """Every point array ``FormField.values`` sees, each with whether the
-    quadrature of the converse asked for it."""
+    """Every point array a form is evaluated at (``FormField.live_rows``,
+    which ``values`` reads too), each with whether the quadrature of the
+    converse asked for it."""
     seen, in_quadrature = [], []
-    values, integrate = fields.FormField.values, deformation.stokes_integrals
+    live_rows, integrate = fields.FormField.live_rows, deformation.stokes_integrals
 
-    def recording(self, points, *known):
+    def recording(self, points, *args):
         seen.append((np.array(points, dtype=float), bool(in_quadrature)))
-        return values(self, points, *known)
+        return live_rows(self, points, *args)
 
     def integrating(*args, **kwargs):
         in_quadrature.append(True)
@@ -83,7 +85,7 @@ def _record_point_sets(monkeypatch):
         finally:
             in_quadrature.pop()
 
-    monkeypatch.setattr(fields.FormField, "values", recording)
+    monkeypatch.setattr(fields.FormField, "live_rows", recording)
     monkeypatch.setattr(deformation, "stokes_integrals", integrating)
     return seen
 

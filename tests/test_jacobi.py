@@ -672,7 +672,7 @@ def test_exact_partials_are_the_limit_of_central_differences(make, side_name, re
 # --- mutants the verdict must kill -------------------------------------------------------
 
 _OPERATOR, _PRODUCT_RULE = jacobi._hamiltonian_operator, jacobi._product_rule
-_PARTIALS, _REEB_PARTIALS, _STRUCTURE = jacobi._coordinate_partials, jacobi._reeb_partials, jacobi._structure
+_PARTIALS, _REEB_PARTIALS, _STRUCTURE = contact._coordinate_partials, jacobi._reeb_partials, jacobi._structure
 
 
 def _doubled(jet):
@@ -687,20 +687,22 @@ def _first_term_dropped(n, pairs):
     return _PRODUCT_RULE(n, pairs)
 
 
-def _broken_partials(form, axis, pts):
-    partial = _PARTIALS(form, axis, pts)
-    return None if partial is None else (2.0 * partial[0], partial[1])
+def _broken_partials(form, axis, pts, *args):
+    partial = _PARTIALS(form, axis, pts, *args)
+    return None if partial is None else (2.0 * partial[0], (partial[1][0], 2.0 * partial[1][1]))
 
 
+# (module, name, mutant): the partials are the one helper of both kinds of
+# side, the samples' (contact.SampledPair.partials) and a form side's
 _MUTANTS = {
-    "double d alpha": ("_hamiltonian_operator", lambda n, k, form, dform, tail=None: _OPERATOR(
+    "double d alpha": (jacobi, "_hamiltonian_operator", lambda n, k, form, dform, tail=None: _OPERATOR(
         n, k, form, _doubled(dform), tail)),
-    "negate E": ("_structure", lambda grid, k, leaf_dim, tol, jets, axes, e, *rows: _STRUCTURE(
+    "negate E": (jacobi, "_structure", lambda grid, k, leaf_dim, tol, jets, axes, e, *rows: _STRUCTURE(
         grid, k, leaf_dim, tol, jets, axes, -e, *rows)),
-    "transpose Λ♯": ("_hamiltonian_operator", lambda *args: np.ascontiguousarray(
+    "transpose Λ♯": (jacobi, "_hamiltonian_operator", lambda *args: np.ascontiguousarray(
         np.swapaxes(_OPERATOR(*args), -1, -2))),
-    "drop a product-rule term": ("_product_rule", _first_term_dropped),
-    "break the coordinate partials": ("_coordinate_partials", _broken_partials),
+    "drop a product-rule term": (jacobi, "_product_rule", _first_term_dropped),
+    "break the coordinate partials": (contact, "_coordinate_partials", _broken_partials),
 }
 
 
@@ -710,7 +712,7 @@ _MUTANTS = {
     ("t6-pair-compatible", "alpha", 6), ("t6-pair-compatible", "beta", 6),
 ])
 def test_the_verdict_kills_each_mutant(monkeypatch, capsys, mutant, example, side_name, resolution):
-    monkeypatch.setattr(jacobi, *_MUTANTS[mutant])
+    monkeypatch.setattr(*_MUTANTS[mutant])
     code, task = _jacobi_run(example, side_name, resolution, capsys)
     assert code == 1 and task["status"] == "fail"
     failures = {item["name"]: item for item in task["result"]["failures"]}
@@ -789,11 +791,27 @@ def test_a_form_partial_that_overflows_fails_non_finite_with_its_grid_witness():
         partial = ex._values(ex.partial(form.coeffs[1], 0), grid.sub_points)
     row = int(np.argmin(np.isfinite(partial)))
     assert grid.sub_shape == (8, 1, 1) and not np.isfinite(partial[row])
+    samples = [form.live_rows(grid.sub_points)]
     with pytest.raises(JacobiError, match="non-finite partial along x0") as err:
-        jacobi._partial_factor(grid, form, 0)
+        contact._partials((form,), samples, grid.sub_points, grid.require_finite)
     assert err.value.condition == "non-finite"
     assert err.value.witness == {"point": grid.sub_points[row].tolist(), "index": row * 64}
-    assert jacobi._partial_factor(grid, form, 1) is None  # no coefficient mentions x1
+    assert contact._coordinate_partials(form, 1, grid.sub_points, None, None) is None  # no coefficient mentions x1
+
+
+def test_a_pair_verdict_takes_each_partial_once(monkeypatch, capsys):
+    # the commutator and the jets of a pair side read the partials its
+    # samples hold: one evaluation per form and axis, 4 x 6 on T^6
+    calls = []
+
+    def counting(form, axis, *args):
+        calls.append((id(form), axis))
+        return _PARTIALS(form, axis, *args)
+
+    for module in (contact, jacobi):  # every name a side could call the helper by
+        monkeypatch.setattr(module, "_coordinate_partials", counting, raising=False)
+    code, _ = _jacobi_run("t6-pair-compatible", "alpha", 6, capsys)
+    assert code == 0 and len(calls) == len(set(calls)) == 24
 
 
 # --- an independent reference: the leaf-basis least squares -----------------------------

@@ -53,7 +53,7 @@ def dense(pair: SampledPair) -> SampledPair:
     """The pair with every component live and the plain scales as bounds."""
     arrays = (pair.alpha, pair.beta, pair.dalpha, pair.dbeta)
     live = tuple((tuple(range(v.shape[-1])), np.max(np.abs(v), axis=(-2, -1))) for v in arrays)
-    return SampledPair(pair.points, *arrays, forms=pair.forms, live=live)
+    return SampledPair(pair.points, pair.n, [np.moveaxis(v, -1, 0) for v in arrays], live, forms=pair.forms)
 
 
 def certified(pair: SampledPair) -> tuple:
@@ -89,13 +89,15 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
         assume(False)  # alpha0 and beta0 dependent somewhere
     for pair, forms in ((sampled.closed, (family.alpha0, family.beta0)), (sampled.direction, (family.alpha, family.beta))):
         fields = (*forms, forms[0].d(), forms[1].d())
-        for values, field in zip((pair.alpha, pair.beta, pair.dalpha, pair.dbeta), fields):
+        for values, rows, field in zip((pair.alpha, pair.beta, pair.dalpha, pair.dbeta), pair.rows, fields):
             assert same(values, dense_values(field, pts))
-            assert values.T.flags.c_contiguous  # the view of a component-major buffer
+            # component-major rows of the live components alone
+            assert rows.flags.c_contiguous and same(rows, values.T[list(field.live)])
         assert all(same(a, b) for a, b in zip(pair.scales(), dense(pair).scales()))
 
     reference = copy.copy(sampled)
     reference.closed, reference.direction = dense(sampled.closed), dense(sampled.direction)
+    reference._plans, reference._buffers = {}, {}  # plans of every component, from the dense pairs
     c, d = sampled.closed, sampled.direction
     with np.errstate(over="ignore", invalid="ignore"):
         for t in T_GRID:

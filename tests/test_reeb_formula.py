@@ -25,6 +25,7 @@ from contactpairs.cli import main
 from contactpairs.config import load_config
 from contactpairs.contact import (
     SampledPair,
+    _Field,
     _form_reeb,
     _gap,
     _moved,
@@ -186,7 +187,7 @@ def test_derivative_matches_central_differences_with_an_h_squared_error(pair):
     chains = s.chains(1, 1)
     ea, eb, _ = dense_reeb_pair(s, chains)
     x = np.random.default_rng(10).standard_normal(6)  # a constant field X
-    (moved,) = _moved(s, (np.broadcast_to(x, pts.shape),))
+    (moved,) = _moved(s, (_Field(6, tuple(range(6)), np.broadcast_to(x[:, None], (6, len(pts))), None),))
     exact = [_reeb_directional(s, chains, e, moved, j) for j, e in enumerate((ea, eb))]
 
     def formula(shifted):

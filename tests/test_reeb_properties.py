@@ -22,7 +22,7 @@ from contactpairs.config import load_config
 from contactpairs.contact import (
     SampledPair,
     _form_reeb,
-    _live_max,
+    _row_bound,
     _t_batch,
     _vol_dual,
     product_contact_pair,
@@ -69,12 +69,12 @@ def _formula(s: SampledPair, k: int, l: int) -> tuple:
 def _rescaled(s: SampledPair, a: float, b: float, p=None) -> SampledPair:
     """s with alpha and d alpha times a, beta and d beta times b; at point p
     alone when p is given."""
-    arrays = [v.copy() for v in (s.alpha, s.beta, s.dalpha, s.dbeta)]
+    rows = [r.copy() for r in s.rows]  # component-major: the points come last
     where = slice(None) if p is None else p
-    for v, factor in zip(arrays, (a, b, a, b)):
-        v[where] *= factor
-    live = tuple((comps, _live_max(v, comps)) for v, (comps, _) in zip(arrays, s.live))
-    return SampledPair(s.points, *arrays, live)
+    for r, factor in zip(rows, (a, b, a, b)):
+        r[..., where] *= factor
+    live = tuple((comps, _row_bound(r)) for r, (comps, _) in zip(rows, s.live))
+    return SampledPair(s.points, s.n, rows, live)
 
 
 def _assert_bits(got, want):

@@ -6,7 +6,6 @@ certificate is bit for bit the one of that t's own samples
 
 import ast
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -241,23 +240,20 @@ def test_the_converse_compares_reeb_pairs_as_the_dense_fields_do(name, count):
 @pytest.mark.parametrize("verify,t_count", [(verify_forward, 8), (verify_converse, 4)])
 def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_count):
     # one t per batch at 2049 points: the samples of the previous t are gone
-    # by the time the next t's samples are formed
+    # by the time the next t's samples are formed, so each t is formed in
+    # the buffers of the first
     family, pts = _setup("t6-pair-compatible", 2049)
     formed = []
     real_at = SampledFamily.at
 
-    def released():
-        return all(ref() is None for ref in formed)
-
     def recording(self, t):
-        assert released()
         s = real_at(self, t)
-        formed.extend(weakref.ref(v) for v in (s.alpha, s.beta, s.dalpha, s.dbeta))
+        formed.append([id(rows) for rows in s.rows])
         return s
 
     monkeypatch.setattr(SampledFamily, "at", recording)
     verify(family, points=pts)
-    assert len(formed) == 4 * t_count
+    assert len(formed) == t_count and all(ids == formed[0] for ids in formed)
 
 
 def _affine_bits(sampled, s, t):
@@ -288,7 +284,7 @@ def test_a_dropped_batch_lends_its_buffers_to_the_next():
     owners = []
     for t, batch, arrays in sampled.batches([0.5, -1.0, 2.0]):
         assert _affine_bits(sampled, batch.t_slice(0), t[0])
-        owners.append([id(v.base) for v in (batch.alpha, batch.beta, batch.dalpha, batch.dbeta)])
+        owners.append([id(rows) for rows in batch.rows])
         del batch, arrays  # the chains of a power of one factor are that factor's samples
     assert owners[0] == owners[1] == owners[2] == [id(b) for b in sampled._buffers[(True, (1,))]]
 
@@ -299,7 +295,9 @@ def test_a_non_finite_t_leaves_every_dead_component_zero():
     # components
     family, pts = _setup("t6-pair-compatible", 2)
     sampled = SampledFamily(family, pts, default_tolerance(family.model))
-    dead = [[i for i in range(count) if i not in comps] for count, comps, *_ in sampled._plans[True]]
+    c, d = sampled.closed, sampled.direction
+    counts = [v.shape[-1] for v in (c.alpha, c.beta, c.dalpha, c.dbeta)]
+    dead = [[i for i in range(count) if i not in {*cl[0], *dl[0]}] for count, cl, dl in zip(counts, c.live, d.live)]
     assert all(dead)
     for t in (1.0, np.inf, 1.0, np.nan, -2.0):
         s = sampled.at(np.array([t])[:, None, None])
@@ -307,7 +305,9 @@ def test_a_non_finite_t_leaves_every_dead_component_zero():
         if np.isfinite(t):
             assert _affine_bits(sampled, s.t_slice(0), t)
             assert all(np.all(v[..., d] == 0.0) and not np.any(np.signbit(v[..., d])) for v, d in zip(arrays, dead))
+            assert [len(rows) for rows in s.rows] == [count - len(d) for count, d in zip(counts, dead)]
         else:
+            assert [comps for comps, _ in s.live] == [tuple(range(count)) for count in counts]
             assert not all(np.isfinite(v).all() for v in arrays)
         del s, arrays
 
@@ -335,7 +335,7 @@ def test_certificate_arrays_are_computed_on_one_path():
     ]
 
 
-def test_a_sampled_pair_keeps_only_its_samples_and_forms():
+def test_a_sampled_pair_keeps_only_its_samples_forms_and_partials():
     tree = ast.parse((PACKAGE / "contact.py").read_text(encoding="utf-8"))
     (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SampledPair"]
     stored = [
@@ -345,4 +345,5 @@ def test_a_sampled_pair_keeps_only_its_samples_and_forms():
         for node in ast.walk(method)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
     ]
-    assert stored == [("__init__", name) for name in ("points", "alpha", "beta", "dalpha", "dbeta", "forms", "live")]
+    assert stored == [("__init__", name) for name in ("points", "n", "rows", "live", "forms", "_partials")] + [
+        ("partials", "_partials")]
