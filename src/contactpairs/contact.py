@@ -151,21 +151,6 @@ class ClassReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _norm_inf_rows(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Largest absolute value along one short axis (0 where it is empty).
-
-    One reduction over a copy that holds that axis first, so that it runs
-    over contiguous vectors: exact in any order, and NaN propagates as in
-    np.max, so a NaN row gives NaN.
-    """
-    values = np.asarray(values)
-    axis %= values.ndim  # moved first by one transpose, cheaper than np.moveaxis on a few samples
-    values = values.transpose(axis, *range(axis), *range(axis + 1, values.ndim))
-    if not values.shape[0]:
-        return np.zeros(values.shape[1:])
-    return np.abs(values, order="C").max(axis=0)
-
-
 def _span(live: tuple) -> slice:
     """The components from the first to the last of live."""
     return slice(live[0], live[-1] + 1) if live else slice(0, 0)
@@ -467,6 +452,17 @@ def _dual_rows(volume: np.ndarray, numerators: dict, comps, rows) -> None:
             np.divide(numerators.get(i, 0.0), volume, out=row)
 
 
+def _compact_dual(volume: np.ndarray, c, every: bool = False) -> "_Field":
+    """The vol-dual ♯c / volume (``_vol_dual``) as a compact ``_Field``,
+    live where c holds its numerator c_î (+0.0 / volume is ±0 elsewhere),
+    or on every component; one contiguous division per row."""
+    n, lead, numerators = _numerators(c)
+    live = tuple(range(n)) if every else tuple(sorted(numerators))
+    rows = np.empty((len(live), *np.broadcast_shapes(volume.shape, lead)))
+    _dual_rows(volume, numerators, live, rows)
+    return _Field(n, live, rows, volume)
+
+
 class _Field(NamedTuple):
     """A vector field X as component-major rows of its live components,
     ``rows[j]`` = X^i for i = live[j] with the samples' leading axes, every
@@ -500,7 +496,7 @@ class _Field(NamedTuple):
 
 
 def _gap(x: _Field, y: _Field) -> np.ndarray:
-    """max_i |x^i - y^i| per sample, ``_norm_inf_rows`` of the dense
+    """max_i |x^i - y^i| per sample, the row maxima of the dense
     difference: over the union of the live sets, a component live in one
     field alone reading |x^i - (±0)| = |x^i| (or |y^i|).  NaN propagates."""
     xs, ys = dict(zip(x.live, x.rows)), dict(zip(y.live, y.rows))
@@ -540,19 +536,12 @@ def _reeb_pair(s: SampledPair, ch: _Chains) -> tuple:
     chains ``ch`` (``SampledPair.chains``), with the leading axes of s, the
     fields as vol-duals (``_vol_dual``) of N_alpha = i_{E_alpha} vol and
     N_beta = -i_{E_beta} vol.  Where the volume vanishes the pair and its
-    residual are not finite.  Where no volume is 0 or NaN, each field is a
-    compact ``_Field``, live only where its numerator's coefficient c_î is
-    (+0.0 / v is ±0 otherwise), one contiguous division per live component
-    (``_dual_rows``); else every component is live.  The residual's
+    residual are not finite.  Each field is compact (``_compact_dual``),
+    on every component where some volume is 0 or NaN.  The residual's
     kernels read the rows of those live sets and s's."""
-    finite, fields = bool(np.all(np.abs(ch.volume) > 0.0)), []
+    every = not np.all(np.abs(ch.volume) > 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite residual fails
-        for volume, c in ((ch.volume, ch.na), (-ch.volume, ch.nb)):
-            n, lead, numerators = _numerators(c)
-            live = tuple(sorted(numerators)) if finite else tuple(range(n))
-            rows = np.empty((len(live), *np.broadcast_shapes(volume.shape, lead)))
-            _dual_rows(volume, numerators, live, rows)
-            fields.append(_Field(n, live, rows, volume))
+        fields = [_compact_dual(volume, c, every) for volume, c in ((ch.volume, ch.na), (-ch.volume, ch.nb))]
         # a NaN bound reads as unknown
         operands = [(_components_last(f.rows), (f.live, f.max_abs())) for f in fields]
         return (*fields, _reeb_residual(s.n, operands, s.factors()))
@@ -670,25 +659,36 @@ def _moved(s: SampledPair, fields) -> list:
     return moved
 
 
-def _reeb_directional(s: SampledPair, ch: _Chains, e: np.ndarray, moved, j: int) -> np.ndarray:
-    """D_X E for the Reeb field E = e of s, E_alpha for j = 0 and E_beta for
-    j = 1, from the exact derivative of the insertion identity: with c the
-    numerator of E,
+def _reeb_directional(s: SampledPair, ch: _Chains, e: _Field, moved, j: int) -> dict:
+    """D_X E for the compact Reeb field E = e of s, E_alpha for j = 0 and
+    E_beta for j = 1, from the exact derivative of the insertion identity:
+    with c the numerator of E,
 
         D_X E = (♯D_X c - E D_X v) / v,   ♯ the vol-dual (``_vol_dual``),
 
     where D_X c and D_X v follow by the product rule over the factors of
-    the chains ``ch`` of s and ``moved``, D_X of its forms (``_moved``)."""
+    the chains ``ch`` of s and ``moved``, D_X of its forms (``_moved``).
+    Returns {i: (D_X E)^i}: the E D_X v term on E's live set plus ♯D_X c on
+    its own (``_compact_dual``); every other component is ±0, as in the
+    dense quotient rule (``_dual_derivative``), where D_X v / v is finite
+    (where it is not, some live row is not either: E is nonzero at every
+    sample where its residual passed)."""
     n, (alpha, beta, dalpha, dbeta) = s.n, s.factors()
     k, l = (0 if p is None else p[0] // 2 for p in (ch.pa, ch.pb))  # the powers' degrees are 2k and 2l
     da, db, dda, ddb = moved
     dm = _product_rule(n, [(dalpha, dda)] * k + [(dbeta, ddb)] * l)
     dna = _product_rule(n, [(ch.m, dm), (beta, db)])
     dv = _product_rule(n, [(alpha, da), (ch.na, dna)])
-    if j == 0:
-        return _dual_derivative(e, ch.volume, dna, None if dv is None else _top(dv))
-    dc = _product_rule(n, [(alpha, da), (ch.m, dm)])
-    return _dual_derivative(e, -ch.volume, dc, None if dv is None else -_top(dv))
+    volume, dc = (ch.volume, dna) if j == 0 else (-ch.volume, _product_rule(n, [(alpha, da), (ch.m, dm)]))
+    out = {}
+    if dv is not None:  # D_X v / v, which E_beta's -D_X v / -v leaves as it is
+        rate = -(_top(dv) / ch.volume)
+        out = {i: row * rate for i, row in zip(e.live, e.rows)}
+    if dc is not None:
+        dual = _compact_dual(volume, dc)
+        for i, row in zip(dual.live, dual.rows):
+            out[i] = out[i] + row if i in out else row
+    return out
 
 
 def _dual_derivative(x: np.ndarray, volume: np.ndarray, dc, dv) -> np.ndarray:
@@ -703,21 +703,28 @@ def _dual_derivative(x: np.ndarray, volume: np.ndarray, dc, dv) -> np.ndarray:
     return out
 
 
-def _reeb_commutator(s: SampledPair, ch: _Chains, ea, eb) -> np.ndarray:
-    """[E_alpha, E_beta] at the sample points of s, with c the frame
-    bracket,
+def _reeb_commutator(s: SampledPair, ch: _Chains, ea: _Field, eb: _Field) -> np.ndarray:
+    """max_i |[E_alpha, E_beta]^i| per sample of s, with c the frame bracket,
 
         [E_alpha, E_beta] = c(E_alpha, E_beta) + D_{E_alpha} E_beta - D_{E_beta} E_alpha,
 
-    the derivatives exact (``_reeb_directional``), for the compact pair
-    (E_alpha, E_beta) = (ea, eb) (``_Field``)."""
-    model, xa, xb = s.forms[0].model, ea.values(), eb.values()
-    out = model.bracket_values(xa, xb)
+    the derivatives exact (``_reeb_directional``), on the live rows of the
+    compact pair (ea, eb), each component's terms in that order; one that
+    no term reaches is ±0.  The pair is formed dense only for a nonzero c
+    (``Model.bracket_values``).  NaN propagates."""
+    model, rows = s.forms[0].model, {}
+    if model.structure.any():
+        rows = dict(enumerate(np.moveaxis(model.bracket_values(ea.values(), eb.values()), -1, 0)))
     if model.coordinate_axes:
         along_a, along_b = _moved(s, (ea, eb))
-        out += _reeb_directional(s, ch, xb, along_a, 1)
-        out -= _reeb_directional(s, ch, xa, along_b, 0)
-    return out
+        for i, row in _reeb_directional(s, ch, eb, along_a, 1).items():
+            rows[i] = rows[i] + row if i in rows else row
+        for i, row in _reeb_directional(s, ch, ea, along_b, 0).items():
+            rows[i] = rows[i] - row if i in rows else -row
+    worst = np.zeros(len(s.points))
+    for row in rows.values():
+        np.maximum(worst, np.abs(row), out=worst)
+    return worst
 
 
 @dataclass(repr=False)
@@ -931,11 +938,8 @@ def _reeb_step(s: SampledPair, gated, reeb, chains: _Chains | None = None) -> Co
     reeb_residual = _bound("reeb-residual", _INCONSISTENT, peak, res_threshold, pts, lower=False)
     comm = None
     if chains is not None:
-        comm = _bound(
-            "reeb-commutator", "Reeb fields fail to commute",
-            _peaks(_norm_inf_rows(_reeb_commutator(s, chains, ea, eb)))[0], res_threshold, pts,
-            lower=False,
-        )
+        comm = _bound("reeb-commutator", "Reeb fields fail to commute",
+                      _peaks(_reeb_commutator(s, chains, ea, eb))[0], res_threshold, pts, lower=False)
     return ContactPairCertificate(
         *gated,
         reeb_residual=reeb_residual,

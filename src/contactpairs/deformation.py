@@ -60,7 +60,7 @@ from .contact import (
     _troughs,
     passes,
 )
-from .exterior import chain, chain_factor, form_count
+from .exterior import _interior, chain, chain_factor, form_count
 from .fields import FormField
 from .models import _integrals, default_tolerance, sample_points
 
@@ -438,24 +438,23 @@ def _item_at(s: SampledPair, gated, reeb, t: float):
 
 
 def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
-    names = (
-        ("alpha0(E_alpha)", 0, "ea"),
-        ("alpha0(E_beta)", 0, "eb"),
-        ("beta0(E_alpha)", 1, "ea"),
-        ("beta0(E_beta)", 1, "eb"),
-    )
+    """The four compatibility gates w(E) = 0, w = alpha0, beta0 and E =
+    E_alpha, E_beta, at tol * max(1, max |w| max |E|), each witnessed at the
+    first sample of its largest |w(E)|.  w(E) is the contraction i_E w
+    (``exterior._interior``) of the base certificate's compact Reeb rows
+    (``_Field``) and the closed pair's rows, with their live sets: sum_i w_i
+    E^i, its terms added in component order from +0.0, one whose column is
+    all ±0 against a finite partner left out (it adds ±0: no bit changes)."""
+    names = [(f"{w}0(E_{e})", i, j) for i, w in enumerate(("alpha", "beta")) for j, e in enumerate(("alpha", "beta"))]
     if cert is None:
-        return [
-            CheckItem(f"compatibility {n}=0", None, note="not evaluated (no base certificate)")
-            for n, _, _ in names
-        ]
-    reeb = {"ea": cert.reeb_alpha_values, "eb": cert.reeb_beta_values}
-    # einsum sums in an order that depends on the layout: the dense samples are C-ordered
-    samples = [closed.alpha, closed.beta]
-    items = []
-    for label, form, key in names:
-        defect, idx = _peaks(np.abs(np.einsum("pi,pi->p", samples[form], reeb[key])))[0]
-        scale = max(1.0, float(closed.scales()[form]) * float(np.max(np.abs(reeb[key]))))
+        return [CheckItem(f"compatibility {n}=0", None, note="not evaluated (no base certificate)") for n, _, _ in names]
+    fields, factors, items = cert.reeb_fields, closed.factors(), []
+    bounds = [x.max_abs() for x in fields]
+    for label, form, j in names:
+        (x, bound), (_, w, live) = (fields[j], bounds[j]), factors[form]
+        pairing, outputs = _interior(closed.n, 1, x.rows.T, w, (x.live, bound), live)
+        defect, idx = _peaks(np.abs(pairing[:, 0]) if outputs else np.zeros(len(closed.points)))[0]
+        scale = max(1.0, live[1] * bound)
         witness = {"point": closed.points[idx].tolist(), "value": defect}
         items.append(_gate(f"compatibility {label}=0", defect, tol * scale, witness))
     return items

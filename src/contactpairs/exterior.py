@@ -10,11 +10,12 @@ order, shared by every module in the package.  The wedge uses the determinant
 
 The kernels operate on raw coefficient arrays whose last axis is the
 coefficient axis; leading axes broadcast, which the field pipelines use to
-evaluate at many sample points at once.  One kernel (``_bilinear``) loops over
-the components on blocks of points and returns a ``(..., m)`` view of a
-component-major buffer holding only the m output components its rows reach,
-so each inner operation runs on contiguous point vectors; the result is
-bit-identical to the per-column formula ``out[..., io] += sign * a * b``.
+evaluate at many sample points at once.  One kernel (``_bilinear``) runs each
+table row once over all points and returns a ``(..., m)`` view of a
+component-major buffer holding only the m output components its rows reach;
+on component-major operands each operation runs on contiguous point vectors,
+and the result is bit-identical to the per-column formula
+``out[..., io] += sign * a * b``.
 A table row whose term is ±0 at every point (an all-±0 column against a
 finite operand) is skipped: adding ±0 to a sum that starts at +0.0 changes no
 bit, since such a sum is zero only by exact cancellation, which gives +0.
@@ -110,8 +111,8 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(rows)
 
 
-# points per block of the bilinear kernel, which keeps its strided reads and
-# its one temporary cache-sized
+# points per block of the batched loops: a family's t batches (``_per_block``),
+# the quadrature's node blocks and the Jacobi side's block loops
 _BLOCK = 4096
 
 
@@ -190,15 +191,14 @@ def _bilinear(a: np.ndarray, b: np.ndarray, rows, count: int) -> np.ndarray:
     (ia, ib, io, sign) of ``_rows``, in order, for the count outputs of
     those rows; a column -1 reads as +0.0 and leading axes broadcast.
 
-    Works component by component on blocks of points and returns a
-    (..., count) view of a component-major buffer; without rows, it is
-    empty.  With sign = ±1 each term is added or subtracted as a * b,
-    which is bit-identical to adding (sign * a) * b.  A dropped row would
-    add ±0 at every point, which in round-to-nearest changes no bit of a
-    sum that starts at +0.0.
+    Runs each row once over all points, through one temporary of P values,
+    and returns a (..., count) view of a component-major buffer; without
+    rows, it is empty.  Each term is added or subtracted as a * b, which is
+    bit-identical to adding (sign * a) * b for sign = ±1.  A dropped row
+    would add ±0 at every point, which in round-to-nearest changes no bit
+    of a sum that starts at +0.0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     shape = a.shape[:-1]
     if b.shape[:-1] != shape:
         shape = np.broadcast_shapes(shape, b.shape[:-1])
@@ -207,19 +207,14 @@ def _bilinear(a: np.ndarray, b: np.ndarray, rows, count: int) -> np.ndarray:
         return np.zeros(shape + (count,))
     points = math.prod(shape)
     a, b = a.reshape(points, a.shape[-1]), b.reshape(points, b.shape[-1])
-    out = np.zeros((count, points))
-    tmp = np.empty(min(points, _BLOCK))
-    for lo in range(0, points, _BLOCK):
-        hi = min(lo + _BLOCK, points)
-        t = tmp[: hi - lo]
-        a_cols, b_cols, o_rows = [*a[lo:hi].T, 0.0], [*b[lo:hi].T, 0.0], list(out[:, lo:hi])
-        for ia, ib, io, sign in rows:
-            np.multiply(a_cols[ia], b_cols[ib], out=t)
-            o = o_rows[io]
-            if sign > 0:
-                o += t
-            else:
-                o -= t
+    out, t = np.zeros((count, points)), np.empty(points)
+    a_cols, b_cols, o_rows = [*a.T, 0.0], [*b.T, 0.0], list(out)
+    for ia, ib, io, sign in rows:
+        np.multiply(a_cols[ia], b_cols[ib], out=t)
+        if sign > 0:
+            o_rows[io] += t
+        else:
+            o_rows[io] -= t
     return out.T.reshape(shape + (count,))
 
 

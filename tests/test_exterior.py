@@ -483,10 +483,12 @@ def test_builtin_pairs_run_only_their_live_rows(monkeypatch):
     # all eight t.  The counts take in the Reeb pair's chains and residual
     # contractions, whose factors carry live sets instead of being scanned:
     # looser than a scan, which also finds the columns that cancel, but read
-    # from no operand.  verify-pair's commutator forms no D_X factor on
+    # from no operand.  The four compatibility pairings of deform are
+    # contractions too: on heisenberg6-pair each reads the 6 rows of its
+    # table and runs none.  verify-pair's commutator forms no D_X factor on
     # t6-pair-compatible (each Reeb field is dead along the axes of the
     # partials), so its product rule runs no row
-    assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (13, 726)
+    assert count_rows(monkeypatch, ["deform", "--example", "heisenberg6-pair"]) == (13, 750)
     assert count_rows(monkeypatch, ["verify-pair", "--example", "t6-pair-compatible"]) == (22, 408)
 
 

@@ -414,8 +414,28 @@ def _check_shared_brackets(example, side_name, resolution, grid_arrays=False):
     shared = side.brackets(pairs)
     assert len(shared) == len(pairs)
     for (xv, yv), got in zip(pairs, shared):
-        assert np.array_equal(got, side.bracket_values(xv, yv))
-        assert np.array_equal(got, _reference_bracket(side, xv, yv))
+        _assert_equal_with_evidence(got, side.bracket_values(xv, yv))
+        _assert_equal_with_evidence(got, _reference_bracket(side, xv, yv))
+
+
+def _assert_equal_with_evidence(got, want):
+    """``np.array_equal(got, want)``, exact and NaN unequal, as an assert
+    that keeps its evidence: on a mismatch it reports how many entries
+    differ, the first flat index, both values there as ``float.hex``, and
+    each operand's shape, strides and address modulo 64."""
+    got, want = np.asarray(got), np.asarray(want)
+    if np.array_equal(got, want):
+        return
+    layout = [(a.shape, a.strides, a.ctypes.data % 64) for a in (got, want)]
+    if got.shape != want.shape:
+        raise AssertionError(f"shapes differ; (shape, strides, address % 64): {layout}")
+    differ = np.flatnonzero(got != want)
+    first = int(differ[0])
+    raise AssertionError(
+        f"{differ.size} of {got.size} entries differ, first at flat index {first}: "
+        f"{float(got.flat[first]).hex()} != {float(want.flat[first]).hex()}; "
+        f"(shape, strides, address % 64): {layout}"
+    )
 
 
 def test_identity_defect_equals_the_nested_brackets(t3_side):

@@ -25,13 +25,16 @@ from contactpairs.cli import main
 from contactpairs.config import load_config
 from contactpairs.contact import (
     SampledPair,
+    _dual_derivative,
     _Field,
     _form_reeb,
     _gap,
     _moved,
-    _norm_inf_rows,
+    _product_rule,
+    _reeb_commutator,
     _reeb_directional,
     _reeb_pair,
+    _top,
     _vol_dual,
     verify_contact_pair,
 )
@@ -185,10 +188,13 @@ def test_derivative_matches_central_differences_with_an_h_squared_error(pair):
     pts = random_points(model, 300, np.random.default_rng(9))
     s = SampledPair.of(alpha, beta, pts)
     chains = s.chains(1, 1)
-    ea, eb, _ = dense_reeb_pair(s, chains)
+    ea, eb, _ = _reeb_pair(s, chains)
     x = np.random.default_rng(10).standard_normal(6)  # a constant field X
     (moved,) = _moved(s, (_Field(6, tuple(range(6)), np.broadcast_to(x[:, None], (6, len(pts))), None),))
-    exact = [_reeb_directional(s, chains, e, moved, j) for j, e in enumerate((ea, eb))]
+    exact = []
+    for j, e in enumerate((ea, eb)):  # each {i: row} spread to a dense (P, 6) array
+        rows = _reeb_directional(s, chains, e, moved, j)
+        exact.append(np.stack([rows.get(i, np.zeros(len(pts))) for i in range(6)], axis=-1))
 
     def formula(shifted):
         moved = SampledPair.of(alpha, beta, shifted)
@@ -209,6 +215,45 @@ def test_the_scaled_pair_commutes_exactly():
     cert = verify_contact_pair(alpha, beta, 1, 1, points=pts)
     assert np.ptp(cert.sampled.chains(1, 1).volume) > 1.0  # the volume varies
     assert cert.commutator_defect <= 1e-12
+
+
+def dense_commutator(s: SampledPair, chains, ea: _Field, eb: _Field) -> np.ndarray:
+    """max_i |D_{E_alpha} E_beta - D_{E_beta} E_alpha| per sample of a type
+    (1,1) pair on a chart, on dense fields: zeros, plus and minus each
+    derivative by the dense quotient rule (``_dual_derivative``) over every
+    component."""
+    n, (alpha, beta, dalpha, dbeta) = s.n, s.factors()
+    out = np.zeros((len(s.points), n))
+    for x, e, j in ((ea, eb, 1), (eb, ea, 0)):
+        (da, db, dda, ddb), = _moved(s, (x,))
+        dm = _product_rule(n, [(dalpha, dda), (dbeta, ddb)])
+        dna = _product_rule(n, [(chains.m, dm), (beta, db)])
+        dv = _product_rule(n, [(alpha, da), (chains.na, dna)])
+        dv = None if dv is None else _top(dv)
+        if j == 0:
+            out -= _dual_derivative(e.values(), chains.volume, dna, dv)
+        else:
+            dc = _product_rule(n, [(alpha, da), (chains.m, dm)])
+            out += _dual_derivative(e.values(), -chains.volume, dc, None if dv is None else -dv)
+    return np.abs(out).max(axis=-1)
+
+
+@pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair, scaled_sheared_t6_pair])
+def test_the_compact_commutator_equals_the_dense_one_bit_for_bit(pair):
+    # each component adds its terms as the dense arrays did; the ones no
+    # term reaches are ±0 there, and a maximum of |.| is exact
+    model, alpha, beta = pair()
+    s = SampledPair.of(alpha, beta, random_points(model, 300, np.random.default_rng(11)))
+    chains = s.chains(1, 1)
+    ea, eb, _ = _reeb_pair(s, chains)
+    got = _reeb_commutator(s, chains, ea, eb)
+    assert got.tobytes() == dense_commutator(s, chains, ea, eb).tobytes()
+    if pair is t6_pair:  # no term reads a Reeb row: no D_X factor, and D_X v = 0
+        return
+    # a NaN in a Reeb row reaches the commutator at its sample, and only there
+    ea.rows[0, 7] = np.nan
+    got = _reeb_commutator(s, chains, ea, eb)
+    assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()
 
 
 # --- the compact Reeb fields ---------------------------------------------------------------
@@ -267,7 +312,7 @@ def test_the_compact_reeb_fields_form_the_bits_of_the_formula(case):
 
 def test_compact_comparisons_equal_the_dense_ones():
     # the per-sample max_i |x^i - y^i| of two compact fields equals
-    # _norm_inf_rows of the dense difference, over differing live sets and
+    # the row maxima of the dense difference, over differing live sets and
     # a non-finite field too
     s, _, _ = _compact_case("sheared-t6")
     t6, _, _ = _compact_case("t6-pair-compatible")
@@ -282,7 +327,7 @@ def test_compact_comparisons_equal_the_dense_ones():
                     for t in (1.0, -0.1, 10.0):
                         diff = t * x.values() - y.values()
                         got = _gap(x.scaled(t), y)
-                        assert got.tobytes() == _norm_inf_rows(diff).tobytes()
+                        assert got.tobytes() == np.abs(diff).max(axis=-1).tobytes()
                         assert np.array_equal(np.max(got), np.max(np.abs(diff)), equal_nan=True)
                     assert np.array_equal(x.max_abs(), np.max(np.abs(x.values())), equal_nan=True)
 

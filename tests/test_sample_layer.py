@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_contact import sheared_t6_pair
 
 from contactpairs import contact, deformation
 from contactpairs import expressions as ex
@@ -311,7 +312,7 @@ def test_a_negative_zero_constant_keeps_its_sign_in_the_samples():
 # --- the commutator is one gate ------------------------------------------------
 
 def test_commutator_gate_in_verify_pair_and_reeb_pair(monkeypatch, capsys):
-    monkeypatch.setattr(contact, "_reeb_commutator", lambda s, chains, ea, eb: np.full(ea.values().shape, 0.5))
+    monkeypatch.setattr(contact, "_reeb_commutator", lambda s, chains, ea, eb: np.full(len(s.points), 0.5))
     objs = build_example("heisenberg6-pair")
     with pytest.raises(ContactPairError) as err:
         verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
@@ -527,22 +528,107 @@ def test_structured_report_writes_non_finite_numbers_as_null():
     assert parsed == {"a": [1.5, None], "b": {"c": None}, "d": [None]}
 
 
+# --- the verdicts stay on compact rows ---------------------------------------------
+
+def _sheared_family():
+    """A type (1,1) family along test_contact's sheared T^6 pair, whose Reeb
+    fields are live on (1, 2, 3) and (3, 4, 5): alpha0 and beta0 are closed
+    constant forms live on (1, 2, 3, 4) and (2, 3, 4, 5), so each
+    compatibility pairing adds two or three nonzero terms."""
+    model, alpha, beta = sheared_t6_pair()
+    alpha0 = form_from_expressions(model, 1, {1: "0.3", 2: "0.7", 3: "0.5", 4: "0.4"})
+    beta0 = form_from_expressions(model, 1, {2: "0.6", 3: "0.2", 4: "0.9", 5: "0.8"})
+    return DeformationFamily(alpha0, beta0, alpha, beta, 1, 1)
+
+
+def _refuse_dense(*args, **kwargs):
+    raise AssertionError("a dense sample, a dense Reeb field or an einsum was formed")
+
+
+@pytest.mark.parametrize("name", ["t6-pair-compatible", "t6-pair-incompatible", "sheared-t6"])
+def test_the_family_verdicts_form_no_dense_sample_or_reeb_field(monkeypatch, name):
+    # verify-pair, both deform modes and sweep read the compact rows alone;
+    # the verdicts equal those of an unpatched run
+    family = _sheared_family() if name == "sheared-t6" else build_example(name)["family"]
+    pts = random_points(family.model, 500, np.random.default_rng(3))
+
+    def verdicts():
+        cert = verify_contact_pair(family.alpha, family.beta, 1, 1, points=pts)
+        return json.dumps([
+            [cert.reeb_residual, cert.commutator_defect, cert.min_volume],
+            verify_forward(family, points=pts).to_dict(),
+            verify_converse(family, points=pts).to_dict(),
+            sweep_rows(family, SWEEP_T_GRID, points=pts),
+        ])
+
+    want = verdicts()
+    monkeypatch.setattr(np, "einsum", _refuse_dense)
+    monkeypatch.setattr(contact.SampledPair, "_dense", _refuse_dense)
+    monkeypatch.setattr(contact._Field, "values", _refuse_dense)
+    assert verdicts() == want
+    if name == "sheared-t6":  # alpha0(E_alpha) = 0.3 E^1 + 0.7 E^2 + 0.5 E^3 is not 0
+        assert json.loads(want)[1]["overall"] == "not applicable"
+
+
+def _sequential_pairing(w, e):
+    """sum_i w_i e_i of dense (P, n) arrays, in component order from +0.0."""
+    total = np.zeros(len(w))
+    for i in range(w.shape[-1]):
+        total = total + w[:, i] * e[:, i]
+    return total
+
+
+def _einsum_pairing(w, e):
+    """The dense pairing of C-ordered samples and Reeb fields that the
+    compatibility items read before they ran on compact rows."""
+    return np.einsum("pi,pi->p", np.ascontiguousarray(w), np.ascontiguousarray(e))
+
+
+@pytest.mark.parametrize("name, references", [
+    ("sheared-t6", [_sequential_pairing]),
+    *[(name, [_sequential_pairing, _einsum_pairing]) for name in FAMILY_EXAMPLES],
+])
+def test_compatibility_items_equal_the_dense_pairings_bit_for_bit(name, references):
+    family = _sheared_family() if name == "sheared-t6" else build_example(name)["family"]
+    pts = sample_points(family.model, np.random.default_rng(4))
+    tol = default_tolerance(family.model)
+    sampled = SampledFamily(family, pts, tol)
+    cert = _certificate(sampled.direction, 1, 1, tol, False)
+    # at tol 0 every item with a nonzero defect fails and keeps its witness
+    items = deformation._pairing_items(sampled.closed, cert, 0.0)
+    fields = (cert.reeb_alpha_values, cert.reeb_beta_values)
+    pairs = [(w, e) for w in (sampled.closed.alpha, sampled.closed.beta) for e in fields]
+    for reference in references:
+        for item, (w, e) in zip(items, pairs):
+            values = np.abs(reference(w, e))
+            defect, idx = float(values.max()), int(values.argmax())
+            assert item.defect.hex() == defect.hex(), (reference.__name__, item.name)
+            if defect:
+                assert item.witness == {"point": pts[idx].tolist(), "value": defect}
+    if name == "sheared-t6":  # each item adds two or three nonzero terms
+        assert all(item.defect > 0.1 for item in items)
+        assert [np.count_nonzero(w[0] * e[0]) for w, e in pairs] == [3, 2, 2, 3]
+
+
 # --- memory per sample ------------------------------------------------------------
 
-@pytest.mark.parametrize("verdict, bound", [("pair", 720), ("forward", 900)])
+@pytest.mark.parametrize("verdict, bound", [("pair", 330), ("forward", 900), ("converse", 500)])
 def test_a_verdict_holds_its_samples_as_live_rows(verdict, bound):
     # the forms are held as rows of their live components alone (on T^6,
-    # alpha 2 of 6 and d alpha 2 of 15): the tracemalloc peak per sample is
-    # about 500 B for the pair and 430 B for the forward verdict at 5e4
-    # points, against 960 and 1270 B when every sample array was dense
+    # alpha 2 of 6 and d alpha 2 of 15), and so are the Reeb fields, their
+    # commutator and the compatibility pairings: the tracemalloc peak per
+    # sample at 5e4 points is about 300 B for the pair, 430 B for the
+    # forward and 450 B for the converse verdict, against 500 B for the pair
+    # and 530 B for the converse while the commutator and the pairings read
+    # dense Reeb fields, and 960 and 1270 B for the first two when every
+    # sample array was dense
     objs = build_example("t6-pair-compatible")
     pts = random_points(objs["model"], 50_000, np.random.default_rng(0))
-    if verdict == "pair":
-        def run():
-            verify_contact_pair(objs["alpha"], objs["beta"], 1, 1, points=pts)
-    else:
-        def run():
-            verify_forward(objs["family"], points=pts)
+    run = {
+        "pair": lambda: verify_contact_pair(objs["alpha"], objs["beta"], 1, 1, points=pts),
+        "forward": lambda: verify_forward(objs["family"], points=pts),
+        "converse": lambda: verify_converse(objs["family"], points=pts),
+    }[verdict]
     run()  # derives d once, outside the measurement
     tracemalloc.start()
     try:

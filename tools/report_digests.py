@@ -29,9 +29,10 @@ seeds 0 and 7 over this matrix:
   1/t, and the "t * E constant" item fails on numbers of its own;
 - verify-pair, deform and sweep on a copy of
   ``configs/t6_explicit_family.json`` with ``samples.random_count`` =
-  8193, written to a temporary directory: the exterior kernels run on
-  blocks of 4096 points, so this is two full blocks and a one-point
-  remainder, and every t of a deformation grid is a batch of its own;
+  8193, written to a temporary directory: 2 * 4096 + 1 points, more than
+  one block of ``exterior._BLOCK`` = 4096, so every t of a deformation
+  grid is a batch of its own (the exterior kernel runs each table row
+  over all 8193 points at once, so crosses no block);
 - deform forward, deform converse and sweep on a copy with
   ``samples.random_count`` = 1365: a family's t grid is certified in
   batches of 4096 // 1365 = 3 values of t, so the config's four t make a
@@ -116,8 +117,8 @@ OVERFLOW_GRID = "--t-grid=1,1e308"
 REEB_STEP_GRID = "--t-grid=5,10"
 # copies of the t6 config with another random sample count, each named by
 # its file name in the matrix and the digest lines and written to a
-# temporary directory: 2 * 4096 + 1 samples end in a one-point block of
-# the exterior kernels, and 1365 make t batches of 3
+# temporary directory: 2 * 4096 + 1 samples make every t a batch of its
+# own, and 1365 make t batches of 3
 BLOCK_EDGE_CONFIG = "t6_explicit_family_8193.json"
 BATCH_EDGE_CONFIG = "t6_explicit_family_1365.json"
 MIXED_BATCH_CONFIG = "t6_explicit_family_1365_dx1.json"
