@@ -111,8 +111,8 @@ def _interior_table(n: int, p: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(rows)
 
 
-# points per block of the batched loops: a family's t batches (``_per_block``),
-# the quadrature's node blocks and the Jacobi side's block loops
+# points per block: a family's t batches and the quadrature's node blocks
+# (``_per_block``), and the ``jacobi`` verdict's structure defects
 _BLOCK = 4096
 
 

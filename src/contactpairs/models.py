@@ -208,10 +208,13 @@ def _axis_resolutions(model: Model, resolution=None) -> list[int]:
             res = [min(r, model.grid_cap) for r in res]
         return res
     if np.isscalar(resolution):
-        return [int(resolution)] * len(coord)
-    res = [int(r) for r in resolution]
-    if len(res) != len(coord):
-        raise ValueError(f"expected {len(coord)} per-axis resolutions")
+        res = [int(resolution)] * len(coord)
+    else:
+        res = [int(r) for r in resolution]
+        if len(res) != len(coord):
+            raise ValueError(f"expected {len(coord)} per-axis resolutions")
+    if any(r < 4 for r in res):  # Axis's rule
+        raise ValueError(f"axis resolution must be at least 4, got {resolution!r}")
     return res
 
 

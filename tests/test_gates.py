@@ -197,7 +197,11 @@ def test_jacobi_verdict_makes_no_grid_stencil_solve_or_bracket():
     called = _reached_calls("runner", "_jacobi_verdict")
     assert "verify_contact_pair" in called and "_structure_checks" in called  # the walk reaches them
     assert not called & {"JacobiSide", "from_pair", "from_contact_form"}
-    assert not called & {"_axis_derivative", "grid_gradient", "brackets", "solve_hamiltonian"}
+    # the grid bracket by its entry points and its sweep: the name
+    # bracket_values is also the frame bracket Model.bracket_values, which
+    # the pair certificate reaches
+    assert not called & {"_axis_derivative", "grid_gradient", "jacobi_bracket", "jacobi_identity_defect",
+                         "solve_hamiltonian"}
 
 
 def test_pair_certificate_decides_its_bounds_through_the_gates_only():

@@ -157,6 +157,21 @@ def test_hamiltonian_solve_fails_on_non_finite_grid_values(t3_side, bad):
     assert err.value.witness["point"] == t3_side.points[err.value.witness["index"]].tolist()
 
 
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3])
+@pytest.mark.parametrize("example", ["darboux1", "t6-pair-compatible"])  # from_contact_form, from_pair
+def test_a_side_rejects_a_resolution_below_four(example, resolution):
+    with pytest.raises(ValueError, match=f"at least 4, got {resolution}"):
+        _library_side(example, "alpha", resolution)
+
+
+@pytest.mark.parametrize("example", ["darboux1", "t6-pair-compatible"])
+def test_a_side_at_resolution_four_takes_brackets(example):
+    side = _library_side(example, "alpha", 4)
+    assert side.grid_shape == (4,) * side.model.n
+    f, g, _ = _task_functions(side)
+    assert np.isfinite(jacobi_bracket(f, g, side)).all()
+
+
 def test_pair_side_leaf_dimension(pair_side, t3_side):
     assert pair_side.leaf_dim == 3 and t3_side.leaf_dim == 3
     # leaves are tangent to the left factor: Λ♯ and E have no right components
@@ -317,51 +332,28 @@ def _library_side(example, side_name, resolution):
     ("darboux2", "alpha", 5),
     ("t6-pair-compatible", "alpha", 5),
 ])
-def test_jacobi_identity_defect_makes_twelve_stencil_sweeps_per_axis(monkeypatch, example, side_name,
-                                                                    resolution):
+def test_jacobi_identity_defect_makes_fifteen_stencil_sweeps_per_axis(monkeypatch, example, side_name,
+                                                                     resolution):
     sweeps, derivative = [], jacobi._axis_derivative
     side = _library_side(example, side_name, resolution)
     n = side.model.n
 
     def counted_derivative(*args):
-        # a field's rows come before its grid axes, a function has none
-        sweeps.append(args[1] - (args[0].ndim - n))
+        # the grid axes come first: a field keeps its components last
+        sweeps.append(args[1])
         return derivative(*args)
 
     monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
     jacobi_identity_defect(*_task_functions(side), side)
-    # f, g, h shared, 3 + 6 + 3 per axis: the inner pass, the outer
+    # f, g, h solved once, 12 + 3 per axis: two fields for each of the six
     # brackets and the gradients of the three inner solves
-    assert sorted(sweeps) == sorted(12 * tuple(range(n)))
-
-
-@pytest.mark.parametrize("example, side_name, resolution, rows", [
-    ("torus-contact", "alpha", 12, 2),  # cos(x0) dx1 + sin(x0) dx2
-    ("darboux1", "alpha", 8, 2),  # dz + x dy
-    ("darboux2", "alpha", 5, 3),  # dz + x1 dy1 + x2 dy2
-    ("t6-pair-compatible", "alpha", 5, 2),  # components 1, 2 of 6
-    ("t6-pair-compatible", "beta", 5, 2),  # components 4, 5
-])
-def test_bracket_sweeps_run_on_the_components_alpha_reads(monkeypatch, example, side_name, resolution, rows):
-    side = _library_side(example, side_name, resolution)
-    n, derivative, counts = side.model.n, jacobi._axis_derivative, []
-
-    def counted_derivative(g, axis, h, periodic):
-        if g.ndim > n:  # a field's component rows, not a function
-            counts.append(g.shape[0])
-        return derivative(g, axis, h, periodic)
-
-    monkeypatch.setattr(jacobi, "_axis_derivative", counted_derivative)
-    jacobi_identity_defect(*_task_functions(side), side)
-    # 9 field sweeps per axis (3 shared, 2 for each outer bracket)
-    assert set(counts) == {rows} and len(counts) == 9 * n
+    assert sorted(sweeps) == sorted(15 * tuple(range(n)))
 
 
 def test_a_bracket_whose_unread_component_overflows_is_not_finite(t3_side):
     # alpha reads components 1 and 2; component 0 of Y runs -1e308, -1e308,
     # 1e308, 1e308, ... along x0, so its central difference overflows and
-    # alpha_0 [X, Y]_0 = 0 * inf is NaN, as when every component is formed
-    assert list(t3_side.alpha_live) == [1, 2]
+    # alpha_0 [X, Y]_0 = 0 * inf is NaN
     x = t3_side.e_values
     y = np.zeros_like(x)
     y[:, 0] = np.where(np.indices(t3_side.grid_shape)[0].reshape(-1) // 2 % 2, 1e308, -1e308)
@@ -384,38 +376,29 @@ def _reference_bracket(side, xv, yv):
 
 
 @pytest.mark.parametrize("example, side_name, resolution", [
-    ("torus-contact", "alpha", 20),  # periodic, more rows than one block
+    ("torus-contact", "alpha", 20),  # periodic
     ("darboux1", "alpha", 9),
     ("darboux2", "alpha", 6),  # box axes with one-sided stencils
     ("t6-pair-compatible", "alpha", 5),  # a pair side
     ("t6-pair-compatible", "beta", 5),
 ])
-def test_shared_brackets_equal_the_per_pair_brackets(example, side_name, resolution):
-    _check_shared_brackets(example, side_name, resolution)
+def test_bracket_values_equal_the_reference_bracket(example, side_name, resolution):
+    _check_brackets(example, side_name, resolution)
 
 
-def test_brackets_of_grid_function_fields_equal_the_per_pair_brackets():
+def test_brackets_of_grid_function_fields_equal_the_reference_bracket():
     # f, g, h given as grid arrays: their gradients are stencil sweeps too
-    _check_shared_brackets("darboux2", "alpha", 6, grid_arrays=True)
+    _check_brackets("darboux2", "alpha", 6, grid_arrays=True)
 
 
-def _check_shared_brackets(example, side_name, resolution, grid_arrays=False):
-    objs = build_example(example)
-    if "beta" in objs:
-        side = JacobiSide.from_pair(objs["alpha"], objs["beta"], objs["k"], objs["l"],
-                                    side=side_name, resolution=resolution)
-    else:
-        side = JacobiSide.from_contact_form(objs["alpha"], resolution=resolution)
+def _check_brackets(example, side_name, resolution, grid_arrays=False):
+    side = _library_side(example, side_name, resolution)
     f, g, h = _task_functions(side)
     if grid_arrays:
         f, g, h = (ex.evaluate_many(u, side.points) for u in (f, g, h))
     x1, xf, xg, xh = (side.solve_hamiltonian(u) for u in (ex.const(1.0), f, g, h))
-    pairs = [(x1, xg), (xf, xg), (xg, xf), (xg, xh), (xh, xf), (xf, xf)]
-    shared = side.brackets(pairs)
-    assert len(shared) == len(pairs)
-    for (xv, yv), got in zip(pairs, shared):
-        _assert_equal_with_evidence(got, side.bracket_values(xv, yv))
-        _assert_equal_with_evidence(got, _reference_bracket(side, xv, yv))
+    for xv, yv in [(x1, xg), (xf, xg), (xg, xf), (xg, xh), (xh, xf), (xf, xf)]:
+        _assert_equal_with_evidence(side.bracket_values(xv, yv), _reference_bracket(side, xv, yv))
 
 
 def _assert_equal_with_evidence(got, want):
@@ -463,8 +446,7 @@ def _rolled_derivative(g, axis, h, periodic):
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("shape", [(7, 5, 6), (4, 9, 5, 3), (3, 4), (3, 4, 9, 5)])
 def test_axis_derivative_is_bit_identical_to_shifted_copies(shape, periodic):
-    # along every axis: a field's components may come last or, as in
-    # JacobiSide.brackets, first
+    # along every axis, with a field's components last or first
     g = np.random.default_rng(5).normal(size=shape) * 1e3
     for axis in range(len(shape)):
         want = _rolled_derivative(g, axis, 0.37, periodic).tobytes()

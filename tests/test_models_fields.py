@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ def test_lie_jacobi_violation():
 def test_chart_needs_reasonable_resolution():
     with pytest.raises(ValueError):
         ChartModel([periodic_axis(3)])
+
+
+@pytest.mark.parametrize("resolution", [0, 1, 2, 3, (4, 3, 4)])
+def test_an_explicit_resolution_below_four_is_rejected(resolution):
+    # the rule of Axis, for a resolution given to a grid, scalar or per axis
+    t3 = torus(3)
+    with pytest.raises(ValueError, match=re.escape(f"at least 4, got {resolution!r}")):
+        grid_points(t3, resolution)
+    with pytest.raises(ValueError, match="at least 4"):
+        integrate(t3, volume_form(t3), resolution=resolution)
+
+
+def test_an_explicit_resolution_of_four_samples_the_grid():
+    t3 = torus(3)
+    assert grid_points(t3, 4).shape == (64, 3) and grid_points(t3, (4, 5, 4)).shape == (80, 3)
+    assert integrate(t3, volume_form(t3), resolution=4) == pytest.approx(TWO_PI**3, rel=1e-12)
 
 
 # --- exterior derivative ----------------------------------------------------

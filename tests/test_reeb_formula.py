@@ -356,6 +356,25 @@ def test_the_t_batch_is_the_one_block_division():
     assert callers == [("contact", "_t_batch"), ("models", "_integrals")]
 
 
+def test_block_size_is_read_by_the_t_batch_and_the_structure_defects_alone():
+    # every load of exterior._BLOCK in the package, by the innermost function
+    # that reads it (None at module level): no new private block loop
+    readers = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Name) and node.id == "_BLOCK" and isinstance(node.ctx, ast.Load)) or (
+                isinstance(node, ast.Attribute) and node.attr == "_BLOCK"):
+            readers.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(contactpairs.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert sorted(set(readers)) == [("exterior", "_per_block"), ("jacobi", "_structure_defects")]
+
+
 # --- the sweep's Reeb column where the volume vanishes ------------------------------------
 
 def test_sweep_reeb_column_grows_where_the_volume_nears_zero():
