@@ -3,11 +3,15 @@
 Subcommands: classify, verify-pair, deform, jacobi, sweep, examples.  Each
 subcommand either builds a single task from its flags (typically against a
 builtin --example) or executes the matching tasks of a --config file.
+
+``main`` fixes glibc's mmap and trim thresholds where its dynamic ones end up,
+so that successive verdicts reuse their heap pages; library calls do not.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import sys
 
@@ -83,6 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
 _main_parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """mallopt M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1): trim alone freezes mmap where it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt (macOS), no CDLL(None) (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 64 << 20)
+
+
 _DEFORM_MODES = {"forward": "deform-forward", "converse": "deform-converse", "single": "single-deform"}
 
 # flags that set a field of the task, by the task field they set
@@ -148,6 +164,7 @@ def _examples_listing(fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     parser = _main_parser()
     args = parser.parse_args(argv)
 

@@ -81,7 +81,8 @@ def marginal(defect: float | None, threshold: float | None) -> bool:
 def passes(defect, threshold, *, lower: bool):
     """The pass/fail rule of every gate, elementwise: an upper bound passes
     iff defect <= threshold (zero data passes at zero scale), a lower bound
-    iff defect > threshold; a NaN fails both."""
+    iff defect > threshold; a NaN fails both.  An infinite threshold passes
+    every finite defect of an upper bound and fails every lower bound."""
     return defect > threshold if lower else defect <= threshold
 
 
@@ -211,7 +212,7 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
     """
     n = av.shape[1]
     scale_a = float(_live_max(av, live_a))
-    scale_da = float(_live_max(dav, live_da))
+    scale_da = _live_max(dav, live_da)  # np.float64: its powers overflow to inf, not to an OverflowError
 
     alpha_rows = _live_max(av, live_a, ())
     _bound("nonvanishing", "form vanishes at a sample point", _troughs(alpha_rows)[0], tol * scale_a, pts, lower=True)
@@ -235,11 +236,12 @@ def _class_report(av: np.ndarray, dav: np.ndarray, pts: np.ndarray, tol: float, 
         )
 
     pointwise = np.full(pts.shape[0], -1, dtype=int)
-    for k in range(k_max + 1):
-        ok_nv = passes(nonvanish[k], tol * scale_a * scale_da**k, lower=True)
-        # past the degree, (d alpha)^{k+1} is 0
-        ok_z = passes(power_norm[k + 1], tol * scale_da ** (k + 1), lower=False) if k + 1 < len(power_norm) else True
-        pointwise = np.where(ok_nv & ok_z, k, pointwise)
+    with np.errstate(over="ignore"):
+        for k in range(k_max + 1):
+            ok_nv = passes(nonvanish[k], tol * scale_a * scale_da**k, lower=True)
+            # past the degree, (d alpha)^{k+1} is 0
+            ok_z = passes(power_norm[k + 1], tol * scale_da ** (k + 1), lower=False) if k + 1 < len(power_norm) else True
+            pointwise = np.where(ok_nv & ok_z, k, pointwise)
 
     k_lo, k_hi = int(pointwise.min()), int(pointwise.max())
     if k_lo != k_hi or k_lo < 0:

@@ -1,4 +1,8 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +478,73 @@ def test_shipped_configs_pass(name):
     report, code = run(cfg)
     assert code == 0
     assert all(t["status"] == "pass" for t in report["tasks"])
+
+
+def test_classify_on_huge_coefficients_reads_the_class_past_an_overflowing_threshold(tmp_path, capsys):
+    # |d alpha| ~ 1e150, so tol * |d alpha|^3 is past the float range: that
+    # threshold is inf, and (d alpha)^2 = 0 keeps alpha of class 3
+    doc = json.loads((CONFIGS / "t6_explicit_family.json").read_text(encoding="utf-8"))
+    doc["forms"]["alpha_l"]["coefficients"] = {"1": "1e150*cos(x0)", "2": "1e150*sin(x0)"}
+    assert main(["classify", "--config", write_config(tmp_path, doc), "--form", "alpha", "--format", "structured"]) == 0
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["status"] == "pass"
+    assert (task["result"]["k"], task["result"]["class"], task["result"]["max_residual"]) == (1, 3, 0.0)
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# In a fresh process, the minor page faults of the second of two 1 MiB
+# arrays after a first main(), while the heap is still small, then of the
+# third of three deform runs.  The heap holds the array only where both
+# thresholds are raised: trim alone would keep mmap at the threshold it had.
+_REPEATED_DEFORM_FAULTS = """
+import contextlib, io, resource
+import numpy as np
+from contactpairs import cli
+def faults_of(work):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        result = work()
+    return result, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults_of(lambda: cli.main(["examples"]))
+for _ in range(2):
+    _, array_faults = faults_of(lambda: np.ones(1 << 17))
+for _ in range(3):
+    code, faults = faults_of(lambda: cli.main(["deform", "--example", "t6-pair-compatible", "--format", "structured"]))
+print(code, faults, array_faults)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_verdicts_reuse_their_heap_pages():
+    # a fresh interpreter, so that this process's allocator state plays no
+    # part; under glibc's default thresholds the third run faults in hundreds of pages
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _REPEATED_DEFORM_FAULTS], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    code, faults, array_faults = map(int, out.split())
+    assert code == 0 and faults < 100 and array_faults < 100
+
+
+def _no_c_library(name):
+    raise TypeError("no C library by None")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library], ids=["no-mallopt", "no-cdll-none"])
+def test_main_runs_where_the_allocator_cannot_be_set(monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._fix_malloc_thresholds.cache_clear()
+    try:
+        assert main(["verify-pair", "--example", "heisenberg6-pair", "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["tasks"][0]["status"] == "pass"
+    finally:
+        cli._fix_malloc_thresholds.cache_clear()
 
 
 def test_cli_report_to_file(tmp_path, capsys):
