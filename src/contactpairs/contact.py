@@ -576,10 +576,10 @@ def _coordinate_partials(form: FormField, axis: int, pts: np.ndarray, known, req
     the coefficient array of a form at pts, live the components whose
     partial is not identically 0, rows their values, one row per component
     of live (the others are +0.0), and bound max |rows|; None when none is.
-    Only the live coefficients (``FormField.live``) are differentiated.
+    The partials are the form's own (``FormField.partials``), derived once.
     Where a partial is not finite, ``require_finite(what, values)``, unless
     None, raises with its witness; else ``ex.EvaluationError`` is raised."""
-    parts = [(i, p) for i in form.live if not ex.is_zero(p := ex.partial(form.coeffs[i], axis))]
+    parts = form.partials(axis)
     if not parts:
         return None
     rows = np.empty((len(parts), len(pts)))

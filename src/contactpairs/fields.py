@@ -61,7 +61,7 @@ def _check_coefficients(model: Model, exprs):
 class FormField:
     """A degree-p differential form on a model."""
 
-    __slots__ = ("model", "degree", "coeffs", "_d", "_live")
+    __slots__ = ("model", "degree", "coeffs", "_d", "_live", "_partials")
 
     def __init__(self, model: Model, degree: int, coeffs):
         if not 0 <= degree <= model.n:
@@ -77,6 +77,7 @@ class FormField:
         self.coeffs = coeffs
         self._d = None
         self._live = None
+        self._partials = {}
 
     @property
     def live(self) -> tuple[int, ...]:
@@ -89,6 +90,17 @@ class FormField:
                 if not (isinstance(c, ex.Const) and c.value == 0.0 and math.copysign(1.0, c.value) > 0)
             )
         return self._live
+
+    def partials(self, axis: int) -> tuple:
+        """(i, ∂_axis coeffs[i]) for each ``live`` coefficient whose exact
+        partial along the coordinate axis is not identically 0, in order,
+        derived once per field and axis."""
+        found = self._partials.get(axis)
+        if found is None:
+            found = self._partials[axis] = tuple(
+                (i, p) for i in self.live if not ex.is_zero(p := ex.partial(self.coeffs[i], axis))
+            )
+        return found
 
     def values(self, points, known: ex.Known | None = None) -> np.ndarray:
         """Coefficient array at a batch of points, shape (P, C(n, p)): the

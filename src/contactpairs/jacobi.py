@@ -285,7 +285,10 @@ def _form_side(alpha: FormField, resolution=None, tol: float | None = None, part
     grid.require_finite("Reeb system", volume)
     k, scale_a, scale_da = n // 2, float(np.max(np.abs(av))), float(np.max(np.abs(dav)))
     defect, idx, _ = _troughs(volume)[0]
-    threshold = tol * scale_a * scale_da**k  # the scale of the pair certificate and of classify
+    # the scale of the pair certificate and of classify, whose np.float64
+    # power overflows to inf, not to an OverflowError
+    with np.errstate(over="ignore"):
+        threshold = float(tol * scale_a * np.float64(scale_da) ** k)
     if not passes(defect, threshold, lower=True):
         witness = grid.witness(idx)
         raise JacobiError(

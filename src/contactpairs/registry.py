@@ -1,8 +1,16 @@
-"""Named builtin examples: models, contact forms, pairs, and families."""
+"""Named builtin examples: models, contact forms, pairs, and families.
+
+An example is built on the first ``build_example`` call that names it and
+kept for the life of the process; each call returns a new dict of the same
+objects.  Its forms keep what they derive (``FormField.d``,
+``FormField.partials``), so a verdict on a builtin pays for that once per
+process.  Nothing is built at import.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .contact import darboux_model, torus_contact
 from .deformation import DeformationFamily
@@ -130,8 +138,14 @@ def list_examples() -> tuple[ExampleInfo, ...]:
 
 
 def build_example(name: str) -> dict:
-    """Instantiate a builtin example by name."""
+    """A builtin example by name: a new dict of the objects built on the
+    first call for that name."""
     if name not in _REGISTRY:
         known = ", ".join(_REGISTRY)
         raise KeyError(f"unknown example {name!r} (known: {known})")
+    return dict(_built(name))
+
+
+@cache
+def _built(name: str) -> dict:
     return _REGISTRY[name][1]()

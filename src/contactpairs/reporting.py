@@ -1,13 +1,18 @@
 """Report rendering: deterministic structured (JSON) and text outputs, CSV
 sweeps.  Bodies are byte-identical across runs with the same config and seed;
-timing lives in its own top-level field so consumers can strip it."""
+timing lives in its own top-level field so consumers can strip it.
+
+The structured output is written by one recursive pass of this module
+rather than by ``json.dumps``, whose ``indent`` path runs in pure Python;
+its bytes are those of ``json.dumps(..., indent=2)`` with the non-finite
+floats written as null."""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["render_structured", "render_text", "write_sweep_csv", "strip_timing"]
 
@@ -20,20 +25,58 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-def _strict(value):
-    """``value`` with every non-finite float replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _strict(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
-
-
 def render_structured(report: dict) -> str:
-    """Strict JSON: a non-finite number is written as null, never as NaN."""
-    return json.dumps(_strict(report), indent=2, sort_keys=False, allow_nan=False) + "\n"
+    """Strict JSON, indented by two spaces: a non-finite number is written
+    as null, never as NaN; a key that is not a str raises TypeError."""
+    out = []
+    _emit(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value, out: list, newline: str) -> None:
+    """Append the JSON text of value to out, ``newline`` being the line
+    break and indent of the value's own line, each item of a list or dict
+    on a line of its own one level deeper; the checks in the order of
+    ``json.encoder``."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _emit(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _emit(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _fmt(value) -> str:

@@ -159,35 +159,104 @@ def test_jacobi_verdict_decides_through_the_gate_only():
     assert _ordering_comparisons("runner", "_jacobi_verdict") == []
 
 
-def _reached_calls(module: str, function: str) -> set:
-    """The names called by the functions of the package that a call of
-    ``module.function`` can reach, a call resolved by its name alone to every
-    function, method or class (its methods) of that name, except the methods
-    of ``jacobi.JacobiSide``: those need an instance, and the caller is
-    checked not to make one."""
-    defined = {}
+def _package_definitions():
+    """({qualified name: (node, module, class)}, {module: namespace}) of the
+    package: every top-level function ("module.name"), class
+    ("module.Class") and method ("module.Class.name"), and per module the
+    names it binds to them or to a package module (``from .m import f``,
+    ``from . import m as alias``), anywhere in the module; a name bound to
+    anything else maps to None."""
+    defined, namespaces = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+        names = namespaces[module] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{module}.{node.name}"] = (node, module, None)
+                names[node.name] = f"{module}.{node.name}"
             if isinstance(node, ast.ClassDef):
-                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
-                defined.setdefault(node.name, []).extend(methods)
-                if node.name != "JacobiSide":
-                    for m in methods:
-                        defined.setdefault(m.name, []).append(m)
-            elif isinstance(node, ast.FunctionDef):
-                defined.setdefault(node.name, []).append(node)
-                if path.stem == module and node.name == function:
-                    start = node
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef):
+                        defined[f"{module}.{node.name}.{m.name}"] = (m, module, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if node.level == 0:
+                        names.setdefault(bound, None)
+                    elif node.module is None:  # from . import m
+                        names.setdefault(bound, f"module:{alias.name}")
+                    else:
+                        names.setdefault(bound, f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    names.setdefault(alias.asname or alias.name.split(".")[0], None)
+    return defined, namespaces
+
+
+def _reached_calls(module: str, function: str) -> set:
+    """The qualified names (``_package_definitions``) of the functions,
+    classes and methods of the package that a call of ``module.function``
+    can reach, with the text of each call that names none of them.
+
+    A call is resolved by what it names: a name bound in its module, a
+    method of its own class through ``self.`` or ``cls.``, its own class
+    through ``cls(...)``, an attribute of a package module or class bound
+    in its module.  A class reaches each of its methods, and a package
+    function named as a value (a callback) is reached too.  Any other call,
+    on an object or by a name bound to nothing of the module (a parameter),
+    is resolved by its bare name to every function and method of that
+    name, except the methods of ``jacobi.JacobiSide``: those need an
+    instance, and the caller is checked not to make one."""
+    defined, namespaces = _package_definitions()
+    by_name = {}
+    for qualified, (_, _, cls) in defined.items():
+        if cls != "JacobiSide":
+            by_name.setdefault(qualified.rsplit(".", 1)[1], []).append(qualified)
+
+    def named(expr, module) -> list:
+        """What a name bound in module, or an attribute of a package module
+        or class bound there, is: [its qualified name], or []."""
+        names = namespaces[module]
+        if isinstance(expr, ast.Name):
+            target = names.get(expr.id)
+        elif isinstance(expr, ast.Attribute) and names.get(getattr(expr.value, "id", None)):
+            target = f"{names[expr.value.id].removeprefix('module:')}.{expr.attr}"
+        else:
+            return []
+        return [target] if target in defined else []
+
+    def resolve(call, module, cls) -> list:
+        func = call.func
+        if isinstance(func, ast.Name) and func.id == "cls" and cls is not None:
+            return [f"{module}.{cls}"]
+        owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+        if owner in ("self", "cls") and cls is not None and f"{module}.{cls}.{func.attr}" in defined:
+            return [f"{module}.{cls}.{func.attr}"]
+        if (func.id if isinstance(func, ast.Name) else owner) in namespaces[module]:
+            return named(func, module)
+        return by_name.get(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), [])
+
+    start = f"{module}.{function}"
     seen, todo, called = set(), [start], set()
     while todo:
-        node = todo.pop()
-        if id(node) in seen:
+        qualified = todo.pop()
+        if qualified in seen:
             continue
-        seen.add(id(node))
-        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
-            name = call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
-            called.add(name)
-            todo.extend(defined.get(name, ()))
+        seen.add(qualified)
+        called.add(qualified)
+        node, module_of, cls = defined[qualified]
+        if isinstance(node, ast.ClassDef):
+            todo.extend(f"{qualified}.{m.name}" for m in node.body if isinstance(m, ast.FunctionDef))
+            continue
+        for n in ast.walk(node):
+            if isinstance(n, ast.Call):
+                targets = resolve(n, module_of, cls)
+                if not targets:
+                    called.add(ast.unparse(n.func))
+                todo.extend(targets)
+            elif isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                todo.extend(t for t in named(n, module_of) if isinstance(defined[t][0], ast.FunctionDef))
     return called
 
 
@@ -195,13 +264,13 @@ def test_jacobi_verdict_makes_no_grid_stencil_solve_or_bracket():
     # the verdict reads exact partials at the side's distinct samples: it
     # forms no library side, and so no grid field, sweep or bracket
     called = _reached_calls("runner", "_jacobi_verdict")
-    assert "verify_contact_pair" in called and "_structure_checks" in called  # the walk reaches them
-    assert not called & {"JacobiSide", "from_pair", "from_contact_form"}
-    # the grid bracket by its entry points and its sweep: the name
-    # bracket_values is also the frame bracket Model.bracket_values, which
-    # the pair certificate reaches
-    assert not called & {"_axis_derivative", "grid_gradient", "jacobi_bracket", "jacobi_identity_defect",
-                         "solve_hamiltonian"}
+    # the walk reaches them, and the frame bracket, which the pair certificate reaches
+    assert {"contact.verify_contact_pair", "jacobi._structure_checks", "models.Model.bracket_values"} <= called
+    assert not called & {"jacobi.JacobiSide", "jacobi.JacobiSide.from_pair", "jacobi.JacobiSide.from_contact_form"}
+    # the grid bracket, its entry points and its sweep
+    assert not called & {"jacobi._axis_derivative", "jacobi.JacobiSide.grid_gradient", "jacobi.jacobi_bracket",
+                         "jacobi.jacobi_identity_defect", "jacobi.JacobiSide.solve_hamiltonian",
+                         "jacobi.JacobiSide.bracket_values"}
 
 
 def test_pair_certificate_decides_its_bounds_through_the_gates_only():

@@ -24,7 +24,15 @@ from contactpairs.jacobi import (
     jacobi_bracket,
     jacobi_identity_defect,
 )
-from contactpairs.models import box_chart, default_tolerance, grid_points, grid_shape, heisenberg3, torus
+from contactpairs.models import (
+    ProductModel,
+    box_chart,
+    default_tolerance,
+    grid_points,
+    grid_shape,
+    heisenberg3,
+    torus,
+)
 from contactpairs.registry import build_example
 
 
@@ -105,6 +113,37 @@ def test_jacobi_on_a_closed_form_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["jacobi", "--config", str(path), "--format", "structured"]) == 2
     assert "volume alpha ^ (d alpha)^1 vanishes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("frequency", ["1e150", "1e170"])
+def test_a_volume_threshold_that_overflows_ends_in_a_report(tmp_path, capsys, frequency):
+    # |d alpha| is about 1e160 at 1e170, so the volume threshold tol |alpha|
+    # |d alpha|^2 overflows: it reads as inf, and the form is degenerate on
+    # the grid as it is at 1e150, not an OverflowError
+    doc = {
+        "models": {"box": {"kind": "chart", "axes": [{"lo": -1.0, "hi": 1.0, "resolution": 6}] * 5}},
+        "forms": {"a": {"model": "box", "degree": 1,
+                        "coefficients": {"2": "x0", "3": f"x1 + 1e-10*cos({frequency}*x0)", "4": "1"}}},
+        "tasks": [{"task": "jacobi", "form": "a", "resolution": 6}],
+    }
+    path = tmp_path / "overflowing_threshold.json"
+    path.write_text(json.dumps(doc))
+    assert main(["jacobi", "--config", str(path), "--format", "structured"]) == 2
+    captured = capsys.readouterr()
+    assert "volume alpha ^ (d alpha)^2 vanishes" in captured.err
+    assert json.loads(captured.out)["tasks"][0]["status"] == "error"
+
+
+def test_pair_side_thresholds_that_overflow_fail_as_non_finite():
+    # the pair side's thresholds are those of the pair certificate, formed
+    # from np.float64 scales: at 1e170 the volume scale |alpha| |beta|
+    # |d alpha| |d beta| overflows to inf, which fails as non-finite
+    model = ProductModel(torus(3), torus(3))
+    alpha = form_from_expressions(model, 1, {1: "cos(x0) + 1e-10*cos(1e170*x0)", 2: "sin(x0)"})
+    beta = form_from_expressions(model, 1, {4: "cos(x3) + 1e-10*cos(1e170*x3)", 5: "sin(x3)"})
+    with pytest.raises(contact.ContactPairError) as err:
+        jacobi._pair_side(alpha, beta, 1, 1, "alpha", 6, partials=True)
+    assert err.value.condition == "non-finite"
 
 
 @pytest.mark.parametrize("scale, degenerate", [(1e-9, True), (1e-5, False)])
