@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expressions as ex
-from .exterior import _columns, _interior, _per_block, _reaches, _scatter, _two_form_positions, chain_factor, form_count
+from .exterior import _columns, _interior, _per_block, _reaches, _scatter, chain_factor
 from .fields import FormField, form_from_expressions, pullback_form
 from .models import (
     Model,
@@ -267,9 +267,9 @@ class SampledPair:
     component live[j] with the samples' leading axes, every other component
     being +0.0.  ``live`` holds, for each, (live components, bound), bound
     being max |x| over them per leading index, the array's ``scales`` entry.
-    The wedge chains, row maxima and the Reeb pair read the rows alone;
-    ``alpha``, ``beta``, ``dalpha`` and ``dbeta`` scatter them into dense,
-    C-ordered (..., C) arrays for the readers that need every component.
+    Every reader takes the rows as they are, most as compact chain factors
+    (``factors``): the wedge chains, row maxima and the Reeb pair, the
+    relation rows of a Jacobi side and ``deformation.PairSamples``.
 
     ``forms`` holds the four fields the rows were evaluated from, which the
     exact Reeb commutator and the Jacobi jets differentiate (``partials``);
@@ -297,15 +297,6 @@ class SampledPair:
         forms, known = (alpha, beta, alpha.d(), beta.d()), ex.Known()
         rows = [f.live_rows(pts, known) for f in forms]
         return cls(pts, alpha.model.n, rows, tuple((f.live, _row_bound(r)) for f, r in zip(forms, rows)), forms)
-
-    def _dense(self, j: int) -> np.ndarray:
-        """Array j dense and C-ordered, (..., C), +0.0 off its live set."""
-        rows, comps = self.rows[j], self.live[j][0]
-        out = np.zeros(rows.shape[1:] + (form_count(self.n, 1 + j // 2),))
-        out[..., list(comps)] = _components_last(rows)
-        return out
-
-    alpha, beta, dalpha, dbeta = (property(lambda self, j=j: self._dense(j)) for j in range(4))
 
     def scales(self) -> tuple:
         """Largest absolute entries of alpha, beta, d alpha and d beta."""
@@ -357,25 +348,6 @@ class SampledPair:
             rows = [_live_max(values, live, ()) for _, values, (live, _) in (alpha, beta, *powers)]
         return (*self.scales(), *rows, ch.volume), ch
 
-    def reeb_rows(self) -> np.ndarray:
-        """Stacked rows (alpha; beta; i_E d alpha; i_E d beta) of every
-        sample, shape (samples, 2n+2, n), the samples of a leading t axis
-        taken in t order.
-
-        Row 2 + j of i_E d alpha holds d alpha(e_i, e_j) in column i, so each
-        2-form coefficient is scattered straight into its flat positions.
-        """
-        n = self.n
-        flat = [v.reshape(-1, v.shape[-1]) for v in (self.alpha, self.beta, self.dalpha, self.dbeta)]
-        rows = np.zeros((flat[0].shape[0], (2 * n + 2) * n))
-        rows[:, :n] = flat[0]
-        rows[:, n : 2 * n] = flat[1]
-        upper, lower = _two_form_positions(n)
-        for start, coeffs in ((2 * n, flat[2]), ((n + 2) * n, flat[3])):
-            rows[:, start + lower] = coeffs
-            rows[:, start + upper] = -coeffs
-        return rows.reshape(-1, 2 * n + 2, n)
-
     def top(self, k: int, l: int, w: tuple, v: tuple) -> np.ndarray:
         """Top coefficient of w ∧ (d alpha)^k ∧ v ∧ (d beta)^l per point, for
         1-form factors w and v given as (1, values) or (1, values, live)
@@ -424,13 +396,10 @@ def _vol_dual(volume: np.ndarray, c) -> np.ndarray:
     and an (n-1)-form c: X^i = (-1)^i c_î / volume, where c_î, the
     coefficient on dx^0 ∧ .. ∧ \\hat{dx^i} ∧ .. ∧ dx^{n-1}, sits at position
     n-1-i.  c is a coefficient array or a chain factor, maybe compact
-    (``exterior.chain_factor``).  Leading axes broadcast; the division runs
-    along the component rows of c (``_dual_rows``), and the result is
-    C-ordered, and not finite where the volume vanishes."""
-    n, lead, numerators = _numerators(c)
-    x = np.empty(np.broadcast_shapes(volume.shape, lead) + (n,))
-    _dual_rows(volume, numerators, range(n), x.transpose((-1, *range(x.ndim - 1))))
-    return x
+    (``exterior.chain_factor``).  Leading axes broadcast; X is the compact
+    vol-dual on every component (``_compact_dual``) made C-ordered, and not
+    finite where the volume vanishes."""
+    return np.ascontiguousarray(_components_last(_compact_dual(volume, c, True).rows))
 
 
 def _numerators(c) -> tuple:
@@ -664,17 +633,10 @@ def _moved(s: SampledPair, fields) -> list:
 def _reeb_directional(s: SampledPair, ch: _Chains, e: _Field, moved, j: int) -> dict:
     """D_X E for the compact Reeb field E = e of s, E_alpha for j = 0 and
     E_beta for j = 1, from the exact derivative of the insertion identity:
-    with c the numerator of E,
-
-        D_X E = (♯D_X c - E D_X v) / v,   ♯ the vol-dual (``_vol_dual``),
-
-    where D_X c and D_X v follow by the product rule over the factors of
-    the chains ``ch`` of s and ``moved``, D_X of its forms (``_moved``).
-    Returns {i: (D_X E)^i}: the E D_X v term on E's live set plus ♯D_X c on
-    its own (``_compact_dual``); every other component is ±0, as in the
-    dense quotient rule (``_dual_derivative``), where D_X v / v is finite
-    (where it is not, some live row is not either: E is nonzero at every
-    sample where its residual passed)."""
+    E is the vol-dual ♯c / v of its numerator c, so D_X E follows by the
+    quotient rule (``_quotient_rule``), with D_X c and D_X v by the product
+    rule over the factors of the chains ``ch`` of s and ``moved``, D_X of
+    its forms (``_moved``).  Returns {i: (D_X E)^i}."""
     n, (alpha, beta, dalpha, dbeta) = s.n, s.factors()
     k, l = (0 if p is None else p[0] // 2 for p in (ch.pa, ch.pb))  # the powers' degrees are 2k and 2l
     da, db, dda, ddb = moved
@@ -682,10 +644,24 @@ def _reeb_directional(s: SampledPair, ch: _Chains, e: _Field, moved, j: int) -> 
     dna = _product_rule(n, [(ch.m, dm), (beta, db)])
     dv = _product_rule(n, [(alpha, da), (ch.na, dna)])
     volume, dc = (ch.volume, dna) if j == 0 else (-ch.volume, _product_rule(n, [(alpha, da), (ch.m, dm)]))
+    # E_beta is a vol-dual by -v, and -D_X v / -v has the bits of D_X v / v
+    return _quotient_rule(e, volume, dc, None if dv is None else _top(dv) if j == 0 else -_top(dv))
+
+
+def _quotient_rule(x: _Field, volume: np.ndarray, dc, dv) -> dict:
+    """D x of the compact vol-dual x = ♯c / volume (``_vol_dual``) from D c,
+    a chain factor, and the array D v, each None for 0, by the quotient rule
+
+        D x = (♯D c - x D v) / v,
+
+    as {i: (D x)^i}: the x D v term on x's live set plus ♯D c on its own
+    (``_compact_dual``), added in that order.  Every other component is ±0
+    where D v / v is finite (where it is not, some live row is not either
+    wherever x is nonzero).  Leading axes broadcast."""
     out = {}
-    if dv is not None:  # D_X v / v, which E_beta's -D_X v / -v leaves as it is
-        rate = -(_top(dv) / ch.volume)
-        out = {i: row * rate for i, row in zip(e.live, e.rows)}
+    if dv is not None:
+        rate = -(dv / volume)
+        out = {i: row * rate for i, row in zip(x.live, x.rows)}
     if dc is not None:
         dual = _compact_dual(volume, dc)
         for i, row in zip(dual.live, dual.rows):
@@ -693,15 +669,16 @@ def _reeb_directional(s: SampledPair, ch: _Chains, e: _Field, moved, j: int) -> 
     return out
 
 
-def _dual_derivative(x: np.ndarray, volume: np.ndarray, dc, dv) -> np.ndarray:
-    """D x of the vol-dual x = ♯c / v (``_vol_dual``) from D c, a chain
-    factor, and the array D v, each None for 0, by the quotient rule
-
-        D x = (♯D c - x D v) / v."""
-    rate = np.zeros_like(volume) if dv is None else dv / volume
-    out = x * -rate[..., None]
-    if dc is not None:
-        out += _vol_dual(volume, dc)
+def _frame_bracket(structure: np.ndarray, x: _Field, y: _Field) -> dict:
+    """The frame bracket c(X, Y)^k = sum_ij c^k_ij X^i Y^j of compact fields
+    as {k: row}, over the nonzero c^k_ij with i live in X and j in Y, each
+    term (c^k_ij X^i) Y^j added in (i, j) order from +0.0: the bits of
+    ``Model.bracket_values`` on finite dense fields, whose other terms are ±0."""
+    out = {}
+    for i, xi in zip(x.live, x.rows):
+        for j, yj in zip(y.live, y.rows):
+            for k in np.flatnonzero(structure[i, j]).tolist():
+                out[k] = out.get(k, 0.0) + structure[i, j, k] * xi * yj
     return out
 
 
@@ -710,13 +687,11 @@ def _reeb_commutator(s: SampledPair, ch: _Chains, ea: _Field, eb: _Field) -> np.
 
         [E_alpha, E_beta] = c(E_alpha, E_beta) + D_{E_alpha} E_beta - D_{E_beta} E_alpha,
 
-    the derivatives exact (``_reeb_directional``), on the live rows of the
-    compact pair (ea, eb), each component's terms in that order; one that
-    no term reaches is ±0.  The pair is formed dense only for a nonzero c
-    (``Model.bracket_values``).  NaN propagates."""
-    model, rows = s.forms[0].model, {}
-    if model.structure.any():
-        rows = dict(enumerate(np.moveaxis(model.bracket_values(ea.values(), eb.values()), -1, 0)))
+    c on the live rows of the compact pair (ea, eb) (``_frame_bracket``)
+    and the derivatives exact (``_reeb_directional``), each component's
+    terms in that order; one that no term reaches is ±0.  NaN propagates."""
+    model = s.forms[0].model
+    rows = _frame_bracket(model.structure, ea, eb)
     if model.coordinate_axes:
         along_a, along_b = _moved(s, (ea, eb))
         for i, row in _reeb_directional(s, ch, eb, along_a, 1).items():
@@ -737,8 +712,9 @@ class ContactPairCertificate:
     they were evaluated from, or None for a family at one t.
     ``residual_threshold`` is tol * max(1, scales), the bound the Reeb
     residual (and the commutator) was gated at.  ``reeb_fields`` holds
-    (E_alpha, E_beta) compact (``_Field``), formed dense at each read of
-    ``reeb_alpha_values`` and ``reeb_beta_values``.
+    (E_alpha, E_beta) compact (``_Field``), which the package reads;
+    ``reeb_alpha_values`` and ``reeb_beta_values``, the library's one dense
+    view of a Reeb field, form them dense at each read.
     """
 
     k: int

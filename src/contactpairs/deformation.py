@@ -60,7 +60,7 @@ from .contact import (
     _troughs,
     passes,
 )
-from .exterior import _interior, chain, chain_factor, form_count
+from .exterior import _interior, chain_factor, form_count
 from .fields import FormField
 from .models import _integrals, default_tolerance, sample_points
 
@@ -295,20 +295,31 @@ def volume_identity_defect(family: DeformationFamily, t_values, points=None) -> 
     return float(worst / scale)
 
 
+def _pairing(w: np.ndarray, x, live=None) -> np.ndarray:
+    """w(X) = sum_i w_i X^i per point for 1-form samples w, with their live
+    set if given, and a compact field X (``contact._Field``): the
+    contraction ``exterior._interior``, its terms added in component order
+    from +0.0 but those that are ±0 at every point (no bit changes)."""
+    values, outputs = _interior(x.n, 1, x.rows.T, w, (x.live, x.max_abs()), live)
+    return values[:, 0] if outputs else np.zeros(len(w))
+
+
 class PairSamples:
     """The certificate's samples and Reeb pair, for repeated pointwise wedge
-    identities."""
+    identities, all on their compact rows: the wedges from the sample
+    factors (``SampledPair.top``), each w(E) the contraction i_E w
+    (``exterior._interior``) of a compact Reeb field (``contact._Field``)."""
 
     def __init__(self, cert: ContactPairCertificate):
         s = self.sampled = cert.sampled
         self.pts = s.points
         self.k, self.l = cert.k, cert.l
-        self.ea, self.eb = cert.reeb_alpha_values, cert.reeb_beta_values
+        self.ea, self.eb = cert.reeb_fields
         self.volume = s.top(self.k, self.l, *s.factors()[:2])
 
     def _omega_values(self, omega) -> np.ndarray:
         if isinstance(omega, FormField):
-            return np.ascontiguousarray(omega.values(self.pts))  # an einsum operand
+            return omega.values(self.pts)
         w = np.asarray(omega, dtype=float)
         if w.ndim == 1:
             w = np.broadcast_to(w, (self.pts.shape[0], w.shape[0]))
@@ -320,17 +331,16 @@ class PairSamples:
             w ∧ (da)^k ∧ b ∧ (db)^l = w(E_a) * vol,
             w ∧ a ∧ (da)^k ∧ (db)^l = -w(E_b) * vol,
 
-        where vol = a ∧ (da)^k ∧ b ∧ (db)^l.
+        where vol = a ∧ (da)^k ∧ b ∧ (db)^l; (da)^k has even degree, so the
+        second wedge is w ∧ (da)^k ∧ a ∧ (db)^l.
         """
         s, k, l = self.sampled, self.k, self.l
         w = self._omega_values(omega)
-        lhs1 = s.top(k, l, (1, w), s.factors()[1])
-        w_ea = np.einsum("pi,pi->p", w, self.ea)
-        d1 = float(np.max(np.abs(lhs1 - w_ea * self.volume)))
-
-        lhs2 = chain(s.n, (1, w), (1, s.alpha), *[(2, s.dalpha)] * k, *[(2, s.dbeta)] * l)[:, 0]
-        w_eb = np.einsum("pi,pi->p", w, self.eb)
-        d2 = float(np.max(np.abs(lhs2 + w_eb * self.volume)))
+        alpha, beta = s.factors()[:2]
+        lhs1 = s.top(k, l, (1, w), beta)
+        d1 = float(np.max(np.abs(lhs1 - _pairing(w, self.ea) * self.volume)))
+        lhs2 = s.top(k, l, (1, w), alpha)
+        d2 = float(np.max(np.abs(lhs2 + _pairing(w, self.eb) * self.volume)))
         scale = max(1.0, float(np.max(np.abs(self.volume))), float(np.max(np.abs(w))))
         return d1 / scale, d2 / scale
 
@@ -342,8 +352,10 @@ class PairSamples:
         w = self._omega_values(omega)
         wb = self._omega_values(omega_bar)
         if project:
-            w = w - np.einsum("pi,pi->p", w, self.eb)[:, None] * s.beta
-            wb = wb - np.einsum("pi,pi->p", wb, self.eb)[:, None] * s.beta
+            _, beta, (live, _) = s.factors()[1]
+            w, wb = (np.array(v) for v in (w, wb))
+            for v in (w, wb):
+                v[:, list(live)] -= _pairing(v, self.eb)[:, None] * beta
         acc = s.top(self.k, self.l, (1, w), (1, wb))
         scale = max(1.0, float(np.max(np.abs(w))), float(np.max(np.abs(wb))))
         return float(np.max(np.abs(acc))) / scale
@@ -440,21 +452,17 @@ def _item_at(s: SampledPair, gated, reeb, t: float):
 def _pairing_items(closed: SampledPair, cert, tol) -> list[CheckItem]:
     """The four compatibility gates w(E) = 0, w = alpha0, beta0 and E =
     E_alpha, E_beta, at tol * max(1, max |w| max |E|), each witnessed at the
-    first sample of its largest |w(E)|.  w(E) is the contraction i_E w
-    (``exterior._interior``) of the base certificate's compact Reeb rows
-    (``_Field``) and the closed pair's rows, with their live sets: sum_i w_i
-    E^i, its terms added in component order from +0.0, one whose column is
-    all ±0 against a finite partner left out (it adds ±0: no bit changes)."""
+    first sample of its largest |w(E)|, the contraction of the base
+    certificate's compact Reeb rows and the closed pair's rows
+    (``_pairing``)."""
     names = [(f"{w}0(E_{e})", i, j) for i, w in enumerate(("alpha", "beta")) for j, e in enumerate(("alpha", "beta"))]
     if cert is None:
         return [CheckItem(f"compatibility {n}=0", None, note="not evaluated (no base certificate)") for n, _, _ in names]
     fields, factors, items = cert.reeb_fields, closed.factors(), []
-    bounds = [x.max_abs() for x in fields]
     for label, form, j in names:
-        (x, bound), (_, w, live) = (fields[j], bounds[j]), factors[form]
-        pairing, outputs = _interior(closed.n, 1, x.rows.T, w, (x.live, bound), live)
-        defect, idx = _peaks(np.abs(pairing[:, 0]) if outputs else np.zeros(len(closed.points)))[0]
-        scale = max(1.0, live[1] * bound)
+        x, (_, w, live) = fields[j], factors[form]
+        defect, idx = _peaks(np.abs(_pairing(w, x, live)))[0]
+        scale = max(1.0, live[1] * x.max_abs())
         witness = {"point": closed.points[idx].tolist(), "value": defect}
         items.append(_gate(f"compatibility {label}=0", defect, tol * scale, witness))
     return items

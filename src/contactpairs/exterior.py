@@ -274,26 +274,13 @@ def interior_values(n: int, p: int, x: np.ndarray, w: np.ndarray, live_x=None, l
     return _scatter(*_interior(n, p, x, w, live_x, live_w), form_count(n, p - 1))
 
 
-@lru_cache(maxsize=None)
-def _two_form_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions i*n + j and j*n + i in an n x n matrix of each pair
-    (i, j) of multi_indices(n, 2), read-only."""
-    pairs = np.array(multi_indices(n, 2), dtype=np.intp).reshape(-1, 2)
-    upper, lower = pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]
-    upper.setflags(write=False)
-    lower.setflags(write=False)
-    return upper, lower
-
-
 def two_form_matrices(n: int, coeffs: np.ndarray) -> np.ndarray:
     """Antisymmetric matrices M with M[i, j] = w(e_i, e_j) from 2-form coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
-    flat = coeffs.reshape(math.prod(coeffs.shape[:-1]), coeffs.shape[-1])
-    upper, lower = _two_form_positions(n)
-    out = np.zeros((flat.shape[0], n * n))
-    out[:, upper] = flat
-    out[:, lower] = -flat
-    return out.reshape(coeffs.shape[:-1] + (n, n))
+    out = np.zeros(coeffs.shape[:-1] + (n, n))
+    for c, (i, j) in enumerate(multi_indices(n, 2)):
+        out[..., i, j], out[..., j, i] = coeffs[..., c], -coeffs[..., c]
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ With T = beta ∧ (d beta)^l (1 on a contact form), (d beta)^{l+1} = 0 kills
 every conormal term in a wedge with T, so the insertion identity gives X_f
 with no leaf basis: i_{X_f} vol = (f (d alpha)^k + k alpha ∧ df ∧
 (d alpha)^{k-1}) ∧ T for vol = alpha ∧ (d alpha)^k ∧ T, that is X_f = f E +
-Λ♯df (``contact._vol_dual``).
+Λ♯df (``contact._compact_dual``).
 
 The bracket {f, g} = alpha([X_f, X_g]) satisfies the Jacobi identity for
 all f, g and h if and only if [Λ, Λ] = 2 E ∧ Λ and L_E Λ = 0 (Lichnerowicz
@@ -21,7 +21,7 @@ all f, g and h if and only if [Λ, Λ] = 2 E ∧ Λ and L_E Λ = 0 (Lichnerowicz
 (``_structure_checks``), from Λ♯, E and their first partials, which are
 exact: the product rule over the wedge chains whose vol-duals they are,
 with the symbolic partials of the forms (``_jet_wedge``), and the quotient
-rule (``contact._dual_derivative``).
+rule that the Reeb commutator shares (``contact._quotient_rule``).
 
 The library's brackets (``JacobiSide.bracket_values``) are alpha([X, Y])
 on the grid, with [X, Y] = Σ_axes x_i dY - y_i dX formed over all n
@@ -40,19 +40,20 @@ import numpy as np
 
 from . import expressions as ex
 from .contact import (
-    _dual_derivative,
+    _compact_dual,
+    _Field,
     _form_reeb,
     _partials,
     _peaks,
     _product_rule,
+    _quotient_rule,
     _top,
     _troughs,
-    _vol_dual,
     _wedge,
     passes,
     verify_contact_pair,
 )
-from .exterior import _BLOCK, chain_factor, two_form_matrices
+from .exterior import _BLOCK, _scatter, chain_factor, form_count, two_form_matrices
 from .fields import FormField
 from .models import Model, _mentioned_nodes, _tensor_points, default_tolerance, grid_nodes
 
@@ -162,9 +163,11 @@ def _hamiltonian_operator(n: int, k: int, form, dform, tail=None) -> np.ndarray:
     C-ordered, from the jets (``_jet_wedge``) ``form`` = alpha, ``dform`` =
     d alpha and ``tail`` = T (None for 1), each a chain factor and its m
     partials: with B = alpha ∧ (d alpha)^{k-1} ∧ T and vol = B ∧ d alpha,
-    column j is the ``_vol_dual`` of k alpha ∧ dx^j ∧ (d alpha)^{k-1} ∧ T =
-    -k dx^j ∧ B, and its partials follow by the quotient rule
-    (``contact._dual_derivative``).  Λ♯ = 0 when k = 0."""
+    column j is the vol-dual of k alpha ∧ dx^j ∧ (d alpha)^{k-1} ∧ T =
+    -k dx^j ∧ B, formed compact (``contact._compact_dual``), and its
+    partials follow by the quotient rule (``contact._quotient_rule``), the
+    rows of each spread into Λ♯[i, j] = (Λ♯dx^j)^i (``_spread``).
+    Λ♯ = 0 when k = 0."""
     if k == 0:
         return np.zeros((len(form), len(form[0][1]), n, n))
 
@@ -178,23 +181,46 @@ def _hamiltonian_operator(n: int, k: int, form, dform, tail=None) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the relations gate checks
         b = _jet_wedge(n, form, *[dform] * (k - 1), tail)
         volume = [None if v is None else -_top(v)[:, None] for v in _jet_wedge(n, b, dform)]
-        x = _vol_dual(volume[0], columns(b[0]))
-        out = np.empty((len(b), *x.shape))
-        out[0] = np.swapaxes(x, 1, 2)
-        for a, (db, dv) in enumerate(zip(b[1:], volume[1:]), 1):
-            out[a] = np.swapaxes(_dual_derivative(x, volume[0], columns(db), dv), 1, 2)
-        return out
+        x = _compact_dual(volume[0], columns(b[0]))
+        parts = [_quotient_rule(x, volume[0], columns(db), dv) for db, dv in zip(b[1:], volume[1:])]
+    return _spread([dict(zip(x.live, x.rows)), *parts], x.rows.shape[1:] + (n,))
 
 
-def _reeb_partials(n: int, k: int, form, dform, tail, e: np.ndarray) -> list:
-    """The partials of a side's Reeb field E = e along the axes of the jets
-    (``_jet_wedge``): alpha(E) = 1 and i_E kills d alpha and T, so E = ♯c /
-    v for c = (d alpha)^k ∧ T and v = alpha ∧ c (the insertion identity),
-    and ∂E = (♯∂c - E ∂v) / v (``contact._dual_derivative``)."""
+def _reeb_partials(n: int, k: int, form, dform, tail, e: np.ndarray) -> np.ndarray:
+    """The partials of a side's Reeb field E = e along the m axes of the
+    jets (``_jet_wedge``), shape (m, P, n): alpha(E) = 1 and i_E kills d
+    alpha and T, so E = ♯c / v for c = (d alpha)^k ∧ T and v = alpha ∧ c
+    (the insertion identity), and ∂E = (♯∂c - E ∂v) / v
+    (``contact._quotient_rule``) on every component of E, its rows spread
+    into zeros (``_spread``)."""
+    x = _Field(n, tuple(range(n)), np.moveaxis(e, -1, 0), None)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the caller checks
         c = _jet_wedge(n, *[dform] * k, tail)
         v = [None if f is None else _top(f) for f in _jet_wedge(n, form, c)]
-        return [_dual_derivative(e, v[0], None if c is None else c[a], v[a]) for a in range(1, len(form))]
+        parts = [_quotient_rule(x, v[0], None if c is None else c[a], v[a]) for a in range(1, len(form))]
+    return _spread(parts, e.shape)
+
+
+def _relation_rows(n: int, form, dform) -> np.ndarray:
+    """The rows (alpha; i_. d alpha) of a side's relations (``_relations``)
+    per sample, shape (P, n + 1, n), from the chain factors (degree, values)
+    or (degree, values, live) of alpha and d alpha, compact or dense
+    (``exterior.chain_factor``), scattered dense and C-ordered, as a matmul
+    operand: row 1 + i holds (i_{e_j} d alpha)_i = d alpha(e_j, e_i) in
+    column j."""
+    a, da = (_scatter(f[1], f[2][0] if f[2:] else None, form_count(n, f[0])) for f in (form, dform))
+    return np.concatenate([a[:, None, :], np.swapaxes(two_form_matrices(n, da), 1, 2)], axis=1,
+                          out=np.empty((len(a), n + 1, n)))
+
+
+def _spread(parts, shape) -> np.ndarray:
+    """The rows {i: row} of each dict of ``parts`` in zeros of shape
+    (len(parts), *shape), row i of part a at [a, :, i]."""
+    out = np.zeros((len(parts), *shape))
+    for target, rows in zip(out, parts):
+        for i, row in rows.items():
+            target[:, i] = row
+    return out
 
 
 def _relations(lam, e, own_rows, other=None) -> tuple:
@@ -277,8 +303,7 @@ def _form_side(alpha: FormField, resolution=None, tol: float | None = None, part
         tol = default_tolerance(model)
     grid = _SideGrid(model, resolution, (alpha,))
     pts = grid.sub_points
-    av = np.ascontiguousarray(alpha.values(pts))  # an einsum operand, C-ordered
-    dav = alpha.d().values(pts)
+    av, dav = alpha.values(pts), alpha.d().values(pts)
     e, volume, residual = _form_reeb(n, av, dav)
     # an overflow first; where the volume v = alpha ∧ (d alpha)^k is
     # nonzero, A R = 0 gives i_R vol = 0, so the Reeb system has full rank
@@ -301,9 +326,9 @@ def _form_side(alpha: FormField, resolution=None, tol: float | None = None, part
                           defect=defect, threshold=threshold)
     forms = (alpha, alpha.d())  # with the rows of their live coefficients, which the partials read
     samples = [v.T[list(f.live)] for f, v in zip(forms, (av, dav))]
-    jets, axes = _jets(((1, av), (2, dav)), _partials(forms, samples, pts, grid.require_finite) if partials else {})
-    rows = np.concatenate([av[:, None, :], np.swapaxes(two_form_matrices(n, dav), 1, 2)], axis=1)
-    return _structure(grid, k, n, tol, (*jets, None), axes, e, rows)
+    factors = (1, av), (2, dav)
+    jets, axes = _jets(factors, _partials(forms, samples, pts, grid.require_finite) if partials else {})
+    return _structure(grid, k, n, tol, (*jets, None), axes, e, _relation_rows(n, *factors))
 
 
 def _pair_side(alpha: FormField, beta: FormField, k: int, l: int, side: str = "alpha", resolution=None,
@@ -320,9 +345,9 @@ def _pair_side(alpha: FormField, beta: FormField, k: int, l: int, side: str = "a
     grid = _SideGrid(model, resolution, (alpha, beta))
     cert = verify_contact_pair(alpha, beta, k, l, tol=tol, points=grid.sub_points)
     s, w, powers = cert.sampled, ("alpha", "beta").index(side), (k, l)
-    rows = s.reeb_rows()  # alpha, beta, i_. d alpha, i_. d beta
-    own_rows, other_rows = (rows[:, [i, *range(2 + i * n, 2 + (i + 1) * n)]] for i in (w, 1 - w))
-    jets, axes = _jets(s.factors(), s.partials() if partials else {})
+    factors = s.factors()  # alpha, beta, d alpha, d beta
+    own_rows, other_rows = (_relation_rows(n, factors[i], factors[2 + i]) for i in (w, 1 - w))
+    jets, axes = _jets(factors, s.partials() if partials else {})
     with np.errstate(over="ignore", invalid="ignore"):  # the gate checks
         tail = _jet_wedge(n, jets[1 - w], *[jets[3 - w]] * powers[1 - w])
     e = (cert.reeb_alpha_values, cert.reeb_beta_values)[w]

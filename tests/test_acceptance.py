@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from test_contact import reeb_rows
 
 from contactpairs import expressions as ex
 from contactpairs import exterior as xt
@@ -193,7 +194,7 @@ def _sigma_min(cert) -> float:
     """The smallest singular value of the Reeb systems of a certificate's
     samples, which the certificate itself need not take: where its volume
     gate passes, the systems have full rank."""
-    return float(np.min(np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)[:, -1]))
+    return float(np.min(np.linalg.svd(reeb_rows(cert.sampled), compute_uv=False)[:, -1]))
 
 
 def test_criterion_6_reeb_correctness(heisenberg6, t6):

@@ -282,7 +282,7 @@ def test_a_sweep_forms_each_batchs_reeb_pairs_at_once(monkeypatch, count):
     pairs = _count(monkeypatch, (deformation,), "_reeb_pair")
     rows = sweep_rows(family, grid, points=pts)
     step = _t_batch(len(pts))
-    assert [s.alpha.shape[:-1] for s, _ in pairs] == [
+    assert [s.rows[0].shape[1:] for s, _ in pairs] == [
         (len(grid[lo : lo + step]), len(pts)) for lo in range(0, len(grid), step)
     ]
     monkeypatch.undo()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_contact import reeb_rows
 
 from contactpairs import cli
 from contactpairs.cli import build_parser, main
@@ -340,7 +341,7 @@ def test_cli_verify_pair_structured(capsys):
     assert "sigma_min" not in result
     objs = build_example("heisenberg6-pair")
     cert = verify_contact_pair(objs["alpha"], objs["beta"], 1, 1)
-    assert np.min(np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)[:, -1]) > 0.1
+    assert np.min(np.linalg.svd(reeb_rows(cert.sampled), compute_uv=False)[:, -1]) > 0.1
 
 
 def test_cli_deform_single_modes(capsys):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_contact import reeb_rows
 
 import contactpairs
 from contactpairs import runner
@@ -265,7 +266,7 @@ def test_jacobi_verdict_makes_no_grid_stencil_solve_or_bracket():
     # forms no library side, and so no grid field, sweep or bracket
     called = _reached_calls("runner", "_jacobi_verdict")
     # the walk reaches them, and the frame bracket, which the pair certificate reaches
-    assert {"contact.verify_contact_pair", "jacobi._structure_checks", "models.Model.bracket_values"} <= called
+    assert {"contact.verify_contact_pair", "jacobi._structure_checks", "contact._frame_bracket"} <= called
     assert not called & {"jacobi.JacobiSide", "jacobi.JacobiSide.from_pair", "jacobi.JacobiSide.from_contact_form"}
     # the grid bracket, its entry points and its sweep
     assert not called & {"jacobi._axis_derivative", "jacobi.JacobiSide.grid_gradient", "jacobi.jacobi_bracket",
@@ -315,6 +316,55 @@ def test_no_module_imports_threading_or_contextvars():
     assert _sites(imports) == []
 
 
+# --- one sample layout ------------------------------------------------------------------
+
+def test_the_package_keeps_one_sample_layout():
+    # the dense layout of the samples is gone: no SampledPair._dense, no
+    # reeb_rows and no dense quotient rule, defined, imported or read
+    gone = {"_dense", "reeb_rows", "_dual_derivative"}
+    assert _sites(lambda node: gone & {getattr(node, key, None) for key in ("name", "attr", "id")}) == []
+
+    # a call of .values() without points forms a compact Reeb field
+    # (contact._Field) dense, unless its receiver is a dict: a name bound to
+    # a dict display or comprehension or to a call of a function annotated
+    # to return a dict, or a parameter annotated dict.  Only the
+    # certificate's two properties form a field so
+    makers, dicts, receivers = set(), set(), []
+
+    def makes_a_dict(node):
+        if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) == "dict":
+            makers.add(node.name)
+        return False
+
+    def binds_a_dict(node):
+        if isinstance(node, ast.arg) and getattr(node.annotation, "id", None) == "dict":
+            dicts.add(node.arg)
+        elif isinstance(node, ast.Assign) and (isinstance(node.value, (ast.Dict, ast.DictComp)) or (
+                isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) in makers)):
+            dicts.update(target.id for target in node.targets if isinstance(target, ast.Name))
+        return False
+
+    def forms_a_field_dense(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "values"
+                and not node.args and getattr(node.func.value, "id", None) not in dicts):
+            receivers.append(ast.unparse(node.func.value))
+        return False
+
+    for matches in (makes_a_dict, binds_a_dict, forms_a_field_dense):
+        _sites(matches)
+    assert sorted(receivers) == ["self.reeb_fields[0]", "self.reeb_fields[1]"]
+
+    # one quotient rule, which the chart commutator and both kinds of
+    # Jacobi side reach
+    def calls_the_rule(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_quotient_rule"
+
+    assert _sites(calls_the_rule) == [
+        ("contact", "_reeb_directional"), ("jacobi", "_hamiltonian_operator"), ("jacobi", "_reeb_partials")]
+    for module, function in (("contact", "_reeb_commutator"), ("jacobi", "_form_side"), ("jacobi", "_pair_side")):
+        assert "contact._quotient_rule" in _reached_calls(module, function)
+
+
 def test_a_failure_without_a_gate_reports_no_defect_or_threshold():
     # the orientation check applies no bound: the error keeps only its own keys
     err = ContactPairError("orientation", "volume coefficient changes sign across sample points", {"negative": {}})
@@ -358,7 +408,7 @@ def test_the_volume_of_a_type_00_pair_is_the_determinant_of_its_reeb_system(rati
     thin = ratio * 2e-6
     alpha, beta = _thin_pair(thin)
     cert = verify_contact_pair(alpha, beta, 0, 0, tol=0.1 * thin, points=pts)
-    sigma = np.linalg.svd(cert.sampled.reeb_rows(), compute_uv=False)
+    sigma = np.linalg.svd(reeb_rows(cert.sampled), compute_uv=False)
     np.testing.assert_allclose(np.prod(sigma, axis=-1), thin + pts[:, 1], rtol=1e-12)
     assert cert.min_volume == thin
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from test_contact import dense_samples, heisenberg6, reeb_rows, t6_pair
 
 from contactpairs import contact, jacobi
 from contactpairs import expressions as ex
 from contactpairs.cli import main
 from contactpairs.contact import (
+    SampledPair,
     _form_reeb,
     darboux_model,
     product_contact_pair,
@@ -31,6 +33,7 @@ from contactpairs.models import (
     grid_points,
     grid_shape,
     heisenberg3,
+    random_points,
     torus,
 )
 from contactpairs.registry import build_example
@@ -509,12 +512,11 @@ def _full_grid_reference(objs, side_name, resolution):
         fa, fb, fda, fdb = s.factors()
         # the einsum operands are C-ordered, as before the samples were component-major
         if side_name == "alpha":
-            own, e, lam = s.alpha, cert.reeb_alpha_values, jacobi._hamiltonian_operator(
+            own, e, lam = dense_samples(s)[0], cert.reeb_alpha_values, jacobi._hamiltonian_operator(
                 n, k, (fa,), (fda,), (contact._wedge(n, fb, *[fdb] * l),))[0]
         else:
-            own, e, lam = s.beta, cert.reeb_beta_values, jacobi._hamiltonian_operator(
+            own, e, lam = dense_samples(s)[1], cert.reeb_beta_values, jacobi._hamiltonian_operator(
                 n, l, (fb,), (fdb,), (contact._wedge(n, fa, *[fda] * k),))[0]
-        own = np.ascontiguousarray(own)
     else:
         own = np.ascontiguousarray(alpha.values(pts))
         dav = alpha.d().values(pts)
@@ -604,7 +606,7 @@ def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, caps
     reeb_pair, operator = contact._reeb_pair, jacobi._hamiltonian_operator
 
     def counted_reeb(s, chains):
-        systems.append(np.shape(s.reeb_rows()))
+        systems.append(np.shape(reeb_rows(s)))
         return reeb_pair(s, chains)
 
     def counted_operator(*args):
@@ -619,6 +621,23 @@ def test_t6_verdict_solves_one_reeb_system_per_distinct_sample(monkeypatch, caps
     # the forms mention x0 and x3 only: 6 x 6 of the 6^6 grid points, each
     # with one Reeb system and one operator Λ♯ with its partials along x0 and x3
     assert systems == [(36, 14, 6)] and operators == [(3, 36, 6, 6)]
+
+
+@pytest.mark.parametrize("make", [t6_pair, heisenberg6])
+def test_relation_rows_are_the_stacked_reeb_rows(make):
+    # a side's rows (alpha; i_. d alpha), from the compact chain factors of
+    # the samples or from dense ones, are those of the stacked Reeb rows, bit
+    # for bit
+    model, alpha, beta = make()
+    pts = random_points(model, 500, np.random.default_rng(5))
+    s = SampledPair.of(alpha, beta, pts)
+    stacked, factors, dense = reeb_rows(s), s.factors(), dense_samples(s)
+    for w in (0, 1):
+        want = stacked[:, [w, *range(2 + 6 * w, 8 + 6 * w)]]
+        for form, dform in ((factors[w], factors[2 + w]), ((1, dense[w]), (2, dense[2 + w]))):
+            got = jacobi._relation_rows(6, form, dform)
+            assert got.shape == (len(pts), 7, 6) and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 # --- the jacobi verdict: exact structure tensors at the distinct samples ------------------

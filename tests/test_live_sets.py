@@ -24,6 +24,7 @@ from contactpairs.contact import SampledPair  # noqa: E402
 from contactpairs.deformation import DeformationFamily, SampledFamily  # noqa: E402
 from contactpairs.fields import FormField  # noqa: E402
 from contactpairs.models import torus  # noqa: E402
+from test_contact import dense_samples  # noqa: E402
 from test_reeb_formula import dense_reeb_pair  # noqa: E402
 
 MODEL = torus(6)
@@ -51,7 +52,7 @@ def dense_values(form: FormField, pts) -> np.ndarray:
 
 def dense(pair: SampledPair) -> SampledPair:
     """The pair with every component live and the plain scales as bounds."""
-    arrays = (pair.alpha, pair.beta, pair.dalpha, pair.dbeta)
+    arrays = dense_samples(pair)
     live = tuple((tuple(range(v.shape[-1])), np.max(np.abs(v), axis=(-2, -1))) for v in arrays)
     return SampledPair(pair.points, pair.n, [np.moveaxis(v, -1, 0) for v in arrays], live, forms=pair.forms)
 
@@ -89,7 +90,7 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
         assume(False)  # alpha0 and beta0 dependent somewhere
     for pair, forms in ((sampled.closed, (family.alpha0, family.beta0)), (sampled.direction, (family.alpha, family.beta))):
         fields = (*forms, forms[0].d(), forms[1].d())
-        for values, rows, field in zip((pair.alpha, pair.beta, pair.dalpha, pair.dbeta), pair.rows, fields):
+        for values, rows, field in zip(dense_samples(pair), pair.rows, fields):
             assert same(values, dense_values(field, pts))
             # component-major rows of the live components alone
             assert rows.flags.c_contiguous and same(rows, values.T[list(field.live)])
@@ -102,10 +103,7 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in T_GRID:
             s = sampled.at(t)
-            for got, closed, direction in zip(
-                (s.alpha, s.beta, s.dalpha, s.dbeta), (c.alpha, c.beta, c.dalpha, c.dbeta),
-                (d.alpha, d.beta, d.dalpha, d.dbeta),
-            ):
+            for got, closed, direction in zip(dense_samples(s), dense_samples(c), dense_samples(d)):
                 assert same(got, closed + t * direction)
             assert all(same(a, b) for a, b in zip(s.scales(), dense(s).scales()))
             assert all(same(a, b) for a, b in zip(certified(s), certified(dense(s))))
@@ -113,7 +111,7 @@ def test_the_live_path_equals_the_dense_reference(family, count, seed):
             sampled.batches(T_GRID), reference.batches(T_GRID)
         ):
             assert t == t_ref
-            for got, expected in zip((s.alpha, s.beta, s.dalpha, s.dbeta), (r.alpha, r.beta, r.dalpha, r.dbeta)):
+            for got, expected in zip(dense_samples(s), dense_samples(r)):
                 assert same(got, expected)
             assert all(same(a, b) for a, b in zip(arrays, want))
             assert all(same(a, b) for a, b in zip(dense_reeb_pair(s, chains), dense_reeb_pair(r, want_chains)))

@@ -18,19 +18,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_contact import sheared_t6_pair, t6_pair
+from test_contact import heisenberg6, reeb_rows, sheared_t6_pair, t6_pair
 
 import contactpairs
 from contactpairs.cli import main
 from contactpairs.config import load_config
 from contactpairs.contact import (
     SampledPair,
-    _dual_derivative,
     _Field,
     _form_reeb,
+    _frame_bracket,
     _gap,
     _moved,
     _product_rule,
+    _quotient_rule,
     _reeb_commutator,
     _reeb_directional,
     _reeb_pair,
@@ -41,7 +42,7 @@ from contactpairs.contact import (
 from contactpairs.deformation import CONVERSE_T_GRID, SampledFamily, sweep_rows
 from contactpairs.exterior import FormValue, VectorValue, interior, two_form_matrices, wedge
 from contactpairs.fields import form_from_expressions
-from contactpairs.models import default_tolerance, random_points, sample_points
+from contactpairs.models import LieGroupModel, default_tolerance, random_points, sample_points
 from contactpairs.registry import build_example, example_names
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +78,7 @@ def assert_pair_agrees(s: SampledPair, k: int, l: int) -> None:
     the largest entry of either field: where the volume nears 0 both
     fields carry the same conditioning."""
     ea, eb, residual = dense_reeb_pair(s, s.chains(k, l))
-    x = one_shot(s.reeb_rows(), np.eye(2 * s.n + 2, 2))
+    x = one_shot(reeb_rows(s), np.eye(2 * s.n + 2, 2))
     assert_agrees(np.stack((ea, eb), axis=-1), x)
     assert float(np.max(residual)) <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
 
@@ -109,7 +110,7 @@ def test_builtin_pairs_agree_with_least_squares(name):
     # and the certificate carries that pair
     cert = verify_contact_pair(alpha, beta, k, l, points=pts)
     s = cert.sampled
-    assert_agrees(cert.reeb_alpha_values, one_shot(s.reeb_rows(), np.eye(2 * s.n + 2, 2))[..., 0])
+    assert_agrees(cert.reeb_alpha_values, one_shot(reeb_rows(s), np.eye(2 * s.n + 2, 2))[..., 0])
 
 
 @pytest.mark.parametrize("name", [name for name in PAIRS if "family" in build_example(name)])
@@ -166,7 +167,7 @@ def test_reeb_rows_of_the_formula_pair_hold_the_defining_relations():
     pts = random_points(model, 500, np.random.default_rng(6))
     s = SampledPair.of(alpha, beta, pts)
     ea, eb, residual = dense_reeb_pair(s, s.chains(1, 1))
-    got = s.reeb_rows() @ np.stack((ea, eb), axis=-1)
+    got = reeb_rows(s) @ np.stack((ea, eb), axis=-1)
     assert np.max(np.abs(got - np.eye(14, 2))) < 1e-13
     assert np.max(residual) < 1e-13
 
@@ -217,13 +218,22 @@ def test_the_scaled_pair_commutes_exactly():
     assert cert.commutator_defect <= 1e-12
 
 
-def dense_commutator(s: SampledPair, chains, ea: _Field, eb: _Field) -> np.ndarray:
-    """max_i |D_{E_alpha} E_beta - D_{E_beta} E_alpha| per sample of a type
-    (1,1) pair on a chart, on dense fields: zeros, plus and minus each
-    derivative by the dense quotient rule (``_dual_derivative``) over every
-    component."""
+def dense_quotient_rule(x: np.ndarray, volume: np.ndarray, dc, dv) -> np.ndarray:
+    """D x of the dense vol-dual x = ♯c / v from D c, a chain factor, and
+    the array D v, each None for 0, over every component: (♯D c - x D v) /
+    v, the reference of ``_quotient_rule``."""
+    rate = np.zeros_like(volume) if dv is None else dv / volume
+    out = x * -rate[..., None]
+    if dc is not None:
+        out += _vol_dual(volume, dc)
+    return out
+
+
+def reeb_quotients(s: SampledPair, chains, ea: _Field, eb: _Field):
+    """Yield (E, volume, D c, D v, sign) for D_{E_beta} E_alpha (sign -1)
+    and D_{E_alpha} E_beta (sign +1) of a type (1,1) pair on a chart: the
+    operands of the quotient rule, from the product rule."""
     n, (alpha, beta, dalpha, dbeta) = s.n, s.factors()
-    out = np.zeros((len(s.points), n))
     for x, e, j in ((ea, eb, 1), (eb, ea, 0)):
         (da, db, dda, ddb), = _moved(s, (x,))
         dm = _product_rule(n, [(dalpha, dda), (dbeta, ddb)])
@@ -231,11 +241,39 @@ def dense_commutator(s: SampledPair, chains, ea: _Field, eb: _Field) -> np.ndarr
         dv = _product_rule(n, [(alpha, da), (chains.na, dna)])
         dv = None if dv is None else _top(dv)
         if j == 0:
-            out -= _dual_derivative(e.values(), chains.volume, dna, dv)
+            yield e, chains.volume, dna, dv, -1.0
         else:
             dc = _product_rule(n, [(alpha, da), (chains.m, dm)])
-            out += _dual_derivative(e.values(), -chains.volume, dc, None if dv is None else -dv)
+            yield e, -chains.volume, dc, None if dv is None else -dv, 1.0
+
+
+def dense_commutator(s: SampledPair, chains, ea: _Field, eb: _Field) -> np.ndarray:
+    """max_i |D_{E_alpha} E_beta - D_{E_beta} E_alpha| per sample of a type
+    (1,1) pair on a chart, on dense fields: zeros, plus and minus each
+    derivative by the dense quotient rule over every component."""
+    out = np.zeros((len(s.points), s.n))
+    for e, volume, dc, dv, sign in reeb_quotients(s, chains, ea, eb):
+        out += sign * dense_quotient_rule(e.values(), volume, dc, dv)  # a - b is a + (-b), bit for bit
     return np.abs(out).max(axis=-1)
+
+
+@pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair, scaled_sheared_t6_pair])
+def test_the_compact_quotient_rule_equals_the_dense_one(pair):
+    # the rule's rows, on the live sets of E and of its numerator's
+    # vol-dual, hold the dense rule's values; every other component is 0
+    # there
+    model, alpha, beta = pair()
+    s = SampledPair.of(alpha, beta, random_points(model, 300, np.random.default_rng(12)))
+    chains = s.chains(1, 1)
+    ea, eb, _ = _reeb_pair(s, chains)
+    for e, volume, dc, dv, _ in reeb_quotients(s, chains, ea, eb):
+        rows, want = _quotient_rule(e, volume, dc, dv), dense_quotient_rule(e.values(), volume, dc, dv)
+        got = np.zeros_like(want)
+        for i, row in rows.items():
+            got[:, i] = row
+        assert np.array_equal(got, want)
+        if pair is not t6_pair:
+            assert rows
 
 
 @pytest.mark.parametrize("pair", [t6_pair, sheared_t6_pair, scaled_sheared_t6_pair])
@@ -254,6 +292,50 @@ def test_the_compact_commutator_equals_the_dense_one_bit_for_bit(pair):
     ea.rows[0, 7] = np.nan
     got = _reeb_commutator(s, chains, ea, eb)
     assert np.isnan(got[7]) and np.isfinite(np.delete(got, 7)).all()
+
+
+# --- the frame bracket of a Lie commutator ------------------------------------------------
+
+def two_step_algebra(rng, n: int = 7, center: int = 3) -> LieGroupModel:
+    """A random 2-step nilpotent algebra: [e_i, e_j] = sum_k c^k_ij e_k
+    with random c^k_ij for i, j below n - center and k in the center, every
+    other bracket 0; every bracket is central, so the Jacobi identity holds."""
+    c, g = np.zeros((n, n, n)), n - center
+    for i in range(g):
+        for j in range(i + 1, g):
+            c[i, j, g:] = rng.standard_normal(center)
+            c[j, i, g:] = -c[i, j, g:]
+    return LieGroupModel(c, name="two-step")
+
+
+def random_field(rng, n: int, live: tuple, points: int) -> _Field:
+    """A compact field live on ``live``, random rows over the points, the
+    vol-dual by a random volume of either sign."""
+    volume = rng.uniform(0.5, 2.0, points) * rng.choice((-1.0, 1.0), points)
+    return _Field(n, live, rng.standard_normal((len(live), points)), volume)
+
+
+@pytest.mark.parametrize("case", ["heisenberg6", "two-step"])
+def test_the_compact_frame_bracket_equals_the_dense_one_bit_for_bit(case):
+    # no report can show a wrong bracket: on every builtin Lie pair c(E_alpha,
+    # E_beta) is 0, heisenberg6-pair's fields being e2 and e5; these fields
+    # have a nonzero one
+    rng = np.random.default_rng(14)
+    model = heisenberg6()[0] if case == "heisenberg6" else two_step_algebra(rng)
+    n, points = model.n, 50
+    for live_x, live_y in [((0, 1, 2), (1, 3, 4)), (tuple(range(n)), tuple(range(n))), ((0, 3), (1, 4)), ((2,), (5,))]:
+        x, y = random_field(rng, n, live_x, points), random_field(rng, n, live_y, points)
+        got = np.zeros((points, n))
+        for k, row in _frame_bracket(model.structure, x, y).items():
+            got[:, k] = row
+        want = model.bracket_values(x.values(), y.values())
+        assert got.tobytes() == want.tobytes()
+        assert np.any(want) == (live_x != (2,))
+    if case == "heisenberg6":
+        _, alpha, beta = heisenberg6()
+        cert = verify_contact_pair(alpha, beta, 1, 1)
+        assert [f.live for f in cert.reeb_fields] == [(2,), (5,)]
+        assert _frame_bracket(model.structure, *cert.reeb_fields) == {}
 
 
 # --- the compact Reeb fields ---------------------------------------------------------------
@@ -301,8 +383,8 @@ def test_the_compact_reeb_fields_form_the_bits_of_the_formula(case):
             assert np.all(want[..., dead] == 0.0)
             # where some volume is 0 or NaN, every component is live
             assert (len(dead) > 0) == finite
-            if s.alpha.ndim == 3:  # a t batch: each t's slice forms that t's bits
-                for i in range(len(s.alpha)):
+            if s.rows[0].ndim == 3:  # a t batch: each t's slice forms that t's bits
+                for i in range(s.rows[0].shape[1]):
                     assert field.t_slice(i).values().tobytes() == want[i].tobytes()
     if case == "t=1,1e308":
         assert not finite and not np.isfinite(chains.volume[1]).all()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_contact import sheared_t6_pair
+from test_contact import dense_samples, sheared_t6_pair
 
 from contactpairs import contact, deformation
 from contactpairs import expressions as ex
@@ -123,8 +123,8 @@ def _assert_same(s, got, want, rtol):
             assert (str(got), got.witness, got.defect) == (str(want), want.witness, want.defect)
         return
     assert not isinstance(got, ContactPairError), got
-    for name in ("alpha", "beta", "dalpha", "dbeta"):
-        close(getattr(s, name), getattr(want.sampled, name))
+    for got_values, want_values in zip(dense_samples(s), dense_samples(want.sampled)):
+        close(got_values, want_values)
     names = ["min_volume", "dalpha_power_residual", "dbeta_power_residual",
              "reeb_residual", "reeb_alpha_values", "reeb_beta_values"]
     for name in names:
@@ -181,15 +181,15 @@ def test_sweep_rows_match_expression_path(name, rtol, seed):
     rows = sweep_rows(family, SWEEP_T_GRID, points=pts)
     assert (family.k, family.l) == (1, 1)
     for t, row in zip(SWEEP_T_GRID, rows):
-        s = SampledPair.of(*family.at(t), pts)
+        alpha, beta, dalpha, dbeta = dense_samples(SampledPair.of(*family.at(t), pts))
         # the formula's chains with every factor without a live set, so
         # that each wedge and contraction scans its operands
-        m = chain(6, (2, s.dalpha), (2, s.dbeta))
-        na, nb = chain(6, (4, m), (1, s.beta)), chain(6, (1, s.alpha), (4, m))
-        vol = chain(6, (1, s.alpha), (5, na))[..., 0]
+        m = chain(6, (2, dalpha), (2, dbeta))
+        na, nb = chain(6, (4, m), (1, beta)), chain(6, (1, alpha), (4, m))
+        vol = chain(6, (1, alpha), (5, na))[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             fields = [(_vol_dual(vol, na), None), (_vol_dual(-vol, nb), None)]
-            forms = ((1, s.alpha), (1, s.beta), (2, s.dalpha), (2, s.dbeta))
+            forms = ((1, alpha), (1, beta), (2, dalpha), (2, dbeta))
             residual = _reeb_residual(6, fields, forms)
         want = [float(np.min(vol)), float(np.max(vol)), float(np.max(residual))]
         got = [row["min_volume_coeff"], row["max_volume_coeff"], row["max_reeb_residual"]]
@@ -218,12 +218,12 @@ def test_affine_samples_keep_the_dalpha0_term():
     family = _nearly_closed_family()
     pts = random_points(family.model, 300, np.random.default_rng(3))
     sampled = SampledFamily(family, pts, default_tolerance(family.model))
-    assert np.max(np.abs(sampled.closed.dalpha)) > 1e-10
+    assert np.max(np.abs(dense_samples(sampled.closed)[2])) > 1e-10
     for t in (0.0, 0.5, -2.0):
         s = sampled.at(t)
         want = SampledPair.of(*family.at(t), pts)
-        for name in ("alpha", "beta", "dalpha", "dbeta"):
-            np.testing.assert_allclose(getattr(s, name), getattr(want, name), rtol=1e-14, atol=1e-24)
+        for got, expected in zip(dense_samples(s), dense_samples(want)):
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-24)
 
 
 # --- each coefficient is evaluated once ---------------------------------------
@@ -303,10 +303,10 @@ def test_a_negative_zero_constant_keeps_its_sign_in_the_samples():
     t3 = torus(3)
     alpha = FormField(t3, 1, [ex.Call("sin", ex.Mul(ex.Const(z), ex.Var(0))) for z in (-0.0, 0.0)] + ["1"])
     pts = random_points(t3, 50, np.random.default_rng(2)) + 0.1  # every x0 > 0
-    s = SampledPair.of(alpha, alpha, pts)
-    assert np.all(s.alpha[:, :2] == 0.0)
-    assert np.signbit(s.alpha[:, 0]).all() and not np.signbit(s.alpha[:, 1]).any()
-    assert s.alpha.tobytes() == np.column_stack([ex.evaluate_many(c, pts) for c in alpha.coeffs]).tobytes()
+    av = dense_samples(SampledPair.of(alpha, alpha, pts))[0]
+    assert np.all(av[:, :2] == 0.0)
+    assert np.signbit(av[:, 0]).all() and not np.signbit(av[:, 1]).any()
+    assert av.tobytes() == np.column_stack([ex.evaluate_many(c, pts) for c in alpha.coeffs]).tobytes()
 
 
 # --- the commutator is one gate ------------------------------------------------
@@ -545,10 +545,11 @@ def _refuse_dense(*args, **kwargs):
     raise AssertionError("a dense sample, a dense Reeb field or an einsum was formed")
 
 
-@pytest.mark.parametrize("name", ["t6-pair-compatible", "t6-pair-incompatible", "sheared-t6"])
+@pytest.mark.parametrize("name", ["t6-pair-compatible", "t6-pair-incompatible", "sheared-t6", "heisenberg6-pair"])
 def test_the_family_verdicts_form_no_dense_sample_or_reeb_field(monkeypatch, name):
-    # verify-pair, both deform modes and sweep read the compact rows alone;
-    # the verdicts equal those of an unpatched run
+    # verify-pair, both deform modes and sweep read the compact rows alone,
+    # the frame bracket of a Lie commutator too; the verdicts equal those of
+    # an unpatched run
     family = _sheared_family() if name == "sheared-t6" else build_example(name)["family"]
     pts = random_points(family.model, 500, np.random.default_rng(3))
 
@@ -563,7 +564,6 @@ def test_the_family_verdicts_form_no_dense_sample_or_reeb_field(monkeypatch, nam
 
     want = verdicts()
     monkeypatch.setattr(np, "einsum", _refuse_dense)
-    monkeypatch.setattr(contact.SampledPair, "_dense", _refuse_dense)
     monkeypatch.setattr(contact._Field, "values", _refuse_dense)
     assert verdicts() == want
     if name == "sheared-t6":  # alpha0(E_alpha) = 0.3 E^1 + 0.7 E^2 + 0.5 E^3 is not 0
@@ -597,7 +597,7 @@ def test_compatibility_items_equal_the_dense_pairings_bit_for_bit(name, referenc
     # at tol 0 every item with a nonzero defect fails and keeps its witness
     items = deformation._pairing_items(sampled.closed, cert, 0.0)
     fields = (cert.reeb_alpha_values, cert.reeb_beta_values)
-    pairs = [(w, e) for w in (sampled.closed.alpha, sampled.closed.beta) for e in fields]
+    pairs = [(w, e) for w in dense_samples(sampled.closed)[:2] for e in fields]
     for reference in references:
         for item, (w, e) in zip(items, pairs):
             values = np.abs(reference(w, e))

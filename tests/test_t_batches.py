@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from test_contact import dense_samples
 from test_gates import PACKAGE, _sites
 from test_reeb_formula import dense_reeb_pair
 
@@ -133,8 +134,8 @@ def test_the_t_grid_is_sampled_and_certified_in_batches_of_block_over_points(mon
         return real_at(self, t)
 
     def recording_arrays(self, k, l):
-        if self.alpha.ndim == 3:  # the kernel pass of a batch
-            passes.append(len(self.alpha))
+        if self.rows[0].ndim == 3:  # the kernel pass of a batch
+            passes.append(self.rows[0].shape[1])
         return real_arrays(self, k, l)
 
     monkeypatch.setattr(SampledFamily, "at", recording_at)
@@ -169,18 +170,15 @@ def test_batches_yield_the_samples_and_arrays_of_each_t_alone(monkeypatch, count
         yielded = list(sampled.batches(list(grid)))
         assert shapes == [(size, 1, 1) for size in sizes]
         assert [t for batch_t, _, _ in yielded for t in batch_t] == list(grid)
-        assert all(len(batch.alpha) == len(batch_t) for batch_t, batch, _ in yielded)
+        assert all(batch.rows[0].shape[1] == len(batch_t) for batch_t, batch, _ in yielded)
         per_t = [
             (batch.t_slice(i), [v[i] for v in (*arrays, *dense_reeb_pair(batch, chains))])
             for batch_t, batch, (arrays, chains) in yielded for i in range(len(batch_t))
         ]
-        c, d = sampled.closed, sampled.direction
         for t, (s, arrays) in zip(grid, per_t):
             assert s.points is sampled.points
             # closed + t * direction, formed for t alone
-            assert _bits((s.alpha, s.beta, s.dalpha, s.dbeta)) == _bits(
-                (c.alpha + t * d.alpha, c.beta + t * d.beta, c.dalpha + t * d.dalpha, c.dbeta + t * d.dbeta)
-            )
+            assert _affine_bits(sampled, s, t)
             alone = real_at(sampled, t)
             want, chains = alone.certificate_arrays(family.k, family.l)
             # the arrays and the Reeb pair with its residual
@@ -258,10 +256,8 @@ def test_a_batch_is_released_once_its_t_are_certified(monkeypatch, verify, t_cou
 
 def _affine_bits(sampled, s, t):
     """Whether the samples s hold closed + t * direction, bit for bit."""
-    c, d = sampled.closed, sampled.direction
-    return _bits((s.alpha, s.beta, s.dalpha, s.dbeta)) == _bits(
-        (c.alpha + t * d.alpha, c.beta + t * d.beta, c.dalpha + t * d.dalpha, c.dbeta + t * d.dbeta)
-    )
+    closed, direction = dense_samples(sampled.closed), dense_samples(sampled.direction)
+    return _bits(dense_samples(s)) == _bits([c + t * d for c, d in zip(closed, direction)])
 
 
 @pytest.mark.parametrize("verify", [verify_forward, verify_converse])
@@ -296,12 +292,12 @@ def test_a_non_finite_t_leaves_every_dead_component_zero():
     family, pts = _setup("t6-pair-compatible", 2)
     sampled = SampledFamily(family, pts, default_tolerance(family.model))
     c, d = sampled.closed, sampled.direction
-    counts = [v.shape[-1] for v in (c.alpha, c.beta, c.dalpha, c.dbeta)]
+    counts = [v.shape[-1] for v in dense_samples(c)]
     dead = [[i for i in range(count) if i not in {*cl[0], *dl[0]}] for count, cl, dl in zip(counts, c.live, d.live)]
     assert all(dead)
     for t in (1.0, np.inf, 1.0, np.nan, -2.0):
         s = sampled.at(np.array([t])[:, None, None])
-        arrays = (s.alpha, s.beta, s.dalpha, s.dbeta)
+        arrays = dense_samples(s)
         if np.isfinite(t):
             assert _affine_bits(sampled, s.t_slice(0), t)
             assert all(np.all(v[..., d] == 0.0) and not np.any(np.signbit(v[..., d])) for v, d in zip(arrays, dead))
